@@ -229,7 +229,7 @@ let optimize_cmd =
       in
       (* The tier-0 spec mirrors the exact objective's machine model so the
          screen ranks what the simulator will measure. [--exact-topk 0]
-         disables the screen entirely (untiered exact search). *)
+         opens the screen (untiered exact search). *)
       let obj, tier0 =
         match objective with
         | "locality" ->
@@ -268,7 +268,7 @@ let optimize_cmd =
       match
         Itf_opt.Engine.search ~steps ?domains ~tracer ?metrics
           ~provenance:explain ?tier0 ?budget
-          ~exact_topk:(max 1 exact_topk) ~tier0_only nest obj
+          ~exact_topk ~tier0_only nest obj
       with
       | None ->
         Printf.eprintf "error: nest could not be scored\n";
@@ -353,8 +353,8 @@ let optimize_cmd =
           ~doc:
             "Exact simulations per search step: the analytic tier-0 cost \
              model screens every legal candidate and only the K most \
-             promising reach the exact simulator. 0 disables the screen \
-             (every legal candidate simulated, pre-tiering behaviour).")
+             promising reach the exact simulator. 0 opens the screen \
+             (every legal candidate simulated).")
   in
   let tier0_only =
     Arg.(

@@ -16,8 +16,6 @@ type spec =
       params : (string * int) list;
     }
 
-let spec_label = function Locality _ -> "locality" | Parallel _ -> "parallel"
-
 (* Reordering preserves the touched-address set, so the locality bound
    holds for every descendant of a candidate too; the parallel bound does
    not survive further parallelization. *)

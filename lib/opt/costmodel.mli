@@ -61,9 +61,6 @@ val default_bounds : params:(string * int) list -> int -> (int * int) list
     [m = max 8 (max |param value|)]. Shared with [Search.make_env] so the
     cost model's layout assumptions match the simulated environment. *)
 
-val spec_label : spec -> string
-(** ["locality"] or ["parallel"] — used for metric labels and provenance. *)
-
 val subtree_admissible : spec -> bool
 (** Whether a candidate's [bound] also lower-bounds every {e descendant}
     (candidate extended by more templates), making it safe for

@@ -57,10 +57,6 @@ let verdict_label = function
 
 let completion_label = function Complete -> "ok" | Degraded _ -> "degraded"
 
-let no_budget = { deadline_s = None; max_nodes = None }
-
-let deadline s = { no_budget with deadline_s = Some s }
-
 (* The cross-step cache is keyed on the canonical sequence's dense intern
    id from {!Sequence.reduce_memo}: hashing and equality are single
    integer operations. Ids are used for {e equality only}, never ordering:
@@ -83,7 +79,8 @@ type node = {
 
 (* A legality-checked candidate holding only a tier-0 estimate: it was
    screened out of the exact tier (or has not reached it yet). Kept in the
-   cache so a re-derived spelling skips legality AND tier-0 work. *)
+   cache so a re-derived spelling skips legality AND tier-0 work. Under an
+   open screen [cest] is {!open_estimate}. *)
 type checked = {
   cseq : Sequence.t;
   ccanon : Sequence.t;
@@ -197,35 +194,12 @@ let score_with f =
   | s -> Ok s
   | exception _ -> Error Unscoreable
 
-(* One single-tier candidate evaluation: legality, then score. Runs on
-   worker domains — all mutable state ([count]) is local, the result and
-   its rejection cause are merged by the caller in input order. [obj_ran]
-   is true iff the objective simulation ran. [tracer] is this candidate's
-   forked tracer; it is also installed as ambient so the simulators inside
-   [objective] attach their spans under the objective span. *)
-let evaluate tracer objective cand =
-  let count = ref 0 in
-  let t_start = Unix.gettimeofday () in
-  let checked =
-    Tracer.span tracer "engine.legality" (fun () -> check_legal ~count cand)
-  in
-  let leg_s = Unix.gettimeofday () -. t_start in
-  match checked with
-  | Error _ as e -> (e, !count, false, leg_s, 0.)
-  | Ok (st, result) ->
-    let t_obj = Unix.gettimeofday () in
-    let verdict =
-      score_with (fun () ->
-          Tracer.span tracer "engine.objective" (fun () -> objective result))
-      |> Result.map (fun score -> (st, result, score))
-    in
-    (verdict, !count, true, leg_s, Unix.gettimeofday () -. t_obj)
-
-(* Tier-0 evaluation of one candidate: legality, then the analytic
-   estimate — no simulation. Also runs on worker domains. The two trailing
-   floats are the candidate's legality and estimate durations; the
-   coordinator folds them (in input order) into the per-phase breakdown. *)
-let evaluate_tier0 tier0 cand =
+(* Tier-0 evaluation of one candidate: legality, then the screen's
+   estimate — no simulation. Runs on worker domains: all mutable state
+   ([count]) is local, and the coordinator merges the result in input
+   order. The two trailing floats are the candidate's legality and
+   estimate durations, folded into the per-phase breakdown. *)
+let evaluate_tier0 estimate cand =
   let count = ref 0 in
   let t_start = Unix.gettimeofday () in
   let checked = check_legal ~count cand in
@@ -233,28 +207,41 @@ let evaluate_tier0 tier0 cand =
   match checked with
   | Error cause -> (Error cause, !count, t_leg -. t_start, 0.)
   | Ok (st, result) ->
-    let est = tier0 result in
+    let est = estimate result in
     (Ok (st, result, est), !count, t_leg -. t_start, Unix.gettimeofday () -. t_leg)
+
+(* The estimate an open screen gives every candidate. All candidates then
+   form one estimate tie class, which the top-K cut never splits, and a
+   [-inf] bound never exceeds the incumbent: every legal candidate reaches
+   the exact tier. An untiered search is the tiered pipeline with this
+   screen. *)
+let open_estimate = { Costmodel.score = 0.; bound = Float.neg_infinity }
 
 let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 let default_exact_topk = 12
 
-let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
-    ?(tracer = Tracer.null) ?metrics ?(provenance = false) ?tier0
-    ?(exact_topk = default_exact_topk) ?(tier0_only = false) ?budget
-    ?(cache_cap = max_int) nest (objective : Search.objective) =
+let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
+    ?metrics ?(provenance = false) ?tier0 ?(exact_topk = default_exact_topk)
+    ?(tier0_only = false) ?budget nest (objective : Search.objective) =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
   (* A beam member must carry a score, so the exact tier can never feed
      the beam fewer candidates than it holds. *)
   let exact_topk = max beam exact_topk in
-  let tier0_fn = Option.map Costmodel.make tier0 in
+  (* Without [tier0] the screen is open: its estimates are neither
+     counted, timed nor recorded as decisions. *)
+  let screened = Option.is_some tier0 in
+  let estimate =
+    match tier0 with
+    | Some s -> Costmodel.make s
+    | None -> fun _ -> open_estimate
+  in
   let subtree_prune =
     match tier0 with Some s -> Costmodel.subtree_admissible s | None -> false
   in
-  if tier0_only && Option.is_none tier0_fn then
+  if tier0_only && not screened then
     invalid_arg "Engine.search: ~tier0_only requires ~tier0";
   let reject_counter cause =
     match metrics with
@@ -274,7 +261,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
       cx.rejections <- { candidate = cand; cause } :: cx.rejections
   in
   let decide cand (est : Costmodel.estimate) verdict =
-    if provenance then
+    if provenance && screened then
       cx.decisions <-
         {
           candidate = cand;
@@ -335,12 +322,11 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
     cx.legality_time <- cx.legality_time +. (Unix.gettimeofday () -. t_leg);
     match finished with
     | Error _ -> None
-    | Ok result -> (
-      match tier0_fn with
-      | Some t0 when tier0_only ->
+    | Ok result ->
+      if tier0_only then begin
         cx.tier0_evals <- cx.tier0_evals + 1;
         let t_est = Unix.gettimeofday () in
-        let est = t0 result in
+        let est = estimate result in
         cx.tier0_time <- cx.tier0_time +. (Unix.gettimeofday () -. t_est);
         Some
           {
@@ -351,7 +337,8 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
             result;
             score = est.Costmodel.score;
           }
-      | _ ->
+      end
+      else begin
         cx.objective_evals <- cx.objective_evals + 1;
         let t_obj = Unix.gettimeofday () in
         let scored =
@@ -366,7 +353,8 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
         | Ok score ->
           Some
             { seq = []; canon = []; key = root_key; state = st; result; score }
-        | Error _ -> None)
+        | Error _ -> None
+      end
   in
   match root with
   | None -> None
@@ -376,24 +364,12 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
        legal candidate, [Checked] one that only reached the tier-0
        screen, [Failed] a rejected one whose cause replays on every
        re-derived spelling. E.g. reversal twice reduces to [] and is
-       answered by the root's entry without touching the framework. The cache is written
-       exclusively by the merging thread (workers fill per-index result
-       slots), so parallel runs stay bit-identical to sequential ones. *)
+       answered by the root's entry without touching the framework. The
+       cache is written exclusively by the merging thread (workers fill
+       per-index result slots), so parallel runs stay bit-identical to
+       sequential ones. *)
     let cache : entry KeyTbl.t = KeyTbl.create 256 in
     KeyTbl.add cache root.key (Scored root);
-    (* [cache_cap] bounds the per-search memo. Entries are pure facts
-       about (nest, canonical sequence), so flushing loses only speed —
-       later steps re-derive what they need — never correctness. The
-       default cap is never reached, keeping single-shot runs
-       bit-identical in work done as well as results. *)
-    let cache_evictions = ref 0 in
-    let enforce_cache_cap () =
-      if KeyTbl.length cache > cache_cap then begin
-        cache_evictions := !cache_evictions + KeyTbl.length cache;
-        KeyTbl.reset cache;
-        KeyTbl.add cache root.key (Scored root)
-      end
-    in
     (* Best exact score seen so far — the branch-and-bound incumbent. Only
        updated between steps, so every candidate of one step faces the
        same cutoff regardless of evaluation order. *)
@@ -449,7 +425,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                           | None ->
                             misses := (parent, t, cand, canon, key) :: !misses
                         end)
-                      (Search.moves ?block_sizes nest ~depth))
+                      (Search.moves nest ~depth))
                   !frontier;
                 ( List.rev !hits,
                   List.rev !checked_hits,
@@ -462,81 +438,25 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
             ];
           let t1 = Unix.gettimeofday () in
           cx.expand_time <- cx.expand_time +. (t1 -. t0);
-          (* Evaluate the cache misses across the domain pool. The pool
-             map preserves input order and (in the single-tier path) each
-             task records into its own forked tracer, joined back in input
-             order — so both the merge below and the span tree are
+          (* Evaluate the cache misses across the domain pool in two
+             batches: tier 0 (legality + the screen's estimate) for every
+             miss, then the exact objective for the screen's survivors.
+             The pool map preserves input order and each exact task
+             records into its own forked tracer, joined back in input
+             order — so both merges below and the span tree are
              deterministic. *)
           let fresh =
             if over_budget (Printf.sprintf "step%d.evaluate" step) then None
-            else
-              match tier0_fn with
-              | None ->
-              (* Single-tier: fused legality + exact objective per
-                 candidate, exactly the pre-tiering behaviour. *)
+            else begin
               let results =
-                Tracer.span tracer "engine.evaluate"
-                  ~attrs:(fun () ->
-                    [ ("candidates", Int (Array.length misses)) ])
-                  (fun () ->
-                    let forks =
-                      Array.map (fun _ -> Tracer.fork tracer) misses
-                    in
-                    let tasks =
-                      Array.mapi
-                        (fun i (parent, t, _, _, _) -> (forks.(i), parent, t))
-                        misses
-                    in
-                    let results =
-                      pmap
-                        (fun (tr, parent, t) ->
-                          Tracer.with_ambient tr (fun () ->
-                              Tracer.span tr "engine.candidate"
-                                ~attrs:(fun () ->
-                                  [ ("template", String (Template.name t)) ])
-                                (fun () -> evaluate tr objective (parent, t))))
-                        tasks
-                    in
-                    Tracer.join tracer (Array.to_list forks);
-                    results)
-              in
-              let t2 = Unix.gettimeofday () in
-              cx.evaluate_time <- cx.evaluate_time +. (t2 -. t1);
-              (* Merge in input order: fold counters, fill the cache,
-                 record rejection provenance. *)
-              let fresh = ref [] in
-              Array.iteri
-                (fun i (r, apps, obj_ran, leg_s, obj_s) ->
-                  let _, _, cand, canon, key = misses.(i) in
-                  cx.applications <- cx.applications + apps;
-                  cx.saved <- cx.saved + max 0 (List.length cand - apps);
-                  cx.legality_time <- cx.legality_time +. leg_s;
-                  cx.exact_time <- cx.exact_time +. obj_s;
-                  if obj_ran then cx.objective_evals <- cx.objective_evals + 1;
-                  match r with
-                  | Ok (st, result, score) ->
-                    let node =
-                      { seq = cand; canon; key; state = st; result; score }
-                    in
-                    KeyTbl.replace cache key (Scored node);
-                    fresh := node :: !fresh
-                  | Error cause ->
-                    cx.illegal <- cx.illegal + 1;
-                    KeyTbl.replace cache key (Failed cause);
-                    reject cand cause)
-                results;
-              Some (List.rev !fresh)
-            | Some t0 ->
-              (* Tier 0: legality + analytic estimate for every fresh
-                 candidate (cheap — no simulation). *)
-              let results =
-                Tracer.span tracer "engine.tier0"
+                Tracer.span tracer
+                  (if screened then "engine.tier0" else "engine.legality")
                   ~attrs:(fun () ->
                     [ ("candidates", Int (Array.length misses)) ])
                   (fun () ->
                     pmap
                       (fun (parent, t, _, _, _) ->
-                        evaluate_tier0 t0 (parent, t))
+                        evaluate_tier0 estimate (parent, t))
                       misses)
               in
               let pending = ref [] in
@@ -546,10 +466,12 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                   cx.applications <- cx.applications + apps;
                   cx.saved <- cx.saved + max 0 (List.length cand - apps);
                   cx.legality_time <- cx.legality_time +. leg_s;
-                  cx.tier0_time <- cx.tier0_time +. t0_s;
                   match r with
                   | Ok (st, result, est) ->
-                    cx.tier0_evals <- cx.tier0_evals + 1;
+                    if screened then begin
+                      cx.tier0_evals <- cx.tier0_evals + 1;
+                      cx.tier0_time <- cx.tier0_time +. t0_s
+                    end;
                     pending :=
                       {
                         cseq = cand;
@@ -580,7 +502,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                  the cross-step cache and inflating legality work on
                  bulky nests. Extra exact scores never change the winner:
                  they can only move the beam toward the untiered one. *)
-              let screened =
+              let ranked =
                 List.sort order_checked (checked_hits @ List.rev !pending)
               in
               let bound_ok = ref [] in
@@ -597,7 +519,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                     KeyTbl.replace cache c.ckey (Checked c)
                   end
                   else bound_ok := c :: !bound_ok)
-                screened;
+                ranked;
               let bound_ok = List.rev !bound_ok in
               let smallest =
                 if tier0_only then KeyTbl.create 1
@@ -712,6 +634,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                 scored;
               Some (List.rev !fresh)
               end
+            end
           in
           match fresh with
           | None ->
@@ -736,8 +659,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
                 frontier := top;
                 bests := top @ !bests);
             let t3 = Unix.gettimeofday () in
-            cx.merge_time <- cx.merge_time +. (t3 -. t2);
-            enforce_cache_cap ())
+            cx.merge_time <- cx.merge_time +. (t3 -. t2))
     done;
     let winner = List.hd (List.sort order !bests) in
     let total = Unix.gettimeofday () -. cx.t_start in
@@ -769,10 +691,7 @@ let search ?(beam = 6) ?(steps = 3) ?block_sizes ?domains
       (fun m ->
         Metrics.set
           (Metrics.gauge m "engine.cache.size")
-          (float (KeyTbl.length cache));
-        Metrics.set
-          (Metrics.gauge m "engine.cache.evictions")
-          (float !cache_evictions))
+          (float (KeyTbl.length cache)))
       metrics;
     (* Intern/memo table health, one gauge triple per table, labeled by
        table name. Gauges are absolute process-wide values (last write

@@ -14,12 +14,15 @@
       {!Itf_mat.Hashcons} and DESIGN.md §10) answers re-derived
       transformations (interchange twice, reversal pairs, composed
       unimodulars, ...) without touching the framework;
-    - {b two-tier objective} (pass [~tier0]): every legal candidate is
-      first scored by the analytic {!Costmodel} (no simulation); the
-      tier-0 rank screens candidates so only the best [~exact_topk] per
-      step reach the exact simulator, and the admissible tier-0 [bound]
-      cuts whole subtrees branch-and-bound style against the best exact
-      score seen so far (only when {!Costmodel.subtree_admissible});
+    - {b two-tier objective}: every step checks legality of its fresh
+      candidates in one batch, screens them, and scores the survivors
+      with the exact objective in a second batch. With [~tier0] the screen
+      ranks by the analytic {!Costmodel} (no simulation), so only the best
+      [~exact_topk] per step reach the exact simulator, and the admissible
+      tier-0 [bound] cuts whole subtrees branch-and-bound style against
+      the best exact score seen so far (only when
+      {!Costmodel.subtree_admissible}). Without it the screen is open:
+      every legal candidate is scored exactly (an untiered search);
     - {b multicore}: cache misses are evaluated across the process-wide
       persistent {!Pool.shared} of OCaml 5 domains ([domains = 1] never
       touches it), with small steps running sequentially
@@ -29,9 +32,9 @@
       so results are bit-identical to a sequential run.
 
     {b Observability}: pass a {!Itf_obs.Tracer} to record the span tree
-    (search → step → expand / tier0 / exact (or evaluate, untiered) /
-    merge → per-candidate legality and objective spans; the simulators
-    attach below the objective via the ambient tracer). Per-candidate
+    (search → step → expand / tier0 (named legality when untiered) /
+    exact / merge → per-candidate objective spans below exact; the
+    simulators attach below the objective via the ambient tracer). Per-candidate
     spans are forked and joined in input order, so the span tree and all
     metric totals are identical between sequential and parallel runs —
     timings aside. Pass a {!Itf_obs.Metrics} registry to accumulate
@@ -69,9 +72,8 @@ type rejection = { candidate : Itf_core.Sequence.t; cause : cause }
 
 (** Anytime budget for {!search}: a wall-clock deadline (seconds from
     search start) and/or a cap on nodes explored. Checked only at batch
-    boundaries — at every step start, and between a step's evaluation
-    batches (after the single-tier batch would start; between the tier-0
-    and exact batches on tiered searches). On expiry the search stops and
+    boundaries — at every step start, before a step's tier-0 batch, and
+    between its tier-0 and exact batches. On expiry the search stops and
     returns the best-so-far incumbent marked {!Degraded} instead of
     raising; a partially evaluated step is abandoned whole, so the
     outcome is a deterministic function of the cut point. *)
@@ -111,12 +113,6 @@ val verdict_label : tier0_verdict -> string
 val completion_label : completion -> string
 (** ["ok"] or ["degraded"] — the serve-layer status slug. *)
 
-val no_budget : budget
-(** No limits — identical to omitting [?budget]. *)
-
-val deadline : float -> budget
-(** [deadline s] is a wall-clock-only budget of [s] seconds. *)
-
 val default_domains : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)] — leave one core for
     the rest of the process. *)
@@ -128,7 +124,6 @@ val default_exact_topk : int
 val search :
   ?beam:int ->
   ?steps:int ->
-  ?block_sizes:int list ->
   ?domains:int ->
   ?tracer:Itf_obs.Tracer.t ->
   ?metrics:Itf_obs.Metrics.t ->
@@ -137,7 +132,6 @@ val search :
   ?exact_topk:int ->
   ?tier0_only:bool ->
   ?budget:budget ->
-  ?cache_cap:int ->
   Nest.t ->
   Search.objective ->
   outcome option
@@ -148,9 +142,10 @@ val search :
     the original nest. [domains] is the total parallelism (default
     {!default_domains}; [1] runs entirely on the calling domain).
 
-    [tier0], when given, enables the two-tier evaluator: the {!Costmodel}
-    spec should mirror the exact objective (same cache geometry /
-    processor count / parameters). [exact_topk] (default
+    [tier0], when given, closes the screen: the {!Costmodel} spec should
+    mirror the exact objective (same cache geometry / processor count /
+    parameters). Without it every legal candidate is scored exactly, and
+    no tier-0 estimates or decisions are recorded. [exact_topk] (default
     {!default_exact_topk}, clamped to at least [beam]) caps exact
     simulations per step; [tier0_only] (requires [tier0]) skips the exact
     simulator entirely and beam-searches on tier-0 scores alone — the
@@ -175,17 +170,11 @@ val search :
     evaluated, budget or not: even a 0-second deadline yields the
     identity sequence rather than [None].
 
-    [cache_cap] (default unbounded) caps the per-search cross-step cache:
-    when a step ends with more entries, the cache is flushed (entries are
-    pure facts about canonical sequences, so this costs recomputation,
-    never correctness). The final size and entries evicted are published
-    as [engine.cache.size] / [engine.cache.evictions] gauges when
-    [metrics] is given.
-
     [tracer]/[metrics] default to disabled; [provenance] (default false)
     retains per-candidate rejection causes and tier-0 decisions in the
-    outcome; with [metrics], intern-table sizes and hit counts are
-    published as [intern.size]/[intern.hits]/[intern.misses] gauges
-    labeled by table name. Returns [None] when not even the untransformed
+    outcome; with [metrics], the final size of the search's cross-step
+    cache is published as the [engine.cache.size] gauge, and intern-table
+    sizes and hit counts as [intern.size]/[intern.hits]/[intern.misses]
+    gauges labeled by table name. Returns [None] when not even the untransformed
     nest is scoreable. *)
 

@@ -52,8 +52,6 @@ let create workers =
   t.workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-let size t = List.length t.workers
-
 let grow t workers =
   Mutex.lock t.mutex;
   let missing = workers - List.length t.workers in
@@ -116,19 +114,14 @@ let shared ~workers () =
 
 let default_threshold = 24
 
-let map ?chunk t f (input : 'a array) : 'b array =
+let map t f (input : 'a array) : 'b array =
   let n = Array.length input in
   if n = 0 then [||]
   else if t.workers = [] then Array.map f input
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c > 0 -> c
-      | _ ->
-        (* Size-adaptive: enough chunks for balance (4 per participant),
-           few enough that atomic traffic stays negligible. *)
-        max 1 (n / (4 * (List.length t.workers + 1)))
-    in
+    (* Size-adaptive chunks: enough for balance (4 per participant), few
+       enough that atomic traffic stays negligible. *)
+    let chunk = max 1 (n / (4 * (List.length t.workers + 1))) in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let remaining = Atomic.make n in
@@ -170,9 +163,9 @@ let map ?chunk t f (input : 'a array) : 'b array =
       results
   end
 
-let map_auto ?(threshold = default_threshold) t f input =
+let map_auto t f input =
   (* Fan-out has a fixed cost (publishing jobs, waking workers, the final
      rendezvous) that dwarfs small batches: below the threshold, stay on
      the calling thread. *)
-  if Array.length input < threshold then Array.map f input
+  if Array.length input < default_threshold then Array.map f input
   else map t f input

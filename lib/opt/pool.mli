@@ -17,33 +17,29 @@ val shared : workers:int -> unit -> t
     to at least [workers] worker domains, never shrinks, and is shut down
     at process exit. Do not call {!shutdown} on it. *)
 
-val size : t -> int
-(** Number of worker domains (excluding the calling thread, which also
-    participates in [map]). *)
-
 val default_threshold : int
-(** Default work threshold of {!map_auto}: batches smaller than this run
-    on the calling thread. *)
+(** Work threshold of {!map_auto}: batches smaller than this run on the
+    calling thread. *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map; blocks until every element is done. The
-    calling thread works alongside the pool, so parallelism is [size + 1].
-    Indices are claimed in chunks of [chunk] (default: size-adaptive, about
-    four chunks per participant). If [f] raises on any element, the first
+    calling thread works alongside the pool's [w] workers, so parallelism
+    is [w + 1]. Indices are claimed in size-adaptive chunks, about four
+    per participant. If [f] raises on any element, the first
     such exception (in index order) is re-raised after all elements
     finish. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** [submit t job] enqueues one fire-and-forget job for a worker domain.
     Returns immediately; the caller owns completion signalling. The pool
-    must have at least one worker ([size t >= 1]) or the job never runs.
+    must have at least one worker domain or the job never runs.
     [job] must not raise — an escaping exception kills the worker domain.
     Used by the serve scheduler to run requests on the shared pool. *)
 
-val map_auto : ?threshold:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** As {!map}, but batches smaller than [threshold] (default
-    {!default_threshold}) run sequentially on the calling thread — the
-    fan-out rendezvous costs more than it buys on small steps. *)
+val map_auto : t -> ('a -> 'b) -> 'a array -> 'b array
+(** As {!map}, but batches smaller than {!default_threshold} run
+    sequentially on the calling thread — the fan-out rendezvous costs more
+    than it buys on small steps. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains. The pool must not be used

@@ -8,7 +8,9 @@ type objective = Framework.result -> float
 (* Moves                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let moves ?(block_sizes = [ 4; 8 ]) (_ : Nest.t) ~depth =
+let block_sizes = [ 4; 8 ]
+
+let moves (_ : Nest.t) ~depth =
   let n = depth in
   let interchanges =
     List.concat

@@ -17,11 +17,11 @@ type objective = Itf_core.Framework.result -> float
 (** Lower is better. Receives the legality-checked result (transformed
     nest plus mapped dependence vectors). *)
 
-val moves : ?block_sizes:int list -> Nest.t -> depth:int -> Itf_core.Template.t list
+val moves : Nest.t -> depth:int -> Itf_core.Template.t list
 (** Candidate single-template moves for a nest currently [depth] deep:
     all interchanges and reversals, unit skews of adjacent loop pairs,
-    single-loop parallelization, square blocking of contiguous ranges with
-    each size in [block_sizes] (default [[4; 8]]), and full coalescing. *)
+    single-loop parallelization, square blocking of contiguous ranges of
+    size 4 and 8 (only up to depth 3), and full coalescing. *)
 
 (** {1 Ready-made objectives} *)
 

@@ -26,29 +26,6 @@ type t = {
   total_time_s : float;
 }
 
-let zero =
-  {
-    nodes_explored = 0;
-    duplicates_pruned = 0;
-    legality_cache_hits = 0;
-    score_cache_hits = 0;
-    illegal = 0;
-    template_applications = 0;
-    template_applications_saved = 0;
-    objective_evaluations = 0;
-    tier0_evaluations = 0;
-    tier0_pruned = 0;
-    domains = 1;
-    work_threshold = 0;
-    expand_time_s = 0.;
-    evaluate_time_s = 0.;
-    legality_time_s = 0.;
-    tier0_time_s = 0.;
-    exact_time_s = 0.;
-    merge_time_s = 0.;
-    total_time_s = 0.;
-  }
-
 let pp ppf s =
   Format.fprintf ppf
     "@[<v>nodes explored        %d@,\

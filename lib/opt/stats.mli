@@ -30,7 +30,8 @@ type t = {
       (** steps with fewer evaluation candidates than this ran on the
           calling thread even when [domains > 1] (see {!Pool.map_auto}) *)
   expand_time_s : float;  (** move generation + canonicalization + dedupe *)
-  evaluate_time_s : float;  (** legality + objective evaluation (all domains) *)
+  evaluate_time_s : float;
+      (** a step's tier-0 batch, screen and exact batch (all domains) *)
   legality_time_s : float;
       (** per-candidate template application + dependence testing (summed
           across domains, merged in input order) — a component of
@@ -43,8 +44,6 @@ type t = {
   merge_time_s : float;  (** deterministic sort/beam selection *)
   total_time_s : float;
 }
-
-val zero : t
 
 val pp : Format.formatter -> t -> unit
 

@@ -566,7 +566,7 @@ let search_response t ~tracer req ~t_recv =
           (fun () ->
             Engine.search ~beam:req.beam ~steps:req.steps ?domains:t.domains
               ~tracer ~metrics:t.metrics ?tier0
-              ~exact_topk:(max 1 req.exact_topk) ~tier0_only:req.tier0_only
+              ~exact_topk:req.exact_topk ~tier0_only:req.tier0_only
               ?budget nest obj)
       in
       (match outcome with

@@ -736,8 +736,8 @@ let test_engine_seq_par_observability () =
     (fun n ->
       check_bool (n ^ " span present") true (List.mem n all))
     [
-      "engine.search"; "engine.step"; "engine.expand"; "engine.evaluate";
-      "engine.merge"; "engine.candidate"; "engine.legality";
+      "engine.search"; "engine.step"; "engine.expand"; "engine.legality";
+      "engine.exact"; "engine.merge"; "engine.candidate";
       "engine.objective"; "memsim.run";
     ]
 

@@ -117,18 +117,18 @@ let test_explored_counter () =
   | Some { stats; _ } ->
     check_bool "counter grows" true (stats.Itf_opt.Stats.nodes_explored > 10)
 
-let test_block_sizes_option () =
+let test_block_moves () =
   let nest = column_major () in
-  let ms = Search.moves ~block_sizes:[ 16 ] nest ~depth:2 in
+  let ms = Search.moves nest ~depth:2 in
   let sizes =
-    List.filter_map
-      (function
-        | Template.Block { bsize; _ } -> Expr.to_int bsize.(0)
-        | _ -> None)
-      ms
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Template.Block { bsize; _ } -> Expr.to_int bsize.(0)
+           | _ -> None)
+         ms)
   in
-  check_bool "only requested block size" true
-    (sizes <> [] && List.for_all (( = ) 16) sizes);
+  Alcotest.(check (list int)) "block sizes 4 and 8" [ 4; 8 ] sizes;
   check_int "no blocks above depth 3" 0
     (List.length
        (List.filter
@@ -149,6 +149,6 @@ let () =
             test_search_never_worse_than_identity;
           Alcotest.test_case "respects legality" `Quick test_search_respects_legality;
           Alcotest.test_case "explored counter" `Quick test_explored_counter;
-          Alcotest.test_case "block size option" `Quick test_block_sizes_option;
+          Alcotest.test_case "block moves" `Quick test_block_moves;
         ] );
     ]

@@ -202,7 +202,15 @@ let test_caches_and_savings () =
   check_bool "score cache hit" true (s.Itf_opt.Stats.score_cache_hits > 0);
   check_bool "saved template applications" true
     (s.Itf_opt.Stats.template_applications_saved > 0);
-  check_bool "explored something" true (s.Itf_opt.Stats.nodes_explored > 10)
+  check_bool "explored something" true (s.Itf_opt.Stats.nodes_explored > 10);
+  (* The untiered search's screen is open: every explored candidate is a
+     cache hit, illegal, or scored exactly — none is screened out, even
+     with more legal candidates per step than [exact_topk]. *)
+  check_int "open screen prunes nothing" 0 s.Itf_opt.Stats.tier0_pruned;
+  check_int "every legal candidate scored exactly"
+    s.Itf_opt.Stats.nodes_explored
+    (s.Itf_opt.Stats.objective_evaluations + s.Itf_opt.Stats.score_cache_hits
+   + s.Itf_opt.Stats.illegal)
 
 (* The domain pool is order-preserving and exception-safe. *)
 let test_pool_map () =
