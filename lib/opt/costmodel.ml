@@ -512,7 +512,11 @@ let parallel_estimate ~procs ~spawn_overhead ~params (result : Framework.result)
    across searches. The estimator is pure in (spec, nest, vectors), so the
    key is a static spec fingerprint plus the interned nest and vector ids
    — one cheap int-list probe replaces the whole interval-analysis +
-   subscript-flattening walk on every re-derived candidate. *)
+   subscript-flattening walk on every re-derived candidate. Both
+   variable-length parts (the parameters and the vector ids) carry their
+   length in front, so the flat key is injective: without the prefixes a
+   longer parameter list could absorb the nest id and spell another
+   candidate's key. *)
 module EMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
 let memo_table : estimate EMemo.t = EMemo.create "opt.tier0"
@@ -523,18 +527,24 @@ let float_bits x =
   let b = Int64.bits_of_float x in
   [ Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int (Int64.logand b 0xFFFFFFFFL) ]
 
-let fingerprint = function
+let fingerprint spec =
+  let params_key params =
+    List.length params
+    :: List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
+  in
+  match spec with
   | Locality { config; elem_bytes; params } ->
     0
     :: config.Itf_machine.Cache.size_bytes
     :: config.Itf_machine.Cache.line_bytes
-    :: config.Itf_machine.Cache.assoc :: elem_bytes
-    :: List.concat_map
-         (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ])
-         params
+    :: config.Itf_machine.Cache.assoc :: elem_bytes :: params_key params
   | Parallel { procs; spawn_overhead; params } ->
-    (1 :: procs :: float_bits spawn_overhead)
-    @ List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
+    (1 :: procs :: float_bits spawn_overhead) @ params_key params
+
+let key_of fp ~nest_id ~vector_ids =
+  fp @ (nest_id :: List.length vector_ids :: vector_ids)
+
+let memo_key spec = key_of (fingerprint spec)
 
 let make spec : Framework.result -> estimate =
   let base result =
@@ -553,8 +563,8 @@ let make spec : Framework.result -> estimate =
   in
   let fp = fingerprint spec in
   fun result ->
-    let nid = Framework.nest_id result in
     let key =
-      fp @ (nid :: List.map Itf_dep.Depvec.id result.Framework.vectors)
+      key_of fp ~nest_id:(Framework.nest_id result)
+        ~vector_ids:(List.map Itf_dep.Depvec.id result.Framework.vectors)
     in
     EMemo.find_or_add memo_table key (fun () -> base result)

@@ -82,4 +82,10 @@ val make : spec -> Itf_core.Framework.result -> estimate
     fingerprint plus the interned nest and dependence-vector ids
     ({!Itf_ir.Intern}, {!Itf_dep.Depvec.id}) — identical values, computed
     at most once per distinct (spec, nest, vectors) triple for the
-    process lifetime. *)
+    process lifetime (see {!memo_key}). *)
+
+val memo_key : spec -> nest_id:int -> vector_ids:int list -> int list
+(** The memo key of {!make}: the spec fingerprint, then the nest id, then
+    the vector ids. The parameter list and the vector ids are each
+    prefixed by their length, so distinct (spec, nest, vectors) triples
+    never flatten to the same key. *)

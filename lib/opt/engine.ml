@@ -67,12 +67,14 @@ module KeyTbl = Hashtbl.Make (Itf_mat.Hashcons.Int_key)
 (* A frontier node: a legality-checked, exactly scored candidate. [state]
    is the resumable prefix (possibly the state of [canon] rather than
    [seq] when the node was served from cache — the two generate the same
-   nest, so extensions agree). *)
+   nest, so extensions agree). [sid] is the intern id of the raw sequence
+   [state] holds, which keys the legality memo below. *)
 type node = {
   seq : Sequence.t;
   canon : Sequence.t;
   key : int;
   state : Framework.state;
+  sid : int;
   result : Framework.result;
   score : float;
 }
@@ -86,6 +88,7 @@ type checked = {
   ccanon : Sequence.t;
   ckey : int;
   cstate : Framework.state;
+  csid : int;
   cresult : Framework.result;
   cest : Costmodel.estimate;
 }
@@ -115,16 +118,17 @@ let order_checked a b =
   if c <> 0 then c else order_structural a b
 
 (* Per-search mutable state — the search context. One [sctx] is created
-   at the top of every [search] call and never escapes it: the engine
-   keeps NO module-level mutable state, so any number of searches may run
-   concurrently (one per serve worker) as long as each holds its own
-   context. The shared structures a search reaches from here — the intern
-   tables, the objective/canonicalization memos, the metrics registry,
-   the domain pool — are each concurrency-safe on their own terms
-   (sharded tables, atomic instruments; DESIGN.md §13). The cross-step
-   candidate cache is likewise per-search, created alongside the root
-   node: concurrent requests share warm state through the process-wide
-   memos, never through engine internals. *)
+   at the top of every [search] call and never escapes it: the engine's
+   only module-level mutable state is the sharded legality memo below, so
+   any number of searches may run concurrently (one per serve worker) as
+   long as each holds its own context. The shared structures a search
+   reaches from here — the intern tables, the legality/objective/
+   canonicalization memos, the metrics registry, the domain pool — are
+   each concurrency-safe on their own terms (sharded tables, atomic
+   instruments; DESIGN.md §13). The cross-step candidate cache is
+   likewise per-search, created alongside the root node: concurrent
+   requests share warm state through the process-wide memos, never
+   through engine internals. *)
 type sctx = {
   t_start : float;  (* budget clock origin: wall clock at search start *)
   mutable explored : int;
@@ -175,16 +179,63 @@ let fresh_sctx () =
     decisions = [];
   }
 
-(* Legality of one candidate: extend the parent prefix by one template and
-   run the final dependence test. [count] accumulates the template
-   applications performed. *)
-let check_legal ~count (parent, t) =
-  match Framework.extend ~count parent.state t with
+(* Process-wide legality memo. Extending a prefix state by one template
+   and running the final dependence test is a pure function of the root
+   nest and of the raw template sequence the extended state ends up
+   holding (paper §5: a transformation is a value independent of any
+   nest; the root vectors are [Analysis.vectors root], a function of the
+   root too). The key is [[root nest id; sid of the parent state; t's
+   template id]], which spells that raw sequence — not the candidate's:
+   a cross-step cache hit can carry another spelling's state. The root
+   itself is keyed [[root nest id]]. Every key of one length is
+   fixed-shape, so distinct keys never flatten to one int list.
+
+   A value is the verdict (state, its sid and result, or the rejection
+   cause) plus the template applications the miss performed. A hit
+   replays that count, so [template_applications] and everything derived
+   from it read the same warm or cold — the convention memoized objective
+   evaluations already follow. The result's nest id is published before
+   insertion, so a hit's tier-0 and objective memo keys cost one
+   [Atomic.get] instead of a nest walk.
+
+   The cap is a constant: 4096 entries hold the whole warm set of a
+   daemon's hot queries (the 24 shapes of the serve benchmark need 882)
+   while bounding what a stream of novel nests can pin; a shard past its
+   slice is flushed whole (see {!Itf_mat.Hashcons.Memo}). *)
+module LMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
+
+type legality = {
+  verdict : (Framework.state * int * Framework.result, cause) result;
+  apps : int;
+}
+
+let legality_cap = 4096
+
+let legality_memo : legality LMemo.t =
+  LMemo.create ~max_size:legality_cap "opt.legality"
+
+(* The final dependence test of a legal prefix, packaged as a memo value:
+   its raw sequence is interned and the result's nest id published. *)
+let settle st =
+  match Framework.finish st with
   | Error v -> Error (Rejected (Legality.reasons v))
-  | Ok st -> (
-    match Framework.finish st with
-    | Error v -> Error (Rejected (Legality.reasons v))
-    | Ok result -> Ok (st, result))
+  | Ok result ->
+    ignore (Framework.nest_id result);
+    Ok (st, Sequence.id (Legality.state_sequence st), result)
+
+(* Legality of one candidate: extend the parent prefix by one template and
+   run the final dependence test, through the memo. *)
+let check_legal ~root_id (parent, t) =
+  LMemo.find_or_add legality_memo
+    [ root_id; parent.sid; snd (Template.intern_id t) ]
+    (fun () ->
+      let count = ref 0 in
+      let verdict =
+        match Framework.extend ~count parent.state t with
+        | Error v -> Error (Rejected (Legality.reasons v))
+        | Ok st -> settle st
+      in
+      { verdict; apps = !count })
 
 (* An exact score, or [Unscoreable] when the objective returns NaN or
    raises. *)
@@ -195,20 +246,22 @@ let score_with f =
   | exception _ -> Error Unscoreable
 
 (* Tier-0 evaluation of one candidate: legality, then the screen's
-   estimate — no simulation. Runs on worker domains: all mutable state
-   ([count]) is local, and the coordinator merges the result in input
-   order. The two trailing floats are the candidate's legality and
+   estimate — no simulation. Runs on worker domains: the only shared
+   state it touches is the domain-safe memos, and the coordinator merges
+   the result in input order. The two trailing floats are the candidate's legality and
    estimate durations, folded into the per-phase breakdown. *)
-let evaluate_tier0 estimate cand =
-  let count = ref 0 in
+let evaluate_tier0 ~root_id estimate cand =
   let t_start = Unix.gettimeofday () in
-  let checked = check_legal ~count cand in
+  let { verdict; apps } = check_legal ~root_id cand in
   let t_leg = Unix.gettimeofday () in
-  match checked with
-  | Error cause -> (Error cause, !count, t_leg -. t_start, 0.)
-  | Ok (st, result) ->
+  match verdict with
+  | Error cause -> (Error cause, apps, t_leg -. t_start, 0.)
+  | Ok (st, sid, result) ->
     let est = estimate result in
-    (Ok (st, result, est), !count, t_leg -. t_start, Unix.gettimeofday () -. t_leg)
+    ( Ok (st, sid, result, est),
+      apps,
+      t_leg -. t_start,
+      Unix.gettimeofday () -. t_leg )
 
 (* The estimate an open screen gives every candidate. All candidates then
    form one estimate tie class, which the top-K cut never splits, and a
@@ -312,17 +365,20 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     | None -> Array.map f input
     | Some p -> Pool.map_auto p f input
   in
-  let vectors = Itf_dep.Analysis.vectors nest in
+  let root_id = Intern.nest_id nest in
   let root =
     cx.explored <- cx.explored + 1;
     let _, root_key = Sequence.reduce_memo [] in
     let t_leg = Unix.gettimeofday () in
-    let st = Framework.start ~vectors nest in
-    let finished = Framework.finish st in
+    let { verdict; _ } =
+      LMemo.find_or_add legality_memo [ root_id ] (fun () ->
+          let vectors = Itf_dep.Analysis.vectors nest in
+          { verdict = settle (Framework.start ~vectors nest); apps = 0 })
+    in
     cx.legality_time <- cx.legality_time +. (Unix.gettimeofday () -. t_leg);
-    match finished with
+    match verdict with
     | Error _ -> None
-    | Ok result ->
+    | Ok (st, sid, result) ->
       if tier0_only then begin
         cx.tier0_evals <- cx.tier0_evals + 1;
         let t_est = Unix.gettimeofday () in
@@ -334,6 +390,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
             canon = [];
             key = root_key;
             state = st;
+            sid;
             result;
             score = est.Costmodel.score;
           }
@@ -352,7 +409,15 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
         match scored with
         | Ok score ->
           Some
-            { seq = []; canon = []; key = root_key; state = st; result; score }
+            {
+              seq = [];
+              canon = [];
+              key = root_key;
+              state = st;
+              sid;
+              result;
+              score;
+            }
         | Error _ -> None
       end
   in
@@ -456,7 +521,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
                   (fun () ->
                     pmap
                       (fun (parent, t, _, _, _) ->
-                        evaluate_tier0 estimate (parent, t))
+                        evaluate_tier0 ~root_id estimate (parent, t))
                       misses)
               in
               let pending = ref [] in
@@ -467,7 +532,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
                   cx.saved <- cx.saved + max 0 (List.length cand - apps);
                   cx.legality_time <- cx.legality_time +. leg_s;
                   match r with
-                  | Ok (st, result, est) ->
+                  | Ok (st, sid, result, est) ->
                     if screened then begin
                       cx.tier0_evals <- cx.tier0_evals + 1;
                       cx.tier0_time <- cx.tier0_time +. t0_s
@@ -478,6 +543,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
                         ccanon = canon;
                         ckey = key;
                         cstate = st;
+                        csid = sid;
                         cresult = result;
                         cest = est;
                       }
@@ -621,6 +687,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
                         canon = c.ccanon;
                         key = c.ckey;
                         state = c.cstate;
+                        sid = c.csid;
                         result = c.cresult;
                         score;
                       }

@@ -13,7 +13,18 @@
       canonical sequence's intern id (an O(1) integer probe — see
       {!Itf_mat.Hashcons} and DESIGN.md §10) answers re-derived
       transformations (interchange twice, reversal pairs, composed
-      unimodulars, ...) without touching the framework;
+      unimodulars, ...) without touching the framework. Behind it, the
+      process-wide [opt.legality] memo answers legality across
+      searches: its key is the root nest's intern id, the intern id of
+      the raw sequence the parent state holds (not the candidate's
+      spelling, since a cache hit can carry another spelling's state)
+      and the appended template's id; its value is the verdict —
+      state and result, or the rejection cause — plus the template
+      applications the miss performed, with the result's nest id
+      already published. A hit replays that count, so every {!Stats}
+      counter reads the same warm or cold. The table is capped at 4096
+      entries, a constant that holds a daemon's warm set while bounding
+      what novel nests pin;
     - {b two-tier objective}: every step checks legality of its fresh
       candidates in one batch, screens them, and scores the survivors
       with the exact objective in a second batch. With [~tier0] the screen

@@ -1,10 +1,11 @@
 (** Instrumentation record of one {!Engine} search.
 
     Counters distinguish work done from work avoided: [template_applications]
-    counts actual template stage applications (bounds check + code
-    generation + vector mapping), while [template_applications_saved] counts
-    the applications a from-root replay of every candidate would have
-    performed on top of that. *)
+    counts template stage applications (bounds check + code generation +
+    vector mapping) of the legality checks the search made, while
+    [template_applications_saved] counts the applications a from-root
+    replay of every candidate would have performed on top of that. Both
+    are independent of what the process-wide memos already hold. *)
 
 type t = {
   nodes_explored : int;  (** candidate sequences considered (incl. root) *)
@@ -18,8 +19,15 @@ type t = {
       (** candidates whose objective score was served from cache *)
   illegal : int;  (** candidates rejected (bounds, dependence, unscoreable) *)
   template_applications : int;
+      (** applications the search's legality checks stand for. A check
+          answered by the process-wide legality memo counts the
+          applications its original computation performed, so the
+          counter is identical warm or cold — the same convention as
+          [objective_evaluations], which counts memo-answered probes. *)
   template_applications_saved : int;
-  objective_evaluations : int;  (** exact objective simulations actually run *)
+  objective_evaluations : int;
+      (** exact objective evaluations requested, including those the
+          process-wide objective memo answered without simulating *)
   tier0_evaluations : int;
       (** tier-0 cost-model estimates computed (0 on untiered searches) *)
   tier0_pruned : int;

@@ -237,6 +237,24 @@ let test_same_winner_end_to_end () =
           < a.Engine.stats.Itf_opt.Stats.objective_evaluations))
     (screen_cases ())
 
+(* The memo key must be injective. Unprefixed, [(params [n=8], nest p,
+   vectors [7; 9])] and [(params [n=8; q=7], nest 9, no vectors)] with
+   [p = str_id "q"] both flatten to [... n 8 p 7 9]: the second
+   parameter absorbs the first key's nest id and vector. *)
+let test_memo_key_injective () =
+  let spec params =
+    Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params }
+  in
+  let q = "memo_key_param_q" in
+  let p = Intern.str_id q in
+  let a =
+    Costmodel.memo_key (spec [ ("n", 8) ]) ~nest_id:p ~vector_ids:[ 7; 9 ]
+  in
+  let b =
+    Costmodel.memo_key (spec [ ("n", 8); (q, 7) ]) ~nest_id:9 ~vector_ids:[]
+  in
+  check_bool "colliding pair gets distinct keys" false (a = b)
+
 let () =
   (* Calibration aid: COSTMODEL_DUMP=1 prints every (label, estimate,
      exact) triple of the correlation corpus as TSV instead of running
@@ -261,5 +279,7 @@ let () =
             test_winner_recall;
           Alcotest.test_case "tiered engine keeps the winner" `Quick
             test_same_winner_end_to_end;
+          Alcotest.test_case "memo key is injective" `Quick
+            test_memo_key_injective;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Tests for the incremental/memoized/multicore search engine (lib/opt):
    with an unbounded beam it must find the exhaustive optimum, be
-   bit-identical across domain counts, and actually avoid work. *)
+   bit-identical across domain counts, answer a warm search exactly as
+   a cold one, and actually avoid work. *)
 
 open Itf_ir
 module Search = Itf_opt.Search
@@ -92,10 +93,10 @@ let exhaustive_min ~steps nest objective =
   in
   Option.map (fun sr -> go [] sr steps) (score [])
 
-let oracle_cases =
+(* The two objectives at n = 8, each with its matching tier-0 spec. *)
+let locality, parallel =
   let params = [ ("n", 8) ] in
-  let locality =
-    ( "locality",
+  ( ( "locality",
       (fun ~memo -> Search.cache_misses ~memo ~params ()),
       Costmodel.Locality
         {
@@ -103,13 +104,12 @@ let oracle_cases =
             { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
           elem_bytes = 8;
           params;
-        } )
-  in
-  let parallel =
+        } ),
     ( "parallel",
       (fun ~memo -> Search.parallel_time ~memo ~procs:4 ~params ()),
-      Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params } )
-  in
+      Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params } ) )
+
+let oracle_cases =
   List.concat_map
     (fun (name, nest) ->
       List.map
@@ -158,6 +158,120 @@ let test_matches_exhaustive_oracle () =
                  o.Engine.result.Framework.nest))
         [ ("untiered", None); ("tiered", Some spec) ])
     oracle_cases
+
+(* A 2-deep nest no other test searches; [suffix] renames its arrays, so
+   each suffix is a nest the process-wide memos have never seen. The
+   recurrence along [j] makes some moves illegal, so rejections are
+   exercised too. Renaming every array by one common suffix keeps their
+   sorted order, so it changes no part of the answer. *)
+let fresh_nest suffix =
+  let a = "wc_a" ^ suffix and b = "wc_b" ^ suffix in
+  let v = Expr.var in
+  Nest.make
+    [ Nest.loop "i" Expr.one (v "n"); Nest.loop "j" (Expr.int 2) (v "n") ]
+    [
+      Stmt.Store
+        ( { array = a; index = [ v "j"; v "i" ] },
+          Expr.add
+            (Expr.Load
+               { array = a; index = [ Expr.(sub (var "j") (int 1)); v "i" ] })
+            (Expr.Load { array = b; index = [ v "j"; v "i" ] }) );
+    ]
+
+(* Everything deterministic an outcome reports, one line per item: the
+   winner, every deterministic {!Stats} counter, the rejections and the
+   tier-0 decisions (floats in hex, so equal means bit-identical). *)
+let outcome_lines (o : Engine.outcome) =
+  let seq = Format.asprintf "%a" Sequence.pp in
+  let s = o.Engine.stats in
+  [
+    "sequence " ^ seq o.Engine.sequence;
+    "canonical " ^ seq o.Engine.canonical;
+    Printf.sprintf "score %h" o.Engine.score;
+    Printf.sprintf
+      "nodes %d duplicates %d legality_hits %d score_hits %d illegal %d \
+       applications %d saved %d exact %d tier0 %d pruned %d domains %d \
+       threshold %d"
+      s.Itf_opt.Stats.nodes_explored s.duplicates_pruned s.legality_cache_hits
+      s.score_cache_hits s.illegal s.template_applications
+      s.template_applications_saved s.objective_evaluations
+      s.tier0_evaluations s.tier0_pruned s.domains s.work_threshold;
+  ]
+  @ List.map
+      (fun (r : Engine.rejection) ->
+        Format.asprintf "rejected %s: %a" (seq r.candidate) Engine.pp_cause
+          r.cause)
+      o.Engine.rejections
+  @ List.map
+      (fun (d : Engine.decision) ->
+        Printf.sprintf "decided %s: %h %h %s" (seq d.candidate) d.tier0_score
+          d.tier0_bound
+          (Engine.verdict_label d.verdict))
+      o.Engine.decisions
+
+let legality_hits () =
+  match
+    List.find_opt
+      (fun s -> s.Itf_mat.Hashcons.name = "opt.legality")
+      (Itf_mat.Hashcons.stats ())
+  with
+  | Some s -> s.Itf_mat.Hashcons.hits
+  | None -> Alcotest.fail "no opt.legality table registered"
+
+(* The process-wide legality memo must not change any answer: a warm
+   search equals the cold one on the same nest, tiered and untiered, on
+   1 and 2 domains, and so does a search whose memo entries another
+   objective's frontier filled. *)
+let test_warm_equals_cold () =
+  let search ?tier0 ~domains (_, mk, _) nest =
+    match
+      Engine.search ~beam:3 ~steps:2 ~domains ~provenance:true ?tier0 nest
+        (mk ~memo:true)
+    with
+    | Some o -> outcome_lines o
+    | None -> Alcotest.fail "engine returned nothing"
+  in
+  let hits0 = legality_hits () in
+  List.iter
+    (fun ((name, _, spec) as obj) ->
+      List.iter
+        (fun (mode, tier0, domains) ->
+          let label = Printf.sprintf "%s %s, %d domains" name mode domains in
+          let nest = fresh_nest (Printf.sprintf "_%s_%s%d" name mode domains) in
+          let cold = search ?tier0 ~domains obj nest in
+          check_bool (label ^ ": some candidate is rejected") true
+            (List.exists (String.starts_with ~prefix:"rejected") cold);
+          if name = "parallel" then
+            check_bool (label ^ ": the winner transforms the nest") false
+              (List.mem "sequence " cold);
+          let hits = legality_hits () in
+          let warm = search ?tier0 ~domains obj nest in
+          check_bool (label ^ ": warm search hit the legality memo") true
+            (legality_hits () > hits);
+          Alcotest.(check (list string)) (label ^ ": warm == cold") cold warm)
+        [
+          ("untiered", None, 1);
+          ("untiered", None, 2);
+          ("tiered", Some spec, 1);
+          ("tiered", Some spec, 2);
+        ])
+    [ locality; parallel ];
+  (* Cross-objective: on [x] the locality search fills the memo the
+     parallel search then reads, on [y] the other way round; each warm
+     answer must equal the other nest's cold one. *)
+  let tiered ((_, _, spec) as obj) nest =
+    search ~tier0:spec ~domains:1 obj nest
+  in
+  let x = fresh_nest "_x" and y = fresh_nest "_y" in
+  let cold_loc = tiered locality x in
+  let warm_par = tiered parallel x in
+  let cold_par = tiered parallel y in
+  let warm_loc = tiered locality y in
+  Alcotest.(check (list string)) "parallel after locality == cold" cold_par
+    warm_par;
+  Alcotest.(check (list string)) "locality after parallel == cold" cold_loc
+    warm_loc;
+  check_bool "legality memo hits grew" true (legality_hits () > hits0)
 
 (* Parallel evaluation must not change the answer: order-preserving merge
    plus the total candidate order make any domain count bit-identical. *)
@@ -240,6 +354,8 @@ let () =
             test_parallel_deterministic;
           Alcotest.test_case "caches hit, work saved" `Quick
             test_caches_and_savings;
+          Alcotest.test_case "warm search equals cold" `Quick
+            test_warm_equals_cold;
           Alcotest.test_case "pool map" `Quick test_pool_map;
         ] );
     ]

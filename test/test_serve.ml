@@ -31,18 +31,22 @@ let check_string = Alcotest.(check string)
 let seq_testable =
   Alcotest.testable Sequence.pp (fun a b -> Sequence.compare a b = 0)
 
-let matmul_src =
+(* Matrix multiply with [suffix] appended to every array name. *)
+let matmul_named suffix =
+  let a, b, c = ("A" ^ suffix, "B" ^ suffix, "C" ^ suffix) in
   String.concat "\n"
     [
       "do i = 1, n";
       "  do j = 1, n";
       "    do k = 1, n";
-      "      A(i, j) = A(i, j) + B(i, k) * C(k, j)";
+      Printf.sprintf "      %s(i, j) = %s(i, j) + %s(i, k) * %s(k, j)" a a b c;
       "    enddo";
       "  enddo";
       "enddo";
       "";
     ]
+
+let matmul_src = matmul_named ""
 
 let params = [ ("n", 12) ]
 let obj () = Search.cache_misses ~params ()
@@ -528,9 +532,14 @@ let wait_for ?(timeout = 30.) pred =
   go ()
 
 (* A search heavy enough to keep the single worker busy while the test
-   stages queued and shed requests behind it. *)
+   stages queued and shed requests behind it. Its array names are salted
+   per call, so every call is a cold search that misses the process-wide
+   legality, tier-0 and objective memos a previous call filled. *)
+let heavy_salt = Atomic.make 0
+
 let heavy_req id =
-  req ~id ~steps:3 ~params:[ ("n", Json.Int 16) ] matmul_src
+  let suffix = Printf.sprintf "_heavy%d" (Atomic.fetch_and_add heavy_salt 1) in
+  req ~id ~steps:3 ~params:[ ("n", Json.Int 16) ] (matmul_named suffix)
 
 let strip_envelope json =
   match json with
