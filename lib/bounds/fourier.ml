@@ -12,19 +12,16 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let gcd a b = gcd (abs a) (abs b)
 
 (* Divide an inequality by the gcd of its coefficients when the base is a
-   literal constant that the gcd divides exactly (sound for >= 0 with a
-   positive divisor); otherwise leave it alone. *)
+   literal constant (sound for >= 0 with a positive divisor): rounding the
+   constant down is integer tightening, since sum(c/g * y) >= -b/g implies
+   sum >= ceil(-b/g) = -floor(b/g). Symbolic bases are left alone. *)
 let normalize (q : ineq) =
   let g = Array.fold_left gcd 0 q.coeffs in
   if g <= 1 then q
   else
     match Expr.to_int q.base with
-    | Some b when b mod g = 0 ->
-      { coeffs = Array.map (fun c -> c / g) q.coeffs; base = Expr.int (b / g) }
     | Some b ->
-      (* floor(b/g) is sound for integer solutions: sum(c/g * y) >= -b/g
-         implies sum >= ceil(-b/g) = -floor(b/g). *)
-      { coeffs = Array.map (fun c -> c / g) q.coeffs; base = Expr.int (Expr.(match div (int b) (int g) with Int v -> v | _ -> b / g)) }
+      { coeffs = Array.map (fun c -> c / g) q.coeffs; base = Expr.int (Expr.fdiv b g) }
     | None -> q
 
 (* Explicit comparator for the FM inner loop: coefficient vectors first
@@ -166,22 +163,115 @@ let nest_system (nest : Nest.t) =
   in
   { vars; ineqs }
 
+(* [definitely_infeasible] works on integer rows
+   [| var coeffs; invariant-column coeffs; constant |], each meaning
+   [row . (y, invariants, 1) >= 0]. An invariant column stands for one
+   symbol or one non-affine subterm of the bases. *)
+
+exception Contradiction
+
+(* Columns of a base: its literal constant and the integer multiple of
+   each symbol or opaque subterm, the latter numbered by [column]. *)
+let linearize column (e : Expr.t) =
+  let const = ref 0 and terms = ref [] in
+  let rec walk k (e : Expr.t) =
+    match e with
+    | Int c -> const := !const + (k * c)
+    | Add (a, b) -> walk k a; walk k b
+    | Sub (a, b) -> walk k a; walk (-k) b
+    | Neg a -> walk (-k) a
+    | Mul (Int c, a) | Mul (a, Int c) -> walk (k * c) a
+    | e -> terms := (column e, k) :: !terms
+  in
+  walk 1 e;
+  (!const, !terms)
+
+(* Divide a row by the gcd of its variable and invariant coefficients.
+   With no invariant part the constant is rounded down (integer
+   tightening); otherwise the row is only scaled when the gcd divides the
+   constant too. Returns [None] for a trivially true row.
+   @raise Contradiction on a ground row with a negative constant. *)
+let normalize_row nv (r : int array) =
+  let w = Array.length r - 1 in
+  let g = ref 0 and symbolic = ref false in
+  for j = 0 to w - 1 do
+    if r.(j) <> 0 then begin
+      g := gcd !g r.(j);
+      if j >= nv then symbolic := true
+    end
+  done;
+  let g = if !symbolic then gcd !g r.(w) else !g in
+  if g = 0 then if r.(w) < 0 then raise Contradiction else None
+  else if g = 1 then Some r
+  else begin
+    for j = 0 to w - 1 do r.(j) <- r.(j) / g done;
+    r.(w) <- Expr.fdiv r.(w) g;
+    Some r
+  end
+
+(* Rows ordered by coefficients, then constant: the first row of a run
+   with equal coefficients has the tightest constant. *)
+let compare_row (a : int array) (b : int array) =
+  let w = Array.length a - 1 in
+  let rec go j =
+    if j > w then 0
+    else
+      let c = Int.compare a.(j) b.(j) in
+      if c <> 0 then c else go (j + 1)
+  in
+  go 0
+
+let same_coeffs (a : int array) (b : int array) =
+  let rec go j = j < 0 || (a.(j) = b.(j) && go (j - 1)) in
+  go (Array.length a - 2)
+
+let dedupe_rows rows =
+  let rec keep_tightest = function
+    | a :: b :: rest when same_coeffs a b -> keep_tightest (a :: rest)
+    | a :: rest -> a :: keep_tightest rest
+    | [] -> []
+  in
+  keep_tightest (List.sort compare_row rows)
+
 let definitely_infeasible ?(max_ineqs = 400) (sys : system) =
-  let n = Array.length sys.vars in
-  let contradiction ineqs =
-    List.exists
-      (fun q ->
-        Array.for_all (( = ) 0) q.coeffs
-        &&
-        match Expr.to_int q.base with Some b -> b < 0 | None -> false)
-      ineqs
+  let nv = Array.length sys.vars in
+  let columns = ref [] and ncolumns = ref 0 in
+  let column e =
+    match List.find_opt (fun (e', _) -> Expr.equal e e') !columns with
+    | Some (_, j) -> j
+    | None ->
+      let j = !ncolumns in
+      columns := (e, j) :: !columns;
+      incr ncolumns;
+      j
   in
-  let rec go k ineqs =
-    if contradiction ineqs then true
-    else if k >= n || List.length ineqs > max_ineqs then false
-    else go (k + 1) (eliminate_pairs ineqs k)
+  let split = List.map (fun q -> (q.coeffs, linearize column q.base)) sys.ineqs in
+  let w = nv + !ncolumns in
+  let row (coeffs, (const, terms)) =
+    let r = Array.make (w + 1) 0 in
+    Array.blit coeffs 0 r 0 nv;
+    List.iter (fun (j, k) -> r.(nv + j) <- r.(nv + j) + k) terms;
+    r.(w) <- const;
+    normalize_row nv r
   in
-  go 0 (dedupe sys.ineqs)
+  let eliminate rows k =
+    let pos = List.filter (fun r -> r.(k) > 0) rows in
+    let neg = List.filter (fun r -> r.(k) < 0) rows in
+    let rest = List.filter (fun r -> r.(k) = 0) rows in
+    if List.length rest + (List.length pos * List.length neg) > max_ineqs then None
+    else
+      let combine p m =
+        (* b*p + a*m eliminates y_k; both multipliers positive. *)
+        let a = p.(k) and b = -m.(k) in
+        normalize_row nv (Array.init (w + 1) (fun j -> (b * p.(j)) + (a * m.(j))))
+      in
+      let combined = List.concat_map (fun p -> List.filter_map (combine p) neg) pos in
+      Some (dedupe_rows (rest @ combined))
+  in
+  let rec go k rows =
+    k < nv && match eliminate rows k with Some rows -> go (k + 1) rows | None -> false
+  in
+  try go 0 (dedupe_rows (List.filter_map row split)) with Contradiction -> true
 
 let substitute (sys : system) (minv : Itf_mat.Intmat.t) (new_vars : string array) =
   let n = Array.length sys.vars in

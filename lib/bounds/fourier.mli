@@ -45,11 +45,26 @@ val substitute : system -> Itf_mat.Intmat.t -> string array -> system
 
 val definitely_infeasible : ?max_ineqs:int -> system -> bool
 (** Integer-sound infeasibility by full elimination: [true] only when the
-    system provably has no {e integer} solution — rational Fourier-Motzkin
-    plus the gcd tightening performed during normalization (e.g.
-    [1 <= 2x <= 1] is recognized as empty). Detection is a ground
-    inequality reducing to a negative constant. Symbolic ground inequalities
-    are treated as satisfiable, and elimination gives up (returns [false])
-    past [max_ineqs] (default 400) working inequalities, so [false] means
-    "possibly feasible". Used by the dependence analyzer to prune direction
-    vectors that the decoupled interval test cannot. *)
+    system provably has no {e integer} solution.
+
+    Each inequality becomes one integer row on entry: its variable
+    coefficients, one column per loop invariant of the bases, and a
+    constant. A symbol such as [n] is an invariant column, and so is each
+    distinct non-affine subterm such as [n / 2] (structurally equal
+    subterms share their column). Treating these subterms as free
+    integers relaxes the system, which keeps the answer sound, and lets
+    [x >= n] and [x <= n - 1] cancel to [-1 >= 0].
+
+    Variables are then eliminated in order, [y_0] first, by rational
+    Fourier-Motzkin. A row without invariant part is divided by the gcd of
+    its coefficients with its constant rounded down (integer tightening:
+    [1 <= 2x <= 1] is empty); among rows equal up to the constant only the
+    tightest is kept. Infeasibility is a row whose variable and invariant
+    coefficients are all zero and whose constant is negative.
+
+    [max_ineqs] (default 400) bounds the work of each elimination step:
+    when the rows that survive it plus the pairs it would combine,
+    [|rest| + |pos| * |neg|], exceed the cap, the test gives up and
+    returns [false]. So [false] means "possibly feasible". Used by the
+    dependence analyzer to prune direction vectors that the decoupled
+    interval test cannot. *)

@@ -340,7 +340,7 @@ let full_env infos =
    iteration variables: value-level bound constraints, the sigma/pin
    constraints, and the subscript equalities, all affine with symbolic
    invariant parts. Sound: only rationally-infeasible vectors are pruned. *)
-let fm_refutes infos (pins : pin array) eqs (a : ref_) (b : ref_)
+let fm_refutes infos (pins : pin array) (a : ref_) (b : ref_)
     (sigma : int array) =
   let n = List.length infos in
   let tvars = Array.of_list (List.map (fun (_, i) -> i.tvar) infos) in
@@ -475,7 +475,6 @@ let fm_refutes infos (pins : pin array) eqs (a : ref_) (b : ref_)
         | _ -> ())
       | _ -> ())
     a.subs b.subs;
-  ignore eqs;
   Fourier.definitely_infeasible { Fourier.vars; ineqs = !ineqs }
 
 (* All sign vectors in {-1,0,1}^n whose first nonzero entry is +1 and which
@@ -607,7 +606,7 @@ let pair_vectors infos n (a : ref_) (b : ref_) =
           List.filter
             (fun sigma ->
               sigma_feasible infos pins eqs sigma
-              && not (non_rectangular && fm_refutes infos pins eqs a b sigma))
+              && not (non_rectangular && fm_refutes infos pins a b sigma))
             (lex_positive_sigmas n pins)
         in
         merge_pass (List.map (vector_of_sigma infos pins) sigmas)

@@ -83,6 +83,9 @@ val simplify : t -> t
 val to_int : t -> int option
 (** [Some n] if the expression simplifies to the literal [n]. *)
 
+val fdiv : int -> int -> int
+(** Integer floor division, the semantics of [Div]. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_access : Format.formatter -> access -> unit
 val to_string : t -> string

@@ -314,7 +314,58 @@ let test_fm_infeasibility () =
   check_bool "integer tightening via gcd" true
     (Fourier.definitely_infeasible
        (sys [ Fourier.ineq [| 2; 0 |] (Expr.int (-1)); Fourier.ineq [| -2; 0 |] (Expr.int 1) ]));
-  (* blowup cap gives up gracefully *)
+  (* Integer rows: every symbol and every distinct non-affine residue of
+     the bases is its own column, so invariants cancel between rows. *)
+  let between lo hi =
+    (* lo <= x <= hi - 1 *)
+    sys [ Fourier.ineq [| 1; 0 |] (Expr.neg lo); Fourier.ineq [| -1; 0 |] Expr.(sub hi (int 1)) ]
+  in
+  let n = Expr.var "n" and half = Expr.(div (var "n") (int 2)) in
+  check_bool "x - n >= 0, n - 1 - x >= 0" true
+    (Fourier.definitely_infeasible (between n n));
+  check_bool "opaque residue n / 2 cancels like a symbol" true
+    (Fourier.definitely_infeasible (between half half));
+  check_bool "distinct residues stay independent" false
+    (Fourier.definitely_infeasible (between half Expr.(div (var "n") (int 3))));
+  (* parallel rows keep only the tightest constant: x >= 3 survives
+     beside x >= 0 and x >= 1, so x <= 2 contradicts it *)
+  check_bool "tightest of parallel rows" true
+    (Fourier.definitely_infeasible
+       (sys
+          [
+            Fourier.ineq [| 1; 0 |] Expr.zero;
+            Fourier.ineq [| 1; 0 |] (Expr.int (-3));
+            Fourier.ineq [| 1; 0 |] (Expr.int (-1));
+            Fourier.ineq [| -1; 0 |] (Expr.int 2);
+          ]));
+  (* eliminating x from 2x >= y and 3x <= y - 1 needs the multipliers 3
+     and 2: y <= -2, which contradicts y >= 0 *)
+  check_bool "non-unit multipliers" true
+    (Fourier.definitely_infeasible
+       (sys
+          [
+            Fourier.ineq [| 2; -1 |] Expr.zero;
+            Fourier.ineq [| -3; 1 |] (Expr.int (-1));
+            Fourier.ineq [| 0; 1 |] Expr.zero;
+          ]));
+  (* blowup cap gives up gracefully. It bounds the work of one
+     elimination step, |rest| + |pos|*|neg|, not the input: eliminating x
+     from these six rows combines nine, so [~max_ineqs:8] gives up
+     although the input is smaller than the cap. *)
+  let six =
+    sys
+      [
+        (* x >= 2, x >= y, x >= 2y *)
+        Fourier.ineq [| 1; 0 |] (Expr.int (-2));
+        Fourier.ineq [| 1; -1 |] Expr.zero;
+        Fourier.ineq [| 1; -2 |] Expr.zero;
+        (* x <= 0, x <= y - 5, x <= -y *)
+        Fourier.ineq [| -1; 0 |] Expr.zero;
+        Fourier.ineq [| -1; 1 |] (Expr.int (-5));
+        Fourier.ineq [| -1; -1 |] Expr.zero;
+      ]
+  in
+  check_bool "uncapped" true (Fourier.definitely_infeasible six);
   check_bool "cap returns false" false
     (Fourier.definitely_infeasible ~max_ineqs:1
        (sys
@@ -323,7 +374,13 @@ let test_fm_infeasibility () =
             Fourier.ineq [| -1; 2 |] Expr.zero;
             Fourier.ineq [| 1; -2 |] (Expr.int (-1));
             Fourier.ineq [| -1; -1 |] (Expr.int (-1));
-          ]))
+          ]));
+  check_bool "~max_ineqs:9 allows the nine combinations" true
+    (Fourier.definitely_infeasible ~max_ineqs:9 six);
+  check_bool "~max_ineqs:8 gives up before combining" false
+    (Fourier.definitely_infeasible ~max_ineqs:8 six);
+  check_bool "~max_ineqs:3 gives up before combining" false
+    (Fourier.definitely_infeasible ~max_ineqs:3 six)
 
 (* ------------------------------------------------------------------ *)
 (* FM property: random 3-deep rectangular/triangular nests, random     *)

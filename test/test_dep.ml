@@ -403,9 +403,59 @@ let test_scalar_independent_body () =
   in
   Alcotest.(check int) "no vectors" 0 (List.length (Analysis.vectors nest))
 
-(* Triangular nest soundness: brute-force every dependent pair (by actual
-   execution) and require vector coverage in value space. Regression for
-   the shared-symbol normalization of non-rectangular bounds. *)
+(* Every dependent pair of array accesses one run of [nest] performs
+   (same cell, at least one write, distinct iterations) that no vector of
+   [Analysis.vectors] covers. An aligned loop (invariant lower bound, or
+   unit step) is compared by counter distance, the value difference over
+   the step; a loop on grids shifted per outer iteration only by the
+   step-corrected sign of the value difference. *)
+let missed_pairs ~params (nest : Nest.t) =
+  let vs = Analysis.vectors nest in
+  let loops = Array.of_list nest.Nest.loops in
+  let mentions_loop e =
+    Array.exists (fun (l : Nest.loop) -> Expr.mentions l.Nest.var e) loops
+  in
+  let step (l : Nest.loop) = Option.value ~default:1 (Expr.to_int l.Nest.step) in
+  let contains k (e : Depvec.elem) v1 v2 =
+    let s = step loops.(k) in
+    if abs s = 1 || not (mentions_loop loops.(k).Nest.lo) then
+      Depvec.elem_contains e ((v2 - v1) / s)
+    else Dir.contains (Depvec.elem_dir e) (compare (v2 - v1) 0 * compare s 0)
+  in
+  let covered i1 i2 =
+    List.exists
+      (fun v -> Array.for_all Fun.id (Array.mapi (fun k e -> contains k e i1.(k) i2.(k)) v))
+      vs
+  in
+  let env = Itf_check.Oracle.make_env ~params nest in
+  let cells = Hashtbl.create 64 in
+  let cur = ref [||] in
+  Itf_exec.Env.set_tracer env
+    (Some
+       (fun { Itf_exec.Env.array; flat; kind } ->
+         let key = (array, flat) in
+         let prev = Option.value ~default:[] (Hashtbl.find_opt cells key) in
+         Hashtbl.replace cells key ((!cur, kind = Itf_exec.Env.Write) :: prev)));
+  Itf_exec.Interp.run ~on_iteration:(fun it -> cur := it) env nest;
+  let missed = ref [] in
+  Hashtbl.iter
+    (fun _ accesses ->
+      let rec pairs = function
+        | [] -> ()
+        | (i2, w2) :: earlier ->
+          List.iter
+            (fun (i1, w1) ->
+              if (w1 || w2) && i1 <> i2 && not (covered i1 i2) then
+                missed := (i1, i2) :: !missed)
+            earlier;
+          pairs earlier
+      in
+      pairs accesses)
+    cells;
+  !missed
+
+(* Triangular nest soundness: regression for the shared-symbol
+   normalization of non-rectangular bounds. *)
 let test_triangular_soundness () =
   let nest =
     Nest.make
@@ -421,30 +471,43 @@ let test_triangular_soundness () =
               (Expr.Load { array = "b"; index = [ Expr.var "i" ] }) );
       ]
   in
-  let vs = Analysis.vectors nest in
-  let env = Itf_exec.Env.create () in
-  Itf_exec.Env.declare_array env "a" [ (-2, 10) ];
-  Itf_exec.Env.declare_array env "b" [ (-2, 10) ];
-  let events = ref [] in
-  let cur = ref [||] in
-  Itf_exec.Env.set_tracer env
-    (Some
-       (fun { Itf_exec.Env.array; flat; kind } ->
-         events := (!cur, array, flat, kind = Itf_exec.Env.Write) :: !events));
-  Itf_exec.Interp.run ~on_iteration:(fun it -> cur := it) env nest;
-  let evs = Array.of_list (List.rev !events) in
-  let missed = ref 0 in
-  Array.iteri
-    (fun x (i1, a1, f1, w1) ->
-      Array.iteri
-        (fun y (i2, a2, f2, w2) ->
-          if y > x && a1 = a2 && f1 = f2 && (w1 || w2) && i1 <> i2 then begin
-            let d = Array.init 2 (fun k -> i2.(k) - i1.(k)) in
-            if not (List.exists (fun v -> Depvec.mem v d) vs) then incr missed
-          end)
-        evs)
-    evs;
-  Alcotest.(check int) "no missed dependent pairs" 0 !missed
+  Alcotest.(check int) "no missed dependent pairs" 0
+    (List.length (missed_pairs ~params:[] nest))
+
+(* The same brute force over a seeded stream of generated nests (negative
+   and non-unit steps, triangular and clamped bounds, statically empty
+   ranges, guards, scalar temporaries), each run with its own params. *)
+let test_generated_soundness () =
+  let st = Random.State.make [| 42 |] in
+  for index = 0 to 599 do
+    let { Itf_check.Gen.nest; params; _ } = Itf_check.Gen.case st in
+    match missed_pairs ~params nest with
+    | [] -> ()
+    | (i1, i2) :: _ ->
+      let pp = Fmt.(brackets (array ~sep:comma int)) in
+      Alcotest.failf "case %d: vectors %a miss %a -> %a in\n%s" index
+        Fmt.(list ~sep:sp Depvec.pp) (Analysis.vectors nest) pp i1 pp i2
+        (Nest.to_string nest)
+  done
+
+(* A statically empty outer range leaves no dependence, even though the
+   bounds are symbolic: [n - 1 > n - 2] for every [n]. *)
+let test_empty_symbolic_range () =
+  let nest =
+    Itf_lang.Parser.parse_nest
+      "do i = n - 1, n - 2\n  do j = i, i + 2\n    a(j) = a(j - 1) + 1\n  enddo\nenddo\n"
+  in
+  Alcotest.(check (list dv)) "no vectors" [] (Analysis.vectors nest)
+
+let test_lu_vectors () =
+  let nest =
+    Itf_lang.Parser.parse_nest
+      "do k = 1, n\n  do i = k + 1, n\n    do j = k + 1, n\n\
+      \      a(i, j) = a(i, j) - a(i, k) * a(k, j)\n    enddo\n  enddo\nenddo\n"
+  in
+  Alcotest.(check (list dv)) "LU"
+    [ Depvec.of_string "(+, 0, *)"; Depvec.of_string "(+, *, 0)" ]
+    (Analysis.vectors nest)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_lex_negative_bruteforce ]
@@ -492,6 +555,11 @@ let () =
             test_scalar_independent_body;
           Alcotest.test_case "triangular nest soundness" `Quick
             test_triangular_soundness;
+          Alcotest.test_case "generated nest soundness" `Quick
+            test_generated_soundness;
+          Alcotest.test_case "statically empty symbolic range" `Quick
+            test_empty_symbolic_range;
+          Alcotest.test_case "LU vectors" `Quick test_lu_vectors;
         ] );
       ("properties", qcheck_tests);
     ]
