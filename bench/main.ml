@@ -688,45 +688,35 @@ let bechamel_suite () =
    than 1.2x slower than the tiered sequential run, if the tier-0 screen
    saves less than 3x exact evaluations on matmul/locality, or — given
    [--baseline FILE] holding a previously committed BENCH_search.json — if
-   any case's new_seq_time_s regressed more than 10% against that baseline
-   both in absolute time and normalized by the same file's
-   compute_untiered_time_s (the normalization absorbs hardware
-   differences; the AND keeps one noisy denominator from faking a
-   regression). *)
+   any case's deterministic counters (exact and tier-0 evaluations, and
+   the node, cache, legality and evaluation counters of the three stats
+   blocks) differ from that baseline at all, or if its new_seq_time_s
+   regressed more than 10% against it both in absolute time and
+   normalized by the same file's compute_untiered_time_s (the
+   normalization absorbs hardware differences; the AND keeps one noisy
+   denominator from faking a regression). *)
 let search_bench ?baseline () =
   section "EXP-SEARCH | search engine: two-tier + incremental + multicore";
   let module Search = Itf_opt.Search in
   let module Engine = Itf_opt.Engine in
-  let module Costmodel = Itf_opt.Costmodel in
   let module Hashcons = Itf_mat.Hashcons in
-  (* Tier-0 specs mirror each case's exact objective: same cache geometry
-     and parameters as [cache_misses], same procs/overhead as
-     [parallel_time] (2.0 is the simulator's default spawn overhead).
-     Objectives are built through [mk_obj ~memo] so the compute-regime
+  (* Each case's objective comes paired with its tier-0 mirror from
+     [Search.of_name], built through [mk_obj ~memo] so the compute-regime
      runs below can instantiate the same objective without the
      process-wide score memo. *)
-  let par_spec params =
-    Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params }
-  in
   let cases =
-    [
-      ( "stencil/parallel",
-        stencil (),
-        (fun ~memo -> Search.parallel_time ~memo ~procs:4 ~params:[ ("n", 10) ] ()),
-        par_spec [ ("n", 10) ],
-        3 );
-      ( "matmul/locality",
-        matmul (),
-        (fun ~memo -> Search.cache_misses ~memo ~params:[ ("n", 16) ] ()),
-        Costmodel.Locality
-          { config = cache_cfg; elem_bytes = 8; params = [ ("n", 16) ] },
-        3 );
-      ( "lu/parallel",
-        lu (),
-        (fun ~memo -> Search.parallel_time ~memo ~procs:4 ~params:[ ("n", 10) ] ()),
-        par_spec [ ("n", 10) ],
-        3 );
-    ]
+    List.map
+      (fun (name, nest, objective, n) ->
+        let mk ~memo =
+          Result.get_ok
+            (Search.of_name ~memo objective ~procs:4 ~params:[ ("n", n) ])
+        in
+        (name, nest, (fun ~memo -> fst (mk ~memo)), snd (mk ~memo:true), 3))
+      [
+        ("stencil/parallel", stencil (), "parallel", 10);
+        ("matmul/locality", matmul (), "locality", 16);
+        ("lu/parallel", lu (), "parallel", 10);
+      ]
   in
   (* Best-of-five for the runs whose timing ratio is enforced: these
      searches finish in milliseconds, so a single GC pause or scheduler
@@ -734,24 +724,24 @@ let search_bench ?baseline () =
      reported result (and so the stats blob in the JSON) comes from the
      best-timed run — the time and the stats describe the same run, which
      in practice is a warm one (runs 2-5 hit the process-wide memos). The
-     allocation deltas (minor-heap words allocated and words promoted,
-     from [Gc.quick_stat] — the direct measure of what hash-consing
-     removes from the hot path) come from the fifth run: by then the
+     allocation deltas (minor-heap words allocated, from
+     [Gc.minor_words], and words promoted, from [Gc.quick_stat] — the
+     direct measure of what hash-consing removes from the hot path; the
+     [quick_stat] minor count only advances by whole minor heaps) come
+     from the fifth run: by then the
      process-wide memo tables answer every repeated candidate, so they
      report the steady-state allocation of a search, not the one-time
      intern cost. *)
   let time_min_gc f =
     let best = ref None and alloc = ref (0., 0.) in
     for run = 1 to 5 do
-      let s0 = Gc.quick_stat () in
+      let m0 = Gc.minor_words () and s0 = Gc.quick_stat () in
       let t0 = Unix.gettimeofday () in
       let r = f () in
       let t = Unix.gettimeofday () -. t0 in
-      let s1 = Gc.quick_stat () in
+      let m1 = Gc.minor_words () and s1 = Gc.quick_stat () in
       if run = 5 then
-        alloc :=
-          ( s1.Gc.minor_words -. s0.Gc.minor_words,
-            s1.Gc.promoted_words -. s0.Gc.promoted_words );
+        alloc := (m1 -. m0, s1.Gc.promoted_words -. s0.Gc.promoted_words);
       match !best with
       | Some (_, best_t) when best_t <= t -> ()
       | _ -> best := Some (r, t)
@@ -784,19 +774,51 @@ let search_bench ?baseline () =
           (Option.value ~default:[]
              (Option.bind (Json.member "cases" j) Json.to_list)))
   in
+  let baseline_case name =
+    Option.bind baseline_cases
+      (List.find_opt (fun c -> Json.member "name" c = Some (Json.String name)))
+  in
   let baseline_times name =
-    Option.bind baseline_cases (fun cs ->
-        Option.map
-          (fun c ->
-            let f k =
-              match Option.bind (Json.member k c) Json.to_float with
-              | Some x -> x
-              | None -> failwith ("baseline case " ^ name ^ " missing " ^ k)
-            in
-            (f "compute_untiered_time_s", f "new_seq_time_s"))
-          (List.find_opt
-             (fun c -> Json.member "name" c = Some (Json.String name))
-             cs))
+    Option.map
+      (fun c ->
+        let f k =
+          match Option.bind (Json.member k c) Json.to_float with
+          | Some x -> x
+          | None -> failwith ("baseline case " ^ name ^ " missing " ^ k)
+        in
+        (f "compute_untiered_time_s", f "new_seq_time_s"))
+      (baseline_case name)
+  in
+  (* The deterministic fields of a case: the same on every host and at
+     every domain count, so any difference from the baseline is a change
+     in what the search does. Host-dependent fields (domains,
+     work_threshold, times, GC words) are left to the timing gate. *)
+  let counter_paths =
+    List.map
+      (fun k -> [ k ])
+      [ "exact_evals"; "exact_evals_untiered"; "tier0_evals"; "tier0_pruned" ]
+    @ List.concat_map
+        (fun stats ->
+          List.map
+            (fun (k, _) -> [ stats; k ])
+            (Itf_opt.Stats.counters (Itf_opt.Stats.create ())))
+        [ "stats_untiered"; "stats_seq"; "stats_par" ]
+  in
+  let check_counters name fresh =
+    let get j path =
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path
+      |> Option.fold ~none:"missing" ~some:Json.to_string
+    in
+    Option.iter
+      (fun base ->
+        List.iter
+          (fun path ->
+            if get base path <> get fresh path then
+              failwith
+                (Printf.sprintf "%s: %s is %s, baseline %s" name
+                   (String.concat "." path) (get fresh path) (get base path)))
+          counter_paths)
+      (baseline_case name)
   in
   let par_domains = Itf_opt.Engine.default_domains () in
   Format.printf "parallel runs use %d domains@." par_domains;
@@ -1036,6 +1058,9 @@ let search_bench ?baseline () =
         | _ -> failwith (name ^ ": a search returned nothing"))
       cases
   in
+  List.iter2
+    (fun (name, _, _, _, _) json -> check_counters name json)
+    cases jsons;
   (* Intern/memo table health at the end of the whole suite. *)
   let intern_tables =
     List.map

@@ -230,29 +230,20 @@ let optimize_cmd =
       (* The tier-0 spec mirrors the exact objective's machine model so the
          screen ranks what the simulator will measure. [--exact-topk 0]
          opens the screen (untiered exact search). *)
-      let obj, tier0 =
-        match objective with
-        | "locality" ->
-          ( Itf_opt.Search.cache_misses ?metrics ~params (),
-            Itf_opt.Costmodel.Locality
-              {
-                config =
-                  { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
-                elem_bytes = 8;
-                params;
-              } )
-        | "parallel" ->
-          ( Itf_opt.Search.parallel_time ?metrics ~procs ~params (),
-            Itf_opt.Costmodel.Parallel
-              { procs; spawn_overhead = 2.0; params } )
-        | other ->
-          Printf.eprintf "error: unknown objective %s (use locality|parallel)\n" other;
-          exit 1
-      in
-      if tier0_only && exact_topk = 0 then begin
-        Printf.eprintf "error: --tier0-only conflicts with --exact-topk 0\n";
+      let fail msg =
+        Printf.eprintf "error: %s\n" msg;
         exit 1
-      end;
+      in
+      let obj, tier0 =
+        match Itf_opt.Search.of_name ?metrics objective ~procs ~params with
+        | Ok pair -> pair
+        | Error msg -> fail msg
+      in
+      if procs < 1 || procs > Itf_opt.Search.max_procs then
+        fail (Printf.sprintf "--procs must be in 1..%d" Itf_opt.Search.max_procs);
+      if exact_topk < 0 then fail "--exact-topk must be non-negative";
+      if tier0_only && exact_topk = 0 then
+        fail "--tier0-only conflicts with --exact-topk 0";
       let tier0 = if exact_topk = 0 then None else Some tier0 in
       let budget =
         match (deadline_ms, max_nodes) with
@@ -330,7 +321,12 @@ let optimize_cmd =
       & info [ "objective" ] ~docv:"OBJ" ~doc:"Objective: locality or parallel.")
   in
   let procs =
-    Arg.(value & opt int 8 & info [ "procs" ] ~doc:"Simulated processors (parallel objective).")
+    Arg.(
+      value & opt int 8
+      & info [ "procs" ]
+          ~doc:
+            (Printf.sprintf "Simulated processors (parallel objective), 1..%d."
+               Itf_opt.Search.max_procs))
   in
   let steps =
     Arg.(value & opt int 2 & info [ "steps" ] ~doc:"Maximum sequence length to search.")
@@ -354,7 +350,8 @@ let optimize_cmd =
             "Exact simulations per search step: the analytic tier-0 cost \
              model screens every legal candidate and only the K most \
              promising reach the exact simulator. 0 opens the screen \
-             (every legal candidate simulated).")
+             (every legal candidate simulated); negative values are \
+             rejected.")
   in
   let tier0_only =
     Arg.(

@@ -48,8 +48,10 @@ let time ?(spawn_overhead = 2.0) ~procs env (nest : Nest.t) =
       (match l.Nest.kind with
       | Nest.Do -> Array.fold_left ( +. ) 0. times
       | Nest.Pardo ->
-        (* Round-robin assignment: processor p runs iterations p, p+P... *)
-        let proc_time = Array.make procs 0. in
+        (* Round-robin assignment: processor p runs iterations p, p+P...
+           Only the first [min procs count] processors get work; the idle
+           rest would add zeros to a max over non-negative times. *)
+        let proc_time = Array.make (min procs (Array.length times)) 0. in
         Array.iteri
           (fun k t -> proc_time.(k mod procs) <- proc_time.(k mod procs) +. t)
           times;
@@ -82,7 +84,7 @@ let time_compiled ?(spawn_overhead = 2.0) ~procs env (nest : Nest.t) =
         done;
         !total
       | Nest.Pardo ->
-        let proc_time = Array.make procs 0. in
+        let proc_time = Array.make (min procs count) 0. in
         for k = 0 to count - 1 do
           Itf_exec.Compile.set_loop_var c level (lo + (k * step));
           let p = k mod procs in

@@ -100,7 +100,7 @@ type outcome = {
   canonical : Itf_core.Sequence.t;  (** its peephole reduction *)
   result : Itf_core.Framework.result;
   score : float;
-  stats : Stats.t;
+  stats : Stats.t;  (** the search's own counters, final once returned *)
   completion : completion;
       (** {!Complete}, or {!Degraded} when the {!budget} expired and
           [sequence] is only the best found before the cut *)
@@ -159,9 +159,10 @@ val search :
     no tier-0 estimates or decisions are recorded. [exact_topk] (default
     {!default_exact_topk}, clamped to at least [beam]) caps exact
     simulations per step; [tier0_only] (requires [tier0]) skips the exact
-    simulator entirely and beam-searches on tier-0 scores alone — the
-    untrusted-but-fast escape hatch, whose winner is {e not} guaranteed to
-    match the exact search.
+    simulator entirely and beam-searches on tier-0 scores alone, the
+    root's included: the screen then neither bound-prunes nor cuts at
+    [exact_topk]. It is the untrusted-but-fast escape hatch, whose winner
+    is {e not} guaranteed to match the exact search.
 
     Cache keys are canonical-sequence intern ids from
     {!Itf_core.Sequence.reduce_memo}, and tier-0 estimates are memoized

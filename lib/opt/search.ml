@@ -232,3 +232,25 @@ let parallel_time ?spawn_overhead ?metrics ?memo ~procs ~params () : objective =
     @ params_key params
   in
   memoized ?memo parsim_memo fingerprint metrics "parsim.memo.hits" run
+
+(* Largest simulated processor count a front end accepts. *)
+let max_procs = 1024
+
+(* The one place an exact objective meets its tier-0 mirror, so the
+   screen ranks what the simulator will measure. *)
+let of_name ?metrics ?memo name ~procs ~params =
+  match name with
+  | "locality" ->
+    let config =
+      { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
+    in
+    Ok
+      ( cache_misses ~config ?metrics ?memo ~params (),
+        Costmodel.Locality { config; elem_bytes = 8; params } )
+  | "parallel" ->
+    let spawn_overhead = 2.0 in
+    Ok
+      ( parallel_time ~spawn_overhead ?metrics ?memo ~procs ~params (),
+        Costmodel.Parallel { procs; spawn_overhead; params } )
+  | _ ->
+    Error (Printf.sprintf "unknown objective %S (use locality|parallel)" name)

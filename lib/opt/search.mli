@@ -52,3 +52,14 @@ val parallel_time :
 (** Simulated parallel execution time on [procs] processors. [metrics]
     accumulates a [parsim.runs] counter. [?memo] as in {!cache_misses}
     (hit counter: [parsim.memo.hits]). *)
+
+val max_procs : int
+(** Largest [procs] the front ends accept: 1024. *)
+
+val of_name :
+  ?metrics:Itf_obs.Metrics.t -> ?memo:bool -> string -> procs:int ->
+  params:(string * int) list ->
+  (objective * Costmodel.spec, string) result
+(** The objective ["locality"] (an 8 KiB, 64-byte-line, 2-way cache;
+    8-byte elements) or ["parallel"] (spawn overhead 2.0) paired with the
+    tier-0 spec that mirrors it; any other name is an [Error]. *)

@@ -1,30 +1,63 @@
-(* One search's statistics. The record is immutable and built per search
-   from the engine's search context (engine.ml, [sctx]) — there is no
-   shared mutable state here, so concurrent searches cannot corrupt each
-   other's stats. [record] publishes into the metrics registry with
-   atomic, commutative instrument updates only, so concurrent recording
-   from several serve workers yields exact totals. *)
+(* One search's statistics. The record is the search's own accumulator:
+   [Engine.search] creates one per call, bumps its fields while it runs
+   and returns it in the outcome — it never escapes to another search, so
+   concurrent searches cannot corrupt each other's stats. [record]
+   publishes into the metrics registry with atomic, commutative
+   instrument updates only, so concurrent recording from several serve
+   workers yields exact totals. *)
 type t = {
-  nodes_explored : int;
-  duplicates_pruned : int;
-  legality_cache_hits : int;
-  score_cache_hits : int;
-  illegal : int;
-  template_applications : int;
-  template_applications_saved : int;
-  objective_evaluations : int;
-  tier0_evaluations : int;
-  tier0_pruned : int;
-  domains : int;
-  work_threshold : int;
-  expand_time_s : float;
-  evaluate_time_s : float;
-  legality_time_s : float;
-  tier0_time_s : float;
-  exact_time_s : float;
-  merge_time_s : float;
-  total_time_s : float;
+  mutable nodes_explored : int;
+  mutable duplicates_pruned : int;
+  mutable legality_cache_hits : int;
+  mutable score_cache_hits : int;
+  mutable illegal : int;
+  mutable template_applications : int;
+  mutable template_applications_saved : int;
+  mutable objective_evaluations : int;
+  mutable tier0_evaluations : int;
+  mutable tier0_pruned : int;
+  mutable domains : int;
+  mutable work_threshold : int;
+  mutable expand_time_s : float;
+  mutable evaluate_time_s : float;
+  mutable legality_time_s : float;
+  mutable tier0_time_s : float;
+  mutable exact_time_s : float;
+  mutable merge_time_s : float;
+  mutable total_time_s : float;
 }
+
+let create () =
+  {
+    nodes_explored = 0;
+    duplicates_pruned = 0;
+    legality_cache_hits = 0;
+    score_cache_hits = 0;
+    illegal = 0;
+    template_applications = 0;
+    template_applications_saved = 0;
+    objective_evaluations = 0;
+    tier0_evaluations = 0;
+    tier0_pruned = 0;
+    domains = 0;
+    work_threshold = 0;
+    expand_time_s = 0.;
+    evaluate_time_s = 0.;
+    legality_time_s = 0.;
+    tier0_time_s = 0.;
+    exact_time_s = 0.;
+    merge_time_s = 0.;
+    total_time_s = 0.;
+  }
+
+let phases s =
+  [
+    ("expand", s.expand_time_s);
+    ("legality", s.legality_time_s);
+    ("tier0", s.tier0_time_s);
+    ("exact", s.exact_time_s);
+    ("merge", s.merge_time_s);
+  ]
 
 let pp ppf s =
   Format.fprintf ppf
@@ -46,30 +79,35 @@ let pp ppf s =
     s.legality_time_s s.tier0_time_s s.exact_time_s s.merge_time_s
     s.total_time_s
 
+let counters s =
+  [
+    ("nodes_explored", s.nodes_explored);
+    ("duplicates_pruned", s.duplicates_pruned);
+    ("legality_cache_hits", s.legality_cache_hits);
+    ("score_cache_hits", s.score_cache_hits);
+    ("illegal", s.illegal);
+    ("template_applications", s.template_applications);
+    ("template_applications_saved", s.template_applications_saved);
+    ("objective_evaluations", s.objective_evaluations);
+    ("tier0_evaluations", s.tier0_evaluations);
+    ("tier0_pruned", s.tier0_pruned);
+  ]
+
 let to_json_value s =
-  Itf_obs.Json.Obj
-    [
-      ("nodes_explored", Itf_obs.Json.Int s.nodes_explored);
-      ("duplicates_pruned", Itf_obs.Json.Int s.duplicates_pruned);
-      ("legality_cache_hits", Itf_obs.Json.Int s.legality_cache_hits);
-      ("score_cache_hits", Itf_obs.Json.Int s.score_cache_hits);
-      ("illegal", Itf_obs.Json.Int s.illegal);
-      ("template_applications", Itf_obs.Json.Int s.template_applications);
-      ( "template_applications_saved",
-        Itf_obs.Json.Int s.template_applications_saved );
-      ("objective_evaluations", Itf_obs.Json.Int s.objective_evaluations);
-      ("tier0_evaluations", Itf_obs.Json.Int s.tier0_evaluations);
-      ("tier0_pruned", Itf_obs.Json.Int s.tier0_pruned);
-      ("domains", Itf_obs.Json.Int s.domains);
-      ("work_threshold", Itf_obs.Json.Int s.work_threshold);
-      ("expand_time_s", Itf_obs.Json.Float s.expand_time_s);
-      ("evaluate_time_s", Itf_obs.Json.Float s.evaluate_time_s);
-      ("legality_time_s", Itf_obs.Json.Float s.legality_time_s);
-      ("tier0_time_s", Itf_obs.Json.Float s.tier0_time_s);
-      ("exact_time_s", Itf_obs.Json.Float s.exact_time_s);
-      ("merge_time_s", Itf_obs.Json.Float s.merge_time_s);
-      ("total_time_s", Itf_obs.Json.Float s.total_time_s);
-    ]
+  let open Itf_obs.Json in
+  Obj
+    (List.map (fun (k, v) -> (k, Int v)) (counters s)
+    @ [
+        ("domains", Int s.domains);
+        ("work_threshold", Int s.work_threshold);
+        ("expand_time_s", Float s.expand_time_s);
+        ("evaluate_time_s", Float s.evaluate_time_s);
+        ("legality_time_s", Float s.legality_time_s);
+        ("tier0_time_s", Float s.tier0_time_s);
+        ("exact_time_s", Float s.exact_time_s);
+        ("merge_time_s", Float s.merge_time_s);
+        ("total_time_s", Float s.total_time_s);
+      ])
 
 let to_json s = Itf_obs.Json.to_string (to_json_value s)
 
@@ -101,15 +139,11 @@ let record metrics s =
      log-linear layout: histogram sums give the aggregate per-phase time
      breakdown, quantiles its per-search distribution — available even
      when tracing is disabled or the request was sampled out. *)
-  let phase name v_s =
-    Itf_obs.Metrics.observe
-      (Itf_obs.Metrics.histogram metrics
-         ~labels:[ ("phase", name) ]
-         ~buckets:Itf_obs.Metrics.duration_buckets "engine.phase_us")
-      (v_s *. 1e6)
-  in
-  phase "expand" s.expand_time_s;
-  phase "legality" s.legality_time_s;
-  phase "tier0" s.tier0_time_s;
-  phase "exact" s.exact_time_s;
-  phase "merge" s.merge_time_s
+  List.iter
+    (fun (name, v_s) ->
+      Itf_obs.Metrics.observe
+        (Itf_obs.Metrics.histogram metrics
+           ~labels:[ ("phase", name) ]
+           ~buckets:Itf_obs.Metrics.duration_buckets "engine.phase_us")
+        (v_s *. 1e6))
+    (phases s)

@@ -1,5 +1,9 @@
 (** Instrumentation record of one {!Engine} search.
 
+    The record is the search's own accumulator: {!Engine.search} starts
+    from {!create}, bumps the fields as it works and returns the record
+    in its outcome. Nothing else writes it.
+
     Counters distinguish work done from work avoided: [template_applications]
     counts template stage applications (bounds check + code generation +
     vector mapping) of the legality checks the search made, while
@@ -8,50 +12,66 @@
     are independent of what the process-wide memos already hold. *)
 
 type t = {
-  nodes_explored : int;  (** candidate sequences considered (incl. root) *)
-  duplicates_pruned : int;
+  mutable nodes_explored : int;
+      (** candidate sequences considered (incl. root) *)
+  mutable duplicates_pruned : int;
       (** within-step candidates dropped because an earlier candidate of the
           same step reduced to the same canonical sequence *)
-  legality_cache_hits : int;
+  mutable legality_cache_hits : int;
       (** candidates answered from the canonical-sequence cache without any
           template application *)
-  score_cache_hits : int;
+  mutable score_cache_hits : int;
       (** candidates whose objective score was served from cache *)
-  illegal : int;  (** candidates rejected (bounds, dependence, unscoreable) *)
-  template_applications : int;
+  mutable illegal : int;
+      (** candidates rejected (bounds, dependence, unscoreable) *)
+  mutable template_applications : int;
       (** applications the search's legality checks stand for. A check
           answered by the process-wide legality memo counts the
           applications its original computation performed, so the
           counter is identical warm or cold — the same convention as
           [objective_evaluations], which counts memo-answered probes. *)
-  template_applications_saved : int;
-  objective_evaluations : int;
+  mutable template_applications_saved : int;
+  mutable objective_evaluations : int;
       (** exact objective evaluations requested, including those the
           process-wide objective memo answered without simulating *)
-  tier0_evaluations : int;
+  mutable tier0_evaluations : int;
       (** tier-0 cost-model estimates computed (0 on untiered searches) *)
-  tier0_pruned : int;
+  mutable tier0_pruned : int;
       (** legal candidates denied an exact evaluation by the tier-0 screen
           (outside top-K) or the branch-and-bound cutoff *)
-  domains : int;  (** parallelism used (1 = sequential) *)
-  work_threshold : int;
+  mutable domains : int;  (** parallelism used (1 = sequential) *)
+  mutable work_threshold : int;
       (** steps with fewer evaluation candidates than this ran on the
           calling thread even when [domains > 1] (see {!Pool.map_auto}) *)
-  expand_time_s : float;  (** move generation + canonicalization + dedupe *)
-  evaluate_time_s : float;
+  mutable expand_time_s : float;
+      (** move generation + canonicalization + dedupe *)
+  mutable evaluate_time_s : float;
       (** a step's tier-0 batch, screen and exact batch (all domains) *)
-  legality_time_s : float;
+  mutable legality_time_s : float;
       (** per-candidate template application + dependence testing (summed
           across domains, merged in input order) — a component of
           [evaluate_time_s], plus the root's legality check *)
-  tier0_time_s : float;
+  mutable tier0_time_s : float;
       (** per-candidate tier-0 analytic estimates (summed across domains) *)
-  exact_time_s : float;
+  mutable exact_time_s : float;
       (** per-candidate exact objective simulations (summed across
           domains), including the root evaluation *)
-  merge_time_s : float;  (** deterministic sort/beam selection *)
-  total_time_s : float;
+  mutable merge_time_s : float;  (** deterministic sort/beam selection *)
+  mutable total_time_s : float;
 }
+
+val create : unit -> t
+(** Every counter and time zero. *)
+
+val phases : t -> (string * float) list
+(** The per-phase times in seconds, in pipeline order: [expand],
+    [legality], [tier0], [exact], [merge]. {!record} and the serve
+    layer's per-request breakdown both read this list. *)
+
+val counters : t -> (string * int) list
+(** The deterministic counters — every [int] field but [domains] and
+    [work_threshold] — named as in {!to_json_value}: the same on every
+    host, at every domain count, warm or cold. *)
 
 val pp : Format.formatter -> t -> unit
 

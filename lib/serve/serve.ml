@@ -7,8 +7,8 @@
    up to [workers] searches truly in parallel. What makes that safe is the
    layering underneath — the hash-cons intern tables and objective memos
    are sharded and safe for concurrent interning (Itf_mat.Hashcons), the
-   engine carries all per-search mutable state in a search context
-   (Engine.sctx), and the metrics registry is atomic — and what keeps it
+   engine keeps all per-search mutable state local to the search call,
+   and the metrics registry is atomic — and what keeps it
    {e honest} is determinism: the engine's orders are structural and the
    memoized objectives return bit-identical floats no matter which worker
    warmed them, so the payload for a given request is byte-identical
@@ -55,6 +55,7 @@ module Tracer = Itf_obs.Tracer
 module Profile = Itf_obs.Profile
 module Engine = Itf_opt.Engine
 module Pool = Itf_opt.Pool
+module Search = Itf_opt.Search
 module Stats = Itf_opt.Stats
 module Sequence = Itf_core.Sequence
 
@@ -270,21 +271,19 @@ let parse_request json =
     let objective =
       Option.value ~default:"locality" (opt_field "objective" Json.to_str json)
     in
-    let* () =
-      if objective = "locality" || objective = "parallel" then Ok ()
-      else
-        Error
-          (Printf.sprintf "unknown objective %S (use locality|parallel)"
-             objective)
-    in
     let* params = params_field json in
     let* procs = int_field "procs" ~default:8 json in
+    let* () = in_range "procs" ~lo:1 ~hi:Search.max_procs procs in
     let* steps = int_field "steps" ~default:2 json in
     let* () = in_range "steps" ~lo:0 ~hi:max_steps steps in
     let* beam = int_field "beam" ~default:6 json in
     let* () = in_range "beam" ~lo:1 ~hi:max_beam beam in
     let* exact_topk =
       int_field "exact_topk" ~default:Engine.default_exact_topk json
+    in
+    let* () =
+      if exact_topk >= 0 then Ok ()
+      else Error "field \"exact_topk\" must be non-negative"
     in
     let* tier0_only = bool_field "tier0_only" ~default:false json in
     let* () =
@@ -486,22 +485,11 @@ let request_latency t =
   Metrics.histogram t.metrics ~buckets:Metrics.duration_buckets
     "serve.request_us"
 
-let phase_names = [ "expand"; "legality"; "tier0"; "exact"; "merge" ]
-
-let phases_of_stats (s : Stats.t) =
-  [
-    ("expand", s.Stats.expand_time_s *. 1e6);
-    ("legality", s.Stats.legality_time_s *. 1e6);
-    ("tier0", s.Stats.tier0_time_s *. 1e6);
-    ("exact", s.Stats.exact_time_s *. 1e6);
-    ("merge", s.Stats.merge_time_s *. 1e6);
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Search execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let search_response t ~tracer req ~t_recv =
+let search_response t ~tracer req ~deadline_ms ~t_recv =
   match Itf_lang.Parser.parse req.nest_src with
   | exception Itf_lang.Parser.Error { line; message } ->
     Error (Printf.sprintf "nest:%d: %s" line message)
@@ -511,39 +499,16 @@ let search_response t ~tracer req ~t_recv =
     match Lru.find t.cache key with
     | Some cached -> Ok (`Cached (cached, key))
     | None ->
-      let memo = true in
-      let obj, tier0 =
-        match req.objective with
-        | "locality" ->
-          ( Itf_opt.Search.cache_misses ~metrics:t.metrics ~memo
-              ~params:req.params (),
-            Itf_opt.Costmodel.Locality
-              {
-                config =
-                  {
-                    Itf_machine.Cache.size_bytes = 8192;
-                    line_bytes = 64;
-                    assoc = 2;
-                  };
-                elem_bytes = 8;
-                params = req.params;
-              } )
-        | _ ->
-          ( Itf_opt.Search.parallel_time ~metrics:t.metrics ~memo
-              ~procs:req.procs ~params:req.params (),
-            Itf_opt.Costmodel.Parallel
-              { procs = req.procs; spawn_overhead = 2.0; params = req.params }
-          )
-      in
+      match
+        Search.of_name ~metrics:t.metrics req.objective ~procs:req.procs
+          ~params:req.params
+      with
+      | Error msg -> Error msg
+      | Ok (obj, tier0) ->
       let tier0 = if req.exact_topk = 0 then None else Some tier0 in
       (* The deadline is measured from receipt, so time spent queued
          behind other requests counts against it — a late search is cut
          shorter, not granted a fresh allowance. *)
-      let deadline_ms =
-        match req.deadline_ms with
-        | Some _ as d -> d
-        | None -> t.default_deadline_ms
-      in
       let budget =
         match (deadline_ms, req.max_nodes) with
         | None, None -> None
@@ -715,7 +680,9 @@ let status_snapshot t ~id =
           ] );
       ( "phases_us",
         Json.Obj
-          (List.map (fun p -> (p, Json.Float (phase_sum p))) phase_names) );
+          (List.map
+             (fun (p, _) -> (p, Json.Float (phase_sum p)))
+             (Stats.phases (Stats.create ()))) );
       ( "search_us",
         Json.Obj
           [
@@ -805,13 +772,13 @@ let record_request t ?(fp = "") ?(cached = false) ?(phases = [])
    the engine — and is never cached, exactly like any other degraded
    answer. *)
 let exec_search t req ~t_recv =
-  let effective_deadline_ms =
+  let deadline_ms =
     match req.deadline_ms with
     | Some _ as d -> d
     | None -> t.default_deadline_ms
   in
   let queue_expired =
-    match effective_deadline_ms with
+    match deadline_ms with
     | Some ms -> (Unix.gettimeofday () -. t_recv) *. 1000. >= ms
     | None -> false
   in
@@ -836,13 +803,17 @@ let exec_search t req ~t_recv =
        head-sampling draw keeps it or the tail condition fires. *)
     let rt = if t.trace_out = None then Tracer.null else Tracer.create () in
     let resp, fp, cached, phases =
-      match search_response t ~tracer:rt req ~t_recv with
+      match search_response t ~tracer:rt req ~deadline_ms ~t_recv with
       | Error msg -> (error_response ~id:req.id msg, "", false, [])
       | Ok answer ->
         let body, fp, cached, phases =
           match answer with
           | `Cached (body, fp) -> (body, fp, true, [])
-          | `Fresh (body, fp, stats) -> (body, fp, false, phases_of_stats stats)
+          | `Fresh (body, fp, stats) ->
+            ( body,
+              fp,
+              false,
+              List.map (fun (p, s) -> (p, s *. 1e6)) (Stats.phases stats) )
         in
         let time_ms = (Unix.gettimeofday () -. t_recv) *. 1000. in
         ( Json.Obj

@@ -29,10 +29,11 @@
 
     {b Request} fields: ["nest"] (required; loop-nest source text),
     ["id"] (echoed verbatim), ["objective"] (["locality"] (default) or
-    ["parallel"]), ["params"] (object of integers), ["procs"], ["steps"]
-    ([0..8]), ["beam"] ([1..64]), ["exact_topk"] ([0] disables the tier-0
-    screen), ["tier0_only"], ["deadline_ms"] (number), ["max_nodes"]
-    (integer). A field of the wrong type or outside its range is an error
+    ["parallel"]), ["params"] (object of integers), ["procs"]
+    ([1..1024], {!Itf_opt.Search.max_procs}), ["steps"] ([0..8]),
+    ["beam"] ([1..64]), ["exact_topk"] (non-negative; [0] disables the
+    tier-0 screen), ["tier0_only"], ["deadline_ms"] (number),
+    ["max_nodes"] (integer). A field of the wrong type or outside its range is an error
     response. The deadline is measured from receipt, so queueing delay
     counts against it.
 

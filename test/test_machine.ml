@@ -199,6 +199,22 @@ let test_parallel_overhead_saturates () =
   let s4 = Parallel.speedup ~spawn_overhead:50. ~procs:4 env nest in
   check_bool "overhead kills speedup" true (s4 < 1.5)
 
+let test_parallel_idle_procs () =
+  (* Processors past the trip count only idle: 10^8 of them simulate
+     exactly like one per iteration, on both backends. *)
+  let nest = rect_nest Nest.Pardo in
+  let env = Env.create () in
+  Env.declare_array env "a" [ (1, 16); (1, 16) ];
+  List.iter
+    (fun (backend, time) ->
+      Alcotest.(check (float 0.))
+        (backend ^ ": procs 10^8 = procs trip count")
+        (time ~procs:16) (time ~procs:100_000_000))
+    [
+      ("interp", fun ~procs -> Parallel.time ~procs env nest);
+      ("compiled", fun ~procs -> Parallel.time_compiled ~procs env nest);
+    ]
+
 let test_body_cost () =
   check_bool "body cost counts ops and accesses" true
     (Parallel.body_cost (rect_nest Nest.Do) >= 2)
@@ -229,6 +245,8 @@ let () =
           Alcotest.test_case "load imbalance" `Quick test_parallel_load_imbalance;
           Alcotest.test_case "overhead saturation" `Quick
             test_parallel_overhead_saturates;
+          Alcotest.test_case "idle processors" `Quick
+            test_parallel_idle_procs;
           Alcotest.test_case "body cost" `Quick test_body_cost;
         ] );
     ]

@@ -6,7 +6,6 @@
 open Itf_ir
 module Search = Itf_opt.Search
 module Engine = Itf_opt.Engine
-module Costmodel = Itf_opt.Costmodel
 module Framework = Itf_core.Framework
 module Sequence = Itf_core.Sequence
 
@@ -93,21 +92,17 @@ let exhaustive_min ~steps nest objective =
   in
   Option.map (fun sr -> go [] sr steps) (score [])
 
-(* The two objectives at n = 8, each with its matching tier-0 spec. *)
+(* The two objectives at n = 8 on 4 processors, each with its matching
+   tier-0 spec. *)
 let locality, parallel =
-  let params = [ ("n", 8) ] in
-  ( ( "locality",
-      (fun ~memo -> Search.cache_misses ~memo ~params ()),
-      Costmodel.Locality
-        {
-          config =
-            { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
-          elem_bytes = 8;
-          params;
-        } ),
-    ( "parallel",
-      (fun ~memo -> Search.parallel_time ~memo ~procs:4 ~params ()),
-      Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params } ) )
+  let objective name =
+    let make ~memo =
+      Result.get_ok
+        (Search.of_name ~memo name ~procs:4 ~params:[ ("n", 8) ])
+    in
+    (name, (fun ~memo -> fst (make ~memo)), snd (make ~memo:true))
+  in
+  (objective "locality", objective "parallel")
 
 let oracle_cases =
   List.concat_map
@@ -326,6 +321,61 @@ let test_caches_and_savings () =
     (s.Itf_opt.Stats.objective_evaluations + s.Itf_opt.Stats.score_cache_hits
    + s.Itf_opt.Stats.illegal)
 
+(* The tier-0-only escape hatch: the estimate is the score, root
+   included, so no exact simulation runs, the screen prunes nothing and
+   every legal candidate survives it. The winners and scores are pinned:
+   no other test turns the mode on. *)
+let test_tier0_only () =
+  let flat s =
+    String.split_on_char '\n' s |> List.map String.trim |> String.concat " "
+  in
+  List.iter
+    (fun (label, nest, (_, mk, spec), expected_seq, expected_score) ->
+      match
+        Engine.search ~steps:2 ~domains:1 ~provenance:true ~tier0:spec
+          ~tier0_only:true nest (mk ~memo:true)
+      with
+      | None -> Alcotest.failf "%s: engine returned nothing" label
+      | Some o ->
+        let s = o.Engine.stats in
+        Alcotest.(check string)
+          (label ^ ": winner") expected_seq
+          (flat (Format.asprintf "%a" Sequence.pp o.Engine.sequence));
+        Alcotest.(check (float 0.0))
+          (label ^ ": score") expected_score o.Engine.score;
+        check_int (label ^ ": no exact evaluation") 0
+          s.Itf_opt.Stats.objective_evaluations;
+        check_int (label ^ ": nothing pruned") 0 s.Itf_opt.Stats.tier0_pruned;
+        check_bool (label ^ ": decisions recorded") true
+          (o.Engine.decisions <> []);
+        check_bool (label ^ ": every candidate survives") true
+          (List.for_all
+             (fun (d : Engine.decision) -> d.verdict = Engine.Survived)
+             o.Engine.decisions))
+    [
+      ( "matmul/locality",
+        Builders.matmul (),
+        locality,
+        "1. Block(n=3, 0..2, bsize=[4 4 4])",
+        16. );
+      ( "matmul/parallel",
+        Builders.matmul (),
+        parallel,
+        "1. Parallelize(n=3, parflag=[TFF]) 2. Parallelize(n=3, parflag=[FTF])",
+        198. );
+      ( "stencil/locality",
+        stencil (),
+        locality,
+        "1. Unimodular(n=2, M=[1 0] [-1 1]) 2. Block(n=2, 0..0, bsize=[4])",
+        0x1.2e66666666667p+3 );
+      ( "stencil/parallel",
+        stencil (),
+        parallel,
+        "1. ReversePermute(n=2, rev=[FF], perm=[1 0]) 2. Block(n=2, 0..1, \
+         bsize=[8 8])",
+        181.5 );
+    ]
+
 (* The domain pool is order-preserving and exception-safe. *)
 let test_pool_map () =
   let pool = Itf_opt.Pool.create 3 in
@@ -356,6 +406,7 @@ let () =
             test_caches_and_savings;
           Alcotest.test_case "warm search equals cold" `Quick
             test_warm_equals_cold;
+          Alcotest.test_case "tier-0-only search" `Quick test_tier0_only;
           Alcotest.test_case "pool map" `Quick test_pool_map;
         ] );
     ]

@@ -19,7 +19,6 @@
 
 module Engine = Itf_opt.Engine
 module Search = Itf_opt.Search
-module Costmodel = Itf_opt.Costmodel
 module Sequence = Itf_core.Sequence
 module Serve = Itf_serve.Serve
 module Json = Itf_obs.Json
@@ -49,15 +48,12 @@ let matmul_named suffix =
 let matmul_src = matmul_named ""
 
 let params = [ ("n", 12) ]
-let obj () = Search.cache_misses ~params ()
+(* The locality objective and its tier-0 mirror, as serve builds them. *)
+let locality params =
+  Result.get_ok (Search.of_name "locality" ~procs:8 ~params)
 
-let tier0_spec =
-  Costmodel.Locality
-    {
-      config = { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
-      elem_bytes = 8;
-      params;
-    }
+let obj () = fst (locality params)
+let tier0_spec = snd (locality params)
 
 let matmul_nest () =
   (Itf_lang.Parser.parse matmul_src).Itf_lang.Parser.nest
@@ -128,16 +124,8 @@ let test_tiered_hits_not_collapsed () =
      the bench configuration, n = 16, steps = 3 — the tiered search sees
      at least the untiered search's hits. *)
   let params = [ ("n", 16) ] in
-  let obj () = Search.cache_misses ~params () in
-  let tier0_spec =
-    Costmodel.Locality
-      {
-        config =
-          { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
-        elem_bytes = 8;
-        params;
-      }
-  in
+  let obj () = fst (locality params) in
+  let tier0_spec = snd (locality params) in
   let hits (o : Engine.outcome) =
     o.Engine.stats.Itf_opt.Stats.legality_cache_hits
     + o.Engine.stats.Itf_opt.Stats.score_cache_hits
@@ -271,6 +259,28 @@ let test_serve_errors_not_crashes () =
       ( "huge beam",
         "{\"nest\": \"x\", \"beam\": 65}",
         "field \"beam\" must be in 1..64" );
+      (* [procs] sizes the parallel simulation, so it is bounded like
+         the search sizes: out of range is a named error, never a worker
+         busy simulating 10^8 processors nor "nest could not be
+         scored". *)
+      ( "zero procs",
+        "{\"nest\": \"x\", \"procs\": 0}",
+        "field \"procs\" must be in 1..1024" );
+      ( "negative procs",
+        "{\"nest\": \"x\", \"procs\": -3}",
+        "field \"procs\" must be in 1..1024" );
+      ( "huge procs",
+        "{\"nest\": \"x\", \"objective\": \"parallel\", \"procs\": \
+         100000000}",
+        "field \"procs\" must be in 1..1024" );
+      ( "negative exact_topk",
+        "{\"nest\": \"x\", \"exact_topk\": -1}",
+        "field \"exact_topk\" must be non-negative" );
+      ( "unknown objective",
+        Json.to_string
+          (Json.Obj
+             [ ("nest", Json.String matmul_src); ("objective", Json.String "foo") ]),
+        "unknown objective \"foo\" (use locality|parallel)" );
     ];
   let not_obj, _ = Serve.handle_line server "[1, 2]" in
   check_string "non-object request is an error" "error" (status not_obj)
