@@ -217,11 +217,10 @@ let subst_term_endpoints vars ~i ~loop ~minimize ~block_low ~block_high
     tm.Bmat.coeffs;
   !e
 
-let block nest i j bsize =
+let block bm nest i j bsize =
   let fresh = name_supply nest in
   let loops = Array.of_list nest.Nest.loops in
   let n = Array.length loops in
-  let bm = Bmat.of_nest nest in
   let vars = Array.map (fun (l : Nest.loop) -> l.Nest.var) loops in
   let width = j - i + 1 in
   let block_vars =
@@ -477,13 +476,15 @@ let interleave nest i j isize =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let apply nest (t : Template.t) =
+let apply ?bmat nest (t : Template.t) =
   if Nest.depth nest <> Template.input_depth t then
     invalid_arg "Codegen.apply: nest depth does not match template";
   match t with
   | Template.Unimodular { m; _ } -> unimodular nest m
   | Template.Reverse_permute { rev; perm; _ } -> reverse_permute nest rev perm
   | Template.Parallelize { parflag; _ } -> parallelize nest parflag
-  | Template.Block { i; j; bsize; _ } -> block nest i j bsize
+  | Template.Block { i; j; bsize; _ } ->
+    let bm = match bmat with Some bm -> bm | None -> Bmat.of_nest nest in
+    block bm nest i j bsize
   | Template.Coalesce { i; j; _ } -> coalesce nest i j
   | Template.Interleave { i; j; isize; _ } -> interleave nest i j isize

@@ -34,6 +34,10 @@
     - [Block]/[Interleave] sub-loops inherit the original loop's
       [do]/[pardo] kind. *)
 
-val apply : Itf_ir.Nest.t -> Template.t -> Itf_ir.Nest.t
-(** @raise Invalid_argument if the template's [n] differs from the nest
+val apply : ?bmat:Itf_bounds.Bmat.t -> Itf_ir.Nest.t -> Template.t -> Itf_ir.Nest.t
+(** [bmat], when given, must be [Bmat.of_nest nest]: a caller that has
+    already built the nest's matrices (the legality check, to test the
+    template's preconditions) passes them on instead of paying for a
+    second build.
+    @raise Invalid_argument if the template's [n] differs from the nest
     depth. *)

@@ -98,7 +98,7 @@ let check ?count ?vectors nest (seq : Sequence.t) =
            bound is a multi-term max cannot be step-normalized exactly);
            when code generation detects such a case it rejects, and we
            report it as a bounds violation rather than crash. *)
-        match Codegen.apply nest t with
+        match Codegen.apply ~bmat:bm nest t with
         | nest' ->
           let vectors' = Depmap.map_set ~rectangular_bands ~nest t vectors in
           go (index + 1)
@@ -164,21 +164,44 @@ type state = {
          and the prefix is legal only through its reduced sequence. Any
          extension must then replay the reduced sequence from the root,
          exactly as [check] would. *)
+  s_bmat : Bmat.t option Atomic.t;
+      (* The bound matrices of [s_nest], built by the first [extend] and
+         read by every later one: the siblings of one parent all check
+         their preconditions against the same matrices. An [Atomic] cell,
+         not a [Lazy]: pool domains extend siblings of one memoised parent
+         concurrently, and forcing one lazy value from two domains at once
+         raises. A racing build stores an equal value. *)
 }
+
+(* The one constructor: every state gets a fresh matrix cell, so a cell
+   never outlives the nest it was built for. *)
+let make_state ~root_nest ~root_vectors ~raw_failure ~seq_rev nest vectors
+    stages_rev =
+  {
+    s_nest = nest;
+    s_vectors = vectors;
+    s_stages_rev = stages_rev;
+    s_seq_rev = seq_rev;
+    s_root_nest = root_nest;
+    s_root_vectors = root_vectors;
+    s_raw_failure = raw_failure;
+    s_bmat = Atomic.make None;
+  }
+
+let state_bmat st =
+  match Atomic.get st.s_bmat with
+  | Some bm -> bm
+  | None ->
+    let bm = Bmat.of_nest st.s_nest in
+    Atomic.set st.s_bmat (Some bm);
+    bm
 
 let start ?vectors nest =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
-  {
-    s_nest = nest;
-    s_vectors = vectors;
-    s_stages_rev = [];
-    s_seq_rev = [];
-    s_root_nest = nest;
-    s_root_vectors = vectors;
-    s_raw_failure = None;
-  }
+  make_state ~root_nest:nest ~root_vectors:vectors ~raw_failure:None
+    ~seq_rev:[] nest vectors []
 
 let state_nest st = st.s_nest
 let state_vectors st = st.s_vectors
@@ -206,14 +229,9 @@ let extend_fallback ?count st t raw_failure =
     match check ?count ~vectors:st.s_root_vectors st.s_root_nest reduced with
     | Legal { nest; vectors; stages } ->
       Ok
-        {
-          st with
-          s_nest = nest;
-          s_vectors = vectors;
-          s_stages_rev = List.rev stages;
-          s_seq_rev = t :: st.s_seq_rev;
-          s_raw_failure = Some raw_failure;
-        }
+        (make_state ~root_nest:st.s_root_nest ~root_vectors:st.s_root_vectors
+           ~raw_failure:(Some raw_failure) ~seq_rev:(t :: st.s_seq_rev) nest
+           vectors (List.rev stages))
     | _ -> Error raw_failure
 
 let extend ?count st (t : Template.t) =
@@ -228,7 +246,7 @@ let extend ?count st (t : Template.t) =
   | None -> (
     bump count 1;
     let index = List.length st.s_seq_rev in
-    let bm = Bmat.of_nest st.s_nest in
+    let bm = state_bmat st in
     match Boundsmap.check bm t with
     | _ :: _ as violations ->
       extend_fallback ?count st t (Bounds_violation { index; violations })
@@ -242,19 +260,16 @@ let extend ?count st (t : Template.t) =
         }
       in
       let rectangular_bands = rectangular_bands bm t in
-      match Codegen.apply st.s_nest t with
+      match Codegen.apply ~bmat:bm st.s_nest t with
       | nest' ->
         let vectors' =
           Depmap.map_set ~rectangular_bands ~nest:st.s_nest t st.s_vectors
         in
         Ok
-          {
-            st with
-            s_nest = demote_unsupported_pardo nest' vectors';
-            s_vectors = vectors';
-            s_stages_rev = stage :: st.s_stages_rev;
-            s_seq_rev = t :: st.s_seq_rev;
-          }
+          (make_state ~root_nest:st.s_root_nest ~root_vectors:st.s_root_vectors
+             ~raw_failure:None ~seq_rev:(t :: st.s_seq_rev)
+             (demote_unsupported_pardo nest' vectors')
+             vectors' (stage :: st.s_stages_rev))
       | exception (Invalid_argument msg | Failure msg) ->
         extend_fallback ?count st t
           (Bounds_violation

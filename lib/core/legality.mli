@@ -84,7 +84,15 @@ val pp_reason : Format.formatter -> reason -> unit
     per-stage records of an already-checked prefix, so appending a template
     costs {e one} template application instead of replaying the whole
     prefix from the root (the transformation/nest separation of paper
-    Section 5 makes the prefix state self-contained). *)
+    Section 5 makes the prefix state self-contained).
+
+    A state also holds the LB/UB/STEP matrices of its nest (paper
+    Section 4.3, {!Itf_bounds.Bmat}), which every template's bounds
+    preconditions are checked against and Block code generation reads.
+    They are built by the state's first {!extend} and shared by every
+    later one, so the siblings of one parent pay for one build. The cell
+    is domain-safe: search engines extend one state from several domains
+    at once, and a racing build stores an equal value. *)
 
 type state
 

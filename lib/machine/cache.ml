@@ -12,6 +12,8 @@ let miss_rate s = if s.accesses = 0 then 0. else float s.misses /. float s.acces
 type t = {
   config : config;
   sets : int;
+  line_shift : int;  (** log2 [line_bytes], or -1 if not a power of two *)
+  set_mask : int;  (** [sets - 1] if [sets] is a power of two, else -1 *)
   tags : int array;  (** sets x assoc, -1 = invalid *)
   ages : int array;  (** LRU timestamps *)
   mutable clock : int;
@@ -25,9 +27,13 @@ let create config =
   if config.size_bytes mod (config.line_bytes * config.assoc) <> 0 then
     invalid_arg "Cache.create: size must be a multiple of line * assoc";
   let sets = config.size_bytes / config.line_bytes / config.assoc in
+  let pow2 n = n land (n - 1) = 0 in
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   {
     config;
     sets;
+    line_shift = (if pow2 config.line_bytes then log2 config.line_bytes else -1);
+    set_mask = (if pow2 sets then sets - 1 else -1);
     tags = Array.make (sets * config.assoc) (-1);
     ages = Array.make (sets * config.assoc) 0;
     clock = 0;
@@ -37,9 +43,17 @@ let create config =
 
 let config_of t = t.config
 
+(* On a non-negative address, [lsr] and [land] compute exactly the
+   division and the non-negative remainder below, without dividing. *)
 let access t addr =
-  let line = addr / t.config.line_bytes in
-  let set = ((line mod t.sets) + t.sets) mod t.sets in
+  let line =
+    if addr >= 0 && t.line_shift >= 0 then addr lsr t.line_shift
+    else addr / t.config.line_bytes
+  in
+  let set =
+    if line >= 0 && t.set_mask >= 0 then line land t.set_mask
+    else ((line mod t.sets) + t.sets) mod t.sets
+  in
   let base = set * t.config.assoc in
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;

@@ -86,25 +86,50 @@ let array_arities (nest : Nest.t) =
   List.iter stmt (nest.Nest.inits @ nest.Nest.body);
   Hashtbl.fold (fun a k acc -> (a, k) :: acc) tbl [] |> List.sort compare
 
-let fill_array data = Array.iteri (fun k _ -> data.(k) <- (k * 31) mod 97) data
+(* Entry k of every environment array holds (k * 31) mod 97. The residue
+   steps by 31 modulo 97 from one entry to the next, so the loop needs no
+   division; and since the store is typed [int array], it needs no write
+   barrier either, which makes it faster than blitting a saved image into
+   a major-heap array (an [Array.blit] there goes through [caml_modify]
+   per entry). *)
+let fill_array (data : int array) =
+  let r = ref 0 in
+  for k = 0 to Array.length data - 1 do
+    Array.unsafe_set data k !r;
+    let next = !r + 31 in
+    r := if next >= 97 then next - 97 else next
+  done
 
-(* Per-domain reusable environment: the dense arrays dominate
-   per-evaluation allocation, and under {!Itf_exec.Compile} the only thing
-   that mutates the environment is Store statements writing array
-   elements (scalar [Set]s live in the compiled frame) — so re-filling the
-   data in place rebuilds the exact fresh-env state. Array declarations
-   come from {!Costmodel.default_bounds} so the tier-0 cost model's layout
-   assumptions (strides, whole-array footprints) match the environment
-   the exact simulator actually runs in. *)
-let env_scratch ~params () =
-  let key = Domain.DLS.new_key (fun () -> ref None) in
-  fun arities ->
+(* Per-domain reusable environments: the dense arrays dominate
+   per-evaluation allocation. Under {!Itf_exec.Compile} the only thing
+   that mutates an environment is Store statements writing array elements
+   (scalar [Set]s live in the compiled frame), so re-filling the arrays
+   the nest writes rebuilds the exact fresh-env state; every other array
+   still holds its fill. The parallel simulator only evaluates loop
+   headers, so nothing ever writes its environment and it refills
+   nothing. Array declarations come from {!Costmodel.default_bounds} so
+   the tier-0 cost model's layout assumptions (strides, whole-array
+   footprints) match the environment the exact simulator actually runs
+   in.
+
+   The keys are module-level, one per simulator: a domain holds at most
+   one environment for each, owned by the objective instance that used it
+   last, and an instance that finds another owner's environment builds
+   its own in its place. A key per instance would leak instead: OCaml
+   never frees a DLS slot, so every instance's environment would stay
+   reachable from every domain that ever evaluated it. *)
+type scratch = (unit ref * Itf_exec.Env.t) option ref
+
+let memsim_env : scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let parsim_env : scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let env_scratch key ~params () =
+  let owner = ref () in
+  fun arities ~written ->
     let cell = Domain.DLS.get key in
     match !cell with
-    | Some (prev, env) when prev == arities ->
-      List.iter
-        (fun (a, _) -> fill_array (Itf_exec.Env.array_data env a))
-        arities;
+    | Some (prev, env) when prev == owner ->
+      List.iter (fun a -> fill_array (Itf_exec.Env.array_data env a)) written;
       env
     | _ ->
       let env = Itf_exec.Env.create () in
@@ -115,25 +140,40 @@ let env_scratch ~params () =
             (Costmodel.default_bounds ~params arity);
           fill_array (Itf_exec.Env.array_data env a))
         arities;
-      cell := Some (arities, env);
+      cell := Some (owner, env);
       env
 
 (* The framework never rewrites array accesses (paper §1: bodies are kept,
    initialization statements only define scalars), so the array-arity scan
-   gives the same answer for every transformed nest of one search. Each
-   objective instantiation scans once — on its first evaluation — and
-   reuses the result; an [Atomic] cell keeps the memo safe when the engine
-   evaluates candidates from several domains (a racing re-computation would
-   store the identical value). *)
-let memo_arities () =
+   and the set of written arrays are the same for every transformed nest
+   of one search. Each objective instantiation scans once — on its first
+   evaluation — and reuses the result; an [Atomic] cell keeps the memo
+   safe when the engine evaluates candidates from several domains (a
+   racing re-computation would store an equal value). *)
+let memo_arrays () =
   let cell = Atomic.make None in
   fun nest ->
     match Atomic.get cell with
-    | Some arities -> arities
+    | Some arrays -> arrays
     | None ->
-      let arities = array_arities nest in
-      Atomic.set cell (Some arities);
-      arities
+      let arrays = (array_arities nest, Nest.arrays_written nest) in
+      Atomic.set cell (Some arrays);
+      arrays
+
+(* The memsim cache's tag and age arrays, one per domain for every
+   instance: {!Itf_machine.Memsim.run_compiled} resets it before each
+   run, and an instance of another geometry replaces it. *)
+let memsim_cache : Itf_machine.Cache.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let scratch_cache config =
+  let cell = Domain.DLS.get memsim_cache in
+  match !cell with
+  | Some c when Itf_machine.Cache.config_of c = config -> c
+  | _ ->
+    let c = Itf_machine.Cache.create config in
+    cell := Some c;
+    c
 
 (* Metric updates below are atomic counter adds — commutative, so totals
    are identical whether the engine evaluates candidates sequentially or
@@ -189,14 +229,14 @@ let memoized ?(memo = true) table fingerprint metrics hit_metric
 
 let cache_misses ?(config = { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 })
     ?metrics ?memo ~params () : objective =
-  let arities = memo_arities () in
-  let scratch = env_scratch ~params () in
-  let cache_key = Domain.DLS.new_key (fun () -> Itf_machine.Cache.create config) in
+  let arrays = memo_arrays () in
+  let scratch = env_scratch memsim_env ~params () in
   let run result =
     let nest = result.Framework.nest in
-    let cache = Domain.DLS.get cache_key in
+    let arities, written = arrays nest in
     let r =
-      Itf_machine.Memsim.run_compiled ~cache config (scratch (arities nest)) nest
+      Itf_machine.Memsim.run_compiled ~cache:(scratch_cache config) config
+        (scratch arities ~written) nest
     in
     let cache = r.Itf_machine.Memsim.cache in
     mcount metrics "memsim.runs" 1;
@@ -212,13 +252,13 @@ let cache_misses ?(config = { Itf_machine.Cache.size_bytes = 8192; line_bytes = 
   memoized ?memo memsim_memo fingerprint metrics "memsim.memo.hits" run
 
 let parallel_time ?spawn_overhead ?metrics ?memo ~procs ~params () : objective =
-  let arities = memo_arities () in
-  let scratch = env_scratch ~params () in
+  let arrays = memo_arrays () in
+  let scratch = env_scratch parsim_env ~params () in
   let run result =
     let nest = result.Framework.nest in
     let t =
       Itf_machine.Parallel.time_compiled ?spawn_overhead ~procs
-        (scratch (arities nest))
+        (scratch (fst (arrays nest)) ~written:[])
         nest
     in
     mcount metrics "parsim.runs" 1;

@@ -58,6 +58,25 @@ let triangular () =
     [ Nest.loop "i" Expr.one n_; Nest.loop "j" i_ n_ ]
     [ st "a" [ i_; j_ ] Expr.(add i_ j_) ]
 
+(* Figure 2(a): the guarded body. The guard reads [b], which the body
+   writes. *)
+let figure2 () =
+  Nest.make
+    [
+      Nest.loop "i" (Expr.int 2) Expr.(sub n_ (int 1));
+      Nest.loop "j" (Expr.int 2) Expr.(sub n_ (int 1));
+    ]
+    [
+      st "a" [ i_; j_ ] (ld "b" [ j_ ]);
+      Stmt.Guard
+        {
+          lhs = ld "b" [ j_ ];
+          rel = Stmt.Gt;
+          rhs = Expr.zero;
+          body = [ st "b" [ j_ ] (ld "a" [ Expr.(sub i_ (int 1)); Expr.(add j_ (int 1)) ]) ];
+        };
+    ]
+
 (* Figure 4(c): dense x sparse matrix product, CSR-style. *)
 let sparse_matmul () =
   Nest.make

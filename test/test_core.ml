@@ -618,6 +618,159 @@ let test_fig7_full_pipeline () =
        ~orders:[ `Forward; `Reverse; `Shuffle 11 ]
        (Builders.matmul ()) r.Framework.nest)
 
+(* ------------------------------------------------------------------ *)
+(* Resumable states: reuse and concurrency                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A state builds its bound matrices once, on its first [extend], and
+   every later extension — from any domain — reads them. So extending one
+   parent by every move twice, and from two domains at once, must still
+   agree with a from-scratch [check] of the whole sequence. *)
+
+let examples_dir () =
+  List.find Sys.file_exists
+    [ Filename.concat ".." (Filename.concat "examples" "nests");
+      Filename.concat "examples" "nests" ]
+
+let example_nests () =
+  let dir = examples_dir () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".loop")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in (Filename.concat dir f) in
+         let src = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (f, Itf_lang.Parser.parse_nest src))
+
+(* What a verdict says: the final nest and vectors if legal, the
+   rejection reasons otherwise; an escaping exception is part of it. *)
+let summary f =
+  match f () with
+  | Legality.Legal { nest; vectors; _ } ->
+    "legal\n" ^ Nest.to_string nest
+    ^ String.concat " " (List.map Depvec.to_string vectors)
+  | v ->
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Legality.pp_reason) (Legality.reasons v))
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let extended st t () =
+  match Legality.extend st t with
+  | Ok st' -> Legality.state_verdict st'
+  | Error v -> v
+
+let agree what label expected got =
+  List.iteri
+    (fun k (e, g) ->
+      Alcotest.(check string) (Printf.sprintf "%s %s move %d" what label k) e g)
+    (List.combine expected got)
+
+let extend_all moves st = List.map (fun t -> summary (extended st t)) moves
+
+(* Extend [st] (the state of [prefix] on [root]) by every move twice in a
+   row. Returns what the concurrent pass needs: the moves, the expected
+   verdicts and a fresh copy of the parent, whose cell is still empty. *)
+let check_parent what root prefix st =
+  let vectors = Legality.state_vectors (Legality.start root) in
+  let moves =
+    Itf_opt.Search.moves root ~depth:(Nest.depth (Legality.state_nest st))
+  in
+  let expected =
+    List.map
+      (fun t -> summary (fun () -> Legality.check ~vectors root (prefix @ [ t ])))
+      moves
+  in
+  agree what "first pass" expected (extend_all moves st);
+  agree what "second pass" expected (extend_all moves st);
+  let fresh =
+    List.fold_left
+      (fun st t -> Result.get_ok (Legality.extend st t))
+      (Legality.start ~vectors root) prefix
+  in
+  (what, moves, expected, fresh)
+
+(* Two domains extend every fresh parent by every move, in the same
+   order, so they race on each parent's empty cell. *)
+let check_concurrent parents =
+  let run () = List.map (fun (_, moves, _, st) -> extend_all moves st) parents in
+  let ds = List.init 2 (fun _ -> Domain.spawn run) in
+  List.iteri
+    (fun d results ->
+      List.iter2
+        (fun (what, _, expected, _) got ->
+          agree what (Printf.sprintf "domain %d" d) expected got)
+        parents results)
+    (List.map Domain.join ds)
+
+(* The empty prefix and every prefix of [seq] that extends stage by
+   stage, each with its state. *)
+let prefix_states root seq =
+  let rec go st prefix acc = function
+    | [] -> List.rev acc
+    | t :: rest -> (
+      match Legality.extend st t with
+      | Ok st' ->
+        let prefix' = prefix @ [ t ] in
+        go st' prefix' ((prefix', st') :: acc) rest
+      | Error _ | (exception Invalid_argument _) -> List.rev acc)
+  in
+  let st0 = Legality.start root in
+  go st0 [] [ ([], st0) ] seq
+
+let test_state_reuse_examples () =
+  List.map
+    (fun (name, root) ->
+      let st0 = Legality.start root in
+      (* the root, and every single move that extends, as parents *)
+      List.map
+        (fun (prefix, st) -> check_parent name root prefix st)
+        (([], st0)
+        :: List.filter_map
+             (fun t ->
+               Result.to_option (Legality.extend st0 t)
+               |> Option.map (fun st -> ([ t ], st)))
+             (Itf_opt.Search.moves root ~depth:(Nest.depth root))))
+    (example_nests ())
+  |> List.concat |> check_concurrent
+
+let test_state_reuse_fallback () =
+  (* Skew then interchange breaks ReversePermute's rectangular
+     precondition stage by stage; the pair is legal only as its reduced
+     single Unimodular, so the parent is a fallback state. *)
+  let root =
+    Itf_lang.Parser.parse_nest
+      "do i = 2, n - 1\n\
+      \  do j = 2, n - 1\n\
+      \    a(i, j) = a(i - 1, j) + a(i, j - 1)\n\
+      \  enddo\n\
+       enddo\n"
+  in
+  let skew = Template.skew ~n:2 ~src:0 ~dst:1 ~factor:1 in
+  let interchange = Template.interchange ~n:2 0 1 in
+  let skewed = Result.get_ok (Legality.extend (Legality.start root) skew) in
+  check_bool "interchange fails stage by stage" true
+    (Itf_core.Boundsmap.check
+       (Itf_bounds.Bmat.of_nest (Legality.state_nest skewed))
+       interchange
+    <> []);
+  let prefix = [ skew; interchange ] in
+  match Legality.check root prefix with
+  | Legality.Legal _ ->
+    let st = Result.get_ok (Legality.extend skewed interchange) in
+    check_concurrent [ check_parent "skew+interchange" root prefix st ]
+  | _ -> Alcotest.fail "skew then interchange should be legal through its reduction"
+
+let test_state_reuse_generated () =
+  let rs = Random.State.make [| 17 |] in
+  List.init 300 (fun k ->
+      let { Itf_check.Gen.nest; seq; _ } = Itf_check.Gen.case rs in
+      List.map
+        (fun (prefix, st) ->
+          check_parent (Printf.sprintf "case %d" k) nest prefix st)
+        (prefix_states nest (match seq with t :: _ -> [ t ] | [] -> [])))
+  |> List.concat |> check_concurrent
+
 let () =
   Alcotest.run "core"
     [
@@ -677,5 +830,14 @@ let () =
             test_legality_uses_analyzer_by_default;
           Alcotest.test_case "figure 7 end to end" `Quick test_fig7_full_pipeline;
           Alcotest.test_case "LU update kernel" `Quick test_lu_update_kernel;
+        ] );
+      ( "states",
+        [
+          Alcotest.test_case "reused parents: examples" `Quick
+            test_state_reuse_examples;
+          Alcotest.test_case "reused parents: reduced-only prefix" `Quick
+            test_state_reuse_fallback;
+          Alcotest.test_case "reused parents: generated nests" `Quick
+            test_state_reuse_generated;
         ] );
     ]

@@ -236,6 +236,76 @@ let test_multi_domain_intern_stress () =
     before after
 
 (* ------------------------------------------------------------------ *)
+(* Body-id reuse: shared body lists intern like structural copies       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Intern.nest_i] reuses the ids of the last body list a domain interned
+   when the next nest carries that same list. A nest sharing its body
+   physically must intern exactly like a structural copy with a body of
+   its own, whichever body came before it, on any domain. *)
+
+(* Header rewrites, as code generation makes them: the body list is kept
+   physically. *)
+let header_variants (nest : Nest.t) =
+  [
+    nest;
+    { nest with Nest.loops = List.rev nest.Nest.loops };
+    {
+      nest with
+      Nest.loops =
+        List.map (fun (l : Nest.loop) -> { l with Nest.kind = Nest.Pardo }) nest.Nest.loops;
+    };
+  ]
+
+let copy (nest : Nest.t) = Itf_lang.Parser.parse_nest (Nest.to_string nest)
+
+(* Two bodies alternate; each variant is interned next to its copy and
+   next to statement-by-statement interning, which never reads the cell.
+   Returns, in visiting order, the variant's id, its copy's id, and
+   whether the canonical nests and bodies agree. Alcotest may only check
+   on the main domain, so the caller compares. *)
+let intern_alternating roots =
+  List.concat_map
+    (fun _round ->
+      List.concat_map
+        (fun root ->
+          List.map
+            (fun v ->
+              let canon, id = Intern.nest_i v in
+              let canon', id' = Intern.nest_i (copy v) in
+              ( id,
+                id',
+                canon == canon'
+                && List.for_all2 ( == ) canon.Nest.body
+                     (List.map Intern.stmt v.Nest.body) ))
+            (header_variants root))
+        roots)
+    (List.init 20 Fun.id)
+
+let test_body_id_reuse () =
+  let roots = [ Itf_lang.Parser.parse_nest stress_nest_src; Builders.figure2 () ] in
+  let check_run what visits =
+    List.iter
+      (fun (id, id', same) ->
+        check_int (what ^ ": shared body interns like its copy") id' id;
+        check_bool (what ^ ": same canonical nest and body") true same)
+      visits
+  in
+  let reference = intern_alternating roots in
+  check_run "main" reference;
+  check_int "variants get distinct ids" 6
+    (List.length (List.sort_uniq compare (List.map (fun (id, _, _) -> id) reference)));
+  let domains =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> intern_alternating roots))
+  in
+  List.iteri
+    (fun d visits ->
+      let what = Printf.sprintf "domain %d" d in
+      check_run what visits;
+      check_bool (what ^ ": same ids as main") true (visits = reference))
+    (List.map Domain.join domains)
+
+(* ------------------------------------------------------------------ *)
 (* Engine identity: seq == par, memoized == unmemoized                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -322,6 +392,8 @@ let () =
             test_reduce_memo_agrees;
           Alcotest.test_case "explicit compares match polymorphic" `Quick
             test_explicit_compare_matches_polymorphic;
+          Alcotest.test_case "body ids reused across shared bodies" `Quick
+            test_body_id_reuse;
           Alcotest.test_case "multi-domain intern stress" `Quick
             test_multi_domain_intern_stress;
           Alcotest.test_case "engine: par == seq with interning" `Quick

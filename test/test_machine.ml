@@ -90,6 +90,66 @@ let test_lru_stack_property () =
       (m1 >= m2 && m2 >= m3)
   done
 
+(* The cache as it was specified before [Cache.access] learned shifts and
+   masks: the set index by [/] and [mod], and true LRU over the ways. *)
+let oracle_cache (config : Cache.config) =
+  let sets = config.size_bytes / config.line_bytes / config.assoc in
+  let tags = Array.make (sets * config.assoc) (-1) in
+  let ages = Array.make (sets * config.assoc) 0 in
+  let clock = ref 0 in
+  fun addr ->
+    let line = addr / config.line_bytes in
+    let base = (((line mod sets) + sets) mod sets) * config.assoc in
+    incr clock;
+    let way = ref (-1) and victim = ref 0 in
+    for w = 0 to config.assoc - 1 do
+      if tags.(base + w) = line then way := w;
+      if ages.(base + w) < ages.(base + !victim) then victim := w
+    done;
+    let hit = !way >= 0 in
+    let w = if hit then !way else !victim in
+    tags.(base + w) <- line;
+    ages.(base + w) <- !clock;
+    hit
+
+let test_cache_fast_path_matches_division () =
+  let geometries =
+    [
+      (* powers of two: lines by shift, sets by mask *)
+      { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
+      { Cache.size_bytes = 1024; line_bytes = 64; assoc = 1 };
+      { Cache.size_bytes = 512; line_bytes = 32; assoc = 4 };
+      Cache.fully_associative ~size_bytes:256 ~line_bytes:64;
+      (* 48-byte lines and 3 sets: the division path *)
+      { Cache.size_bytes = 144; line_bytes = 48; assoc = 1 };
+      { Cache.size_bytes = 288; line_bytes = 48; assoc = 2 };
+      { Cache.size_bytes = 432; line_bytes = 48; assoc = 3 };
+      (* one of the two a power of two *)
+      { Cache.size_bytes = 384; line_bytes = 64; assoc = 2 };
+      { Cache.size_bytes = 384; line_bytes = 48; assoc = 2 };
+    ]
+  in
+  let st = Random.State.make [| 48 |] in
+  List.iter
+    (fun (config : Cache.config) ->
+      let c = Cache.create config and oracle = oracle_cache config in
+      for k = 1 to 20_000 do
+        (* mostly a small window around 0, so lines recur and hit; some
+           far addresses of either sign *)
+        let addr =
+          if Random.State.int st 4 = 0 then
+            Random.State.full_int st (1 lsl 40) - (1 lsl 39)
+          else Random.State.int st 6144 - 2048
+        in
+        let expected = oracle addr in
+        if Cache.access c addr <> expected then
+          Alcotest.failf "%d/%d/%d: access %d (address %d) should %s"
+            config.Cache.size_bytes config.Cache.line_bytes config.Cache.assoc
+            k addr (if expected then "hit" else "miss")
+      done;
+      check_bool "some hits" true ((Cache.stats c).Cache.hits > 0))
+    geometries
+
 (* ------------------------------------------------------------------ *)
 (* Memsim: locality shape on matmul                                    *)
 (* ------------------------------------------------------------------ *)
@@ -231,6 +291,8 @@ let () =
           Alcotest.test_case "LRU replacement" `Quick test_cache_lru;
           Alcotest.test_case "reset" `Quick test_cache_reset;
           Alcotest.test_case "LRU stack property" `Quick test_lru_stack_property;
+          Alcotest.test_case "fast path equals division path" `Quick
+            test_cache_fast_path_matches_division;
         ] );
       ( "memsim",
         [

@@ -135,6 +135,107 @@ let test_block_moves () =
           (function Template.Block _ -> true | _ -> false)
           (Search.moves nest ~depth:4)))
 
+(* ------------------------------------------------------------------ *)
+(* Simulator scratch: restored arrays, module-level cells               *)
+(* ------------------------------------------------------------------ *)
+
+(* The guard reads what the guarded store writes, and only a fresh [a]
+   sends about half the iterations to [c]: an evaluation that starts from
+   the arrays the previous one left behind touches [c] far less. *)
+let threshold () =
+  Itf_lang.Parser.parse_nest
+    "do i = 1, n\n\
+    \  do j = 1, n\n\
+    \    if a(i, j) < 50\n\
+    \      c(j, i) = 1\n\
+    \      a(i, j) = a(i, j) + 60\n\
+    \    endif\n\
+    \  enddo\n\
+     enddo\n"
+
+(* The identity and every legal single move. *)
+let legal_results nest =
+  Framework.apply_exn nest []
+  :: List.filter_map
+       (fun t -> Result.to_option (Framework.apply nest [ t ]))
+       (Search.moves nest ~depth:(Nest.depth nest))
+
+(* One instance of each exact objective evaluates every result in turn
+   on one domain: forward with the locality and parallel-time instances
+   (their environments are separate, so the locality one reuses its own
+   from result to result), then backward with a locality instance of
+   other parameters interleaved, which takes the domain's environment
+   over at every step. Every score must be the one a fresh instance
+   gives: the arrays an evaluation writes are restored before the next,
+   and no instance runs in another's environment. *)
+let test_scratch_reuse_is_invisible () =
+  List.iter
+    (fun (what, nest) ->
+      let locality params () = Search.cache_misses ~memo:false ~params () in
+      let parallel () =
+        Search.parallel_time ~memo:false ~procs:4 ~params:[ ("n", 12) ] ()
+      in
+      let objectives = [ locality [ ("n", 12) ]; parallel; locality [ ("n", 9) ] ] in
+      let results = legal_results nest in
+      check_bool (what ^ ": several legal results") true (List.length results > 5);
+      let want =
+        List.map (fun r -> List.map (fun fresh -> fresh () r) objectives) results
+      in
+      let m, p, o =
+        match List.map (fun mk -> mk ()) objectives with
+        | [ m; p; o ] -> (m, p, o)
+        | _ -> assert false
+      in
+      let check_pass pass width got =
+        List.iteri
+          (fun k (w, g) ->
+            Alcotest.(check (list (float 0.)))
+              (Printf.sprintf "%s %s, result %d" what pass k)
+              (List.filteri (fun i _ -> i < width) w)
+              g)
+          (List.combine want got)
+      in
+      check_pass "forward" 2 (List.map (fun r -> [ m r; p r ]) results);
+      check_pass "backward" 3
+        (List.rev (List.map (fun r -> [ m r; p r; o r ]) (List.rev results))))
+    [
+      ("figure2", Builders.figure2 ());
+      ("matmul", Builders.matmul ());
+      ("threshold", threshold ());
+    ]
+
+(* An objective instance per serve request must not pin its simulator
+   environment once it is gone. A domain-local key per instance did:
+   OCaml never frees a DLS slot, so every instance's arrays stayed
+   reachable. *)
+let test_scratch_does_not_leak () =
+  let n = 8 and instances = 300 in
+  let params = [ ("n", n) ] in
+  let result = Framework.apply_exn (column_major ()) [] in
+  let evaluate () =
+    ignore (Search.cache_misses ~memo:false ~params () result);
+    ignore (Search.parallel_time ~memo:false ~procs:4 ~params () result)
+  in
+  let live () =
+    Gc.full_major ();
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  evaluate ();
+  let before = live () in
+  for _ = 1 to instances do
+    evaluate ()
+  done;
+  let grown = live () - before in
+  (* The leak kept both environments of every instance, each one 2-D
+     array of (5m + 1)^2 entries with m = max 8 n (Costmodel.default_bounds). *)
+  let side = (5 * max 8 n) + 1 in
+  let leaked = instances * 2 * side * side in
+  check_bool
+    (Printf.sprintf "live words grew by %d, a leak would keep %d" grown leaked)
+    true
+    (grown < leaked / 10)
+
 let () =
   Alcotest.run "opt"
     [
@@ -150,5 +251,12 @@ let () =
           Alcotest.test_case "respects legality" `Quick test_search_respects_legality;
           Alcotest.test_case "explored counter" `Quick test_explored_counter;
           Alcotest.test_case "block moves" `Quick test_block_moves;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "reuse is invisible" `Quick
+            test_scratch_reuse_is_invisible;
+          Alcotest.test_case "no per-instance leak" `Quick
+            test_scratch_does_not_leak;
         ] );
     ]
