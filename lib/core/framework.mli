@@ -22,12 +22,16 @@ type result = {
   nest : Itf_ir.Nest.t;  (** the transformed nest, inits included *)
   vectors : Itf_dep.Depvec.t list;  (** its dependence vectors, by mapping *)
   stages : Legality.stage list;  (** intermediate states, for inspection *)
-  interned : int Atomic.t;
-      (** cached {!Itf_ir.Intern.nest_id} of [nest]; [-1] until first
-          {!nest_id} call. Managed by {!nest_id} — do not write. Atomic
-          so the publish order is explicit under concurrent serve
-          workers: the nest is interned before the id is stored, and all
-          racing writers store the same canonical id. *)
+  derivation : int;
+      (** The derivation id: a dense id naming the triple (root nest, root
+          dependence vectors, raw template sequence) this result was
+          derived from — the only inputs of {!apply} and of
+          [start |> extend* |> finish], so both give equal ids for equal
+          triples. Memo tables key on it instead of on the generated
+          nest, so scoring a result never interns that nest. Ids come
+          from one append-only table and are never reused. Two spellings
+          that generate the same nest get distinct ids. Like every
+          intern id, it is for equality only, never ordering. *)
 }
 
 val apply :
@@ -47,15 +51,6 @@ val apply_exn :
 (** @raise Illegal on an illegal sequence. *)
 
 exception Illegal of Legality.verdict
-
-val nest_id : result -> int
-(** {!Itf_ir.Intern.nest_id} of the transformed nest, computed once per
-    result and cached in [interned] — memoized objectives and the tier-0
-    estimator both probe the same result, and the intern walk would
-    otherwise dominate each warm probe. Safe to call from any domain: the
-    cache is an [Atomic], racing first callers compute the same canonical
-    id, and the release store orders the interning before the id's
-    publication. *)
 
 val map_vectors : Sequence.t -> Itf_dep.Depvec.t list -> Itf_dep.Depvec.t list
 (** Dependence-vector image of a whole sequence (no bounds checks). *)
@@ -77,4 +72,7 @@ val extend :
     (instrumentation). *)
 
 val finish : state -> (result, Legality.verdict) Stdlib.result
-(** Run the final dependence test and package the prefix as a {!result}. *)
+(** Run the final dependence test and package the prefix as a {!result}.
+    Its [derivation] is that of [apply root seq], where [seq] is the raw
+    sequence the state holds ({!Legality.state_sequence}) and [root] its
+    root with the same vectors. *)

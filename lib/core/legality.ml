@@ -152,13 +152,16 @@ let is_legal ?vectors nest seq =
 (* Resumable prefix states (incremental legality for search engines)   *)
 (* ------------------------------------------------------------------ *)
 
+(* What every state derived from one [start] shares: the root nest, its
+   vectors and [root_key] of the two, computed once. *)
+type root = { r_nest : Nest.t; r_vectors : Depvec.t list; r_key : int list }
+
 type state = {
   s_nest : Nest.t;
   s_vectors : Depvec.t list;
   s_stages_rev : stage list;
   s_seq_rev : Template.t list;
-  s_root_nest : Nest.t;
-  s_root_vectors : Depvec.t list;
+  s_root : root;
   s_raw_failure : verdict option;
       (* [Some v]: the stage-by-stage path of this prefix fails with [v]
          and the prefix is legal only through its reduced sequence. Any
@@ -175,15 +178,13 @@ type state = {
 
 (* The one constructor: every state gets a fresh matrix cell, so a cell
    never outlives the nest it was built for. *)
-let make_state ~root_nest ~root_vectors ~raw_failure ~seq_rev nest vectors
-    stages_rev =
+let make_state ~root ~raw_failure ~seq_rev nest vectors stages_rev =
   {
     s_nest = nest;
     s_vectors = vectors;
     s_stages_rev = stages_rev;
     s_seq_rev = seq_rev;
-    s_root_nest = root_nest;
-    s_root_vectors = root_vectors;
+    s_root = root;
     s_raw_failure = raw_failure;
     s_bmat = Atomic.make None;
   }
@@ -196,13 +197,18 @@ let state_bmat st =
     Atomic.set st.s_bmat (Some bm);
     bm
 
+let root_key nest vectors =
+  Intern.nest_id nest :: List.length vectors :: List.map Depvec.id vectors
+
 let start ?vectors nest =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
-  make_state ~root_nest:nest ~root_vectors:vectors ~raw_failure:None
-    ~seq_rev:[] nest vectors []
+  make_state
+    ~root:{ r_nest = nest; r_vectors = vectors; r_key = root_key nest vectors }
+    ~raw_failure:None ~seq_rev:[] nest vectors []
 
+let state_root_key st = st.s_root.r_key
 let state_nest st = st.s_nest
 let state_vectors st = st.s_vectors
 let state_sequence st = List.rev st.s_seq_rev
@@ -226,12 +232,11 @@ let extend_fallback ?count st t raw_failure =
   let reduced = Sequence.reduce seq in
   if reduced = seq then Error raw_failure
   else
-    match check ?count ~vectors:st.s_root_vectors st.s_root_nest reduced with
+    match check ?count ~vectors:st.s_root.r_vectors st.s_root.r_nest reduced with
     | Legal { nest; vectors; stages } ->
       Ok
-        (make_state ~root_nest:st.s_root_nest ~root_vectors:st.s_root_vectors
-           ~raw_failure:(Some raw_failure) ~seq_rev:(t :: st.s_seq_rev) nest
-           vectors (List.rev stages))
+        (make_state ~root:st.s_root ~raw_failure:(Some raw_failure)
+           ~seq_rev:(t :: st.s_seq_rev) nest vectors (List.rev stages))
     | _ -> Error raw_failure
 
 let extend ?count st (t : Template.t) =
@@ -266,8 +271,8 @@ let extend ?count st (t : Template.t) =
           Depmap.map_set ~rectangular_bands ~nest:st.s_nest t st.s_vectors
         in
         Ok
-          (make_state ~root_nest:st.s_root_nest ~root_vectors:st.s_root_vectors
-             ~raw_failure:None ~seq_rev:(t :: st.s_seq_rev)
+          (make_state ~root:st.s_root ~raw_failure:None
+             ~seq_rev:(t :: st.s_seq_rev)
              (demote_unsupported_pardo nest' vectors')
              vectors' (stage :: st.s_stages_rev))
       | exception (Invalid_argument msg | Failure msg) ->

@@ -111,8 +111,8 @@ let hash (d : t) =
   Array.fold_left (fun h e -> (h * 31) + elem_hash e) (Array.length d) d
 
 (* Hash-consing: canonical physically-shared vectors with dense ids, used
-   by the tier-0 estimate memo to key on (nest id, vector ids). Vectors
-   are immutable arrays; interning keys on structure. *)
+   to name a legality root by (nest id, vector ids). Vectors are
+   immutable arrays; interning keys on structure. *)
 module HC = Itf_mat.Hashcons.Make (struct
   type nonrec t = t
 

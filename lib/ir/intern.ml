@@ -120,25 +120,6 @@ let stmt_id s = snd (stmt_i s)
 
 let nests : Nest.t Tbl.t = Tbl.create "ir.nest"
 
-(* Code generation rewrites loop headers and never a body (paper §1), so
-   every candidate nest of one search physically shares its root's body
-   list. Each domain remembers the last body list it interned with its
-   canonical statements and ids, and a nest whose body is that same list
-   ([==]) reuses them instead of re-walking every statement. The reuse is
-   exact: interning tables never evict, so an id, once handed out, names
-   the same canonical term for the life of the process. *)
-let last_body : (Stmt.t list * (Stmt.t * int) list) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let body_i body =
-  let cell = Domain.DLS.get last_body in
-  match !cell with
-  | Some (prev, ids) when prev == body -> ids
-  | _ ->
-    let ids = List.map stmt_i body in
-    cell := Some (body, ids);
-    ids
-
 let nest_i (t : Nest.t) : Nest.t * int =
   let loops =
     List.map
@@ -161,7 +142,7 @@ let nest_i (t : Nest.t) : Nest.t * int =
       t.Nest.loops
   in
   let inits = List.map stmt_i t.Nest.inits in
-  let body = body_i t.Nest.body in
+  let body = List.map stmt_i t.Nest.body in
   (* Field counts prefix each section so the flat key is unambiguous
      (every loop contributes exactly five ints). *)
   let key =

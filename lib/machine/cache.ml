@@ -14,8 +14,8 @@ type t = {
   sets : int;
   line_shift : int;  (** log2 [line_bytes], or -1 if not a power of two *)
   set_mask : int;  (** [sets - 1] if [sets] is a power of two, else -1 *)
-  tags : int array;  (** sets x assoc, -1 = invalid *)
-  ages : int array;  (** LRU timestamps *)
+  tags : int array;  (** sets x assoc; meaningful only where [ages > 0] *)
+  ages : int array;  (** LRU timestamps; 0 = empty way *)
   mutable clock : int;
   mutable accesses : int;
   mutable hits : int;
@@ -34,7 +34,7 @@ let create config =
     sets;
     line_shift = (if pow2 config.line_bytes then log2 config.line_bytes else -1);
     set_mask = (if pow2 sets then sets - 1 else -1);
-    tags = Array.make (sets * config.assoc) (-1);
+    tags = Array.make (sets * config.assoc) 0;
     ages = Array.make (sets * config.assoc) 0;
     clock = 0;
     accesses = 0;
@@ -43,15 +43,22 @@ let create config =
 
 let config_of t = t.config
 
-(* On a non-negative address, [lsr] and [land] compute exactly the
-   division and the non-negative remainder below, without dividing. *)
+(* A line is [floor (addr / line_bytes)], so addresses -line_bytes..-1
+   make line -1, never line 0. [asr] floors, and [land] with a power-of-
+   two mask is the non-negative remainder, for either sign. A way is
+   empty while its age is 0: every access stamps a positive clock, and
+   no line value can stand for "empty" because with 1-byte lines every
+   int is some address's line. *)
 let access t addr =
   let line =
-    if addr >= 0 && t.line_shift >= 0 then addr lsr t.line_shift
-    else addr / t.config.line_bytes
+    if t.line_shift >= 0 then addr asr t.line_shift
+    else
+      let lb = t.config.line_bytes in
+      let q = addr / lb in
+      if addr < 0 && q * lb <> addr then q - 1 else q
   in
   let set =
-    if line >= 0 && t.set_mask >= 0 then line land t.set_mask
+    if t.set_mask >= 0 then line land t.set_mask
     else ((line mod t.sets) + t.sets) mod t.sets
   in
   let base = set * t.config.assoc in
@@ -59,7 +66,7 @@ let access t addr =
   t.clock <- t.clock + 1;
   let hit_way = ref (-1) in
   for w = 0 to t.config.assoc - 1 do
-    if t.tags.(base + w) = line then hit_way := w
+    if t.tags.(base + w) = line && t.ages.(base + w) > 0 then hit_way := w
   done;
   if !hit_way >= 0 then begin
     t.hits <- t.hits + 1;
@@ -80,7 +87,7 @@ let access t addr =
 let stats t = { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) 0;
   Array.fill t.ages 0 (Array.length t.ages) 0;
   t.clock <- 0;
   t.accesses <- 0;

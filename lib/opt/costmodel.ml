@@ -509,14 +509,14 @@ let parallel_estimate ~procs ~spawn_overhead ~params (result : Framework.result)
 (* ------------------------------------------------------------------ *)
 
 (* Tier-0 estimate memo, shared by every instantiation and persistent
-   across searches. The estimator is pure in (spec, nest, vectors), so the
-   key is a static spec fingerprint plus the interned nest and vector ids
-   — one cheap int-list probe replaces the whole interval-analysis +
-   subscript-flattening walk on every re-derived candidate. Both
-   variable-length parts (the parameters and the vector ids) carry their
-   length in front, so the flat key is injective: without the prefixes a
-   longer parameter list could absorb the nest id and spell another
-   candidate's key. *)
+   across searches. The estimator is pure in (spec, nest, vectors), and a
+   result's derivation id names the root, root vectors and raw sequence
+   that determine both, so the key is a static spec fingerprint plus that
+   id — one cheap int-list probe replaces the whole interval-analysis +
+   subscript-flattening walk on every re-derived candidate, and neither
+   the nest nor its vectors are hashed. The parameter list carries its
+   length in front, so the fingerprint is self-delimiting and the flat
+   key stays injective whatever follows it. *)
 module EMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
 let memo_table : estimate EMemo.t = EMemo.create "opt.tier0"
@@ -541,30 +541,25 @@ let fingerprint spec =
   | Parallel { procs; spawn_overhead; params } ->
     (1 :: procs :: float_bits spawn_overhead) @ params_key params
 
-let key_of fp ~nest_id ~vector_ids =
-  fp @ (nest_id :: List.length vector_ids :: vector_ids)
+let memo_key spec ~derivation = fingerprint spec @ [ derivation ]
 
-let memo_key spec = key_of (fingerprint spec)
+let estimate spec result =
+  match
+    match spec with
+    | Locality { config; elem_bytes; params } ->
+      locality_estimate ~config ~elem_bytes ~params result
+    | Parallel { procs; spawn_overhead; params } ->
+      parallel_estimate ~procs ~spawn_overhead ~params result
+  with
+  | e -> e
+  | exception _ ->
+    (* Unanalyzable: claim nothing (bound 0) and rank first so the exact
+       tier decides. *)
+    { score = 0.; bound = 0. }
 
 let make spec : Framework.result -> estimate =
-  let base result =
-    match
-      match spec with
-      | Locality { config; elem_bytes; params } ->
-        locality_estimate ~config ~elem_bytes ~params result
-      | Parallel { procs; spawn_overhead; params } ->
-        parallel_estimate ~procs ~spawn_overhead ~params result
-    with
-    | e -> e
-    | exception _ ->
-      (* Unanalyzable: claim nothing (bound 0) and rank first so the exact
-         tier decides. *)
-      { score = 0.; bound = 0. }
-  in
   let fp = fingerprint spec in
   fun result ->
-    let key =
-      key_of fp ~nest_id:(Framework.nest_id result)
-        ~vector_ids:(List.map Itf_dep.Depvec.id result.Framework.vectors)
-    in
-    EMemo.find_or_add memo_table key (fun () -> base result)
+    EMemo.find_or_add memo_table
+      (fp @ [ result.Framework.derivation ])
+      (fun () -> estimate spec result)

@@ -72,20 +72,26 @@ val subtree_admissible : spec -> bool
     parallelism: a descendant can parallelize loops the candidate runs
     sequentially and legitimately beat the candidate's bound. *)
 
+val estimate : spec -> Itf_core.Framework.result -> estimate
+(** [estimate spec result] runs the estimator itself, unmemoized. It
+    never raises and never returns NaN: unanalyzable nests degrade to
+    [bound = 0] with [score = 0] (rank first, let the exact tier
+    decide). *)
+
 val make : spec -> Itf_core.Framework.result -> estimate
-(** [make spec] instantiates the estimator — a pure function, safe to
-    call concurrently from several domains. It never raises and never
-    returns NaN: unanalyzable nests degrade to [bound = 0] with
-    [score = 0] (rank first, let the exact tier decide).
+(** [make spec] is {!estimate}[ spec], memoized — a pure function, safe
+    to call concurrently from several domains.
 
     Estimates are memoized in a process-wide table keyed on a spec
-    fingerprint plus the interned nest and dependence-vector ids
-    ({!Itf_ir.Intern}, {!Itf_dep.Depvec.id}) — identical values, computed
-    at most once per distinct (spec, nest, vectors) triple for the
-    process lifetime (see {!memo_key}). *)
+    fingerprint plus the result's derivation id
+    ({!Itf_core.Framework.result}): computed at most once per
+    (spec, derivation) pair for the process lifetime (see {!memo_key}).
+    The key names how the result was derived, not the nest it holds, so
+    neither the nest nor its vectors are walked on a probe; two
+    spellings that generate the same nest are estimated once each. *)
 
-val memo_key : spec -> nest_id:int -> vector_ids:int list -> int list
-(** The memo key of {!make}: the spec fingerprint, then the nest id, then
-    the vector ids. The parameter list and the vector ids are each
-    prefixed by their length, so distinct (spec, nest, vectors) triples
-    never flatten to the same key. *)
+val memo_key : spec -> derivation:int -> int list
+(** The memo key of {!make}: the spec fingerprint, then the derivation
+    id. The parameter list is prefixed by its length, so the fingerprint
+    is self-delimiting and distinct (spec, derivation) pairs never
+    flatten to the same key. *)

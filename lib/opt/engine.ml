@@ -69,14 +69,13 @@ module KeyTbl = Hashtbl.Make (Itf_mat.Hashcons.Int_key)
    cand]: a candidate on its way to the exact tier, or screened out of
    it). [state] is the resumable prefix — possibly the state of [canon]
    rather than [seq] when the candidate was served from cache; the two
-   generate the same nest, so extensions agree. [sid] is the intern id of
-   the raw sequence [state] holds, which keys the legality memo below. *)
+   generate the same nest, so extensions agree. [result] is [state]'s
+   result, and its derivation id keys the legality memo below. *)
 type 'v cand = {
   seq : Sequence.t;
   canon : Sequence.t;
   key : int;
   state : Framework.state;
-  sid : int;
   result : Framework.result;
   value : 'v;
 }
@@ -106,22 +105,22 @@ let now = Unix.gettimeofday
 
 (* Process-wide legality memo. Extending a prefix state by one template
    and running the final dependence test is a pure function of the root
-   nest and of the raw template sequence the extended state ends up
-   holding (paper §5: a transformation is a value independent of any
-   nest; the root vectors are [Analysis.vectors root], a function of the
-   root too). The key is [[root nest id; sid of the parent state; t's
-   template id]], which spells that raw sequence — not the candidate's:
-   a cross-step cache hit can carry another spelling's state. The root
-   itself is keyed [[root nest id]]. Every key of one length is
-   fixed-shape, so distinct keys never flatten to one int list.
+   nest, its vectors and the raw template sequence the extended state
+   ends up holding (paper §5: a transformation is a value independent of
+   any nest). The parent state's derivation id names the first three
+   ({!Framework.result}), so the key is [[parent derivation id; t's
+   template id]] — the raw sequence of the parent's state, not the
+   candidate's spelling: a cross-step cache hit can carry another
+   spelling's state. The root itself is keyed [[root nest id]]. Every
+   key of one length is fixed-shape, so distinct keys never flatten to
+   one int list.
 
-   A value is the verdict (state, its sid and result, or the rejection
-   cause) plus the template applications the miss performed. A hit
-   replays that count, so [template_applications] and everything derived
-   from it read the same warm or cold — the convention memoized objective
-   evaluations already follow. The result's nest id is published before
-   insertion, so a hit's tier-0 and objective memo keys cost one
-   [Atomic.get] instead of a nest walk.
+   A value is the verdict (state and result, or the rejection cause)
+   plus the template applications the miss performed. A hit replays
+   that count, so [template_applications] and everything derived from it
+   read the same warm or cold — the convention memoized objective
+   evaluations already follow. The result carries its derivation id, so
+   a hit's tier-0 and objective memo keys cost no walk at all.
 
    The cap is a constant: 4096 entries hold the whole warm set of a
    daemon's hot queries (the 24 shapes of the serve benchmark need 882)
@@ -130,7 +129,7 @@ let now = Unix.gettimeofday
 module LMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
 type legality = {
-  verdict : (Framework.state * int * Framework.result, cause) result;
+  verdict : (Framework.state * Framework.result, cause) result;
   apps : int;
 }
 
@@ -139,20 +138,18 @@ let legality_cap = 4096
 let legality_memo : legality LMemo.t =
   LMemo.create ~max_size:legality_cap "opt.legality"
 
-(* The final dependence test of a legal prefix, packaged as a memo value:
-   its raw sequence is interned and the result's nest id published. *)
+(* The final dependence test of a legal prefix, packaged as a memo
+   value. *)
 let settle st =
   match Framework.finish st with
   | Error v -> Error (Rejected (Legality.reasons v))
-  | Ok result ->
-    ignore (Framework.nest_id result);
-    Ok (st, Sequence.id (Legality.state_sequence st), result)
+  | Ok result -> Ok (st, result)
 
 (* Legality of one candidate: extend the parent prefix by one template and
    run the final dependence test, through the memo. *)
-let check_legal ~root_id parent t =
+let check_legal parent t =
   LMemo.find_or_add legality_memo
-    [ root_id; parent.sid; snd (Template.intern_id t) ]
+    [ parent.result.Framework.derivation; snd (Template.intern_id t) ]
     (fun () ->
       let count = ref 0 in
       let verdict =
@@ -176,15 +173,15 @@ let score_with f =
    the result in input order. The two trailing floats are the
    candidate's legality and estimate durations, folded into the
    per-phase breakdown. *)
-let evaluate_tier0 ~root_id estimate (parent, t, seq, canon, key) =
+let evaluate_tier0 estimate (parent, t, seq, canon, key) =
   let t_start = now () in
-  let { verdict; apps } = check_legal ~root_id parent t in
+  let { verdict; apps } = check_legal parent t in
   let t_leg = now () in
   match verdict with
   | Error cause -> (Error cause, apps, t_leg -. t_start, 0.)
-  | Ok (state, sid, result) ->
+  | Ok (state, result) ->
     let value = estimate result in
-    ( Ok { seq; canon; key; state; sid; result; value },
+    ( Ok { seq; canon; key; state; result; value },
       apps,
       t_leg -. t_start,
       now () -. t_leg )
@@ -368,23 +365,20 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
         max beam exact_topk,
         subtree_prune )
   in
-  let root_id = Intern.nest_id nest in
   let root =
     st.nodes_explored <- 1;
     let _, key = Sequence.reduce_memo [] in
     let t_leg = now () in
     let { verdict; _ } =
-      LMemo.find_or_add legality_memo [ root_id ] (fun () ->
-          let vectors = Itf_dep.Analysis.vectors nest in
-          { verdict = settle (Framework.start ~vectors nest); apps = 0 })
+      LMemo.find_or_add legality_memo [ Intern.nest_id nest ] (fun () ->
+          { verdict = settle (Framework.start nest); apps = 0 })
     in
     st.legality_time_s <- now () -. t_leg;
     match verdict with
     | Error _ -> None
-    | Ok (state, sid, result) -> (
+    | Ok (state, result) -> (
       match score_root result with
-      | Ok value ->
-        Some { seq = []; canon = []; key; state; sid; result; value }
+      | Ok value -> Some { seq = []; canon = []; key; state; result; value }
       | Error _ -> None)
   in
   match root with
@@ -472,7 +466,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
           Tracer.span tracer
             (if screened then "engine.tier0" else "engine.legality")
             ~attrs:(fun () -> [ ("candidates", Int (Array.length misses)) ])
-            (fun () -> pmap (evaluate_tier0 ~root_id estimate) misses)
+            (fun () -> pmap (evaluate_tier0 estimate) misses)
         in
         let pending = ref [] in
         Array.iteri

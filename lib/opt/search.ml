@@ -187,14 +187,15 @@ let mcount metrics name n =
    instantiation. Both ready-made objectives are pure functions of
    (instantiation parameters, transformed nest): the simulated machine is
    deterministic and the synthetic environments are rebuilt identically
-   per evaluation. Keying on an instantiation fingerprint plus the
-   interned nest id therefore returns bit-identical floats while skipping
-   the simulation entirely — including across engines, repeated searches
-   over the same kernel, and the {e concurrent} searches of different
-   serve workers, where most candidates recur. The tables are sharded
-   ({!Itf_mat.Hashcons.Memo}) with the compute outside any lock, so
-   concurrent searches neither serialize on a miss nor corrupt the table
-   on racing stores — whichever racer's (identical) float lands, every
+   per evaluation. Keying on the result's derivation id (which names the
+   root, its vectors and the raw sequence, and so the nest) plus an
+   instantiation fingerprint therefore returns bit-identical floats
+   while skipping the simulation entirely — including across engines,
+   repeated searches over the same kernel, and the {e concurrent}
+   searches of different serve workers, where most candidates recur.
+   The tables are sharded ({!Itf_mat.Hashcons.Memo}) with the compute
+   outside any lock, so concurrent searches neither serialize on a miss
+   nor corrupt the table on racing stores — whichever racer's (identical) float lands, every
    later probe replays it bit-for-bit, which is what keeps warm answers
    byte-identical to cold ones. Everything else in this module is either
    immutable or per-instantiation state, so the objectives are fully
@@ -215,11 +216,10 @@ let memoized ?(memo = true) table fingerprint metrics hit_metric
     (f : Framework.result -> float) : objective =
   if not memo then f
   else fun result ->
-    let nid = Framework.nest_id result in
     let computed = ref false in
     let v =
       OMemo.find_or_add table
-        (nid :: fingerprint)
+        (result.Framework.derivation :: fingerprint)
         (fun () ->
           computed := true;
           f result)

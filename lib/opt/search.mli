@@ -38,11 +38,14 @@ val cache_misses :
     totals are domain-schedule independent).
 
     [?memo] (default [true]): the objective is a pure function of
-    (config, params, nest), so scores are memoized process-wide by
-    instantiation fingerprint + interned nest id ({!Itf_ir.Intern}).
-    Hits return the stored float bit-identically and skip the simulation
-    (and its [memsim.*] counters; they bump [memsim.memo.hits] instead).
-    [~memo:false] simulates every call. *)
+    (config, params, nest), and a result's derivation id
+    ({!Itf_core.Framework.result}) determines its nest, so scores are
+    memoized process-wide by derivation id + instantiation fingerprint.
+    The nest itself is never interned or hashed. Hits return the stored
+    float bit-identically and skip the simulation (and its [memsim.*]
+    counters; they bump [memsim.memo.hits] instead). Two spellings that
+    generate one nest are simulated once each. [~memo:false] simulates
+    every call. *)
 
 val parallel_time :
   ?spawn_overhead:float ->

@@ -237,23 +237,33 @@ let test_same_winner_end_to_end () =
           < a.Engine.stats.Itf_opt.Stats.objective_evaluations))
     (screen_cases ())
 
-(* The memo key must be injective. Unprefixed, [(params [n=8], nest p,
-   vectors [7; 9])] and [(params [n=8; q=7], nest 9, no vectors)] with
-   [p = str_id "q"] both flatten to [... n 8 p 7 9]: the second
-   parameter absorbs the first key's nest id and vector. *)
+(* The memo key must be injective: over both spec kinds, parameter
+   lists that share a prefix or whose interned name equals a derivation
+   id, and a handful of derivation ids, no two (spec, derivation) pairs
+   flatten to one key. *)
 let test_memo_key_injective () =
-  let spec params =
-    Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params }
-  in
   let q = "memo_key_param_q" in
   let p = Intern.str_id q in
-  let a =
-    Costmodel.memo_key (spec [ ("n", 8) ]) ~nest_id:p ~vector_ids:[ 7; 9 ]
+  let params = [ []; [ ("n", 8) ]; [ ("n", 8); (q, 7) ]; [ (q, 8) ] ] in
+  let specs =
+    List.concat_map
+      (fun params ->
+        [
+          Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params };
+          Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params };
+        ])
+      params
   in
-  let b =
-    Costmodel.memo_key (spec [ ("n", 8); (q, 7) ]) ~nest_id:9 ~vector_ids:[]
+  let keys =
+    List.concat_map
+      (fun spec ->
+        List.map
+          (fun derivation -> Costmodel.memo_key spec ~derivation)
+          [ 0; 7; 9; p ])
+      specs
   in
-  check_bool "colliding pair gets distinct keys" false (a = b)
+  Alcotest.(check int) "distinct pairs get distinct keys" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
 
 let () =
   (* Calibration aid: COSTMODEL_DUMP=1 prints every (label, estimate,

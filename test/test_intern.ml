@@ -236,13 +236,13 @@ let test_multi_domain_intern_stress () =
     before after
 
 (* ------------------------------------------------------------------ *)
-(* Body-id reuse: shared body lists intern like structural copies       *)
+(* Shared body lists intern like structural copies                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [Intern.nest_i] reuses the ids of the last body list a domain interned
-   when the next nest carries that same list. A nest sharing its body
-   physically must intern exactly like a structural copy with a body of
-   its own, whichever body came before it, on any domain. *)
+(* Code generation rewrites loop headers and keeps the body list
+   physically. A nest sharing its body physically must intern exactly
+   like a structural copy with a body of its own, whichever body came
+   before it, on any domain. *)
 
 (* Header rewrites, as code generation makes them: the body list is kept
    physically. *)
@@ -260,7 +260,7 @@ let header_variants (nest : Nest.t) =
 let copy (nest : Nest.t) = Itf_lang.Parser.parse_nest (Nest.to_string nest)
 
 (* Two bodies alternate; each variant is interned next to its copy and
-   next to statement-by-statement interning, which never reads the cell.
+   next to statement-by-statement interning.
    Returns, in visiting order, the variant's id, its copy's id, and
    whether the canonical nests and bodies agree. Alcotest may only check
    on the main domain, so the caller compares. *)

@@ -90,27 +90,59 @@ let test_lru_stack_property () =
       (m1 >= m2 && m2 >= m3)
   done
 
-(* The cache as it was specified before [Cache.access] learned shifts and
-   masks: the set index by [/] and [mod], and true LRU over the ways. *)
+(* The cache as it is specified, without the shifts and masks of
+   [Cache.access]: the line is the floored quotient of the address (so
+   -64..-1 is line -1 on 64-byte lines), the set its non-negative
+   remainder, empty ways are tracked by an explicit flag, and
+   replacement is true LRU over the ways. *)
 let oracle_cache (config : Cache.config) =
   let sets = config.size_bytes / config.line_bytes / config.assoc in
-  let tags = Array.make (sets * config.assoc) (-1) in
+  let tags = Array.make (sets * config.assoc) 0 in
+  let valid = Array.make (sets * config.assoc) false in
   let ages = Array.make (sets * config.assoc) 0 in
   let clock = ref 0 in
   fun addr ->
-    let line = addr / config.line_bytes in
+    let line =
+      let q = addr / config.line_bytes in
+      if addr mod config.line_bytes < 0 then q - 1 else q
+    in
     let base = (((line mod sets) + sets) mod sets) * config.assoc in
     incr clock;
     let way = ref (-1) and victim = ref 0 in
     for w = 0 to config.assoc - 1 do
-      if tags.(base + w) = line then way := w;
+      if valid.(base + w) && tags.(base + w) = line then way := w;
       if ages.(base + w) < ages.(base + !victim) then victim := w
     done;
     let hit = !way >= 0 in
     let w = if hit then !way else !victim in
     tags.(base + w) <- line;
+    valid.(base + w) <- true;
     ages.(base + w) <- !clock;
     hit
+
+(* Regression: [access] once divided by truncation, so addresses -63..63
+   shared line 0, and line -1 equalled the tag that marked an empty way:
+   the first access to -64 hit an empty cache. *)
+let test_cache_negative_addresses () =
+  let fresh () =
+    Cache.create { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
+  in
+  check_bool "first access to -64 misses" false (Cache.access (fresh ()) (-64));
+  let c = fresh () in
+  ignore (Cache.access c 0);
+  check_bool "-40 is not on line 0" false (Cache.access c (-40));
+  check_bool "-1 shares -40's line" true (Cache.access c (-1));
+  check_bool "-64 shares -40's line" true (Cache.access c (-64));
+  check_bool "-65 is the line below" false (Cache.access c (-65));
+  (* A line count that is not a power of two takes the division path. *)
+  let c = Cache.create { Cache.size_bytes = 144; line_bytes = 48; assoc = 1 } in
+  check_bool "first access to -48 misses" false (Cache.access c (-48));
+  check_bool "-1 shares -48's line" true (Cache.access c (-1));
+  check_bool "0 is the line above" false (Cache.access c 0);
+  let c = Cache.create (Cache.fully_associative ~size_bytes:64 ~line_bytes:1) in
+  check_bool "1-byte lines: first access to -1 misses" false
+    (Cache.access c (-1));
+  check_bool "1-byte lines: min_int misses" false (Cache.access c min_int)
 
 let test_cache_fast_path_matches_division () =
   let geometries =
@@ -291,6 +323,8 @@ let () =
           Alcotest.test_case "LRU replacement" `Quick test_cache_lru;
           Alcotest.test_case "reset" `Quick test_cache_reset;
           Alcotest.test_case "LRU stack property" `Quick test_lru_stack_property;
+          Alcotest.test_case "negative addresses floor to their line" `Quick
+            test_cache_negative_addresses;
           Alcotest.test_case "fast path equals division path" `Quick
             test_cache_fast_path_matches_division;
         ] );

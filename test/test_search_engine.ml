@@ -204,14 +204,16 @@ let outcome_lines (o : Engine.outcome) =
           (Engine.verdict_label d.verdict))
       o.Engine.decisions
 
-let legality_hits () =
+let table name =
   match
     List.find_opt
-      (fun s -> s.Itf_mat.Hashcons.name = "opt.legality")
+      (fun s -> s.Itf_mat.Hashcons.name = name)
       (Itf_mat.Hashcons.stats ())
   with
-  | Some s -> s.Itf_mat.Hashcons.hits
-  | None -> Alcotest.fail "no opt.legality table registered"
+  | Some s -> s
+  | None -> Alcotest.failf "no %s table registered" name
+
+let legality_hits () = (table "opt.legality").Itf_mat.Hashcons.hits
 
 (* The process-wide legality memo must not change any answer: a warm
    search equals the cold one on the same nest, tiered and untiered, on
@@ -393,6 +395,194 @@ let test_pool_map () =
       | _ -> Alcotest.fail "exception not propagated"
       | exception Failure msg -> Alcotest.(check string) "exception" "boom" msg)
 
+(* ------------------------------------------------------------------ *)
+(* Derivation ids                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Template = Itf_core.Template
+module Costmodel = Itf_opt.Costmodel
+
+let legal = function
+  | Ok r -> r
+  | Error _ -> Alcotest.fail "expected a legal result"
+
+let derivation r = (legal r).Framework.derivation
+
+(* A recurrence along both loops: skew then interchange breaks
+   ReversePermute's rectangular precondition stage by stage, so the pair
+   is legal only through its reduced single Unimodular. *)
+let wavefront () =
+  Itf_lang.Parser.parse_nest
+    "do i = 2, n - 1\n\
+    \  do j = 2, n - 1\n\
+    \    dv_a(i, j) = dv_a(i - 1, j) + dv_a(i, j - 1)\n\
+    \  enddo\n\
+     enddo\n"
+
+let skew = Template.skew ~n:2 ~src:0 ~dst:1 ~factor:1
+let interchange = Template.interchange ~n:2 0 1
+let revperm = Template.reverse_permute ~rev:[| false; true |] ~perm:[| 1; 0 |]
+
+(* Paper Figure 2(a), whose dependences the analyzer derives itself. *)
+let figure2 () =
+  Itf_lang.Parser.parse_nest
+    "do i = 2, n - 1\n\
+    \  do j = 2, n - 1\n\
+    \    dv_f(i, j) = dv_g(j)\n\
+    \    if dv_g(j) > 0\n\
+    \      dv_g(j) = dv_f(i - 1, j + 1)\n\
+    \    endif\n\
+    \  enddo\n\
+     enddo\n"
+
+let incremental ?vectors root seq =
+  List.fold_left
+    (fun st t -> Result.bind st (fun st -> Framework.extend st t))
+    (Ok (Framework.start ?vectors root))
+    seq
+  |> Fun.flip Result.bind Framework.finish
+
+(* [apply root seq] and [start |> extend* |> finish] name their result
+   alike: on a prefix legal only through its reduced sequence, and on a
+   parent extended by every move from two domains at once. *)
+let test_derivation_ids_agree () =
+  let root = wavefront () in
+  List.iter
+    (fun (label, seq) ->
+      check_int label
+        (derivation (Framework.apply root seq))
+        (derivation (incremental root seq)))
+    [ ("root", []); ("skew", [ skew ]); ("skew, interchange", [ skew; interchange ]) ];
+  let parent =
+    Result.get_ok (Framework.extend (Framework.start root) skew)
+  in
+  let moves = Search.moves root ~depth:2 in
+  let expected =
+    List.map
+      (fun t ->
+        Result.map
+          (fun r -> r.Framework.derivation)
+          (Framework.apply root [ skew; t ]))
+      moves
+  in
+  let run () =
+    List.map
+      (fun t ->
+        Result.map
+          (fun r -> r.Framework.derivation)
+          (Result.bind (Framework.extend parent t) Framework.finish))
+      moves
+  in
+  check_bool "some extension is legal" true (List.exists Result.is_ok expected);
+  List.iteri
+    (fun d got ->
+      List.iteri
+        (fun k (e, g) ->
+          match (e, g) with
+          | Ok e, Ok g ->
+            check_int (Printf.sprintf "domain %d, move %d" d k) e g
+          | Error _, Error _ -> ()
+          | _ -> Alcotest.failf "domain %d, move %d: legality differs" d k)
+        (List.combine expected got))
+    (List.map Domain.join (List.init 2 (fun _ -> Domain.spawn run)))
+
+(* Results that must not share an id: another root, the same root under
+   overridden vectors, and a second spelling of the same nest. *)
+let distinct_results () =
+  let root = wavefront () in
+  let fig = figure2 () in
+  [
+    ("wavefront", legal (Framework.apply root []));
+    ("renamed wavefront", legal (Framework.apply (fresh_nest "_dv") []));
+    ("skew, interchange", legal (Framework.apply root [ skew; interchange ]));
+    ( "its reduction",
+      legal (Framework.apply root (Sequence.reduce [ skew; interchange ])) );
+    ("figure 2 reversed", legal (Framework.apply fig [ revperm ]));
+    ( "figure 2 reversed, one vector",
+      legal
+        (Framework.apply
+           ~vectors:[ Itf_dep.Depvec.of_string "(1,-1)" ]
+           fig [ revperm ]) );
+  ]
+
+let test_derivation_ids_differ () =
+  let results = distinct_results () in
+  let id label = (List.assoc label results).Framework.derivation in
+  let nest label = (List.assoc label results).Framework.nest in
+  check_bool "the two spellings generate one nest" true
+    (Nest.equal (nest "skew, interchange") (nest "its reduction"));
+  let ids = List.map (fun (_, r) -> r.Framework.derivation) results in
+  check_int "every result has its own id" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  (* The vectors the analyzer would derive anyway name the same root. *)
+  let fig = figure2 () in
+  check_int "explicit analyzer vectors: same id" (id "figure 2 reversed")
+    (derivation
+       (Framework.apply ~vectors:(Itf_dep.Analysis.vectors fig) fig [ revperm ]))
+
+(* The memos keyed on derivation ids answer each result with what an
+   unmemoized evaluation of that same result computes — also for results
+   that share a nest or a root with one evaluated before them. An
+   objective instance serves the nests of one root, so each result gets
+   its own; the memo tables behind them are process-wide. *)
+let test_memoised_equals_unmemoised () =
+  let params = [ ("n", 10) ] in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  List.iter
+    (fun name ->
+      let instance memo =
+        match Search.of_name ~memo name ~procs:4 ~params with
+        | Ok objective_and_spec -> objective_and_spec
+        | Error e -> Alcotest.fail e
+      in
+      (* twice over: the second pass reads every memo entry back *)
+      for pass = 1 to 2 do
+        List.iter
+          (fun (label, r) ->
+            let label = Printf.sprintf "%s %s pass %d" name label pass in
+            let memoised, spec = instance true and plain, _ = instance false in
+            let e = Costmodel.make spec r and e' = Costmodel.estimate spec r in
+            check_bool (label ^ ": estimate") true
+              (same_bits e.Costmodel.score e'.Costmodel.score
+              && same_bits e.Costmodel.bound e'.Costmodel.bound);
+            check_bool (label ^ ": exact score") true
+              (same_bits (memoised r) (plain r)))
+          (distinct_results ())
+      done)
+    [ "locality"; "parallel" ]
+
+(* Memo keys name candidates by derivation, so a cold search interns its
+   root nest and no candidate's: [ir.nest] grows by at most one entry
+   (it grew by one per legal candidate, about 95, when the memos keyed
+   on nest ids). *)
+let test_search_interns_no_result_nest () =
+  let nest =
+    Itf_lang.Parser.parse_nest
+      "do i = 1, n\n\
+      \  do j = 1, n\n\
+      \    do k = 1, n\n\
+      \      A_ni(i, j) = A_ni(i, j) + B_ni(i, k) * C_ni(k, j)\n\
+      \    enddo\n\
+      \  enddo\n\
+       enddo\n"
+  in
+  let objective, spec =
+    Result.get_ok (Search.of_name "locality" ~procs:8 ~params:[ ("n", 16) ])
+  in
+  let nests () = (table "ir.nest").Itf_mat.Hashcons.size in
+  let before = nests () in
+  (match
+     Engine.search ~beam:6 ~steps:2 ~domains:1 ~tier0:spec nest objective
+   with
+  | Some o ->
+    check_bool "the search explored candidates" true
+      (o.Engine.stats.Itf_opt.Stats.nodes_explored > 50)
+  | None -> Alcotest.fail "engine returned nothing");
+  let grown = nests () - before in
+  check_bool
+    (Printf.sprintf "ir.nest grew by %d entries, at most 1 allowed" grown)
+    true (grown <= 1)
+
 let () =
   Alcotest.run "search_engine"
     [
@@ -408,5 +598,16 @@ let () =
             test_warm_equals_cold;
           Alcotest.test_case "tier-0-only search" `Quick test_tier0_only;
           Alcotest.test_case "pool map" `Quick test_pool_map;
+        ] );
+      ( "derivation",
+        [
+          Alcotest.test_case "apply and incremental ids agree" `Quick
+            test_derivation_ids_agree;
+          Alcotest.test_case "distinct derivations, distinct ids" `Quick
+            test_derivation_ids_differ;
+          Alcotest.test_case "memoised equals unmemoised" `Quick
+            test_memoised_equals_unmemoised;
+          Alcotest.test_case "search interns no result nest" `Quick
+            test_search_interns_no_result_nest;
         ] );
     ]
