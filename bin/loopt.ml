@@ -36,35 +36,49 @@ let parse_script_file ~depth path =
   | exception Sys_error e -> Error e
 
 
-(* Subscript arity of an array as used by a nest (1 if never subscripted). *)
-let array_arity (nest : Nest.t) a =
-  let count = ref 1 in
-  let rec expr (e : Itf_ir.Expr.t) =
-    match e with
-    | Load { array; index } ->
-      if array = a then count := List.length index;
-      List.iter expr index
-    | Neg x -> expr x
-    | Add (x, y) | Sub (x, y) | Mul (x, y) | Div (x, y) | Mod (x, y)
-    | Min (x, y) | Max (x, y) ->
-      expr x;
-      expr y
-    | Call (_, args) -> List.iter expr args
-    | Int _ | Var _ -> ()
-  in
-  let rec stmt = function
-    | Itf_ir.Stmt.Store ({ array; index }, rhs) ->
-      if array = a then count := List.length index;
-      List.iter expr index;
-      expr rhs
-    | Itf_ir.Stmt.Set (_, rhs) -> expr rhs
-    | Itf_ir.Stmt.Guard { lhs; rhs; body; _ } ->
-      expr lhs;
-      expr rhs;
-      List.iter stmt body
-  in
-  List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-  !count
+(* Parse [path], apply [script] to its nest if one is given, and hand
+   the program and the resulting nest to [k]. Any error is printed and
+   the command exits with 1. *)
+let with_nest ?script path k =
+  let ( let* ) = Result.bind in
+  match
+    let* prog = parse_nest_file path in
+    let nest = prog.Itf_lang.Parser.nest in
+    match script with
+    | None -> Ok (prog, nest)
+    | Some script -> (
+      let* seq = parse_script_file ~depth:(Nest.depth nest) script in
+      match Itf_core.Legality.check nest seq with
+      | Itf_core.Legality.Legal { nest = out; _ } -> Ok (prog, out)
+      | verdict ->
+        Error
+          (Format.asprintf "illegal script: %a" Itf_core.Legality.pp_verdict
+             verdict))
+  with
+  | Ok (prog, nest) -> k prog nest
+  | Error e ->
+    Printf.eprintf "error: %s\n" e;
+    1
+
+(* The synthetic arrays of [run], [emit] and [trace]: every array the nest
+   touches, at (-2m, 3m) in each subscript with m = max 16 |param|. *)
+let synthetic_bounds params nest =
+  let m = List.fold_left (fun acc (_, x) -> max acc (abs x)) 16 params in
+  List.map
+    (fun (a, arity) -> (a, List.init arity (fun _ -> (-2 * m, 3 * m))))
+    (Nest.array_arities nest)
+
+(* The parameters and the synthetic arrays, [fill]ed with the emitted C
+   program's data or left zero. *)
+let synthetic_env ~fill params nest =
+  let env = Itf_exec.Env.create () in
+  List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) params;
+  List.iter
+    (fun (a, dims) ->
+      Itf_exec.Env.declare_array env a dims;
+      if fill then Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
+    (synthetic_bounds params nest);
+  env
 
 (* --param n=32 pairs *)
 let param_conv =
@@ -80,11 +94,22 @@ let param_conv =
   Arg.conv (parse, print)
 
 let params_arg =
-  Arg.(
-    value
-    & opt_all param_conv []
-    & info [ "p"; "param" ] ~docv:"NAME=VALUE"
-        ~doc:"Give a value to a symbolic parameter (repeatable).")
+  let rec unique seen = function
+    | [] -> Ok (List.rev seen)
+    | (k, _) :: _ when List.mem_assoc k seen ->
+      Error (`Msg (Printf.sprintf "parameter %S given twice" k))
+    | p :: rest -> unique (p :: seen) rest
+  in
+  Term.term_result
+    Term.(
+      const (unique [])
+      $ Arg.(
+          value
+          & opt_all param_conv []
+          & info [ "p"; "param" ] ~docv:"NAME=VALUE"
+              ~doc:
+                "Give a value to a symbolic parameter (repeatable, once per \
+                 name)."))
 
 let nest_arg =
   Arg.(
@@ -98,12 +123,7 @@ let nest_arg =
 
 let show_cmd =
   let run nest_path =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog ->
-      let nest = prog.Itf_lang.Parser.nest in
+    with_nest nest_path @@ fun _ nest ->
       Format.printf "== nest ==@.%a@." Nest.pp nest;
       Format.printf "== dependences ==@.";
       let deps = Itf_dep.Analysis.dependences nest in
@@ -144,12 +164,7 @@ let script_arg =
 
 let apply_cmd =
   let run nest_path script_path verbose =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog -> (
-      let nest = prog.Itf_lang.Parser.nest in
+    with_nest nest_path @@ fun _ nest ->
       match parse_script_file ~depth:(Nest.depth nest) script_path with
       | Error e ->
         Printf.eprintf "error: %s\n" e;
@@ -175,7 +190,7 @@ let apply_cmd =
           0
         | verdict ->
           Format.printf "ILLEGAL: %a@." Itf_core.Legality.pp_verdict verdict;
-          2))
+          2)
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print per-stage dependence vectors.")
@@ -214,12 +229,7 @@ let optimize_cmd =
   let run nest_path objective params procs steps domains exact_topk tier0_only
       deadline_ms max_nodes show_stats stats_json explain trace_out
       metrics_out =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog -> (
-      let nest = prog.Itf_lang.Parser.nest in
+    with_nest nest_path @@ fun _ nest ->
       let tracer =
         if trace_out = None then Itf_obs.Tracer.null
         else Itf_obs.Tracer.create ()
@@ -312,7 +322,7 @@ let optimize_cmd =
         if stats_json then print_endline (Itf_opt.Stats.to_json stats);
         write_trace tracer trace_out;
         write_metrics metrics metrics_out;
-        0)
+        0
   in
   let objective =
     Arg.(
@@ -427,64 +437,14 @@ let optimize_cmd =
 
 let run_cmd =
   let run nest_path params =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog ->
+    with_nest nest_path @@ fun prog nest ->
       if prog.Itf_lang.Parser.functions <> [] then begin
         Printf.eprintf
           "error: nests with access functions (%s) need data; 'run' does not support them\n"
           (String.concat ", " prog.Itf_lang.Parser.functions);
         exit 1
       end;
-      let nest = prog.Itf_lang.Parser.nest in
-      let env = Itf_exec.Env.create () in
-      List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) params;
-      let m =
-        List.fold_left (fun acc (_, x) -> max acc (abs x)) 16 params
-      in
-      (* Declare every referenced array generously around the parameter
-         magnitudes and fill deterministically. *)
-      let arrays =
-        List.sort_uniq compare (Nest.arrays_read nest @ Nest.arrays_written nest)
-      in
-      let arity a =
-        let count = ref 1 in
-        let rec expr (e : Itf_ir.Expr.t) =
-          match e with
-          | Load { array; index } ->
-            if array = a then count := List.length index;
-            List.iter expr index
-          | Neg x -> expr x
-          | Add (x, y) | Sub (x, y) | Mul (x, y) | Div (x, y) | Mod (x, y)
-          | Min (x, y) | Max (x, y) ->
-            expr x;
-            expr y
-          | Call (_, args) -> List.iter expr args
-          | Int _ | Var _ -> ()
-        in
-        let rec stmt = function
-          | Itf_ir.Stmt.Store ({ array; index }, rhs) ->
-            if array = a then count := List.length index;
-            List.iter expr index;
-            expr rhs
-          | Itf_ir.Stmt.Set (_, rhs) -> expr rhs
-          | Itf_ir.Stmt.Guard { lhs; rhs; body; _ } ->
-            expr lhs;
-            expr rhs;
-            List.iter stmt body
-        in
-        List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-        !count
-      in
-      List.iter
-        (fun a ->
-          Itf_exec.Env.declare_array env a
-            (List.init (arity a) (fun _ -> (-2 * m, 3 * m)));
-          let data = Itf_exec.Env.array_data env a in
-          Array.iteri (fun k _ -> data.(k) <- (k * 31) mod 97) data)
-        arrays;
+      let env = synthetic_env ~fill:true params nest in
       (try Itf_exec.Interp.run env nest with
       | Not_found ->
         Printf.eprintf "error: a symbolic parameter has no value (use --param)\n";
@@ -506,72 +466,15 @@ let run_cmd =
 
 let emit_cmd =
   let run nest_path script params openmp =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog -> (
-      let nest = prog.Itf_lang.Parser.nest in
-      let transformed =
-        match script with
-        | None -> Ok nest
-        | Some path -> (
-          match parse_script_file ~depth:(Nest.depth nest) path with
-          | Error e -> Error e
-          | Ok seq -> (
-            match Itf_core.Legality.check nest seq with
-            | Itf_core.Legality.Legal { nest = out; _ } -> Ok out
-            | verdict ->
-              Error (Format.asprintf "illegal script: %a" Itf_core.Legality.pp_verdict verdict)))
-      in
-      match transformed with
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
+    with_nest ?script nest_path @@ fun _ out ->
+      let bounds = synthetic_bounds params out in
+      match Itf_emit.C.program ~openmp ~params ~bounds out with
+      | src ->
+        print_string src;
+        0
+      | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
         1
-      | Ok out ->
-        let m = List.fold_left (fun acc (_, x) -> max acc (abs x)) 16 params in
-        let arrays =
-          List.sort_uniq compare (Nest.arrays_read out @ Nest.arrays_written out)
-        in
-        let arity a =
-          let r = ref 1 in
-          let rec expr (e : Itf_ir.Expr.t) =
-            match e with
-            | Load { array; index } ->
-              if array = a then r := List.length index;
-              List.iter expr index
-            | Neg x -> expr x
-            | Add (x, y) | Sub (x, y) | Mul (x, y) | Div (x, y) | Mod (x, y)
-            | Min (x, y) | Max (x, y) ->
-              expr x;
-              expr y
-            | Call (_, args) -> List.iter expr args
-            | Int _ | Var _ -> ()
-          in
-          let rec stmt = function
-            | Itf_ir.Stmt.Store ({ array; index }, rhs) ->
-              if array = a then r := List.length index;
-              List.iter expr index;
-              expr rhs
-            | Itf_ir.Stmt.Set (_, rhs) -> expr rhs
-            | Itf_ir.Stmt.Guard { lhs; rhs; body; _ } ->
-              expr lhs;
-              expr rhs;
-              List.iter stmt body
-          in
-          List.iter stmt (out.Nest.inits @ out.Nest.body);
-          !r
-        in
-        let bounds =
-          List.map (fun a -> (a, List.init (arity a) (fun _ -> (-2 * m, 3 * m)))) arrays
-        in
-        (match Itf_emit.C.program ~openmp ~params ~bounds out with
-        | src ->
-          print_string src;
-          0
-        | exception Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          1))
   in
   let script =
     Arg.(
@@ -594,12 +497,7 @@ let emit_cmd =
 
 let distribute_cmd =
   let run nest_path refuse =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog ->
-      let nest = prog.Itf_lang.Parser.nest in
+    with_nest nest_path @@ fun _ nest ->
       let p = Itf_ext.Statement.distribute nest in
       let p = if refuse then Itf_ext.Statement.fuse_all p else p in
       Format.printf "%d nest(s):@.%a@." (List.length p) Itf_ext.Program.pp p;
@@ -621,48 +519,17 @@ let distribute_cmd =
 
 let trace_cmd =
   let run nest_path script params =
-    match parse_nest_file nest_path with
-    | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      1
-    | Ok prog -> (
-      let nest = prog.Itf_lang.Parser.nest in
-      let transformed =
-        match script with
-        | None -> Ok nest
-        | Some path -> (
-          match parse_script_file ~depth:(Nest.depth nest) path with
-          | Error e -> Error e
-          | Ok seq -> (
-            match Itf_core.Legality.check nest seq with
-            | Itf_core.Legality.Legal { nest = out; _ } -> Ok out
-            | verdict ->
-              Error
-                (Format.asprintf "illegal script: %a" Itf_core.Legality.pp_verdict
-                   verdict)))
-      in
-      match transformed with
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
+    with_nest ?script nest_path @@ fun _ out ->
+      (* The body runs, so its arrays must exist; left zero, a
+         data-dependent subscript stays in range. *)
+      let env = synthetic_env ~fill:false params out in
+      match Itf_exec.Trace.ascii_order env out with
+      | grid ->
+        print_string grid;
+        0
+      | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
         1
-      | Ok out -> (
-        let env = Itf_exec.Env.create () in
-        List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) params;
-        (* a dummy store target is enough; bodies are executed, so declare
-           arrays generously *)
-        let m = List.fold_left (fun acc (_, x) -> max acc (abs x)) 16 params in
-        List.iter
-          (fun a ->
-            Itf_exec.Env.declare_array env a
-              (List.init (array_arity out a) (fun _ -> (-2 * m, 3 * m))))
-          (List.sort_uniq compare (Nest.arrays_read out @ Nest.arrays_written out));
-        match Itf_exec.Trace.ascii_order env out with
-        | grid ->
-          print_string grid;
-          0
-        | exception Invalid_argument msg ->
-          Printf.eprintf "error: %s\n" msg;
-          1))
   in
   let script =
     Arg.(

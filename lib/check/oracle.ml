@@ -32,42 +32,11 @@ type outcome =
 (* Environments                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Arrays referenced by a nest, with their subscript arity. *)
-let array_arities (nest : Nest.t) =
-  let tbl = Hashtbl.create 8 in
-  let note array index = Hashtbl.replace tbl array (List.length index) in
-  let rec expr (e : Expr.t) =
-    match e with
-    | Int _ | Var _ -> ()
-    | Neg a -> expr a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-      expr a;
-      expr b
-    | Load { array; index } ->
-      note array index;
-      List.iter expr index
-    | Call (_, args) -> List.iter expr args
-  in
-  let rec stmt = function
-    | Stmt.Store ({ array; index }, rhs) ->
-      note array index;
-      List.iter expr index;
-      expr rhs
-    | Stmt.Set (_, rhs) -> expr rhs
-    | Stmt.Guard { lhs; rhs; body; _ } ->
-      expr lhs;
-      expr rhs;
-      List.iter stmt body
-  in
-  List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-  Hashtbl.fold (fun a n acc -> (a, n) :: acc) tbl [] |> List.sort compare
-
 let array_bounds nest =
   List.map
     (fun (a, arity) ->
       (a, List.init arity (fun _ -> (Gen.array_lo, Gen.array_hi))))
-    (array_arities nest)
+    (Nest.array_arities nest)
 
 (* Parameter values: the given ones, plus a fixed default for any symbolic
    parameter the case file forgot, so runs never die on Not_found. *)
@@ -78,17 +47,16 @@ let full_params ~params nest =
       (fun v -> if List.mem v given then None else Some (v, 5))
       (Nest.symbolic_params nest)
 
-(* Fresh environment with the C emitter's deterministic fill convention
-   ((k * 31) mod 97), so interpreter snapshots and emitted-program
-   checksums are directly comparable. *)
+(* Fresh environment with the C emitter's deterministic fill, so
+   interpreter snapshots and emitted-program checksums are directly
+   comparable. *)
 let make_env ~params nest =
   let env = Env.create () in
   List.iter (fun (v, x) -> Env.set_scalar env v x) (full_params ~params nest);
   List.iter
     (fun (a, dims) ->
       Env.declare_array env a dims;
-      let data = Env.array_data env a in
-      Array.iteri (fun k _ -> data.(k) <- k * 31 mod 97) data)
+      Env.fill_synthetic (Env.array_data env a))
     (array_bounds nest);
   env
 

@@ -37,9 +37,10 @@ val cc_available : unit -> bool
 
 val make_env : params:(string * int) list -> Itf_ir.Nest.t -> Itf_exec.Env.t
 (** Environment with every referenced array declared over
-    [Gen.array_lo .. Gen.array_hi] per dimension and filled with the C
-    emitter's convention [(k * 31) mod 97], plus all symbolic parameters
-    bound ([params] first, any forgotten ones defaulted). *)
+    [Gen.array_lo .. Gen.array_hi] per dimension and filled by
+    {!Itf_exec.Env.fill_synthetic} (the C emitter's convention), plus all
+    symbolic parameters bound ([params] first, any forgotten ones
+    defaulted). *)
 
 val run_case :
   ?backends:backend list ->

@@ -68,6 +68,34 @@ let demote_unsupported_pardo (nest : Nest.t) vectors =
           nest.Nest.loops;
     }
 
+(* One stage of [check] and [extend]: [t]'s bounds preconditions against
+   [bm], the matrices of [nest], then its code and its mapped vectors. The
+   published preconditions are necessary but not quite sufficient for
+   every corner (e.g. a strided loop whose lower bound is a multi-term max
+   cannot be step-normalized exactly); when code generation detects such a
+   case it rejects, and the stage reports a bounds violation rather than
+   crash. *)
+let step ~bm ~index nest vectors (t : Template.t) =
+  let violation reason =
+    let violations = [ { Boundsmap.template = Template.name t; reason } ] in
+    Error (Bounds_violation { index; violations })
+  in
+  match Boundsmap.check bm t with
+  | _ :: _ as violations -> Error (Bounds_violation { index; violations })
+  | [] -> (
+    let rectangular_bands = rectangular_bands bm t in
+    match Codegen.apply ~bmat:bm nest t with
+    | nest' ->
+      let vectors' = Depmap.map_set ~rectangular_bands ~nest t vectors in
+      Ok
+        ( demote_unsupported_pardo nest' vectors',
+          vectors',
+          { index; template = t; nest_before = nest; vectors_before = vectors } )
+    | exception (Invalid_argument msg | Failure msg) ->
+      violation (Boundsmap.Codegen_rejected { message = msg })
+    | exception Itf_bounds.Fourier.Unbounded what ->
+      violation (Boundsmap.Unbounded_space { direction = what }))
+
 let check ?count ?vectors nest (seq : Sequence.t) =
   if not (Sequence.well_formed seq) then
     invalid_arg "Legality.check: sequence does not chain";
@@ -85,49 +113,10 @@ let check ?count ?vectors nest (seq : Sequence.t) =
       | None -> Legal { nest; vectors; stages = List.rev stages })
     | t :: rest -> (
       bump count 1;
-      let bm = Bmat.of_nest nest in
-      match Boundsmap.check bm t with
-      | _ :: _ as violations -> Bounds_violation { index; violations }
-      | [] -> (
-        let stage =
-          { index; template = t; nest_before = nest; vectors_before = vectors }
-        in
-        let rectangular_bands = rectangular_bands bm t in
-        (* The published preconditions are necessary but not quite
-           sufficient for every corner (e.g. a strided loop whose lower
-           bound is a multi-term max cannot be step-normalized exactly);
-           when code generation detects such a case it rejects, and we
-           report it as a bounds violation rather than crash. *)
-        match Codegen.apply ~bmat:bm nest t with
-        | nest' ->
-          let vectors' = Depmap.map_set ~rectangular_bands ~nest t vectors in
-          go (index + 1)
-            (demote_unsupported_pardo nest' vectors')
-            vectors' (stage :: stages) rest
-        | exception (Invalid_argument msg | Failure msg) ->
-          Bounds_violation
-            {
-              index;
-              violations =
-                [
-                  {
-                    Boundsmap.template = Template.name t;
-                    reason = Boundsmap.Codegen_rejected { message = msg };
-                  };
-                ];
-            }
-        | exception Itf_bounds.Fourier.Unbounded what ->
-          Bounds_violation
-            {
-              index;
-              violations =
-                [
-                  {
-                    Boundsmap.template = Template.name t;
-                    reason = Boundsmap.Unbounded_space { direction = what };
-                  };
-                ];
-            }))
+      match step ~bm:(Bmat.of_nest nest) ~index nest vectors t with
+      | Ok (nest', vectors', stage) ->
+        go (index + 1) nest' vectors' (stage :: stages) rest
+      | Error violation -> violation)
   in
   match go 0 nest vectors [] seq with
   | Legal _ as ok -> ok
@@ -251,56 +240,13 @@ let extend ?count st (t : Template.t) =
   | None -> (
     bump count 1;
     let index = List.length st.s_seq_rev in
-    let bm = state_bmat st in
-    match Boundsmap.check bm t with
-    | _ :: _ as violations ->
-      extend_fallback ?count st t (Bounds_violation { index; violations })
-    | [] -> (
-      let stage =
-        {
-          index;
-          template = t;
-          nest_before = st.s_nest;
-          vectors_before = st.s_vectors;
-        }
-      in
-      let rectangular_bands = rectangular_bands bm t in
-      match Codegen.apply ~bmat:bm st.s_nest t with
-      | nest' ->
-        let vectors' =
-          Depmap.map_set ~rectangular_bands ~nest:st.s_nest t st.s_vectors
-        in
-        Ok
-          (make_state ~root:st.s_root ~raw_failure:None
-             ~seq_rev:(t :: st.s_seq_rev)
-             (demote_unsupported_pardo nest' vectors')
-             vectors' (stage :: st.s_stages_rev))
-      | exception (Invalid_argument msg | Failure msg) ->
-        extend_fallback ?count st t
-          (Bounds_violation
-             {
-               index;
-               violations =
-                 [
-                   {
-                     Boundsmap.template = Template.name t;
-                     reason = Boundsmap.Codegen_rejected { message = msg };
-                   };
-                 ];
-             })
-      | exception Itf_bounds.Fourier.Unbounded what ->
-        extend_fallback ?count st t
-          (Bounds_violation
-             {
-               index;
-               violations =
-                 [
-                   {
-                     Boundsmap.template = Template.name t;
-                     reason = Boundsmap.Unbounded_space { direction = what };
-                   };
-                 ];
-             })))
+    match step ~bm:(state_bmat st) ~index st.s_nest st.s_vectors t with
+    | Ok (nest', vectors', stage) ->
+      Ok
+        (make_state ~root:st.s_root ~raw_failure:None
+           ~seq_rev:(t :: st.s_seq_rev) nest' vectors'
+           (stage :: st.s_stages_rev))
+    | Error raw -> extend_fallback ?count st t raw)
 
 type reason =
   | Precondition of { index : int; violation : Boundsmap.violation }

@@ -150,42 +150,12 @@ let kernel ?openmp ~name (nest : Nest.t) =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-(* Arrays referenced by the nest with their arity. *)
-let array_arities (nest : Nest.t) =
-  let tbl = Hashtbl.create 8 in
-  let rec expr (e : Expr.t) =
-    match e with
-    | Int _ | Var _ -> ()
-    | Neg a -> expr a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-      expr a;
-      expr b
-    | Load { array; index } ->
-      Hashtbl.replace tbl array (List.length index);
-      List.iter expr index
-    | Call (_, args) -> List.iter expr args
-  in
-  let rec stmt = function
-    | Stmt.Store ({ array; index }, rhs) ->
-      Hashtbl.replace tbl array (List.length index);
-      List.iter expr index;
-      expr rhs
-    | Stmt.Set (_, rhs) -> expr rhs
-    | Stmt.Guard { lhs; rhs; body; _ } ->
-      expr lhs;
-      expr rhs;
-      List.iter stmt body
-  in
-  List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-  Hashtbl.fold (fun a k acc -> (a, k) :: acc) tbl [] |> List.sort compare
-
 let program ?(openmp = false) ~params ~bounds (nest : Nest.t) =
   let b = Buffer.create 4096 in
   Buffer.add_string b "#include <stdio.h>\n\n";
   Buffer.add_string b helpers;
   Buffer.add_char b '\n';
-  let arrays = array_arities nest in
+  let arrays = Nest.array_arities nest in
   (* Array storage + access macros. *)
   List.iter
     (fun (a, arity) ->

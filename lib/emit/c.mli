@@ -15,7 +15,7 @@
 
     [kernel] emits just a function; [program] emits a standalone program
     that allocates and deterministically fills every array
-    ([data[k] = (k*31) % 97], the convention the tests mirror), runs the
+    ([data[k] = (k*31) % 97], as [Itf_exec.Env.fill_synthetic] does), runs the
     nest, and prints one [name checksum] line per array — which is how the
     end-to-end test compares a gcc-compiled transformed nest against the
     interpreter. *)

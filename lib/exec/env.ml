@@ -41,6 +41,19 @@ let declare_array t name bounds =
   let size = strides.(0) * (his.(0) - los.(0) + 1) in
   Hashtbl.add t.arrays name { los; his; strides; data = Array.make size 0 }
 
+(* The residue steps by 31 modulo 97 from one entry to the next, so the
+   loop needs no division; and since the store is typed [int array], it
+   needs no write barrier either, which makes it faster than blitting a
+   saved image into a major-heap array (an [Array.blit] there goes through
+   [caml_modify] per entry). *)
+let fill_synthetic (data : int array) =
+  let r = ref 0 in
+  for k = 0 to Array.length data - 1 do
+    Array.unsafe_set data k !r;
+    let next = !r + 31 in
+    r := if next >= 97 then next - 97 else next
+  done
+
 let declare_function t name f = Hashtbl.replace t.funcs name f
 
 let find_function t name = Hashtbl.find_opt t.funcs name

@@ -31,6 +31,12 @@ val declare_array : t -> string -> (int * int) list -> unit
     with the given inclusive per-dimension bounds.
     @raise Invalid_argument if already declared or a bound is empty. *)
 
+val fill_synthetic : int array -> unit
+(** [fill_synthetic data] sets entry [k] to [(k * 31) mod 97], the data
+    every synthetic environment runs on: the search's simulators, the
+    differential oracle, [loopt run] and the C program [loopt emit]
+    writes all fill their arrays this way, so their checksums compare. *)
+
 val declare_function : t -> string -> (int list -> int) -> unit
 val find_function : t -> string -> (int list -> int) option
 

@@ -70,6 +70,38 @@ let arrays_written t =
   List.sort_uniq String.compare
     (List.concat_map Stmt.arrays_written (t.inits @ t.body))
 
+(* Last occurrence wins, in walk order: a store's array, then its
+   subscripts, then its right-hand side. *)
+let array_arities t =
+  let tbl = Hashtbl.create 8 in
+  let note (a : Expr.access) = Hashtbl.replace tbl a.array (List.length a.index) in
+  let rec expr (e : Expr.t) =
+    match e with
+    | Int _ | Var _ -> ()
+    | Neg a -> expr a
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+    | Min (a, b) | Max (a, b) ->
+      expr a;
+      expr b
+    | Load a ->
+      note a;
+      List.iter expr a.index
+    | Call (_, args) -> List.iter expr args
+  in
+  let rec stmt : Stmt.t -> unit = function
+    | Store (a, rhs) ->
+      note a;
+      List.iter expr a.index;
+      expr rhs
+    | Set (_, rhs) -> expr rhs
+    | Guard { lhs; rhs; body; _ } ->
+      expr lhs;
+      expr rhs;
+      List.iter stmt body
+  in
+  List.iter stmt (t.inits @ t.body);
+  Hashtbl.fold (fun a k acc -> (a, k) :: acc) tbl [] |> List.sort compare
+
 let equal (a : t) (b : t) = a = b
 
 (* Structural nest hash: every loop header (variable, bounds, step, kind)

@@ -46,6 +46,13 @@ val symbolic_params : t -> string list
 val arrays_read : t -> string list
 val arrays_written : t -> string list
 
+val array_arities : t -> (string * int) list
+(** Every array the inits and body load or store, with its subscript
+    count, sorted by [compare]. An array used with two counts gets the
+    last one in walk order (a store's array, then its subscripts, then
+    its right-hand side). The framework never rewrites a body, so every
+    nest a transformation derives has the same arities as its source. *)
+
 val equal : t -> t -> bool
 
 val hash : t -> int

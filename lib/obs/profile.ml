@@ -4,44 +4,31 @@ let by_self a b =
   let c = Float.compare b.self_s a.self_s in
   if c <> 0 then c else String.compare a.name b.name
 
+let of_report (rows : Report.row list) =
+  List.sort by_self
+    (List.map
+       (fun (r : Report.row) ->
+         {
+           name = r.name;
+           count = r.count;
+           total_s = r.total_s;
+           self_s = r.self_s;
+         })
+       rows)
+
+(* Preorder, the order [Tracer.write_jsonl] writes, so both entry points
+   sum each name's spans in the same order. *)
 let of_spans spans =
-  let agg = Hashtbl.create 16 in
-  let rec go (s : Tracer.span) =
+  let rec go acc (s : Tracer.span) =
     let child_dur =
       List.fold_left (fun acc c -> acc +. c.Tracer.dur_s) 0. s.Tracer.children
     in
-    let row =
-      match Hashtbl.find_opt agg s.Tracer.name with
-      | Some r -> r
-      | None -> { name = s.Tracer.name; count = 0; total_s = 0.; self_s = 0. }
-    in
-    Hashtbl.replace agg s.Tracer.name
-      {
-        row with
-        count = row.count + 1;
-        total_s = row.total_s +. s.Tracer.dur_s;
-        self_s = row.self_s +. Float.max 0. (s.Tracer.dur_s -. child_dur);
-      };
-    List.iter go s.Tracer.children
+    List.fold_left go ((s.Tracer.name, s.Tracer.dur_s, child_dur) :: acc)
+      s.Tracer.children
   in
-  List.iter go spans;
-  List.sort by_self (Hashtbl.fold (fun _ r acc -> r :: acc) agg [])
+  of_report (Report.aggregate (List.rev (List.fold_left go [] spans)))
 
-let of_lines lines =
-  match Report.of_lines lines with
-  | Error _ as e -> e
-  | Ok rows ->
-    Ok
-      (List.sort by_self
-         (List.map
-            (fun (r : Report.row) ->
-              {
-                name = r.Report.name;
-                count = r.Report.count;
-                total_s = r.Report.total_s;
-                self_s = r.Report.self_s;
-              })
-            rows))
+let of_lines lines = Result.map of_report (Report.of_lines lines)
 
 let top n rows = List.filteri (fun k _ -> k < n) rows
 

@@ -59,6 +59,39 @@ let parse_lines lines =
   | Some e -> Error e
   | None -> Ok (spans, List.rev !order)
 
+let aggregate observations =
+  let agg = Hashtbl.create 16 in
+  List.iter
+    (fun (name, dur, child_dur) ->
+      let row =
+        match Hashtbl.find_opt agg name with
+        | Some r -> r
+        | None ->
+          {
+            name;
+            count = 0;
+            total_s = 0.;
+            self_s = 0.;
+            min_s = infinity;
+            max_s = neg_infinity;
+          }
+      in
+      Hashtbl.replace agg name
+        {
+          row with
+          count = row.count + 1;
+          total_s = row.total_s +. dur;
+          self_s = row.self_s +. Float.max 0. (dur -. child_dur);
+          min_s = Float.min row.min_s dur;
+          max_s = Float.max row.max_s dur;
+        })
+    observations;
+  List.sort
+    (fun a b ->
+      let c = Float.compare b.total_s a.total_s in
+      if c <> 0 then c else String.compare a.name b.name)
+    (Hashtbl.fold (fun _ r acc -> r :: acc) agg [])
+
 let of_lines lines =
   match parse_lines lines with
   | Error _ as e -> e
@@ -72,38 +105,9 @@ let of_lines lines =
           | Some parent -> parent.r_child_dur <- parent.r_child_dur +. s.r_dur
           | None -> ()))
       order;
-    let agg = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let row =
-          match Hashtbl.find_opt agg s.r_name with
-          | Some r -> r
-          | None ->
-            {
-              name = s.r_name;
-              count = 0;
-              total_s = 0.;
-              self_s = 0.;
-              min_s = infinity;
-              max_s = neg_infinity;
-            }
-        in
-        Hashtbl.replace agg s.r_name
-          {
-            row with
-            count = row.count + 1;
-            total_s = row.total_s +. s.r_dur;
-            self_s = row.self_s +. Float.max 0. (s.r_dur -. s.r_child_dur);
-            min_s = Float.min row.min_s s.r_dur;
-            max_s = Float.max row.max_s s.r_dur;
-          })
-      order;
     Ok
-      (List.sort
-         (fun a b ->
-           let c = Float.compare b.total_s a.total_s in
-           if c <> 0 then c else String.compare a.name b.name)
-         (Hashtbl.fold (fun _ r acc -> r :: acc) agg []))
+      (aggregate
+         (List.map (fun s -> (s.r_name, s.r_dur, s.r_child_dur)) order))
 
 let counters lines =
   match parse_lines lines with

@@ -14,6 +14,12 @@ type row = {
   max_s : float;
 }
 
+val aggregate : (string * float * float) list -> row list
+(** Rows from [(name, duration, children's summed duration)] span
+    observations, summed in the order given, sorted by total time
+    descending (name ascending on ties). Self time is clamped at [0] per
+    span. {!of_lines} and {!Profile} both aggregate through it. *)
+
 val of_lines : string list -> (row list, string) result
 (** Aggregate parsed spans per name, sorted by total time descending.
     Blank lines are skipped; a malformed line is an error naming its

@@ -58,8 +58,10 @@ type spec =
 val default_bounds : params:(string * int) list -> int -> (int * int) list
 (** The per-dimension declaration bounds the ready-made objectives use
     for an array of the given arity: [(-2m, 3m)] per dimension with
-    [m = max 8 (max |param value|)]. Shared with [Search.make_env] so the
-    cost model's layout assumptions match the simulated environment. *)
+    [m = max 8 (max |param value|)]. The exact objectives declare their
+    arrays with it (and fill them with {!Itf_exec.Env.fill_synthetic}),
+    so the cost model's layout assumptions match the simulated
+    environment. *)
 
 val subtree_admissible : spec -> bool
 (** Whether a candidate's [bound] also lower-bounds every {e descendant}

@@ -55,51 +55,6 @@ let moves (_ : Nest.t) ~depth =
 (* Objectives                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Arrays referenced by a nest, with arity (duplicated from the test
-   oracle: intentionally local, the optimizer must not depend on tests). *)
-let array_arities (nest : Nest.t) =
-  let tbl = Hashtbl.create 8 in
-  let rec expr (e : Expr.t) =
-    match e with
-    | Int _ | Var _ -> ()
-    | Neg a -> expr a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-      expr a;
-      expr b
-    | Load { array; index } ->
-      Hashtbl.replace tbl array (List.length index);
-      List.iter expr index
-    | Call (_, args) -> List.iter expr args
-  in
-  let rec stmt = function
-    | Stmt.Store ({ array; index }, rhs) ->
-      Hashtbl.replace tbl array (List.length index);
-      List.iter expr index;
-      expr rhs
-    | Stmt.Set (_, rhs) -> expr rhs
-    | Stmt.Guard { lhs; rhs; body; _ } ->
-      expr lhs;
-      expr rhs;
-      List.iter stmt body
-  in
-  List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-  Hashtbl.fold (fun a k acc -> (a, k) :: acc) tbl [] |> List.sort compare
-
-(* Entry k of every environment array holds (k * 31) mod 97. The residue
-   steps by 31 modulo 97 from one entry to the next, so the loop needs no
-   division; and since the store is typed [int array], it needs no write
-   barrier either, which makes it faster than blitting a saved image into
-   a major-heap array (an [Array.blit] there goes through [caml_modify]
-   per entry). *)
-let fill_array (data : int array) =
-  let r = ref 0 in
-  for k = 0 to Array.length data - 1 do
-    Array.unsafe_set data k !r;
-    let next = !r + 31 in
-    r := if next >= 97 then next - 97 else next
-  done
-
 (* Per-domain reusable environments: the dense arrays dominate
    per-evaluation allocation. Under {!Itf_exec.Compile} the only thing
    that mutates an environment is Store statements writing array elements
@@ -129,7 +84,9 @@ let env_scratch key ~params () =
     let cell = Domain.DLS.get key in
     match !cell with
     | Some (prev, env) when prev == owner ->
-      List.iter (fun a -> fill_array (Itf_exec.Env.array_data env a)) written;
+      List.iter
+        (fun a -> Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
+        written;
       env
     | _ ->
       let env = Itf_exec.Env.create () in
@@ -138,7 +95,7 @@ let env_scratch key ~params () =
         (fun (a, arity) ->
           Itf_exec.Env.declare_array env a
             (Costmodel.default_bounds ~params arity);
-          fill_array (Itf_exec.Env.array_data env a))
+          Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
         arities;
       cell := Some (owner, env);
       env
@@ -156,7 +113,7 @@ let memo_arrays () =
     match Atomic.get cell with
     | Some arrays -> arrays
     | None ->
-      let arrays = (array_arities nest, Nest.arrays_written nest) in
+      let arrays = (Nest.array_arities nest, Nest.arrays_written nest) in
       Atomic.set cell (Some arrays);
       arrays
 

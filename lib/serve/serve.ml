@@ -250,6 +250,11 @@ let params_field json =
   | Some (Json.Obj kvs) ->
     let rec conv acc = function
       | [] -> Ok (List.rev acc)
+      | (k, _) :: _ when List.mem_assoc k acc ->
+        (* The environment takes the last value but [fingerprint] sorts
+           the pairs, so two orders of one repeated name would share a
+           cache key while searching different problems. *)
+        Error (Printf.sprintf "parameter %S given twice" k)
       | (k, v) :: rest -> (
         match Json.to_int v with
         | Some x -> conv ((k, x) :: acc) rest

@@ -97,37 +97,6 @@ let sparse_matmul () =
 (* Oracle                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Arrays referenced by a nest, with their subscript arity. *)
-let array_arities (nest : Nest.t) =
-  let tbl = Hashtbl.create 8 in
-  let note array index = Hashtbl.replace tbl array (List.length index) in
-  let rec expr (e : Expr.t) =
-    match e with
-    | Int _ | Var _ -> ()
-    | Neg a -> expr a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-      expr a;
-      expr b
-    | Load { array; index } ->
-      note array index;
-      List.iter expr index
-    | Call (_, args) -> List.iter expr args
-  in
-  let rec stmt = function
-    | Stmt.Store ({ array; index }, rhs) ->
-      note array index;
-      List.iter expr index;
-      expr rhs
-    | Stmt.Set (_, rhs) -> expr rhs
-    | Stmt.Guard { lhs; rhs; body; _ } ->
-      expr lhs;
-      expr rhs;
-      List.iter stmt body
-  in
-  List.iter stmt (nest.Nest.inits @ nest.Nest.body);
-  Hashtbl.fold (fun a n acc -> (a, n) :: acc) tbl [] |> List.sort compare
-
 (* Deterministic pseudo-random fill so runs are reproducible. *)
 let fill_array name data =
   Array.iteri
@@ -142,7 +111,7 @@ let make_env ?(funcs = []) ?(lo = -24) ?(hi = 24) ~params nest =
     (fun (a, arity) ->
       Env.declare_array env a (List.init arity (fun _ -> (lo, hi)));
       fill_array a (Env.array_data env a))
-    (array_arities nest);
+    (Nest.array_arities nest);
   env
 
 (* Run a nest on a freshly filled environment; return the array snapshot. *)

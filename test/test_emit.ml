@@ -74,8 +74,7 @@ let interp_checksums ~params ~bounds nest =
   List.iter
     (fun (a, dims) ->
       Itf_exec.Env.declare_array env a dims;
-      let d = Itf_exec.Env.array_data env a in
-      Array.iteri (fun k _ -> d.(k) <- k * 31 mod 97) d)
+      Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
     bounds;
   Itf_exec.Interp.run env nest;
   List.map

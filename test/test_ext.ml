@@ -20,7 +20,7 @@ let run_program ?(pardo_order = `Forward) ~params (p : Program.t) =
   let env = Env.create () in
   List.iter (fun (v, x) -> Env.set_scalar env v x) params;
   let arities =
-    List.sort_uniq compare (List.concat_map Builders.array_arities p)
+    List.sort_uniq compare (List.concat_map Nest.array_arities p)
   in
   List.iter
     (fun (a, arity) ->

@@ -161,6 +161,40 @@ let test_nest_queries () =
   check_str "fresh avoids i" "i2" (Nest.fresh_var nest "i");
   check_str "fresh keeps unused" "kk" (Nest.fresh_var nest "kk")
 
+let test_nest_array_arities () =
+  let i = Expr.var "i" in
+  let ld a index = Expr.Load { array = a; index } in
+  let st a index rhs = Stmt.Store ({ array = a; index }, rhs) in
+  let nest =
+    Nest.make
+      ~inits:[ Stmt.Set ("t", ld "z" [ i ]) ]
+      [ Nest.loop "i" Expr.one (Expr.var "n") ]
+      [
+        (* a load inside a subscript, and one inside a call argument *)
+        st "out" [ i ]
+          (Expr.Add (ld "a" [ ld "b" [ i ] ], Call ("f", [ ld "h" [ i; i ] ])));
+        (* a load in a guard condition; w is only ever stored *)
+        Stmt.Guard
+          {
+            lhs = ld "g" [ i ];
+            rel = Stmt.Gt;
+            rhs = Expr.zero;
+            body = [ st "w" [ i; i; i ] Expr.zero ];
+          };
+        (* the last occurrence wins: the right-hand side comes after the
+           store's own array *)
+        st "p" [ i; i ] (ld "p" [ i ]);
+        st "q" [ i ] (ld "q" [ i; i ]);
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "arrays with their subscript counts, sorted"
+    [
+      ("a", 1); ("b", 1); ("g", 1); ("h", 2); ("out", 1);
+      ("p", 1); ("q", 2); ("w", 3); ("z", 1);
+    ]
+    (Nest.array_arities nest)
+
 let test_nest_validation () =
   Alcotest.check_raises "duplicate vars"
     (Invalid_argument "Nest.make: duplicate loop variables") (fun () ->
@@ -246,6 +280,7 @@ let () =
           Alcotest.test_case "pardo and step printing" `Quick test_nest_pardo_step_pp;
           Alcotest.test_case "queries" `Quick test_nest_queries;
           Alcotest.test_case "validation" `Quick test_nest_validation;
+          Alcotest.test_case "array arities" `Quick test_nest_array_arities;
         ] );
       ("properties", qcheck_tests);
     ]

@@ -143,7 +143,7 @@ let traced_run ?(pardo_order = `Forward) ~tag_vars nest =
       (fun (a, arity) ->
         Env.declare_array env a (List.init arity (fun _ -> (-20, 30)));
         Builders.fill_array a (Env.array_data env a))
-      (Builders.array_arities nest);
+      (Nest.array_arities nest);
     env
   in
   let events = ref [] in

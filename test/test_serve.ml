@@ -285,6 +285,26 @@ let test_serve_errors_not_crashes () =
   let not_obj, _ = Serve.handle_line server "[1, 2]" in
   check_string "non-object request is an error" "error" (status not_obj)
 
+let test_serve_duplicate_params () =
+  (* Both orders of a repeated name would share one cache key (the
+     fingerprint sorts the pairs) while searching different problems, so
+     neither is answered. *)
+  let server = Serve.create ~domains:1 () in
+  List.iteri
+    (fun i params ->
+      let resp, _ =
+        Serve.handle_line server (req ~id:(Json.Int i) ~params matmul_src)
+      in
+      check_string "repeated parameter is an error" "error" (status resp);
+      check_string "error names the parameter" "parameter \"n\" given twice"
+        (match field "error" resp with
+        | Json.String m -> m
+        | j -> Json.to_string j))
+    [
+      [ ("n", Json.Int 16); ("n", Json.Int 8) ];
+      [ ("n", Json.Int 8); ("n", Json.Int 16) ];
+    ]
+
 let test_serve_lru_eviction () =
   let server = Serve.create ~domains:1 ~max_cache:1 () in
   let gauge name =
@@ -767,6 +787,8 @@ let () =
             `Quick test_serve_degraded_not_cached;
           Alcotest.test_case "malformed input yields error responses" `Quick
             test_serve_errors_not_crashes;
+          Alcotest.test_case "repeated parameter is an error" `Quick
+            test_serve_duplicate_params;
           Alcotest.test_case "LRU response cache evicts at capacity" `Quick
             test_serve_lru_eviction;
           Alcotest.test_case "shutdown request stops the loop" `Quick
