@@ -24,8 +24,8 @@ module Tracer = Itf_obs.Tracer
 
 (* Every BENCH_*.json this harness writes is versioned: bump "schema" when
    a field changes meaning so downstream comparisons refuse stale files.
-   BENCH_search.json is at 5 (warm timings now report the best-timed run's
-   own stats, and the unmemoized compute_* fields were added);
+   BENCH_search.json is at 7 (the old_*, speedup_*, template_reduction and
+   no_intern_* fields are gone; --baseline still reads schema 6);
    BENCH_sim.json stays at 3. *)
 let write_bench_json ?(schema = 3) path fields =
   let oc = open_out path in

@@ -71,18 +71,6 @@ let btype t which ~loop ~wrt =
     Btype.Const
     (terms_of t which loop)
 
-let btype_overall t which ~loop =
-  let acc = ref Btype.Const in
-  for j = 0 to loop - 1 do
-    acc := Btype.join !acc (btype t which ~loop ~wrt:j)
-  done;
-  (* Account for the invariant part being symbolic rather than constant. *)
-  List.iter
-    (fun tm ->
-      if Expr.to_int tm.base = None then acc := Btype.join !acc Btype.Invar)
-    (terms_of t which loop);
-  !acc
-
 let term_to_expr t (tm : term) =
   let e = ref tm.base in
   Array.iteri

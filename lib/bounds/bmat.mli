@@ -41,10 +41,6 @@ val btype : t -> which -> loop:int -> wrt:int -> Btype.t
     [w], computed from the stored matrix entries — the per-term max/min
     special case of Section 4.1 is already built in. *)
 
-val btype_overall : t -> which -> loop:int -> Btype.t
-(** Join of [btype] over all [wrt < loop], joined with [Const]/[Invar]
-    depending on whether the invariant part is a literal constant. *)
-
 val lower_expr : t -> int -> Expr.t
 val upper_expr : t -> int -> Expr.t
 val step_expr : t -> int -> Expr.t

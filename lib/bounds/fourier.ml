@@ -1,4 +1,5 @@
 open Itf_ir
+module Intmat = Itf_mat.Intmat
 
 type ineq = { coeffs : int array; base : Expr.t }
 
@@ -8,15 +9,12 @@ let ineq coeffs base = { coeffs; base }
 
 exception Unbounded of string
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let gcd a b = gcd (abs a) (abs b)
-
 (* Divide an inequality by the gcd of its coefficients when the base is a
    literal constant (sound for >= 0 with a positive divisor): rounding the
    constant down is integer tightening, since sum(c/g * y) >= -b/g implies
    sum >= ceil(-b/g) = -floor(b/g). Symbolic bases are left alone. *)
 let normalize (q : ineq) =
-  let g = Array.fold_left gcd 0 q.coeffs in
+  let g = Array.fold_left Intmat.gcd 0 q.coeffs in
   if g <= 1 then q
   else
     match Expr.to_int q.base with
@@ -196,11 +194,11 @@ let normalize_row nv (r : int array) =
   let g = ref 0 and symbolic = ref false in
   for j = 0 to w - 1 do
     if r.(j) <> 0 then begin
-      g := gcd !g r.(j);
+      g := Intmat.gcd !g r.(j);
       if j >= nv then symbolic := true
     end
   done;
-  let g = if !symbolic then gcd !g r.(w) else !g in
+  let g = if !symbolic then Intmat.gcd !g r.(w) else !g in
   if g = 0 then if r.(w) < 0 then raise Contradiction else None
   else if g = 1 then Some r
   else begin
@@ -273,9 +271,9 @@ let definitely_infeasible ?(max_ineqs = 400) (sys : system) =
   in
   try go 0 (dedupe_rows (List.filter_map row split)) with Contradiction -> true
 
-let substitute (sys : system) (minv : Itf_mat.Intmat.t) (new_vars : string array) =
+let substitute (sys : system) (minv : Intmat.t) (new_vars : string array) =
   let n = Array.length sys.vars in
-  if Itf_mat.Intmat.rows minv <> n || Itf_mat.Intmat.cols minv <> n then
+  if Intmat.rows minv <> n || Intmat.cols minv <> n then
     invalid_arg "Fourier.substitute: dimension mismatch";
   let ineqs =
     List.map
@@ -286,7 +284,7 @@ let substitute (sys : system) (minv : Itf_mat.Intmat.t) (new_vars : string array
           Array.init n (fun j ->
               let acc = ref 0 in
               for k = 0 to n - 1 do
-                acc := !acc + (q.coeffs.(k) * Itf_mat.Intmat.get minv k j)
+                acc := !acc + (q.coeffs.(k) * Intmat.get minv k j)
               done;
               !acc)
         in

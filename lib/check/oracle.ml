@@ -8,11 +8,6 @@ module L = Itf_core.Legality
 
 type backend = [ `Interp | `Compiled | `C ]
 
-let backend_name = function
-  | `Interp -> "interp"
-  | `Compiled -> "compiled"
-  | `C -> "c"
-
 let backend_of_name = function
   | "interp" -> Some `Interp
   | "compiled" -> Some `Compiled

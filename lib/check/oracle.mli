@@ -17,7 +17,6 @@
 
 type backend = [ `Interp | `Compiled | `C ]
 
-val backend_name : backend -> string
 val backend_of_name : string -> backend option
 
 type divergence = { leg : string; detail : string }

@@ -90,21 +90,15 @@ let interval_scale c (lo, hi) =
   if c >= 0 then (ext_scale c lo, ext_scale c hi)
   else (ext_scale c hi, ext_scale c lo)
 
-let floor_div_int a b =
-  let q = a / b and r = a mod b in
-  if r <> 0 && (a < 0) <> (b < 0) then q - 1 else q
-
-let ceil_div_int a b = -floor_div_int (-a) b
-
 let ext_div_floor x s =
   match x with
-  | Fin v -> Fin (floor_div_int v s)
+  | Fin v -> Fin (Itf_ir.Expr.fdiv v s)
   | NegInf -> if s > 0 then NegInf else PosInf
   | PosInf -> if s > 0 then PosInf else NegInf
 
 let ext_div_ceil x s =
   match x with
-  | Fin v -> Fin (ceil_div_int v s)
+  | Fin v -> Fin (-Itf_ir.Expr.fdiv (-v) s)
   | NegInf -> if s > 0 then NegInf else PosInf
   | PosInf -> if s > 0 then PosInf else NegInf
 

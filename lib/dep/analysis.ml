@@ -1,5 +1,6 @@
 open Itf_ir
 module Affine = Itf_bounds.Affine
+module Intmat = Itf_mat.Intmat
 
 type kind = Flow | Anti | Output
 
@@ -51,10 +52,6 @@ type loop_info = {
   count : int option; (* None: statically unknown (symbolic bounds) *)
 }
 
-let fdiv a b =
-  let q = a / b and r = a mod b in
-  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
-
 let loop_infos (nest : Nest.t) =
   List.mapi
     (fun k (l : Nest.loop) ->
@@ -62,7 +59,7 @@ let loop_infos (nest : Nest.t) =
       let count =
         match (Expr.to_int l.lo, Expr.to_int l.hi, Expr.to_int l.step) with
         | Some lo, Some hi, Some s when s <> 0 ->
-          Some (max 0 (fdiv (hi - lo) s + 1))
+          Some (max 0 (Expr.fdiv (hi - lo) s + 1))
         | _ -> None
       in
       (l, { tvar; count }))
@@ -183,9 +180,6 @@ type pin = Unknown | Exact of int | Valued of int
 
 exception Independent
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let gcd a b = gcd (abs a) (abs b)
-
 let dim_equations infos (a : ref_) (b : ref_) =
   let loop_vars = List.map (fun ((l : Nest.loop), _) -> l.Nest.var) infos in
   let mentions_loop_var e =
@@ -253,7 +247,9 @@ let screen_and_pin infos n (eqs : dim_eq list) =
         if nonzero = [] && eq.c <> 0 then raise Independent;
         if not eq.residual then begin
           (* GCD test in counter space. *)
-          let g = Array.fold_left gcd (Array.fold_left gcd 0 eq.ca) eq.cb in
+          let g =
+            Array.fold_left Intmat.gcd (Array.fold_left Intmat.gcd 0 eq.ca) eq.cb
+          in
           if g > 0 && eq.c mod g <> 0 then raise Independent;
           (* Strong SIV: a*t_k - a*t'_k + c = 0 pins delta_k = c / a. *)
           match nonzero with
@@ -275,7 +271,7 @@ let screen_and_pin infos n (eqs : dim_eq list) =
           in
           if Array.for_all Option.is_some alphas then begin
             let alphas = Array.map Option.get alphas in
-            let g = Array.fold_left gcd 0 alphas in
+            let g = Array.fold_left Intmat.gcd 0 alphas in
             if g > 0 && eq.c mod g <> 0 then raise Independent;
             match nonzero with
             | [ `A k; `B k' ] when k = k' ->

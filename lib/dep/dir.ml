@@ -24,10 +24,6 @@ let of_signs = function
 
 let of_int x = if x > 0 then Pos else if x < 0 then Neg else Zero
 
-let may_neg d = (signs d).neg
-let may_zero d = (signs d).zero
-let may_pos d = (signs d).pos
-
 let contains d x =
   let s = signs d in
   if x > 0 then s.pos else if x < 0 then s.neg else s.zero

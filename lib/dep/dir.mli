@@ -17,10 +17,6 @@ val of_signs : signs -> t
 val of_int : int -> t
 (** Sign of a concrete distance. *)
 
-val may_neg : t -> bool
-val may_zero : t -> bool
-val may_pos : t -> bool
-
 val contains : t -> int -> bool
 (** [contains d x] — is the integer [x] in the set denoted by [d]? *)
 

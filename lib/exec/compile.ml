@@ -8,14 +8,6 @@ type addr = {
   touch : int -> unit;
 }
 
-(* Keep in sync with Interp.fdiv / Expr's constant folder. *)
-let fdiv a b =
-  if b = 0 then raise Division_by_zero;
-  let q = a / b and r = a mod b in
-  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
-
-let fmod a b = a - (b * fdiv a b)
-
 type level = {
   kind : Nest.kind;
   var : string;
@@ -112,12 +104,12 @@ let compile ?trace ?addr env (nest : Nest.t) =
       let fa = cexpr a and fb = cexpr b in
       fun () ->
         let x = fa () in
-        fdiv x (fb ())
+        Expr.fdiv x (fb ())
     | Mod (a, b) ->
       let fa = cexpr a and fb = cexpr b in
       fun () ->
         let x = fa () in
-        fmod x (fb ())
+        Expr.fmod x (fb ())
     | Min (a, b) ->
       let fa = cexpr a and fb = cexpr b in
       fun () ->
@@ -364,7 +356,7 @@ let header (lv : level) =
   let hi = lv.hi () in
   let step = lv.step () in
   if step = 0 then invalid_arg ("Compile: zero step in loop " ^ lv.var);
-  (lo, step, max 0 (fdiv (hi - lo) step + 1))
+  (lo, step, max 0 (Expr.fdiv (hi - lo) step + 1))
 
 let depth t = Array.length t.levels
 

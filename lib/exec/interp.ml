@@ -2,13 +2,6 @@ open Itf_ir
 
 type pardo_order = [ `Forward | `Reverse | `Shuffle of int ]
 
-let fdiv a b =
-  if b = 0 then raise Division_by_zero;
-  let q = a / b and r = a mod b in
-  if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q
-
-let fmod a b = a - (b * fdiv a b)
-
 (* Evaluation order is part of the observable semantics (the tracer sees
    array touches as they happen, and the cache simulator is order
    sensitive), so operands are forced left to right explicitly rather than
@@ -30,10 +23,10 @@ let rec eval env (e : Expr.t) =
     x * eval env b
   | Div (a, b) ->
     let x = eval env a in
-    fdiv x (eval env b)
+    Expr.fdiv x (eval env b)
   | Mod (a, b) ->
     let x = eval env a in
-    fmod x (eval env b)
+    Expr.fmod x (eval env b)
   | Min (a, b) ->
     let x = eval env a in
     min x (eval env b)
@@ -78,7 +71,7 @@ let loop_header env (l : Nest.loop) =
   let hi = eval env l.Nest.hi in
   let step = eval env l.Nest.step in
   if step = 0 then invalid_arg ("Interp: zero step in loop " ^ l.Nest.var);
-  (lo, step, max 0 (fdiv (hi - lo) step + 1))
+  (lo, step, max 0 (Expr.fdiv (hi - lo) step + 1))
 
 let iteration_values env (l : Nest.loop) =
   let lo, step, count = loop_header env l in

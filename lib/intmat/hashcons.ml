@@ -55,6 +55,10 @@ let shard_bits = 4
 let nshards = 1 lsl shard_bits
 let shard_mask = nshards - 1
 
+(* Every table starts at 256 buckets in all, spread over the shards;
+   shards grow on their own as they fill. *)
+let initial_buckets = 256 / nshards
+
 (* [Ints_key]-style fold hashes cluster in the low bits; one xor-shift
    spreads them so both the shard choice and the bucket choice see
    well-mixed bits. *)
@@ -90,15 +94,14 @@ module Keyed (H : HashedType) = struct
     name : string;
   }
 
-  let create ?(initial = 256) name =
-    let per_shard = max 8 (initial / nshards) in
+  let create name =
     let t =
       {
         shards =
           Array.init nshards (fun _ ->
               {
                 mutex = Mutex.create ();
-                buckets = Atomic.make (Array.make per_shard []);
+                buckets = Atomic.make (Array.make initial_buckets []);
                 count = 0;
               });
         next = Atomic.make 0;
@@ -189,7 +192,7 @@ module Make (H : HashedType) = struct
 
   type table = H.t K.t
 
-  let create ?initial name = K.create ?initial name
+  let create = K.create
   let intern t v = K.intern t v (fun _ -> v)
   let size = K.size
 end
@@ -227,15 +230,14 @@ module Memo (H : HashedType) = struct
 
   let default_max_size = 1 lsl 20
 
-  let create ?(initial = 256) ?(max_size = default_max_size) name =
-    let per_shard = max 8 (initial / nshards) in
+  let create ?(max_size = default_max_size) name =
     let t =
       {
         shards =
           Array.init nshards (fun _ ->
               {
                 mutex = Mutex.create ();
-                buckets = Atomic.make (Array.make per_shard []);
+                buckets = Atomic.make (Array.make initial_buckets []);
                 count = 0;
               });
         max_per_shard = max 1 (max 1 max_size / nshards);

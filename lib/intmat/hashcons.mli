@@ -44,7 +44,7 @@ end
 module Keyed (H : HashedType) : sig
   type 'v t
 
-  val create : ?initial:int -> string -> 'v t
+  val create : string -> 'v t
   (** Creates an empty table and registers it with {!stats} under the
       given name. Call at module initialization, not per search. *)
 
@@ -57,7 +57,7 @@ end
 module Make (H : HashedType) : sig
   type table
 
-  val create : ?initial:int -> string -> table
+  val create : string -> table
   val intern : table -> H.t -> H.t * int
   val size : table -> int
 end
@@ -79,7 +79,7 @@ module Memo (H : HashedType) : sig
   (** [2^20] entries — far above any single search, small enough to keep
       a long-lived serve process flat. *)
 
-  val create : ?initial:int -> ?max_size:int -> string -> 'v t
+  val create : ?max_size:int -> string -> 'v t
   val find_or_add : 'v t -> H.t -> (unit -> 'v) -> 'v
   val size : 'v t -> int
 end

@@ -8,6 +8,10 @@ type t = { rows : int; cols : int; data : int array; mutable id : int }
 
 type vec = int array
 
+let gcd a b =
+  let rec go a b = if b = 0 then a else go b (a mod b) in
+  go (abs a) (abs b)
+
 let make rows cols f =
   if rows <= 0 || cols <= 0 then invalid_arg "Intmat.make: non-positive dims";
   let data = Array.make (rows * cols) 0 in
@@ -28,9 +32,6 @@ let of_rows rws =
     let arr = Array.of_list (List.map Array.of_list rws) in
     make (Array.length arr) cols (fun i j -> arr.(i).(j))
 
-let of_array a =
-  of_rows (Array.to_list (Array.map Array.to_list a))
-
 let identity n = make n n (fun i j -> if i = j then 1 else 0)
 let zero rows cols = make rows cols (fun _ _ -> 0)
 
@@ -43,9 +44,6 @@ let get t i j =
 
 let row t i = Array.init t.cols (fun j -> get t i j)
 let col t j = Array.init t.rows (fun i -> get t i j)
-
-let to_rows t =
-  List.init t.rows (fun i -> List.init t.cols (fun j -> get t i j))
 
 let equal a b =
   a == b

@@ -11,6 +11,9 @@ type t
 
 type vec = int array
 
+val gcd : int -> int -> int
+(** Greatest common divisor, never negative; [gcd 0 0 = 0]. *)
+
 (** {1 Construction} *)
 
 val make : int -> int -> (int -> int -> int) -> t
@@ -19,8 +22,6 @@ val make : int -> int -> (int -> int -> int) -> t
 
 val of_rows : int list list -> t
 (** Build from row-major lists. @raise Invalid_argument on ragged input. *)
-
-val of_array : int array array -> t
 
 val identity : int -> t
 
@@ -33,7 +34,6 @@ val cols : t -> int
 val get : t -> int -> int -> int
 val row : t -> int -> vec
 val col : t -> int -> vec
-val to_rows : t -> int list list
 
 (** {1 Algebra} *)
 

@@ -19,7 +19,6 @@ let var v = Var v
 let zero = Int 0
 let one = Int 1
 
-(* Floor division and its remainder; keep in sync with the executor. *)
 let fdiv a b =
   let q = a / b and r = a mod b in
   if r <> 0 && (r < 0) <> (b < 0) then q - 1 else q

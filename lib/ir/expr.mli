@@ -84,7 +84,11 @@ val to_int : t -> int option
 (** [Some n] if the expression simplifies to the literal [n]. *)
 
 val fdiv : int -> int -> int
-(** Integer floor division, the semantics of [Div]. *)
+(** Integer floor division, the semantics of [Div]: a nonzero remainder
+    takes the divisor's sign. @raise Division_by_zero on a zero divisor. *)
+
+val fmod : int -> int -> int
+(** [fmod a b = a - b * fdiv a b], the semantics of [Mod]. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_access : Format.formatter -> access -> unit

@@ -112,7 +112,6 @@ let rec stmt_i (s : Stmt.t) : Stmt.t * int =
         else Stmt.Guard { lhs = lhs'; rel; rhs = rhs'; body = List.map fst bs })
 
 let stmt s = fst (stmt_i s)
-let stmt_id s = snd (stmt_i s)
 
 (* ------------------------------------------------------------------ *)
 (* Nests                                                               *)

@@ -17,7 +17,6 @@ val expr_i : Expr.t -> Expr.t * int
 (** Canonical representative and id in one probe. *)
 
 val stmt : Stmt.t -> Stmt.t
-val stmt_id : Stmt.t -> int
 val stmt_i : Stmt.t -> Stmt.t * int
 
 val nest : Nest.t -> Nest.t

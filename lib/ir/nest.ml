@@ -23,8 +23,6 @@ let depth t = List.length t.loops
 
 let loop_vars t = List.map (fun l -> l.var) t.loops
 
-let nth_loop t k = List.nth t.loops k
-
 let all_vars t =
   let bound_vars l =
     List.concat_map Expr.free_vars [ l.lo; l.hi; l.step ]

@@ -28,9 +28,6 @@ val depth : t -> int
 val loop_vars : t -> string list
 (** Loop variables, outermost first. *)
 
-val nth_loop : t -> int -> loop
-(** 0-based, outermost first. *)
-
 val all_vars : t -> string list
 (** Every variable name occurring anywhere (loop vars, bounds, inits, body);
     used to generate fresh names. *)

@@ -1,13 +1,9 @@
 type config = { size_bytes : int; line_bytes : int; assoc : int }
 
-let direct_mapped ~size_bytes ~line_bytes = { size_bytes; line_bytes; assoc = 1 }
-
 let fully_associative ~size_bytes ~line_bytes =
   { size_bytes; line_bytes; assoc = size_bytes / line_bytes }
 
 type stats = { accesses : int; hits : int; misses : int }
-
-let miss_rate s = if s.accesses = 0 then 0. else float s.misses /. float s.accesses
 
 type t = {
   config : config;

@@ -13,12 +13,9 @@ type config = {
   assoc : int;  (** ways; [size_bytes / line_bytes / assoc] sets *)
 }
 
-val direct_mapped : size_bytes:int -> line_bytes:int -> config
 val fully_associative : size_bytes:int -> line_bytes:int -> config
 
 type stats = { accesses : int; hits : int; misses : int }
-
-val miss_rate : stats -> float
 
 type t
 

@@ -1,11 +1,13 @@
 open Itf_ir
 
-type result = { cache : Cache.stats; cycles : int }
+type result = { cache : Cache.stats }
+
+let elem_bytes = 8
 
 (* Assign line-aligned base addresses to every array of the nest, in
    sorted name order (both backends must lay arrays out identically for
    their stats to be comparable). *)
-let layout ~elem_bytes config env nest =
+let layout config env nest =
   let align n a = (n + a - 1) / a * a in
   let bases = Hashtbl.create 8 in
   let next = ref 0 in
@@ -42,13 +44,6 @@ let scratch_cache ?cache config =
     Cache.reset c;
     c
 
-let finish ~hit_cost ~miss_penalty cache =
-  let stats = Cache.stats cache in
-  {
-    cache = stats;
-    cycles = (stats.Cache.accesses * hit_cost) + (stats.Cache.misses * miss_penalty);
-  }
-
 (* Spans attach to the caller's ambient tracer (null unless the caller —
    e.g. the search engine's per-candidate worker — installed one), so the
    simulators show up in a trace without threading a tracer through the
@@ -64,11 +59,10 @@ let traced name f =
         ];
       r)
 
-let run ?(elem_bytes = 8) ?(hit_cost = 1) ?(miss_penalty = 30) ?cache config env
-    nest =
+let run ?cache config env nest =
   traced "memsim.run" @@ fun _tr ->
   let cache = scratch_cache ?cache config in
-  let bases = layout ~elem_bytes config env nest in
+  let bases = layout config env nest in
   (* The tracer fires per element access; memoize the last array's base so
      consecutive touches of the same array skip the hashtable. *)
   let last_array = ref "" in
@@ -89,13 +83,12 @@ let run ?(elem_bytes = 8) ?(hit_cost = 1) ?(miss_penalty = 30) ?cache config env
   Fun.protect
     ~finally:(fun () -> Itf_exec.Env.set_tracer env None)
     (fun () -> Itf_exec.Interp.run env nest);
-  finish ~hit_cost ~miss_penalty cache
+  { cache = Cache.stats cache }
 
-let run_compiled ?(elem_bytes = 8) ?(hit_cost = 1) ?(miss_penalty = 30) ?cache
-    config env nest =
+let run_compiled ?cache config env nest =
   traced "memsim.run" @@ fun tr ->
   let cache = scratch_cache ?cache config in
-  let bases = layout ~elem_bytes config env nest in
+  let bases = layout config env nest in
   let compiled =
     Itf_obs.Tracer.span tr "memsim.compile" (fun () ->
         Itf_exec.Compile.compile
@@ -108,4 +101,4 @@ let run_compiled ?(elem_bytes = 8) ?(hit_cost = 1) ?(miss_penalty = 30) ?cache
           env nest)
   in
   Itf_exec.Compile.run compiled;
-  finish ~hit_cost ~miss_penalty cache
+  { cache = Cache.stats cache }

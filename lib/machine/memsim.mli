@@ -2,20 +2,14 @@
 
     Lays the environment's arrays out contiguously (each base aligned to a
     cache line), executes the nest with a tracer that feeds every element
-    access to a {!Cache}, and reports miss statistics plus a simple cycle
-    model [cycles = accesses * hit_cost + misses * miss_penalty]. *)
+    access to a {!Cache} at 8 bytes per element, and reports the cache's
+    access, hit and miss counts. *)
 
 open Itf_ir
 
-type result = {
-  cache : Cache.stats;
-  cycles : int;
-}
+type result = { cache : Cache.stats }
 
 val run :
-  ?elem_bytes:int ->
-  ?hit_cost:int ->
-  ?miss_penalty:int ->
   ?cache:Cache.t ->
   Cache.config ->
   Itf_exec.Env.t ->
@@ -23,8 +17,7 @@ val run :
   result
 (** [run config env nest] executes [nest] in [env] (mutating its arrays)
     while simulating the cache, using the tree-walking interpreter and the
-    environment tracer. Defaults: 8-byte elements, 1-cycle hits, 30-cycle
-    miss penalty.
+    environment tracer.
 
     [cache], when given, is {!Cache.reset} and used as the simulation
     scratch instead of allocating a fresh cache — for callers running many
@@ -33,9 +26,6 @@ val run :
     @raise Invalid_argument if its geometry differs from [config]. *)
 
 val run_compiled :
-  ?elem_bytes:int ->
-  ?hit_cost:int ->
-  ?miss_penalty:int ->
   ?cache:Cache.t ->
   Cache.config ->
   Itf_exec.Env.t ->

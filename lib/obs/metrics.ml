@@ -322,33 +322,3 @@ let dump_prometheus t =
              (histogram_count h)))
     (entries t);
   Buffer.contents b
-
-let pp ppf t =
-  List.iter
-    (fun (key, i) ->
-      let labels =
-        if key.labels = [] then ""
-        else
-          "{"
-          ^ String.concat ","
-              (List.map (fun (k, v) -> k ^ "=" ^ v) key.labels)
-          ^ "}"
-      in
-      match i with
-      | Counter c ->
-        Format.fprintf ppf "%s%s %d@." key.name labels (Atomic.get c)
-      | Gauge g -> Format.fprintf ppf "%s%s %g@." key.name labels (Atomic.get g)
-      | Histogram h ->
-        let total = histogram_count h in
-        let q p =
-          match quantile h p with None -> Float.nan | Some v -> v
-        in
-        if total = 0 then
-          Format.fprintf ppf "%s%s count=0@." key.name labels
-        else
-          Format.fprintf ppf
-            "%s%s count=%d sum=%g mean=%g p50=%g p90=%g p99=%g@." key.name
-            labels total (histogram_sum h)
-            (histogram_sum h /. float_of_int total)
-            (q 0.5) (q 0.9) (q 0.99))
-    (entries t)

@@ -111,7 +111,3 @@ val dump_prometheus : t -> string
     [[a-zA-Z0-9_:]] (so ["serve.requests"] exposes as
     [serve_requests]); label values are escaped. Sorted and
     deterministic like {!dump}. *)
-
-val pp : Format.formatter -> t -> unit
-(** One instrument per line, sorted: [name{k=v,...} value]; histograms
-    render [count], [sum], [mean] and the p50/p90/p99 quantiles. *)

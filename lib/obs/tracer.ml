@@ -194,15 +194,3 @@ let rec equal_shape a b =
   && a.attrs = b.attrs
   && List.length a.children = List.length b.children
   && List.for_all2 equal_shape a.children b.children
-
-let pp_value ppf = function
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int n -> Format.pp_print_int ppf n
-  | Float x -> Format.fprintf ppf "%g" x
-  | String s -> Format.fprintf ppf "%S" s
-
-let rec pp ppf (s : span) =
-  Format.fprintf ppf "@[<v 2>%s" s.name;
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) s.attrs;
-  List.iter (fun c -> Format.fprintf ppf "@,%a" pp c) s.children;
-  Format.fprintf ppf "@]"

@@ -108,6 +108,3 @@ val span_json : id:int -> parent:int option -> span -> Json.t
 val equal_shape : span -> span -> bool
 (** Structural equality ignoring [start_s]/[dur_s] (recursively):
     the determinism criterion for parallel vs sequential runs. *)
-
-val pp : Format.formatter -> span -> unit
-(** Indented tree, timings omitted (shape only) — for test diagnostics. *)

@@ -35,7 +35,6 @@ let default_bounds ~params arity =
 type iv = { lo : float; hi : float }
 
 let exact x = Some { lo = x; hi = x }
-let fdiv a b = Float.floor (a /. b)
 
 let corners f a b =
   let vs = [ f a.lo b.lo; f a.lo b.hi; f a.hi b.lo; f a.hi b.hi ] in
@@ -71,7 +70,9 @@ let rec eval tbl (e : Expr.t) : iv option =
        interval containing 0 is unknown. *)
     lift2
       (fun a b ->
-        if b.lo > 0. || b.hi < 0. then corners fdiv a b else None)
+        if b.lo > 0. || b.hi < 0. then
+          corners (fun x y -> Float.floor (x /. y)) a b
+        else None)
       (eval tbl a) (eval tbl b)
   | Mod (a, b) ->
     (* Floor-mod takes the sign of the divisor. *)
@@ -140,7 +141,7 @@ let analyze_levels tbl (loops : Nest.loop list) =
         | Some lo, Some hi, Some s when s > 0. ->
           let tmin, test =
             trips
-              (fdiv (hi.lo -. lo.hi) s +. 1.)
+              (Float.floor ((hi.lo -. lo.hi) /. s) +. 1.)
               (((hi.hi -. lo.lo) /. s) +. 1.)
           in
           ( tmin,
@@ -149,7 +150,7 @@ let analyze_levels tbl (loops : Nest.loop list) =
         | Some lo, Some hi, Some s ->
           let tmin, test =
             trips
-              (fdiv (lo.lo -. hi.hi) (-.s) +. 1.)
+              (Float.floor ((lo.lo -. hi.hi) /. -.s) +. 1.)
               (((lo.hi -. hi.lo) /. -.s) +. 1.)
           in
           ( tmin,

@@ -30,9 +30,6 @@ let min_dot (h : int array) (d : Depvec.t) =
     d;
   !acc
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let gcd a b = gcd (abs a) (abs b)
-
 let find_hyperplane ?(hmax = 3) ~depth vectors =
   (* Enumerate candidate vectors by increasing coefficient sum. *)
   let candidates = ref [] in
@@ -55,7 +52,7 @@ let find_hyperplane ?(hmax = 3) ~depth vectors =
       (Array.fold_left ( + ) 0 b, b)
   in
   let ok h =
-    Array.fold_left gcd 0 h = 1
+    Array.fold_left Intmat.gcd 0 h = 1
     && List.for_all
          (fun d ->
            match min_dot h d with Some m -> m >= 1 | None -> false)
@@ -68,7 +65,7 @@ let find_hyperplane ?(hmax = 3) ~depth vectors =
 let completion (h : int array) =
   let n = Array.length h in
   if n = 0 then invalid_arg "Hyperplane.completion: empty";
-  if Array.fold_left gcd 0 h <> 1 then
+  if Array.fold_left Intmat.gcd 0 h <> 1 then
     invalid_arg "Hyperplane.completion: gcd of entries must be 1";
   let v = Array.copy h in
   let u = ref (Intmat.identity n) in

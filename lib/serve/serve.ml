@@ -394,8 +394,7 @@ type t = {
 
 let create ?domains ?default_deadline_ms ?(max_cache = default_max_cache)
     ?metrics_out ?trace_out ?(slow_ms = default_slow_ms) ?(sample_rate = 1.)
-    ?(recent = default_recent) ?(workers = default_workers)
-    ?(queue_depth = default_queue_depth) () =
+    ?(workers = default_workers) ?(queue_depth = default_queue_depth) () =
   let workers = max 1 workers in
   let metrics = Metrics.create () in
   Metrics.set (Metrics.gauge metrics "serve.workers") (float_of_int workers);
@@ -410,7 +409,7 @@ let create ?domains ?default_deadline_ms ?(max_cache = default_max_cache)
     slow_ms;
     sample_rate;
     started = Unix.gettimeofday ();
-    recent = Ring.create recent;
+    recent = Ring.create default_recent;
     obs_lock = Mutex.create ();
     clients = (ref [], Mutex.create ());
     workers;
@@ -1010,14 +1009,27 @@ let submit t json k =
         record_request t ~req_id:req.id ~t_recv resp;
         k (resp, false)))
 
+(* [submit_line t line k] decodes one JSONL line and submits it. A line
+   that is not JSON is answered inline, and counted, timed and
+   ring-recorded with a [Null] id exactly like a malformed request
+   object. *)
+let submit_line t line k =
+  match Json.of_string line with
+  | Ok json -> submit t json k
+  | Error msg ->
+    let t_recv = Unix.gettimeofday () in
+    let resp = error_response ("malformed JSON: " ^ msg) in
+    record_request t ~req_id:Json.Null ~t_recv resp;
+    k (resp, false)
+
 (* Synchronous wrapper: submit and block until the reply lands. Used by
-   [handle_line] (tests, simple embedding); the I/O loops below use
-   [submit] directly so one slow search never stalls the reader. *)
-let handle t json =
+   tests and simple embedding; the I/O loops below use [submit_line]
+   directly so one slow search never stalls the reader. *)
+let handle_line t line =
   let m = Mutex.create () in
   let c = Condition.create () in
   let cell = ref None in
-  submit t json (fun reply ->
+  submit_line t line (fun reply ->
       Mutex.protect m (fun () ->
           cell := Some reply;
           Condition.signal c));
@@ -1032,11 +1044,6 @@ let handle t json =
   let r = wait () in
   Mutex.unlock m;
   r
-
-let handle_line t line =
-  match Json.of_string line with
-  | Error msg -> (error_response ("malformed JSON: " ^ msg), false)
-  | Ok json -> handle t json
 
 (* ------------------------------------------------------------------ *)
 (* I/O loops                                                           *)
@@ -1076,14 +1083,9 @@ let serve_channel t ic oc =
         let line = String.trim line in
         if line <> "" then begin
           Mutex.protect pm (fun () -> incr pending);
-          match Json.of_string line with
-          | Error msg ->
-            write (error_response ("malformed JSON: " ^ msg));
-            finish false
-          | Ok json ->
-            submit t json (fun (resp, stop) ->
-                write resp;
-                finish stop)
+          submit_line t line (fun (resp, stop) ->
+              write resp;
+              finish stop)
         end;
         loop ()
   in

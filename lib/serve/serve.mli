@@ -98,7 +98,6 @@ val create :
   ?trace_out:string ->
   ?slow_ms:float ->
   ?sample_rate:float ->
-  ?recent:int ->
   ?workers:int ->
   ?queue_depth:int ->
   unit ->
@@ -111,8 +110,8 @@ val create :
     request with the {!Itf_obs.Metrics} dump and the retained span
     trace. [slow_ms] (default {!default_slow_ms}) sets the slow-log
     threshold; [sample_rate] (default [1.] — keep everything) the
-    deterministic head-sampling rate for trace retention; [recent]
-    (default 128) the request-ring capacity. [workers] (default
+    deterministic head-sampling rate for trace retention. The
+    request ring keeps the last 128 requests. [workers] (default
     {!default_workers}, clamped to [>= 1]) bounds how many requests run
     concurrently; [queue_depth] (default {!default_queue_depth}) bounds
     how many admitted searches may wait before new ones are shed. *)

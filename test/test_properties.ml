@@ -336,8 +336,6 @@ let prop_parser_roundtrip =
 (* Hyperplane completion                                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
 let prop_completion_first_row =
   QCheck.Test.make ~name:"hyperplane completion: unimodular with first row h"
     ~count:300
@@ -346,7 +344,7 @@ let prop_completion_first_row =
        QCheck.Gen.(
          map Array.of_list (list_size (int_range 2 4) (int_range 0 6))))
     (fun h ->
-      let g = Array.fold_left (fun a b -> gcd a (abs b)) 0 h in
+      let g = Array.fold_left Intmat.gcd 0 h in
       QCheck.assume (g = 1);
       let m = Itf_opt.Hyperplane.completion h in
       Intmat.is_unimodular m && Intmat.row m 0 = h)

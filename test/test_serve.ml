@@ -437,6 +437,17 @@ let test_serve_cached_replay_byte_identical () =
     (Json.to_string (strip first))
     (Json.to_string (strip second))
 
+let test_serve_malformed_json_counted () =
+  (* A line that is not JSON is counted and timed like any other error,
+     not only answered. *)
+  let server = Serve.create ~domains:1 () in
+  ignore (Serve.handle_line server "{not json");
+  let st, _ = Serve.handle_line server "{\"op\":\"status\"}" in
+  check_bool "requests.error" true (obj_field [ "requests"; "error" ] st = Json.Int 1);
+  check_bool "requests.total" true (obj_field [ "requests"; "total" ] st = Json.Int 1);
+  check_bool "latency count" true
+    (obj_field [ "latency_us"; "count" ] st = Json.Int 1)
+
 let test_serve_slow_log_threshold () =
   (* A huge threshold keeps fast ok requests out of the slow log, but a
      degraded request always enters it (tail-based keep). *)
@@ -797,6 +808,8 @@ let () =
       ( "introspection",
         [
           Alcotest.test_case "status op snapshot" `Quick test_serve_status_op;
+          Alcotest.test_case "malformed JSON is counted" `Quick
+            test_serve_malformed_json_counted;
           Alcotest.test_case "metrics op exposition" `Quick
             test_serve_metrics_op;
           Alcotest.test_case "unknown op is an error" `Quick
