@@ -12,12 +12,19 @@ exception Illegal of Legality.verdict
    them (paper §5: a transformation is a value independent of any nest),
    so that triple names it without looking at the generated code. The key
    is the root key (self-delimiting, see {!Legality.root_key}) followed
-   by the raw sequence's intern id. The table is append-only: an id is
-   never reused, so a memo entry keyed on one can never answer for
-   another candidate. *)
+   by the raw sequence's intern id.
+
+   A derivation id is only ever a memo key, so the table is bounded,
+   with a constant cap sized to the warm set (DESIGN §10). Ids are never
+   reused: a triple that comes back after its shard was flushed gets a
+   fresh id, so a memo entry keyed on an old id misses and can never
+   answer for another candidate. *)
 module DTbl = Itf_mat.Hashcons.Keyed (Itf_mat.Hashcons.Ints_key)
 
-let derivations : unit DTbl.t = DTbl.create "core.derivation"
+let derivation_cap = 4096
+
+let derivations : unit DTbl.t =
+  DTbl.create ~max_size:derivation_cap "core.derivation"
 
 let derive ~root_key seq =
   snd (DTbl.intern derivations (root_key @ [ Sequence.id seq ]) ignore)

@@ -29,9 +29,12 @@ type result = {
           [start |> extend* |> finish], so both give equal ids for equal
           triples. Memo tables key on it instead of on the generated
           nest, so scoring a result never interns that nest. Ids come
-          from one append-only table and are never reused. Two spellings
-          that generate the same nest get distinct ids. Like every
-          intern id, it is for equality only, never ordering. *)
+          from one bounded table and are never reused: a triple evicted
+          from it gets a fresh id when it comes back, so a memo entry
+          keyed on the old id misses but never answers for another
+          triple. Two spellings that generate the same nest get
+          distinct ids. Like every intern id, it is for equality only,
+          never ordering. *)
 }
 
 val apply :

@@ -115,7 +115,8 @@ val state_verdict : state -> verdict
     nest/vectors/stages [check] would return for it. *)
 
 val root_key : Itf_ir.Nest.t -> Itf_dep.Depvec.t list -> int list
-(** [root_key nest vectors] names a root by its intern ids:
+(** [root_key nest vectors] names a root by its intern ids (the nest id
+    is a memo-key name, never reused, see {!Itf_ir.Intern.nest_id}):
     [[nest id; number of vectors; vector ids...]]
     ({!Itf_ir.Intern.nest_id}, {!Itf_dep.Depvec.id}). The vectors are part
     of the name because [?vectors] may override the analysis, and the

@@ -641,7 +641,12 @@ let dependences (nest : Nest.t) =
    caller shares one canonical list. *)
 module VMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Int_key)
 
-let vectors_memo : Depvec.t list VMemo.t = VMemo.create "dep.vectors"
+(* The warm set is one entry per hot root nest; the cap bounds what a
+   stream of novel nests can pin. *)
+let vectors_cap = 1024
+
+let vectors_memo : Depvec.t list VMemo.t =
+  VMemo.create ~max_size:vectors_cap "dep.vectors"
 
 let vectors nest =
   VMemo.find_or_add vectors_memo (Itf_ir.Intern.nest_id nest) (fun () ->

@@ -10,12 +10,13 @@
    canonical value per key). This is what lets N serve workers intern
    candidate sequences in parallel.
 
-   Stats are exact: ids and hit/miss/eviction counts come from atomic
-   counters, never from per-shard fields summed racily. Dense ids are
-   handed out in interning order; they are stable for the life of the
-   process and valid as hash keys and equality witnesses, but NOT as an
-   ordering — intern order depends on scheduling, so total orders stay
-   structural (see DESIGN.md sections 10 and 13). *)
+   Ids and hit/miss/eviction counts come from atomic counters; a table's
+   size is the sum of its shards' entry counts. Dense ids are handed out
+   in interning order and never reused; in an append-only table they are
+   stable for the life of the process and valid as hash keys and
+   equality witnesses, but NOT as an ordering — intern order depends on
+   scheduling, so total orders stay structural (see DESIGN.md sections
+   10 and 13). *)
 
 type stats = {
   name : string;
@@ -66,196 +67,78 @@ let spread h =
   let h = h land max_int in
   h lxor (h lsr 17)
 
-(* Key -> (value, id) tables where the canonical value is built from the
-   key on first sight. The builder runs under the shard lock (it must be
-   cheap and must not re-enter the same table — interning children first
-   and passing their ids in the key is the supported recursion scheme)
-   so id assignment and publication are atomic: every racer sees one
-   canonical value per key.
+(* The sharded table under both [Keyed] and [Memo]. Each shard is a
+   bucket array published through an [Atomic] cell, its entry count and
+   its lock.
 
-   Bucket lists are immutable; insertion replaces the [Atomic] array
-   cell's head under the shard lock and then re-publishes the array with
-   an [Atomic.set], so lock-free readers that observe the new list also
-   observe the fully built entry. A lock-free probe that misses is never
-   trusted: it re-probes under the shard lock before interning, so the
-   only cost of a stale read is one mutex acquisition. *)
-module Keyed (H : HashedType) = struct
-  type 'v shard = {
-    mutex : Mutex.t;
-    buckets : (H.t * ('v * int)) list array Atomic.t;
-    mutable count : int;  (* entries in this shard; shard-lock protected *)
-  }
+   Bucket lists are immutable; [add] replaces an array cell's head under
+   the shard lock and then re-publishes the array with an [Atomic.set],
+   so lock-free readers that observe the new list also observe the fully
+   built entry. A lock-free probe that misses is never trusted by a
+   writer: it re-probes under the shard lock before adding.
 
-  type 'v t = {
-    shards : 'v shard array;
-    next : int Atomic.t;
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-    name : string;
-  }
+   [max_size] bounds the table, enforced per shard: when an add would
+   push a shard past its slice, that shard is flushed whole (a
+   generational clear: O(1) amortized, no LRU bookkeeping on the hot
+   path) and the dropped entries are counted as evictions. Every later
+   probe of their keys misses. Without [max_size] the table is
+   append-only.
 
-  let create name =
-    let t =
-      {
-        shards =
-          Array.init nshards (fun _ ->
-              {
-                mutex = Mutex.create ();
-                buckets = Atomic.make (Array.make initial_buckets []);
-                count = 0;
-              });
-        next = Atomic.make 0;
-        hits = Atomic.make 0;
-        misses = Atomic.make 0;
-        name;
-      }
-    in
-    register (fun () ->
-        {
-          name = t.name;
-          size = Atomic.get t.next;
-          hits = Atomic.get t.hits;
-          misses = Atomic.get t.misses;
-          evictions = 0;
-        });
-    t
-
-  let rec find_bucket key = function
-    | [] -> None
-    | (k, entry) :: rest ->
-      if H.equal k key then Some entry else find_bucket key rest
-
-  let probe shard h key =
-    let arr = Atomic.get shard.buckets in
-    find_bucket key arr.((h lsr shard_bits) mod Array.length arr)
-
-  (* Grow under the shard lock: rehash into a fresh array, publish it
-     atomically. Readers see the old or the new array, both complete. *)
-  let maybe_grow shard h_of_key =
-    let arr = Atomic.get shard.buckets in
-    let n = Array.length arr in
-    if shard.count >= 2 * n then begin
-      let bigger = Array.make (2 * n) [] in
-      Array.iter
-        (List.iter (fun ((k, _) as kv) ->
-             let i = (h_of_key k lsr shard_bits) mod (2 * n) in
-             bigger.(i) <- kv :: bigger.(i)))
-        arr;
-      Atomic.set shard.buckets bigger
-    end
-
-  let intern t key build =
-    let h = spread (H.hash key) in
-    let shard = t.shards.(h land shard_mask) in
-    match probe shard h key with
-    | Some entry ->
-      Atomic.incr t.hits;
-      entry
-    | None -> (
-      Mutex.lock shard.mutex;
-      (* Re-probe: the lock-free read may have raced an insert. *)
-      match probe shard h key with
-      | Some entry ->
-        Mutex.unlock shard.mutex;
-        Atomic.incr t.hits;
-        entry
-      | None ->
-        let id = Atomic.fetch_and_add t.next 1 in
-        Atomic.incr t.misses;
-        let entry =
-          match build id with
-          | v -> (v, id)
-          | exception e ->
-            (* Keep the table consistent (the id is burned, nothing maps
-               to it) and re-raise. *)
-            Mutex.unlock shard.mutex;
-            raise e
-        in
-        maybe_grow shard (fun k -> spread (H.hash k));
-        let arr = Atomic.get shard.buckets in
-        let i = (h lsr shard_bits) mod Array.length arr in
-        arr.(i) <- (key, entry) :: arr.(i);
-        shard.count <- shard.count + 1;
-        (* Republish so the plain bucket write above is ordered before
-           any later lock-free read of the array. *)
-        Atomic.set shard.buckets arr;
-        Mutex.unlock shard.mutex;
-        entry)
-
-  let size t = Atomic.get t.next
-end
-
-(* Self-keyed hash-consing: the key IS the value; the first representative
-   interned becomes canonical for its equivalence class. *)
-module Make (H : HashedType) = struct
-  module K = Keyed (H)
-
-  type table = H.t K.t
-
-  let create = K.create
-  let intern t v = K.intern t v (fun _ -> v)
-  let size = K.size
-end
-
-(* Key -> value memoization of a pure function. Unlike [Keyed], the
-   compute runs OUTSIDE any lock: objective evaluations take milliseconds
-   and must not serialize worker domains. Racing computations of the same
-   key are benign — the function is pure and deterministic, so both
-   produce the same value and either store wins.
-
-   Unlike the interning tables — whose ids must stay stable for the life
-   of the process, so they can never evict — a memo holds only derived
-   values of a pure function and may drop entries freely. [max_size]
-   bounds the table, enforced per shard at [max_size / nshards]: when an
-   insert would push a shard past its slice, that shard is flushed whole
-   (a generational clear: O(1) amortized, no LRU bookkeeping on the hot
-   path) and every later probe of its keys just recomputes. Under a
-   long-lived server this caps memory; in one-shot runs the cap is never
-   reached and behavior is byte-identical. *)
-module Memo (H : HashedType) = struct
+   The slices are staggered, shard [i] getting
+   [max_size * (nshards + 2i + 1) / (2 nshards^2)] — from about half to
+   about one and a half times [max_size / nshards], summing to
+   [max_size]. A well-spread hash fills every shard at the same rate,
+   so equal slices would fill up together and the table would flush
+   almost whole within a few inserts, its size swinging between empty
+   and full. Staggered slices flush at different times, so under steady
+   novel traffic a table's size, and the live heap it pins, stays
+   level. *)
+module Sharded (H : HashedType) = struct
   type 'v shard = {
     mutex : Mutex.t;
     buckets : (H.t * 'v) list array Atomic.t;
     mutable count : int;  (* entries in this shard; shard-lock protected *)
+    slice : int;  (* the entries this shard may hold *)
   }
 
   type 'v t = {
     shards : 'v shard array;
-    max_per_shard : int;
     hits : int Atomic.t;
     misses : int Atomic.t;
     evictions : int Atomic.t;
-    name : string;
   }
 
-  let default_max_size = 1 lsl 20
-
-  let create ?(max_size = default_max_size) name =
+  let create ?max_size name =
     let t =
       {
         shards =
-          Array.init nshards (fun _ ->
+          Array.init nshards (fun i ->
               {
                 mutex = Mutex.create ();
                 buckets = Atomic.make (Array.make initial_buckets []);
                 count = 0;
+                slice =
+                  (match max_size with
+                  | None -> max_int
+                  | Some m ->
+                    max 1 (m * (nshards + (2 * i) + 1) / (2 * nshards * nshards)));
               });
-        max_per_shard = max 1 (max 1 max_size / nshards);
         hits = Atomic.make 0;
         misses = Atomic.make 0;
         evictions = Atomic.make 0;
-        name;
       }
     in
     register (fun () ->
         {
-          name = t.name;
+          name;
           size = Array.fold_left (fun acc s -> acc + s.count) 0 t.shards;
           hits = Atomic.get t.hits;
           misses = Atomic.get t.misses;
           evictions = Atomic.get t.evictions;
         });
     t
+
+  let shard t h = t.shards.(h land shard_mask)
 
   let rec find_bucket key = function
     | [] -> None
@@ -265,10 +148,13 @@ module Memo (H : HashedType) = struct
     let arr = Atomic.get shard.buckets in
     find_bucket key arr.((h lsr shard_bits) mod Array.length arr)
 
-  let maybe_grow shard limit =
+  (* Grow under the shard lock: rehash into a fresh array, publish it
+     atomically. Readers see the old or the new array, both complete. A
+     bounded shard stops growing at one bucket per entry of its slice. *)
+  let maybe_grow shard =
     let arr = Atomic.get shard.buckets in
     let n = Array.length arr in
-    if shard.count >= 2 * n && n < limit then begin
+    if shard.count >= 2 * n && n < shard.slice then begin
       let bigger = Array.make (2 * n) [] in
       Array.iter
         (List.iter (fun ((k, _) as kv) ->
@@ -278,36 +164,120 @@ module Memo (H : HashedType) = struct
       Atomic.set shard.buckets bigger
     end
 
+  (* Add an entry known to be absent; the caller holds the shard lock. *)
+  let add t shard h key v =
+    if shard.count >= shard.slice then begin
+      ignore (Atomic.fetch_and_add t.evictions shard.count);
+      shard.count <- 0;
+      Atomic.set shard.buckets (Array.make initial_buckets [])
+    end;
+    maybe_grow shard;
+    let arr = Atomic.get shard.buckets in
+    let i = (h lsr shard_bits) mod Array.length arr in
+    arr.(i) <- (key, v) :: arr.(i);
+    shard.count <- shard.count + 1;
+    (* Republish so the plain bucket write above is ordered before any
+       later lock-free read of the array. *)
+    Atomic.set shard.buckets arr
+end
+
+(* Key -> (value, id) tables where the canonical value is built from the
+   key on first sight. The builder runs under the shard lock (it must be
+   cheap and must not re-enter the same table — interning children first
+   and passing their ids in the key is the supported recursion scheme)
+   so id assignment and publication are atomic: every racer sees one
+   canonical value and one id per key in the table.
+
+   Ids come from one monotonic counter per table and are never reused.
+   In a bounded table a key interned again after its shard was flushed
+   gets a fresh id; an entry keyed on its old id can then miss but never
+   answer for another key. A lock-free probe racing a flush may still
+   read the old array and return the old id, with the same guarantee.
+   So only tables whose ids are memo keys may be bounded; ids that serve
+   as equality witnesses need an append-only table. *)
+module Keyed (H : HashedType) = struct
+  module S = Sharded (H)
+
+  type 'v t = { table : ('v * int) S.t; next : int Atomic.t }
+
+  let create ?max_size name =
+    { table = S.create ?max_size name; next = Atomic.make 0 }
+
+  let intern t key build =
+    let h = spread (H.hash key) in
+    let shard = S.shard t.table h in
+    match S.probe shard h key with
+    | Some entry ->
+      Atomic.incr t.table.hits;
+      entry
+    | None -> (
+      Mutex.lock shard.mutex;
+      (* Re-probe: the lock-free read may have raced an insert. *)
+      match S.probe shard h key with
+      | Some entry ->
+        Mutex.unlock shard.mutex;
+        Atomic.incr t.table.hits;
+        entry
+      | None ->
+        let id = Atomic.fetch_and_add t.next 1 in
+        Atomic.incr t.table.misses;
+        let entry =
+          match build id with
+          | v -> (v, id)
+          | exception e ->
+            (* Keep the table consistent (the id is burned, nothing maps
+               to it) and re-raise. *)
+            Mutex.unlock shard.mutex;
+            raise e
+        in
+        S.add t.table shard h key entry;
+        Mutex.unlock shard.mutex;
+        entry)
+end
+
+(* Self-keyed hash-consing: the key IS the value; the first representative
+   interned becomes canonical for its equivalence class. Append-only: the
+   ids are equality witnesses. *)
+module Make (H : HashedType) = struct
+  module K = Keyed (H)
+
+  type table = H.t K.t
+
+  let create name = K.create name
+  let intern t v = K.intern t v (fun _ -> v)
+end
+
+(* Key -> value memoization of a pure function. Unlike [Keyed], the
+   compute runs OUTSIDE any lock: objective evaluations take milliseconds
+   and must not serialize worker domains. Racing computations of the same
+   key are benign — the function is pure and deterministic, so both
+   produce the same value and either store wins.
+
+   A memo holds only derived values of a pure function, so it is always
+   bounded ([default_max_size] unless the table names its own cap):
+   under a long-lived server this caps memory; in one-shot runs the cap
+   is never reached and behavior is byte-identical. *)
+module Memo (H : HashedType) = struct
+  module S = Sharded (H)
+
+  type 'v t = 'v S.t
+
+  let default_max_size = 1 lsl 20
+  let create ?(max_size = default_max_size) name = S.create ~max_size name
+
   let find_or_add t key f =
     let h = spread (H.hash key) in
-    let shard = t.shards.(h land shard_mask) in
-    match probe shard h key with
+    let shard = S.shard t h in
+    match S.probe shard h key with
     | Some v ->
-      Atomic.incr t.hits;
+      Atomic.incr t.S.hits;
       v
     | None ->
-      Atomic.incr t.misses;
+      Atomic.incr t.S.misses;
       let v = f () in
-      Mutex.lock shard.mutex;
-      (if Option.is_none (probe shard h key) then begin
-         if shard.count >= t.max_per_shard then begin
-           (* Generational flush of this shard alone: its keys recompute,
-              the other shards keep their entries. *)
-           ignore (Atomic.fetch_and_add t.evictions shard.count);
-           shard.count <- 0;
-           Atomic.set shard.buckets (Array.make 8 [])
-         end;
-         maybe_grow shard t.max_per_shard;
-         let arr = Atomic.get shard.buckets in
-         let i = (h lsr shard_bits) mod Array.length arr in
-         arr.(i) <- (key, v) :: arr.(i);
-         shard.count <- shard.count + 1;
-         Atomic.set shard.buckets arr
-       end);
-      Mutex.unlock shard.mutex;
+      Mutex.protect shard.S.mutex (fun () ->
+          if Option.is_none (S.probe shard h key) then S.add t shard h key v);
       v
-
-  let size t = Array.fold_left (fun acc s -> acc + s.count) 0 t.shards
 end
 
 (* Common key shapes. *)

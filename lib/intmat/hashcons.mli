@@ -1,13 +1,19 @@
 (** Hash-consing tables and integer-keyed memoization.
 
-    Append-only tables shared across domains and safe for fully
-    concurrent use: internally each table is sharded into independently
-    locked bucket arrays with a lock-free read fast path, so any thread
-    on any domain may intern or probe at any time — there is no
-    coordinator-thread restriction. Stats are exact (atomic counters).
-    Interning a term returns a canonical physically-shared representative
-    plus a dense integer id, making [hash]/[equal] on interned terms O(1)
-    integer operations. Ids are stable for the life of the process.
+    Tables shared across domains and safe for fully concurrent use:
+    internally each table is sharded into independently locked bucket
+    arrays with a lock-free read fast path, so any thread on any domain
+    may intern or probe at any time — there is no coordinator-thread
+    restriction. Stats are exact (atomic counters). Interning a term
+    returns a canonical physically-shared representative plus a dense
+    integer id, making [hash]/[equal] on interned terms O(1) integer
+    operations.
+
+    A table is append-only or bounded. Ids are never reused in either:
+    in an append-only table they are stable for the life of the process
+    and serve as equality witnesses; in a bounded table a key that comes
+    back after an eviction gets a fresh id, so its ids are only fit to
+    key memos.
 
     Ids are NOT a usable total order: they depend on intern order, which
     depends on evaluation order, so any tie-break built on them would make
@@ -25,10 +31,9 @@ type stats = {
 
 val stats : unit -> stats list
 (** Snapshot of every table created so far, sorted by name. [size] is the
-    number of distinct entries (= ids handed out for interning tables),
-    [hits]/[misses] are cumulative probe counts, [evictions] the entries
-    dropped by {!Memo} size caps (always [0] for interning tables, which
-    must keep ids stable and never evict). *)
+    number of entries the table holds now, [hits]/[misses] are cumulative
+    probe counts and [evictions] the cumulative number of entries dropped
+    by the table's size cap (always [0] for an append-only table). *)
 
 module type HashedType = sig
   type t
@@ -40,16 +45,22 @@ end
 (** Key-indexed interning: the canonical value is built from the key (and
     its fresh id) on first sight, under the key's shard lock — builders
     must be cheap and must not re-enter the same table (intern children
-    first and carry their ids in the key). *)
+    first and carry their ids in the key). A key in the table has exactly
+    one id, even when domains race to intern it. *)
 module Keyed (H : HashedType) : sig
   type 'v t
 
-  val create : string -> 'v t
+  val create : ?max_size:int -> string -> 'v t
   (** Creates an empty table and registers it with {!stats} under the
-      given name. Call at module initialization, not per search. *)
+      given name. Call at module initialization, not per search.
+
+      Without [max_size] the table is append-only. With it, the cap is
+      enforced per shard like {!Memo}'s: a shard that would grow past
+      its slice of [max_size] is flushed whole. Ids still come from
+      the table's one counter, so a key interned again after a flush
+      gets a fresh id, never one another key had. *)
 
   val intern : 'v t -> H.t -> (int -> 'v) -> 'v * int
-  val size : 'v t -> int
 end
 
 (** Self-keyed hash-consing: the first representative interned becomes the
@@ -58,8 +69,9 @@ module Make (H : HashedType) : sig
   type table
 
   val create : string -> table
+  (** An append-only table: its ids are equality witnesses. *)
+
   val intern : table -> H.t -> H.t * int
-  val size : table -> int
 end
 
 (** Memoization of a pure function by key. The compute callback runs
@@ -68,10 +80,13 @@ end
 
     Memo tables are size-capped: [max_size] (default
     {!Memo.default_max_size}) is enforced per shard, and when an insert
-    would grow a shard past its [max_size / 16] slice that shard is
-    flushed whole, the evictions counted in {!stats}. Flushing a memo of
-    a pure function never changes results — later probes recompute — so
-    capped and uncapped runs are byte-identical apart from timing. *)
+    would grow a shard past its slice that shard is flushed whole, the
+    evictions counted in {!stats}. The 16 slices are staggered between
+    about [max_size / 32] and [3 * max_size / 32] and sum to [max_size],
+    so the shards of a table fill up, and flush, at different times.
+    Flushing a memo of a pure function never changes results — later
+    probes recompute — so capped and uncapped runs are byte-identical
+    apart from timing. *)
 module Memo (H : HashedType) : sig
   type 'v t
 
@@ -81,7 +96,6 @@ module Memo (H : HashedType) : sig
 
   val create : ?max_size:int -> string -> 'v t
   val find_or_add : 'v t -> H.t -> (unit -> 'v) -> 'v
-  val size : 'v t -> int
 end
 
 (** Pre-packaged key shapes for the common cases. *)

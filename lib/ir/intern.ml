@@ -1,13 +1,14 @@
-(* Hash-consing of the IR: strings, expressions, statements, nests.
+(* Hash-consing of the IR: strings and expressions, plus the bounded
+   table that names root nests.
 
    The IR variants stay public pattern-matchable types (every layer above
    matches on them), so interning is a side layer, not a representation
-   change: [expr]/[stmt]/[nest] return the canonical physically-shared
-   representative of a term plus its dense intern id. Keys are flat int
-   lists over the ids of already-interned children — one table probe per
-   node, no recursive structural hashing past the first interning of a
-   term. Children are always interned before their parent, so a builder
-   never re-enters the table it runs under — exactly the recursion scheme
+   change: [expr_i] returns the canonical physically-shared representative
+   of a term plus its dense intern id. Keys are flat int lists over the
+   ids of already-interned children — one table probe per node, no
+   recursive structural hashing past the first interning of a term.
+   Children are always interned before their parent, so a builder never
+   re-enters the table it runs under — exactly the recursion scheme
    {!Itf_mat.Hashcons} supports — and the sharded tables make every
    function here safe to call from any thread on any domain
    concurrently. *)
@@ -66,102 +67,25 @@ let rec expr_i (e : Expr.t) : Expr.t * int =
         if List.for_all2 (fun (e', _) e0 -> e' == e0) xs args then e
         else Expr.Call (f, List.map fst xs))
 
-let expr e = fst (expr_i e)
-let expr_id e = snd (expr_i e)
-
 (* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
+(* Root nests                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let stmts : Stmt.t Tbl.t = Tbl.create "ir.stmt"
+(* A nest id names a request's root nest in the keys of the serve
+   response cache, the dependence-vector memo, the root legality entry
+   and every derivation id. Those are all memo keys, so the table is
+   bounded and its ids are never reused: a nest seen again after its
+   shard was flushed gets a fresh id and its memo entries miss. The key
+   is the whole nest, compared and hashed structurally ([Nest.hash]
+   folds over every node; [Hashtbl.hash] would stop after ten). The cap
+   holds the warm set of a daemon's hot nests many times over. *)
+module Nests = HC.Keyed (struct
+  type t = Nest.t
 
-let rel_tag = function
-  | Stmt.Lt -> 0
-  | Stmt.Le -> 1
-  | Stmt.Gt -> 2
-  | Stmt.Ge -> 3
-  | Stmt.Eq -> 4
-  | Stmt.Ne -> 5
+  let equal = Nest.equal
+  let hash = Nest.hash
+end)
 
-let rec stmt_i (s : Stmt.t) : Stmt.t * int =
-  match s with
-  | Stmt.Store (({ array; index } : Expr.access), rhs) ->
-    let idx = List.map expr_i index in
-    let rhs', ri = expr_i rhs in
-    Tbl.intern stmts
-      (0 :: str_id array :: ri :: List.map snd idx)
-      (fun _ ->
-        if rhs' == rhs && List.for_all2 (fun (e', _) e0 -> e' == e0) idx index
-        then s
-        else Stmt.Store ({ array; index = List.map fst idx }, rhs'))
-  | Stmt.Set (v, rhs) ->
-    let rhs', ri = expr_i rhs in
-    Tbl.intern stmts [ 1; str_id v; ri ] (fun _ ->
-        if rhs' == rhs then s else Stmt.Set (v, rhs'))
-  | Stmt.Guard { lhs; rel; rhs; body } ->
-    let lhs', li = expr_i lhs in
-    let rhs', ri = expr_i rhs in
-    let bs = List.map stmt_i body in
-    Tbl.intern stmts
-      (2 :: rel_tag rel :: li :: ri :: List.map snd bs)
-      (fun _ ->
-        if
-          lhs' == lhs && rhs' == rhs
-          && List.for_all2 (fun (s', _) s0 -> s' == s0) bs body
-        then s
-        else Stmt.Guard { lhs = lhs'; rel; rhs = rhs'; body = List.map fst bs })
-
-let stmt s = fst (stmt_i s)
-
-(* ------------------------------------------------------------------ *)
-(* Nests                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let nests : Nest.t Tbl.t = Tbl.create "ir.nest"
-
-let nest_i (t : Nest.t) : Nest.t * int =
-  let loops =
-    List.map
-      (fun (l : Nest.loop) ->
-        let lo', loi = expr_i l.Nest.lo in
-        let hi', hii = expr_i l.Nest.hi in
-        let step', si = expr_i l.Nest.step in
-        let l' =
-          if lo' == l.Nest.lo && hi' == l.Nest.hi && step' == l.Nest.step then l
-          else { l with Nest.lo = lo'; hi = hi'; step = step' }
-        in
-        ( l',
-          [
-            str_id l.Nest.var;
-            loi;
-            hii;
-            si;
-            (match l.Nest.kind with Nest.Do -> 0 | Nest.Pardo -> 1);
-          ] ))
-      t.Nest.loops
-  in
-  let inits = List.map stmt_i t.Nest.inits in
-  let body = List.map stmt_i t.Nest.body in
-  (* Field counts prefix each section so the flat key is unambiguous
-     (every loop contributes exactly five ints). *)
-  let key =
-    List.length loops
-    :: List.concat_map snd loops
-    @ (List.length inits :: List.map snd inits)
-    @ List.map snd body
-  in
-  Tbl.intern nests key (fun _ ->
-      if
-        List.for_all2 (fun (l', _) l0 -> l' == l0) loops t.Nest.loops
-        && List.for_all2 (fun (s', _) s0 -> s' == s0) inits t.Nest.inits
-        && List.for_all2 (fun (s', _) s0 -> s' == s0) body t.Nest.body
-      then t
-      else
-        {
-          Nest.loops = List.map fst loops;
-          inits = List.map fst inits;
-          body = List.map fst body;
-        })
-
-let nest t = fst (nest_i t)
-let nest_id t = snd (nest_i t)
+let nest_cap = 512
+let nests : unit Nests.t = Nests.create ~max_size:nest_cap "ir.nest"
+let nest_id t = snd (Nests.intern nests t ignore)

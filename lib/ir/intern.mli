@@ -1,27 +1,23 @@
 (** Hash-consing of the IR (see {!Itf_mat.Hashcons} and DESIGN.md §10).
 
-    The IR types stay public pattern-matchable variants; interning returns
-    the canonical physically-shared representative of a term plus a dense
-    integer id. Structurally equal terms — however they were constructed —
-    intern to the same physical value and the same id, so interned-term
-    equality is [(==)] and id equality, both O(1).
+    The IR types stay public pattern-matchable variants; interning an
+    expression returns its canonical physically-shared representative
+    plus a dense integer id. Structurally equal expressions — however
+    they were constructed — intern to the same physical value and the
+    same id, so interned-term equality is [(==)] and id equality, both
+    O(1). The string and expression tables are append-only: template ids
+    depend on expression ids as equality witnesses.
 
-    All functions are domain-safe (shared mutex-protected append-only
-    tables) and idempotent; re-interning a canonical term is a single
-    table probe per node. *)
-
-val expr : Expr.t -> Expr.t
-val expr_id : Expr.t -> int
+    All functions are domain-safe and idempotent. *)
 
 val expr_i : Expr.t -> Expr.t * int
-(** Canonical representative and id in one probe. *)
+(** Canonical representative and id of an expression. *)
 
-val stmt : Stmt.t -> Stmt.t
-val stmt_i : Stmt.t -> Stmt.t * int
-
-val nest : Nest.t -> Nest.t
 val nest_id : Nest.t -> int
-val nest_i : Nest.t -> Nest.t * int
+(** A name for a root nest, for memo keys only: structurally equal nests
+    get equal ids while the nest is in the bounded [ir.nest] table. A
+    nest evicted from it gets a fresh id when it comes back; an id is
+    never given to another nest. *)
 
 val str_id : string -> int
 (** Interned-string id (variable, array, and function names). *)

@@ -520,7 +520,13 @@ let parallel_estimate ~procs ~spawn_overhead ~params (result : Framework.result)
    key stays injective whatever follows it. *)
 module EMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
-let memo_table : estimate EMemo.t = EMemo.create "opt.tier0"
+(* Every entry is keyed on a derivation id, which a novel root never
+   produces again, so the cap is sized to the warm set of a daemon's hot
+   queries (DESIGN §10), not to the traffic. *)
+let tier0_cap = 8192
+
+let memo_table : estimate EMemo.t =
+  EMemo.create ~max_size:tier0_cap "opt.tier0"
 
 let float_bits x =
   (* Two int halves: OCaml ints are 63-bit, so a single [Int64.to_int]

@@ -159,8 +159,15 @@ let mcount metrics name n =
    reentrant. *)
 module OMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
-let memsim_memo : float OMemo.t = OMemo.create "opt.obj.memsim"
-let parsim_memo : float OMemo.t = OMemo.create "opt.obj.parsim"
+(* Like the tier-0 memo's, each table's cap is sized to the warm set
+   (DESIGN §10): its keys start with derivation ids. *)
+let objective_cap = 8192
+
+let memsim_memo : float OMemo.t =
+  OMemo.create ~max_size:objective_cap "opt.obj.memsim"
+
+let parsim_memo : float OMemo.t =
+  OMemo.create ~max_size:objective_cap "opt.obj.parsim"
 
 let params_key params =
   List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params

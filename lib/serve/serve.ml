@@ -41,13 +41,13 @@
    [serve.queue.depth], [serve.queue.wait_ms], [serve.workers.busy] and
    the [serve.queue.shed] counter. [{"op": "status"}] snapshots uptime,
    request counters, latency quantiles, the queue and worker gauges, the
-   phase breakdown, cache and intern-table health, and the recent slow
-   requests, and [{"op": "metrics"}] exposes the whole registry as
-   Prometheus text. Span traces are captured per request and retained by
-   a deterministic head-sampling decision on the fingerprint
-   ([--sample-rate]) with a tail-based override: slow (>= [--slow-ms]),
-   degraded and error requests keep their span tree even when
-   head-sampled out. *)
+   phase breakdown, cache and intern-table health, process memory and
+   the recent slow requests, and [{"op": "metrics"}] exposes the whole
+   registry as Prometheus text. Span traces are captured per request
+   and retained by a deterministic head-sampling decision on the
+   fingerprint ([--sample-rate]) with a tail-based override: slow
+   (>= [--slow-ms]), degraded and error requests keep their span tree
+   even when head-sampled out. *)
 
 module Json = Itf_obs.Json
 module Metrics = Itf_obs.Metrics
@@ -459,6 +459,19 @@ let publish_cache_gauges t =
   g "serve.cache.misses" misses;
   g "serve.cache.evictions" evictions
 
+(* Process memory in MB (10^6 bytes): the major heap now and at its peak.
+   [Gc.quick_stat] reads the runtime's counters without collecting, so no
+   request ever pays for a major collection. *)
+let memory_mb () =
+  let s = Gc.quick_stat () in
+  let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
+  (mb s.Gc.heap_words, mb s.Gc.top_heap_words)
+
+let publish_memory_gauges t =
+  let heap, top = memory_mb () in
+  Metrics.set (Metrics.gauge t.metrics "gc.heap_mb") heap;
+  Metrics.set (Metrics.gauge t.metrics "gc.top_heap_mb") top
+
 (* Caller must hold [t.sched]. *)
 let publish_queue_gauge t =
   Metrics.set (Metrics.gauge t.metrics "serve.queue.depth")
@@ -635,6 +648,7 @@ let status_snapshot t ~id =
       (Itf_mat.Hashcons.stats ())
   in
   let queued = Mutex.protect t.sched (fun () -> t.queued) in
+  let heap_mb, top_heap_mb = memory_mb () in
   let cache_hits, cache_misses, cache_evictions, cache_size =
     Lru.counters t.cache
   in
@@ -704,12 +718,17 @@ let status_snapshot t ~id =
             ("evictions", Json.Int cache_evictions);
           ] );
       ("intern", Json.List intern);
+      ( "memory",
+        Json.Obj
+          [ ("heap_mb", Json.Float heap_mb); ("top_heap_mb", Json.Float top_heap_mb) ]
+      );
       ("slow_ms", Json.Float t.slow_ms);
       ("sample_rate", Json.Float t.sample_rate);
       ("slow", Json.List (List.map record_json slow));
     ]
 
 let metrics_snapshot t ~id =
+  publish_memory_gauges t;
   Json.Obj
     [
       ("id", id);

@@ -43,9 +43,12 @@
     counters, latency quantiles from the [serve.request_us] histogram,
     queue depth/capacity/shed count and wait quantiles, busy workers,
     per-phase time breakdown from the [engine.phase_us] histograms,
-    cache and hash-cons intern-table health, and the recent slow
-    requests); [{"op": "metrics"}] returns the whole registry in the
-    Prometheus text exposition format under a ["metrics"] string field.
+    cache and hash-cons intern-table health, process memory
+    ([memory.heap_mb] and [memory.top_heap_mb], from [Gc.quick_stat],
+    never a forced collection), and the recent slow requests);
+    [{"op": "metrics"}] returns the whole registry in the Prometheus text
+    exposition format under a ["metrics"] string field, with the same
+    memory readings as the [gc.heap_mb] and [gc.top_heap_mb] gauges.
     Any other ["op"] is an error response.
 
     {b Response} fields (search): ["id"], ["status"] ([ok] — complete;

@@ -5,8 +5,12 @@
      physical value and the same dense id, however they were constructed;
      distinct terms get distinct ids. Ids are stable across re-interning.
    - table discipline: re-interning an already-seen corpus leaves every
-     table size unchanged (append-only, no duplicates) while hit counts
-     grow — the O(1) path is actually taken.
+     table size unchanged (no duplicates) while hit counts grow — the
+     O(1) path is actually taken.
+   - bounded tables: a flushed [Keyed] table never hands one id to two
+     keys, even under racing domains; a key back after a flush gets a
+     fresh id. Root-nest ids are structural: two spellings share one,
+     and nests that differ only deep inside get two.
    - semantic transparency: [Sequence.reduce_memo] agrees with the
      structural [Sequence.reduce]; the explicit [Depvec.compare] /
      [Dir.compare] agree with the polymorphic order they replaced (the
@@ -66,10 +70,10 @@ let test_ir_canonical () =
   let e2 = Expr.(add (var "i") (int 1)) in
   check_bool "fresh exprs differ physically" false (e1 == e2);
   check_bool "interned exprs are physically equal" true
-    (Intern.expr e1 == Intern.expr e2);
-  check_int "same expr id" (Intern.expr_id e1) (Intern.expr_id e2);
+    (fst (Intern.expr_i e1) == fst (Intern.expr_i e2));
+  check_int "same expr id" (snd (Intern.expr_i e1)) (snd (Intern.expr_i e2));
   check_bool "distinct exprs, distinct ids" true
-    (Intern.expr_id e1 <> Intern.expr_id Expr.(add (var "i") (int 2)));
+    (snd (Intern.expr_i e1) <> snd (Intern.expr_i Expr.(add (var "i") (int 2))));
   let src =
     "do i = 1, n\n\
     \  do j = 1, n\n\
@@ -79,13 +83,12 @@ let test_ir_canonical () =
   in
   let n1 = Itf_lang.Parser.parse_nest src in
   let n2 = Itf_lang.Parser.parse_nest src in
-  check_bool "two parses of one source intern to one nest" true
-    (Intern.nest n1 == Intern.nest n2);
-  check_int "same nest id" (Intern.nest_id n1) (Intern.nest_id n2);
-  (* interning a canonical term is a pure lookup: ids are stable *)
+  check_bool "fresh parses differ physically" false (n1 == n2);
+  check_int "two parses of one source get one nest id" (Intern.nest_id n1)
+    (Intern.nest_id n2);
+  (* naming a nest again is a pure lookup: ids are stable *)
   let id0 = Intern.nest_id n1 in
-  check_int "nest id stable across re-interning" id0
-    (Intern.nest_id (Intern.nest n1))
+  check_int "nest id stable across re-naming" id0 (Intern.nest_id n1)
 
 let test_template_sequence_canonical () =
   let t1 = T.interchange ~n:3 0 2 and t2 = T.interchange ~n:3 0 2 in
@@ -105,7 +108,7 @@ let test_template_sequence_canonical () =
 (* ------------------------------------------------------------------ *)
 
 let intern_case (c : Gen.case) =
-  ignore (Intern.nest c.Gen.nest);
+  ignore (Intern.nest_id c.Gen.nest);
   List.iter (fun t -> ignore (T.intern t)) c.Gen.seq;
   ignore (Sequence.intern_id c.Gen.seq)
 
@@ -208,7 +211,7 @@ let stress_nest_src =
 
 let test_multi_domain_intern_stress () =
   let intern_all () =
-    let expr_ids = List.map Intern.expr_id (stress_exprs ()) in
+    let expr_ids = List.map (fun e -> snd (Intern.expr_i e)) (stress_exprs ()) in
     let nest_id = Intern.nest_id (Itf_lang.Parser.parse_nest stress_nest_src) in
     (expr_ids, nest_id)
   in
@@ -240,9 +243,9 @@ let test_multi_domain_intern_stress () =
 (* ------------------------------------------------------------------ *)
 
 (* Code generation rewrites loop headers and keeps the body list
-   physically. A nest sharing its body physically must intern exactly
-   like a structural copy with a body of its own, whichever body came
-   before it, on any domain. *)
+   physically. A nest sharing its body physically must get the id of a
+   structural copy with a body of its own, whichever body came before
+   it, on any domain. *)
 
 (* Header rewrites, as code generation makes them: the body list is kept
    physically. *)
@@ -259,25 +262,16 @@ let header_variants (nest : Nest.t) =
 
 let copy (nest : Nest.t) = Itf_lang.Parser.parse_nest (Nest.to_string nest)
 
-(* Two bodies alternate; each variant is interned next to its copy and
-   next to statement-by-statement interning.
-   Returns, in visiting order, the variant's id, its copy's id, and
-   whether the canonical nests and bodies agree. Alcotest may only check
-   on the main domain, so the caller compares. *)
+(* Two bodies alternate; each variant is named next to its copy.
+   Returns, in visiting order, the variant's id and its copy's id.
+   Alcotest may only check on the main domain, so the caller compares. *)
 let intern_alternating roots =
   List.concat_map
     (fun _round ->
       List.concat_map
         (fun root ->
           List.map
-            (fun v ->
-              let canon, id = Intern.nest_i v in
-              let canon', id' = Intern.nest_i (copy v) in
-              ( id,
-                id',
-                canon == canon'
-                && List.for_all2 ( == ) canon.Nest.body
-                     (List.map Intern.stmt v.Nest.body) ))
+            (fun v -> (Intern.nest_id v, Intern.nest_id (copy v)))
             (header_variants root))
         roots)
     (List.init 20 Fun.id)
@@ -286,15 +280,13 @@ let test_body_id_reuse () =
   let roots = [ Itf_lang.Parser.parse_nest stress_nest_src; Builders.figure2 () ] in
   let check_run what visits =
     List.iter
-      (fun (id, id', same) ->
-        check_int (what ^ ": shared body interns like its copy") id' id;
-        check_bool (what ^ ": same canonical nest and body") true same)
+      (fun (id, id') -> check_int (what ^ ": shared body names like its copy") id' id)
       visits
   in
   let reference = intern_alternating roots in
   check_run "main" reference;
   check_int "variants get distinct ids" 6
-    (List.length (List.sort_uniq compare (List.map (fun (id, _, _) -> id) reference)));
+    (List.length (List.sort_uniq compare (List.map fst reference)));
   let domains =
     List.init 2 (fun _ -> Domain.spawn (fun () -> intern_alternating roots))
   in
@@ -304,6 +296,121 @@ let test_body_id_reuse () =
       check_run what visits;
       check_bool (what ^ ": same ids as main") true (visits = reference))
     (List.map Domain.join domains)
+
+(* ------------------------------------------------------------------ *)
+(* Bounded interning tables                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A bounded [Keyed] table may flush a shard, but its ids come from one
+   counter: no id is ever handed to two keys, a key that comes back
+   after a flush gets a fresh id, and a key in the table has one id. *)
+
+module Bounded = Hashcons.Keyed (Hashcons.Int_key)
+
+let table_stats name =
+  List.find (fun (s : Hashcons.stats) -> s.Hashcons.name = name) (Hashcons.stats ())
+
+let intern_ids t keys = List.map (fun k -> snd (Bounded.intern t k ignore)) keys
+
+let test_bounded_never_reuses () =
+  (* One entry per shard: almost every miss flushes a shard. *)
+  let t = Bounded.create ~max_size:16 "test.bounded.reuse" in
+  let ids = intern_ids t (List.init 2000 Fun.id) in
+  check_int "every key got its own id" 2000
+    (List.length (List.sort_uniq compare ids));
+  let s = table_stats "test.bounded.reuse" in
+  check_bool "the table flushed" true (s.Hashcons.evictions > 0);
+  check_bool "size counts resident entries" true (s.Hashcons.size <= 16);
+  check_int "every entry is resident or evicted" 2000
+    (s.Hashcons.size + s.Hashcons.evictions);
+  (* A key interned again after a flush gets an id no key had before. *)
+  let again = intern_ids t [ 0; 1; 2; 3 ] in
+  List.iter2
+    (fun old fresh ->
+      check_bool "a key back after a flush gets a fresh id" true
+        (fresh <> old && not (List.mem fresh ids)))
+    [ List.nth ids 0; List.nth ids 1; List.nth ids 2; List.nth ids 3 ]
+    again
+
+let test_bounded_equal_keys () =
+  let t = Bounded.create ~max_size:4096 "test.bounded.equal" in
+  let keys = List.init 500 (fun k -> k * 7919) in
+  let first = intern_ids t keys in
+  check_bool "equal keys in the table get equal ids" true
+    (first = intern_ids t keys);
+  check_int "no evictions below the cap" 0
+    (table_stats "test.bounded.equal").Hashcons.evictions
+
+let test_bounded_racing_domains () =
+  (* Below the cap every domain reads back the one id of each key. *)
+  let t = Bounded.create ~max_size:4096 "test.bounded.race" in
+  let keys = List.init 1000 Fun.id in
+  let runs =
+    List.map Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> intern_ids t keys)))
+  in
+  List.iteri
+    (fun d ids ->
+      check_bool (Printf.sprintf "domain %d: one id per key" d) true
+        (ids = List.hd runs))
+    runs;
+  (* Flushing under the race: an id may be stale, never shared. *)
+  let t = Bounded.create ~max_size:16 "test.bounded.race.flush" in
+  let runs =
+    List.map Domain.join
+      (List.init 4 (fun _ -> Domain.spawn (fun () -> intern_ids t keys)))
+  in
+  let owner = Hashtbl.create 4096 in
+  List.iter
+    (List.iter2
+       (fun k id ->
+         match Hashtbl.find_opt owner id with
+         | Some k' -> check_int "an id names one key" k' k
+         | None -> Hashtbl.add owner id k)
+       keys)
+    runs
+
+let test_nest_id_structural () =
+  let a =
+    Itf_lang.Parser.parse_nest
+      "do i = 1, n
+  do j = 1, n
+    a(i, j) = a(i, j) + b(j)
+  enddo
+enddo
+"
+  in
+  let b =
+    Itf_lang.Parser.parse_nest
+      "# the same nest, spelled differently
+       do   i = 1,n
+      \      do j=1, n   # inner
+       a(i,j) = a(i, j)+b(j)
+       enddo
+
+       enddo
+"
+  in
+  check_int "two spellings of one nest get one id" (Intern.nest_id a)
+    (Intern.nest_id b);
+  (* Eleven loops with equal headers: the nests differ only in the last
+     subscript, far past the first ten nodes [Hashtbl.hash] looks at. *)
+  let deep last =
+    let vars = List.init 11 (Printf.sprintf "i%d") in
+    Nest.make
+      (List.map (fun v -> Nest.loop v Expr.one (Expr.var "n")) vars)
+      [
+        Stmt.Store
+          ( { array = "deep"; index = List.map Expr.var vars },
+            Expr.Load
+              { array = "deep"; index = List.map Expr.var (List.tl vars) @ [ last ] } );
+      ]
+  in
+  let x = deep (Expr.var "i0") and y = deep (Expr.int 1) in
+  check_bool "the nest hash reads past the 10th node" true
+    (Nest.hash x <> Nest.hash y);
+  check_bool "nests that differ past their 10th node get distinct ids" true
+    (Intern.nest_id x <> Intern.nest_id y)
 
 (* ------------------------------------------------------------------ *)
 (* Engine identity: seq == par, memoized == unmemoized                 *)
@@ -396,6 +503,14 @@ let () =
             test_body_id_reuse;
           Alcotest.test_case "multi-domain intern stress" `Quick
             test_multi_domain_intern_stress;
+          Alcotest.test_case "bounded table never reuses an id" `Quick
+            test_bounded_never_reuses;
+          Alcotest.test_case "bounded table: equal keys, equal ids" `Quick
+            test_bounded_equal_keys;
+          Alcotest.test_case "bounded table: racing domains" `Quick
+            test_bounded_racing_domains;
+          Alcotest.test_case "nest ids are structural" `Quick
+            test_nest_id_structural;
           Alcotest.test_case "engine: par == seq with interning" `Quick
             test_engine_par_identity;
           Alcotest.test_case "engine: memoized == unmemoized" `Quick

@@ -215,6 +215,53 @@ let table name =
 
 let legality_hits () = (table "opt.legality").Itf_mat.Hashcons.hits
 
+(* The warm set of the hot queries fits every capped table. The example
+   nests of the serve benchmark's 24 hot shapes (the sparse product calls
+   functions no objective can run) at its three sizes under both
+   objectives are searched twice in a fresh process: the second pass
+   must miss no table at all, and no table may have evicted an entry in
+   either pass. A key or cap change that pushed a warm set past its cap
+   would flush part of it and fail here. Runs first, before any other
+   test fills the process-wide tables. *)
+let test_warm_set_fits () =
+  let dir = Filename.concat ".." (Filename.concat "examples" "nests") in
+  let nests =
+    [ "figure2.loop"; "lu.loop"; "matmul.loop"; "stencil.loop" ]
+    |> List.map (fun f ->
+           ( f,
+             (Itf_lang.Parser.parse
+                (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+               .Itf_lang.Parser.nest ))
+  in
+  let pass () =
+    List.iter
+      (fun (f, nest) ->
+        List.iter
+          (fun objective ->
+            List.iter
+              (fun n ->
+                let obj, spec =
+                  Result.get_ok
+                    (Search.of_name objective ~procs:8 ~params:[ ("n", n) ])
+                in
+                match
+                  Engine.search ~beam:6 ~steps:2 ~domains:1 ~tier0:spec nest obj
+                with
+                | Some _ -> ()
+                | None -> Alcotest.failf "%s/%s: no outcome" f objective)
+              [ 8; 12; 16 ])
+          [ "locality"; "parallel" ])
+      nests
+  in
+  pass ();
+  let first = Itf_mat.Hashcons.stats () in
+  pass ();
+  List.iter2
+    (fun (a : Itf_mat.Hashcons.stats) (b : Itf_mat.Hashcons.stats) ->
+      check_int (b.name ^ ": the warm pass misses nothing") a.misses b.misses;
+      check_int (b.name ^ ": no evictions") 0 b.evictions)
+    first (Itf_mat.Hashcons.stats ())
+
 (* The process-wide legality memo must not change any answer: a warm
    search equals the cold one on the same nest, tiered and untiered, on
    1 and 2 domains, and so does a search whose memo entries another
@@ -588,6 +635,8 @@ let () =
     [
       ( "engine",
         [
+          Alcotest.test_case "warm set fits every cap" `Quick
+            test_warm_set_fits;
           Alcotest.test_case "matches exhaustive oracle" `Quick
             test_matches_exhaustive_oracle;
           Alcotest.test_case "parallel is deterministic" `Quick

@@ -372,6 +372,11 @@ let test_serve_status_op () =
            | None -> false)
          tables)
   | _ -> Alcotest.fail "intern not a non-empty list");
+  (* process memory: a live heap, never above its own peak *)
+  let heap = to_float_exn (obj_field [ "memory"; "heap_mb" ] resp) in
+  let top = to_float_exn (obj_field [ "memory"; "top_heap_mb" ] resp) in
+  check_bool "heap_mb > 0" true (heap > 0.);
+  check_bool "top_heap_mb >= heap_mb" true (top >= heap);
   (* slow log at threshold 0: both requests, newest first *)
   match field "slow" resp with
   | Json.List [ newest; oldest ] ->
@@ -405,6 +410,8 @@ let test_serve_metrics_op () =
         "le=\"+Inf\"";
         "serve_request_us_count 1";
         "engine_phase_us_bucket{phase=\"exact\"";
+        "# TYPE gc_heap_mb gauge";
+        "# TYPE gc_top_heap_mb gauge";
       ]
 
 let test_serve_unknown_op () =
@@ -771,6 +778,117 @@ let test_serve_concurrent_exact_totals () =
   | Json.List l -> check_int "slow-log window full" 16 (List.length l)
   | _ -> Alcotest.fail "slow not a list"
 
+(* ------------------------------------------------------------------ *)
+(* Novel traffic: every bounded table evicts, answers stay golden      *)
+(* ------------------------------------------------------------------ *)
+
+let e2e_path parts =
+  List.fold_left Filename.concat ".." ("bench" :: "e2e" :: parts)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let kernels = [ "figure2"; "lu"; "matmul"; "stencil" ]
+
+let kernel_src k = read_file (e2e_path [ "nests"; k ^ ".loop" ])
+
+(* Append [suffix] to every identifier applied to a subscript list: in
+   these four nests those are exactly the array references. Renaming
+   every array by one suffix changes no part of an answer. *)
+let rename_arrays ~suffix src =
+  Str.global_replace (Str.regexp "\\([A-Za-z_][A-Za-z0-9_]*\\)(") ("\\1" ^ suffix ^ "(") src
+
+let search_line ~id ~objective ~n ~steps src =
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Int id);
+         ("nest", Json.String src);
+         ("objective", Json.String objective);
+         ("params", Json.Obj [ ("n", Json.Int n) ]);
+         ("steps", Json.Int steps);
+       ])
+
+(* Every table with a working-set cap. *)
+let bounded_tables =
+  [
+    "core.derivation"; "dep.vectors"; "ir.nest"; "opt.legality";
+    "opt.obj.memsim"; "opt.obj.parsim"; "opt.tier0";
+  ]
+
+let not_yet_evicted () =
+  List.filter
+    (fun name ->
+      not
+        (List.exists
+           (fun (s : Itf_mat.Hashcons.stats) ->
+             s.Itf_mat.Hashcons.name = name && s.Itf_mat.Hashcons.evictions > 0)
+           (Itf_mat.Hashcons.stats ())))
+    bounded_tables
+
+(* Distinct nests stream through one daemon until every bounded table
+   has flushed a shard: each round a renamed e2e shape searched under
+   both objectives, and cheap depth-0 searches of further renamed copies
+   for the tables keyed on root nests. Renamed copies of the 24 hot
+   shapes must then still get their golden payloads, the answers a fresh
+   process gives (bench/e2e/expected/). *)
+let test_novel_stream_evicts () =
+  let server = Serve.create ~domains:1 () in
+  let srcs = Array.of_list (List.map kernel_src kernels) in
+  let id = ref 0 in
+  let send line =
+    incr id;
+    let resp, _ = Serve.handle_line server line in
+    if status resp <> "ok" then
+      Alcotest.failf "request %d: %s" !id (Json.to_string resp)
+  in
+  let round = ref 0 in
+  while not_yet_evicted () <> [] && !round < 1000 do
+    incr round;
+    let src = srcs.(!round mod Array.length srcs) in
+    let renamed k = rename_arrays ~suffix:(Printf.sprintf "_ev%d_%d" !round k) src in
+    List.iter
+      (fun objective ->
+        send (search_line ~id:!id ~objective ~n:8 ~steps:2 (renamed 0)))
+      [ "locality"; "parallel" ];
+    for k = 1 to 4 do
+      send (search_line ~id:!id ~objective:"locality" ~n:4 ~steps:0 (renamed k))
+    done
+  done;
+  Alcotest.(check (list string)) "every bounded table evicted" []
+    (not_yet_evicted ());
+  List.iter
+    (fun (k, src) ->
+      List.iter
+        (fun objective ->
+          List.iter
+            (fun n ->
+              let name = Printf.sprintf "%s-%s-n%d" k objective n in
+              let golden =
+                match Json.of_string (read_file (e2e_path [ "expected"; name ^ ".json" ])) with
+                | Ok v -> Json.to_string v
+                | Error e -> Alcotest.failf "%s: %s" name e
+              in
+              let resp, _ =
+                Serve.handle_line server
+                  (search_line ~id:0 ~objective ~n ~steps:2
+                     (rename_arrays ~suffix:"_golden" src))
+              in
+              let payload =
+                match resp with
+                | Json.Obj kvs ->
+                  Json.to_string
+                    (Json.Obj
+                       (List.filter
+                          (fun (f, _) -> f <> "id" && f <> "cached" && f <> "time_ms")
+                          kvs))
+                | v -> Alcotest.failf "%s: response %s" name (Json.to_string v)
+              in
+              check_string (name ^ ": golden payload after evictions") golden
+                payload)
+            [ 8; 12; 16 ])
+        [ "locality"; "parallel" ])
+    (List.combine kernels (Array.to_list srcs))
+
 let () =
   Alcotest.run "serve"
     [
@@ -833,5 +951,10 @@ let () =
             test_serve_queue_deadline;
           Alcotest.test_case "concurrent totals are exact" `Quick
             test_serve_concurrent_exact_totals;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "novel stream evicts, answers stay golden" `Quick
+            test_novel_stream_evicts;
         ] );
     ]
