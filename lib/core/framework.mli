@@ -27,7 +27,7 @@ type result = {
           dependence vectors, raw template sequence) this result was
           derived from — the only inputs of {!apply} and of
           [start |> extend* |> finish], so both give equal ids for equal
-          triples. Memo tables key on it instead of on the generated
+          triples while the triple is resident in the table. Memo tables key on it instead of on the generated
           nest, so scoring a result never interns that nest. Ids come
           from one bounded table and are never reused: a triple evicted
           from it gets a fresh id when it comes back, so a memo entry

@@ -85,14 +85,17 @@ let spread h =
    append-only.
 
    The slices are staggered, shard [i] getting
-   [max_size * (nshards + 2i + 1) / (2 nshards^2)] — from about half to
-   about one and a half times [max_size / nshards], summing to
-   [max_size]. A well-spread hash fills every shard at the same rate,
-   so equal slices would fill up together and the table would flush
-   almost whole within a few inserts, its size swinging between empty
-   and full. Staggered slices flush at different times, so under steady
-   novel traffic a table's size, and the live heap it pins, stays
-   level. *)
+   [max_size * (3 (nshards - 1) + 2i) / (4 nshards (nshards - 1))] —
+   from three quarters to five quarters of [max_size / nshards],
+   summing to [max_size] less rounding. A well-spread hash fills every
+   shard at the same rate, so equal slices would fill up together and
+   the table would flush almost whole within a few inserts, its size
+   swinging between empty and full. Staggered slices flush at different
+   times, so under steady novel traffic a table's size, and the live
+   heap it pins, stays level. A warm set fits only if every shard's
+   part of it fits that shard's slice: size a cap so that the warm
+   set's fullest shard stays below the smallest slice,
+   [3/4 * max_size / nshards]. *)
 module Sharded (H : HashedType) = struct
   type 'v shard = {
     mutex : Mutex.t;
@@ -121,7 +124,9 @@ module Sharded (H : HashedType) = struct
                   (match max_size with
                   | None -> max_int
                   | Some m ->
-                    max 1 (m * (nshards + (2 * i) + 1) / (2 * nshards * nshards)));
+                    max 1
+                      (m * ((3 * (nshards - 1)) + (2 * i))
+                      / (4 * nshards * (nshards - 1))));
               });
         hits = Atomic.make 0;
         misses = Atomic.make 0;

@@ -82,8 +82,10 @@ end
     {!Memo.default_max_size}) is enforced per shard, and when an insert
     would grow a shard past its slice that shard is flushed whole, the
     evictions counted in {!stats}. The 16 slices are staggered between
-    about [max_size / 32] and [3 * max_size / 32] and sum to [max_size],
-    so the shards of a table fill up, and flush, at different times.
+    three and five quarters of [max_size / 16] and sum to at most
+    [max_size], so the shards of a table fill up, and flush, at
+    different times; a warm set fits only if its fullest shard fits
+    that shard's slice.
     Flushing a memo of a pure function never changes results — later
     probes recompute — so capped and uncapped runs are byte-identical
     apart from timing. *)

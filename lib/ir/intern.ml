@@ -77,8 +77,14 @@ let rec expr_i (e : Expr.t) : Expr.t * int =
    bounded and its ids are never reused: a nest seen again after its
    shard was flushed gets a fresh id and its memo entries miss. The key
    is the whole nest, compared and hashed structurally ([Nest.hash]
-   folds over every node; [Hashtbl.hash] would stop after ten). The cap
-   holds the warm set of a daemon's hot nests many times over. *)
+   folds over every node; [Hashtbl.hash] would stop after ten).
+
+   The id is the root of every key chain: evicting a hot nest makes its
+   response-cache entry, its vectors, its root legality entry and every
+   derivation from it miss at once, one cold search. An entry pins the
+   parsed nest, 1.2-1.7 KB for the e2e shapes, so the cap matches the
+   dep.vectors cap (under 2 MB full) rather than the warm set of a few
+   dozen hot nests. *)
 module Nests = HC.Keyed (struct
   type t = Nest.t
 
@@ -86,6 +92,6 @@ module Nests = HC.Keyed (struct
   let hash = Nest.hash
 end)
 
-let nest_cap = 512
+let nest_cap = 1024
 let nests : unit Nests.t = Nests.create ~max_size:nest_cap "ir.nest"
 let nest_id t = snd (Nests.intern nests t ignore)

@@ -124,7 +124,8 @@ let now = Unix.gettimeofday
 
    The cap is a constant: 4096 entries hold the whole warm set of a
    daemon's hot queries (the 24 shapes of the serve benchmark need 886
-   at steps 2) while bounding what a stream of novel nests can pin; a
+   at steps 2 and 2,173 at steps 3, no shard past 75% of its slice)
+   while bounding what a stream of novel nests can pin; a
    shard past its slice is flushed whole (see {!Itf_mat.Hashcons.Memo}).
    The root's key is its nest id, which is never reused either. *)
 module LMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)

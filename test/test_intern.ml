@@ -412,6 +412,31 @@ enddo
   check_bool "nests that differ past their 10th node get distinct ids" true
     (Intern.nest_id x <> Intern.nest_id y)
 
+(* [ir.nest] is bounded like any memo-key table: naming far more
+   distinct nests than it holds flushes it, its size stays below what
+   was named, and a nest named again after its shard was flushed gets
+   an id no nest had before. *)
+let test_nest_id_evicts () =
+  let nest k =
+    Nest.make
+      [ Nest.loop "i" Expr.one (Expr.int (k + 1)) ]
+      [ Stmt.Store ({ array = "evict"; index = [ Expr.var "i" ] }, Expr.int k) ]
+  in
+  let stats () = table_stats "ir.nest" in
+  let before = stats () in
+  let count = 4096 in
+  let ids = List.init count (fun k -> Intern.nest_id (nest k)) in
+  check_int "every nest got its own id" count
+    (List.length (List.sort_uniq compare ids));
+  let after = stats () in
+  check_bool "the table flushed" true
+    (after.Hashcons.evictions > before.Hashcons.evictions);
+  check_bool "it holds fewer nests than were named" true
+    (after.Hashcons.size < count);
+  let again = Intern.nest_id (nest 0) in
+  check_bool "a nest back after a flush gets a fresh id" true
+    (not (List.mem again ids))
+
 (* ------------------------------------------------------------------ *)
 (* Engine identity: seq == par, memoized == unmemoized                 *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +528,10 @@ let () =
             test_body_id_reuse;
           Alcotest.test_case "multi-domain intern stress" `Quick
             test_multi_domain_intern_stress;
+          Alcotest.test_case "engine: par == seq with interning" `Quick
+            test_engine_par_identity;
+          Alcotest.test_case "engine: memoized == unmemoized" `Quick
+            test_engine_memo_identity;
           Alcotest.test_case "bounded table never reuses an id" `Quick
             test_bounded_never_reuses;
           Alcotest.test_case "bounded table: equal keys, equal ids" `Quick
@@ -511,9 +540,7 @@ let () =
             test_bounded_racing_domains;
           Alcotest.test_case "nest ids are structural" `Quick
             test_nest_id_structural;
-          Alcotest.test_case "engine: par == seq with interning" `Quick
-            test_engine_par_identity;
-          Alcotest.test_case "engine: memoized == unmemoized" `Quick
-            test_engine_memo_identity;
+          Alcotest.test_case "nest ids: a bounded table" `Quick
+            test_nest_id_evicts;
         ] );
     ]
