@@ -7,42 +7,61 @@ type result = {
 
 exception Illegal of Legality.verdict
 
+type state = { prefix : Legality.state; derivation : int }
+
+type checked = {
+  outcome : (state * result, Legality.verdict) Stdlib.result;
+  apps : int;
+}
+
 (* Derivation ids. A legal result is a function of its root nest, the
    root's dependence vectors and the raw template sequence applied to
    them (paper §5: a transformation is a value independent of any nest),
-   so that triple names it without looking at the generated code. The key
-   is the root key (self-delimiting, see {!Legality.root_key}) followed
-   by the raw sequence's intern id.
+   so a candidate is named by its parent plus the one template appended
+   to it. A child's key is [[parent derivation id; template id]]; a
+   root's is [-1 :: nest id :: vector ids]. Ids are never negative, so
+   the tag keeps the two kinds of key apart, and within each kind the
+   list is the whole name.
+
+   An entry's value is a write-once cell for the candidate's legality
+   verdict and the template applications the miss that computed it
+   performed ([check_root], [check_extend]). The builder only allocates
+   the empty cell; the verdict is computed outside the shard lock, and
+   racing fills store equal verdicts.
 
    A derivation id is only ever a memo key, so the table is bounded,
    with a constant cap sized to the warm set (DESIGN §10). Ids are never
-   reused: a triple that comes back after its shard was flushed gets a
+   reused: a key that comes back after its shard was flushed gets a
    fresh id, so a memo entry keyed on an old id misses and can never
    answer for another candidate. *)
 module DTbl = Itf_mat.Hashcons.Keyed (Itf_mat.Hashcons.Ints_key)
 
 let derivation_cap = 4096
 
-let derivations : unit DTbl.t =
+let derivations : checked option Atomic.t DTbl.t =
   DTbl.create ~max_size:derivation_cap "core.derivation"
 
-let derive ~root_key seq =
-  snd (DTbl.intern derivations (root_key @ [ Sequence.id seq ]) ignore)
+let entry key = DTbl.intern derivations key (fun _ -> Atomic.make None)
 
-(* A verdict of [seq] on the root named [root_key], as a result. *)
-let package ~root_key seq = function
-  | Legality.Legal { nest; vectors; stages } ->
-    Ok { nest; vectors; stages; derivation = derive ~root_key seq }
-  | verdict -> Error verdict
+let root_entry nest vectors =
+  entry (-1 :: Itf_ir.Intern.nest_id nest :: List.map Itf_dep.Depvec.id vectors)
+
+let child_entry derivation t = entry [ derivation; snd (Template.intern_id t) ]
 
 let apply ?count ?vectors nest seq =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
-  package
-    ~root_key:(Legality.root_key nest vectors)
-    seq
-    (Legality.check ?count ~vectors nest seq)
+  match Legality.check ?count ~vectors nest seq with
+  | Legality.Legal { nest = nest'; vectors = vectors'; stages } ->
+    let derivation =
+      List.fold_left
+        (fun id t -> snd (child_entry id t))
+        (snd (root_entry nest vectors))
+        seq
+    in
+    Ok { nest = nest'; vectors = vectors'; stages; derivation }
+  | verdict -> Error verdict
 
 let apply_exn ?vectors nest seq =
   match apply ?vectors nest seq with
@@ -55,14 +74,42 @@ let map_vectors seq vectors =
 (* Incremental interface: a state is an already-checked sequence prefix;
    extending appends one template in O(1) template applications. *)
 
-type state = Legality.state
+let start ?vectors nest =
+  let prefix = Legality.start ?vectors nest in
+  { prefix; derivation = snd (root_entry nest (Legality.state_vectors prefix)) }
 
-let start = Legality.start
+let extend ?count st t =
+  Result.map
+    (fun prefix -> { prefix; derivation = snd (child_entry st.derivation t) })
+    (Legality.extend ?count st.prefix t)
 
-let extend = Legality.extend
+let finish st =
+  match Legality.state_verdict st.prefix with
+  | Legality.Legal { nest; vectors; stages } ->
+    Ok { nest; vectors; stages; derivation = st.derivation }
+  | verdict -> Error verdict
 
-let finish state =
-  package
-    ~root_key:(Legality.state_root_key state)
-    (Legality.state_sequence state)
-    (Legality.state_verdict state)
+(* The verdict in an entry's cell, computed and stored on first use.
+   [make] builds the entry's prefix, counting its template
+   applications. *)
+let checked (cell, derivation) make =
+  match Atomic.get cell with
+  | Some c -> c
+  | None ->
+    let count = ref 0 in
+    let outcome =
+      Result.bind (make count) (fun prefix ->
+          let st = { prefix; derivation } in
+          Result.map (fun r -> (st, r)) (finish st))
+    in
+    let c = { outcome; apps = !count } in
+    Atomic.set cell (Some c);
+    c
+
+let check_root nest =
+  let prefix = Legality.start nest in
+  checked (root_entry nest (Legality.state_vectors prefix)) (fun _ -> Ok prefix)
+
+let check_extend parent t =
+  checked (child_entry parent.derivation t) (fun count ->
+      Legality.extend ~count parent.prefix t)

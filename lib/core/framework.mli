@@ -23,18 +23,20 @@ type result = {
   vectors : Itf_dep.Depvec.t list;  (** its dependence vectors, by mapping *)
   stages : Legality.stage list;  (** intermediate states, for inspection *)
   derivation : int;
-      (** The derivation id: a dense id naming the triple (root nest, root
-          dependence vectors, raw template sequence) this result was
-          derived from — the only inputs of {!apply} and of
-          [start |> extend* |> finish], so both give equal ids for equal
-          triples while the triple is resident in the table. Memo tables key on it instead of on the generated
-          nest, so scoring a result never interns that nest. Ids come
-          from one bounded table and are never reused: a triple evicted
-          from it gets a fresh id when it comes back, so a memo entry
-          keyed on the old id misses but never answers for another
-          triple. Two spellings that generate the same nest get
-          distinct ids. Like every intern id, it is for equality only,
-          never ordering. *)
+      (** The derivation id: a dense id naming the root nest, the root's
+          dependence vectors and the raw template sequence this result
+          was derived from, the only inputs of {!apply} and of
+          [start |> extend* |> finish]. It is the id of the result's
+          entry in the one bounded [core.derivation] table, keyed
+          [[parent derivation id; template id]] below its root's, so
+          both give equal ids for equal inputs while the entries are
+          resident. Memo tables key on it instead of on the generated
+          nest, so scoring a result never interns that nest. Ids are
+          never reused: a key evicted from the table gets a fresh id
+          when it comes back, so a memo entry keyed on the old id misses
+          but never answers for another candidate. Two spellings that
+          generate the same nest get distinct ids. Like every intern id,
+          it is for equality only, never ordering. *)
 }
 
 val apply :
@@ -63,9 +65,11 @@ val map_vectors : Sequence.t -> Itf_dep.Depvec.t list -> Itf_dep.Depvec.t list
     The search engine's hot path: a {!state} is a legality-checked sequence
     prefix; {!extend} appends one template without replaying the prefix.
     [apply nest (seq @ [t])] and [start nest |> extend ... |> finish] agree
-    (see {!Legality.extend} for the exact contract). *)
+    (see {!Legality.extend} for the exact contract). A state gets its
+    derivation id when it is made, so a flush of the table between
+    {!extend} and {!finish} does not change it. *)
 
-type state = Legality.state
+type state
 
 val start : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> state
 
@@ -75,7 +79,28 @@ val extend :
     (instrumentation). *)
 
 val finish : state -> (result, Legality.verdict) Stdlib.result
-(** Run the final dependence test and package the prefix as a {!result}.
-    Its [derivation] is that of [apply root seq], where [seq] is the raw
-    sequence the state holds ({!Legality.state_sequence}) and [root] its
-    root with the same vectors. *)
+(** Run the final dependence test and package the prefix as a {!result}
+    carrying the state's derivation id. *)
+
+(** {1 Memoised verdicts}
+
+    [start |> finish] and [extend |> finish], answered from the
+    candidate's entry in [core.derivation]: the first call computes the
+    verdict outside any lock and stores it in the entry, every later call
+    while the entry is resident returns it. Racing first calls store
+    equal verdicts. *)
+
+type checked = {
+  outcome : (state * result, Legality.verdict) Stdlib.result;
+  apps : int;
+      (** template applications performed by the call that computed the
+          verdict; a stored verdict replays it, so counters built on it
+          read the same warm or cold *)
+}
+
+val check_root : Itf_ir.Nest.t -> checked
+(** The root with its analyzed vectors ({!Itf_dep.Analysis.vectors}). *)
+
+val check_extend : state -> Template.t -> checked
+(** @raise Invalid_argument if the template does not chain with the
+    state's depth. *)

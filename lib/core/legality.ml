@@ -141,9 +141,9 @@ let is_legal ?vectors nest seq =
 (* Resumable prefix states (incremental legality for search engines)   *)
 (* ------------------------------------------------------------------ *)
 
-(* What every state derived from one [start] shares: the root nest, its
-   vectors and [root_key] of the two, computed once. *)
-type root = { r_nest : Nest.t; r_vectors : Depvec.t list; r_key : int list }
+(* What every state derived from one [start] shares: the root nest and
+   its vectors. *)
+type root = { r_nest : Nest.t; r_vectors : Depvec.t list }
 
 type state = {
   s_nest : Nest.t;
@@ -186,21 +186,16 @@ let state_bmat st =
     Atomic.set st.s_bmat (Some bm);
     bm
 
-let root_key nest vectors =
-  Intern.nest_id nest :: List.length vectors :: List.map Depvec.id vectors
-
 let start ?vectors nest =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
   make_state
-    ~root:{ r_nest = nest; r_vectors = vectors; r_key = root_key nest vectors }
+    ~root:{ r_nest = nest; r_vectors = vectors }
     ~raw_failure:None ~seq_rev:[] nest vectors []
 
-let state_root_key st = st.s_root.r_key
 let state_nest st = st.s_nest
 let state_vectors st = st.s_vectors
-let state_sequence st = List.rev st.s_seq_rev
 
 let state_verdict st =
   match Depvec.set_may_lex_negative st.s_vectors with

@@ -114,21 +114,5 @@ val state_verdict : state -> verdict
 (** Final dependence-vector test of the prefix; [Legal] carries the same
     nest/vectors/stages [check] would return for it. *)
 
-val root_key : Itf_ir.Nest.t -> Itf_dep.Depvec.t list -> int list
-(** [root_key nest vectors] names a root by its intern ids (the nest id
-    is a memo-key name, never reused, see {!Itf_ir.Intern.nest_id}):
-    [[nest id; number of vectors; vector ids...]]
-    ({!Itf_ir.Intern.nest_id}, {!Itf_dep.Depvec.id}). The vectors are part
-    of the name because [?vectors] may override the analysis, and the
-    generated code and the mapped vectors depend on them. The vector
-    count makes the list self-delimiting, so a key built by appending to
-    it stays injective. *)
-
-val state_root_key : state -> int list
-(** [root_key] of the state's root nest and root vectors, computed once by
-    {!start} and carried by every state derived from it (reduced-sequence
-    fallback states included). *)
-
 val state_nest : state -> Itf_ir.Nest.t
 val state_vectors : state -> Itf_dep.Depvec.t list
-val state_sequence : state -> Sequence.t

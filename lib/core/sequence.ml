@@ -102,7 +102,6 @@ let intern_id (seq : t) : t * int =
   HC.intern table (List.map snd tis) (fun _ -> List.map fst tis)
 
 let intern seq = fst (intern_id seq)
-let id seq = snd (intern_id seq)
 
 (* Canonicalization memo: sequence id -> interned reduction. [reduce] is
    pure, so racing domains store the same canonical value; in the search

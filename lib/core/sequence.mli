@@ -53,8 +53,6 @@ val intern_id : t -> t * int
     O(1) stand-in for structural equality (NOT for the {!compare} order —
     ids follow intern order). *)
 
-val id : t -> int
-
 val reduce_memo : t -> t * int
 (** [reduce_memo seq] = the interned [reduce seq] plus its id, memoized by
     [seq]'s own id — the O(1)-amortized form of the search engines'

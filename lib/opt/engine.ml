@@ -70,7 +70,8 @@ module KeyTbl = Hashtbl.Make (Itf_mat.Hashcons.Int_key)
    it). [state] is the resumable prefix — possibly the state of [canon]
    rather than [seq] when the candidate was served from cache; the two
    generate the same nest, so extensions agree. [result] is [state]'s
-   result, and its derivation id keys the legality memo below. *)
+   result; the state's derivation id keys its children's legality
+   verdicts. *)
 type 'v cand = {
   seq : Sequence.t;
   canon : Sequence.t;
@@ -103,64 +104,6 @@ let order_by score a b =
 
 let now = Unix.gettimeofday
 
-(* Process-wide legality memo. Extending a prefix state by one template
-   and running the final dependence test is a pure function of the root
-   nest, its vectors and the raw template sequence the extended state
-   ends up holding (paper §5: a transformation is a value independent of
-   any nest). The parent state's derivation id names the first three
-   ({!Framework.result}), so the key is [[parent derivation id; t's
-   template id]] — the raw sequence of the parent's state, not the
-   candidate's spelling: a cross-step cache hit can carry another
-   spelling's state. The root itself is keyed [[root nest id]]. Every
-   key of one length is fixed-shape, so distinct keys never flatten to
-   one int list.
-
-   A value is the verdict (state and result, or the rejection cause)
-   plus the template applications the miss performed. A hit replays
-   that count, so [template_applications] and everything derived from it
-   read the same warm or cold — the convention memoized objective
-   evaluations already follow. The result carries its derivation id, so
-   a hit's tier-0 and objective memo keys cost no walk at all.
-
-   The cap is a constant: 4096 entries hold the whole warm set of a
-   daemon's hot queries (the 24 shapes of the serve benchmark need 886
-   at steps 2 and 2,173 at steps 3, no shard past 75% of its slice)
-   while bounding what a stream of novel nests can pin; a
-   shard past its slice is flushed whole (see {!Itf_mat.Hashcons.Memo}).
-   The root's key is its nest id, which is never reused either. *)
-module LMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
-
-type legality = {
-  verdict : (Framework.state * Framework.result, cause) result;
-  apps : int;
-}
-
-let legality_cap = 4096
-
-let legality_memo : legality LMemo.t =
-  LMemo.create ~max_size:legality_cap "opt.legality"
-
-(* The final dependence test of a legal prefix, packaged as a memo
-   value. *)
-let settle st =
-  match Framework.finish st with
-  | Error v -> Error (Rejected (Legality.reasons v))
-  | Ok result -> Ok (st, result)
-
-(* Legality of one candidate: extend the parent prefix by one template and
-   run the final dependence test, through the memo. *)
-let check_legal parent t =
-  LMemo.find_or_add legality_memo
-    [ parent.result.Framework.derivation; snd (Template.intern_id t) ]
-    (fun () ->
-      let count = ref 0 in
-      let verdict =
-        match Framework.extend ~count parent.state t with
-        | Error v -> Error (Rejected (Legality.reasons v))
-        | Ok st -> settle st
-      in
-      { verdict; apps = !count })
-
 (* An exact score, or [Unscoreable] when the objective returns NaN or
    raises. *)
 let score_with f =
@@ -170,17 +113,24 @@ let score_with f =
   | exception _ -> Error Unscoreable
 
 (* Tier-0 evaluation of one cache miss: legality, then the screen's
-   estimate — no simulation. Runs on worker domains: the only shared
-   state it touches is the domain-safe memos, and the coordinator merges
-   the result in input order. The two trailing floats are the
-   candidate's legality and estimate durations, folded into the
-   per-phase breakdown. *)
+   estimate — no simulation. Legality is extending the parent prefix by
+   one template and running the final dependence test, answered from
+   the candidate's entry in [core.derivation]
+   ({!Framework.check_extend}). The entry is keyed on the parent state's
+   derivation id, which names the raw sequence that state holds, not the
+   candidate's spelling: a cross-step cache hit can carry another
+   spelling's state. Runs on worker domains: the only shared state it
+   touches is the domain-safe tables, and the coordinator merges the
+   result in input order. The two trailing floats are the candidate's
+   legality and estimate durations, folded into the per-phase
+   breakdown. *)
 let evaluate_tier0 estimate (parent, t, seq, canon, key) =
   let t_start = now () in
-  let { verdict; apps } = check_legal parent t in
+  let { Framework.outcome; apps } = Framework.check_extend parent.state t in
   let t_leg = now () in
-  match verdict with
-  | Error cause -> (Error cause, apps, t_leg -. t_start, 0.)
+  match outcome with
+  | Error v ->
+    (Error (Rejected (Legality.reasons v)), apps, t_leg -. t_start, 0.)
   | Ok (state, result) ->
     let value = estimate result in
     ( Ok { seq; canon; key; state; result; value },
@@ -217,15 +167,16 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     invalid_arg "Engine.search: ~tier0_only requires ~tier0";
   (* Per-search mutable state: the counters, the first tripped budget
      checkpoint and the provenance lists (newest first). It lives in this
-     call and never escapes it but through the outcome: the engine's only
-     module-level mutable state is the sharded legality memo, so any
-     number of searches may run concurrently (one per serve worker). The
-     shared structures a search reaches — the intern tables, the
-     legality/objective/canonicalization memos, the metrics registry, the
-     domain pool — are each concurrency-safe on their own terms (sharded
-     tables, atomic instruments; DESIGN.md §13). The cross-step candidate
-     cache is per-search too: concurrent requests share warm state
-     through the process-wide memos, never through engine internals. *)
+     call and never escapes it but through the outcome: the engine has no
+     module-level mutable state, so any number of searches may run
+     concurrently (one per serve worker). The shared structures a search
+     reaches — the intern tables, the legality verdicts of
+     [core.derivation], the objective/canonicalization memos, the
+     metrics registry, the domain pool — are each concurrency-safe on
+     their own terms (sharded tables, atomic instruments; DESIGN.md
+     §13). The cross-step candidate cache is per-search too: concurrent
+     requests share warm state through the process-wide tables, never
+     through engine internals. *)
   let t_start = now () in
   let st = Stats.create () in
   let cut = ref None and rejections = ref [] and decisions = ref [] in
@@ -371,12 +322,9 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     st.nodes_explored <- 1;
     let _, key = Sequence.reduce_memo [] in
     let t_leg = now () in
-    let { verdict; _ } =
-      LMemo.find_or_add legality_memo [ Intern.nest_id nest ] (fun () ->
-          { verdict = settle (Framework.start nest); apps = 0 })
-    in
+    let { Framework.outcome; _ } = Framework.check_root nest in
     st.legality_time_s <- now () -. t_leg;
-    match verdict with
+    match outcome with
     | Error _ -> None
     | Ok (state, result) -> (
       match score_root result with

@@ -14,18 +14,19 @@
       {!Itf_mat.Hashcons} and DESIGN.md §10) answers re-derived
       transformations (interchange twice, reversal pairs, composed
       unimodulars, ...) without touching the framework. Behind it, the
-      process-wide [opt.legality] memo answers legality across
-      searches: its key is the parent state's derivation id (which
-      names the root nest, its vectors and the raw sequence the parent
-      state holds — not the candidate's spelling, since a cache hit can
-      carry another spelling's state) and the appended template's id;
-      its value is the verdict — state and result, or the rejection
-      cause — plus the template applications the miss performed. A
-      result's derivation id also keys the tier-0 and exact memos, so
-      no candidate's nest is interned. A hit replays the application
-      count, so every {!Stats} counter reads the same warm or cold. The
-      table is capped at 4096 entries, a constant that holds a daemon's
-      warm set while bounding what novel nests pin;
+      process-wide [core.derivation] table answers legality across
+      searches ({!Itf_core.Framework.check_extend}): a candidate's entry
+      is keyed on the parent state's derivation id (which names the root
+      nest, its vectors and the raw sequence the parent state holds —
+      not the candidate's spelling, since a cache hit can carry another
+      spelling's state) and the appended template's id, and holds the
+      verdict — state and result, or the rejection — plus the template
+      applications the miss performed. A result's derivation id also
+      keys the tier-0 and exact memos, so no candidate's nest is
+      interned. A hit replays the application count, so every {!Stats}
+      counter reads the same warm or cold. The table is capped at 4096
+      entries, a constant that holds a daemon's warm set while bounding
+      what novel nests pin;
     - {b two-tier objective}: every step checks legality of its fresh
       candidates in one batch, screens them, and scores the survivors
       with the exact objective in a second batch. With [~tier0] the screen

@@ -172,10 +172,6 @@ let parsim_memo : float OMemo.t =
 let params_key params =
   List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
 
-let float_bits x =
-  let b = Int64.bits_of_float x in
-  [ Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int (Int64.logand b 0xFFFFFFFFL) ]
-
 let memoized ?(memo = true) table fingerprint metrics hit_metric
     (f : Framework.result -> float) : objective =
   if not memo then f
@@ -191,16 +187,23 @@ let memoized ?(memo = true) table fingerprint metrics hit_metric
     if not !computed then mcount metrics hit_metric 1;
     v
 
-let cache_misses ?(config = { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 })
-    ?metrics ?memo ~params () : objective =
+(* The simulated machine both objectives run, and that [of_name]'s
+   tier-0 specs mirror: an 8 KiB, 64-byte-line, 2-way cache, and a
+   parallel loop start-up cost of 2.0. *)
+let cache_config =
+  { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
+
+let spawn_overhead = 2.0
+
+let cache_misses ?metrics ?memo ~params () : objective =
   let arrays = memo_arrays () in
   let scratch = env_scratch memsim_env ~params () in
   let run result =
     let nest = result.Framework.nest in
     let arities, written = arrays nest in
     let r =
-      Itf_machine.Memsim.run_compiled ~cache:(scratch_cache config) config
-        (scratch arities ~written) nest
+      Itf_machine.Memsim.run_compiled ~cache:(scratch_cache cache_config)
+        cache_config (scratch arities ~written) nest
     in
     let cache = r.Itf_machine.Memsim.cache in
     mcount metrics "memsim.runs" 1;
@@ -208,34 +211,23 @@ let cache_misses ?(config = { Itf_machine.Cache.size_bytes = 8192; line_bytes = 
     mcount metrics "memsim.cache.miss" cache.Itf_machine.Cache.misses;
     float cache.Itf_machine.Cache.misses
   in
-  let fingerprint =
-    config.Itf_machine.Cache.size_bytes
-    :: config.Itf_machine.Cache.line_bytes
-    :: config.Itf_machine.Cache.assoc :: params_key params
-  in
-  memoized ?memo memsim_memo fingerprint metrics "memsim.memo.hits" run
+  memoized ?memo memsim_memo (params_key params) metrics "memsim.memo.hits" run
 
-let parallel_time ?spawn_overhead ?metrics ?memo ~procs ~params () : objective =
+let parallel_time ?metrics ?memo ~procs ~params () : objective =
   let arrays = memo_arrays () in
   let scratch = env_scratch parsim_env ~params () in
   let run result =
     let nest = result.Framework.nest in
     let t =
-      Itf_machine.Parallel.time_compiled ?spawn_overhead ~procs
+      Itf_machine.Parallel.time_compiled ~spawn_overhead ~procs
         (scratch (fst (arrays nest)) ~written:[])
         nest
     in
     mcount metrics "parsim.runs" 1;
     t
   in
-  let fingerprint =
-    procs
-    :: (match spawn_overhead with
-       | None -> [ 0 ]
-       | Some x -> 1 :: float_bits x)
-    @ params_key params
-  in
-  memoized ?memo parsim_memo fingerprint metrics "parsim.memo.hits" run
+  memoized ?memo parsim_memo (procs :: params_key params) metrics
+    "parsim.memo.hits" run
 
 (* Largest simulated processor count a front end accepts. *)
 let max_procs = 1024
@@ -245,16 +237,12 @@ let max_procs = 1024
 let of_name ?metrics ?memo name ~procs ~params =
   match name with
   | "locality" ->
-    let config =
-      { Itf_machine.Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
-    in
     Ok
-      ( cache_misses ~config ?metrics ?memo ~params (),
-        Costmodel.Locality { config; elem_bytes = 8; params } )
+      ( cache_misses ?metrics ?memo ~params (),
+        Costmodel.Locality { config = cache_config; elem_bytes = 8; params } )
   | "parallel" ->
-    let spawn_overhead = 2.0 in
     Ok
-      ( parallel_time ~spawn_overhead ?metrics ?memo ~procs ~params (),
+      ( parallel_time ?metrics ?memo ~procs ~params (),
         Costmodel.Parallel { procs; spawn_overhead; params } )
   | _ ->
     Error (Printf.sprintf "unknown objective %S (use locality|parallel)" name)

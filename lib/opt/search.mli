@@ -26,19 +26,18 @@ val moves : Nest.t -> depth:int -> Itf_core.Template.t list
 (** {1 Ready-made objectives} *)
 
 val cache_misses :
-  ?config:Itf_machine.Cache.config ->
   ?metrics:Itf_obs.Metrics.t -> ?memo:bool ->
   params:(string * int) list ->
   unit -> objective
-(** Simulated cache misses of one full execution, run through
-    {!Itf_exec.Compile}. Arrays are laid out from the nest's own access
+(** Simulated cache misses of one full execution on an 8 KiB, 64-byte-line,
+    2-way cache, run through {!Itf_exec.Compile}. Arrays are laid out from the nest's own access
     pattern and re-filled with the same data before every evaluation, so
     transformed nests score on identical data. [metrics], when given, accumulates [memsim.runs],
     [memsim.cache.access] and [memsim.cache.miss] counters (atomic adds —
     totals are domain-schedule independent).
 
     [?memo] (default [true]): the objective is a pure function of
-    (config, params, nest), and a result's derivation id
+    (params, nest), and a result's derivation id
     ({!Itf_core.Framework.result}) determines its nest, so scores are
     memoized process-wide by derivation id + instantiation fingerprint.
     The nest itself is never interned or hashed. Hits return the stored
@@ -48,11 +47,11 @@ val cache_misses :
     every call. *)
 
 val parallel_time :
-  ?spawn_overhead:float ->
   ?metrics:Itf_obs.Metrics.t -> ?memo:bool -> procs:int ->
   params:(string * int) list ->
   unit -> objective
-(** Simulated parallel execution time on [procs] processors. [metrics]
+(** Simulated parallel execution time on [procs] processors, each
+    parallel loop start costing 2.0. [metrics]
     accumulates a [parsim.runs] counter. [?memo] as in {!cache_misses}
     (hit counter: [parsim.memo.hits]). *)
 
@@ -63,6 +62,6 @@ val of_name :
   ?metrics:Itf_obs.Metrics.t -> ?memo:bool -> string -> procs:int ->
   params:(string * int) list ->
   (objective * Costmodel.spec, string) result
-(** The objective ["locality"] (an 8 KiB, 64-byte-line, 2-way cache;
-    8-byte elements) or ["parallel"] (spawn overhead 2.0) paired with the
-    tier-0 spec that mirrors it; any other name is an [Error]. *)
+(** The objective ["locality"] ({!cache_misses}; 8-byte elements) or
+    ["parallel"] ({!parallel_time}) paired with the tier-0 spec that
+    mirrors it; any other name is an [Error]. *)

@@ -26,7 +26,7 @@ type t = {
       (** candidates rejected (bounds, dependence, unscoreable) *)
   mutable template_applications : int;
       (** applications the search's legality checks stand for. A check
-          answered by the process-wide legality memo counts the
+          answered by a stored verdict ({!Itf_core.Framework.check_extend}) counts the
           applications its original computation performed, so the
           counter is identical warm or cold — the same convention as
           [objective_evaluations], which counts memo-answered probes. *)

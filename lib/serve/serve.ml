@@ -882,7 +882,7 @@ let run_job t job =
 (* One pump loop: drain the server's queue until it is empty, then
    release the worker slot. Short-lived by design — pump jobs occupy a
    shared-pool domain only while this server actually has work, so many
-   servers (and the engine's own candain fan-out) can share one pool
+   servers (and the engine's own candidate fan-out) can share one pool
    without parking threads on each other. *)
 let rec pump t =
   let job =
@@ -911,13 +911,15 @@ let rec pump t =
 
 (* Admission. Introspection ops are always admitted — they are cheap,
    bounded and exactly what an operator needs during overload; searches
-   are shed once [queue_depth] jobs are already waiting. Admitting a job
-   tops the pump loops up to [workers], which bounds this server's
-   concurrency regardless of how large the shared pool has grown. *)
+   are shed once [queue_depth] jobs are already waiting. Queued ops count
+   as waiting, so a shed reports the count it saw, which may exceed the
+   capacity. Admitting a job tops the pump loops up to [workers], which
+   bounds this server's concurrency regardless of how large the shared
+   pool has grown. *)
 let enqueue t job =
   Mutex.protect t.sched (fun () ->
       let sheddable = match job with Search _ -> true | Op _ -> false in
-      if sheddable && t.queued >= t.queue_depth then `Shed
+      if sheddable && t.queued >= t.queue_depth then `Shed t.queued
       else begin
         Queue.push job t.jobs;
         t.queued <- t.queued + 1;
@@ -988,7 +990,7 @@ let submit t json k =
     in
     (match enqueue t job with
     | `Queued -> ()
-    | `Shed -> assert false (* ops are never shed *))
+    | `Shed _ -> assert false (* ops are never shed *))
   | Some other ->
     let resp =
       error_response ~id:(req_id ())
@@ -1011,7 +1013,7 @@ let submit t json k =
       in
       match enqueue t job with
       | `Queued -> ()
-      | `Shed ->
+      | `Shed waiting ->
         Metrics.incr (shed_counter t);
         let resp =
           Json.Obj
@@ -1022,7 +1024,7 @@ let submit t json k =
                 Json.String
                   (Printf.sprintf
                      "queue full (%d waiting, capacity %d): request shed"
-                     t.queue_depth t.queue_depth) );
+                     waiting t.queue_depth) );
             ]
         in
         record_request t ~req_id:req.id ~t_recv resp;

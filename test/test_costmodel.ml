@@ -60,7 +60,7 @@ let pairs () =
           ( "locality",
             Costmodel.Locality
               { config = cache_cfg; elem_bytes = 8; params = c.params },
-            Search.cache_misses ~config:cache_cfg ~params:c.params () );
+            Search.cache_misses ~params:c.params () );
           ( "parallel",
             Costmodel.Parallel
               { procs = 4; spawn_overhead = 2.0; params = c.params },

@@ -24,7 +24,7 @@ let test_moves_generated () =
     (List.for_all (fun t -> Template.input_depth t = 3) ms)
 
 (* A column-major traversal: the optimizer should discover interchange. *)
-let column_major () =
+let column_major ?(array = "a") () =
   Nest.make
     [
       Nest.loop "i" Expr.one (Expr.var "n");
@@ -32,7 +32,7 @@ let column_major () =
     ]
     [
       Stmt.Store
-        ( { array = "a"; index = [ Expr.var "j"; Expr.var "i" ] },
+        ( { array; index = [ Expr.var "j"; Expr.var "i" ] },
           Expr.add (Expr.var "i") (Expr.var "j") );
     ]
 
@@ -236,6 +236,21 @@ let test_scratch_does_not_leak () =
     true
     (grown < leaked / 10)
 
+(* The parallel objective simulates one machine, whether built directly
+   or by name: a result scored through both is simulated once. *)
+let test_parallel_objectives_share_memo () =
+  let metrics = Itf_obs.Metrics.create () in
+  let params = [ ("n", 12) ] in
+  let result = Framework.apply_exn (column_major ~array:"a_shared" ()) [] in
+  let direct = Search.parallel_time ~metrics ~procs:4 ~params () in
+  let named, _ =
+    Result.get_ok (Search.of_name ~metrics "parallel" ~procs:4 ~params)
+  in
+  Alcotest.(check (float 0.)) "same score" (direct result) (named result);
+  check_int "one parsim run" 1
+    (Itf_obs.Metrics.counter_value
+       (Itf_obs.Metrics.counter metrics "parsim.runs"))
+
 let () =
   Alcotest.run "opt"
     [
@@ -258,5 +273,10 @@ let () =
             test_scratch_reuse_is_invisible;
           Alcotest.test_case "no per-instance leak" `Quick
             test_scratch_does_not_leak;
+        ] );
+      ( "objectives",
+        [
+          Alcotest.test_case "parallel by name shares the memo" `Quick
+            test_parallel_objectives_share_memo;
         ] );
     ]

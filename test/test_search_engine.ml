@@ -213,7 +213,7 @@ let table name =
   | Some s -> s
   | None -> Alcotest.failf "no %s table registered" name
 
-let legality_hits () = (table "opt.legality").Itf_mat.Hashcons.hits
+let legality_hits () = (table "core.derivation").Itf_mat.Hashcons.hits
 
 (* The warm set of the hot queries fits every capped table. The example
    nests of the serve benchmark's 24 hot shapes (the sparse product calls
@@ -266,7 +266,7 @@ let test_warm_set_fits () =
       check_int (b.name ^ ": no evictions") 0 b.evictions)
     first (Itf_mat.Hashcons.stats ())
 
-(* The process-wide legality memo must not change any answer: a warm
+(* The stored legality verdicts must not change any answer: a warm
    search equals the cold one on the same nest, tiered and untiered, on
    1 and 2 domains, and so does a search whose memo entries another
    objective's frontier filled. *)
@@ -634,6 +634,98 @@ let test_search_interns_no_result_nest () =
     (Printf.sprintf "ir.nest grew by %d entries, at most 1 allowed" grown)
     true (grown <= 1)
 
+(* Root vector lists no other test uses: each names a new root, so
+   applying the empty sequence to it interns one new entry in
+   [core.derivation], a direct way to fill its shards. *)
+let distance k = Itf_dep.Depvec.(of_list [ dist k; dist 0 ])
+
+let fresh_vectors =
+  Seq.concat_map
+    (fun a -> Seq.map (fun b -> [ distance (1000 + a); distance b ]) (Seq.init 100 succ))
+    (Seq.init 100 succ)
+
+(* A state is named once, when it is made: after its entry, or its
+   root's, is flushed from [core.derivation] and [apply] names the same
+   candidate anew, [finish] still gives the state the id it had. *)
+let test_state_id_survives_flush () =
+  let root = fresh_nest "_flush" in
+  let st = Result.get_ok (Framework.extend (Framework.start root) skew) in
+  let recorded = derivation (Framework.finish st) in
+  let flushed () = derivation (Framework.apply root [ skew ]) <> recorded in
+  check_bool "apply names the resident state alike" false (flushed ());
+  check_bool "interning fresh roots flushed the state's entry" true
+    (Seq.exists
+       (fun vectors ->
+         ignore (Framework.apply ~vectors root []);
+         flushed ())
+       fresh_vectors);
+  check_int "finish after the flush" recorded (derivation (Framework.finish st))
+
+(* Root keys and child keys are disjoint even when built from the same
+   ints: a root nest whose id is a state's derivation id, with one
+   vector whose id is a template's id, is not that state's child by that
+   template. The id counters only grow, so each pair is brought level by
+   interning fresh nests, roots, vectors or templates. *)
+let test_root_and_child_keys_disjoint () =
+  let n = ref 0 in
+  let fresh_root_nest () =
+    incr n;
+    let nest =
+      Nest.make
+        [
+          Nest.loop "i" Expr.one (Expr.int (1000 + !n));
+          Nest.loop "j" Expr.one (Expr.var "n");
+        ]
+        [
+          Stmt.Store
+            ({ array = "keys"; index = [ Expr.var "i"; Expr.var "j" ] }, Expr.one);
+        ]
+    in
+    (nest, Intern.nest_id nest)
+  in
+  let parent_nest = wavefront () in
+  let vectors = Seq.to_dispenser fresh_vectors in
+  let fresh_parent () =
+    let st = Framework.start ~vectors:(Option.get (vectors ())) parent_nest in
+    (st, derivation (Framework.finish st))
+  in
+  let rec level (a, ia) (b, ib) fresh_a fresh_b =
+    if ia < ib then level (fresh_a ()) (b, ib) fresh_a fresh_b
+    else if ib < ia then level (a, ia) (fresh_b ()) fresh_a fresh_b
+    else (a, b)
+  in
+  let nest, parent =
+    level (fresh_root_nest ()) (fresh_parent ()) fresh_root_nest fresh_parent
+  in
+  let k = ref 0 in
+  let fresh_vector () =
+    incr k;
+    let v = distance (5000 + !k) in
+    (v, Itf_dep.Depvec.id v)
+  in
+  let fresh_template () =
+    incr k;
+    let t = Template.skew ~n:2 ~src:0 ~dst:1 ~factor:(5000 + !k) in
+    (t, snd (Template.intern_id t))
+  in
+  let vector, template =
+    level (fresh_vector ()) (fresh_template ()) fresh_vector fresh_template
+  in
+  check_int "the root's ints are the child's"
+    (Intern.nest_id nest)
+    (derivation (Framework.finish parent));
+  check_int "the vector's id is the template's"
+    (Itf_dep.Depvec.id vector)
+    (snd (Template.intern_id template));
+  let root_id =
+    derivation (Framework.finish (Framework.start ~vectors:[ vector ] nest))
+  in
+  let child_id =
+    derivation
+      (Result.bind (Framework.extend parent template) Framework.finish)
+  in
+  check_bool "distinct ids" true (root_id <> child_id)
+
 let () =
   Alcotest.run "search_engine"
     [
@@ -662,5 +754,9 @@ let () =
             test_memoised_equals_unmemoised;
           Alcotest.test_case "search interns no result nest" `Quick
             test_search_interns_no_result_nest;
+          Alcotest.test_case "a state's id survives a flush" `Quick
+            test_state_id_survives_flush;
+          Alcotest.test_case "root and child keys are disjoint" `Quick
+            test_root_and_child_keys_disjoint;
         ] );
     ]

@@ -692,6 +692,39 @@ let test_serve_overload_shedding () =
   check_bool "the two real searches completed" true
     (obj_field [ "requests"; "ok" ] st = Json.Int 2)
 
+(* A shed names the waiting count admission saw. Status ops are never
+   shed but do wait in the queue, so behind a pinned worker one queued
+   search and one queued status op make two waiting jobs on a 1-slot
+   queue. *)
+let test_serve_shed_message () =
+  let server =
+    Serve.create ~domains:1 ~max_cache:0 ~workers:1 ~queue_depth:1 ()
+  in
+  let blocker =
+    spawn (fun () -> ignore (Serve.handle_line server (heavy_req (Json.Int 1))))
+  in
+  check_bool "worker picked up the blocker" true
+    (wait_for (fun () -> gauge server "serve.workers.busy" = 1.));
+  let queued =
+    spawn (fun () ->
+        ignore (Serve.handle_line server (req ~id:(Json.Int 2) ~steps:1 matmul_src)))
+  in
+  check_bool "search queued" true
+    (wait_for (fun () -> gauge server "serve.queue.depth" = 1.));
+  let op =
+    spawn (fun () -> ignore (Serve.handle_line server "{\"op\": \"status\"}"))
+  in
+  check_bool "status op queued behind it" true
+    (wait_for (fun () -> gauge server "serve.queue.depth" = 2.));
+  let shed, _ =
+    Serve.handle_line server (req ~id:(Json.Int 3) ~steps:1 matmul_src)
+  in
+  check_string "shed as overloaded" "overloaded" (status shed);
+  check_bool "message names the waiting count" true
+    (Json.to_str (field "error" shed)
+    = Some "queue full (2 waiting, capacity 1): request shed");
+  List.iter Thread.join [ blocker; queued; op ]
+
 (* Queue-aware deadlines: a request whose allowance is consumed while it
    waits behind a heavy search is answered [degraded] with the
    [queue:deadline] cut without ever running the engine — and it never
@@ -811,8 +844,8 @@ let search_line ~id ~objective ~n ~steps src =
 (* Every table with a working-set cap. *)
 let bounded_tables =
   [
-    "core.derivation"; "dep.vectors"; "ir.nest"; "opt.legality";
-    "opt.obj.memsim"; "opt.obj.parsim"; "opt.tier0";
+    "core.derivation"; "dep.vectors"; "ir.nest"; "opt.obj.memsim";
+    "opt.obj.parsim"; "opt.tier0";
   ]
 
 let not_yet_evicted () =
@@ -951,6 +984,8 @@ let () =
             test_serve_queue_deadline;
           Alcotest.test_case "concurrent totals are exact" `Quick
             test_serve_concurrent_exact_totals;
+          Alcotest.test_case "shed message counts queued ops" `Quick
+            test_serve_shed_message;
         ] );
       ( "memory",
         [
