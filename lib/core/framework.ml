@@ -19,9 +19,10 @@ type checked = {
    them (paper §5: a transformation is a value independent of any nest),
    so a candidate is named by its parent plus the one template appended
    to it. A child's key is [[parent derivation id; template id]]; a
-   root's is [-1 :: nest id :: vector ids]. Ids are never negative, so
-   the tag keeps the two kinds of key apart, and within each kind the
-   list is the whole name.
+   root's is [-1 :: nest id] followed by each vector as its length and
+   then a (tag, value) pair per entry. Ids are never negative, so the
+   [-1] tag keeps the two kinds of key apart; within a root key every
+   vector is length-prefixed, so the list is the whole name.
 
    An entry's value is a write-once cell for the candidate's legality
    verdict and the template applications the miss that computed it
@@ -43,8 +44,18 @@ let derivations : checked option Atomic.t DTbl.t =
 
 let entry key = DTbl.intern derivations key (fun _ -> Atomic.make None)
 
+let vector_key v rest =
+  Array.length v
+  :: Array.fold_right
+       (fun e rest ->
+         match e with
+         | Itf_dep.Depvec.Dist n -> 0 :: n :: rest
+         | Itf_dep.Depvec.Dir d -> 1 :: Itf_dep.Dir.tag d :: rest)
+       v rest
+
 let root_entry nest vectors =
-  entry (-1 :: Itf_ir.Intern.nest_id nest :: List.map Itf_dep.Depvec.id vectors)
+  entry
+    (-1 :: Itf_ir.Intern.nest_id nest :: List.fold_right vector_key vectors [])
 
 let child_entry derivation t = entry [ derivation; snd (Template.intern_id t) ]
 

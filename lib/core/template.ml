@@ -184,47 +184,19 @@ let hash (t : t) =
       (comb (comb (comb 6 n) i) j)
       isize
 
-(* Hash-consing: canonical physically-shared instantiations with dense
-   ids. Keys are flat int lists over already-interned children (matrix and
-   expression ids), so re-interning costs one probe; canonical values
-   store interned matrices/expressions so equality checks deeper in the
-   framework hit the O(1) fast paths too. Array fields are never mutated
-   after the validated constructors copy them, so sharing is safe. *)
-module HC = Itf_mat.Hashcons.Keyed (Itf_mat.Hashcons.Ints_key)
+(* Template ids: one structural probe of an append-only table; the
+   first instantiation interned is its class's canonical value. Array
+   fields are never mutated after the validated constructors copy them,
+   so sharing is safe. *)
+module HC = Itf_mat.Hashcons.Keyed (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let table : t HC.t = HC.create "core.template"
-
-let bools fs = Array.to_list (Array.map (fun b -> if b then 1 else 0) fs)
-
-let intern_id (t : t) : t * int =
-  match t with
-  | Unimodular { n; m } ->
-    let m' = Intmat.intern m in
-    HC.intern table
-      (0 :: n :: [ Intmat.id m' ])
-      (fun _ -> if m' == m then t else Unimodular { n; m = m' })
-  | Reverse_permute { n; rev; perm } ->
-    HC.intern table
-      ((1 :: n :: bools rev) @ Array.to_list perm)
-      (fun _ -> t)
-  | Parallelize { n; parflag } ->
-    HC.intern table (2 :: n :: bools parflag) (fun _ -> t)
-  | Block { n; i; j; bsize } ->
-    let bs = Array.map Itf_ir.Intern.expr_i bsize in
-    HC.intern table
-      (3 :: n :: i :: j :: Array.to_list (Array.map snd bs))
-      (fun _ ->
-        if Array.for_all2 (fun (e', _) e0 -> e' == e0) bs bsize then t
-        else Block { n; i; j; bsize = Array.map fst bs })
-  | Coalesce { n; i; j } -> HC.intern table [ 4; n; i; j ] (fun _ -> t)
-  | Interleave { n; i; j; isize } ->
-    let is = Array.map Itf_ir.Intern.expr_i isize in
-    HC.intern table
-      (5 :: n :: i :: j :: Array.to_list (Array.map snd is))
-      (fun _ ->
-        if Array.for_all2 (fun (e', _) e0 -> e' == e0) is isize then t
-        else Interleave { n; i; j; isize = Array.map fst is })
-
+let intern_id t = HC.intern table t (fun _ -> t)
 let intern t = fst (intern_id t)
 let intern_ids seq = List.map intern_id seq
 

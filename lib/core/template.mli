@@ -80,8 +80,8 @@ val hash : t -> int
 (** Structural hash compatible with [equal]. *)
 
 val intern : t -> t
-(** Canonical physically-shared instantiation (matrix and block/interleave
-    size expressions interned too); see {!Itf_mat.Hashcons}. *)
+(** Canonical physically-shared instantiation: the first one interned
+    that is {!equal} to it (see {!Itf_mat.Hashcons}). *)
 
 val intern_id : t -> t * int
 (** {!intern} plus the dense intern id. Equal ids = equal templates; ids

@@ -637,8 +637,7 @@ let dependences (nest : Nest.t) =
    and costs milliseconds, while searches (and repeated searches over the
    same kernel) re-ask for the same nest's vectors constantly. The compute
    runs outside the table lock; racing domains recompute the same
-   deterministic list, so either store wins. Vectors are interned so every
-   caller shares one canonical list. *)
+   deterministic list, so either store wins. *)
 module VMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Int_key)
 
 (* The warm set is one entry per hot root nest; the cap bounds what a
@@ -650,8 +649,7 @@ let vectors_memo : Depvec.t list VMemo.t =
 
 let vectors nest =
   VMemo.find_or_add vectors_memo (Itf_ir.Intern.nest_id nest) (fun () ->
-      List.map Depvec.intern
-        (Depvec.dedupe (List.map (fun d -> d.vector) (dependences nest))))
+      Depvec.dedupe (List.map (fun d -> d.vector) (dependences nest)))
 
 (* ------------------------------------------------------------------ *)
 (* Statement-level dependences                                         *)

@@ -101,30 +101,6 @@ let compare (a : t) (b : t) =
       in
       go 0
 
-let elem_hash = function
-  | Dist n -> (2 * n) + 1
-  | Dir d -> 2 * Hashtbl.hash d
-
-(* Structural hash compatible with [equal]; lets dependence-vector sets key
-   the search engine's memo tables. *)
-let hash (d : t) =
-  Array.fold_left (fun h e -> (h * 31) + elem_hash e) (Array.length d) d
-
-(* Hash-consing: canonical physically-shared vectors with dense ids, used
-   to name a legality root by (nest id, vector ids). Vectors are
-   immutable arrays; interning keys on structure. *)
-module HC = Itf_mat.Hashcons.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
-let table = HC.create "dep.depvec"
-let intern_id (d : t) = HC.intern table d
-let intern d = fst (intern_id d)
-let id d = snd (intern_id d)
-
 let set_may_lex_negative ds = List.find_opt may_lex_negative ds
 
 let dedupe ds =

@@ -61,15 +61,6 @@ val compare : t -> t -> int
     polymorphic compare produced (length first, then elementwise): the
     output order of {!dedupe} is observable and must not change. *)
 
-val hash : t -> int
-(** Structural hash compatible with [equal] (memo-table keying). *)
-
-val intern : t -> t
-(** Canonical physically-shared representative (see {!Itf_mat.Hashcons}). *)
-
-val id : t -> int
-(** Dense intern id; equal ids = equal vectors. Not an ordering. *)
-
 (** {1 Sets of vectors} *)
 
 val set_may_lex_negative : t list -> t option

@@ -36,6 +36,10 @@ val merge_lex : t -> t -> t
     [merge_lex Zero d = d], [merge_lex NonNeg Neg = Any]... computed over
     sign sets. *)
 
+val tag : t -> int
+(** The constructor's position in the declaration, [Zero] = 0 to
+    [Any] = 6. *)
+
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

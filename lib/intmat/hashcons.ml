@@ -60,12 +60,15 @@ let shard_mask = nshards - 1
    shards grow on their own as they fill. *)
 let initial_buckets = 256 / nshards
 
-(* [Ints_key]-style fold hashes cluster in the low bits; one xor-shift
-   spreads them so both the shard choice and the bucket choice see
-   well-mixed bits. *)
+(* Fold hashes like [Ints_key]'s keep their low bits a function of the
+   parts' low bits alone, so keys whose parts advance in lockstep by a
+   multiple of [nshards] would all pick one shard. Multiplying by a
+   large odd constant carries every bit of the hash into the high bits,
+   and the xor-shift brings them back down, so both the shard choice
+   and the bucket choice see well-mixed bits. *)
 let spread h =
-  let h = h land max_int in
-  h lxor (h lsr 17)
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 (* The sharded table under both [Keyed] and [Memo]. Each shard is a
    bucket array published through an [Atomic] cell, its entry count and
@@ -238,18 +241,6 @@ module Keyed (H : HashedType) = struct
         S.add t.table shard h key entry;
         Mutex.unlock shard.mutex;
         entry)
-end
-
-(* Self-keyed hash-consing: the key IS the value; the first representative
-   interned becomes canonical for its equivalence class. Append-only: the
-   ids are equality witnesses. *)
-module Make (H : HashedType) = struct
-  module K = Keyed (H)
-
-  type table = H.t K.t
-
-  let create name = K.create name
-  let intern t v = K.intern t v (fun _ -> v)
 end
 
 (* Key -> value memoization of a pure function. Unlike [Keyed], the

@@ -4,16 +4,17 @@
     internally each table is sharded into independently locked bucket
     arrays with a lock-free read fast path, so any thread on any domain
     may intern or probe at any time — there is no coordinator-thread
-    restriction. Stats are exact (atomic counters). Interning a term
-    returns a canonical physically-shared representative plus a dense
-    integer id, making [hash]/[equal] on interned terms O(1) integer
-    operations.
+    restriction. Stats are exact (atomic counters). Interning a key
+    returns the value built for it on first sight plus a dense integer
+    id, so a later key can name it by one int.
 
     A table is append-only or bounded. Ids are never reused in either:
     in an append-only table they are stable for the life of the process
     and serve as equality witnesses; in a bounded table a key that comes
     back after an eviction gets a fresh id, so its ids are only fit to
-    key memos.
+    key memos. In this program only [core.template] and [core.sequence]
+    are append-only, and the search's move set bounds both (DESIGN.md
+    §10); every other table is bounded.
 
     Ids are NOT a usable total order: they depend on intern order, which
     depends on evaluation order, so any tie-break built on them would make
@@ -61,17 +62,6 @@ module Keyed (H : HashedType) : sig
       gets a fresh id, never one another key had. *)
 
   val intern : 'v t -> H.t -> (int -> 'v) -> 'v * int
-end
-
-(** Self-keyed hash-consing: the first representative interned becomes the
-    canonical value of its equivalence class. *)
-module Make (H : HashedType) : sig
-  type table
-
-  val create : string -> table
-  (** An append-only table: its ids are equality witnesses. *)
-
-  val intern : table -> H.t -> H.t * int
 end
 
 (** Memoization of a pure function by key. The compute callback runs

@@ -1,10 +1,5 @@
-type t = { rows : int; cols : int; data : int array; mutable id : int }
-(* Row-major storage; [rows]/[cols]/[data] are never mutated after
-   construction. [id] is -1 until {!intern} assigns the matrix its dense
-   hash-consing id; a non-negative id marks the canonical representative
-   (or a twin that learned its class's id). Construction does NOT intern:
-   determinant minors and intermediate products are transient and must not
-   grow the append-only table. *)
+type t = { rows : int; cols : int; data : int array }
+(* Row-major storage, never mutated after construction. *)
 
 type vec = int array
 
@@ -20,7 +15,7 @@ let make rows cols f =
       data.((i * cols) + j) <- f i j
     done
   done;
-  { rows; cols; data; id = -1 }
+  { rows; cols; data }
 
 let of_rows rws =
   match rws with
@@ -46,16 +41,11 @@ let row t i = Array.init t.cols (fun j -> get t i j)
 let col t j = Array.init t.rows (fun i -> get t i j)
 
 let equal a b =
-  a == b
-  || (a.id >= 0 && b.id >= 0 && a.id = b.id)
-  || ((a.id < 0 || b.id < 0)
-     && a.rows = b.rows && a.cols = b.cols && a.data = b.data)
+  a == b || (a.rows = b.rows && a.cols = b.cols && a.data = b.data)
 
 (* Explicit total order and hash (dimensions first, then row-major
    entries); [t] is abstract, so clients cannot fall back on the
-   polymorphic versions. The order is structural, never id-based: ids
-   depend on intern order, and tie-breaks built on them would make search
-   winners scheduling-dependent. *)
+   polymorphic versions. *)
 let compare a b =
   if a == b then 0
   else
@@ -75,43 +65,7 @@ let compare a b =
       go 0
 
 let hash t =
-  if t.id >= 0 then t.id
-  else
-    Array.fold_left
-      (fun h x -> (h * 31) + x)
-      ((t.rows * 31) + t.cols)
-      t.data
-
-(* Hash-consing. The table keys on structure (dimensions + entries), so an
-   uninterned twin of a canonical matrix finds its class; the structural
-   probe hash must therefore ignore [id]. *)
-module HC = Hashcons.Make (struct
-  type nonrec t = t
-
-  let equal a b =
-    a == b || (a.rows = b.rows && a.cols = b.cols && a.data = b.data)
-
-  let hash t =
-    Array.fold_left
-      (fun h x -> (h * 31) + x)
-      ((t.rows * 31) + t.cols)
-      t.data
-end)
-
-let table = HC.create "mat.intmat"
-
-let intern_id t =
-  if t.id >= 0 then (t, t.id)
-  else begin
-    let c, id = HC.intern table t in
-    (* Publish the id on the canonical representative. Racing writers all
-       write the same value, so the unsynchronized store is benign. *)
-    if c.id < 0 then c.id <- id;
-    (c, id)
-  end
-
-let intern t = fst (intern_id t)
-let id t = snd (intern_id t)
+  Array.fold_left (fun h x -> (h * 31) + x) ((t.rows * 31) + t.cols) t.data
 
 let is_identity t =
   t.rows = t.cols

@@ -38,33 +38,17 @@ val col : t -> int -> vec
 (** {1 Algebra} *)
 
 val equal : t -> t -> bool
-(** Structural equality, O(1) when both sides are interned (id compare)
-    or physically equal. *)
+(** Structural equality. *)
 
 val compare : t -> t -> int
-(** Total order: dimensions first, then row-major entries. Deliberately
-    structural even for interned matrices — ids depend on intern order and
-    are not a deterministic order. *)
+(** Total order: dimensions first, then row-major entries. *)
 
 val hash : t -> int
-(** Hash compatible with [equal]: the intern id when interned (O(1)),
-    the structural fold otherwise. *)
+(** Structural hash compatible with [equal]. *)
 
 val is_identity : t -> bool
 (** [is_identity t] = [equal t (identity (rows t))] for square [t], false
     otherwise — without allocating the identity. *)
-
-(** {1 Hash-consing} *)
-
-val intern : t -> t
-(** Canonical physically-shared representative of [t]'s structural
-    equivalence class, registered in the global append-only table (see
-    {!Hashcons}). Idempotent; [intern a == intern b] iff [equal a b]. *)
-
-val id : t -> int
-(** Dense intern id of [t]'s class (interning it first if needed). Equal
-    ids = equal matrices; ids are stable for the process lifetime but are
-    NOT ordered meaningfully. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

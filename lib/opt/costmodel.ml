@@ -534,11 +534,17 @@ let float_bits x =
   let b = Int64.bits_of_float x in
   [ Int64.to_int (Int64.shift_right_logical b 32); Int64.to_int (Int64.logand b 0xFFFFFFFFL) ]
 
+(* Every name is its length then its character codes, and the list its
+   length then the pairs, so the key is self-delimiting. *)
+let params_key params =
+  List.length params
+  :: List.concat_map
+       (fun (v, x) ->
+         (String.length v :: List.init (String.length v) (fun k -> Char.code v.[k]))
+         @ [ x ])
+       params
+
 let fingerprint spec =
-  let params_key params =
-    List.length params
-    :: List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
-  in
   match spec with
   | Locality { config; elem_bytes; params } ->
     0

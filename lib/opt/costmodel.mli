@@ -92,8 +92,13 @@ val make : spec -> Itf_core.Framework.result -> estimate
     neither the nest nor its vectors are walked on a probe; two
     spellings that generate the same nest are estimated once each. *)
 
+val params_key : (string * int) list -> int list
+(** A parameter list as a self-delimiting int list: its length, then
+    each name as its length and character codes, followed by its
+    value. *)
+
 val memo_key : spec -> derivation:int -> int list
 (** The memo key of {!make}: the spec fingerprint, then the derivation
-    id. The parameter list is prefixed by its length, so the fingerprint
-    is self-delimiting and distinct (spec, derivation) pairs never
-    flatten to the same key. *)
+    id. The fingerprint ends in {!params_key}, so it is self-delimiting
+    and distinct (spec, derivation) pairs never flatten to the same
+    key. *)

@@ -169,9 +169,6 @@ let memsim_memo : float OMemo.t =
 let parsim_memo : float OMemo.t =
   OMemo.create ~max_size:objective_cap "opt.obj.parsim"
 
-let params_key params =
-  List.concat_map (fun (v, x) -> [ Itf_ir.Intern.str_id v; x ]) params
-
 let memoized ?(memo = true) table fingerprint metrics hit_metric
     (f : Framework.result -> float) : objective =
   if not memo then f
@@ -211,7 +208,7 @@ let cache_misses ?metrics ?memo ~params () : objective =
     mcount metrics "memsim.cache.miss" cache.Itf_machine.Cache.misses;
     float cache.Itf_machine.Cache.misses
   in
-  memoized ?memo memsim_memo (params_key params) metrics "memsim.memo.hits" run
+  memoized ?memo memsim_memo (Costmodel.params_key params) metrics "memsim.memo.hits" run
 
 let parallel_time ?metrics ?memo ~procs ~params () : objective =
   let arrays = memo_arrays () in
@@ -226,7 +223,7 @@ let parallel_time ?metrics ?memo ~procs ~params () : objective =
     mcount metrics "parsim.runs" 1;
     t
   in
-  memoized ?memo parsim_memo (procs :: params_key params) metrics
+  memoized ?memo parsim_memo (procs :: Costmodel.params_key params) metrics
     "parsim.memo.hits" run
 
 (* Largest simulated processor count a front end accepts. *)
@@ -234,15 +231,18 @@ let max_procs = 1024
 
 (* The one place an exact objective meets its tier-0 mirror, so the
    screen ranks what the simulator will measure. *)
-let of_name ?metrics ?memo name ~procs ~params =
-  match name with
-  | "locality" ->
-    Ok
-      ( cache_misses ?metrics ?memo ~params (),
-        Costmodel.Locality { config = cache_config; elem_bytes = 8; params } )
-  | "parallel" ->
-    Ok
-      ( parallel_time ?metrics ?memo ~procs ~params (),
-        Costmodel.Parallel { procs; spawn_overhead; params } )
-  | _ ->
+let known_objective = function
+  | "locality" | "parallel" -> Ok ()
+  | name ->
     Error (Printf.sprintf "unknown objective %S (use locality|parallel)" name)
+
+let of_name ?metrics ?memo name ~procs ~params =
+  Result.map
+    (fun () ->
+      if name = "locality" then
+        ( cache_misses ?metrics ?memo ~params (),
+          Costmodel.Locality { config = cache_config; elem_bytes = 8; params } )
+      else
+        ( parallel_time ?metrics ?memo ~procs ~params (),
+          Costmodel.Parallel { procs; spawn_overhead; params } ))
+    (known_objective name)

@@ -58,6 +58,9 @@ val parallel_time :
 val max_procs : int
 (** Largest [procs] the front ends accept: 1024. *)
 
+val known_objective : string -> (unit, string) result
+(** [Ok ()] for a name {!of_name} accepts, else the error it gives. *)
+
 val of_name :
   ?metrics:Itf_obs.Metrics.t -> ?memo:bool -> string -> procs:int ->
   params:(string * int) list ->

@@ -273,9 +273,11 @@ let parse_request json =
       | Some s -> Ok s
       | None -> Error "missing required string field \"nest\""
     in
-    let objective =
-      Option.value ~default:"locality" (opt_field "objective" Json.to_str json)
+    let* objective =
+      typed_field "objective" Json.to_str ~what:"a string" json
     in
+    let objective = Option.value ~default:"locality" objective in
+    let* () = Search.known_objective objective in
     let* params = params_field json in
     let* procs = int_field "procs" ~default:8 json in
     let* () = in_range "procs" ~lo:1 ~hi:Search.max_procs procs in

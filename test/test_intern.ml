@@ -1,9 +1,10 @@
 (* Tests for the hash-consing layer (lib/intmat/hashcons.ml,
    lib/ir/intern.ml and the per-type intern entry points):
 
-   - canonicalization: structurally equal terms intern to the SAME
-     physical value and the same dense id, however they were constructed;
-     distinct terms get distinct ids. Ids are stable across re-interning.
+   - canonicalization: structurally equal templates and sequences intern
+     to the SAME physical value and the same dense id, however they were
+     constructed; distinct ones get distinct ids. Ids are stable across
+     re-interning.
    - table discipline: re-interning an already-seen corpus leaves every
      table size unchanged (no duplicates) while hit counts grow — the
      O(1) path is actually taken.
@@ -53,27 +54,29 @@ let corpus_cases () =
 let test_intmat_canonical () =
   let a = Intmat.interchange 3 0 1 in
   let b = Intmat.mul (Intmat.interchange 3 0 1) (Intmat.identity 3) in
-  check_bool "distinct physical values before interning" false (a == b);
-  let a' = Intmat.intern a and b' = Intmat.intern b in
-  check_bool "interned representatives are physically equal" true (a' == b');
-  check_int "same id" (Intmat.id a') (Intmat.id b');
-  check_bool "intern is idempotent" true (Intmat.intern a' == a');
-  let c = Intmat.intern (Intmat.skew 3 0 1 2) in
-  check_bool "distinct matrices get distinct ids" true
-    (Intmat.id a' <> Intmat.id c);
-  (* equality/compare answers are unchanged by interning *)
-  check_bool "equal: interned vs fresh" true (Intmat.equal a' b);
-  check_int "compare: interned vs fresh" 0 (Intmat.compare a' b)
+  check_bool "distinct physical values" false (a == b);
+  check_bool "equal: two constructions" true (Intmat.equal a b);
+  check_int "compare: two constructions" 0 (Intmat.compare a b);
+  check_int "hash: two constructions" (Intmat.hash a) (Intmat.hash b);
+  (* templates over equal matrices share one id *)
+  let ta = T.unimodular a and tb = T.unimodular b in
+  check_bool "templates over equal matrices physically equal" true
+    (T.intern ta == T.intern tb);
+  check_int "same template id" (snd (T.intern_id ta)) (snd (T.intern_id tb));
+  check_bool "distinct matrices, distinct template ids" true
+    (snd (T.intern_id ta) <> snd (T.intern_id (T.skew ~n:3 ~src:0 ~dst:1 ~factor:2)))
 
 let test_ir_canonical () =
+  let block e = T.block ~n:1 ~i:0 ~j:0 ~bsize:[| e |] in
   let e1 = Expr.(add (var "i") (int 1)) in
   let e2 = Expr.(add (var "i") (int 1)) in
   check_bool "fresh exprs differ physically" false (e1 == e2);
-  check_bool "interned exprs are physically equal" true
-    (fst (Intern.expr_i e1) == fst (Intern.expr_i e2));
-  check_int "same expr id" (snd (Intern.expr_i e1)) (snd (Intern.expr_i e2));
-  check_bool "distinct exprs, distinct ids" true
-    (snd (Intern.expr_i e1) <> snd (Intern.expr_i Expr.(add (var "i") (int 2))));
+  check_int "templates over equal exprs get one id"
+    (snd (T.intern_id (block e1)))
+    (snd (T.intern_id (block e2)));
+  check_bool "distinct exprs, distinct template ids" true
+    (snd (T.intern_id (block e1))
+    <> snd (T.intern_id (block Expr.(add (var "i") (int 2)))));
   let src =
     "do i = 1, n\n\
     \  do j = 1, n\n\
@@ -198,9 +201,10 @@ let test_explicit_compare_matches_polymorphic () =
    the race settles the tables are converged — re-interning the whole set
    adds nothing to any table. *)
 
-let stress_exprs () =
+let stress_templates () =
   List.init 64 (fun k ->
-      Expr.(add (add (var "i") (int k)) (add (var "j") (int (k * 7)))))
+      T.block ~n:2 ~i:0 ~j:1
+        ~bsize:Expr.[| add (var "b") (int k); int (k * 7) |])
 
 let stress_nest_src =
   "do i = 1, n\n\
@@ -211,22 +215,24 @@ let stress_nest_src =
 
 let test_multi_domain_intern_stress () =
   let intern_all () =
-    let expr_ids = List.map (fun e -> snd (Intern.expr_i e)) (stress_exprs ()) in
+    let template_ids =
+      List.map (fun t -> snd (T.intern_id t)) (stress_templates ())
+    in
     let nest_id = Intern.nest_id (Itf_lang.Parser.parse_nest stress_nest_src) in
-    (expr_ids, nest_id)
+    (template_ids, nest_id)
   in
   let domains = List.init 4 (fun _ -> Domain.spawn intern_all) in
   let results = List.map Domain.join domains in
   (* main domain re-interns after the join: the reference answer *)
-  let ref_exprs, ref_nest = intern_all () in
+  let ref_templates, ref_nest = intern_all () in
   List.iteri
-    (fun d (expr_ids, nest_id) ->
-      check_bool (Printf.sprintf "domain %d: expr ids agree" d) true
-        (expr_ids = ref_exprs);
+    (fun d (template_ids, nest_id) ->
+      check_bool (Printf.sprintf "domain %d: template ids agree" d) true
+        (template_ids = ref_templates);
       check_int (Printf.sprintf "domain %d: nest id agrees" d) ref_nest nest_id)
     results;
-  check_int "distinct exprs keep distinct ids" (List.length ref_exprs)
-    (List.length (List.sort_uniq compare ref_exprs));
+  check_int "distinct templates keep distinct ids" (List.length ref_templates)
+    (List.length (List.sort_uniq compare ref_templates));
   (* convergence: the racing domains left canonical tables behind — one
      entry per distinct structure, so a full re-intern adds nothing *)
   let before = Hashcons.stats () in
@@ -369,6 +375,22 @@ let test_bounded_racing_domains () =
          | None -> Hashtbl.add owner id k)
        keys)
     runs
+
+(* Keys whose parts advance in lockstep, like a root's
+   [[-1; nest id; vector id]] when nest and vector ids grow together,
+   have fold hashes that step by a multiple of the shard count. The
+   shard choice must still spread them: 1,000 of them fit a table
+   capped at 4,096 without a flush. *)
+module Lockstep = Hashcons.Keyed (Hashcons.Ints_key)
+
+let test_lockstep_keys_spread () =
+  let t = Lockstep.create ~max_size:4096 "test.bounded.lockstep" in
+  for k = 0 to 999 do
+    ignore (Lockstep.intern t [ -1; k + 40; k + 3 ] ignore)
+  done;
+  let s = table_stats "test.bounded.lockstep" in
+  check_int "every key is resident" 1000 s.Hashcons.size;
+  check_int "no evictions" 0 s.Hashcons.evictions
 
 let test_nest_id_structural () =
   let a =
@@ -542,5 +564,7 @@ let () =
             test_nest_id_structural;
           Alcotest.test_case "nest ids: a bounded table" `Quick
             test_nest_id_evicts;
+          Alcotest.test_case "bounded table: lockstep keys spread" `Quick
+            test_lockstep_keys_spread;
         ] );
     ]

@@ -281,6 +281,9 @@ let test_serve_errors_not_crashes () =
           (Json.Obj
              [ ("nest", Json.String matmul_src); ("objective", Json.String "foo") ]),
         "unknown objective \"foo\" (use locality|parallel)" );
+      ( "non-string objective",
+        "{\"nest\": \"x\", \"objective\": 5}",
+        "field \"objective\" must be a string" );
     ];
   let not_obj, _ = Serve.handle_line server "[1, 2]" in
   check_string "non-object request is an error" "error" (status not_obj)
@@ -558,6 +561,24 @@ let test_serve_shutdown () =
 (* ------------------------------------------------------------------ *)
 (* Concurrency: scheduler, shedding, queue deadlines, determinism      *)
 (* ------------------------------------------------------------------ *)
+
+(* An unknown objective is a malformed request: answered inline like
+   any other, so even a server whose queue admits nothing answers
+   [error], never [overloaded]. *)
+let test_serve_objective_unknown_inline () =
+  let server = Serve.create ~domains:1 ~queue_depth:0 () in
+  let resp, _ =
+    Serve.handle_line server
+      (Json.to_string
+         (Json.Obj
+            [ ("nest", Json.String matmul_src); ("objective", Json.String "foo") ]))
+  in
+  check_string "unknown objective is an error, not shed" "error" (status resp);
+  check_string "error names the objective"
+    "unknown objective \"foo\" (use locality|parallel)"
+    (match field "error" resp with Json.String m -> m | j -> Json.to_string j);
+  let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+  check_bool "nothing was shed" true (obj_field [ "queue"; "shed" ] st = Json.Int 0)
 
 let spawn f = Thread.create f ()
 
@@ -922,6 +943,54 @@ let test_novel_stream_evicts () =
         [ "locality"; "parallel" ])
     (List.combine kernels (Array.to_list srcs))
 
+(* No table outside the bounded list grows with what a client may vary
+   freely: 200 searches, each naming a parameter no earlier one named
+   and a dependence distance no earlier one had, leave every other
+   table as full as the first search left it. The moves of the 1-deep
+   nest and the direction of its one dependence are the same in every
+   request, and the beam holds every legal first step, so every request
+   interns the same templates and sequences. *)
+let test_fresh_names_grow_nothing () =
+  let server = Serve.create ~domains:1 () in
+  let send k =
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("id", Json.Int k);
+             ( "nest",
+               Json.String
+                 (Printf.sprintf
+                    "do i = 1, n\n  grow(i) = grow(i - %d) + 1\nenddo\n" k) );
+             ( "params",
+               Json.Obj
+                 [ ("n", Json.Int 8); (Printf.sprintf "p%d" k, Json.Int k) ] );
+           ])
+    in
+    let resp, _ = Serve.handle_line server line in
+    if status resp <> "ok" then
+      Alcotest.failf "request %d: %s" k (Json.to_string resp)
+  in
+  let unbounded () =
+    List.filter_map
+      (fun (s : Itf_mat.Hashcons.stats) ->
+        if List.mem s.Itf_mat.Hashcons.name bounded_tables then None
+        else Some (s.Itf_mat.Hashcons.name, s.Itf_mat.Hashcons.size))
+      (Itf_mat.Hashcons.stats ())
+  in
+  send 1;
+  let first = unbounded () in
+  for k = 2 to 200 do
+    send k
+  done;
+  List.iter2
+    (fun (name, size) (_, now) ->
+      check_bool
+        (Printf.sprintf "%s: %d entries after one search, %d after 200" name
+           size now)
+        true (now <= size))
+    first (unbounded ())
+
 let () =
   Alcotest.run "serve"
     [
@@ -955,6 +1024,8 @@ let () =
             test_serve_lru_eviction;
           Alcotest.test_case "shutdown request stops the loop" `Quick
             test_serve_shutdown;
+          Alcotest.test_case "unknown objective is answered inline" `Quick
+            test_serve_objective_unknown_inline;
         ] );
       ( "introspection",
         [
@@ -991,5 +1062,7 @@ let () =
         [
           Alcotest.test_case "novel stream evicts, answers stay golden" `Quick
             test_novel_stream_evicts;
+          Alcotest.test_case "fresh names and distances grow no other table"
+            `Quick test_fresh_names_grow_nothing;
         ] );
     ]
