@@ -10,19 +10,14 @@ let is_zero e = elem_is_zero e
 (* Unimodular: d' = M x d, extended to direction values.               *)
 (* ------------------------------------------------------------------ *)
 
-(* Extended-integer interval abstraction of an entry. *)
-type ext = NegInf | Fin of int | PosInf
+(* Extended-integer interval abstraction of an entry. Every interval
+   this module builds has a low end of [NegInf] or [Fin] and a high end of
+   [Fin] or [PosInf] (an entry's interval, a value delta's, a hull, and
+   the scaled, negated and summed images of those), so
+   {!Itf_dep.Interval.add} never meets [inf - inf] here. *)
+module Interval = Itf_dep.Interval
 
-let ext_add a b =
-  match (a, b) with
-  | NegInf, _ | _, NegInf -> NegInf
-  | PosInf, _ | _, PosInf -> PosInf
-  | Fin x, Fin y -> Fin (x + y)
-
-let ext_scale c = function
-  | Fin x -> Fin (c * x)
-  | NegInf -> if c > 0 then NegInf else if c < 0 then PosInf else Fin 0
-  | PosInf -> if c > 0 then PosInf else if c < 0 then NegInf else Fin 0
+type ext = Interval.ext = NegInf | Fin of int | PosInf
 
 let interval_of_elem = function
   | Dist d -> (Fin d, Fin d)
@@ -68,45 +63,6 @@ let elem_scale c e =
    fuzzer, e.g. skewing across [do j = i, i+3, 3]). For such components we
    bound the normalized delta by interval arithmetic over value deltas. *)
 
-let ext_neg = function NegInf -> PosInf | PosInf -> NegInf | Fin x -> Fin (-x)
-
-let ext_min a b =
-  match (a, b) with
-  | NegInf, _ | _, NegInf -> NegInf
-  | PosInf, x | x, PosInf -> x
-  | Fin x, Fin y -> Fin (min x y)
-
-let ext_max a b =
-  match (a, b) with
-  | PosInf, _ | _, PosInf -> PosInf
-  | NegInf, x | x, NegInf -> x
-  | Fin x, Fin y -> Fin (max x y)
-
-let interval_neg (lo, hi) = (ext_neg hi, ext_neg lo)
-let interval_add (a, b) (c, d) = (ext_add a c, ext_add b d)
-let interval_sub i j = interval_add i (interval_neg j)
-
-let interval_scale c (lo, hi) =
-  if c >= 0 then (ext_scale c lo, ext_scale c hi)
-  else (ext_scale c hi, ext_scale c lo)
-
-let ext_div_floor x s =
-  match x with
-  | Fin v -> Fin (Itf_ir.Expr.fdiv v s)
-  | NegInf -> if s > 0 then NegInf else PosInf
-  | PosInf -> if s > 0 then PosInf else NegInf
-
-let ext_div_ceil x s =
-  match x with
-  | Fin v -> Fin (-Itf_ir.Expr.fdiv (-v) s)
-  | NegInf -> if s > 0 then NegInf else PosInf
-  | PosInf -> if s > 0 then PosInf else NegInf
-
-(* Integers [t] with [s * t] inside the interval, [s <> 0]. *)
-let interval_unscale s (lo, hi) =
-  if s > 0 then (ext_div_ceil lo s, ext_div_floor hi s)
-  else (ext_div_ceil hi s, ext_div_floor lo s)
-
 (* Possible differences [x_sink - x_source] of the original variable's
    values. [aligned] asserts the loop's grid origin is shared by both
    iterations, so nonzero differences are at least a full step apart. *)
@@ -125,7 +81,7 @@ let value_interval ~step ~aligned e =
       let uhi =
         if s.Dir.pos then PosInf else if s.Dir.zero then Fin 0 else Fin (-m)
       in
-      if step > 0 then (ulo, uhi) else (ext_neg uhi, ext_neg ulo)
+      if step > 0 then (ulo, uhi) else Interval.neg (ulo, uhi)
 
 (* Interval of [e(sink) - e(source)] given value-delta intervals for the
    enclosing loop variables (anything else is invariant between the two). *)
@@ -135,20 +91,19 @@ let rec delta_expr env (e : Itf_ir.Expr.t) =
   | Expr.Int _ -> (Fin 0, Fin 0)
   | Expr.Var v -> (
     match List.assoc_opt v env with Some iv -> iv | None -> (Fin 0, Fin 0))
-  | Expr.Neg a -> interval_neg (delta_expr env a)
-  | Expr.Add (a, b) -> interval_add (delta_expr env a) (delta_expr env b)
-  | Expr.Sub (a, b) -> interval_sub (delta_expr env a) (delta_expr env b)
+  | Expr.Neg a -> Interval.neg (delta_expr env a)
+  | Expr.Add (a, b) -> Interval.add (delta_expr env a) (delta_expr env b)
+  | Expr.Sub (a, b) -> Interval.sub (delta_expr env a) (delta_expr env b)
   | Expr.Mul (a, b) -> (
     match (Expr.to_int a, Expr.to_int b) with
-    | Some c, _ -> interval_scale c (delta_expr env b)
-    | _, Some c -> interval_scale c (delta_expr env a)
+    | Some c, _ -> Interval.scale c (delta_expr env b)
+    | _, Some c -> Interval.scale c (delta_expr env a)
     | None, None ->
       if delta_free env e then (Fin 0, Fin 0) else (NegInf, PosInf))
   | Expr.Min (a, b) | Expr.Max (a, b) ->
     (* min/max are 1-Lipschitz: the delta lies in the hull of the
        argument deltas. *)
-    let la, ha = delta_expr env a and lb, hb = delta_expr env b in
-    (ext_min la lb, ext_max ha hb)
+    Interval.hull (delta_expr env a) (delta_expr env b)
   | Expr.Div _ | Expr.Mod _ | Expr.Load _ | Expr.Call _ ->
     if delta_free env e then (Fin 0, Fin 0) else (NegInf, PosInf)
 
@@ -160,7 +115,7 @@ and delta_free env e =
       | Some _ -> false)
     (Itf_ir.Expr.free_vars e)
 
-type grid = { grid_exact : bool array; grid_norm : (ext * ext) array }
+type grid = { grid_exact : bool array; grid_norm : Interval.t array }
 
 (* Per-component deltas of the step-normalized variables the matrix will
    mix, for the dependence vector [d] on [nest]. *)
@@ -197,7 +152,7 @@ let grid_of_nest (nest : Itf_ir.Nest.t) (d : t) : grid =
     | Some s ->
       grid_exact.(k) <- false;
       let dlo = delta_expr !env l.Nest.lo in
-      grid_norm.(k) <- interval_unscale s (interval_sub value dlo)
+      grid_norm.(k) <- Interval.unscale s (Interval.sub value dlo)
     | None ->
       grid_exact.(k) <- false;
       grid_norm.(k) <-
@@ -228,8 +183,8 @@ let unimodular_map ?grid m (d : t) : t =
       | nz ->
         let acc =
           List.fold_left
-            (fun acc (k, c) -> interval_add acc (interval_scale c (interval k)))
-            (Fin 0, Fin 0) nz
+            (fun acc (k, c) -> Interval.add acc (Interval.scale c (interval k)))
+            (Interval.point 0) nz
         in
         elem_of_interval acc)
 

@@ -1,7 +1,6 @@
 type result = {
   nest : Itf_ir.Nest.t;
   vectors : Itf_dep.Depvec.t list;
-  stages : Legality.stage list;
   derivation : int;
 }
 
@@ -59,19 +58,20 @@ let root_entry nest vectors =
 
 let child_entry derivation t = entry [ derivation; snd (Template.intern_id t) ]
 
-let apply ?count ?vectors nest seq =
-  let vectors =
-    match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
-  in
-  match Legality.check ?count ~vectors nest seq with
-  | Legality.Legal { nest = nest'; vectors = vectors'; stages } ->
+let root_vectors vectors nest =
+  match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
+
+let apply ?vectors nest seq =
+  let vectors = root_vectors vectors nest in
+  match Legality.check ~vectors nest seq with
+  | Legality.Legal { nest = nest'; vectors = vectors'; _ } ->
     let derivation =
       List.fold_left
         (fun id t -> snd (child_entry id t))
         (snd (root_entry nest vectors))
         seq
     in
-    Ok { nest = nest'; vectors = vectors'; stages; derivation }
+    Ok { nest = nest'; vectors = vectors'; derivation }
   | verdict -> Error verdict
 
 let apply_exn ?vectors nest seq =
@@ -82,44 +82,28 @@ let apply_exn ?vectors nest seq =
 let map_vectors seq vectors =
   List.fold_left (fun vs t -> Depmap.map_set t vs) vectors seq
 
-(* Incremental interface: a state is an already-checked sequence prefix;
-   extending appends one template in O(1) template applications. *)
-
-let start ?vectors nest =
-  let prefix = Legality.start ?vectors nest in
-  { prefix; derivation = snd (root_entry nest (Legality.state_vectors prefix)) }
-
-let extend ?count st t =
-  Result.map
-    (fun prefix -> { prefix; derivation = snd (child_entry st.derivation t) })
-    (Legality.extend ?count st.prefix t)
-
-let finish st =
-  match Legality.state_verdict st.prefix with
-  | Legality.Legal { nest; vectors; stages } ->
-    Ok { nest; vectors; stages; derivation = st.derivation }
-  | verdict -> Error verdict
-
 (* The verdict in an entry's cell, computed and stored on first use.
-   [make] builds the entry's prefix, counting its template
-   applications. *)
+   [make] builds the entry's prefix state; it and the final verdict share
+   one counter of template applications. *)
 let checked (cell, derivation) make =
   match Atomic.get cell with
   | Some c -> c
   | None ->
     let count = ref 0 in
+    let prefix = make count in
     let outcome =
-      Result.bind (make count) (fun prefix ->
-          let st = { prefix; derivation } in
-          Result.map (fun r -> (st, r)) (finish st))
+      match Legality.verdict ~count prefix with
+      | Legality.Legal { nest; vectors; _ } ->
+        Ok ({ prefix; derivation }, { nest; vectors; derivation })
+      | verdict -> Error verdict
     in
     let c = { outcome; apps = !count } in
     Atomic.set cell (Some c);
     c
 
-let check_root nest =
-  let prefix = Legality.start nest in
-  checked (root_entry nest (Legality.state_vectors prefix)) (fun _ -> Ok prefix)
+let check_root ?vectors nest =
+  let vectors = root_vectors vectors nest in
+  checked (root_entry nest vectors) (fun _ -> Legality.start ~vectors nest)
 
 let check_extend parent t =
   checked (child_entry parent.derivation t) (fun count ->

@@ -21,12 +21,11 @@
 type result = {
   nest : Itf_ir.Nest.t;  (** the transformed nest, inits included *)
   vectors : Itf_dep.Depvec.t list;  (** its dependence vectors, by mapping *)
-  stages : Legality.stage list;  (** intermediate states, for inspection *)
   derivation : int;
       (** The derivation id: a dense id naming the root nest, the root's
           dependence vectors and the raw template sequence this result
-          was derived from, the only inputs of {!apply} and of
-          [start |> extend* |> finish]. It is the id of the result's
+          was derived from, the only inputs of {!apply},
+          {!check_root} and {!check_extend}. It is the id of the result's
           entry in the one bounded [core.derivation] table, keyed
           [[parent derivation id; template id]] below its root's, so
           both give equal ids for equal inputs while the entries are
@@ -40,16 +39,14 @@ type result = {
 }
 
 val apply :
-  ?count:int ref ->
   ?vectors:Itf_dep.Depvec.t list ->
   Itf_ir.Nest.t ->
   Sequence.t ->
   (result, Legality.verdict) Stdlib.result
 (** Check legality and generate code. [vectors] overrides the dependence
     analyzer (used for nests whose dependences are known externally, e.g.
-    paper Figure 2's examples). [count] accumulates template stage
-    applications performed (see {!Legality.check}). [Error] carries the
-    failing verdict. *)
+    paper Figure 2's examples). [Error] carries the failing verdict
+    ({!Legality.check}). *)
 
 val apply_exn :
   ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> Sequence.t -> result
@@ -60,35 +57,23 @@ exception Illegal of Legality.verdict
 val map_vectors : Sequence.t -> Itf_dep.Depvec.t list -> Itf_dep.Depvec.t list
 (** Dependence-vector image of a whole sequence (no bounds checks). *)
 
-(** {1 Incremental application}
-
-    The search engine's hot path: a {!state} is a legality-checked sequence
-    prefix; {!extend} appends one template without replaying the prefix.
-    [apply nest (seq @ [t])] and [start nest |> extend ... |> finish] agree
-    (see {!Legality.extend} for the exact contract). A state gets its
-    derivation id when it is made, so a flush of the table between
-    {!extend} and {!finish} does not change it. *)
-
-type state
-
-val start : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> state
-
-val extend :
-  ?count:int ref -> state -> Template.t -> (state, Legality.verdict) Stdlib.result
-(** [count], when given, accumulates template stage applications performed
-    (instrumentation). *)
-
-val finish : state -> (result, Legality.verdict) Stdlib.result
-(** Run the final dependence test and package the prefix as a {!result}
-    carrying the state's derivation id. *)
-
 (** {1 Memoised verdicts}
 
-    [start |> finish] and [extend |> finish], answered from the
-    candidate's entry in [core.derivation]: the first call computes the
-    verdict outside any lock and stores it in the entry, every later call
-    while the entry is resident returns it. Racing first calls store
-    equal verdicts. *)
+    The search engine's hot path. A {!state} is a legal sequence prefix;
+    {!check_extend} appends one template without replaying the prefix
+    ({!Legality.extend}, then {!Legality.verdict}), and {!check_root}
+    starts from the root. [check_root nest |> check_extend*] and
+    {!apply} agree on the verdict and the derivation id of every prefix
+    whose own prefixes are all legal.
+
+    Each answer comes from the candidate's entry in [core.derivation]:
+    the first call computes the verdict outside any lock and stores it
+    in the entry, every later call while the entry is resident returns
+    it. Racing first calls store equal verdicts. A state gets its
+    derivation id when it is made, so a flush of the table does not
+    change it. *)
+
+type state
 
 type checked = {
   outcome : (state * result, Legality.verdict) Stdlib.result;
@@ -98,8 +83,9 @@ type checked = {
           read the same warm or cold *)
 }
 
-val check_root : Itf_ir.Nest.t -> checked
-(** The root with its analyzed vectors ({!Itf_dep.Analysis.vectors}). *)
+val check_root : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> checked
+(** The root; [vectors] defaults to {!Itf_dep.Analysis.vectors} on the
+    nest. *)
 
 val check_extend : state -> Template.t -> checked
 (** @raise Invalid_argument if the template does not chain with the

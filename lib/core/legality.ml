@@ -5,7 +5,6 @@ module Bmat = Itf_bounds.Bmat
 type stage = {
   index : int;
   template : Template.t;
-  nest_before : Nest.t;
   vectors_before : Depvec.t list;
 }
 
@@ -68,7 +67,7 @@ let demote_unsupported_pardo (nest : Nest.t) vectors =
           nest.Nest.loops;
     }
 
-(* One stage of [check] and [extend]: [t]'s bounds preconditions against
+(* One stage of [extend]: [t]'s bounds preconditions against
    [bm], the matrices of [nest], then its code and its mapped vectors. The
    published preconditions are necessary but not quite sufficient for
    every corner (e.g. a strided loop whose lower bound is a multi-term max
@@ -90,158 +89,114 @@ let step ~bm ~index nest vectors (t : Template.t) =
       Ok
         ( demote_unsupported_pardo nest' vectors',
           vectors',
-          { index; template = t; nest_before = nest; vectors_before = vectors } )
+          { index; template = t; vectors_before = vectors } )
     | exception (Invalid_argument msg | Failure msg) ->
       violation (Boundsmap.Codegen_rejected { message = msg })
     | exception Itf_bounds.Fourier.Unbounded what ->
       violation (Boundsmap.Unbounded_space { direction = what }))
 
-let check ?count ?vectors nest (seq : Sequence.t) =
-  if not (Sequence.well_formed seq) then
-    invalid_arg "Legality.check: sequence does not chain";
-  (match seq with
-  | t :: _ when Template.input_depth t <> Nest.depth nest ->
-    invalid_arg "Legality.check: sequence does not start at the nest depth"
-  | _ -> ());
-  let vectors =
-    match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
-  in
-  let rec go index nest vectors stages = function
-    | [] -> (
-      match Depvec.set_may_lex_negative vectors with
-      | Some vector -> Dependence_violation { vector }
-      | None -> Legal { nest; vectors; stages = List.rev stages })
-    | t :: rest -> (
-      bump count 1;
-      match step ~bm:(Bmat.of_nest nest) ~index nest vectors t with
-      | Ok (nest', vectors', stage) ->
-        go (index + 1) nest' vectors' (stage :: stages) rest
-      | Error violation -> violation)
-  in
-  match go 0 nest vectors [] seq with
-  | Legal _ as ok -> ok
-  | Bounds_violation _ as verdict -> (
-    (* A sequence may violate stage preconditions while its reduction does
-       not: e.g. skew-then-interchange fails ReversePermute's rectangular
-       precondition on the skewed nest, but reduces to a single Unimodular
-       that Figure 1 generates directly. Accept if the reduced sequence is
-       legal; otherwise report the original failure. *)
-    let reduced = Sequence.reduce seq in
-    if reduced = seq then verdict
-    else
-      match go 0 nest vectors [] reduced with
-      | Legal _ as ok -> ok
-      | _ -> verdict)
-  | other -> other
-
-let is_legal ?vectors nest seq =
-  match check ?vectors nest seq with Legal _ -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
-(* Resumable prefix states (incremental legality for search engines)   *)
+(* Prefix states: the one stage walk                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* What every state derived from one [start] shares: the root nest and
    its vectors. *)
 type root = { r_nest : Nest.t; r_vectors : Depvec.t list }
 
+type path =
+  | On of {
+      nest : Nest.t;
+      vectors : Depvec.t list;
+      stages_rev : stage list;
+      bmat : Bmat.t option Atomic.t;
+          (* The bound matrices of [nest], built by the first [extend] and
+             read by every later one: the siblings of one parent all check
+             their preconditions against the same matrices. An [Atomic]
+             cell, not a [Lazy]: pool domains extend siblings of one
+             memoised parent concurrently, and forcing one lazy value from
+             two domains at once raises. A racing build stores an equal
+             value. *)
+    }  (* every stage so far held *)
+  | Off of verdict  (* the first stage to fail its bounds preconditions *)
+
 type state = {
-  s_nest : Nest.t;
-  s_vectors : Depvec.t list;
-  s_stages_rev : stage list;
-  s_seq_rev : Template.t list;
-  s_root : root;
-  s_raw_failure : verdict option;
-      (* [Some v]: the stage-by-stage path of this prefix fails with [v]
-         and the prefix is legal only through its reduced sequence. Any
-         extension must then replay the reduced sequence from the root,
-         exactly as [check] would. *)
-  s_bmat : Bmat.t option Atomic.t;
-      (* The bound matrices of [s_nest], built by the first [extend] and
-         read by every later one: the siblings of one parent all check
-         their preconditions against the same matrices. An [Atomic] cell,
-         not a [Lazy]: pool domains extend siblings of one memoised parent
-         concurrently, and forcing one lazy value from two domains at once
-         raises. A racing build stores an equal value. *)
+  root : root;
+  seq_rev : Template.t list;
+  depth : int;  (* output depth of the prefix *)
+  path : path;
 }
 
-(* The one constructor: every state gets a fresh matrix cell, so a cell
-   never outlives the nest it was built for. *)
-let make_state ~root ~raw_failure ~seq_rev nest vectors stages_rev =
-  {
-    s_nest = nest;
-    s_vectors = vectors;
-    s_stages_rev = stages_rev;
-    s_seq_rev = seq_rev;
-    s_root = root;
-    s_raw_failure = raw_failure;
-    s_bmat = Atomic.make None;
-  }
+(* Every on-path state gets a fresh matrix cell, so a cell never outlives
+   the nest it was built for. *)
+let on nest vectors stages_rev =
+  On { nest; vectors; stages_rev; bmat = Atomic.make None }
 
-let state_bmat st =
-  match Atomic.get st.s_bmat with
-  | Some bm -> bm
-  | None ->
-    let bm = Bmat.of_nest st.s_nest in
-    Atomic.set st.s_bmat (Some bm);
-    bm
+let of_root root =
+  {
+    root;
+    seq_rev = [];
+    depth = Nest.depth root.r_nest;
+    path = on root.r_nest root.r_vectors [];
+  }
 
 let start ?vectors nest =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
-  make_state
-    ~root:{ r_nest = nest; r_vectors = vectors }
-    ~raw_failure:None ~seq_rev:[] nest vectors []
-
-let state_nest st = st.s_nest
-let state_vectors st = st.s_vectors
-
-let state_verdict st =
-  match Depvec.set_may_lex_negative st.s_vectors with
-  | Some vector -> Dependence_violation { vector }
-  | None ->
-    Legal
-      {
-        nest = st.s_nest;
-        vectors = st.s_vectors;
-        stages = List.rev st.s_stages_rev;
-      }
-
-(* The appended stage failed its bounds preconditions on the stage-by-stage
-   path; mirror [check]'s fallback: accept iff the reduced sequence is
-   legal from the root, otherwise report the stage-by-stage failure. *)
-let extend_fallback ?count st t raw_failure =
-  let seq = List.rev (t :: st.s_seq_rev) in
-  let reduced = Sequence.reduce seq in
-  if reduced = seq then Error raw_failure
-  else
-    match check ?count ~vectors:st.s_root.r_vectors st.s_root.r_nest reduced with
-    | Legal { nest; vectors; stages } ->
-      Ok
-        (make_state ~root:st.s_root ~raw_failure:(Some raw_failure)
-           ~seq_rev:(t :: st.s_seq_rev) nest vectors (List.rev stages))
-    | _ -> Error raw_failure
+  of_root { r_nest = nest; r_vectors = vectors }
 
 let extend ?count st (t : Template.t) =
-  if Template.input_depth t <> Nest.depth st.s_nest then
+  if Template.input_depth t <> st.depth then
     invalid_arg "Legality.extend: template does not chain with the state";
-  match st.s_raw_failure with
-  | Some raw ->
-    (* The stage-by-stage path already fails inside the prefix, so the
-       appended raw sequence fails identically; only the reduced path can
-       accept it. *)
-    extend_fallback ?count st t raw
-  | None -> (
-    bump count 1;
-    let index = List.length st.s_seq_rev in
-    match step ~bm:(state_bmat st) ~index st.s_nest st.s_vectors t with
-    | Ok (nest', vectors', stage) ->
-      Ok
-        (make_state ~root:st.s_root ~raw_failure:None
-           ~seq_rev:(t :: st.s_seq_rev) nest' vectors'
-           (stage :: st.s_stages_rev))
-    | Error raw -> extend_fallback ?count st t raw)
+  let path =
+    match st.path with
+    | Off _ as off -> off
+    | On { nest; vectors; stages_rev; bmat } -> (
+      bump count 1;
+      let bm =
+        match Atomic.get bmat with
+        | Some bm -> bm
+        | None ->
+          let bm = Bmat.of_nest nest in
+          Atomic.set bmat (Some bm);
+          bm
+      in
+      match step ~bm ~index:(List.length st.seq_rev) nest vectors t with
+      | Ok (nest', vectors', stage) -> on nest' vectors' (stage :: stages_rev)
+      | Error raw -> Off raw)
+  in
+  { st with seq_rev = t :: st.seq_rev; depth = Template.output_depth t; path }
+
+let verdict ?count st =
+  let final st =
+    match st.path with
+    | On { nest; vectors; stages_rev; _ } -> (
+      match Depvec.set_may_lex_negative vectors with
+      | Some vector -> Dependence_violation { vector }
+      | None -> Legal { nest; vectors; stages = List.rev stages_rev })
+    | Off raw -> raw
+  in
+  match st.path with
+  | On _ -> final st
+  | Off raw -> (
+    (* A sequence may violate stage preconditions while its reduction does
+       not: e.g. skew-then-interchange fails ReversePermute's rectangular
+       precondition on the skewed nest, but reduces to a single Unimodular
+       that Figure 1 generates directly. Accept if the reduced sequence is
+       legal from the root; otherwise report the original failure. *)
+    let seq = List.rev st.seq_rev in
+    let reduced = Sequence.reduce seq in
+    if reduced = seq then raw
+    else
+      match final (List.fold_left (extend ?count) (of_root st.root) reduced) with
+      | Legal _ as ok -> ok
+      | _ -> raw)
+
+let check ?vectors nest seq =
+  verdict (List.fold_left extend (start ?vectors nest) seq)
+
+let is_legal ?vectors nest seq =
+  match check ?vectors nest seq with Legal _ -> true | _ -> false
 
 type reason =
   | Precondition of { index : int; violation : Boundsmap.violation }

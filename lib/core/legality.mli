@@ -18,7 +18,6 @@
 type stage = {
   index : int;  (** 0-based position in the sequence *)
   template : Template.t;
-  nest_before : Itf_ir.Nest.t;
   vectors_before : Itf_dep.Depvec.t list;
 }
 
@@ -35,15 +34,10 @@ type verdict =
     }
 
 val check :
-  ?count:int ref ->
-  ?vectors:Itf_dep.Depvec.t list ->
-  Itf_ir.Nest.t ->
-  Sequence.t ->
-  verdict
-(** [check nest seq] — [vectors] defaults to {!Itf_dep.Analysis.vectors}
-    on the nest. [count], when given, is incremented once per template
-    stage application attempted (including reduced-sequence retries) —
-    the instrumentation used to compare search engines.
+  ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> Sequence.t -> verdict
+(** [check nest seq] is [verdict] of [start nest] extended by each
+    template of [seq] in turn ({!extend}). [vectors] defaults to
+    {!Itf_dep.Analysis.vectors} on the nest.
     @raise Invalid_argument if [seq] does not chain with the nest's
     depth. *)
 
@@ -77,22 +71,27 @@ val reason_label : reason -> string
 
 val pp_reason : Format.formatter -> reason -> unit
 
-(** {1 Resumable prefix states}
+(** {1 Prefix states}
 
-    Search engines grow candidate sequences one template at a time. A
-    [state] carries the transformed nest, mapped dependence vectors and
-    per-stage records of an already-checked prefix, so appending a template
-    costs {e one} template application instead of replaying the whole
-    prefix from the root (the transformation/nest separation of paper
-    Section 5 makes the prefix state self-contained).
+    {!check} is a fold: {!start} makes the empty prefix, {!extend}
+    appends one template, {!verdict} judges the prefix. Search engines
+    grow candidate sequences one template at a time, so they keep the
+    state of a checked prefix and pay {e one} template application per
+    extension instead of replaying the prefix from the root (the
+    transformation/nest separation of paper Section 5 makes the prefix
+    state self-contained).
 
-    A state also holds the LB/UB/STEP matrices of its nest (paper
-    Section 4.3, {!Itf_bounds.Bmat}), which every template's bounds
-    preconditions are checked against and Block code generation reads.
-    They are built by the state's first {!extend} and shared by every
-    later one, so the siblings of one parent pay for one build. The cell
-    is domain-safe: search engines extend one state from several domains
-    at once, and a racing build stores an equal value. *)
+    While every stage has held, a state carries the transformed nest, the
+    mapped dependence vectors and the per-stage records. It also holds
+    the LB/UB/STEP matrices of its nest (paper Section 4.3,
+    {!Itf_bounds.Bmat}), which every template's bounds preconditions are
+    checked against and Block code generation reads. They are built by
+    the state's first {!extend} and shared by every later one, so the
+    siblings of one parent pay for one build. The cell is domain-safe:
+    search engines extend one state from several domains at once, and a
+    racing build stores an equal value. Once a stage fails, the state
+    holds that stage's verdict and later extensions only record their
+    templates. *)
 
 type state
 
@@ -100,19 +99,22 @@ val start : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> state
 (** The empty-prefix state; [vectors] defaults to
     {!Itf_dep.Analysis.vectors} on the nest. *)
 
-val extend :
-  ?count:int ref -> state -> Template.t -> (state, verdict) Stdlib.result
-(** [extend st t] appends one template: checks [t]'s bounds preconditions
-    against the prefix nest, generates its code and maps the dependence
-    vectors. Agrees with [check root (prefix @ [t])] up to the final
-    dependence test (deferred to {!state_verdict}, since intermediate
-    vector sets need not be legal — paper Section 3.2), including the
-    reduced-sequence fallback on a bounds violation.
+val extend : ?count:int ref -> state -> Template.t -> state
+(** [extend st t] appends one template. While every stage has held, it
+    checks [t]'s bounds preconditions against the prefix nest, generates
+    its code and maps the dependence vectors, and increments [count] by
+    one; if the preconditions fail, the state keeps that failure. Once a
+    stage has failed, it only records [t]. The dependence test is
+    deferred to {!verdict}, since intermediate vector sets need not be
+    legal (paper Section 3.2).
     @raise Invalid_argument if [t] does not chain with the state's depth. *)
 
-val state_verdict : state -> verdict
-(** Final dependence-vector test of the prefix; [Legal] carries the same
-    nest/vectors/stages [check] would return for it. *)
-
-val state_nest : state -> Itf_ir.Nest.t
-val state_vectors : state -> Itf_dep.Depvec.t list
+val verdict : ?count:int ref -> state -> verdict
+(** The verdict of the whole prefix. If every stage held, it is the final
+    dependence test. If a stage failed, the reduced-sequence fallback
+    runs on the whole prefix: the prefix is accepted exactly when its
+    {!Sequence.reduce}d form, replayed from the root by {!extend}, is
+    [Legal]; otherwise the first failing stage's verdict is reported.
+    [count] is incremented once per template stage the replay applies,
+    so [extend] and [verdict] together count every stage application
+    attempted — the instrumentation used to compare search engines. *)

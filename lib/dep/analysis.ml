@@ -6,40 +6,8 @@ type kind = Flow | Anti | Output
 
 type dependence = { array : string; kind : kind; vector : Depvec.t }
 
-(* ------------------------------------------------------------------ *)
-(* Extended integers and intervals (for Banerjee-style feasibility)    *)
-(* ------------------------------------------------------------------ *)
-
-type ext = NegInf | Fin of int | PosInf
-
-let ext_add a b =
-  match (a, b) with
-  | NegInf, PosInf | PosInf, NegInf ->
-    invalid_arg "Analysis.ext_add: inf - inf"
-  | NegInf, _ | _, NegInf -> NegInf
-  | PosInf, _ | _, PosInf -> PosInf
-  | Fin x, Fin y -> Fin (x + y)
-
-let ext_scale c = function
-  | Fin x -> Fin (c * x)
-  | NegInf -> if c > 0 then NegInf else if c < 0 then PosInf else Fin 0
-  | PosInf -> if c > 0 then PosInf else if c < 0 then NegInf else Fin 0
-
-let ext_le a b =
-  match (a, b) with
-  | NegInf, _ | _, PosInf -> true
-  | PosInf, _ | _, NegInf -> false
-  | Fin x, Fin y -> x <= y
-
-type iv = ext * ext
-
-let iv_scale c ((lo, hi) : iv) : iv =
-  if c >= 0 then (ext_scale c lo, ext_scale c hi)
-  else (ext_scale c hi, ext_scale c lo)
-
-let iv_add ((a, b) : iv) ((c, d) : iv) : iv = (ext_add a c, ext_add b d)
-
-let iv_contains ((lo, hi) : iv) x = ext_le lo (Fin x) && ext_le (Fin x) hi
+(* Extended integers and intervals, for Banerjee-style feasibility. *)
+type ext = Interval.ext = NegInf | Fin of int | PosInf
 
 (* ------------------------------------------------------------------ *)
 (* Loop normalization                                                  *)
@@ -66,17 +34,17 @@ let loop_infos (nest : Nest.t) =
     nest.Nest.loops
 
 (* The box of t_k and the delta range for a direction choice. *)
-let t_box info : iv =
+let t_box info : Interval.t =
   match info.count with
   | Some c -> (Fin 0, Fin (c - 1))
   | None -> (Fin 0, PosInf)
 
-let delta_range info sigma : iv =
+let delta_range info sigma : Interval.t =
   let span = match info.count with Some c -> Fin (c - 1) | None -> PosInf in
   match sigma with
   | 0 -> (Fin 0, Fin 0)
   | 1 -> (Fin 1, span)
-  | _ -> (ext_scale (-1) span, Fin (-1))
+  | _ -> Interval.neg (Fin 1, span)
 
 (* ------------------------------------------------------------------ *)
 (* Reference collection                                                *)
@@ -293,22 +261,22 @@ let sigma_feasible infos (pins : pin array) eqs (sigma : int array) =
     (fun eq ->
       (not eq.ok)
       ||
-      let iv = ref ((Fin 0 : ext), (Fin 0 : ext)) in
+      let iv = ref (Interval.point 0) in
       List.iteri
         (fun k (_, info) ->
           let drange =
             match pins.(k) with
-            | Exact d -> ((Fin d : ext), (Fin d : ext))
+            | Exact d -> Interval.point d
             | Unknown | Valued _ -> delta_range info sigma.(k)
           in
           let contrib =
-            iv_add
-              (iv_scale (eq.ca.(k) - eq.cb.(k)) (t_box info))
-              (iv_scale (-eq.cb.(k)) drange)
+            Interval.add
+              (Interval.scale (eq.ca.(k) - eq.cb.(k)) (t_box info))
+              (Interval.scale (-eq.cb.(k)) drange)
           in
-          iv := iv_add !iv contrib)
+          iv := Interval.add !iv contrib)
         infos;
-      iv_contains !iv (-eq.c))
+      Interval.contains !iv (-eq.c))
     eqs
 
 (* ------------------------------------------------------------------ *)

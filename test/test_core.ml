@@ -618,6 +618,43 @@ let test_fig7_full_pipeline () =
        ~orders:[ `Forward; `Reverse; `Shuffle 11 ]
        (Builders.matmul ()) r.Framework.nest)
 
+let test_legality_whole_sequence_fallback () =
+  (* Skew by -1 then interchange fails ReversePermute's rectangular
+     precondition at the interchange. The pair reduces to one Unimodular
+     that maps (1, 0) to (-1, 1), so it stays illegal; the reversal
+     completes a reduction that maps it to (1, 1), so the triple is
+     legal. Extending stage by stage and asking for the verdict at the
+     end must agree with [check] on the whole sequence. *)
+  let nest =
+    Itf_lang.Parser.parse_nest
+      "do i = 2, n - 1\n\
+      \  do j = 2, n - 1\n\
+      \    a(i, j) = a(i - 1, j)\n\
+      \  enddo\n\
+       enddo\n"
+  in
+  let seq =
+    [
+      Template.skew ~n:2 ~src:0 ~dst:1 ~factor:(-1);
+      Template.interchange ~n:2 0 1;
+      Template.reversal ~n:2 0;
+    ]
+  in
+  let full = Legality.check nest seq in
+  (match full with
+  | Legality.Legal { vectors; _ } ->
+    Alcotest.(check (list string)) "reduced vectors" [ "(1, 1)" ] (vecs_str vectors)
+  | v -> Alcotest.failf "expected legal, got %a" Legality.pp_verdict v);
+  (match Legality.check nest (List.filteri (fun k _ -> k < 2) seq) with
+  | Legality.Bounds_violation { index = 1; _ } -> ()
+  | v -> Alcotest.failf "expected a bounds violation at step 1, got %a"
+           Legality.pp_verdict v);
+  Alcotest.(check string) "extend then verdict agrees with check"
+    (Format.asprintf "%a" Legality.pp_verdict full)
+    (Format.asprintf "%a" Legality.pp_verdict
+       (Legality.verdict
+          (List.fold_left Legality.extend (Legality.start nest) seq)))
+
 (* ------------------------------------------------------------------ *)
 (* Resumable states: reuse and concurrency                              *)
 (* ------------------------------------------------------------------ *)
@@ -655,10 +692,7 @@ let summary f =
       (List.map (Format.asprintf "%a" Legality.pp_reason) (Legality.reasons v))
   | exception e -> "raised " ^ Printexc.to_string e
 
-let extended st t () =
-  match Legality.extend st t with
-  | Ok st' -> Legality.state_verdict st'
-  | Error v -> v
+let extended st t () = Legality.verdict (Legality.extend st t)
 
 let agree what label expected got =
   List.iteri
@@ -672,10 +706,11 @@ let extend_all moves st = List.map (fun t -> summary (extended st t)) moves
    row. Returns what the concurrent pass needs: the moves, the expected
    verdicts and a fresh copy of the parent, whose cell is still empty. *)
 let check_parent what root prefix st =
-  let vectors = Legality.state_vectors (Legality.start root) in
-  let moves =
-    Itf_opt.Search.moves root ~depth:(Nest.depth (Legality.state_nest st))
+  let vectors = Itf_dep.Analysis.vectors root in
+  let depth =
+    List.fold_left (fun _ t -> Template.output_depth t) (Nest.depth root) prefix
   in
+  let moves = Itf_opt.Search.moves root ~depth in
   let expected =
     List.map
       (fun t -> summary (fun () -> Legality.check ~vectors root (prefix @ [ t ])))
@@ -684,9 +719,7 @@ let check_parent what root prefix st =
   agree what "first pass" expected (extend_all moves st);
   agree what "second pass" expected (extend_all moves st);
   let fresh =
-    List.fold_left
-      (fun st t -> Result.get_ok (Legality.extend st t))
-      (Legality.start ~vectors root) prefix
+    List.fold_left Legality.extend (Legality.start ~vectors root) prefix
   in
   (what, moves, expected, fresh)
 
@@ -703,17 +736,17 @@ let check_concurrent parents =
         parents results)
     (List.map Domain.join ds)
 
-(* The empty prefix and every prefix of [seq] that extends stage by
-   stage, each with its state. *)
+(* The empty prefix and every prefix of [seq] that chains, each with its
+   state. *)
 let prefix_states root seq =
   let rec go st prefix acc = function
     | [] -> List.rev acc
     | t :: rest -> (
       match Legality.extend st t with
-      | Ok st' ->
+      | st' ->
         let prefix' = prefix @ [ t ] in
         go st' prefix' ((prefix', st') :: acc) rest
-      | Error _ | (exception Invalid_argument _) -> List.rev acc)
+      | exception Invalid_argument _ -> List.rev acc)
   in
   let st0 = Legality.start root in
   go st0 [] [ ([], st0) ] seq
@@ -722,14 +755,12 @@ let test_state_reuse_examples () =
   List.map
     (fun (name, root) ->
       let st0 = Legality.start root in
-      (* the root, and every single move that extends, as parents *)
+      (* the root, and every single move, as parents *)
       List.map
         (fun (prefix, st) -> check_parent name root prefix st)
         (([], st0)
-        :: List.filter_map
-             (fun t ->
-               Result.to_option (Legality.extend st0 t)
-               |> Option.map (fun st -> ([ t ], st)))
+        :: List.map
+             (fun t -> ([ t ], Legality.extend st0 t))
              (Itf_opt.Search.moves root ~depth:(Nest.depth root))))
     (example_nests ())
   |> List.concat |> check_concurrent
@@ -748,16 +779,18 @@ let test_state_reuse_fallback () =
   in
   let skew = Template.skew ~n:2 ~src:0 ~dst:1 ~factor:1 in
   let interchange = Template.interchange ~n:2 0 1 in
-  let skewed = Result.get_ok (Legality.extend (Legality.start root) skew) in
+  let skewed_nest =
+    match Legality.check root [ skew ] with
+    | Legality.Legal { nest; _ } -> nest
+    | _ -> Alcotest.fail "skew should be legal"
+  in
   check_bool "interchange fails stage by stage" true
-    (Itf_core.Boundsmap.check
-       (Itf_bounds.Bmat.of_nest (Legality.state_nest skewed))
-       interchange
+    (Itf_core.Boundsmap.check (Itf_bounds.Bmat.of_nest skewed_nest) interchange
     <> []);
   let prefix = [ skew; interchange ] in
   match Legality.check root prefix with
   | Legality.Legal _ ->
-    let st = Result.get_ok (Legality.extend skewed interchange) in
+    let st = Legality.extend (Legality.extend (Legality.start root) skew) interchange in
     check_concurrent [ check_parent "skew+interchange" root prefix st ]
   | _ -> Alcotest.fail "skew then interchange should be legal through its reduction"
 
@@ -830,6 +863,8 @@ let () =
             test_legality_uses_analyzer_by_default;
           Alcotest.test_case "figure 7 end to end" `Quick test_fig7_full_pipeline;
           Alcotest.test_case "LU update kernel" `Quick test_lu_update_kernel;
+          Alcotest.test_case "whole-sequence fallback" `Quick
+            test_legality_whole_sequence_fallback;
         ] );
       ( "states",
         [

@@ -659,12 +659,14 @@ let test_engine_provenance () =
 
 (* A legal candidate whose objective is NaN is kept as [Unscoreable]. *)
 let test_engine_unscoreable () =
+  let root = Builders.matmul () in
   let nan_after_root (result : Itf_core.Framework.result) =
-    if result.Itf_core.Framework.stages = [] then 1.0 else Float.nan
+    if Itf_ir.Nest.equal result.Itf_core.Framework.nest root then 1.0
+    else Float.nan
   in
   match
-    Engine.search ~beam:4 ~steps:1 ~domains:1 ~provenance:true
-      (Builders.matmul ()) nan_after_root
+    Engine.search ~beam:4 ~steps:1 ~domains:1 ~provenance:true root
+      nan_after_root
   with
   | None -> Alcotest.fail "root evaluation is scoreable"
   | Some o ->

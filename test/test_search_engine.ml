@@ -510,14 +510,20 @@ let figure2 () =
     \  enddo\n\
      enddo\n"
 
+(* The engine's memoised checks: a root, and one template appended to a
+   legal prefix. *)
+let checked_root ?vectors root = (Framework.check_root ?vectors root).Framework.outcome
+let checked_extend st t = (Framework.check_extend st t).Framework.outcome
+let state c = fst (Result.get_ok c)
+let result c = Result.map snd c
+
 let incremental ?vectors root seq =
   List.fold_left
-    (fun st t -> Result.bind st (fun st -> Framework.extend st t))
-    (Ok (Framework.start ?vectors root))
-    seq
-  |> Fun.flip Result.bind Framework.finish
+    (fun c t -> Result.bind c (fun (st, _) -> checked_extend st t))
+    (checked_root ?vectors root) seq
+  |> result
 
-(* [apply root seq] and [start |> extend* |> finish] name their result
+(* [apply root seq] and [check_root |> check_extend*] name their result
    alike: on a prefix legal only through its reduced sequence, and on a
    parent extended by every move from two domains at once. *)
 let test_derivation_ids_agree () =
@@ -528,9 +534,7 @@ let test_derivation_ids_agree () =
         (derivation (Framework.apply root seq))
         (derivation (incremental root seq)))
     [ ("root", []); ("skew", [ skew ]); ("skew, interchange", [ skew; interchange ]) ];
-  let parent =
-    Result.get_ok (Framework.extend (Framework.start root) skew)
-  in
+  let parent = state (checked_extend (state (checked_root root)) skew) in
   let moves = Search.moves root ~depth:2 in
   let expected =
     List.map
@@ -545,7 +549,7 @@ let test_derivation_ids_agree () =
       (fun t ->
         Result.map
           (fun r -> r.Framework.derivation)
-          (Result.bind (Framework.extend parent t) Framework.finish))
+          (result (checked_extend parent t)))
       moves
   in
   check_bool "some extension is legal" true (List.exists Result.is_ok expected);
@@ -670,11 +674,12 @@ let fresh_vectors =
 
 (* A state is named once, when it is made: after its entry, or its
    root's, is flushed from [core.derivation] and [apply] names the same
-   candidate anew, [finish] still gives the state the id it had. *)
+   candidate anew, the state's children are still keyed on the id it
+   had, so they are named apart from [apply]'s. *)
 let test_state_id_survives_flush () =
   let root = fresh_nest "_flush" in
-  let st = Result.get_ok (Framework.extend (Framework.start root) skew) in
-  let recorded = derivation (Framework.finish st) in
+  let skewed = checked_extend (state (checked_root root)) skew in
+  let recorded = derivation (result skewed) in
   let flushed () = derivation (Framework.apply root [ skew ]) <> recorded in
   check_bool "apply names the resident state alike" false (flushed ());
   check_bool "interning fresh roots flushed the state's entry" true
@@ -683,7 +688,9 @@ let test_state_id_survives_flush () =
          ignore (Framework.apply ~vectors root []);
          flushed ())
        fresh_vectors);
-  check_int "finish after the flush" recorded (derivation (Framework.finish st))
+  check_bool "extend after the flush keys on the state's id" true
+    (derivation (result (checked_extend (state skewed) interchange))
+    <> derivation (Framework.apply root [ skew; interchange ]))
 
 (* Root keys and child keys are disjoint even when built from the same
    ints: untagged, a root with one empty vector, [nest id; 0], has a
@@ -714,27 +721,23 @@ let test_root_and_child_keys_disjoint () =
   let parent_nest = wavefront () in
   let vectors = Seq.to_dispenser fresh_vectors in
   let fresh_parent () =
-    let st = Framework.start ~vectors:(Option.get (vectors ())) parent_nest in
-    (st, derivation (Framework.finish st))
+    let c = checked_root ~vectors:(Option.get (vectors ())) parent_nest in
+    (state c, derivation (result c))
   in
   let rec level (a, ia) (b, ib) =
     if ia < ib then level (fresh_root_nest ()) (b, ib)
     else if ib < ia then level (a, ia) (fresh_parent ())
-    else (a, b)
+    else ((a, ia), (b, ib))
   in
-  let nest, parent = level (fresh_root_nest ()) (fresh_parent ()) in
-  check_int "the root's ints are the child's"
-    (Intern.nest_id nest)
-    (derivation (Framework.finish parent));
+  let (nest, nest_id), (parent, parent_id) =
+    level (fresh_root_nest ()) (fresh_parent ())
+  in
+  check_int "the root's ints are the child's" nest_id parent_id;
   let root_id =
     derivation
-      (Framework.finish
-         (Framework.start ~vectors:[ Itf_dep.Depvec.of_list [] ] nest))
+      (result (checked_root ~vectors:[ Itf_dep.Depvec.of_list [] ] nest))
   in
-  let child_id =
-    derivation
-      (Result.bind (Framework.extend parent template) Framework.finish)
-  in
+  let child_id = derivation (result (checked_extend parent template)) in
   check_bool "distinct ids" true (root_id <> child_id)
 
 let () =
