@@ -334,7 +334,7 @@ let matmul_misses nest n =
       let d = Itf_exec.Env.array_data env a in
       Array.iteri (fun k _ -> d.(k) <- k mod 7) d)
     [ "A"; "B"; "C" ];
-  (Memsim.run cache_cfg env nest).Memsim.cache
+  (Memsim.simulate cache_cfg env nest).Memsim.cache
 
 let locality () =
   section "EXP-LOC | blocking improves locality (8KiB 2-way cache, 64B lines)";
@@ -367,27 +367,42 @@ let locality () =
 (* EXP-PAR: parallel speedup shape experiment                          *)
 (* ------------------------------------------------------------------ *)
 
+(* [Parallel.speedup] through the compiled simulator: the same float. *)
+let speedup ~procs env nest =
+  let t1 = Itf_machine.Parallel.time_compiled ~procs:1 env nest in
+  let tp = Itf_machine.Parallel.time_compiled ~procs env nest in
+  if tp = 0. then 1. else t1 /. tp
+
+(* [time_compiled] resolves every access site, so the arrays are declared
+   (bounds only: the parallel model reads no value). *)
+let par_env ~n nest =
+  let env = Itf_exec.Env.create () in
+  Itf_exec.Env.set_scalar env "n" n;
+  List.iter
+    (fun (a, arity) ->
+      Itf_exec.Env.declare_array env a (List.init arity (fun _ -> (1, n))))
+    (Nest.array_arities nest);
+  env
+
 let parallel () =
   section "EXP-PAR | parallelization speedup (simulated machine)";
   let nest = matmul () in
   let par = (F.apply_exn nest [ T.parallelize_one ~n:3 0 ]).F.nest in
-  let env = Itf_exec.Env.create () in
-  Itf_exec.Env.set_scalar env "n" 24;
+  let env = par_env ~n:24 par in
   Format.printf "matmul n=24, pardo i:@.";
   Format.printf "%8s %12s %10s@." "procs" "time" "speedup";
   List.iter
     (fun p ->
-      let t = Itf_machine.Parallel.time ~procs:p env par in
-      let s = Itf_machine.Parallel.speedup ~procs:p env par in
+      let t = Itf_machine.Parallel.time_compiled ~procs:p env par in
+      let s = speedup ~procs:p env par in
       Format.printf "%8d %12.0f %9.2fx@." p t s)
     [ 1; 2; 4; 8; 16; 32 ];
   let tri = triangular () in
   let tri_par = (F.apply_exn tri [ T.parallelize_one ~n:2 0 ]).F.nest in
-  let env2 = Itf_exec.Env.create () in
-  Itf_exec.Env.set_scalar env2 "n" 64;
+  let env2 = par_env ~n:64 tri_par in
   Format.printf "@.triangular nest n=64 on 8 procs:@.";
   Format.printf "%-28s speedup %5.2fx@." "pardo i (imbalanced rows)"
-    (Itf_machine.Parallel.speedup ~procs:8 env2 tri_par);
+    (speedup ~procs:8 env2 tri_par);
   let tri_blocked =
     F.apply_exn tri
       [
@@ -396,7 +411,7 @@ let parallel () =
       ]
   in
   Format.printf "%-28s speedup %5.2fx@." "block i by 4, pardo i"
-    (Itf_machine.Parallel.speedup ~procs:8 env2 tri_blocked.F.nest)
+    (speedup ~procs:8 env2 tri_blocked.F.nest)
 
 (* ------------------------------------------------------------------ *)
 (* EXP-COMP: composition pays                                          *)
@@ -1128,9 +1143,9 @@ let sim_bench () =
     in
     go 1
   in
-  Format.printf "%-8s %12s %16s %16s %9s %14s %14s %9s@." "case" "iters/run"
-    "interp it/s" "compiled it/s" "speedup" "memsim run/s" "memsimC run/s"
-    "speedup";
+  Format.printf "%-8s %12s %16s %16s %9s %14s %14s %9s %14s@." "case"
+    "iters/run" "interp it/s" "compiled it/s" "speedup" "memsim run/s"
+    "memsimC run/s" "speedup" "simulate run/s";
   let jsons =
     List.map
       (fun (name, nest, n, arrays) ->
@@ -1160,6 +1175,17 @@ let sim_bench () =
           rate (fun () -> ignore (Memsim.run_compiled cache_cfg env nest))
         in
         let memsim_speedup = memsimc_rps /. memsim_rps in
+        (* The search's entry: an address program for these static-control
+           nests. Its stats must equal both values runs'. *)
+        let memsim_search_rps =
+          rate (fun () -> ignore (Memsim.simulate cache_cfg env nest))
+        in
+        let stats f = (f cache_cfg (mk_env ~n arrays) nest).Memsim.cache in
+        let interp_stats = stats (fun c e n -> Memsim.run c e n) in
+        if
+          stats (fun c e n -> Memsim.run_compiled c e n) <> interp_stats
+          || stats (fun c e n -> Memsim.simulate c e n) <> interp_stats
+        then failwith (name ^ ": memsim entries disagree on cache stats");
         (* The observability tax on the objective hot path: same Memsim
            call under an active ambient tracer (fresh per call so the
            span buffer never grows without bound). The default — a null
@@ -1174,9 +1200,10 @@ let sim_bench () =
         let trace_overhead = (memsimc_rps /. memsimc_traced_rps) -. 1. in
         if compiled_rps < interp_rps then
           failwith (name ^ ": compiled backend slower than the interpreter");
-        Format.printf "%-8s %12.0f %16.0f %16.0f %8.1fx %14.1f %14.1f %8.1fx@."
-          name iters (interp_rps *. iters) (compiled_rps *. iters) speedup
-          memsim_rps memsimc_rps memsim_speedup;
+        Format.printf
+          "%-8s %12.0f %16.0f %16.0f %8.1fx %14.1f %14.1f %8.1fx %14.1f@." name
+          iters (interp_rps *. iters) (compiled_rps *. iters) speedup memsim_rps
+          memsimc_rps memsim_speedup memsim_search_rps;
         Format.printf
           "%-8s compile: %.0f us/compile (amortized over %.0f iterations/run); \
            active tracer: %.1f runs/s (%.1f%% overhead)@."
@@ -1198,6 +1225,7 @@ let sim_bench () =
             ("memsim_compiled_traced_runs_per_s", Json.Float memsimc_traced_rps);
             ("trace_overhead", Json.Float trace_overhead);
             ("memsim_speedup", Json.Float memsim_speedup);
+            ("memsim_search_runs_per_s", Json.Float memsim_search_rps);
             ("backends_agree", Json.Bool true);
           ])
       cases

@@ -235,7 +235,8 @@ let optimize_cmd =
         else Itf_obs.Tracer.create ()
       in
       let metrics =
-        if metrics_out = None then None else Some (Itf_obs.Metrics.create ())
+        if metrics_out = None && not show_stats then None
+        else Some (Itf_obs.Metrics.create ())
       in
       (* The tier-0 spec mirrors the exact objective's machine model so the
          screen ranks what the simulator will measure. [--exact-topk 0]
@@ -317,8 +318,20 @@ let optimize_cmd =
               decisions
           end
         end;
-        if show_stats then
+        if show_stats then begin
           Format.printf "== search stats ==@.%a@." Itf_opt.Stats.pp stats;
+          (* Innermost-loop entries the cache simulations replayed as
+             address streams, and entries they ran through closures. *)
+          let count name =
+            match metrics with
+            | None -> 0
+            | Some m ->
+              Itf_obs.Metrics.counter_value (Itf_obs.Metrics.counter m name)
+          in
+          Format.printf "memsim stream        %d entries, %d fallbacks@."
+            (count "memsim.stream.entries")
+            (count "memsim.stream.fallbacks")
+        end;
         if stats_json then print_endline (Itf_opt.Stats.to_json stats);
         write_trace tracer trace_out;
         write_metrics metrics metrics_out;

@@ -31,7 +31,7 @@ let misses nest n =
       let d = Itf_exec.Env.array_data env a in
       Array.iteri (fun k _ -> d.(k) <- k mod 7) d)
     [ "A"; "B"; "C" ];
-  let r = Memsim.run cache env nest in
+  let r = Memsim.simulate cache env nest in
   (r.Memsim.cache.Cache.misses, r.Memsim.cache.Cache.accesses)
 
 let () =

@@ -339,7 +339,7 @@ let run_case ?(backends = [ `Interp; `Compiled ]) ?(orders = default_orders)
           { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
         in
         let env1 = make_env ~params out and env2 = make_env ~params out in
-        match
+        (match
           (Memsim.run config env1 out, Memsim.run_compiled config env2 out)
         with
         | r1, r2 ->
@@ -347,7 +347,27 @@ let run_case ?(backends = [ `Interp; `Compiled ]) ?(orders = default_orders)
             fail "memsim" "interpreted and compiled cache simulations disagree";
           if Env.snapshot env1 <> Env.snapshot env2 then
             fail "memsim" "cache-simulated runs left different array contents"
-        | exception e -> fail "memsim" ("memsim raised " ^ exn_name e)
+        | exception e -> fail "memsim" ("memsim raised " ^ exn_name e));
+        (* The search's entry against the interpreted oracle: equal stats,
+           or the same exception. *)
+        let outcome f =
+          match f (make_env ~params out) with
+          | r -> Ok r.Memsim.cache
+          | exception e -> Error (exn_name e)
+        in
+        match
+          ( outcome (fun env -> Memsim.run config env out),
+            outcome (fun env -> Memsim.simulate config env out) )
+        with
+        | Ok a, Ok b when a = b -> ()
+        | Error a, Error b when a = b -> ()
+        | Ok _, Ok _ ->
+          fail "memsim" "Memsim.simulate and Memsim.run disagree on stats"
+        | a, b ->
+          let show = function Ok _ -> "stats" | Error e -> e in
+          fail "memsim"
+            (Printf.sprintf "Memsim.run gave %s, Memsim.simulate gave %s"
+               (show a) (show b))
       end;
       if List.mem `C backends && cc_available () then begin
         let ref_sums = checksums reference in

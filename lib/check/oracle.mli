@@ -51,4 +51,8 @@ val run_case :
   outcome
 (** Judge one (nest, sequence, params) case. Defaults:
     [backends = [`Interp; `Compiled]], pardo orders forward, reverse and
-    a fixed shuffle, [check_memsim = false]. *)
+    a fixed shuffle, [check_memsim = false]. With [check_memsim], the
+    transformed nest's cache simulation must agree three ways:
+    {!Itf_machine.Memsim.run} and [run_compiled] on stats and final
+    arrays, and {!Itf_machine.Memsim.simulate} with [run] on stats or on
+    the exception raised. *)

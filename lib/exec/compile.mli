@@ -50,6 +50,52 @@ val compile : ?trace:(Env.access -> unit) -> ?addr:addr -> Env.t -> Nest.t -> t
     [?trace] compiles an {!Env.access} callback into every load/store —
     same event order as the interpreter's tracer. *)
 
+(** {1 Address programs}
+
+    A nest is {e static-control} when no array value can affect which
+    accesses it makes: no load in a subscript, a guard, a loop bound or a
+    scalar statement, no call there but the builtins [abs]/[sgn] (a
+    registered function is opaque), and every store's right-hand side
+    unable to raise (each divisor a nonzero literal, no call but
+    [abs]/[sgn]). The test is syntactic. For such a nest the cache
+    simulation needs only the address stream, so {!compile_addresses}
+    builds a program that loads, computes and stores no values. *)
+
+val static_control : Nest.t -> bool
+
+type stream = starts:int array -> deltas:int array -> count:int -> unit
+(** Replays [count] rounds of a per-site address stream: round [k]
+    touches [starts.(s) + k * deltas.(s)] for each site [s] in order
+    ({!Itf_machine.Cache.stream}). *)
+
+val compile_addresses : addr -> stream:stream -> Env.t -> Nest.t -> t
+(** The address program of a static-control nest. {!run} touches the same
+    addresses in the same order as a {!compile}d program with the same
+    [addr], raises the same exceptions at the same access, and reads and
+    writes no array of the environment.
+
+    Its innermost loop runs as a stream when, after substituting the
+    scalar statements that vary with the innermost index (the paper's
+    init statements, §2), every subscript is affine in that index and the
+    body has no guard. At each entry of the loop the invariant statements
+    run once, every access site gets its first address and per-iteration
+    delta, and both ends of every subscript are checked against the
+    array's bounds; [stream] then replays the entry. An entry that fails
+    its check, or whose invariant part divides by zero, runs through the
+    per-iteration closures instead, as does every entry of a nest whose
+    subscripts are not all affine. Iteration hooks and a non-[`Forward]
+    order on a [pardo] innermost loop also run the closures.
+    @raise Invalid_argument if the nest is not {!static_control}. *)
+
+type stream_stats = {
+  entries : int;  (** innermost-loop entries replayed as streams *)
+  fallbacks : int;  (** nonempty entries run through the closures *)
+}
+
+val stream_stats : t -> stream_stats
+(** Totals over every {!run} of the program; both 0 for a program built
+    by {!compile}. Entries with no iteration count in neither. *)
+
 val run :
   ?pardo_order:pardo_order ->
   ?on_iteration:(int array -> unit) ->

@@ -1,6 +1,11 @@
 open Itf_ir
 
-type result = { cache : Cache.stats }
+type result = {
+  cache : Cache.stats;
+  stream : Itf_exec.Compile.stream_stats;
+}
+
+let no_stream = { Itf_exec.Compile.entries = 0; fallbacks = 0 }
 
 let elem_bytes = 8
 
@@ -48,19 +53,20 @@ let scratch_cache ?cache config =
    e.g. the search engine's per-candidate worker — installed one), so the
    simulators show up in a trace without threading a tracer through the
    [Search.objective] type. *)
-let traced name f =
+let traced ~path f =
   let tr = Itf_obs.Tracer.ambient () in
-  Itf_obs.Tracer.span tr name (fun () ->
+  Itf_obs.Tracer.span tr "memsim.run" (fun () ->
       let r = f tr in
       Itf_obs.Tracer.add_attrs tr
         [
+          ("path", Itf_obs.Tracer.String path);
           ("accesses", Itf_obs.Tracer.Int r.cache.Cache.accesses);
           ("misses", Itf_obs.Tracer.Int r.cache.Cache.misses);
         ];
       r)
 
 let run ?cache config env nest =
-  traced "memsim.run" @@ fun _tr ->
+  traced ~path:"values" @@ fun _tr ->
   let cache = scratch_cache ?cache config in
   let bases = layout config env nest in
   (* The tracer fires per element access; memoize the last array's base so
@@ -83,22 +89,35 @@ let run ?cache config env nest =
   Fun.protect
     ~finally:(fun () -> Itf_exec.Env.set_tracer env None)
     (fun () -> Itf_exec.Interp.run env nest);
-  { cache = Cache.stats cache }
+  { cache = Cache.stats cache; stream = no_stream }
 
-let run_compiled ?cache config env nest =
-  traced "memsim.run" @@ fun tr ->
+(* A compiled program with the cache touch fused into every access site;
+   [build] compiles the values program or the address program. *)
+let run_program ~path ?cache config env nest build =
+  traced ~path @@ fun tr ->
   let cache = scratch_cache ?cache config in
   let bases = layout config env nest in
+  let addr =
+    {
+      Itf_exec.Compile.base_of = base_of bases;
+      elem_bytes;
+      touch = (fun a -> ignore (Cache.access cache a));
+    }
+  in
   let compiled =
-    Itf_obs.Tracer.span tr "memsim.compile" (fun () ->
-        Itf_exec.Compile.compile
-          ~addr:
-            {
-              Itf_exec.Compile.base_of = base_of bases;
-              elem_bytes;
-              touch = (fun a -> ignore (Cache.access cache a));
-            }
-          env nest)
+    Itf_obs.Tracer.span tr "memsim.compile" (fun () -> build addr cache)
   in
   Itf_exec.Compile.run compiled;
-  { cache = Cache.stats cache }
+  { cache = Cache.stats cache; stream = Itf_exec.Compile.stream_stats compiled }
+
+let run_compiled ?cache config env nest =
+  run_program ~path:"values" ?cache config env nest (fun addr _ ->
+      Itf_exec.Compile.compile ~addr env nest)
+
+let simulate ?cache config env nest =
+  if not (Itf_exec.Compile.static_control nest) then
+    run_compiled ?cache config env nest
+  else
+    run_program ~path:"stream" ?cache config env nest (fun addr cache ->
+        Itf_exec.Compile.compile_addresses addr ~stream:(Cache.stream cache)
+          env nest)

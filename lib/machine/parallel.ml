@@ -63,7 +63,13 @@ let time ?(spawn_overhead = 2.0) ~procs env (nest : Nest.t) =
 (* Same cost model as [time], but loop bounds are evaluated by compiled
    closures over a slot frame instead of interpreting expressions against
    hashtable-backed scalars per iteration. The accumulation order matches
-   [time] operation for operation, so the returned float is identical. *)
+   [time] operation for operation above the innermost level, so the
+   returned float is identical. The innermost level is closed form: each
+   of its iterations costs [unit_cost], an integer-valued float, and every
+   sum of such floats [time] forms there is an integer well below 2^53,
+   so [count *. unit_cost] is exactly [time]'s sequential sum, and
+   [ceil (count / procs) *. unit_cost], the first processor's share, is
+   exactly its round-robin maximum. *)
 let time_compiled ?(spawn_overhead = 2.0) ~procs env (nest : Nest.t) =
   if procs < 1 then invalid_arg "Parallel.time: procs < 1";
   traced @@ fun () ->
@@ -76,6 +82,10 @@ let time_compiled ?(spawn_overhead = 2.0) ~procs env (nest : Nest.t) =
     else begin
       let lo, step, count = Itf_exec.Compile.loop_bounds c level in
       match Itf_exec.Compile.loop_kind c level with
+      | Nest.Do when level = depth - 1 -> float count *. unit_cost
+      | Nest.Pardo when level = depth - 1 ->
+        if count = 0 then 0.
+        else (float ((count + procs - 1) / procs) *. unit_cost) +. spawn_overhead
       | Nest.Do ->
         let total = ref 0. in
         for k = 0 to count - 1 do

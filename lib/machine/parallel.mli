@@ -25,9 +25,12 @@ val time :
 val time_compiled :
   ?spawn_overhead:float -> procs:int -> Itf_exec.Env.t -> Nest.t -> float
 (** As {!time}, but loop bounds are evaluated through
-    {!Itf_exec.Compile}'s slot frame instead of the interpreter — the
-    float accumulation order is identical, so the result equals {!time}
-    bit for bit. Unlike {!time}, the nest's arrays must be declared in the
+    {!Itf_exec.Compile}'s slot frame instead of the interpreter, and the
+    innermost level is closed form: [count * unit_cost] for [do],
+    [ceil (count / procs) * unit_cost + spawn_overhead] for a nonempty
+    [pardo]. Above it the float accumulation order is identical, and at
+    it every term is an integer-valued float, so the result equals
+    {!time} bit for bit. {!time} and {!speedup} are the test oracles. Unlike {!time}, the nest's arrays must be declared in the
     environment (compilation resolves every access site even though bodies
     are not executed). *)
 

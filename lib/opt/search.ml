@@ -60,7 +60,8 @@ let moves (_ : Nest.t) ~depth =
    that mutates an environment is Store statements writing array elements
    (scalar [Set]s live in the compiled frame), so re-filling the arrays
    the nest writes rebuilds the exact fresh-env state; every other array
-   still holds its fill. The parallel simulator only evaluates loop
+   still holds its fill. The address program of a static-control nest
+   writes nothing, so its caller passes no written array. The parallel simulator only evaluates loop
    headers, so nothing ever writes its environment and it refills
    nothing. Array declarations come from {!Costmodel.default_bounds} so
    the tier-0 cost model's layout assumptions (strides, whole-array
@@ -118,7 +119,7 @@ let memo_arrays () =
       arrays
 
 (* The memsim cache's tag and age arrays, one per domain for every
-   instance: {!Itf_machine.Memsim.run_compiled} resets it before each
+   instance: {!Itf_machine.Memsim.simulate} resets it before each
    run, and an instance of another geometry replaces it. *)
 let memsim_cache : Itf_machine.Cache.t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -198,12 +199,20 @@ let cache_misses ?metrics ?memo ~params () : objective =
   let run result =
     let nest = result.Framework.nest in
     let arities, written = arrays nest in
+    (* An address program writes no array, so only the values path needs
+       the written arrays refilled. *)
+    let written =
+      if Itf_exec.Compile.static_control nest then [] else written
+    in
     let r =
-      Itf_machine.Memsim.run_compiled ~cache:(scratch_cache cache_config)
+      Itf_machine.Memsim.simulate ~cache:(scratch_cache cache_config)
         cache_config (scratch arities ~written) nest
     in
     let cache = r.Itf_machine.Memsim.cache in
+    let stream = r.Itf_machine.Memsim.stream in
     mcount metrics "memsim.runs" 1;
+    mcount metrics "memsim.stream.entries" stream.Itf_exec.Compile.entries;
+    mcount metrics "memsim.stream.fallbacks" stream.Itf_exec.Compile.fallbacks;
     mcount metrics "memsim.cache.access" cache.Itf_machine.Cache.accesses;
     mcount metrics "memsim.cache.miss" cache.Itf_machine.Cache.misses;
     float cache.Itf_machine.Cache.misses

@@ -30,10 +30,12 @@ val cache_misses :
   params:(string * int) list ->
   unit -> objective
 (** Simulated cache misses of one full execution on an 8 KiB, 64-byte-line,
-    2-way cache, run through {!Itf_exec.Compile}. Arrays are laid out from the nest's own access
-    pattern and re-filled with the same data before every evaluation, so
-    transformed nests score on identical data. [metrics], when given, accumulates [memsim.runs],
-    [memsim.cache.access] and [memsim.cache.miss] counters (atomic adds —
+    2-way cache, run through {!Itf_machine.Memsim.simulate}. Arrays are laid out from the nest's own access
+    pattern; a nest that is not static-control runs on values, and the
+    arrays it writes are re-filled with the same data before every
+    evaluation, so transformed nests score on identical data. [metrics], when given, accumulates [memsim.runs],
+    [memsim.cache.access], [memsim.cache.miss], [memsim.stream.entries]
+    and [memsim.stream.fallbacks] counters (atomic adds —
     totals are domain-schedule independent).
 
     [?memo] (default [true]): the objective is a pure function of

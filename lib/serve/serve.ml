@@ -720,6 +720,14 @@ let status_snapshot t ~id =
             ("evictions", Json.Int cache_evictions);
           ] );
       ("intern", Json.List intern);
+      ( "memsim",
+        let count name = Json.Int (Metrics.counter_value (Metrics.counter t.metrics name)) in
+        Json.Obj
+          [
+            ("runs", count "memsim.runs");
+            ("stream_entries", count "memsim.stream.entries");
+            ("stream_fallbacks", count "memsim.stream.fallbacks");
+          ] );
       ( "memory",
         Json.Obj
           [ ("heap_mb", Json.Float heap_mb); ("top_heap_mb", Json.Float top_heap_mb) ]

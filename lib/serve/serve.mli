@@ -43,7 +43,9 @@
     counters, latency quantiles from the [serve.request_us] histogram,
     queue depth/capacity/shed count and wait quantiles, busy workers,
     per-phase time breakdown from the [engine.phase_us] histograms,
-    cache and hash-cons intern-table health, process memory
+    cache and hash-cons intern-table health, the cache simulator's
+    runs and stream counters ([memsim.runs], [memsim.stream_entries],
+    [memsim.stream_fallbacks]), process memory
     ([memory.heap_mb] and [memory.top_heap_mb], from [Gc.quick_stat],
     never a forced collection), and the recent slow requests);
     [{"op": "metrics"}] returns the whole registry in the Prometheus text

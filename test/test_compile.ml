@@ -389,7 +389,324 @@ let test_parallel_identical () =
         if t <> tc then
           Alcotest.failf "procs %d: time %.17g <> time_compiled %.17g" procs t tc)
       [ 1; 3 ]
-  done
+  done;
+  (* The closed-form innermost level on its corners: zero-trip loops,
+     more processors than iterations, triangular bounds, and a spawn
+     overhead that is not an integer. *)
+  let open Builders in
+  let v = Expr.var in
+  let body = [ st "a" [ v "i"; v "j" ] Expr.(add (ld "a" [ v "i"; v "j" ]) (int 1)) ] in
+  let shapes =
+    [
+      ( "zero-trip inner",
+        [ Nest.loop "i" Expr.one (v "n"); Nest.loop "j" (v "n") (Expr.int 1) ] );
+      ( "zero-trip outer",
+        [ Nest.loop "i" (v "n") Expr.one; Nest.loop "j" Expr.one (v "n") ] );
+      ( "triangular",
+        [ Nest.loop "i" Expr.one (v "n"); Nest.loop "j" (v "i") (v "n") ] );
+      ( "triangular, stepped",
+        [
+          Nest.loop "i" Expr.one (v "n");
+          Nest.loop ~step:(Expr.int (-2)) "j" (v "n") (v "i");
+        ] );
+      ("one loop", [ Nest.loop "i" Expr.one (v "n") ]);
+    ]
+  in
+  List.iter
+    (fun (name, loops) ->
+      List.iter
+        (fun kinds ->
+          let loops =
+            List.map2 (fun (l : Nest.loop) kind -> { l with Nest.kind }) loops kinds
+          in
+          let body = if List.length loops = 1 then [ st "a" [ v "i"; v "i" ] (v "i") ] else body in
+          let nest = Nest.make loops body in
+          let env = Builders.make_env ~params:[ ("n", 5) ] nest in
+          List.iter
+            (fun (procs, spawn_overhead) ->
+              let t = Parallel.time ~spawn_overhead ~procs env nest in
+              let tc = Parallel.time_compiled ~spawn_overhead ~procs env nest in
+              if Int64.bits_of_float t <> Int64.bits_of_float tc then
+                Alcotest.failf "%s, procs %d, overhead %g: time %.17g <> time_compiled %.17g"
+                  name procs spawn_overhead t tc)
+            [ (1, 2.0); (3, 0.3); (7, 0.3); (64, 0.3); (64, 0.); (2, 2.0) ])
+        (let n = List.length loops in
+         List.init (1 lsl n) (fun mask ->
+             List.init n (fun k -> if mask land (1 lsl k) <> 0 then Nest.Pardo else Nest.Do))))
+    shapes
+
+(* ------------------------------------------------------------------ *)
+(* Memsim.simulate: address programs and streams                       *)
+(* ------------------------------------------------------------------ *)
+
+let search_config = { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
+
+(* The search objective's environment: every array declared with
+   [Costmodel.default_bounds] and filled synthetically. The sparse
+   product's access functions map into those bounds. *)
+let search_env ~params nest =
+  let env = Env.create () in
+  List.iter (fun (v, x) -> Env.set_scalar env v x) params;
+  Env.declare_function env "colstr" (function
+    | [ j ] -> (2 * j) - 1
+    | _ -> invalid_arg "colstr");
+  Env.declare_function env "rowidx" (function
+    | [ k ] -> (k mod 5) + 1
+    | _ -> invalid_arg "rowidx");
+  List.iter
+    (fun (a, arity) ->
+      Env.declare_array env a (Itf_opt.Costmodel.default_bounds ~params arity);
+      Env.fill_synthetic (Env.array_data env a))
+    (Nest.array_arities nest);
+  env
+
+type sim_totals = { mutable entries : int; mutable fallbacks : int }
+
+let outcome f env nest =
+  match f env nest with
+  | r -> Ok r.Memsim.cache
+  | exception e -> Error (Printexc.to_string e)
+
+(* [simulate] against both oracles on fresh environments: equal stats or
+   the same exception, and the arrays an address program leaves alone
+   (static-control) or the values run's final arrays (otherwise). *)
+let check_simulate ?(totals = { entries = 0; fallbacks = 0 }) ~what mk_env nest =
+  let env_s = mk_env () and env_c = mk_env () in
+  let before = Env.snapshot env_s in
+  let sim =
+    outcome
+      (fun env nest ->
+        let r = Memsim.simulate search_config env nest in
+        totals.entries <- totals.entries + r.Memsim.stream.Compile.entries;
+        totals.fallbacks <- totals.fallbacks + r.Memsim.stream.Compile.fallbacks;
+        r)
+      env_s nest
+  in
+  let compiled = outcome (Memsim.run_compiled search_config) env_c nest in
+  if sim <> compiled then
+    Alcotest.failf "%s: simulate and run_compiled disagree" what;
+  if outcome (Memsim.run search_config) (mk_env ()) nest <> sim then
+    Alcotest.failf "%s: simulate and run disagree" what;
+  let expected = if Compile.static_control nest then before else Env.snapshot env_c in
+  if Result.is_ok sim && Env.snapshot env_s <> expected then
+    Alcotest.failf "%s: simulate left unexpected arrays" what
+
+let nest_files () =
+  List.concat_map
+    (fun dir ->
+      let dir = Filename.concat ".." dir in
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".loop")
+      |> List.sort compare
+      |> List.map (fun f ->
+             ( Filename.concat dir f,
+               (Itf_lang.Parser.parse
+                  (In_channel.with_open_bin (Filename.concat dir f)
+                     In_channel.input_all))
+                 .Itf_lang.Parser.nest )))
+    [ Filename.concat "examples" "nests"; Filename.concat "bench" (Filename.concat "e2e" "nests") ]
+
+(* Every legal candidate one and two [Search.moves] away from each
+   example and e2e nest, at the three e2e sizes. Distinct nests only:
+   many sequences generate the same one. *)
+let test_simulate_candidates () =
+  let totals = { entries = 0; fallbacks = 0 } in
+  let legal nest seq =
+    match Itf_core.Framework.apply nest seq with
+    | Ok r -> Some r.Itf_core.Framework.nest
+    | Error _ -> None
+  in
+  let seen = Hashtbl.create 1024 in
+  List.iter
+    (fun (file, root) ->
+      let moves nest = Itf_opt.Search.moves nest ~depth:(Nest.depth nest) in
+      let candidates =
+        root
+        :: List.concat_map
+             (fun m1 ->
+               match legal root [ m1 ] with
+               | None -> []
+               | Some n1 ->
+                 n1
+                 :: List.filter_map
+                      (fun m2 -> legal root [ m1; m2 ])
+                      (moves n1))
+             (moves root)
+      in
+      let candidates =
+        List.filter
+          (fun c ->
+            let key = Nest.to_string c in
+            if Hashtbl.mem seen key then false
+            else (
+              Hashtbl.add seen key ();
+              true))
+          candidates
+      in
+      List.iter
+        (fun n ->
+          let params = [ ("n", n) ] in
+          List.iter
+            (fun c ->
+              check_simulate ~totals
+                ~what:(Printf.sprintf "%s n=%d\n%s" file n (Nest.to_string c))
+                (fun () -> search_env ~params c)
+                c)
+            candidates)
+        [ 8; 12; 16 ])
+    (nest_files ());
+  check_bool "some entries streamed" true (totals.entries > 0);
+  check_bool "some entries fell back" true (totals.fallbacks > 0)
+
+let test_simulate_corpus_and_gen () =
+  let dir = "corpus" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".repro")
+  |> List.iter (fun f ->
+         let c = Itf_check.Repro.load (Filename.concat dir f) in
+         let nests =
+           c.Itf_check.Gen.nest
+           :: (match Itf_core.Framework.apply c.Itf_check.Gen.nest c.Itf_check.Gen.seq with
+              | Ok r -> [ r.Itf_core.Framework.nest ]
+              | Error _ -> [])
+         in
+         List.iter
+           (fun nest ->
+             check_simulate ~what:f
+               (fun () -> Itf_check.Oracle.make_env ~params:c.Itf_check.Gen.params nest)
+               nest)
+           nests);
+  let st = Random.State.make [| 25 |] in
+  let totals = { entries = 0; fallbacks = 0 } in
+  for k = 1 to 1000 do
+    let c = Itf_check.Gen.case st in
+    let nests =
+      c.Itf_check.Gen.nest
+      :: (match Itf_core.Framework.apply c.Itf_check.Gen.nest c.Itf_check.Gen.seq with
+         | Ok r -> [ r.Itf_core.Framework.nest ]
+         | Error _ -> [])
+    in
+    List.iter
+      (fun nest ->
+        check_simulate ~totals ~what:(Printf.sprintf "Gen case %d" k)
+          (fun () -> Itf_check.Oracle.make_env ~params:c.Itf_check.Gen.params nest)
+          nest)
+      nests
+  done;
+  check_bool "Gen nests stream too" true (totals.entries > 0)
+
+let two_loops ?(inits = []) ?(n = 4) body =
+  Nest.make ~inits
+    [ Nest.loop "i" Expr.one (Expr.int n); Nest.loop "j" Expr.one (Expr.int n) ]
+    body
+
+let small_env ?(fill = fun k -> k) decls () =
+  let env = Env.create () in
+  List.iter
+    (fun (a, bounds) ->
+      Env.declare_array env a bounds;
+      let d = Env.array_data env a in
+      Array.iteri (fun k _ -> d.(k) <- fill k) d)
+    decls;
+  env
+
+let same_exception what nest mk_env expected =
+  let run f =
+    match f search_config (mk_env ()) nest with
+    | _ -> "no exception"
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check string) (what ^ ": run_compiled") expected (run Memsim.run_compiled);
+  Alcotest.(check string) (what ^ ": simulate") expected (run Memsim.simulate);
+  Alcotest.(check string) (what ^ ": run") expected (run Memsim.run)
+
+let test_simulate_constructed () =
+  let open Builders in
+  let i = i_ and j = j_ in
+  (* An array-valued subscript: not static-control, so the values path,
+     with its effect on the arrays. *)
+  let indirect =
+    two_loops [ st "a" [ ld "p" [ j ] ] Expr.(add (ld "a" [ i ]) (int 1)) ]
+  in
+  check_bool "indirect subscript is not static-control" false
+    (Compile.static_control indirect);
+  let mk = small_env ~fill:(fun k -> (k mod 4) + 1) [ ("a", [ (1, 4) ]); ("p", [ (1, 4) ]) ] in
+  check_simulate ~what:"indirect subscript" mk indirect;
+  let r = Memsim.simulate search_config (mk ()) indirect in
+  check_int "no stream entries on the values path" 0 r.Memsim.stream.Compile.entries;
+  check_int "no fallbacks on the values path" 0 r.Memsim.stream.Compile.fallbacks;
+  (* x / a(i) over a fill holding a 0: the values path raises the same
+     Division_by_zero. *)
+  let divide = two_loops [ st "b" [ i; j ] Expr.(Div (var "j", ld "a" [ i ])) ] in
+  check_bool "a load divisor is not static-control" false
+    (Compile.static_control divide);
+  same_exception "division by a loaded zero" divide
+    (small_env ~fill:(fun k -> if k = 2 then 0 else k) [ ("a", [ (1, 4) ]); ("b", [ (1, 4); (1, 4) ]) ])
+    "Division_by_zero";
+  (* A subscript that leaves its array halfway through an entry: b(i, i +
+     j) over j in 1..4 fits at i = 1, 2 and leaves [1, 6] at i = 3, j = 4.
+     The first two entries stream, the third runs the closures and raises
+     at the access the interpreter does. *)
+  let leaves =
+    two_loops [ st "b" [ i; Expr.add i j ] Expr.(add (ld "a" [ j ]) (int 1)) ]
+  in
+  check_bool "leaving subscript is static-control" true (Compile.static_control leaves);
+  let mk = small_env [ ("a", [ (1, 4) ]); ("b", [ (1, 4); (1, 6) ]) ] in
+  same_exception "subscript leaves its array" leaves mk
+    (Printexc.to_string (Invalid_argument "Env: b subscript 1 = 7 out of [1, 6]"));
+  (* The address program touches exactly what the values program does
+     before the raise: two streamed entries, then the third entry's
+     closures up to the faulting store. *)
+  let touched build =
+    let n = ref 0 in
+    let addr = { Compile.base_of = (fun _ -> 0); elem_bytes = 8; touch = (fun _ -> incr n) } in
+    let c = build addr (mk ()) leaves in
+    (match Compile.run c with
+    | () -> Alcotest.fail "expected the out-of-bounds store to raise"
+    | exception Invalid_argument _ -> ());
+    (!n, c)
+  in
+  let n_values, _ = touched (fun addr env nest -> Compile.compile ~addr env nest) in
+  let n_stream, c =
+    touched (fun addr env nest ->
+        Compile.compile_addresses addr
+          ~stream:(fun ~starts ~deltas:_ ~count ->
+            for _ = 1 to count * Array.length starts do
+              addr.Compile.touch 0
+            done)
+          env nest)
+  in
+  check_int "touches before the raise" n_values n_stream;
+  check_int "streamed entries" 2 (Compile.stream_stats c).Compile.entries;
+  check_int "fallback entries" 1 (Compile.stream_stats c).Compile.fallbacks;
+  (* A blocked candidate of a skewed matmul: its init j = jj - i is
+     invariant in the innermost k and runs once per entry. *)
+  let mm = Builders.matmul () in
+  let skew = Itf_core.Template.skew ~n:3 ~src:0 ~dst:1 ~factor:1 in
+  let blocked =
+    (Itf_core.Framework.apply_exn mm
+       [ skew; Itf_core.Template.block ~n:3 ~i:0 ~j:2 ~bsize:(Array.make 3 (Expr.int 4)) ])
+      .Itf_core.Framework.nest
+  in
+  let inner = (List.nth blocked.Nest.loops (Nest.depth blocked - 1)).Nest.var in
+  check_bool "blocked candidate has an init invariant in the innermost loop" true
+    (List.exists
+       (fun s ->
+         match s with
+         | Stmt.Set (_, rhs) ->
+           (not (List.mem inner (Expr.free_vars rhs)))
+           && not (match rhs with Expr.Var _ | Expr.Int _ -> true | _ -> false)
+         | _ -> false)
+       blocked.Nest.inits);
+  List.iter
+    (fun n ->
+      let totals = { entries = 0; fallbacks = 0 } in
+      check_simulate ~totals ~what:(Printf.sprintf "blocked skewed matmul n=%d" n)
+        (fun () -> search_env ~params:[ ("n", n) ] blocked)
+        blocked;
+      check_bool "blocked candidate streams" true (totals.entries > 0);
+      check_int "blocked candidate never falls back" 0 totals.fallbacks)
+    [ 5; 8; 12 ]
 
 let () =
   Alcotest.run "compile"
@@ -416,5 +733,14 @@ let () =
             test_scratch_reuse;
           Alcotest.test_case "parallel time bit-identical" `Quick
             test_parallel_identical;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "constructed cases" `Quick
+            test_simulate_constructed;
+          Alcotest.test_case "corpus and 1000 Gen nests" `Quick
+            test_simulate_corpus_and_gen;
+          Alcotest.test_case "one- and two-move candidates" `Slow
+            test_simulate_candidates;
         ] );
     ]

@@ -179,7 +179,42 @@ let test_cache_fast_path_matches_division () =
             config.Cache.size_bytes config.Cache.line_bytes config.Cache.assoc
             k addr (if expected then "hit" else "miss")
       done;
-      check_bool "some hits" true ((Cache.stats c).Cache.hits > 0))
+      check_bool "some hits" true ((Cache.stats c).Cache.hits > 0);
+      (* [stream] against per-address [access] and the oracle: random
+         sites of either sign with deltas of either sign (and 0). The
+         running stats after every stream, and every access's verdict on
+         the per-address side, must agree. *)
+      let s = Cache.create config and a = Cache.create config in
+      let oracle = oracle_cache config in
+      for round = 1 to 2_000 do
+        let sites = 1 + Random.State.int st 4 in
+        let starts =
+          Array.init sites (fun _ ->
+              if Random.State.int st 8 = 0 then
+                Random.State.full_int st (1 lsl 40) - (1 lsl 39)
+              else Random.State.int st 6144 - 2048)
+        in
+        let deltas = Array.init sites (fun _ -> Random.State.int st 401 - 200) in
+        let count = Random.State.int st 24 in
+        Cache.stream s ~starts ~deltas ~count;
+        for k = 0 to count - 1 do
+          Array.iteri
+            (fun j start ->
+              let addr = start + (k * deltas.(j)) in
+              let expected = oracle addr in
+              if Cache.access a addr <> expected then
+                Alcotest.failf "%d/%d/%d: round %d, address %d should %s"
+                  config.Cache.size_bytes config.Cache.line_bytes
+                  config.Cache.assoc round addr
+                  (if expected then "hit" else "miss"))
+            starts
+        done;
+        if Cache.stats s <> Cache.stats a then
+          Alcotest.failf "%d/%d/%d: stream and access stats differ after round %d"
+            config.Cache.size_bytes config.Cache.line_bytes config.Cache.assoc
+            round
+      done;
+      check_bool "streams hit" true ((Cache.stats s).Cache.hits > 0))
     geometries
 
 (* ------------------------------------------------------------------ *)

@@ -743,6 +743,47 @@ let test_engine_seq_par_observability () =
       "engine.objective"; "memsim.run";
     ]
 
+(* Stream counters and the memsim.run span's path: a matmul search
+   replays innermost loops as address streams, a figure2 search (its
+   guard reads b) runs every simulation on values. *)
+let test_memsim_stream_observability () =
+  let run nest =
+    let tracer = Tracer.create () in
+    let metrics = Metrics.create () in
+    let objective =
+      Search.cache_misses ~metrics ~memo:false ~params:[ ("n", 8) ] ()
+    in
+    (match
+       Engine.search ~beam:4 ~steps:2 ~domains:1 ~tracer ~metrics nest objective
+     with
+    | None -> Alcotest.fail "engine returned nothing"
+    | Some _ -> ());
+    let count name = Metrics.counter_value (Metrics.counter metrics name) in
+    let rec paths acc (s : Tracer.span) =
+      let acc =
+        if s.Tracer.name = "memsim.run" then
+          match List.assoc_opt "path" s.Tracer.attrs with
+          | Some (Tracer.String p) -> p :: acc
+          | _ -> "(none)" :: acc
+        else acc
+      in
+      List.fold_left paths acc s.Tracer.children
+    in
+    ( count "memsim.runs",
+      count "memsim.stream.entries",
+      count "memsim.stream.fallbacks",
+      List.sort_uniq compare (List.concat_map (paths []) (Tracer.roots tracer)) )
+  in
+  let runs, entries, _, paths = run (Builders.matmul ()) in
+  check_bool "matmul ran the simulator" true (runs > 0);
+  check_bool "matmul records stream entries" true (entries > 0);
+  check_bool "matmul spans take the stream path" true (paths = [ "stream" ]);
+  let runs, entries, fallbacks, paths = run (Builders.figure2 ()) in
+  check_bool "figure2 ran the simulator" true (runs > 0);
+  check_int "figure2 records no stream entry" 0 entries;
+  check_int "figure2 records no fallback" 0 fallbacks;
+  check_bool "figure2 spans take the values path" true (paths = [ "values" ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -801,6 +842,8 @@ let () =
             test_engine_provenance;
           Alcotest.test_case "unscoreable candidates" `Quick
             test_engine_unscoreable;
+          Alcotest.test_case "memsim stream counters and path" `Quick
+            test_memsim_stream_observability;
         ] );
       ( "determinism",
         [

@@ -375,6 +375,15 @@ let test_serve_status_op () =
            | None -> false)
          tables)
   | _ -> Alcotest.fail "intern not a non-empty list");
+  (* the cache simulator's runs and stream counters (the objective memo
+     is process-wide, so they may all be 0 here) *)
+  List.iter
+    (fun k ->
+      check_bool ("memsim." ^ k ^ " is a count") true
+        (match Json.to_int (obj_field [ "memsim"; k ] resp) with
+        | Some n -> n >= 0
+        | None -> false))
+    [ "runs"; "stream_entries"; "stream_fallbacks" ];
   (* process memory: a live heap, never above its own peak *)
   let heap = to_float_exn (obj_field [ "memory"; "heap_mb" ] resp) in
   let top = to_float_exn (obj_field [ "memory"; "top_heap_mb" ] resp) in
