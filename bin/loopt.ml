@@ -223,6 +223,7 @@ let write_metrics metrics = function
     match metrics with
     | None -> ()
     | Some m ->
+      Itf_opt.Engine.record_tables m;
       write_text_file path (Itf_obs.Json.to_string (Itf_obs.Metrics.dump m) ^ "\n"))
 
 let optimize_cmd =
@@ -330,7 +331,10 @@ let optimize_cmd =
           in
           Format.printf "memsim stream        %d entries, %d fallbacks@."
             (count "memsim.stream.entries")
-            (count "memsim.stream.fallbacks")
+            (count "memsim.stream.fallbacks");
+          (* Fourier–Motzkin refutations of the root's dependence
+             analysis: none when the analysis was memoized. *)
+          Format.printf "dependence FM calls  %d@." (count "dep.fm_calls")
         end;
         if stats_json then print_endline (Itf_opt.Stats.to_json stats);
         write_trace tracer trace_out;

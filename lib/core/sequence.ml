@@ -91,15 +91,26 @@ let equal a b = compare a b = 0
 (* Hash-consing and integer-keyed reduction                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A sequence's intern key is the list of its templates' ids: one probe
-   after the (cached) per-template interning. *)
+(* A sequence is named like a derivation: the empty sequence by the key
+   [[]], a longer one by [[id of its prefix; id of its last template]].
+   So a search that appends one interned move to a named prefix spells
+   the result with one probe ({!extend_id}), and {!intern_id} of a
+   whole sequence is one probe per template after its (cached) template
+   interning. The canonical value of a key is its prefix's with the
+   interned template appended. *)
 module HC = Itf_mat.Hashcons.Keyed (Itf_mat.Hashcons.Ints_key)
 
 let table : t HC.t = HC.create "core.sequence"
 
+let empty_id () = HC.intern table [] (fun _ -> [])
+
+let extend_id (prefix, pid) (t, tid) =
+  HC.intern table [ pid; tid ] (fun _ -> prefix @ [ t ])
+
 let intern_id (seq : t) : t * int =
-  let tis = Template.intern_ids seq in
-  HC.intern table (List.map snd tis) (fun _ -> List.map fst tis)
+  List.fold_left
+    (fun named t -> extend_id named (Template.intern_id t))
+    (empty_id ()) seq
 
 let intern seq = fst (intern_id seq)
 
@@ -112,11 +123,12 @@ module RMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Int_key)
 
 let reduce_table : (t * int) RMemo.t = RMemo.create "core.reduce"
 
-let reduce_memo seq =
-  let seq', sid = intern_id seq in
+let reduce_id (seq, sid) =
   RMemo.find_or_add reduce_table sid (fun () ->
-      let r = reduce seq' in
-      if r == seq' then (seq', sid) else intern_id r)
+      let r = reduce seq in
+      if r == seq then (seq, sid) else intern_id r)
+
+let reduce_memo seq = reduce_id (intern_id seq)
 
 let hash (seq : t) =
   List.fold_left

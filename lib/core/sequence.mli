@@ -51,11 +51,23 @@ val intern : t -> t
 val intern_id : t -> t * int
 (** {!intern} plus the dense intern id: equal ids = equal sequences, an
     O(1) stand-in for structural equality (NOT for the {!compare} order —
-    ids follow intern order). *)
+    ids follow intern order). A sequence is keyed on its prefix's id and
+    its last template's id, so interning a whole sequence interns each
+    of its prefixes. *)
+
+val extend_id : t * int -> Template.t * int -> t * int
+(** [extend_id (seq, id) (t, tid)], where [(seq, id)] is an
+    {!intern_id} result and [(t, tid)] a {!Template.intern_id} result,
+    is [intern_id (seq @ [t])] in one table probe. *)
+
+val reduce_id : t * int -> t * int
+(** [reduce_id (seq, id)] of an {!intern_id} result is the interned
+    [reduce seq] plus its id, memoized by [id]: one probe when warm.
+    Domain-safe. *)
 
 val reduce_memo : t -> t * int
-(** [reduce_memo seq] = the interned [reduce seq] plus its id, memoized by
-    [seq]'s own id — the O(1)-amortized form of the search engines'
-    canonicalize-then-key-the-cache step. Domain-safe. *)
+(** [reduce_id (intern_id seq)]: the search engines'
+    canonicalize-then-key-the-cache step for a sequence not yet
+    interned. *)
 
 val pp : Format.formatter -> t -> unit

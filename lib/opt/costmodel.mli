@@ -97,6 +97,10 @@ val params_key : (string * int) list -> int list
     each name as its length and character codes, followed by its
     value. *)
 
+val fingerprint : spec -> int list
+(** The spec as a self-delimiting int list, non-empty: everything an
+    estimate depends on besides the result. *)
+
 val memo_key : spec -> derivation:int -> int list
 (** The memo key of {!make}: the spec fingerprint, then the derivation
     id. The fingerprint ends in {!params_key}, so it is self-delimiting

@@ -10,7 +10,7 @@ type objective = Framework.result -> float
 
 let block_sizes = [ 4; 8 ]
 
-let moves (_ : Nest.t) ~depth =
+let build_moves depth =
   let n = depth in
   let interchanges =
     List.concat
@@ -50,6 +50,33 @@ let moves (_ : Nest.t) ~depth =
   in
   let coalesces = if n >= 2 then [ Template.coalesce ~n ~i:0 ~j:(n - 1) ] else [] in
   interchanges @ reversals @ skews @ parallelizations @ blocks @ coalesces
+
+type move_set = { id : int; moves : (Template.t * int) array }
+
+(* The moves depend on the depth alone, so each depth's set is built
+   and interned once per process. The sets live in an atomic list, one
+   per depth a search has reached; a racing build of the same depth
+   interns the same templates, and whichever set is published first is
+   the one every later search reads. *)
+let move_sets : move_set list Atomic.t = Atomic.make []
+
+let rec move_set ~depth =
+  let sets = Atomic.get move_sets in
+  match List.find_opt (fun s -> s.id = depth) sets with
+  | Some s -> s
+  | None ->
+    let s =
+      {
+        id = depth;
+        moves =
+          Array.of_list (List.map Template.intern_id (build_moves depth));
+      }
+    in
+    if Atomic.compare_and_set move_sets sets (s :: sets) then s
+    else move_set ~depth
+
+let moves (_ : Nest.t) ~depth =
+  Array.to_list (Array.map fst (move_set ~depth).moves)
 
 (* ------------------------------------------------------------------ *)
 (* Objectives                                                          *)

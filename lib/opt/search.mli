@@ -21,7 +21,19 @@ val moves : Nest.t -> depth:int -> Itf_core.Template.t list
 (** Candidate single-template moves for a nest currently [depth] deep:
     all interchanges and reversals, unit skews of adjacent loop pairs,
     single-loop parallelization, square blocking of contiguous ranges of
-    size 4 and 8 (only up to depth 3), and full coalescing. *)
+    size 4 and 8 (only up to depth 3), and full coalescing. The list
+    depends on [depth] alone: it is {!move_set}'s templates. *)
+
+type move_set = {
+  id : int;  (** names the set; equal ids, equal sets *)
+  moves : (Itf_core.Template.t * int) array;
+      (** {!moves}, in order, each with its {!Itf_core.Template.intern_id} *)
+}
+
+val move_set : depth:int -> move_set
+(** The moves for a [depth]-deep nest, built and interned on the first
+    call for that depth and shared by every later call, from any
+    domain. *)
 
 (** {1 Ready-made objectives} *)
 

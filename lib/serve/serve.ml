@@ -493,6 +493,7 @@ let flush_observability t =
   (match t.metrics_out with
   | None -> ()
   | Some path ->
+    Engine.record_tables t.metrics;
     write_text_file path (Json.to_string (Metrics.dump t.metrics) ^ "\n"));
   match t.trace_out with
   | None -> ()
@@ -728,6 +729,14 @@ let status_snapshot t ~id =
             ("stream_entries", count "memsim.stream.entries");
             ("stream_fallbacks", count "memsim.stream.fallbacks");
           ] );
+      ( "dep",
+        Json.Obj
+          [
+            ( "fm_calls",
+              Json.Int
+                (Metrics.counter_value (Metrics.counter t.metrics "dep.fm_calls"))
+            );
+          ] );
       ( "memory",
         Json.Obj
           [ ("heap_mb", Json.Float heap_mb); ("top_heap_mb", Json.Float top_heap_mb) ]
@@ -739,6 +748,7 @@ let status_snapshot t ~id =
 
 let metrics_snapshot t ~id =
   publish_memory_gauges t;
+  Engine.record_tables t.metrics;
   Json.Obj
     [
       ("id", id);
