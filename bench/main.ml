@@ -703,9 +703,10 @@ let bechamel_suite () =
    than 1.2x slower than the tiered sequential run, if the tier-0 screen
    saves less than 3x exact evaluations on matmul/locality, or — given
    [--baseline FILE] holding a previously committed BENCH_search.json — if
-   any case's deterministic counters (exact and tier-0 evaluations, and
-   the node, cache, legality and evaluation counters of the three stats
-   blocks) differ from that baseline at all, or if its new_seq_time_s
+   any case's deterministic counters (exact and tier-0 evaluations, the
+   shared-table probes of one warm tiered search, and the node, cache,
+   legality and evaluation counters of the three stats blocks) differ
+   from that baseline at all, or if its new_seq_time_s
    regressed more than 10% against it both in absolute time and
    normalized by the same file's compute_untiered_time_s (the
    normalization absorbs hardware differences; the AND keeps one noisy
@@ -811,7 +812,10 @@ let search_bench ?baseline () =
   let counter_paths =
     List.map
       (fun k -> [ k ])
-      [ "exact_evals"; "exact_evals_untiered"; "tier0_evals"; "tier0_pruned" ]
+      [
+        "exact_evals"; "exact_evals_untiered"; "tier0_evals"; "tier0_pruned";
+        "warm_probes";
+      ]
     @ List.concat_map
         (fun stats ->
           List.map
@@ -897,6 +901,20 @@ let search_bench ?baseline () =
               r)
         in
         let profile_rows = Itf_obs.Profile.of_spans !last_roots in
+        (* Shared-table probes of one more warm tiered search: every
+           table the search touches answers from memory by now, so the
+           count is what a warm search costs in lookups, the same on
+           every host. *)
+        let warm_probes =
+          let probes () =
+            List.fold_left
+              (fun acc s -> acc + s.Hashcons.hits + s.Hashcons.misses)
+              0 (Hashcons.stats ())
+          in
+          let before = probes () in
+          ignore (Engine.search ~steps ~domains:1 ~tier0:spec nest objective);
+          probes () - before
+        in
         match (unt_, seq_, par_, cunt_, cseq_, trc_) with
         | Some unt_, Some seq_, Some par_, Some cunt_, Some cseq_, Some trc_ ->
           let agree (a : Engine.outcome) (b : Engine.outcome) =
@@ -1022,9 +1040,9 @@ let search_bench ?baseline () =
             name unt_t apps exact_untiered seq_t exact_tiered exact_reduction
             stats.Itf_opt.Stats.tier0_pruned par_t par_vs_seq same_winner;
           Format.printf
-            "%-18s alloc/run: warm tiered seq %.0f minor words (%.0f \
-             promoted)@."
-            "" seq_minor seq_promoted;
+            "%-18s warm tiered seq, per search: %d shared-table probes, \
+             %.0f minor words (%.0f promoted)@."
+            "" warm_probes seq_minor seq_promoted;
           Format.printf
             "%-18s compute (no sim memo): untiered %.3fs vs tiered seq %.3fs \
              (tiered/untiered %.2f; warm %.2f)@."
@@ -1055,6 +1073,7 @@ let search_bench ?baseline () =
               ( "tier0_evals",
                 Json.Int stats.Itf_opt.Stats.tier0_evaluations );
               ("tier0_pruned", Json.Int stats.Itf_opt.Stats.tier0_pruned);
+              ("warm_probes", Json.Int warm_probes);
               ("exact_eval_reduction", Json.Float exact_reduction);
               ("par_vs_seq", Json.Float par_vs_seq);
               ("tiered_vs_untiered", Json.Float tiered_vs_untiered);
