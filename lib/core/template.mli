@@ -87,7 +87,5 @@ val intern_id : t -> t * int
 (** {!intern} plus the dense intern id. Equal ids = equal templates; ids
     are not an ordering. *)
 
-val intern_ids : t list -> (t * int) list
-
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -414,7 +414,7 @@ let test_serve_metrics_op () =
       (fun sub ->
         check_bool (Printf.sprintf "exposition carries %S" sub) true
           (Builders.contains ~sub text))
-      [
+      ([
         "# TYPE serve_requests counter";
         "serve_requests{status=\"ok\"} 1";
         "# TYPE serve_request_us histogram";
@@ -424,7 +424,11 @@ let test_serve_metrics_op () =
         "engine_phase_us_bucket{phase=\"exact\"";
         "# TYPE gc_heap_mb gauge";
         "# TYPE gc_top_heap_mb gauge";
+        "# TYPE dep_fm_calls counter";
       ]
+    @ List.map
+        (fun t -> Printf.sprintf "intern_size{table=%S}" t.Itf_mat.Hashcons.name)
+        (Itf_mat.Hashcons.stats ()))
 
 let test_serve_unknown_op () =
   let server = Serve.create ~domains:1 () in
