@@ -1,6 +1,7 @@
 open Itf_ir
 module Framework = Itf_core.Framework
 module Affine = Itf_bounds.Affine
+module Access = Itf_bounds.Access
 
 type estimate = { score : float; bound : float }
 
@@ -163,64 +164,6 @@ let analyze_levels tbl (loops : Nest.loop list) =
     loops
 
 (* ------------------------------------------------------------------ *)
-(* Array references over the transformed index variables               *)
-(* ------------------------------------------------------------------ *)
-
-type aref = { array : string; index : Expr.t list; guarded : bool }
-
-(* The framework keeps bodies verbatim and prepends initialization
-   statements defining the original index variables over the new ones
-   (paper Figure 3) — so subscript strides after a transformation only
-   become visible once those definitions are substituted through. Inits
-   are substituted in order (later ones may use earlier ones); variables
-   also assigned inside the body are left alone (their init definition
-   does not dominate every use). *)
-let init_subst (nest : Nest.t) =
-  let body_defined =
-    List.concat_map Stmt.defined_vars nest.Nest.body |> List.sort_uniq compare
-  in
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Stmt.Set (v, e) when not (List.mem v body_defined) ->
-        (v, Expr.simplify (Expr.subst acc e)) :: acc
-      | _ -> acc)
-    [] nest.Nest.inits
-
-let collect_refs (nest : Nest.t) =
-  let sub = init_subst nest in
-  let refs = ref [] in
-  let rec expr ~guarded (e : Expr.t) =
-    match e with
-    | Int _ | Var _ -> ()
-    | Neg a -> expr ~guarded a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
-    | Min (a, b) | Max (a, b) ->
-      expr ~guarded a;
-      expr ~guarded b
-    | Load { array; index } ->
-      refs := { array; index; guarded } :: !refs;
-      List.iter (expr ~guarded) index
-    | Call (_, args) -> List.iter (expr ~guarded) args
-  in
-  let rec stmt ~guarded = function
-    | Stmt.Store ({ array; index }, rhs) ->
-      refs := { array; index; guarded } :: !refs;
-      List.iter (expr ~guarded) index;
-      expr ~guarded rhs
-    | Stmt.Set (_, rhs) -> expr ~guarded rhs
-    | Stmt.Guard { lhs; rhs; body; _ } ->
-      (* The condition is always evaluated; only the body is conditional. *)
-      expr ~guarded lhs;
-      expr ~guarded rhs;
-      List.iter (stmt ~guarded:true) body
-  in
-  List.iter
-    (fun s -> stmt ~guarded:false (Stmt.subst sub s))
-    (nest.Nest.inits @ nest.Nest.body);
-  List.rev !refs
-
-(* ------------------------------------------------------------------ *)
 (* Locality                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -232,8 +175,8 @@ type layout = {
 let make_layout ~params ~line_elems refs =
   let arities = Hashtbl.create 8 in
   List.iter
-    (fun r ->
-      let k = List.length r.index in
+    (fun (r : Access.reference) ->
+      let k = List.length r.dims in
       match Hashtbl.find_opt arities r.array with
       | Some k' when k' >= k -> ()
       | _ -> Hashtbl.replace arities r.array k)
@@ -260,13 +203,12 @@ let make_layout ~params ~line_elems refs =
 (* Per-reference view: the flattened (row-major) affine form of the byte
    address as a function of the loop variables. *)
 type flat = {
-  ref_ : aref;
+  ref_ : Access.reference;
   coeffs : float array;  (** per level, in elements; 0 when invariant *)
   nonlinear : bool array;  (** per level: used non-linearly at this level *)
-  splits : Affine.t list;  (** per dimension, for the admissible bound *)
 }
 
-let flatten ~vars ~layout (r : aref) =
+let flatten ~vars ~layout (r : Access.reference) =
   let strides =
     match List.assoc_opt r.array layout.strides with
     | Some s -> s
@@ -275,21 +217,17 @@ let flatten ~vars ~layout (r : aref) =
   let n = List.length vars in
   let coeffs = Array.make n 0. in
   let nonlinear = Array.make n false in
-  let splits =
-    List.mapi
-      (fun d e ->
-        let af = Affine.split ~vars e in
-        let stride = if d < Array.length strides then strides.(d) else 1. in
-        List.iteri
-          (fun k v ->
-            let c = Affine.coeff af v in
-            if c <> 0 then coeffs.(k) <- coeffs.(k) +. (stride *. float c);
-            if List.mem v af.Affine.nonlinear_in then nonlinear.(k) <- true)
-          vars;
-        af)
-      r.index
-  in
-  { ref_ = r; coeffs; nonlinear; splits }
+  List.iteri
+    (fun d (af : Affine.t) ->
+      let stride = if d < Array.length strides then strides.(d) else 1. in
+      List.iteri
+        (fun k v ->
+          let c = Affine.coeff af v in
+          if c <> 0 then coeffs.(k) <- coeffs.(k) +. (stride *. float c);
+          if List.mem v af.Affine.nonlinear_in then nonlinear.(k) <- true)
+        vars)
+    r.dims;
+  { ref_ = r; coeffs; nonlinear }
 
 (* Distinct-line footprint of the subtree below each level, per reference,
    innermost-first recurrence: a level where the reference varies scales
@@ -334,7 +272,14 @@ let locality_estimate ~config ~elem_bytes ~params (result : Framework.result) =
   List.iter (fun (v, x) -> Hashtbl.replace tbl v (exact (float x))) params;
   let levels = analyze_levels tbl nest.Nest.loops in
   let n = List.length levels in
-  let refs = collect_refs nest in
+  (* In source order (a store before its right-hand side): the float
+     sums below depend on their order, and the estimates are pinned to
+     this one. *)
+  let refs =
+    List.sort
+      (fun (a : Access.reference) b -> compare a.pos b.pos)
+      (Access.of_nest nest).Access.refs
+  in
   let layout = make_layout ~params ~line_elems refs in
   let vars = List.map (fun l -> l.var) levels in
   let flats =
@@ -441,7 +386,7 @@ let locality_estimate ~config ~elem_bytes ~params (result : Framework.result) =
                               (Expr.free_vars af.Affine.base) ->
                     Float.max acc (tmin_of v)
                   | _ -> acc)
-                1. f.splits
+                1. f.ref_.dims
             in
             let prev =
               Option.value ~default:0.
@@ -509,25 +454,6 @@ let parallel_estimate ~procs ~spawn_overhead ~params (result : Framework.result)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Tier-0 estimate memo, shared by every instantiation and persistent
-   across searches. The estimator is pure in (spec, nest, vectors), and a
-   result's derivation id names the root, root vectors and raw sequence
-   that determine both, so the key is a static spec fingerprint plus that
-   id — one cheap int-list probe replaces the whole interval-analysis +
-   subscript-flattening walk on every re-derived candidate, and neither
-   the nest nor its vectors are hashed. The parameter list carries its
-   length in front, so the fingerprint is self-delimiting and the flat
-   key stays injective whatever follows it. *)
-module EMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
-
-(* Every entry is keyed on a derivation id, which a novel root never
-   produces again, so the cap is sized to the warm set of a daemon's hot
-   queries (DESIGN §10), not to the traffic. *)
-let tier0_cap = 8192
-
-let memo_table : estimate EMemo.t =
-  EMemo.create ~max_size:tier0_cap "opt.tier0"
-
 let float_bits x =
   (* Two int halves: OCaml ints are 63-bit, so a single [Int64.to_int]
      would silently drop the sign bit. *)
@@ -554,8 +480,6 @@ let fingerprint spec =
   | Parallel { procs; spawn_overhead; params } ->
     (1 :: procs :: float_bits spawn_overhead) @ params_key params
 
-let memo_key spec ~derivation = fingerprint spec @ [ derivation ]
-
 let estimate spec result =
   match
     match spec with
@@ -569,10 +493,3 @@ let estimate spec result =
     (* Unanalyzable: claim nothing (bound 0) and rank first so the exact
        tier decides. *)
     { score = 0.; bound = 0. }
-
-let make spec : Framework.result -> estimate =
-  let fp = fingerprint spec in
-  fun result ->
-    EMemo.find_or_add memo_table
-      (fp @ [ result.Framework.derivation ])
-      (fun () -> estimate spec result)

@@ -15,11 +15,11 @@
     The inputs are exactly the artifacts the paper's uniform mapping
     rules maintain: the transformed LB/UB/STEP information (interval
     analysis of the bound expressions, cf. {!Itf_bounds.Bmat}), the
-    body's array subscripts re-expressed over the transformed index
-    variables by substituting the generated initialization statements
-    (so strides after Unimodular / ReversePermute / Block / Coalesce are
-    visible, {!Itf_bounds.Affine.split}), and the mapped {!Itf_dep.Depvec}
-    set (innermost-carried reuse credit).
+    body's array subscripts as affine forms over the transformed index
+    variables ({!Itf_bounds.Access}, which substitutes the generated
+    initialization statements, so strides after Unimodular /
+    ReversePermute / Block / Coalesce are visible), and the mapped
+    {!Itf_dep.Depvec} set (innermost-carried reuse credit).
 
     Admissibility argument (checked over the fuzz corpus by
     [test_costmodel]):
@@ -75,22 +75,11 @@ val subtree_admissible : spec -> bool
     sequentially and legitimately beat the candidate's bound. *)
 
 val estimate : spec -> Itf_core.Framework.result -> estimate
-(** [estimate spec result] runs the estimator itself, unmemoized. It
-    never raises and never returns NaN: unanalyzable nests degrade to
-    [bound = 0] with [score = 0] (rank first, let the exact tier
-    decide). *)
-
-val make : spec -> Itf_core.Framework.result -> estimate
-(** [make spec] is {!estimate}[ spec], memoized — a pure function, safe
-    to call concurrently from several domains.
-
-    Estimates are memoized in a process-wide table keyed on a spec
-    fingerprint plus the result's derivation id
-    ({!Itf_core.Framework.result}): computed at most once per
-    (spec, derivation) pair for the process lifetime (see {!memo_key}).
-    The key names how the result was derived, not the nest it holds, so
-    neither the nest nor its vectors are walked on a probe; two
-    spellings that generate the same nest are estimated once each. *)
+(** [estimate spec result] runs the estimator. It never raises and never
+    returns NaN: unanalyzable nests degrade to [bound = 0] with
+    [score = 0] (rank first, let the exact tier decide). The engine
+    keeps each child's estimate in its parent's expansion, so it runs
+    once per child of an expanded parent. *)
 
 val params_key : (string * int) list -> int list
 (** A parameter list as a self-delimiting int list: its length, then
@@ -99,10 +88,5 @@ val params_key : (string * int) list -> int list
 
 val fingerprint : spec -> int list
 (** The spec as a self-delimiting int list, non-empty: everything an
-    estimate depends on besides the result. *)
-
-val memo_key : spec -> derivation:int -> int list
-(** The memo key of {!make}: the spec fingerprint, then the derivation
-    id. The fingerprint ends in {!params_key}, so it is self-delimiting
-    and distinct (spec, derivation) pairs never flatten to the same
-    key. *)
+    estimate depends on besides the result. Parent expansions are keyed
+    on it. *)

@@ -310,7 +310,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
   let estimate, spec, subtree_prune =
     match tier0 with
     | Some s ->
-      (Costmodel.make s, Costmodel.fingerprint s, Costmodel.subtree_admissible s)
+      (Costmodel.estimate s, Costmodel.fingerprint s, Costmodel.subtree_admissible s)
     | None -> ((fun _ -> open_estimate), [], false)
   in
   if tier0_only && not screened then

@@ -177,8 +177,8 @@ val search :
     is {e not} guaranteed to match the exact search.
 
     Cache keys are canonical-sequence intern ids from
-    {!Itf_core.Sequence.reduce_id}, and tier-0 estimates are memoized
-    ({!Costmodel.make}, then the parent's expansion). The screen sorts
+    {!Itf_core.Sequence.reduce_id}, and tier-0 estimates are kept in the
+    parent's expansion ({!Costmodel.estimate}). The screen sorts
     its candidates once, by (estimate, canonical sequence, raw
     sequence). Intern ids are used for cache {e equality} only —
     candidate ordering stays structural — so the winner, score and

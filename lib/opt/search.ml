@@ -187,8 +187,8 @@ let mcount metrics name n =
    reentrant. *)
 module OMemo = Itf_mat.Hashcons.Memo (Itf_mat.Hashcons.Ints_key)
 
-(* Like the tier-0 memo's, each table's cap is sized to the warm set
-   (DESIGN §10): its keys start with derivation ids. *)
+(* Each table's cap is sized to the warm set (DESIGN §10): its keys
+   start with derivation ids, which a novel root never produces again. *)
 let objective_cap = 8192
 
 let memsim_memo : float OMemo.t =

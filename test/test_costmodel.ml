@@ -69,7 +69,7 @@ let pairs () =
       in
       List.concat_map
         (fun (label, spec, exact_obj) ->
-          let est = Costmodel.make spec in
+          let est = Costmodel.estimate spec in
           List.filter_map
             (fun r ->
               match exact_obj r with
@@ -189,7 +189,7 @@ let screen_cases () =
 let test_winner_recall () =
   List.iter
     (fun (label, nest, spec, exact_obj) ->
-      let est = Costmodel.make spec in
+      let est = Costmodel.estimate spec in
       let scored =
         List.filter_map
           (fun r ->
@@ -237,33 +237,41 @@ let test_same_winner_end_to_end () =
           < a.Engine.stats.Itf_opt.Stats.objective_evaluations))
     (screen_cases ())
 
-(* The memo key must be injective: over both spec kinds, parameter
+(* The spec fingerprint keys parent expansions, so it must be
+   injective and self-delimiting: over both spec kinds and parameter
    lists that share a prefix or whose name's character codes equal
-   derivation ids, and a handful of derivation ids, no two
-   (spec, derivation) pairs flatten to one key. *)
-let test_memo_key_injective () =
+   other fields, no two specs get one fingerprint and no fingerprint is
+   a proper prefix of another. *)
+let test_fingerprint_injective () =
   let q = "\007\tq" in
-  let p = Char.code 'q' in
   let params = [ []; [ ("n", 8) ]; [ ("n", 8); (q, 7) ]; [ (q, 8) ] ] in
-  let specs =
-    List.concat_map
-      (fun params ->
-        [
-          Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params };
-          Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params };
-        ])
-      params
-  in
   let keys =
     List.concat_map
-      (fun spec ->
-        List.map
-          (fun derivation -> Costmodel.memo_key spec ~derivation)
-          [ 0; 7; 9; p ])
-      specs
+      (fun params ->
+        List.map Costmodel.fingerprint
+          [
+            Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params };
+            Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params };
+          ])
+      params
   in
-  Alcotest.(check int) "distinct pairs get distinct keys" (List.length keys)
-    (List.length (List.sort_uniq compare keys))
+  Alcotest.(check int) "distinct specs get distinct fingerprints"
+    (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  let rec prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a, y :: b -> x = y && prefix a b
+    | _ :: _, [] -> false
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if a <> b && prefix a b then
+            Alcotest.fail "a fingerprint is a prefix of another")
+        keys)
+    keys
 
 let () =
   (* Calibration aid: COSTMODEL_DUMP=1 prints every (label, estimate,
@@ -289,7 +297,7 @@ let () =
             test_winner_recall;
           Alcotest.test_case "tiered engine keeps the winner" `Quick
             test_same_winner_end_to_end;
-          Alcotest.test_case "memo key is injective" `Quick
-            test_memo_key_injective;
+          Alcotest.test_case "fingerprint is injective" `Quick
+            test_fingerprint_injective;
         ] );
     ]

@@ -879,7 +879,7 @@ let search_line ~id ~objective ~n ~steps src =
 let bounded_tables =
   [
     "core.derivation"; "dep.vectors"; "ir.nest"; "opt.obj.memsim";
-    "opt.obj.parsim"; "opt.tier0";
+    "opt.obj.parsim";
   ]
 
 let not_yet_evicted () =
