@@ -706,7 +706,9 @@ let bechamel_suite () =
    any case's deterministic counters (exact and tier-0 evaluations, the
    shared-table probes of one warm tiered search, and the node, cache,
    legality and evaluation counters of the three stats blocks) differ
-   from that baseline at all, or if its new_seq_time_s
+   from that baseline at all, if its new_seq_minor_words (the minor
+   words of one warm tiered search, a count that repeats exactly run to
+   run) exceeds the baseline's by more than 1%, or if its new_seq_time_s
    regressed more than 10% against it both in absolute time and
    normalized by the same file's compute_untiered_time_s (the
    normalization absorbs hardware differences; the AND keeps one noisy
@@ -804,6 +806,10 @@ let search_bench ?baseline () =
         in
         (f "compute_untiered_time_s", f "new_seq_time_s"))
       (baseline_case name)
+  in
+  let baseline_minor_words name =
+    Option.bind (baseline_case name) (fun c ->
+        Option.bind (Json.member "new_seq_minor_words" c) Json.to_float)
   in
   (* The deterministic fields of a case: the same on every host and at
      every domain count, so any difference from the baseline is a change
@@ -1014,6 +1020,17 @@ let search_bench ?baseline () =
                  "%s: tier-0 screen saves only %.2fx exact evaluations \
                   (%d -> %d, need >= 3x)"
                  name exact_reduction exact_untiered exact_tiered);
+          (* Warm allocation gate: a warm search allocates the same words
+             on every run, so 1% is room for a compiler's rounding, not
+             for noise. *)
+          (match baseline_minor_words name with
+          | Some base when seq_minor > base *. 1.01 ->
+            failwith
+              (Printf.sprintf
+                 "%s: new_seq_minor_words is %.0f, over 1%% above the \
+                  baseline's %.0f"
+                 name seq_minor base)
+          | _ -> ());
           (match baseline_times name with
           | None -> ()
           | Some (base_unt, base_seq) ->

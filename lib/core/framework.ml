@@ -114,6 +114,8 @@ let checked ((cell, derivation) : entry) make =
     Atomic.set cell (Some c);
     c
 
+let stored ((cell, _) : entry) = Atomic.get cell
+
 let check_root ?vectors nest =
   let vectors = root_vectors vectors nest in
   checked (root_entry nest vectors) (fun _ -> Legality.start ~vectors nest)

@@ -121,6 +121,12 @@ val check_child : state -> Template.t -> entry -> checked
     same, and its id still names the same candidate.
     @raise Invalid_argument as {!check_extend}. *)
 
+val stored : entry -> checked option
+(** The verdict [e] already holds, if any: {!check_child} on [e] then
+    returns it without computing anything. A caller uses this to tell a
+    verdict it computes from one it reads back, say to time only the
+    former. *)
+
 type annex = ..
 (** Extended by the layers that store data with a state. *)
 

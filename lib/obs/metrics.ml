@@ -17,16 +17,23 @@ type instrument =
 
 type key = { name : string; labels : (string * string) list }
 
-type t = { mutex : Mutex.t; tbl : (key, instrument) Hashtbl.t }
+(* Reads go to [snapshot], a table that is never mutated once
+   published, so a lookup takes no lock. Creating an instrument takes
+   [mutex], adds to a copy of the current table and publishes the copy.
+   Instruments are never removed, so an older snapshot only lacks the
+   instruments created after it; a miss falls through to the locked
+   path, which looks again in the current table. *)
+type t = { mutex : Mutex.t; snapshot : (key, instrument) Hashtbl.t Atomic.t }
 
 type counter = int Atomic.t
 type gauge = float Atomic.t
 type histogram = histo
 
-let create () = { mutex = Mutex.create (); tbl = Hashtbl.create 32 }
+let create () = { mutex = Mutex.create (); snapshot = Atomic.make (Hashtbl.create 32) }
 
-let normalize_labels labels =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
+let normalize_labels = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -35,16 +42,19 @@ let kind_name = function
 
 let find_or_create t ?(labels = []) name make =
   let key = { name; labels = normalize_labels labels } in
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some i -> i
-      | None ->
-        let i = make () in
-        Hashtbl.add t.tbl key i;
-        i)
+  match Hashtbl.find (Atomic.get t.snapshot) key with
+  | i -> i
+  | exception Not_found ->
+    Mutex.protect t.mutex (fun () ->
+        let tbl = Atomic.get t.snapshot in
+        match Hashtbl.find_opt tbl key with
+        | Some i -> i
+        | None ->
+          let i = make () in
+          let tbl = Hashtbl.copy tbl in
+          Hashtbl.add tbl key i;
+          Atomic.set t.snapshot tbl;
+          i)
 
 let counter t ?labels name =
   match find_or_create t ?labels name (fun () -> Counter (Atomic.make 0)) with
@@ -166,17 +176,10 @@ let quantile h q =
   quantile_of_counts ~buckets:h.buckets ~counts:(Array.map Atomic.get h.counts) q
 
 let entries t =
-  Mutex.lock t.mutex;
-  let xs =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
-  in
-  List.sort
-    (fun (a, _) (b, _) ->
-      let c = String.compare a.name b.name in
-      if c <> 0 then c else compare a.labels b.labels)
-    xs
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (Atomic.get t.snapshot) []
+  |> List.sort (fun (a, _) (b, _) ->
+         let c = String.compare a.name b.name in
+         if c <> 0 then c else compare a.labels b.labels)
 
 let render_buckets buckets =
   Array.to_list buckets

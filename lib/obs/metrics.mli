@@ -8,8 +8,11 @@
 
     {b Multicore}: instrument {e updates} are atomic and commutative
     (counter adds, histogram bucket increments, the fixed-point histogram
-    sum), so totals are deterministic regardless of domain scheduling;
-    handle {e creation} takes a registry lock and is safe from any domain.
+    sum), so totals are deterministic regardless of domain scheduling.
+    Looking a handle up takes no lock: it reads an immutable snapshot of
+    the registry. Only {e creating} an instrument takes the registry
+    lock, which publishes a new snapshot; both are safe from any domain.
+    A hot path still resolves its handles once and keeps them.
     Gauge {!set} is last-write-wins (absolute values should come from one
     writer at a time); {!gauge_add} is a CAS loop, safe for concurrent
     +/- level tracking from any domain.

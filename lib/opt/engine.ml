@@ -217,11 +217,11 @@ let expansion ~spec parent =
    estimate comes from the expansion too, computed on its first use.
    Runs on worker domains: the only shared state it touches is the
    domain-safe tables and the expansion's write-once slots, and the
-   coordinator merges the result in input order. The two trailing
-   floats are the candidate's legality and estimate durations, folded
-   into the per-phase breakdown. *)
+   coordinator merges the result in input order. The trailing float is
+   the time spent computing the child's legality verdict, 0 when the
+   entry already held it: only a computed verdict reads the clock, so
+   a warm candidate reads none. *)
 let evaluate_tier0 estimate (parent, x, i) =
-  let t_start = now () in
   let ch = x.children.(i) in
   let probe () = Framework.child_entry parent.state (snd ch.move) in
   let entry =
@@ -235,13 +235,16 @@ let evaluate_tier0 estimate (parent, x, i) =
         Weak.set w i (Some e);
         e)
   in
-  let { Framework.outcome; apps } =
-    Framework.check_child parent.state (fst ch.move) entry
+  let { Framework.outcome; apps }, legality_s =
+    match Framework.stored entry with
+    | Some c -> (c, 0.)
+    | None ->
+      let t0 = now () in
+      let c = Framework.check_child parent.state (fst ch.move) entry in
+      (c, now () -. t0)
   in
-  let t_leg = now () in
   match outcome with
-  | Error v ->
-    (Error (Rejected (Legality.reasons v)), apps, t_leg -. t_start, 0.)
+  | Error v -> (Error (Rejected (Legality.reasons v)), apps, legality_s)
   | Ok (state, result) ->
     let value =
       match x.estimates.(i) with
@@ -262,8 +265,7 @@ let evaluate_tier0 estimate (parent, x, i) =
           value;
         },
       apps,
-      t_leg -. t_start,
-      now () -. t_leg )
+      legality_s )
 
 (* The [k] smallest of [l] under [order] (a strict order on [l]): a
    selection, not a sort. [acc] holds the [n] smallest so far, largest
@@ -339,14 +341,24 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
      exclusively by the merging thread (workers fill per-index result
      slots), so parallel runs stay bit-identical to sequential ones. *)
   let cache : entry KeyTbl.t = KeyTbl.create 256 in
+  (* The [legality.rejections{reason}] counters this search has used,
+     each looked up in the registry on its reason's first rejection. *)
+  let rejection_counters = ref [] in
+  let rejection_counter m label =
+    match List.assoc_opt label !rejection_counters with
+    | Some c -> c
+    | None ->
+      let c =
+        Metrics.counter m ~labels:[ ("reason", label) ] "legality.rejections"
+      in
+      rejection_counters := (label, c) :: !rejection_counters;
+      c
+  in
   let reject seq cause =
     Option.iter
       (fun m ->
         List.iter
-          (fun label ->
-            Metrics.incr
-              (Metrics.counter m ~labels:[ ("reason", label) ]
-                 "legality.rejections"))
+          (fun label -> Metrics.incr (rejection_counter m label))
           (cause_labels cause))
       metrics;
     if provenance then rejections := { candidate = seq; cause } :: !rejections
@@ -361,6 +373,14 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     if provenance && screened then
       decisions :=
         { candidate = c.seq; tier0_score; tier0_bound; verdict } :: !decisions
+  in
+  (* The tier-0 batch beyond the legality verdicts it computed (verdicts
+     and estimates read back, estimates computed, folding the results
+     in) and the screen: tier-0 work, or legality bookkeeping when the
+     screen is open. *)
+  let credit_rest dt =
+    if screened then st.tier0_time_s <- st.tier0_time_s +. dt
+    else st.legality_time_s <- st.legality_time_s +. dt
   in
   let screen_out c verdict =
     st.tier0_pruned <- st.tier0_pruned + 1;
@@ -401,15 +421,13 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     | Some p -> Pool.map_auto p f input
   in
   (* The exact objective of one candidate, under its [engine.objective]
-     span; the simulators attach below it through the ambient tracer. *)
+     span; the simulators attach below it through the ambient tracer.
+     The caller times it: the root alone, a step's survivors as one
+     batch. *)
   let exact ?attrs tr result =
     Tracer.span tr ?attrs "engine.objective" (fun () ->
-        let t0 = now () in
-        let r =
-          score_with (fun () ->
-              Tracer.with_ambient tr (fun () -> objective result))
-        in
-        (r, now () -. t0))
+        score_with (fun () ->
+            Tracer.with_ambient tr (fun () -> objective result)))
   in
   (* Scoring, decided once. Normally the exact objective scores the root
      and the screen's survivors; a beam member must carry a score, so the
@@ -425,16 +443,17 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
           st.tier0_evaluations <- st.tier0_evaluations + 1;
           st.tier0_time_s <- st.tier0_time_s +. (now () -. t0);
           Ok e.Costmodel.score),
-        Array.map (fun c -> (c, Ok c.value.Costmodel.score, 0.)),
+        Array.map (fun c -> (c, Ok c.value.Costmodel.score)),
         max_int,
         false )
     else
       ( (fun result ->
           st.objective_evaluations <- st.objective_evaluations + 1;
-          let r, t =
+          let t0 = now () in
+          let r =
             exact ~attrs:(fun () -> [ ("root", Bool true) ]) tracer result
           in
-          st.exact_time_s <- st.exact_time_s +. t;
+          st.exact_time_s <- st.exact_time_s +. (now () -. t0);
           r),
         (fun survivors ->
           st.objective_evaluations <-
@@ -459,9 +478,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
                               | t :: _ -> Template.name t
                               | [] -> "identity") );
                         ])
-                      (fun () ->
-                        let r, t = exact tr c.result in
-                        (c, r, t)))
+                      (fun () -> (c, exact tr c.result)))
                   tasks
               in
               Tracer.join tracer (Array.to_list (Array.map fst tasks));
@@ -571,7 +588,9 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
            batches: tier 0 (legality + the screen's estimate) for every
            miss, then scoring for the screen's survivors. The pool map
            preserves input order, so both merges below are
-           deterministic. *)
+           deterministic. Each batch is timed as a whole; inside the
+           tier-0 batch only the legality verdicts computed on this call
+           are timed. *)
         checkpoint step ".evaluate";
         let results =
           Tracer.span tracer
@@ -579,25 +598,27 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
             ~attrs:(fun () -> [ ("candidates", Int (Array.length misses)) ])
             (fun () -> pmap (evaluate_tier0 estimate) misses)
         in
-        let t_screen = now () in
-        let pending = ref [] in
+        let pending = ref [] and computed_s = ref 0. in
         Array.iteri
-          (fun i (r, apps, leg_s, t0_s) ->
+          (fun i (r, apps, legality_s) ->
             let _, x, k = misses.(i) in
             let { cseq = seq; ckey = key; _ } = x.children.(k) in
             st.template_applications <- st.template_applications + apps;
             st.template_applications_saved <-
               st.template_applications_saved + max 0 (List.length seq - apps);
-            st.legality_time_s <- st.legality_time_s +. leg_s;
+            computed_s := !computed_s +. legality_s;
             match r with
             | Ok c ->
-              if screened then begin
-                st.tier0_evaluations <- st.tier0_evaluations + 1;
-                st.tier0_time_s <- st.tier0_time_s +. t0_s
-              end;
+              if screened then st.tier0_evaluations <- st.tier0_evaluations + 1;
               pending := c :: !pending
             | Error cause -> fail key seq cause)
           results;
+        let t_batch = now () in
+        st.legality_time_s <- st.legality_time_s +. !computed_s;
+        (* At domains > 1 the verdicts' durations are summed across
+           domains and the batch is wall-clock, so the rest is floored
+           at zero. *)
+        credit_rest (Float.max 0. (t_batch -. t1 -. !computed_s));
         checkpoint step ".exact";
         (* Screen, deterministically: sort every tier-0-estimated candidate
            (fresh and cached alike) by the estimate order — the screen's
@@ -643,17 +664,15 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
             end
             else screen_out c Screened_out)
           bound_ok;
-        (* Folding the batch's results in and screening them is tier-0
-           work: its time joins the estimates'. *)
-        if screened then
-          st.tier0_time_s <- st.tier0_time_s +. (now () -. t_screen);
+        let t_screen = now () in
+        credit_rest (t_screen -. t_batch);
         let scored = score_survivors (Array.of_list (List.rev !survivors)) in
         let t2 = now () in
+        st.exact_time_s <- st.exact_time_s +. (t2 -. t_screen);
         st.evaluate_time_s <- st.evaluate_time_s +. (t2 -. t1);
         let fresh = ref [] in
         Array.iter
-          (fun (c, r, obj_s) ->
-            st.exact_time_s <- st.exact_time_s +. obj_s;
+          (fun (c, r) ->
             match r with
             | Ok score ->
               let node = { c with value = score } in

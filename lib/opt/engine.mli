@@ -203,8 +203,21 @@ val search :
     Fourier–Motzkin refutations of the root's dependence analysis are
     added to the [dep.fm_calls] counter (none when the analysis was
     memoized). The search sets no intern-table gauge: {!record_tables}
-    does, when a registry is dumped. Returns [None] when not even the
-    untransformed nest is scoreable. *)
+    does, when a registry is dumped. It looks each
+    [legality.rejections{reason}] counter up once, on the first
+    rejection for that reason, and makes no registry lookup per
+    candidate. Returns [None] when not even the untransformed nest is
+    scoreable.
+
+    Timing ({!Stats.phases}): the root's legality check and its score
+    are timed on their own; each step's tier-0 batch and exact batch
+    are timed as wholes, one clock read at each end. Inside the tier-0
+    batch only a legality verdict computed on this call is timed (the
+    candidate's [core.derivation] entry held none), so a candidate
+    whose verdict is read back reads no clock and a new one reads two.
+    Those durations are [legality]; the rest of the batch, plus the
+    screen, is [tier0]. Without [tier0] the whole batch and the open
+    screen are [legality]. *)
 
 val record_tables : Itf_obs.Metrics.t -> unit
 (** Sets the [intern.size]/[intern.hits]/[intern.misses]/

@@ -160,13 +160,14 @@ let scratch_cache config =
     cell := Some c;
     c
 
-(* Metric updates below are atomic counter adds — commutative, so totals
-   are identical whether the engine evaluates candidates sequentially or
-   across domains. *)
-let mcount metrics name n =
-  match metrics with
-  | None -> ()
-  | Some m -> Itf_obs.Metrics.add (Itf_obs.Metrics.counter m name) n
+(* An objective resolves its counters when it is built, so an
+   evaluation adds to them without a registry lookup. Adds are atomic
+   and commutative, so totals are identical whether the engine
+   evaluates candidates sequentially or across domains. *)
+let counter metrics name =
+  Option.map (fun m -> Itf_obs.Metrics.counter m name) metrics
+
+let mcount c n = match c with None -> () | Some c -> Itf_obs.Metrics.add c n
 
 (* Exact-objective memo tables, process-wide and shared by every
    instantiation. Both ready-made objectives are pure functions of
@@ -200,7 +201,9 @@ let parsim_memo : float OMemo.t =
 let memoized ?(memo = true) table fingerprint metrics hit_metric
     (f : Framework.result -> float) : objective =
   if not memo then f
-  else fun result ->
+  else
+    let hits = counter metrics hit_metric in
+    fun result ->
     let computed = ref false in
     let v =
       OMemo.find_or_add table
@@ -209,7 +212,7 @@ let memoized ?(memo = true) table fingerprint metrics hit_metric
           computed := true;
           f result)
     in
-    if not !computed then mcount metrics hit_metric 1;
+    if not !computed then mcount hits 1;
     v
 
 (* The simulated machine both objectives run, and that [of_name]'s
@@ -223,6 +226,11 @@ let spawn_overhead = 2.0
 let cache_misses ?metrics ?memo ~params () : objective =
   let arrays = memo_arrays () in
   let scratch = env_scratch memsim_env ~params () in
+  let runs = counter metrics "memsim.runs"
+  and entries = counter metrics "memsim.stream.entries"
+  and fallbacks = counter metrics "memsim.stream.fallbacks"
+  and accesses = counter metrics "memsim.cache.access"
+  and misses = counter metrics "memsim.cache.miss" in
   let run result =
     let nest = result.Framework.nest in
     let arities, written = arrays nest in
@@ -237,11 +245,11 @@ let cache_misses ?metrics ?memo ~params () : objective =
     in
     let cache = r.Itf_machine.Memsim.cache in
     let stream = r.Itf_machine.Memsim.stream in
-    mcount metrics "memsim.runs" 1;
-    mcount metrics "memsim.stream.entries" stream.Itf_exec.Compile.entries;
-    mcount metrics "memsim.stream.fallbacks" stream.Itf_exec.Compile.fallbacks;
-    mcount metrics "memsim.cache.access" cache.Itf_machine.Cache.accesses;
-    mcount metrics "memsim.cache.miss" cache.Itf_machine.Cache.misses;
+    mcount runs 1;
+    mcount entries stream.Itf_exec.Compile.entries;
+    mcount fallbacks stream.Itf_exec.Compile.fallbacks;
+    mcount accesses cache.Itf_machine.Cache.accesses;
+    mcount misses cache.Itf_machine.Cache.misses;
     float cache.Itf_machine.Cache.misses
   in
   memoized ?memo memsim_memo (Costmodel.params_key params) metrics "memsim.memo.hits" run
@@ -249,6 +257,7 @@ let cache_misses ?metrics ?memo ~params () : objective =
 let parallel_time ?metrics ?memo ~procs ~params () : objective =
   let arrays = memo_arrays () in
   let scratch = env_scratch parsim_env ~params () in
+  let runs = counter metrics "parsim.runs" in
   let run result =
     let nest = result.Framework.nest in
     let t =
@@ -256,7 +265,7 @@ let parallel_time ?metrics ?memo ~procs ~params () : objective =
         (scratch (fst (arrays nest)) ~written:[])
         nest
     in
-    mcount metrics "parsim.runs" 1;
+    mcount runs 1;
     t
   in
   memoized ?memo parsim_memo (procs :: Costmodel.params_key params) metrics

@@ -48,7 +48,9 @@ val cache_misses :
     evaluation, so transformed nests score on identical data. [metrics], when given, accumulates [memsim.runs],
     [memsim.cache.access], [memsim.cache.miss], [memsim.stream.entries]
     and [memsim.stream.fallbacks] counters (atomic adds —
-    totals are domain-schedule independent).
+    totals are domain-schedule independent). The objective creates
+    these counters, and its memo hit counter, in [metrics] when it is
+    built and keeps them, so an evaluation makes no registry lookup.
 
     [?memo] (default [true]): the objective is a pure function of
     (params, nest), and a result's derivation id

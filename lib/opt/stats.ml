@@ -111,39 +111,74 @@ let to_json_value s =
 
 let to_json s = Itf_obs.Json.to_string (to_json_value s)
 
+module Metrics = Itf_obs.Metrics
+
+(* The instruments [record] writes, resolved in one registry. *)
+type instruments = {
+  registry : Metrics.t;
+  counters : (Metrics.counter * (t -> int)) list;
+  domains_g : Metrics.gauge;
+  threshold_g : Metrics.gauge;
+  total_h : Metrics.histogram;
+  phase_h : Metrics.histogram list;  (* in [phases] order *)
+}
+
+let resolve m =
+  let c name f = (Metrics.counter m name, f) in
+  let duration ?labels name =
+    Metrics.histogram m ?labels ~buckets:Metrics.duration_buckets name
+  in
+  {
+    registry = m;
+    counters =
+      [
+        c "engine.nodes_explored" (fun s -> s.nodes_explored);
+        c "engine.duplicates_pruned" (fun s -> s.duplicates_pruned);
+        c "engine.cache.hit" (fun s -> s.legality_cache_hits + s.score_cache_hits);
+        c "engine.legality_cache_hits" (fun s -> s.legality_cache_hits);
+        c "engine.score_cache_hits" (fun s -> s.score_cache_hits);
+        c "engine.illegal" (fun s -> s.illegal);
+        c "engine.template_applications" (fun s -> s.template_applications);
+        c "engine.template_applications_saved" (fun s ->
+            s.template_applications_saved);
+        c "engine.objective_evaluations" (fun s -> s.objective_evaluations);
+        c "objective.exact_evals" (fun s -> s.objective_evaluations);
+        c "objective.tier0_evals" (fun s -> s.tier0_evaluations);
+        c "objective.tier0_pruned" (fun s -> s.tier0_pruned);
+      ];
+    domains_g = Metrics.gauge m "engine.domains";
+    threshold_g = Metrics.gauge m "engine.work_threshold";
+    total_h = duration "engine.total_time_ms";
+    phase_h =
+      List.map
+        (fun (name, _) -> duration ~labels:[ ("phase", name) ] "engine.phase_us")
+        (phases (create ()));
+  }
+
+(* The instruments of the registry [record] wrote last: a process that
+   records every search into one registry (a serve daemon) resolves
+   them once. Racing domains may each resolve and store; a registry
+   always resolves to the same instruments, and [record] checks whose
+   they are before using them, so any store is right. *)
+let last_resolved : instruments option Atomic.t = Atomic.make None
+
 let record metrics s =
-  let c name v = Itf_obs.Metrics.add (Itf_obs.Metrics.counter metrics name) v in
-  c "engine.nodes_explored" s.nodes_explored;
-  c "engine.duplicates_pruned" s.duplicates_pruned;
-  c "engine.cache.hit" (s.legality_cache_hits + s.score_cache_hits);
-  c "engine.legality_cache_hits" s.legality_cache_hits;
-  c "engine.score_cache_hits" s.score_cache_hits;
-  c "engine.illegal" s.illegal;
-  c "engine.template_applications" s.template_applications;
-  c "engine.template_applications_saved" s.template_applications_saved;
-  c "engine.objective_evaluations" s.objective_evaluations;
-  c "objective.exact_evals" s.objective_evaluations;
-  c "objective.tier0_evals" s.tier0_evaluations;
-  c "objective.tier0_pruned" s.tier0_pruned;
-  Itf_obs.Metrics.set
-    (Itf_obs.Metrics.gauge metrics "engine.domains")
-    (float_of_int s.domains);
-  Itf_obs.Metrics.set
-    (Itf_obs.Metrics.gauge metrics "engine.work_threshold")
-    (float_of_int s.work_threshold);
-  Itf_obs.Metrics.observe
-    (Itf_obs.Metrics.histogram metrics
-       ~buckets:Itf_obs.Metrics.duration_buckets "engine.total_time_ms")
-    (s.total_time_s *. 1e3);
+  let inst =
+    match Atomic.get last_resolved with
+    | Some inst when inst.registry == metrics -> inst
+    | _ ->
+      let inst = resolve metrics in
+      Atomic.set last_resolved (Some inst);
+      inst
+  in
+  List.iter (fun (c, f) -> Metrics.add c (f s)) inst.counters;
+  Metrics.set inst.domains_g (float_of_int s.domains);
+  Metrics.set inst.threshold_g (float_of_int s.work_threshold);
+  Metrics.observe inst.total_h (s.total_time_s *. 1e3);
   (* One observation per phase per search, in microseconds on the shared
      log-linear layout: histogram sums give the aggregate per-phase time
      breakdown, quantiles its per-search distribution — available even
      when tracing is disabled or the request was sampled out. *)
-  List.iter
-    (fun (name, v_s) ->
-      Itf_obs.Metrics.observe
-        (Itf_obs.Metrics.histogram metrics
-           ~labels:[ ("phase", name) ]
-           ~buckets:Itf_obs.Metrics.duration_buckets "engine.phase_us")
-        (v_s *. 1e6))
-    (phases s)
+  List.iter2
+    (fun h (_, v_s) -> Metrics.observe h (v_s *. 1e6))
+    inst.phase_h (phases s)

@@ -48,16 +48,27 @@ type t = {
   mutable evaluate_time_s : float;
       (** a step's tier-0 batch, screen and exact batch (all domains) *)
   mutable legality_time_s : float;
-      (** per-candidate template application + dependence testing (summed
-          across domains, merged in input order) — a component of
-          [evaluate_time_s], plus the root's legality check *)
+      (** the root's legality check plus the legality verdicts the
+          tier-0 batches computed (template application + dependence
+          testing; summed across domains). A verdict read back from its
+          [core.derivation] entry is not timed: its lookup counts as
+          [tier0]. On an untiered search (no screen) the rest of each
+          tier-0 batch and the open screen count here too, as [tier0]
+          would count them. A component of [evaluate_time_s], plus the
+          root. *)
   mutable tier0_time_s : float;
-      (** per-candidate tier-0 analytic estimates (summed across domains)
-          plus the coordinator folding the batch's results in and
-          screening them *)
+      (** each step's tier-0 batch, wall-clock, less the verdicts
+          counted in [legality_time_s] — verdicts and estimates read
+          back, estimates computed, the coordinator folding the results
+          in — plus the screen. At [domains > 1] the verdicts are summed
+          across domains while the batch is wall-clock, so the
+          remainder is floored at zero, and tier-0 work that overlapped
+          a verdict on another domain goes uncounted. On a
+          [tier0_only] search it also holds the root's estimate; 0 on an
+          untiered search. *)
   mutable exact_time_s : float;
-      (** per-candidate exact objective simulations (summed across
-          domains), including the root evaluation *)
+      (** the root's exact evaluation plus each step's exact batch,
+          wall-clock (at [domains > 1], not a sum across domains) *)
   mutable merge_time_s : float;  (** deterministic sort/beam selection *)
   mutable total_time_s : float;
 }
@@ -94,4 +105,6 @@ val record : Itf_obs.Metrics.t -> t -> unit
     observation per search, on the shared
     {!Itf_obs.Metrics.duration_buckets} layout, so a live registry always
     answers "which phase is eating the time" even when span tracing is
-    off or head-sampled out. *)
+    off or head-sampled out. The instruments are looked up when the
+    registry differs from the one the previous call wrote, so a process
+    recording into one registry looks them up once. *)

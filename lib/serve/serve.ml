@@ -327,11 +327,14 @@ let parse_request json =
    full answer is — and degraded answers are never cached), and no
    wall-clock-derived value may ever enter the key or the cached body:
    a cache hit must replay the original search payload byte-identically,
-   with only the per-response [cached]/[time_ms] envelope fresh. *)
+   with only the per-response [cached]/[time_ms] envelope fresh. Each
+   parameter name is written after its length, so no name can absorb
+   the separators of its neighbours: [{"n": 8, "m": 2}] and
+   [{"m=2,n": 8}] name different problems and get different keys. *)
 let fingerprint req nest =
   let params =
     List.sort compare req.params
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+    |> List.map (fun (k, v) -> Printf.sprintf "%d:%s=%d" (String.length k) k v)
     |> String.concat ","
   in
   Printf.sprintf "%d|%s|%s|%d|%d|%d|%b|%d"
@@ -362,11 +365,52 @@ type job =
     }
   | Op of { op : string; op_id : Json.t; recv : float; reply : Json.t -> unit }
 
+(* The instruments every request updates, resolved once in [create] so
+   a request makes no registry lookup for them. *)
+type instruments = {
+  requests : (string * Metrics.counter) list;
+      (** [serve.requests{status}] for each status a response carries *)
+  shed : Metrics.counter;
+  busy : Metrics.gauge;
+  queue_wait : Metrics.histogram;
+  queue_depth : Metrics.gauge;
+  request_us : Metrics.histogram;
+  cache_gauges : (Metrics.gauge * Metrics.gauge * Metrics.gauge * Metrics.gauge);
+      (** size, hits, misses, evictions *)
+}
+
+let statuses = [ "ok"; "degraded"; "error"; "overloaded" ]
+
+let instruments metrics =
+  let gauge name = Metrics.gauge metrics name in
+  {
+    requests =
+      List.map
+        (fun s ->
+          (s, Metrics.counter metrics ~labels:[ ("status", s) ] "serve.requests"))
+        statuses;
+    shed = Metrics.counter metrics "serve.queue.shed";
+    busy = gauge "serve.workers.busy";
+    queue_wait =
+      Metrics.histogram metrics ~buckets:Metrics.duration_buckets
+        "serve.queue.wait_ms";
+    queue_depth = gauge "serve.queue.depth";
+    request_us =
+      Metrics.histogram metrics ~buckets:Metrics.duration_buckets
+        "serve.request_us";
+    cache_gauges =
+      ( gauge "serve.cache.size",
+        gauge "serve.cache.hits",
+        gauge "serve.cache.misses",
+        gauge "serve.cache.evictions" );
+  }
+
 type t = {
   domains : int option;
   default_deadline_ms : float option;
   cache : Lru.t;
   metrics : Metrics.t;
+  inst : instruments;
   tracer : Tracer.t;  (** accumulates the {e retained} request span trees *)
   metrics_out : string option;
   trace_out : string option;
@@ -405,6 +449,7 @@ let create ?domains ?default_deadline_ms ?(max_cache = default_max_cache)
     default_deadline_ms;
     cache = Lru.create max_cache;
     metrics;
+    inst = instruments metrics;
     tracer = (if trace_out = None then Tracer.null else Tracer.create ());
     metrics_out;
     trace_out;
@@ -442,24 +487,22 @@ let error_response ?(id = Json.Null) msg =
 let render_sequence seq =
   if seq = [] then "identity" else Format.asprintf "%a" Sequence.pp seq
 
-let count_request t status =
-  Metrics.incr
-    (Metrics.counter t.metrics ~labels:[ ("status", status) ] "serve.requests")
+let requests_counter t status =
+  match List.assoc_opt status t.inst.requests with
+  | Some c -> c
+  | None ->
+    Metrics.counter t.metrics ~labels:[ ("status", status) ] "serve.requests"
 
-let shed_counter t = Metrics.counter t.metrics "serve.queue.shed"
-let busy_gauge t = Metrics.gauge t.metrics "serve.workers.busy"
-
-let queue_wait t =
-  Metrics.histogram t.metrics ~buckets:Metrics.duration_buckets
-    "serve.queue.wait_ms"
+let count_request t status = Metrics.incr (requests_counter t status)
 
 let publish_cache_gauges t =
   let hits, misses, evictions, size = Lru.counters t.cache in
-  let g name v = Metrics.set (Metrics.gauge t.metrics name) (float_of_int v) in
-  g "serve.cache.size" size;
-  g "serve.cache.hits" hits;
-  g "serve.cache.misses" misses;
-  g "serve.cache.evictions" evictions
+  let g_size, g_hits, g_misses, g_evictions = t.inst.cache_gauges in
+  let g gauge v = Metrics.set gauge (float_of_int v) in
+  g g_size size;
+  g g_hits hits;
+  g g_misses misses;
+  g g_evictions evictions
 
 (* Process memory in MB (10^6 bytes): the major heap now and at its peak.
    [Gc.quick_stat] reads the runtime's counters without collecting, so no
@@ -476,8 +519,7 @@ let publish_memory_gauges t =
 
 (* Caller must hold [t.sched]. *)
 let publish_queue_gauge t =
-  Metrics.set (Metrics.gauge t.metrics "serve.queue.depth")
-    (float_of_int t.queued)
+  Metrics.set t.inst.queue_depth (float_of_int t.queued)
 
 let write_text_file path s =
   let oc = open_out_bin path in
@@ -500,10 +542,6 @@ let flush_observability t =
   | Some path ->
     write_text_file path
       (String.concat "\n" (Tracer.jsonl_lines (Tracer.roots t.tracer)) ^ "\n")
-
-let request_latency t =
-  Metrics.histogram t.metrics ~buckets:Metrics.duration_buckets
-    "serve.request_us"
 
 (* ------------------------------------------------------------------ *)
 (* Search execution                                                    *)
@@ -611,16 +649,13 @@ let is_slow t r = r.rq_status <> "ok" || r.rq_wall_us >= t.slow_ms *. 1000.
    instantaneous queue/worker levels. *)
 let status_snapshot t ~id =
   let now = Unix.gettimeofday () in
-  let cnt s =
-    Metrics.counter_value
-      (Metrics.counter t.metrics ~labels:[ ("status", s) ] "serve.requests")
-  in
+  let cnt s = Metrics.counter_value (requests_counter t s) in
   let ok = cnt "ok" and degraded = cnt "degraded" and errors = cnt "error" in
   let overloaded = cnt "overloaded" in
-  let lat = request_latency t in
+  let lat = t.inst.request_us in
   let lat_count = Metrics.histogram_count lat in
   let q p = Option.value ~default:0. (Metrics.quantile lat p) in
-  let wait = queue_wait t in
+  let wait = t.inst.queue_wait in
   let wq p = Option.value ~default:0. (Metrics.quantile wait p) in
   let phase_sum p =
     Metrics.histogram_sum
@@ -675,7 +710,7 @@ let status_snapshot t ~id =
             ("depth", Json.Int queued);
             ("capacity", Json.Int t.queue_depth);
             ( "shed",
-              Json.Int (Metrics.counter_value (shed_counter t)) );
+              Json.Int (Metrics.counter_value t.inst.shed) );
             ("wait_ms_p50", Json.Float (wq 0.5));
             ("wait_ms_p99", Json.Float (wq 0.99));
           ] );
@@ -684,7 +719,7 @@ let status_snapshot t ~id =
           [
             ("configured", Json.Int t.workers);
             ( "busy",
-              Json.Int (int_of_float (Metrics.gauge_value (busy_gauge t))) );
+              Json.Int (int_of_float (Metrics.gauge_value t.inst.busy)) );
           ] );
       ( "latency_us",
         Json.Obj
@@ -802,7 +837,7 @@ let record_request t ?(fp = "") ?(cached = false) ?(phases = [])
     else record
   in
   count_request t status;
-  Metrics.observe (request_latency t) wall_us;
+  Metrics.observe t.inst.request_us wall_us;
   Ring.push t.recent record;
   publish_cache_gauges t;
   Mutex.protect t.obs_lock (fun () ->
@@ -882,7 +917,7 @@ let exec_search t req ~t_recv =
 
 let run_job t job =
   let observe_wait recv =
-    Metrics.observe (queue_wait t) ((Unix.gettimeofday () -. recv) *. 1000.)
+    Metrics.observe t.inst.queue_wait ((Unix.gettimeofday () -. recv) *. 1000.)
   in
   match job with
   | Op { op; op_id; recv; reply } ->
@@ -921,12 +956,12 @@ let rec pump t =
   match job with
   | None -> ()
   | Some job ->
-    Metrics.gauge_add (busy_gauge t) 1.;
+    Metrics.gauge_add t.inst.busy 1.;
     (* Per-request isolation: [run_job] already converts engine failures
        into error responses; this catch-all is the last line keeping an
        unexpected exception from killing a shared pool worker. *)
     (try run_job t job with _ -> ());
-    Metrics.gauge_add (busy_gauge t) (-1.);
+    Metrics.gauge_add t.inst.busy (-1.);
     pump t
 
 (* Admission. Introspection ops are always admitted — they are cheap,
@@ -1034,7 +1069,7 @@ let submit t json k =
       match enqueue t job with
       | `Queued -> ()
       | `Shed waiting ->
-        Metrics.incr (shed_counter t);
+        Metrics.incr t.inst.shed;
         let resp =
           Json.Obj
             [

@@ -257,6 +257,59 @@ let test_merge_and_dump_determinism () =
   check_bool "dump is insertion-order independent" true
     (Json.equal (Metrics.dump x) (Metrics.dump y))
 
+(* Registry lookups read a snapshot without the lock. Four domains race
+   to create the same 32 labelled counters, each creating 32 names of
+   its own in between: every key names one instrument (the domains got
+   physically equal handles), every increment lands, and [dump] lists
+   each key once. *)
+let test_registry_races () =
+  let m = Metrics.create () in
+  let shared k = Metrics.counter m ~labels:[ ("k", string_of_int k) ] "shared" in
+  let rounds = 200 and domains = 4 in
+  let ready = Atomic.make 0 in
+  let work d () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do Domain.cpu_relax () done;
+    Array.init 32 (fun k ->
+        let own = Metrics.counter m (Printf.sprintf "own.%d.%d" d k) in
+        for _ = 1 to rounds do
+          Metrics.incr (shared k);
+          Metrics.incr own
+        done;
+        shared k)
+  in
+  let handles =
+    List.map Domain.join (List.init domains (fun d -> Domain.spawn (work d)))
+  in
+  for k = 0 to 31 do
+    let c = shared k in
+    check_bool
+      (Printf.sprintf "shared %d is one instrument" k)
+      true
+      (List.for_all (fun h -> h.(k) == c) handles);
+    check_int (Printf.sprintf "shared %d total" k) (domains * rounds)
+      (Metrics.counter_value c)
+  done;
+  for d = 0 to domains - 1 do
+    for k = 0 to 31 do
+      check_int "own total" rounds
+        (Metrics.counter_value (Metrics.counter m (Printf.sprintf "own.%d.%d" d k)))
+    done
+  done;
+  let keys =
+    match Option.bind (Json.member "metrics" (Metrics.dump m)) Json.to_list with
+    | None -> []
+    | Some entries ->
+      List.map
+        (fun e ->
+          Json.to_string (Option.get (Json.member "name" e))
+          ^ Json.to_string (Option.get (Json.member "labels" e)))
+        entries
+  in
+  check_int "dump lists every key" (32 + (domains * 32)) (List.length keys);
+  check_int "dump lists each key once" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
+
 let test_log_linear () =
   check_bool "1-2-5 series" true
     (Metrics.log_linear ~lo:1. ~hi:100. = [| 1.; 2.; 5.; 10.; 20.; 50.; 100. |]);
@@ -818,6 +871,8 @@ let () =
           Alcotest.test_case "merge adds histogram sums" `Quick test_merge_sums;
           Alcotest.test_case "prometheus exposition" `Quick
             test_dump_prometheus;
+          Alcotest.test_case "racing domains share one instrument per key"
+            `Quick test_registry_races;
         ] );
       ( "sampling",
         [ Alcotest.test_case "head_keep" `Quick test_head_keep ] );

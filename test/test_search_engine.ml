@@ -941,6 +941,49 @@ let test_fm_calls_counted () =
   check_int "cold: FM calls" 19 (search ());
   check_int "warm: FM calls" 0 (search ())
 
+(* At domains 1 the phases are disjoint stretches of one search, timed
+   by batch, so they cover nearly all of it: between 0.9 and 1.0 of
+   [total_time_s] for every e2e nest and objective, on a new nest
+   (cold) and on the fastest of five warm searches of it (a slower one
+   may have lost a stretch between phases to a collection or a
+   preemption). The second search, which keeps its parents'
+   expansions, is neither. *)
+let test_phases_add_up () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun objective ->
+          let nest = renamed (e2e_source name) ("_phases_" ^ objective) in
+          let obj, spec =
+            Result.get_ok
+              (Search.of_name objective ~procs:8 ~params:[ ("n", 16) ])
+          in
+          let share () =
+            match Engine.search ~steps:2 ~domains:1 ~tier0:spec nest obj with
+            | None -> Alcotest.fail "engine returned nothing"
+            | Some o ->
+              let st = o.Engine.stats in
+              let total = st.Itf_opt.Stats.total_time_s in
+              ( total,
+                List.fold_left
+                  (fun acc (_, s) -> acc +. s)
+                  0. (Itf_opt.Stats.phases st)
+                /. total )
+          in
+          let _, cold = share () in
+          ignore (share ());
+          let _, warm = List.fold_left min (share ()) (List.init 4 (fun _ -> share ())) in
+          List.iter
+            (fun (what, x) ->
+              check_bool
+                (Printf.sprintf "%s/%s %s: phases are %.3f of the total" name
+                   objective what x)
+                true
+                (x >= 0.9 && x <= 1. +. 1e-9))
+            [ ("cold", cold); ("warm", warm) ])
+        [ "locality"; "parallel" ])
+    [ "figure2"; "lu"; "matmul"; "stencil" ]
+
 let () =
   Alcotest.run "search_engine"
     [
@@ -966,6 +1009,8 @@ let () =
             `Quick test_warm_probes;
           Alcotest.test_case "the root analysis counts its FM calls" `Quick
             test_fm_calls_counted;
+          Alcotest.test_case "phases add up to the total" `Quick
+            test_phases_add_up;
         ] );
       ( "derivation",
         [

@@ -178,6 +178,12 @@ let status json =
   | Some s -> s
   | None -> Alcotest.fail "status not a string"
 
+let strip_envelope json =
+  match json with
+  | Json.Obj kvs ->
+    Json.Obj (List.filter (fun (k, _) -> k <> "cached" && k <> "time_ms") kvs)
+  | v -> v
+
 let test_serve_roundtrip () =
   let server = Serve.create ~domains:1 () in
   let resp, stop = Serve.handle_line server (req ~id:(Json.String "r1") matmul_src) in
@@ -307,6 +313,29 @@ let test_serve_duplicate_params () =
       [ ("n", Json.Int 16); ("n", Json.Int 8) ];
       [ ("n", Json.Int 8); ("n", Json.Int 16) ];
     ]
+
+(* A parameter name holding the separators of the key's rendering must
+   not stand for two parameters: [{"n": 8, "m": 2}] and [{"m=2,n": 8}]
+   are different problems (the second leaves [n] unbound), so the
+   second is searched, not answered from the first one's cache entry. *)
+let test_serve_params_key_injective () =
+  let first = [ ("n", Json.Int 8); ("m", Json.Int 2) ] in
+  let second = [ ("m=2,n", Json.Int 8) ] in
+  let server = Serve.create ~domains:1 () in
+  let a, _ = Serve.handle_line server (req ~params:first matmul_src) in
+  let b, _ =
+    Serve.handle_line server (req ~id:(Json.Int 2) ~params:second matmul_src)
+  in
+  let alone, _ =
+    Serve.handle_line
+      (Serve.create ~domains:1 ())
+      (req ~id:(Json.Int 2) ~params:second matmul_src)
+  in
+  check_string "first ok" "ok" (status a);
+  check_bool "second is not cached" true (field "cached" b = Json.Bool false);
+  check_string "second equals its own uncached answer"
+    (Json.to_string (strip_envelope alone))
+    (Json.to_string (strip_envelope b))
 
 let test_serve_lru_eviction () =
   let server = Serve.create ~domains:1 ~max_cache:1 () in
@@ -622,12 +651,6 @@ let heavy_salt = Atomic.make 0
 let heavy_req id =
   let suffix = Printf.sprintf "_heavy%d" (Atomic.fetch_and_add heavy_salt 1) in
   req ~id ~steps:3 ~params:[ ("n", Json.Int 16) ] (matmul_named suffix)
-
-let strip_envelope json =
-  match json with
-  | Json.Obj kvs ->
-    Json.Obj (List.filter (fun (k, _) -> k <> "cached" && k <> "time_ms") kvs)
-  | v -> v
 
 (* The tentpole's determinism guard: the same request mix — warm and
    cold, repeats and distinct fingerprints — produces byte-identical
@@ -1039,6 +1062,8 @@ let () =
             test_serve_shutdown;
           Alcotest.test_case "unknown objective is answered inline" `Quick
             test_serve_objective_unknown_inline;
+          Alcotest.test_case "parameter names cannot share a cache key" `Quick
+            test_serve_params_key_injective;
         ] );
       ( "introspection",
         [
