@@ -141,10 +141,16 @@ let head_keep ~sample_rate ~fingerprint =
 let ambient_key = Domain.DLS.new_key (fun () -> Disabled)
 let ambient () = Domain.DLS.get ambient_key
 
+(* Installing the tracer already in place (the null one, on every
+   untraced search) is a plain call: no DLS write, no [Fun.protect]
+   closure. *)
 let with_ambient t f =
   let old = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key t;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key old) f
+  if t == old then f ()
+  else begin
+    Domain.DLS.set ambient_key t;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key old) f
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Serialization and comparison                                        *)

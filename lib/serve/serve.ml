@@ -16,12 +16,25 @@
    §13). The point of the daemon is unchanged: consecutive requests share
    the process-wide tables, so a repeated search costs a table probe per
    candidate instead of a simulation. On top sits a bounded LRU response
-   cache keyed on the request fingerprint (interned nest id + search
-   configuration, id and budget excluded): an identical request is
+   cache keyed on the request fingerprint (search configuration +
+   interned nest id, id and budget excluded): an identical request is
    answered without running the engine at all. Only [Complete] outcomes
    are cached — a degraded answer is an artifact of one request's
    deadline, not a fact about the nest — so cache hits never launder a
    cut search into an "ok".
+
+   Most of a daemon's traffic repeats a request it has already answered,
+   so a hit does not wait for a worker either. The cache keeps a
+   spelling index from a request's text key (the fingerprint with the
+   nest source text in place of its id) to the fingerprint; the thread
+   that read the line probes it and, on a hit, answers there: no queue,
+   no shedding, no queue wait, no nest parse. It does so only when its
+   channel owes no earlier response, so with one worker a channel's
+   responses keep their request order; otherwise the hit queues as a
+   miss does. The worker still parses, fingerprints and probes, so a
+   respelled nest or a pipelined duplicate hits there, and it records
+   the spelling on every canonical hit and complete insert. The index
+   holds at most the cache's capacity and is cleared when full.
 
    The scheduler's contract under load: when [queue_depth] searches are
    already waiting, a new search is {e shed} with [status = "overloaded"]
@@ -39,7 +52,9 @@
    per-phase breakdown from the engine stats, cache hit), its latency
    observed into a [serve.request_us] histogram; the scheduler feeds
    [serve.queue.depth], [serve.queue.wait_ms], [serve.workers.busy] and
-   the [serve.queue.shed] counter. [{"op": "status"}] snapshots uptime,
+   the [serve.queue.shed] counter; [serve.queue.wait_ms] counts queued
+   jobs only, so hits answered by the reader are not in it.
+   [{"op": "status"}] snapshots uptime,
    request counters, latency quantiles, the queue and worker gauges, the
    phase breakdown, cache and intern-table health, process memory and
    the recent slow requests, and [{"op": "metrics"}] exposes the whole
@@ -72,9 +87,18 @@ module Lru = struct
      old design the global search lock covered it; now concurrent workers
      hit it directly, and the single mutex guarantees the tick/stamp
      bookkeeping never tears and the hit/miss/eviction counters never
-     lose an update (the concurrency tests assert exact totals). *)
+     lose an update (the concurrency tests assert exact totals).
+
+     The spelling index maps a request's text key ({!text_key}) to the
+     fingerprint its nest was answered under, so an exact repeat of a
+     request's text is found without parsing its nest. It holds at most
+     [cap] spellings and is cleared when full. A spelling never goes
+     stale in a harmful way: nest ids are never reused (Itf_ir.Intern),
+     so the fingerprint it names can only name the same nest, and once
+     that entry is evicted the spelling simply finds nothing. *)
   type t = {
     tbl : (string, Json.t * int ref) Hashtbl.t;
+    spellings : (string, string) Hashtbl.t;
     cap : int;
     mutex : Mutex.t;
     mutable tick : int;
@@ -83,9 +107,20 @@ module Lru = struct
     mutable evictions : int;
   }
 
+  (* A consistent snapshot: read under one lock acquisition, so it never
+     mixes counters from different moments. *)
+  type counters = {
+    hits : int;
+    misses : int;
+    evictions : int;
+    size : int;
+    spellings : int;
+  }
+
   let create cap =
     {
       tbl = Hashtbl.create 64;
+      spellings = Hashtbl.create 64;
       cap = max 0 cap;
       mutex = Mutex.create ();
       tick = 0;
@@ -94,21 +129,61 @@ module Lru = struct
       evictions = 0;
     }
 
-  let find t key =
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.tbl key with
-        | Some (v, stamp) ->
-          t.tick <- t.tick + 1;
-          stamp := t.tick;
-          t.hits <- t.hits + 1;
-          Some v
-        | None ->
-          t.misses <- t.misses + 1;
-          None)
+  (* The helpers below run with [t.mutex] held. *)
+  let snapshot (t : t) =
+    {
+      hits = t.hits;
+      misses = t.misses;
+      evictions = t.evictions;
+      size = Hashtbl.length t.tbl;
+      spellings = Hashtbl.length t.spellings;
+    }
 
-  let add t key v =
-    if t.cap > 0 then
-      Mutex.protect t.mutex (fun () ->
+  let remember (t : t) spelling key =
+    if
+      (not (Hashtbl.mem t.spellings spelling))
+      && Hashtbl.length t.spellings >= t.cap
+    then Hashtbl.clear t.spellings;
+    Hashtbl.replace t.spellings spelling key
+
+  let touch (t : t) stamp =
+    t.tick <- t.tick + 1;
+    stamp := t.tick;
+    t.hits <- t.hits + 1
+
+  (* The canonical probe: counts one hit or one miss, and a hit records
+     [spelling] as a way to find [key]. *)
+  let find (t : t) ?spelling key =
+    Mutex.protect t.mutex (fun () ->
+        let found =
+          match Hashtbl.find_opt t.tbl key with
+          | Some (v, stamp) ->
+            touch t stamp;
+            Option.iter (fun s -> remember t s key) spelling;
+            Some v
+          | None ->
+            t.misses <- t.misses + 1;
+            None
+        in
+        (found, snapshot t))
+
+  (* The probe by text: a hit counts like a canonical hit; finding
+     nothing counts nothing, since the request then goes on to the
+     canonical probe. *)
+  let find_spelling (t : t) spelling =
+    Mutex.protect t.mutex (fun () ->
+        match Hashtbl.find_opt t.spellings spelling with
+        | None -> None
+        | Some key -> (
+          match Hashtbl.find_opt t.tbl key with
+          | None -> None
+          | Some (v, stamp) ->
+            touch t stamp;
+            Some (key, v, snapshot t)))
+
+  let add (t : t) ?spelling key v =
+    Mutex.protect t.mutex (fun () ->
+        if t.cap > 0 then begin
           if (not (Hashtbl.mem t.tbl key)) && Hashtbl.length t.tbl >= t.cap
           then begin
             let victim =
@@ -126,15 +201,12 @@ module Lru = struct
             | None -> ()
           end;
           t.tick <- t.tick + 1;
-          Hashtbl.replace t.tbl key (v, ref t.tick))
+          Hashtbl.replace t.tbl key (v, ref t.tick);
+          Option.iter (fun s -> remember t s key) spelling
+        end;
+        snapshot t)
 
-  (* A consistent (hits, misses, evictions, size) snapshot — the four
-     values are read under the same lock acquisition, so a snapshot never
-     mixes counters from different moments. *)
-  let counters t =
-    Mutex.protect t.mutex (fun () ->
-        (t.hits, t.misses, t.evictions, Hashtbl.length t.tbl))
-
+  let counters t = Mutex.protect t.mutex (fun () -> snapshot t)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -321,26 +393,33 @@ let parse_request json =
   | _ -> Error "request must be a JSON object"
 
 (* The response-cache key: everything that determines the answer, and
-   {e only} that. The nest contributes its intern id, so textually
-   different spellings of the same nest share an entry; the budget and
-   request id are excluded (they affect how long we search, not what the
-   full answer is — and degraded answers are never cached), and no
-   wall-clock-derived value may ever enter the key or the cached body:
-   a cache hit must replay the original search payload byte-identically,
-   with only the per-response [cached]/[time_ms] envelope fresh. Each
-   parameter name is written after its length, so no name can absorb
-   the separators of its neighbours: [{"n": 8, "m": 2}] and
-   [{"m=2,n": 8}] name different problems and get different keys. *)
-let fingerprint req nest =
+   {e only} that. The budget and request id are excluded (they affect how
+   long we search, not what the full answer is — and degraded answers are
+   never cached), and no wall-clock-derived value may ever enter the key
+   or the cached body: a cache hit must replay the original search
+   payload byte-identically, with only the per-response [cached]/[time_ms]
+   envelope fresh. Each parameter name is written after its length, so
+   no name can absorb the separators of its neighbours: [{"n": 8, "m": 2}]
+   and [{"m=2,n": 8}] name different problems and get different keys.
+   Every field before [nest] either cannot hold the separator or is
+   length-prefixed, so [nest] goes last and may hold anything. *)
+let cache_key req ~nest =
   let params =
     List.sort compare req.params
     |> List.map (fun (k, v) -> Printf.sprintf "%d:%s=%d" (String.length k) k v)
     |> String.concat ","
   in
-  Printf.sprintf "%d|%s|%s|%d|%d|%d|%b|%d"
-    (Itf_ir.Intern.nest_id nest)
-    req.objective params req.steps req.beam req.exact_topk req.tier0_only
-    req.procs
+  Printf.sprintf "%s|%s|%d|%d|%d|%b|%d|%s" req.objective params req.steps
+    req.beam req.exact_topk req.tier0_only req.procs nest
+
+(* The fingerprint names the nest by its intern id, so textually different
+   spellings of one nest share a cache entry. *)
+let fingerprint req nest =
+  cache_key req ~nest:(string_of_int (Itf_ir.Intern.nest_id nest))
+
+(* The text key names it by its source text, so it can be built before
+   the nest is parsed; the LRU's spelling index maps it to a fingerprint. *)
+let text_key req = cache_key req ~nest:req.nest_src
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -356,10 +435,14 @@ let slow_log_limit = 16
 (* One admitted unit of work, waiting in the scheduler queue. [reply] is
    called exactly once with the finished response — from a worker domain
    for queued jobs, from the submitting thread for inline answers
-   (malformed requests, shed requests, shutdown). *)
+   (malformed requests, cache hits found by text, shed requests,
+   shutdown). *)
 type job =
   | Search of {
       req : request;
+      spelling : string option;
+          (** the request's {!text_key}, built by the reader; [None] when
+              the cache is off *)
       recv : float;  (** receipt wall clock: deadlines count queue time *)
       reply : Json.t -> unit;
     }
@@ -495,14 +578,13 @@ let requests_counter t status =
 
 let count_request t status = Metrics.incr (requests_counter t status)
 
-let publish_cache_gauges t =
-  let hits, misses, evictions, size = Lru.counters t.cache in
+let publish_cache_gauges t (c : Lru.counters) =
   let g_size, g_hits, g_misses, g_evictions = t.inst.cache_gauges in
   let g gauge v = Metrics.set gauge (float_of_int v) in
-  g g_size size;
-  g g_hits hits;
-  g g_misses misses;
-  g g_evictions evictions
+  g g_size c.size;
+  g g_hits c.hits;
+  g g_misses c.misses;
+  g g_evictions c.evictions
 
 (* Process memory in MB (10^6 bytes): the major heap now and at its peak.
    [Gc.quick_stat] reads the runtime's counters without collecting, so no
@@ -536,6 +618,7 @@ let flush_observability t =
   | None -> ()
   | Some path ->
     Engine.record_tables t.metrics;
+    publish_cache_gauges t (Lru.counters t.cache);
     write_text_file path (Json.to_string (Metrics.dump t.metrics) ^ "\n"));
   match t.trace_out with
   | None -> ()
@@ -547,16 +630,19 @@ let flush_observability t =
 (* Search execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let search_response t ~tracer req ~deadline_ms ~t_recv =
+(* The worker's path: parse, fingerprint, probe, search. A canonical hit
+   or a complete insert also records [spelling], so the next exact repeat
+   of this text is answered by the reader. *)
+let search_response t ~tracer req ~spelling ~deadline_ms ~t_recv =
   match Itf_lang.Parser.parse req.nest_src with
   | exception Itf_lang.Parser.Error { line; message } ->
     Error (Printf.sprintf "nest:%d: %s" line message)
   | prog -> (
     let nest = prog.Itf_lang.Parser.nest in
     let key = fingerprint req nest in
-    match Lru.find t.cache key with
-    | Some cached -> Ok (`Cached (cached, key))
-    | None ->
+    match Lru.find t.cache ?spelling key with
+    | Some cached, counters -> Ok (`Cached (cached, key, counters))
+    | None, counters ->
       match
         Search.of_name ~metrics:t.metrics req.objective ~procs:req.procs
           ~params:req.params
@@ -616,8 +702,12 @@ let search_response t ~tracer req ~deadline_ms ~t_recv =
         (* Two workers finishing the same (uncached) request race the
            insert, but determinism makes the race write-write-identical:
            both computed the same body, either store wins. *)
-        if o.Engine.completion = Engine.Complete then Lru.add t.cache key body;
-        Ok (`Fresh (body, key, o.Engine.stats))))
+        let counters =
+          if o.Engine.completion = Engine.Complete then
+            Lru.add t.cache ?spelling key body
+          else counters
+        in
+        Ok (`Fresh (body, key, o.Engine.stats, counters))))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection ops                                                   *)
@@ -687,9 +777,7 @@ let status_snapshot t ~id =
   in
   let queued = Mutex.protect t.sched (fun () -> t.queued) in
   let heap_mb, top_heap_mb = memory_mb () in
-  let cache_hits, cache_misses, cache_evictions, cache_size =
-    Lru.counters t.cache
-  in
+  let cache = Lru.counters t.cache in
   Json.Obj
     [
       ("id", id);
@@ -750,10 +838,12 @@ let status_snapshot t ~id =
       ( "cache",
         Json.Obj
           [
-            ("size", Json.Int cache_size);
-            ("hits", Json.Int cache_hits);
-            ("misses", Json.Int cache_misses);
-            ("evictions", Json.Int cache_evictions);
+            ("size", Json.Int cache.size);
+            ("capacity", Json.Int t.cache.cap);
+            ("hits", Json.Int cache.hits);
+            ("misses", Json.Int cache.misses);
+            ("evictions", Json.Int cache.evictions);
+            ("spellings", Json.Int cache.spellings);
           ] );
       ("intern", Json.List intern);
       ( "memsim",
@@ -783,6 +873,7 @@ let status_snapshot t ~id =
 
 let metrics_snapshot t ~id =
   publish_memory_gauges t;
+  publish_cache_gauges t (Lru.counters t.cache);
   Engine.record_tables t.metrics;
   Json.Obj
     [
@@ -799,10 +890,11 @@ let metrics_snapshot t ~id =
 (* Count, time, ring-record and (when a tracer captured spans) retain one
    finished search-shaped request. Runs on whichever thread produced the
    response — a worker domain for executed searches, the submitting
-   thread for inline answers (parse errors, shed requests). Everything
+   thread for inline answers (parse errors, cache hits found by text,
+   shed requests). Everything
    here is either atomic or internally locked; only the trace forest and
    the output files need [obs_lock]. *)
-let record_request t ?(fp = "") ?(cached = false) ?(phases = [])
+let record_request t ?(fp = "") ?(cached = false) ?(phases = []) ?counters
     ?(rt = Tracer.null) ~req_id ~t_recv resp =
   let status =
     match Json.member "status" resp with
@@ -839,38 +931,51 @@ let record_request t ?(fp = "") ?(cached = false) ?(phases = [])
   count_request t status;
   Metrics.observe t.inst.request_us wall_us;
   Ring.push t.recent record;
-  publish_cache_gauges t;
+  Option.iter (publish_cache_gauges t) counters;
   Mutex.protect t.obs_lock (fun () ->
       if retained then Tracer.join t.tracer [ rt ];
       flush_observability t)
+
+let envelope req ~t_recv ~cached body =
+  let time_ms = (Unix.gettimeofday () -. t_recv) *. 1000. in
+  Json.Obj
+    (("id", req.id)
+    :: (match body with Json.Obj kvs -> kvs | v -> [ ("result", v) ])
+    @ [ ("cached", Json.Bool cached); ("time_ms", Json.Float time_ms) ])
+
+(* A cache hit's response, built and recorded in one place for both the
+   reader's hit by text and the worker's canonical hit, so the two answer
+   and count alike. [counters] are the ones the probe read. *)
+let answer_hit t req ~t_recv ~fp counters body =
+  let resp = envelope req ~t_recv ~cached:true body in
+  record_request t ~fp ~cached:true ~counters ~req_id:req.id ~t_recv resp;
+  resp
+
+let deadline_ms t req =
+  match req.deadline_ms with
+  | Some _ as d -> d
+  | None -> t.default_deadline_ms
+
+let expired ~deadline_ms ~t_recv =
+  match deadline_ms with
+  | Some ms -> (Unix.gettimeofday () -. t_recv) *. 1000. >= ms
+  | None -> false
 
 (* Execute one admitted search on a worker. The queue-aware deadline
    check comes first: a request whose whole allowance was eaten while it
    waited returns [Degraded {cut = "queue:deadline"}] without touching
    the engine — and is never cached, exactly like any other degraded
    answer. *)
-let exec_search t req ~t_recv =
-  let deadline_ms =
-    match req.deadline_ms with
-    | Some _ as d -> d
-    | None -> t.default_deadline_ms
-  in
-  let queue_expired =
-    match deadline_ms with
-    | Some ms -> (Unix.gettimeofday () -. t_recv) *. 1000. >= ms
-    | None -> false
-  in
-  if queue_expired then begin
-    let time_ms = (Unix.gettimeofday () -. t_recv) *. 1000. in
+let exec_search t req ~spelling ~t_recv =
+  let deadline_ms = deadline_ms t req in
+  if expired ~deadline_ms ~t_recv then begin
     let resp =
-      Json.Obj
-        [
-          ("id", req.id);
-          ("status", Json.String "degraded");
-          ("cut", Json.String "queue:deadline");
-          ("cached", Json.Bool false);
-          ("time_ms", Json.Float time_ms);
-        ]
+      envelope req ~t_recv ~cached:false
+        (Json.Obj
+           [
+             ("status", Json.String "degraded");
+             ("cut", Json.String "queue:deadline");
+           ])
     in
     record_request t ~req_id:req.id ~t_recv resp;
     resp
@@ -880,35 +985,23 @@ let exec_search t req ~t_recv =
        is configured, spliced into the retained forest only if the
        head-sampling draw keeps it or the tail condition fires. *)
     let rt = if t.trace_out = None then Tracer.null else Tracer.create () in
-    let resp, fp, cached, phases =
-      match search_response t ~tracer:rt req ~deadline_ms ~t_recv with
-      | Error msg -> (error_response ~id:req.id msg, "", false, [])
-      | Ok answer ->
-        let body, fp, cached, phases =
-          match answer with
-          | `Cached (body, fp) -> (body, fp, true, [])
-          | `Fresh (body, fp, stats) ->
-            ( body,
-              fp,
-              false,
-              List.map (fun (p, s) -> (p, s *. 1e6)) (Stats.phases stats) )
-        in
-        let time_ms = (Unix.gettimeofday () -. t_recv) *. 1000. in
-        ( Json.Obj
-            (("id", req.id)
-            :: (match body with Json.Obj kvs -> kvs | v -> [ ("result", v) ])
-            @ [ ("cached", Json.Bool cached); ("time_ms", Json.Float time_ms) ]),
-          fp,
-          cached,
-          phases )
-      | exception e ->
-        ( error_response ~id:req.id ("internal error: " ^ Printexc.to_string e),
-          "",
-          false,
-          [] )
+    let failed msg =
+      let resp = error_response ~id:req.id msg in
+      record_request t ~rt ~req_id:req.id ~t_recv resp;
+      resp
     in
-    record_request t ~fp ~cached ~phases ~rt ~req_id:req.id ~t_recv resp;
-    resp
+    match search_response t ~tracer:rt req ~spelling ~deadline_ms ~t_recv with
+    | Ok (`Cached (body, fp, counters)) ->
+      answer_hit t req ~t_recv ~fp counters body
+    | Ok (`Fresh (body, fp, stats, counters)) ->
+      let phases =
+        List.map (fun (p, s) -> (p, s *. 1e6)) (Stats.phases stats)
+      in
+      let resp = envelope req ~t_recv ~cached:false body in
+      record_request t ~fp ~phases ~counters ~rt ~req_id:req.id ~t_recv resp;
+      resp
+    | Error msg -> failed msg
+    | exception e -> failed ("internal error: " ^ Printexc.to_string e)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -930,9 +1023,9 @@ let run_job t job =
     count_request t "ok";
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
     reply resp
-  | Search { req; recv; reply } ->
+  | Search { req; spelling; recv; reply } ->
     observe_wait recv;
-    reply (exec_search t req ~t_recv:recv)
+    reply (exec_search t req ~spelling ~t_recv:recv)
 
 (* One pump loop: drain the server's queue until it is empty, then
    release the worker slot. Short-lived by design — pump jobs occupy a
@@ -1002,10 +1095,13 @@ let drain t =
 
 (* [submit t json k] classifies one decoded request and calls [k] exactly
    once with (response, stop). Inline paths — unknown op, malformed
-   search, shed search, shutdown — reply on the calling thread before
-   returning; admitted jobs reply later from a worker domain. Never
-   raises: any error becomes a [status = "error"] response. *)
-let submit t json k =
+   search, cache hit found by text, shed search, shutdown — reply on the
+   calling thread before returning; admitted jobs reply later from a
+   worker domain. [owed] says the caller's channel still owes an earlier
+   response: a hit then queues behind it instead, so with one worker a
+   channel's responses keep their request order. Never raises: any error
+   becomes a [status = "error"] response. *)
+let submit t ?(owed = false) json k =
   let t_recv = Unix.gettimeofday () in
   let req_id () = Option.value ~default:Json.Null (Json.member "id" json) in
   let op =
@@ -1063,35 +1159,59 @@ let submit t json k =
       record_request t ~req_id:(req_id ()) ~t_recv resp;
       k (resp, false)
     | Ok req -> (
-      let job =
-        Search { req; recv = t_recv; reply = (fun resp -> k (resp, false)) }
+      let spelling =
+        if t.cache.cap > 0 then Some (text_key req) else None
       in
-      match enqueue t job with
-      | `Queued -> ()
-      | `Shed waiting ->
-        Metrics.incr t.inst.shed;
-        let resp =
-          Json.Obj
-            [
-              ("id", req.id);
-              ("status", Json.String "overloaded");
-              ( "error",
-                Json.String
-                  (Printf.sprintf
-                     "queue full (%d waiting, capacity %d): request shed"
-                     waiting t.queue_depth) );
-            ]
+      (* A request whose deadline has already run out queues like any
+         other, so the worker answers it [queue:deadline] as before. *)
+      let hit =
+        match spelling with
+        | Some s
+          when not (owed || expired ~deadline_ms:(deadline_ms t req) ~t_recv) ->
+          Lru.find_spelling t.cache s
+        | _ -> None
+      in
+      match hit with
+      | Some (fp, body, counters) ->
+        (* Answered by the reader: never queued, never shed, no queue
+           wait, no nest parse. *)
+        k (answer_hit t req ~t_recv ~fp counters body, false)
+      | None -> (
+        let job =
+          Search
+            {
+              req;
+              spelling;
+              recv = t_recv;
+              reply = (fun resp -> k (resp, false));
+            }
         in
-        record_request t ~req_id:req.id ~t_recv resp;
-        k (resp, false)))
+        match enqueue t job with
+        | `Queued -> ()
+        | `Shed waiting ->
+          Metrics.incr t.inst.shed;
+          let resp =
+            Json.Obj
+              [
+                ("id", req.id);
+                ("status", Json.String "overloaded");
+                ( "error",
+                  Json.String
+                    (Printf.sprintf
+                       "queue full (%d waiting, capacity %d): request shed"
+                       waiting t.queue_depth) );
+              ]
+          in
+          record_request t ~req_id:req.id ~t_recv resp;
+          k (resp, false))))
 
 (* [submit_line t line k] decodes one JSONL line and submits it. A line
    that is not JSON is answered inline, and counted, timed and
    ring-recorded with a [Null] id exactly like a malformed request
    object. *)
-let submit_line t line k =
+let submit_line t ?owed line k =
   match Json.of_string line with
-  | Ok json -> submit t json k
+  | Ok json -> submit t ?owed json k
   | Error msg ->
     let t_recv = Unix.gettimeofday () in
     let resp = error_response ("malformed JSON: " ^ msg) in
@@ -1158,8 +1278,13 @@ let serve_channel t ic oc =
       | line ->
         let line = String.trim line in
         if line <> "" then begin
-          Mutex.protect pm (fun () -> incr pending);
-          submit_line t line (fun (resp, stop) ->
+          let owed =
+            Mutex.protect pm (fun () ->
+                let owed = !pending > 0 in
+                incr pending;
+                owed)
+          in
+          submit_line t ~owed line (fun (resp, stop) ->
               write resp;
               finish stop)
         end;

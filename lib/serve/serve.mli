@@ -13,6 +13,19 @@
     those tables, and an {e exactly} identical request is answered from
     a bounded LRU response cache without running the engine at all.
 
+    {b Cache hits on the reader}: the cache also maps each request's
+    text (every fingerprint field, with the nest source in place of its
+    intern id) to the fingerprint it was answered under. When a
+    request's text is found there and its entry is still cached, the
+    thread that read the line answers it: it is never queued, never
+    shed, observes no queue wait and is not parsed. That happens only
+    when its channel owes no earlier response ({!handle_line} always
+    qualifies); otherwise the hit queues behind the earlier requests.
+    A respelled nest (a comment, a blank line) is a different text: it
+    queues, and the worker finds it by fingerprint and records the new
+    spelling. The index holds at most the cache's capacity entries and
+    is cleared when full; with [max_cache = 0] it does not exist.
+
     {b Determinism}: result payloads are byte-identical whether the
     server runs one worker or eight, cold or warm — the engine's orders
     are structural and the memoized objectives return bit-identical
@@ -41,9 +54,12 @@
     worker, then stops the server (its response is the last one out);
     [{"op": "status"}] returns a live snapshot (uptime, request
     counters, latency quantiles from the [serve.request_us] histogram,
-    queue depth/capacity/shed count and wait quantiles, busy workers,
+    queue depth/capacity/shed count and wait quantiles (queued jobs
+    only), busy workers,
     per-phase time breakdown from the [engine.phase_us] histograms,
-    cache and hash-cons intern-table health, the cache simulator's
+    response-cache health ([cache]: size, capacity, hits, misses,
+    evictions and [spellings], the size of its text index),
+    hash-cons intern-table health, the cache simulator's
     runs and stream counters ([memsim.runs], [memsim.stream_entries],
     [memsim.stream_fallbacks]), process memory
     ([memory.heap_mb] and [memory.top_heap_mb], from [Gc.quick_stat],
@@ -126,13 +142,24 @@ val metrics : t -> Itf_obs.Metrics.t
 
 val handle_line : t -> string -> Itf_obs.Json.t * bool
 (** [handle_line t line] answers one JSONL request synchronously: the
-    request is admitted through the scheduler like any other, and the
-    call blocks until its response lands. Returns the response value and
+    request is admitted through the scheduler like any other (a cache
+    hit found by text is answered on the calling thread), and the call
+    blocks until its response lands. Returns the response value and
     whether the request asked the server to stop. Never raises —
     malformed input and engine failures become [status = "error"]
     responses. Safe to call from several threads at once (the
     concurrency tests do). Exposed for tests and simple embedding;
     {!run} pipelines requests instead of blocking per line. *)
+
+val serve_channel : t -> in_channel -> out_channel -> unit
+(** [serve_channel t ic oc] serves one pipelined channel until EOF or a
+    shutdown request, then waits for every response it owes. The reader
+    admits each line as it arrives and answers a cache hit found by text
+    itself, but only when the channel owes no earlier response;
+    otherwise the hit queues behind it. Responses are written under a
+    per-channel lock, so with [workers = 1] they come back in request
+    order. {!run} calls it on stdin/stdout and on each socket
+    connection. *)
 
 val run : ?socket:string -> t -> unit
 (** [run t] serves stdin/stdout until EOF or a shutdown request; with

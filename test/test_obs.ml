@@ -208,6 +208,34 @@ let test_ambient () =
       check_bool "installed" true (Tracer.enabled (Tracer.ambient ())));
   check_bool "restored" false (Tracer.enabled (Tracer.ambient ()))
 
+(* Installing the tracer that is already ambient is a plain call: restore
+   still happens on exceptions and under nesting, and it allocates
+   nothing. *)
+let test_ambient_reinstall () =
+  let tr = Tracer.create () and other = Tracer.create () in
+  let is t = Tracer.ambient () == t in
+  Tracer.with_ambient tr (fun () ->
+      (match
+         Tracer.with_ambient tr (fun () ->
+             Tracer.with_ambient other (fun () -> failwith "boom"))
+       with
+      | exception Failure _ -> ()
+      | () -> Alcotest.fail "exception swallowed");
+      check_bool "restored after a raise through a re-install" true (is tr);
+      Tracer.with_ambient tr (fun () ->
+          Tracer.with_ambient other (fun () ->
+              check_bool "nested install" true (is other));
+          check_bool "re-install keeps the outer tracer" true (is tr)));
+  check_bool "null restored" true (is Tracer.null);
+  let f () = () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Tracer.with_ambient (Tracer.ambient ()) f
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool (Printf.sprintf "1,000 re-installs allocate nothing (%g words)" words)
+    true (words = 0.)
+
 (* {1 Metrics} *)
 
 let test_counters () =
@@ -855,6 +883,8 @@ let () =
           Alcotest.test_case "jsonl preorder ids" `Quick test_jsonl_ids;
           Alcotest.test_case "equal_shape" `Quick test_equal_shape;
           Alcotest.test_case "ambient tracer" `Quick test_ambient;
+          Alcotest.test_case "re-installing the ambient tracer" `Quick
+            test_ambient_reinstall;
         ] );
       ( "metrics",
         [

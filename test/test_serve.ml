@@ -817,20 +817,20 @@ let test_serve_concurrent_exact_totals () =
   let server =
     Serve.create ~domains:1 ~workers:4 ~queue_depth:64 ~slow_ms:0. ()
   in
+  let cached = Atomic.make 0 in
+  let send line =
+    let resp, _ = Serve.handle_line server line in
+    if Json.member "cached" resp = Some (Json.Bool true) then Atomic.incr cached
+  in
   let thread k =
     for i = 0 to 2 do
-      ignore
-        (Serve.handle_line server
-           (req ~id:(Json.String (Printf.sprintf "ok-%d-%d" k i)) matmul_src))
+      send (req ~id:(Json.String (Printf.sprintf "ok-%d-%d" k i)) matmul_src)
     done;
-    ignore
-      (Serve.handle_line server
-         (req
-            ~id:(Json.String (Printf.sprintf "cut-%d" k))
-            ~max_nodes:5 ~steps:3 matmul_src));
-    ignore
-      (Serve.handle_line server
-         (Printf.sprintf "{\"id\": \"bad-%d\", \"nest\": 42}" k))
+    send
+      (req
+         ~id:(Json.String (Printf.sprintf "cut-%d" k))
+         ~max_nodes:5 ~steps:3 matmul_src);
+    send (Printf.sprintf "{\"id\": \"bad-%d\", \"nest\": 42}" k)
   in
   let threads = List.init 4 (fun k -> spawn (fun () -> thread k)) in
   List.iter Thread.join threads;
@@ -851,9 +851,11 @@ let test_serve_concurrent_exact_totals () =
     (obj_field [ "requests"; "total" ] st = Json.Int 20);
   check_bool "every search latency observed" true
     (obj_field [ "latency_us"; "count" ] st = Json.Int 20);
-  (* every executed search probed the LRU exactly once: 12 ok + 4
-     degraded (degraded probes but is never inserted); errors never reach
-     the cache. Hit/miss split depends on scheduling, the sum does not. *)
+  (* every well-formed search counted exactly one hit or one miss: 12 ok
+     + 4 degraded (degraded misses but is never inserted), whether the
+     reader found it by text or a worker probed it; errors never reach
+     the cache. Hit/miss split depends on scheduling, the sum does not,
+     and every hit is a [cached: true] response. *)
   let cache_n path =
     match Json.to_int (obj_field [ "cache"; path ] st) with
     | Some n -> n
@@ -861,12 +863,119 @@ let test_serve_concurrent_exact_totals () =
   in
   check_int "LRU probes balance: hits + misses = 16" 16
     (cache_n "hits" + cache_n "misses");
+  check_int "hits = cached responses" (Atomic.get cached) (cache_n "hits");
   check_bool "nothing shed" true (obj_field [ "queue"; "shed" ] st = Json.Int 0);
   (* slow_ms 0: all 20 requests are slow; the snapshot caps its listing,
      so a full window proves the ring lost none of the concurrent pushes *)
   match field "slow" st with
   | Json.List l -> check_int "slow-log window full" 16 (List.length l)
   | _ -> Alcotest.fail "slow not a list"
+
+(* Per-channel order: at one worker, a cache hit that follows a queued
+   miss on the same pipelined channel queues behind it instead of being
+   answered by the reader first. *)
+let test_serve_channel_order () =
+  let server = Serve.create ~domains:1 ~workers:1 () in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let served =
+    spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        Serve.serve_channel server (Unix.in_channel_of_descr req_r) oc;
+        close_out oc)
+  in
+  let to_server = Unix.out_channel_of_descr req_w in
+  let from_server = Unix.in_channel_of_descr resp_r in
+  let send lines =
+    List.iter (fun l -> output_string to_server (l ^ "\n")) lines;
+    flush to_server
+  in
+  let recv () =
+    match Json.of_string (input_line from_server) with
+    | Ok j -> j
+    | Error msg -> Alcotest.fail msg
+  in
+  let a id = req ~id:(Json.String id) matmul_src in
+  send [ a "a1" ];
+  let r1 = recv () in
+  send [ heavy_req (Json.String "b"); a "a2" ];
+  let r2 = recv () in
+  let r3 = recv () in
+  close_out to_server;
+  Thread.join served;
+  close_in from_server;
+  Unix.close req_r;
+  check_string "responses in request order" "a1 b a2"
+    (String.concat " "
+       (List.map
+          (fun r -> Option.value ~default:"?" (Json.to_str (field "id" r)))
+          [ r1; r2; r3 ]));
+  check_bool "first A was searched" true (field "cached" r1 = Json.Bool false);
+  check_string "B ok" "ok" (status r2);
+  check_bool "second A is cached" true (field "cached" r3 = Json.Bool true)
+
+let queue_waits server =
+  Itf_obs.Metrics.histogram_count
+    (Itf_obs.Metrics.histogram (Serve.metrics server)
+       ~buckets:Itf_obs.Metrics.duration_buckets "serve.queue.wait_ms")
+
+let cache_field st name =
+  match Json.to_int (obj_field [ "cache"; name ] st) with
+  | Some n -> n
+  | None -> Alcotest.fail ("cache." ^ name ^ " not an int")
+
+(* An exact repeat of a request's text is answered by the reader without
+   queueing; a respelled nest (a comment, a blank line) is a different
+   text, so it queues, and the worker finds it by its fingerprint and
+   records the new spelling. *)
+let test_serve_spelling_index () =
+  let server = Serve.create ~domains:1 () in
+  let ask src =
+    let resp, _ = Serve.handle_line server (req src) in
+    check_string "ok" "ok" (status resp);
+    (resp, queue_waits server)
+  in
+  let respelled = "# the same nest\n\n" ^ matmul_src in
+  let first, q1 = ask matmul_src in
+  let repeat, q2 = ask matmul_src in
+  let other, q3 = ask respelled in
+  let other_again, q4 = ask respelled in
+  check_bool "first is searched" true (field "cached" first = Json.Bool false);
+  check_int "first is queued" 1 q1;
+  check_bool "exact repeat is cached" true (field "cached" repeat = Json.Bool true);
+  check_int "exact repeat is answered by the reader" 1 q2;
+  check_bool "respelled nest is cached" true (field "cached" other = Json.Bool true);
+  check_int "respelled nest goes through a worker" 2 q3;
+  check_bool "its repeat is cached" true
+    (field "cached" other_again = Json.Bool true);
+  check_int "its repeat is answered by the reader" 2 q4;
+  List.iter
+    (fun r ->
+      check_string "same payload"
+        (Json.to_string (strip_envelope first))
+        (Json.to_string (strip_envelope r)))
+    [ repeat; other; other_again ];
+  let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+  check_int "3 hits" 3 (cache_field st "hits");
+  check_int "1 miss" 1 (cache_field st "misses");
+  check_int "2 spellings" 2 (cache_field st "spellings")
+
+(* The index holds at most the cache's capacity: 1,000 distinct texts of
+   one nest each record a spelling, and the index is cleared, never
+   grown, when full. *)
+let test_serve_spelling_index_bounded () =
+  let cap = 4 in
+  let server = Serve.create ~domains:1 ~max_cache:cap () in
+  let most = ref 0 in
+  for i = 0 to 999 do
+    let src = Printf.sprintf "# spelling %d\n%s" i matmul_src in
+    let resp, _ = Serve.handle_line server (req ~id:(Json.Int i) src) in
+    check_bool "cached after the first" (i > 0)
+      (field "cached" resp = Json.Bool true);
+    let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+    most := max !most (cache_field st "spellings");
+    check_int "capacity reported" cap (cache_field st "capacity")
+  done;
+  check_int "the index fills to the cap and no further" cap !most
 
 (* ------------------------------------------------------------------ *)
 (* Novel traffic: every bounded table evicts, answers stay golden      *)
@@ -1093,6 +1202,12 @@ let () =
             test_serve_queue_deadline;
           Alcotest.test_case "concurrent totals are exact" `Quick
             test_serve_concurrent_exact_totals;
+          Alcotest.test_case "hits keep per-channel order" `Quick
+            test_serve_channel_order;
+          Alcotest.test_case "spelling index: repeats and respellings" `Quick
+            test_serve_spelling_index;
+          Alcotest.test_case "spelling index stays within the cap" `Quick
+            test_serve_spelling_index_bounded;
           Alcotest.test_case "shed message counts queued ops" `Quick
             test_serve_shed_message;
         ] );
