@@ -24,9 +24,9 @@ module Tracer = Itf_obs.Tracer
 
 (* Every BENCH_*.json this harness writes is versioned: bump "schema" when
    a field changes meaning so downstream comparisons refuse stale files.
-   BENCH_search.json is at 7 (the old_*, speedup_*, template_reduction and
-   no_intern_* fields are gone; --baseline still reads schema 6);
-   BENCH_sim.json stays at 3. *)
+   BENCH_search.json is at 8 (schema 7 plus the gated
+   compute_memsim_runs/compute_memsim_certified counters, so --baseline
+   reads schema 8 only); BENCH_sim.json stays at 3. *)
 let write_bench_json ?(schema = 3) path fields =
   let oc = open_out path in
   output_string oc
@@ -719,17 +719,22 @@ let search_bench ?baseline () =
   let module Engine = Itf_opt.Engine in
   let module Hashcons = Itf_mat.Hashcons in
   (* Each case's objective comes paired with its tier-0 mirror from
-     [Search.of_name], built through [mk_obj ~memo] so the compute-regime
-     runs below can instantiate the same objective without the
-     process-wide score memo. *)
+     [Search.of_name], built through [mk_obj ~metrics ~memo] so the
+     compute-regime runs below can instantiate the same objective
+     without the process-wide score memo. *)
   let cases =
     List.map
       (fun (name, nest, objective, n) ->
-        let mk ~memo =
+        let mk ?metrics ~memo () =
           Result.get_ok
-            (Search.of_name ~memo objective ~procs:4 ~params:[ ("n", n) ])
+            (Search.of_name ?metrics ~memo objective ~procs:4
+               ~params:[ ("n", n) ])
         in
-        (name, nest, (fun ~memo -> fst (mk ~memo)), snd (mk ~memo:true), 3))
+        ( name,
+          nest,
+          (fun ~metrics ~memo -> fst (mk ?metrics ~memo ())),
+          snd (mk ~memo:true ()),
+          3 ))
       [
         ("stencil/parallel", stencil (), "parallel", 10);
         ("matmul/locality", matmul (), "locality", 16);
@@ -784,10 +789,10 @@ let search_bench ?baseline () =
       | Error e -> failwith ("--baseline " ^ path ^ ": " ^ e)
       | Ok j ->
         (match Json.member "schema" j with
-        | Some (Json.Int 6) | Some (Json.Int 7) -> ()
+        | Some (Json.Int 8) -> ()
         | _ ->
           failwith
-            ("--baseline " ^ path ^ ": expected schema 6 or 7 BENCH_search.json"));
+            ("--baseline " ^ path ^ ": expected schema 8 BENCH_search.json"));
         Some
           (Option.value ~default:[]
              (Option.bind (Json.member "cases" j) Json.to_list)))
@@ -820,7 +825,7 @@ let search_bench ?baseline () =
       (fun k -> [ k ])
       [
         "exact_evals"; "exact_evals_untiered"; "tier0_evals"; "tier0_pruned";
-        "warm_probes";
+        "warm_probes"; "compute_memsim_runs"; "compute_memsim_certified";
       ]
     @ List.concat_map
         (fun stats ->
@@ -854,7 +859,7 @@ let search_bench ?baseline () =
   let jsons =
     List.map
       (fun (name, nest, mk_obj, spec, steps) ->
-        let objective = mk_obj ~memo:true in
+        let objective = mk_obj ~metrics:None ~memo:true in
         (* Same best-of-N discipline as the tiered runs: the
            tiered-vs-untiered gate below compares warm best times on both
            sides. *)
@@ -879,12 +884,42 @@ let search_bench ?baseline () =
            tiered-vs-untiered wall-clock gate compares like for like. *)
         let cunt_, cunt_t =
           time_min (fun () ->
-              Engine.search ~steps ~domains:1 nest (mk_obj ~memo:false))
+              Engine.search ~steps ~domains:1 nest
+                (mk_obj ~metrics:None ~memo:false))
         in
         let cseq_, cseq_t =
           time_min (fun () ->
               Engine.search ~steps ~domains:1 ~tier0:spec nest
-                (mk_obj ~memo:false))
+                (mk_obj ~metrics:None ~memo:false))
+        in
+        (* The cache simulations one memo-off tiered search runs, and the
+           locality evaluations the root's footprint certificate answers
+           instead: on a locality case together exactly its exact
+           evaluations, and never none. The one locality case, matmul at
+           n = 16, maps 3 lines to a set of the 2-way cache, so its root
+           is never certified: here the gate checks only that every
+           evaluation simulates (test_compile's sweep checks the
+           certificate itself). *)
+        let compute_memsim =
+          let m = Itf_obs.Metrics.create () in
+          let count name =
+            Itf_obs.Metrics.counter_value (Itf_obs.Metrics.counter m name)
+          in
+          let r =
+            Engine.search ~steps ~domains:1 ~tier0:spec nest
+              (mk_obj ~metrics:(Some m) ~memo:false)
+          in
+          let runs = count "memsim.runs" and certified = count "memsim.certified" in
+          (match r with
+          | Some o when String.ends_with ~suffix:"/locality" name ->
+            let evals = o.Engine.stats.Itf_opt.Stats.objective_evaluations in
+            if runs + certified = 0 || runs + certified <> evals then
+              failwith
+                (Printf.sprintf
+                   "%s: %d memsim runs + %d certified, %d exact evaluations"
+                   name runs certified evals)
+          | _ -> ());
+          (runs, certified)
         in
         (* Tracer overhead in the regime serve runs: a fresh {e active}
            tracer per request (capture always happens when the sink is
@@ -1091,6 +1126,8 @@ let search_bench ?baseline () =
                 Json.Int stats.Itf_opt.Stats.tier0_evaluations );
               ("tier0_pruned", Json.Int stats.Itf_opt.Stats.tier0_pruned);
               ("warm_probes", Json.Int warm_probes);
+              ("compute_memsim_runs", Json.Int (fst compute_memsim));
+              ("compute_memsim_certified", Json.Int (snd compute_memsim));
               ("exact_eval_reduction", Json.Float exact_reduction);
               ("par_vs_seq", Json.Float par_vs_seq);
               ("tiered_vs_untiered", Json.Float tiered_vs_untiered);
@@ -1128,7 +1165,7 @@ let search_bench ?baseline () =
           ])
       (Hashcons.stats ())
   in
-  write_bench_json ~schema:7 "BENCH_search.json"
+  write_bench_json ~schema:8 "BENCH_search.json"
     [
       ("domains_par", Json.Int par_domains);
       ("cases", Json.List jsons);

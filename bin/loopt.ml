@@ -236,7 +236,7 @@ let optimize_cmd =
         else Itf_obs.Tracer.create ()
       in
       let metrics =
-        if metrics_out = None && not show_stats then None
+        if metrics_out = None && not (show_stats || stats_json) then None
         else Some (Itf_obs.Metrics.create ())
       in
       (* The tier-0 spec mirrors the exact objective's machine model so the
@@ -319,24 +319,40 @@ let optimize_cmd =
               decisions
           end
         end;
+        let count name =
+          match metrics with
+          | None -> 0
+          | Some m ->
+            Itf_obs.Metrics.counter_value (Itf_obs.Metrics.counter m name)
+        in
         if show_stats then begin
           Format.printf "== search stats ==@.%a@." Itf_opt.Stats.pp stats;
           (* Innermost-loop entries the cache simulations replayed as
              address streams, and entries they ran through closures. *)
-          let count name =
-            match metrics with
-            | None -> 0
-            | Some m ->
-              Itf_obs.Metrics.counter_value (Itf_obs.Metrics.counter m name)
-          in
           Format.printf "memsim stream        %d entries, %d fallbacks@."
             (count "memsim.stream.entries")
             (count "memsim.stream.fallbacks");
+          (* Cache simulations run, and locality evaluations answered by
+             the root's footprint certificate instead. *)
+          Format.printf "memsim runs          %d simulated, %d certified@."
+            (count "memsim.runs") (count "memsim.certified");
           (* Fourier–Motzkin refutations of the root's dependence
              analysis: none when the analysis was memoized. *)
           Format.printf "dependence FM calls  %d@." (count "dep.fm_calls")
         end;
-        if stats_json then print_endline (Itf_opt.Stats.to_json stats);
+        if stats_json then
+          print_endline
+            (Itf_obs.Json.to_string
+               (match Itf_opt.Stats.to_json_value stats with
+               | Itf_obs.Json.Obj fields ->
+                 Itf_obs.Json.Obj
+                   (fields
+                   @ [
+                       ("memsim_runs", Itf_obs.Json.Int (count "memsim.runs"));
+                       ( "memsim_certified",
+                         Itf_obs.Json.Int (count "memsim.certified") );
+                     ])
+               | json -> json));
         write_trace tracer trace_out;
         write_metrics metrics metrics_out;
         0

@@ -355,10 +355,8 @@ let run_case ?(backends = [ `Interp; `Compiled ]) ?(orders = default_orders)
           | r -> Ok r.Memsim.cache
           | exception e -> Error (exn_name e)
         in
-        match
-          ( outcome (fun env -> Memsim.run config env out),
-            outcome (fun env -> Memsim.simulate config env out) )
-        with
+        let simulated = outcome (fun env -> Memsim.simulate config env out) in
+        (match (outcome (fun env -> Memsim.run config env out), simulated) with
         | Ok a, Ok b when a = b -> ()
         | Error a, Error b when a = b -> ()
         | Ok _, Ok _ ->
@@ -367,7 +365,20 @@ let run_case ?(backends = [ `Interp; `Compiled ]) ?(orders = default_orders)
           let show = function Ok _ -> "stats" | Error e -> e in
           fail "memsim"
             (Printf.sprintf "Memsim.run gave %s, Memsim.simulate gave %s"
-               (show a) (show b))
+               (show a) (show b)));
+        (* The footprint certificate: a root it certifies has its legal
+           transformed nest's cache stats. *)
+        match Memsim.simulate config (make_env ~params nest) nest with
+        | root when Memsim.certifies nest root -> (
+          match simulated with
+          | Ok stats when stats = root.Memsim.cache -> ()
+          | Ok _ ->
+            fail "memsim"
+              "a certified root and its transformed nest differ in cache stats"
+          | Error e ->
+            fail "memsim" ("a certified root's transformed nest raised " ^ e))
+        | _ -> ()
+        | exception _ -> ()
       end;
       if List.mem `C backends && cc_available () then begin
         let ref_sums = checksums reference in

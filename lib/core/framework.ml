@@ -2,6 +2,7 @@ type result = {
   nest : Itf_ir.Nest.t;
   vectors : Itf_dep.Depvec.t list;
   derivation : int;
+  root : int;
 }
 
 exception Illegal of Legality.verdict
@@ -14,6 +15,7 @@ type annex = ..
 type state = {
   prefix : Legality.state;
   derivation : int;
+  root : int;
   mutable annexes : annex list;
 }
 
@@ -78,13 +80,13 @@ let apply ?vectors nest seq =
   let vectors = root_vectors vectors nest in
   match Legality.check ~vectors nest seq with
   | Legality.Legal { nest = nest'; vectors = vectors'; _ } ->
+    let root = snd (root_entry nest vectors) in
     let derivation =
       List.fold_left
         (fun id t -> snd (child_id id (snd (Template.intern_id t))))
-        (snd (root_entry nest vectors))
-        seq
+        root seq
     in
-    Ok { nest = nest'; vectors = vectors'; derivation }
+    Ok { nest = nest'; vectors = vectors'; derivation; root }
   | verdict -> Error verdict
 
 let apply_exn ?vectors nest seq =
@@ -97,8 +99,10 @@ let map_vectors seq vectors =
 
 (* The verdict in an entry's cell, computed and stored on first use.
    [make] builds the entry's prefix state; it and the final verdict share
-   one counter of template applications. *)
-let checked ((cell, derivation) : entry) make =
+   one counter of template applications. [root] is the derivation id of
+   the entry's root: its own for a root entry, its parent's [root] for a
+   child. *)
+let checked ((cell, derivation) : entry) ~root make =
   match Atomic.get cell with
   | Some c -> c
   | None ->
@@ -107,7 +111,9 @@ let checked ((cell, derivation) : entry) make =
     let outcome =
       match Legality.verdict ~count prefix with
       | Legality.Legal { nest; vectors; _ } ->
-        Ok ({ prefix; derivation; annexes = [] }, { nest; vectors; derivation })
+        Ok
+          ( { prefix; derivation; root; annexes = [] },
+            { nest; vectors; derivation; root } )
       | verdict -> Error verdict
     in
     let c = { outcome; apps = !count } in
@@ -118,12 +124,14 @@ let stored ((cell, _) : entry) = Atomic.get cell
 
 let check_root ?vectors nest =
   let vectors = root_vectors vectors nest in
-  checked (root_entry nest vectors) (fun _ -> Legality.start ~vectors nest)
+  let ((_, root) as e) = root_entry nest vectors in
+  checked e ~root (fun _ -> Legality.start ~vectors nest)
 
 let child_entry parent tid = child_id parent.derivation tid
 
 let check_child parent t entry =
-  checked entry (fun count -> Legality.extend ~count parent.prefix t)
+  checked entry ~root:parent.root (fun count ->
+      Legality.extend ~count parent.prefix t)
 
 let check_extend parent t =
   let t, tid = Template.intern_id t in

@@ -36,6 +36,12 @@ type result = {
           but never answers for another candidate. Two spellings that
           generate the same nest get distinct ids. Like every intern id,
           it is for equality only, never ordering. *)
+  root : int;
+      (** The derivation id of the root this result derives from (for
+          the root itself, its own [derivation]). It names the root
+          nest and its vectors the way [derivation] names the whole
+          candidate, so a fact proved of a root binds to that root's
+          results by identity, never by the order results arrive in. *)
 }
 
 val apply :

@@ -105,7 +105,7 @@ let rec refs_of_stmt ~scalars (s : Stmt.t) =
    test/corpus). Equations whose bases carry residuals are therefore
    screened only at the value level ({!screen_and_pin}) and excluded from
    the counter-space interval test; the rational Fourier-Motzkin
-   refinement ({!fm_refutes}), which renormalizes source and sink
+   refinement ({!fm_system}), which renormalizes source and sink
    independently, recovers precision for the non-rectangular cases. *)
 type sub_info = {
   coeffs : int array; (* coefficient of t_k *)
@@ -303,9 +303,10 @@ let full_env infos =
    Fourier-Motzkin feasibility check over source (t) and sink (u)
    iteration variables: value-level bound constraints, the sigma/pin
    constraints, and the subscript equalities, all affine with symbolic
-   invariant parts. Sound: only rationally-infeasible vectors are pruned. *)
-let fm_refutes infos (pins : pin array) (a : ref_) (b : ref_)
-    (sigma : int array) =
+   invariant parts. Sound: only rationally-infeasible vectors are pruned.
+   [fm_system infos pins a b] builds what the pair's systems share, and
+   returns the system of each sign vector. *)
+let fm_system infos (pins : pin array) (a : ref_) (b : ref_) =
   let n = List.length infos in
   let tvars = Array.of_list (List.map (fun (_, i) -> i.tvar) infos) in
   let uvars = Array.map (fun tv -> "$u" ^ String.sub tv 2 (String.length tv - 2)) tvars in
@@ -324,8 +325,11 @@ let fm_refutes infos (pins : pin array) (a : ref_) (b : ref_)
       Some (coeffs, s.Affine.base)
     end
   in
-  let ineqs = ref [] in
-  let add coeffs base = ineqs := Fourier.ineq coeffs base :: !ineqs in
+  (* Rows are prepended, so each group lists its rows newest first. A
+     system is [subscripts @ sigma @ bounds]: the bounds and subscript
+     rows are the pair's, built once; only the sigma rows vary. *)
+  let rows = ref [] in
+  let add coeffs base = rows := Fourier.ineq coeffs base :: !rows in
   (* e >= 0 constraints, in both the source and the sink copy *)
   let add_nonneg (e : Expr.t) =
     List.iter
@@ -359,68 +363,8 @@ let fm_refutes infos (pins : pin array) (a : ref_) (b : ref_)
           upper_terms
       | _ -> ())
     infos;
-  (* Sigma / pin constraints. [Exact]/[Valued] pins and sigmas all speak
-     about the VALUE difference X'_k - X_k (whose affine bases cancel
-     exactly under the full normalization): [Exact d] means [d * step],
-     [Valued q] means [q], and a sigma constrains the value-difference
-     sign corrected for execution direction. *)
-  let loops = Array.of_list (List.map fst infos) in
-  Array.iteri
-    (fun k s ->
-      let x = Expr.subst env (Expr.var loops.(k).Nest.var) in
-      match (split ~primed:false x, split ~primed:true x) with
-      | Some (ct, _), Some (cu, _) -> (
-        let dcoeffs = Array.init (2 * n) (fun i -> cu.(i) - ct.(i)) in
-        let step_sign =
-          match Expr.to_int loops.(k).Nest.step with
-          | Some st -> compare st 0
-          | None -> 1
-        in
-        let step_mag =
-          match Expr.to_int loops.(k).Nest.step with
-          | Some st -> abs st
-          | None -> 1
-        in
-        let ge_const c =
-          (* X' - X - c >= 0 *)
-          add dcoeffs (Expr.int (-c))
-        in
-        let le_const c =
-          (* c - (X' - X) >= 0 *)
-          add (Array.map (fun v -> -v) dcoeffs) (Expr.int c)
-        in
-        match pins.(k) with
-        | Exact d ->
-          let dv = d * step_mag * step_sign in
-          ge_const dv;
-          le_const dv
-        | Valued q ->
-          (* exact value difference; the counter direction (sigma) is
-             genuinely unconstrained across shifted grids *)
-          ge_const q;
-          le_const q
-        | Unknown ->
-          (* A sigma is a counter-order direction; it determines the
-             value-difference sign only when the loop's grids align
-             (invariant lower bound). For shifted grids leave the
-             dimension unconstrained — conservative. *)
-          let invariant_lo =
-            not
-              (List.exists
-                 (fun ((l' : Nest.loop), _) ->
-                   Expr.mentions l'.Nest.var loops.(k).Nest.lo)
-                 infos)
-          in
-          if invariant_lo then begin
-            if s = 0 then begin
-              ge_const 0;
-              le_const 0
-            end
-            else if s * step_sign > 0 then ge_const 1
-            else le_const (-1)
-          end)
-      | _ -> ())
-    sigma;
+  let bounds = !rows in
+  rows := [];
   (* subscript equalities, fully normalized *)
   List.iter2
     (fun sub_a sub_b ->
@@ -439,7 +383,77 @@ let fm_refutes infos (pins : pin array) (a : ref_) (b : ref_)
         | _ -> ())
       | _ -> ())
     a.subs b.subs;
-  Fourier.definitely_infeasible { Fourier.vars; ineqs = !ineqs }
+  let subs = !rows in
+  (* Sigma / pin constraints. [Exact]/[Valued] pins and sigmas all speak
+     about the VALUE difference X'_k - X_k (whose affine bases cancel
+     exactly under the full normalization): [Exact d] means [d * step],
+     [Valued q] means [q], and a sigma constrains the value-difference
+     sign corrected for execution direction. Everything but the sign is
+     the pair's, so each dimension's difference row is built once. *)
+  let dims =
+    List.map
+      (fun ((l : Nest.loop), _) ->
+        let x = Expr.subst env (Expr.var l.Nest.var) in
+        match (split ~primed:false x, split ~primed:true x) with
+        | Some (ct, _), Some (cu, _) ->
+          let step = Expr.to_int l.Nest.step in
+          let step_sign = match step with Some st -> compare st 0 | None -> 1 in
+          let step_mag = match step with Some st -> abs st | None -> 1 in
+          (* A sigma is a counter-order direction; it determines the
+             value-difference sign only when the loop's grids align
+             (invariant lower bound). For shifted grids leave the
+             dimension unconstrained — conservative. *)
+          let invariant_lo =
+            not
+              (List.exists
+                 (fun ((l' : Nest.loop), _) -> Expr.mentions l'.Nest.var l.Nest.lo)
+                 infos)
+          in
+          Some
+            ( Array.init (2 * n) (fun i -> cu.(i) - ct.(i)),
+              step_sign,
+              step_mag,
+              invariant_lo )
+        | _ -> None)
+      infos
+    |> Array.of_list
+  in
+  fun sigma ->
+    rows := [];
+    Array.iteri
+      (fun k s ->
+        match dims.(k) with
+        | None -> ()
+        | Some (dcoeffs, step_sign, step_mag, invariant_lo) -> (
+          let ge_const c =
+            (* X' - X - c >= 0 *)
+            add dcoeffs (Expr.int (-c))
+          in
+          let le_const c =
+            (* c - (X' - X) >= 0 *)
+            add (Array.map (fun v -> -v) dcoeffs) (Expr.int c)
+          in
+          match pins.(k) with
+          | Exact d ->
+            let dv = d * step_mag * step_sign in
+            ge_const dv;
+            le_const dv
+          | Valued q ->
+            (* exact value difference; the counter direction (sigma) is
+               genuinely unconstrained across shifted grids *)
+            ge_const q;
+            le_const q
+          | Unknown ->
+            if invariant_lo then begin
+              if s = 0 then begin
+                ge_const 0;
+                le_const 0
+              end
+              else if s * step_sign > 0 then ge_const 1
+              else le_const (-1)
+            end))
+      sigma;
+    { Fourier.vars; ineqs = subs @ !rows @ bounds }
 
 (* All sign vectors in {-1,0,1}^n whose first nonzero entry is +1 and which
    agree with the pins. *)
@@ -566,6 +580,7 @@ let pair_vectors ?(fm_calls = ref 0) infos n (a : ref_) (b : ref_) =
               mentions_loop l.Nest.lo || mentions_loop l.Nest.hi)
             infos
         in
+        let system = lazy (fm_system infos pins a b) in
         let sigmas =
           List.filter
             (fun sigma ->
@@ -573,7 +588,7 @@ let pair_vectors ?(fm_calls = ref 0) infos n (a : ref_) (b : ref_) =
               && not
                    (non_rectangular
                    && (incr fm_calls;
-                       fm_refutes infos pins a b sigma)))
+                       Fourier.definitely_infeasible (Lazy.force system sigma))))
             (lex_positive_sigmas n pins)
         in
         merge_pass (List.map (vector_of_sigma infos pins) sigmas)
@@ -620,7 +635,8 @@ let vectors_memo : Depvec.t list VMemo.t =
 
 let vectors ?fm_calls nest =
   VMemo.find_or_add vectors_memo (Itf_ir.Intern.nest_id nest) (fun () ->
-      Depvec.dedupe (List.map (fun d -> d.vector) (dependences ?fm_calls nest)))
+      Depvec.dedupe
+        (List.map (fun d -> d.vector) (dependences ?fm_calls nest)))
 
 (* ------------------------------------------------------------------ *)
 (* Statement-level dependences                                         *)

@@ -31,7 +31,8 @@ type dependence = {
 val dependences : ?fm_calls:int ref -> Nest.t -> dependence list
 (** All dependences of the nest, deduplicated per (array, kind).
     [fm_calls], when given, is incremented once per Fourier–Motzkin
-    refutation the analysis runs. *)
+    refutation the analysis runs. Each reference pair builds its bound
+    and subscript rows once; each sign vector adds only its own rows. *)
 
 val vectors : ?fm_calls:int ref -> Nest.t -> Depvec.t list
 (** Just the dependence-vector set [D], deduplicated and subsumption-

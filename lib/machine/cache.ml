@@ -3,7 +3,7 @@ type config = { size_bytes : int; line_bytes : int; assoc : int }
 let fully_associative ~size_bytes ~line_bytes =
   { size_bytes; line_bytes; assoc = size_bytes / line_bytes }
 
-type stats = { accesses : int; hits : int; misses : int }
+type stats = { accesses : int; hits : int; misses : int; evictions : int }
 
 type t = {
   config : config;
@@ -20,6 +20,7 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable hits : int;
+  mutable evictions : int;
 }
 
 (* No line of a cache with lines of 2 bytes or more is [min_int]: a line
@@ -50,6 +51,7 @@ let create config =
     clock = 0;
     accesses = 0;
     hits = 0;
+    evictions = 0;
   }
 
 let config_of t = t.config
@@ -90,6 +92,7 @@ let access_general t addr =
     for w = 1 to t.config.assoc - 1 do
       if t.ages.(base + w) < t.ages.(base + !victim) then victim := w
     done;
+    if t.ages.(base + !victim) > 0 then t.evictions <- t.evictions + 1;
     t.tags.(base + !victim) <- line;
     t.ages.(base + !victim) <- t.clock;
     false
@@ -122,6 +125,7 @@ let[@inline] access2 t addr =
       if Array.unsafe_get ages (b + 1) < Array.unsafe_get ages b then b + 1
       else b
     in
+    if Array.unsafe_get tags v <> empty_tag then t.evictions <- t.evictions + 1;
     Array.unsafe_set tags v line;
     Array.unsafe_set ages v clock;
     false
@@ -150,11 +154,18 @@ let stream t ~starts ~deltas ~count =
       done
     done
 
-let stats t = { accesses = t.accesses; hits = t.hits; misses = t.accesses - t.hits }
+let stats t =
+  {
+    accesses = t.accesses;
+    hits = t.hits;
+    misses = t.accesses - t.hits;
+    evictions = t.evictions;
+  }
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) empty_tag;
   Array.fill t.ages 0 (Array.length t.ages) 0;
   t.clock <- 0;
   t.accesses <- 0;
-  t.hits <- 0
+  t.hits <- 0;
+  t.evictions <- 0

@@ -15,7 +15,16 @@ type config = {
 
 val fully_associative : size_bytes:int -> line_bytes:int -> config
 
-type stats = { accesses : int; hits : int; misses : int }
+type stats = {
+  accesses : int;
+  hits : int;
+  misses : int;
+  evictions : int;
+      (** misses that replaced a valid line. A set evicts only once more
+          than [assoc] distinct lines map to it, whatever the order of
+          the accesses, so a run that evicts nothing missed exactly once
+          per distinct line it touched. *)
+}
 
 type t
 

@@ -121,3 +121,22 @@ let simulate ?cache config env nest =
     run_program ~path:"stream" ?cache config env nest (fun addr cache ->
         Itf_exec.Compile.compile_addresses addr ~stream:(Cache.stream cache)
           env nest)
+
+(* The footprint certificate's two rules (memsim.mli). The premise: a
+   legal candidate runs its root's body statement instances, each with
+   the same values, in another order, and [layout] places its arrays
+   alike, so its body touches the root's addresses. When no loop header
+   or init reads an array, the body is all that touches a line, so the
+   candidate's set of lines is the root's. *)
+let header_reads_no_array (nest : Nest.t) =
+  List.for_all
+    (fun (l : Nest.loop) ->
+      Expr.arrays l.Nest.lo = []
+      && Expr.arrays l.Nest.hi = []
+      && Expr.arrays l.Nest.step = [])
+    nest.Nest.loops
+  && List.for_all
+       (fun s -> Stmt.arrays_read s = [] && Stmt.arrays_written s = [])
+       nest.Nest.inits
+
+let certifies root r = r.cache.Cache.evictions = 0 && header_reads_no_array root

@@ -63,3 +63,30 @@ val simulate :
     index are replayed through {!Cache.stream}. Every other nest is
     {!run_compiled}, with its effect on [env]. Only the static-control
     test selects the path. *)
+
+(** {1 Footprint certificate}
+
+    The paper's transformations reorder a nest's iterations and keep its
+    body, and every entry above lays a nest's arrays out by name and
+    size alone. So a legal transformed nest runs its root's body
+    statement instances, each reading the same values, in another order:
+    it touches the same addresses, and so the same set of cache lines.
+    An LRU set evicts only once more than [assoc] distinct lines map to
+    it, which no order of the accesses changes. A root whose run evicts
+    nothing therefore proves that each of its legal transformed nests
+    evicts nothing and misses exactly once per line it touches: its
+    cache stats are the root's (the compulsory-only case of the 3C miss
+    model). *)
+
+val certifies : Nest.t -> result -> bool
+(** [certifies root r], with [r] a completed simulation of [root], holds
+    under two rules: [r]'s cache evicted nothing, and [root]'s loop
+    bounds, steps and inits read no array, so that every line the root
+    or a transformed nest touches comes from a body statement instance
+    (a bound that reads an array may be read more or less often, or not
+    at all, once its loop moves). When it holds, every nest derived from
+    [root] by a legal transformation sequence has [r.cache] as its cache
+    stats when simulated against the same geometry in an environment
+    with the same array sizes. The locality objective answers
+    those nests from it without simulating (the search's
+    [Search.cache_misses]). *)

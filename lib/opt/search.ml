@@ -82,6 +82,39 @@ let moves (_ : Nest.t) ~depth =
 (* Objectives                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The framework never rewrites array accesses (paper §1: bodies are
+   kept, initialization statements only define scalars), so the
+   array-arity scan and the set of written arrays are the same for every
+   transformed nest of one root. Each objective instance keeps the scan
+   of the root it evaluated last, bound to that root's derivation id: a
+   result of another root scans its own nest and replaces it, so an
+   instance evaluated on several roots never lays one root's nest out
+   with another's arrays. An [Atomic] cell keeps the memo safe when the
+   engine evaluates candidates from several domains (a racing scan of
+   the same root stores an equal record). *)
+type arrays = {
+  root : int;  (** the derivation id of the root the scan is of *)
+  arities : (string * int) list;
+  written : string list;
+}
+
+let memo_arrays () =
+  let cell = Atomic.make None in
+  fun (result : Framework.result) ->
+    match Atomic.get cell with
+    | Some a when a.root = result.Framework.root -> a
+    | _ ->
+      let nest = result.Framework.nest in
+      let a =
+        {
+          root = result.Framework.root;
+          arities = Nest.array_arities nest;
+          written = Nest.arrays_written nest;
+        }
+      in
+      Atomic.set cell (Some a);
+      a
+
 (* Per-domain reusable environments: the dense arrays dominate
    per-evaluation allocation. Under {!Itf_exec.Compile} the only thing
    that mutates an environment is Store statements writing array elements
@@ -96,54 +129,35 @@ let moves (_ : Nest.t) ~depth =
    in.
 
    The keys are module-level, one per simulator: a domain holds at most
-   one environment for each, owned by the objective instance that used it
-   last, and an instance that finds another owner's environment builds
-   its own in its place. A key per instance would leak instead: OCaml
-   never frees a DLS slot, so every instance's environment would stay
-   reachable from every domain that ever evaluated it. *)
-type scratch = (unit ref * Itf_exec.Env.t) option ref
+   one environment for each, owned by the [arrays] scan (one objective
+   instance, one root) that used it last, and a scan that finds another
+   owner's environment builds its own in its place. A key per instance
+   would leak instead: OCaml never frees a DLS slot, so every instance's
+   environment would stay reachable from every domain that ever
+   evaluated it. *)
+type scratch = (arrays * Itf_exec.Env.t) option ref
 
 let memsim_env : scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 let parsim_env : scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let env_scratch key ~params () =
-  let owner = ref () in
-  fun arities ~written ->
-    let cell = Domain.DLS.get key in
-    match !cell with
-    | Some (prev, env) when prev == owner ->
-      List.iter
-        (fun a -> Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
-        written;
-      env
-    | _ ->
-      let env = Itf_exec.Env.create () in
-      List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) params;
-      List.iter
-        (fun (a, arity) ->
-          Itf_exec.Env.declare_array env a
-            (Costmodel.default_bounds ~params arity);
-          Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
-        arities;
-      cell := Some (owner, env);
-      env
-
-(* The framework never rewrites array accesses (paper §1: bodies are kept,
-   initialization statements only define scalars), so the array-arity scan
-   and the set of written arrays are the same for every transformed nest
-   of one search. Each objective instantiation scans once — on its first
-   evaluation — and reuses the result; an [Atomic] cell keeps the memo
-   safe when the engine evaluates candidates from several domains (a
-   racing re-computation would store an equal value). *)
-let memo_arrays () =
-  let cell = Atomic.make None in
-  fun nest ->
-    match Atomic.get cell with
-    | Some arrays -> arrays
-    | None ->
-      let arrays = (Nest.array_arities nest, Nest.arrays_written nest) in
-      Atomic.set cell (Some arrays);
-      arrays
+let env_scratch key ~params (arrays : arrays) ~written =
+  let cell = Domain.DLS.get key in
+  match !cell with
+  | Some (owner, env) when owner == arrays ->
+    List.iter
+      (fun a -> Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
+      written;
+    env
+  | _ ->
+    let env = Itf_exec.Env.create () in
+    List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) params;
+    List.iter
+      (fun (a, arity) ->
+        Itf_exec.Env.declare_array env a (Costmodel.default_bounds ~params arity);
+        Itf_exec.Env.fill_synthetic (Itf_exec.Env.array_data env a))
+      arrays.arities;
+    cell := Some (arrays, env);
+    env
 
 (* The memsim cache's tag and age arrays, one per domain for every
    instance: {!Itf_machine.Memsim.simulate} resets it before each
@@ -223,47 +237,75 @@ let cache_config =
 
 let spawn_overhead = 2.0
 
+(* The footprint certificate ({!Itf_machine.Memsim.certifies}): once a
+   root's own run evicts nothing, and its loop headers and inits read no
+   array, every legal candidate of that root has the root's cache stats,
+   so [cache_misses] answers it from them, compiling and running
+   nothing. The engine still sends the same candidates to the exact
+   tier, so exact evaluations, explored nodes, winners and scores are
+   what a simulation of each would give.
+
+   The certificate is bound to its root by identity: it holds the root's
+   derivation id, and a result uses it only when its own [root] is that
+   id. An objective evaluated on several roots therefore never answers
+   one root's candidates with another's count, whatever order the
+   results arrive in; a candidate of any other root is simulated, and
+   only a root's own run replaces the certificate. *)
 let cache_misses ?metrics ?memo ~params () : objective =
   let arrays = memo_arrays () in
-  let scratch = env_scratch memsim_env ~params () in
+  let certificate = Atomic.make None in
   let runs = counter metrics "memsim.runs"
+  and certified = counter metrics "memsim.certified"
   and entries = counter metrics "memsim.stream.entries"
   and fallbacks = counter metrics "memsim.stream.fallbacks"
   and accesses = counter metrics "memsim.cache.access"
   and misses = counter metrics "memsim.cache.miss" in
-  let run result =
+  let answer (cache : Itf_machine.Cache.stats) =
+    mcount accesses cache.accesses;
+    mcount misses cache.misses;
+    float cache.misses
+  in
+  let simulate result =
     let nest = result.Framework.nest in
-    let arities, written = arrays nest in
+    let arrays = arrays result in
     (* An address program writes no array, so only the values path needs
        the written arrays refilled. *)
     let written =
-      if Itf_exec.Compile.static_control nest then [] else written
+      if Itf_exec.Compile.static_control nest then [] else arrays.written
     in
     let r =
       Itf_machine.Memsim.simulate ~cache:(scratch_cache cache_config)
-        cache_config (scratch arities ~written) nest
+        cache_config
+        (env_scratch memsim_env ~params arrays ~written)
+        nest
     in
-    let cache = r.Itf_machine.Memsim.cache in
     let stream = r.Itf_machine.Memsim.stream in
     mcount runs 1;
     mcount entries stream.Itf_exec.Compile.entries;
     mcount fallbacks stream.Itf_exec.Compile.fallbacks;
-    mcount accesses cache.Itf_machine.Cache.accesses;
-    mcount misses cache.Itf_machine.Cache.misses;
-    float cache.Itf_machine.Cache.misses
+    if
+      result.Framework.derivation = result.Framework.root
+      && Itf_machine.Memsim.certifies nest r
+    then Atomic.set certificate (Some (result.Framework.root, r.cache));
+    answer r.cache
+  in
+  let run result =
+    match Atomic.get certificate with
+    | Some (root, cache) when root = result.Framework.root ->
+      mcount certified 1;
+      answer cache
+    | _ -> simulate result
   in
   memoized ?memo memsim_memo (Costmodel.params_key params) metrics "memsim.memo.hits" run
 
 let parallel_time ?metrics ?memo ~procs ~params () : objective =
   let arrays = memo_arrays () in
-  let scratch = env_scratch parsim_env ~params () in
   let runs = counter metrics "parsim.runs" in
   let run result =
-    let nest = result.Framework.nest in
     let t =
       Itf_machine.Parallel.time_compiled ~spawn_overhead ~procs
-        (scratch (fst (arrays nest)) ~written:[])
-        nest
+        (env_scratch parsim_env ~params (arrays result) ~written:[])
+        result.Framework.nest
     in
     mcount runs 1;
     t

@@ -45,12 +45,28 @@ val cache_misses :
     2-way cache, run through {!Itf_machine.Memsim.simulate}. Arrays are laid out from the nest's own access
     pattern; a nest that is not static-control runs on values, and the
     arrays it writes are re-filled with the same data before every
-    evaluation, so transformed nests score on identical data. [metrics], when given, accumulates [memsim.runs],
-    [memsim.cache.access], [memsim.cache.miss], [memsim.stream.entries]
-    and [memsim.stream.fallbacks] counters (atomic adds —
-    totals are domain-schedule independent). The objective creates
-    these counters, and its memo hit counter, in [metrics] when it is
-    built and keeps them, so an evaluation makes no registry lookup.
+    evaluation, so transformed nests score on identical data.
+
+    Footprint certificate: when the root's own run (the result whose
+    [derivation] is its [root]) is certified by
+    {!Itf_machine.Memsim.certifies} — it evicted nothing, and the root's
+    loop bounds, steps and inits read no array — every later result of
+    that root is answered with the root's miss count without compiling
+    or running anything. The certificate is bound to the root's
+    derivation id, so an objective evaluated on several roots answers
+    each root's results only from that root's own run; so is the scan of
+    the nest's arrays. Scores are the simulation's either way.
+
+    [metrics], when given, accumulates [memsim.runs] (completed
+    simulations), [memsim.certified] (results the certificate
+    answered), [memsim.cache.access], [memsim.cache.miss] (a certified
+    result adds the root's counts, which are its own),
+    [memsim.stream.entries] and [memsim.stream.fallbacks] counters
+    (atomic adds — totals are domain-schedule independent). Every
+    evaluation that returns a score is one run or one certified answer.
+    The objective creates these counters, and its memo hit counter, in
+    [metrics] when it is built and keeps them, so an evaluation makes no
+    registry lookup.
 
     [?memo] (default [true]): the objective is a pure function of
     (params, nest), and a result's derivation id

@@ -435,8 +435,8 @@ let slow_log_limit = 16
 (* One admitted unit of work, waiting in the scheduler queue. [reply] is
    called exactly once with the finished response — from a worker domain
    for queued jobs, from the submitting thread for inline answers
-   (malformed requests, cache hits found by text, shed requests,
-   shutdown). *)
+   (malformed requests, unknown ops, cache hits found by text, shed
+   requests, shutdown). *)
 type job =
   | Search of {
       req : request;
@@ -851,6 +851,7 @@ let status_snapshot t ~id =
         Json.Obj
           [
             ("runs", count "memsim.runs");
+            ("certified", count "memsim.certified");
             ("stream_entries", count "memsim.stream.entries");
             ("stream_fallbacks", count "memsim.stream.fallbacks");
           ] );
@@ -1093,15 +1094,27 @@ let drain t =
 (* Handling                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The one ordering gate for an answer the reader made itself (malformed
+   JSON or search, unknown op, shed search): when the caller's channel
+   owes earlier responses, [wait_turn] blocks the reader until they are
+   written, so the answer keeps its place in the channel's request order
+   and a client that pipelines junk behind a slow search is slowed by its
+   own backlog, never queued at the scheduler. *)
+let answer_inline ?(wait_turn = ignore) k resp =
+  wait_turn ();
+  k (resp, false)
+
 (* [submit t json k] classifies one decoded request and calls [k] exactly
    once with (response, stop). Inline paths — unknown op, malformed
-   search, cache hit found by text, shed search, shutdown — reply on the
-   calling thread before returning; admitted jobs reply later from a
-   worker domain. [owed] says the caller's channel still owes an earlier
-   response: a hit then queues behind it instead, so with one worker a
+   search, cache hit found by text, shed search, shutdown — make their
+   answer on the calling thread; admitted jobs reply later from a worker
+   domain. [wait_turn], given when the caller's channel still owes an
+   earlier response, blocks until the channel owes only this one: an
+   inline answer waits on it ({!answer_inline}), a hit queues as a miss
+   does, and shutdown drains the queue first, so with one worker a
    channel's responses keep their request order. Never raises: any error
    becomes a [status = "error"] response. *)
-let submit t ?(owed = false) json k =
+let submit t ?wait_turn json k =
   let t_recv = Unix.gettimeofday () in
   let req_id () = Option.value ~default:Json.Null (Json.member "id" json) in
   let op =
@@ -1149,7 +1162,7 @@ let submit t ?(owed = false) json k =
     in
     count_request t "error";
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
-    k (resp, false)
+    answer_inline ?wait_turn k resp
   | None -> (
     match parse_request json with
     | Error msg ->
@@ -1157,7 +1170,7 @@ let submit t ?(owed = false) json k =
          still counted and ring-recorded like any other request. *)
       let resp = error_response ?id:(Json.member "id" json) msg in
       record_request t ~req_id:(req_id ()) ~t_recv resp;
-      k (resp, false)
+      answer_inline ?wait_turn k resp
     | Ok req -> (
       let spelling =
         if t.cache.cap > 0 then Some (text_key req) else None
@@ -1167,7 +1180,8 @@ let submit t ?(owed = false) json k =
       let hit =
         match spelling with
         | Some s
-          when not (owed || expired ~deadline_ms:(deadline_ms t req) ~t_recv) ->
+          when Option.is_none wait_turn
+               && not (expired ~deadline_ms:(deadline_ms t req) ~t_recv) ->
           Lru.find_spelling t.cache s
         | _ -> None
       in
@@ -1203,20 +1217,20 @@ let submit t ?(owed = false) json k =
               ]
           in
           record_request t ~req_id:req.id ~t_recv resp;
-          k (resp, false))))
+          answer_inline ?wait_turn k resp)))
 
 (* [submit_line t line k] decodes one JSONL line and submits it. A line
    that is not JSON is answered inline, and counted, timed and
    ring-recorded with a [Null] id exactly like a malformed request
    object. *)
-let submit_line t ?owed line k =
+let submit_line t ?wait_turn line k =
   match Json.of_string line with
-  | Ok json -> submit t ?owed json k
+  | Ok json -> submit t ?wait_turn json k
   | Error msg ->
     let t_recv = Unix.gettimeofday () in
     let resp = error_response ("malformed JSON: " ^ msg) in
     record_request t ~req_id:Json.Null ~t_recv resp;
-    k (resp, false)
+    answer_inline ?wait_turn k resp
 
 (* Synchronous wrapper: submit and block until the reply lands. Used by
    tests and simple embedding; the I/O loops below use [submit_line]
@@ -1246,7 +1260,9 @@ let handle_line t line =
 (* ------------------------------------------------------------------ *)
 
 (* Pipelined channel loop: the reader admits requests as fast as they
-   arrive (the admission queue, not the reader, applies backpressure);
+   arrive (the admission queue applies backpressure to searches; an
+   answer the reader makes itself waits for the channel's earlier
+   responses, so a client's backlog slows only its own reader);
    workers complete them and responses are written in completion order
    under a per-channel output lock — out-of-order under load, so clients
    correlate by ["id"]. With [workers = 1] the scheduler is a FIFO and
@@ -1271,6 +1287,14 @@ let serve_channel t ic oc =
         if stop then stopped := true;
         Condition.signal pc)
   in
+  (* The reader is the only waiter on [pc]: here, until the line it
+     holds is the only one owed, and after the loop, until none is. *)
+  let wait_turn () =
+    Mutex.protect pm (fun () ->
+        while !pending > 1 do
+          Condition.wait pc pm
+        done)
+  in
   let rec loop () =
     if not (t.stopping || !stopped) then
       match input_line ic with
@@ -1284,7 +1308,8 @@ let serve_channel t ic oc =
                 incr pending;
                 owed)
           in
-          submit_line t ~owed line (fun (resp, stop) ->
+          let wait_turn = if owed then Some wait_turn else None in
+          submit_line t ?wait_turn line (fun (resp, stop) ->
               write resp;
               finish stop)
         end;

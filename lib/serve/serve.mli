@@ -156,10 +156,14 @@ val serve_channel : t -> in_channel -> out_channel -> unit
     shutdown request, then waits for every response it owes. The reader
     admits each line as it arrives and answers a cache hit found by text
     itself, but only when the channel owes no earlier response;
-    otherwise the hit queues behind it. Responses are written under a
-    per-channel lock, so with [workers = 1] they come back in request
-    order. {!run} calls it on stdin/stdout and on each socket
-    connection. *)
+    otherwise the hit queues behind it. Every other answer the reader
+    makes itself (malformed JSON or search, unknown op, shed search)
+    passes one gate: written at once when nothing is owed, otherwise
+    after the reader has waited for the owed responses, so it never
+    enters the scheduler queue. Shutdown waits for the queue to drain.
+    Responses are written under a per-channel lock, so with
+    [workers = 1] they come back in request order. {!run} calls it on
+    stdin/stdout and on each socket connection. *)
 
 val run : ?socket:string -> t -> unit
 (** [run t] serves stdin/stdout until EOF or a shutdown request; with

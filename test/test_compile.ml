@@ -441,23 +441,28 @@ let test_parallel_identical () =
 
 let search_config = { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 }
 
-(* The search objective's environment: every array declared with
-   [Costmodel.default_bounds] and filled synthetically. The sparse
-   product's access functions map into those bounds. *)
-let search_env ~params nest =
+(* The environment the locality objective builds: every array declared
+   with [Costmodel.default_bounds] and filled synthetically. *)
+let objective_env ~params nest =
   let env = Env.create () in
   List.iter (fun (v, x) -> Env.set_scalar env v x) params;
+  List.iter
+    (fun (a, arity) ->
+      Env.declare_array env a (Itf_opt.Costmodel.default_bounds ~params arity);
+      Env.fill_synthetic (Env.array_data env a))
+    (Nest.array_arities nest);
+  env
+
+(* The objective's environment plus the sparse product's access
+   functions, which map into those bounds. *)
+let search_env ~params nest =
+  let env = objective_env ~params nest in
   Env.declare_function env "colstr" (function
     | [ j ] -> (2 * j) - 1
     | _ -> invalid_arg "colstr");
   Env.declare_function env "rowidx" (function
     | [ k ] -> (k mod 5) + 1
     | _ -> invalid_arg "rowidx");
-  List.iter
-    (fun (a, arity) ->
-      Env.declare_array env a (Itf_opt.Costmodel.default_bounds ~params arity);
-      Env.fill_synthetic (Env.array_data env a))
-    (Nest.array_arities nest);
   env
 
 type sim_totals = { mutable entries : int; mutable fallbacks : int }
@@ -759,6 +764,172 @@ let test_simulate_constructed () =
       check_int "blocked candidate never falls back" 0 totals.fallbacks)
     [ 5; 8; 12 ]
 
+(* ------------------------------------------------------------------ *)
+(* Footprint certificate                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Framework = Itf_core.Framework
+module Metrics = Itf_obs.Metrics
+
+(* A full simulation of a candidate in the objective's environment, as
+   the objective's score: its miss count, or the exception it raised. *)
+let full_score ~params nest =
+  match Memsim.simulate search_config (objective_env ~params nest) nest with
+  | r -> Ok (float r.Memsim.cache.Cache.misses)
+  | exception e -> Error (Printexc.to_string e)
+
+let score obj result =
+  match obj result with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let count m name = Metrics.counter_value (Metrics.counter m name)
+
+type cert_totals = {
+  mutable roots : int;
+      (** roots simulated once, for themselves: every candidate certified *)
+  mutable certified : int;  (** candidates answered by a certificate *)
+}
+
+(* Every legal candidate one and two [Search.moves] from [root], scored
+   by one memo-off locality objective after the root: each certified
+   score must equal a full simulation (a certificate never raises, so
+   both raising is a mismatch too), and every evaluation that scores is
+   either a completed run or a certified answer. *)
+let check_certificate totals ~what ~params root =
+  let metrics = Metrics.create () in
+  let obj = Itf_opt.Search.cache_misses ~metrics ~memo:false ~params () in
+  match (Framework.check_root root).Framework.outcome with
+  | Error _ -> ()
+  | Ok (state, r0) ->
+    let root_score = score obj r0 in
+    let evaluations = ref (if Result.is_ok root_score then 1 else 0) in
+    if root_score <> full_score ~params root then
+      Alcotest.failf "%s: the root's score is not its simulation" what;
+    let check (result : Framework.result) =
+      let before = count metrics "memsim.certified" in
+      let s = score obj result in
+      if Result.is_ok s then incr evaluations;
+      if count metrics "memsim.certified" > before then begin
+        totals.certified <- totals.certified + 1;
+        if s <> full_score ~params result.Framework.nest then
+          Alcotest.failf "%s: certified score differs from a full simulation\n%s"
+            what
+            (Nest.to_string result.Framework.nest)
+      end
+    in
+    let moves (result : Framework.result) =
+      Itf_opt.Search.moves result.Framework.nest
+        ~depth:(Nest.depth result.Framework.nest)
+    in
+    List.iter
+      (fun m1 ->
+        match (Framework.check_extend state m1).Framework.outcome with
+        | Error _ -> ()
+        | Ok (s1, r1) ->
+          check r1;
+          List.iter
+            (fun m2 ->
+              match (Framework.check_extend s1 m2).Framework.outcome with
+              | Error _ -> ()
+              | Ok (_, r2) -> check r2)
+            (moves r1))
+      (moves r0);
+    if Result.is_ok root_score && count metrics "memsim.runs" = 1 then
+      totals.roots <- totals.roots + 1;
+    check_int
+      (what ^ ": runs + certified = evaluations")
+      !evaluations
+      (count metrics "memsim.runs" + count metrics "memsim.certified")
+
+(* A zero-trip outer loop whose inner bound reads an array: the root
+   touches nothing and evicts nothing, but once the loops are
+   interchanged the bound is read. The array-free-headers rule keeps
+   this root uncertified. *)
+let zero_trip_bound () =
+  Nest.make
+    [
+      Nest.loop "i" Expr.one (Expr.sub (Expr.var "n") (Expr.int 16));
+      Nest.loop "j" Expr.one (Expr.Load { Expr.array = "b"; index = [ Expr.one ] });
+    ]
+    [
+      Stmt.Store
+        ( { Expr.array = "a"; index = [ Expr.var "i"; Expr.var "j" ] },
+          Expr.Load { Expr.array = "b"; index = [ Expr.var "j" ] } );
+    ]
+
+(* Examples and e2e nests at five sizes, the constructed zero-trip nest,
+   the corpus and 1,000 [Gen] nests. The totals are pinned: a
+   certificate that applies to fewer candidates shows here. *)
+let test_certificate_sweep () =
+  let totals = { roots = 0; certified = 0 } in
+  List.iter
+    (fun (file, root) ->
+      List.iter
+        (fun n ->
+          check_certificate totals
+            ~what:(Printf.sprintf "%s n=%d" file n)
+            ~params:[ ("n", n) ] root)
+        [ 8; 12; 16; 24; 32 ])
+    (nest_files ());
+  check_certificate totals ~what:"zero-trip bound" ~params:[ ("n", 16) ]
+    (zero_trip_bound ());
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".repro")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         let c = Itf_check.Repro.load (Filename.concat "corpus" f) in
+         check_certificate totals ~what:f ~params:c.Itf_check.Gen.params
+           c.Itf_check.Gen.nest);
+  let st = Random.State.make [| 7 |] in
+  for k = 1 to 1000 do
+    let c = Itf_check.Gen.case st in
+    check_certificate totals
+      ~what:(Printf.sprintf "Gen case %d" k)
+      ~params:c.Itf_check.Gen.params c.Itf_check.Gen.nest
+  done;
+  check_int "certified roots" 951 totals.roots;
+  check_int "certified candidates" 98_223 totals.certified
+
+(* One objective, two roots: a certificate answers only its own root's
+   candidates, whatever order the results arrive in. *)
+let test_certificate_binds_root () =
+  let parse src = (Itf_lang.Parser.parse src).Itf_lang.Parser.nest in
+  let lu =
+    parse
+      "do k = 1, n\n  do i = k + 1, n\n    do j = k + 1, n\n      a(i, j) = a(i, j) - a(i, k) * a(k, j)\n    enddo\n  enddo\nenddo\n"
+  and rows =
+    parse
+      "do i = 1, n\n  do j = 1, n\n    c(j, i) = c(j, i) + d(i, j)\n  enddo\nenddo\n"
+  in
+  let params = [ ("n", 8) ] in
+  let metrics = Metrics.create () in
+  let obj = Itf_opt.Search.cache_misses ~metrics ~memo:false ~params () in
+  let legal root seq = Framework.apply_exn root seq in
+  let lu_root = legal lu []
+  and lu_cand = legal lu [ Itf_core.Template.interchange ~n:3 1 2 ] in
+  let rows_root = legal rows []
+  and rows_cand = legal rows [ Itf_core.Template.interchange ~n:2 0 1 ] in
+  let expect what (r : Framework.result) =
+    match (score obj r, full_score ~params r.Framework.nest) with
+    | Ok a, Ok b -> Alcotest.(check (float 0.)) what b a
+    | _ -> Alcotest.failf "%s: raised" what
+  in
+  expect "LU root" lu_root;
+  check_int "the root is simulated" 0 (count metrics "memsim.certified");
+  expect "row-sum candidate after LU's root" rows_cand;
+  check_int "another root's candidate is simulated" 0
+    (count metrics "memsim.certified");
+  expect "LU candidate" lu_cand;
+  check_int "LU's candidate is certified" 1 (count metrics "memsim.certified");
+  expect "row-sum root" rows_root;
+  expect "LU candidate after the row-sum root" lu_cand;
+  check_int "the row-sum root's run replaced LU's certificate" 1
+    (count metrics "memsim.certified");
+  expect "row-sum candidate" rows_cand;
+  check_int "the row-sum candidate is certified" 2
+    (count metrics "memsim.certified");
+  check_bool "the two roots score apart" true
+    (score obj lu_cand <> score obj rows_cand)
+
 let () =
   Alcotest.run "compile"
     [
@@ -791,6 +962,10 @@ let () =
             test_simulate_constructed;
           Alcotest.test_case "corpus and 1000 Gen nests" `Quick
             test_simulate_corpus_and_gen;
+          Alcotest.test_case "footprint certificate binds its root" `Quick
+            test_certificate_binds_root;
+          Alcotest.test_case "footprint certificate sweep" `Slow
+            test_certificate_sweep;
           Alcotest.test_case "one- and two-move candidates" `Slow
             test_simulate_candidates;
         ] );

@@ -534,6 +534,15 @@ let test_derivation_ids_agree () =
         (derivation (Framework.apply root seq))
         (derivation (incremental root seq)))
     [ ("root", []); ("skew", [ skew ]); ("skew, interchange", [ skew; interchange ]) ];
+  (* Every result names its root by the root's own derivation id. *)
+  let root_id = derivation (Framework.apply root []) in
+  List.iter
+    (fun (label, r) -> check_int label root_id (legal r).Framework.root)
+    [
+      ("root of the root", Framework.apply root []);
+      ("root by apply", Framework.apply root [ skew; interchange ]);
+      ("root by extension", incremental root [ skew; interchange ]);
+    ];
   let parent = state (checked_extend (state (checked_root root)) skew) in
   let moves = Search.moves root ~depth:2 in
   let expected =

@@ -871,11 +871,11 @@ let test_serve_concurrent_exact_totals () =
   | Json.List l -> check_int "slow-log window full" 16 (List.length l)
   | _ -> Alcotest.fail "slow not a list"
 
-(* Per-channel order: at one worker, a cache hit that follows a queued
-   miss on the same pipelined channel queues behind it instead of being
-   answered by the reader first. *)
-let test_serve_channel_order () =
-  let server = Serve.create ~domains:1 ~workers:1 () in
+(* One pipelined [serve_channel] on [server] (by default a fresh
+   one-worker server): [f send recv] sends request lines and reads
+   responses; the channel is closed and the server thread joined when [f]
+   returns. *)
+let with_channel ?(server = Serve.create ~domains:1 ~workers:1 ()) f =
   let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
   let served =
     spawn (fun () ->
@@ -894,24 +894,123 @@ let test_serve_channel_order () =
     | Ok j -> j
     | Error msg -> Alcotest.fail msg
   in
-  let a id = req ~id:(Json.String id) matmul_src in
-  send [ a "a1" ];
-  let r1 = recv () in
-  send [ heavy_req (Json.String "b"); a "a2" ];
-  let r2 = recv () in
-  let r3 = recv () in
+  let result = f send recv in
   close_out to_server;
   Thread.join served;
   close_in from_server;
   Unix.close req_r;
-  check_string "responses in request order" "a1 b a2"
-    (String.concat " "
-       (List.map
-          (fun r -> Option.value ~default:"?" (Json.to_str (field "id" r)))
-          [ r1; r2; r3 ]));
+  result
+
+let ids responses =
+  String.concat " "
+    (List.map
+       (fun r -> Option.value ~default:"?" (Json.to_str (field "id" r)))
+       responses)
+
+(* Per-channel order: at one worker, a cache hit that follows a queued
+   miss on the same pipelined channel queues behind it instead of being
+   answered by the reader first. *)
+let test_serve_channel_order () =
+  let a id = req ~id:(Json.String id) matmul_src in
+  let r1, r2, r3 =
+    with_channel (fun send recv ->
+        send [ a "a1" ];
+        let r1 = recv () in
+        send [ heavy_req (Json.String "b"); a "a2" ];
+        let r2 = recv () in
+        (r1, r2, recv ()))
+  in
+  check_string "responses in request order" "a1 b a2" (ids [ r1; r2; r3 ]);
   check_bool "first A was searched" true (field "cached" r1 = Json.Bool false);
   check_string "B ok" "ok" (status r2);
   check_bool "second A is cached" true (field "cached" r3 = Json.Bool true)
+
+(* Every answer the reader makes itself passes the same gate as a hit.
+   At one worker, each kind of inline answer comes back after the heavy
+   miss it follows on the same channel: a malformed search, an unknown
+   op, a line that is not JSON, a hit, and (on a 1-slot queue, where an
+   owed hit would be shed too) a search shed behind a queued one. The
+   reader stops at the first gated line until the miss is answered, so
+   each kind directly follows its own miss: a later line could not
+   overtake even ungated. *)
+let test_serve_inline_answers_order () =
+  let behind_miss ?server cases =
+    with_channel ?server (fun send recv ->
+        List.concat_map
+          (fun lines ->
+            send lines;
+            List.init (List.length lines) (fun _ -> recv ()))
+          cases)
+  in
+  let a id = req ~id:(Json.String id) matmul_src in
+  let b () = heavy_req (Json.String "b") in
+  let responses =
+    behind_miss
+      [
+        [ a "a1" ];
+        [ b (); {|{"id": "m", "nest": 42}|} ];
+        [ b (); {|{"id": "u", "op": "frobnicate"}|} ];
+        [ b (); "not json" ];
+        [ b (); a "a2" ];
+      ]
+  in
+  check_string "responses in request order" "a1 b m b u b ? b a2"
+    (ids responses);
+  check_string "statuses" "ok ok error ok error ok error ok ok"
+    (String.concat " " (List.map status responses));
+  check_bool "the hit is cached" true
+    (field "cached" (List.nth responses 8) = Json.Bool true);
+  let server = Serve.create ~domains:1 ~workers:1 ~queue_depth:1 () in
+  let shed =
+    behind_miss ~server
+      [
+        [
+          b ();
+          req ~id:(Json.String "q") ~steps:1 matmul_src;
+          req ~id:(Json.String "s") ~steps:2 matmul_src;
+        ];
+      ]
+  in
+  check_string "shed in request order" "b q s" (ids shed);
+  check_bool "one of the last two searches was shed" true
+    (List.exists (fun r -> status r = "overloaded") (List.tl shed))
+
+(* Backpressure on inline answers: a channel that pipelines junk behind
+   a heavy search at one worker and a 1-slot queue is held at its reader
+   until the search is answered. Its junk never enters the scheduler
+   queue, so the queue stays empty and another client's search is
+   admitted instead of shed. *)
+let test_serve_inline_backpressure () =
+  let server =
+    Serve.create ~domains:1 ~max_cache:0 ~workers:1 ~queue_depth:1 ()
+  in
+  let junk = 50 in
+  let errors () =
+    Itf_obs.Metrics.counter_value
+      (Itf_obs.Metrics.counter (Serve.metrics server)
+         ~labels:[ ("status", "error") ] "serve.requests")
+  in
+  let responses, other, depth =
+    with_channel ~server (fun send recv ->
+        send [ heavy_req (Json.String "b") ];
+        check_bool "worker picked up the heavy search" true
+          (wait_for (fun () -> gauge server "serve.workers.busy" = 1.));
+        send (List.init junk (fun i -> Printf.sprintf "junk %d" i));
+        (* Held at the reader, the junk is answered only once the heavy
+           search is; queued behind it, it would all be counted at once. *)
+        ignore (wait_for ~timeout:0.2 (fun () -> errors () >= junk));
+        let depth = gauge server "serve.queue.depth" in
+        let other, _ =
+          Serve.handle_line server (req ~id:(Json.String "c") ~steps:1 matmul_src)
+        in
+        (List.init (junk + 1) (fun _ -> recv ()), other, depth))
+  in
+  check_bool "junk never queued" true (depth = 0.);
+  check_string "another channel's search admitted" "ok" (status other);
+  check_string "heavy search answered first" "b" (ids [ List.hd responses ]);
+  check_int "every junk line answered as an error" junk
+    (List.length
+       (List.filter (fun r -> status r = "error") (List.tl responses)))
 
 let queue_waits server =
   Itf_obs.Metrics.histogram_count
@@ -1204,6 +1303,10 @@ let () =
             test_serve_concurrent_exact_totals;
           Alcotest.test_case "hits keep per-channel order" `Quick
             test_serve_channel_order;
+          Alcotest.test_case "inline answers keep per-channel order" `Quick
+            test_serve_inline_answers_order;
+          Alcotest.test_case "inline answers wait at the reader" `Quick
+            test_serve_inline_backpressure;
           Alcotest.test_case "spelling index: repeats and respellings" `Quick
             test_serve_spelling_index;
           Alcotest.test_case "spelling index stays within the cap" `Quick
