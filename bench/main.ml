@@ -739,6 +739,7 @@ let search_bench ?baseline () =
         ("stencil/parallel", stencil (), "parallel", 10);
         ("matmul/locality", matmul (), "locality", 16);
         ("lu/parallel", lu (), "parallel", 10);
+        ("lu/locality", lu (), "locality", 16);
       ]
   in
   (* Best-of-five for the runs whose timing ratio is enforced: these
@@ -895,11 +896,13 @@ let search_bench ?baseline () =
         (* The cache simulations one memo-off tiered search runs, and the
            locality evaluations the root's footprint certificate answers
            instead: on a locality case together exactly its exact
-           evaluations, and never none. The one locality case, matmul at
-           n = 16, maps 3 lines to a set of the 2-way cache, so its root
-           is never certified: here the gate checks only that every
-           evaluation simulates (test_compile's sweep checks the
-           certificate itself). *)
+           evaluations, and never none. Matmul at n = 16 maps 3 lines to
+           a set of the 2-way cache, so its root is never certified and
+           every evaluation simulates. LU at n = 16 evicts nothing
+           (test_compile's sweep pins which roots certify): its root is
+           its one simulation and every other evaluation is certified,
+           so a certificate that stops applying fails here even without
+           a baseline, and the exact gate pins both counts. *)
         let compute_memsim =
           let m = Itf_obs.Metrics.create () in
           let count name =
@@ -917,7 +920,13 @@ let search_bench ?baseline () =
               failwith
                 (Printf.sprintf
                    "%s: %d memsim runs + %d certified, %d exact evaluations"
-                   name runs certified evals)
+                   name runs certified evals);
+            if name = "lu/locality" && (runs <> 1 || certified = 0) then
+              failwith
+                (Printf.sprintf
+                   "%s: %d memsim runs, %d certified: the root's footprint \
+                    certificate no longer answers its candidates"
+                   name runs certified)
           | _ -> ());
           (runs, certified)
         in

@@ -3,9 +3,11 @@ module Intmat = Itf_mat.Intmat
 module Bmat = Itf_bounds.Bmat
 module Fourier = Itf_bounds.Fourier
 
-(* Fresh-name supply seeded with every name already used by the nest. *)
-let name_supply nest =
-  let used = ref (Nest.all_vars nest) in
+(* Fresh-name supply seeded with [used], every name already in use:
+   the family's name set, or that set plus the step counters of the
+   normalized nest. *)
+let name_supply names =
+  let used = ref names in
   let fresh base =
     let pick =
       if not (List.mem base !used) then base
@@ -19,7 +21,7 @@ let name_supply nest =
     used := pick :: !used;
     pick
   in
-  fresh
+  (fresh, used)
 
 (* ------------------------------------------------------------------ *)
 (* ReversePermute                                                      *)
@@ -160,17 +162,34 @@ let unimodular_names fresh m (vars : string array) =
         else fresh "y")
     names
 
-let unimodular nest m =
-  let fresh = name_supply nest in
-  let nest, _ = normalize_steps fresh nest in
+(* What a Unimodular child reads of its parent and not of its matrix:
+   the step-normalized nest, the names in use once its counters are
+   named, and its Fourier–Motzkin system. Built once per family; a
+   failure is kept and re-raised for every child, as each child would
+   have raised it. *)
+let normalized (f : Family.t) =
+  Family.cell f.Family.unimodular (fun () ->
+      match
+        let fresh, used = name_supply f.Family.names in
+        let nest, _ = normalize_steps fresh f.Family.nest in
+        let system = Fourier.nest_system nest in
+        { Family.norm_nest = nest; norm_names = !used; norm_system = system }
+      with
+      | norm -> Ok norm
+      | exception e -> Error e)
+
+let unimodular f m minv =
+  let { Family.norm_nest = nest; norm_names; norm_system } =
+    match normalized f with Ok norm -> norm | Error e -> raise e
+  in
+  let fresh, _ = name_supply norm_names in
   let vars = Array.of_list (Nest.loop_vars nest) in
   (* A unimodular change of basis mixes iteration coordinates, so any
      parallelism of the input loops has no well-defined image: the output
      loops are all sequential (re-parallelize afterwards if legal). *)
   let kinds = List.map (fun (_ : Nest.loop) -> Nest.Do) nest.Nest.loops in
-  let minv = Intmat.inverse_unimodular m in
   let new_vars = unimodular_names fresh m vars in
-  let sys = Fourier.substitute (Fourier.nest_system nest) minv new_vars in
+  let sys = Fourier.substitute norm_system minv new_vars in
   let bounds = Fourier.bounds sys in
   let loops =
     List.mapi
@@ -217,8 +236,9 @@ let subst_term_endpoints vars ~i ~loop ~minimize ~block_low ~block_high
     tm.Bmat.coeffs;
   !e
 
-let block bm nest i j bsize =
-  let fresh = name_supply nest in
+let block (f : Family.t) nest i j bsize =
+  let bm = f.Family.bmat in
+  let fresh, _ = name_supply f.Family.names in
   let loops = Array.of_list nest.Nest.loops in
   let n = Array.length loops in
   let vars = Array.map (fun (l : Nest.loop) -> l.Nest.var) loops in
@@ -360,8 +380,8 @@ let block bm nest i j bsize =
 (* Coalesce                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let coalesce nest i j =
-  let fresh = name_supply nest in
+let coalesce (f : Family.t) nest i j =
+  let fresh, _ = name_supply f.Family.names in
   let loops = Array.of_list nest.Nest.loops in
   let n = Array.length loops in
   let width = j - i + 1 in
@@ -439,8 +459,8 @@ let coalesce nest i j =
 (* Interleave                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let interleave nest i j isize =
-  let fresh = name_supply nest in
+let interleave (f : Family.t) nest i j isize =
+  let fresh, _ = name_supply f.Family.names in
   let loops = Array.of_list nest.Nest.loops in
   let n = Array.length loops in
   let width = j - i + 1 in
@@ -476,15 +496,16 @@ let interleave nest i j isize =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let apply ?bmat nest (t : Template.t) =
+let apply ?family nest (t : Template.t) =
   if Nest.depth nest <> Template.input_depth t then
     invalid_arg "Codegen.apply: nest depth does not match template";
+  let family () =
+    match family with Some f -> f | None -> Family.make nest []
+  in
   match t with
-  | Template.Unimodular { m; _ } -> unimodular nest m
+  | Template.Unimodular { m; minv; _ } -> unimodular (family ()) m minv
   | Template.Reverse_permute { rev; perm; _ } -> reverse_permute nest rev perm
   | Template.Parallelize { parflag; _ } -> parallelize nest parflag
-  | Template.Block { i; j; bsize; _ } ->
-    let bm = match bmat with Some bm -> bm | None -> Bmat.of_nest nest in
-    block bm nest i j bsize
-  | Template.Coalesce { i; j; _ } -> coalesce nest i j
-  | Template.Interleave { i; j; isize; _ } -> interleave nest i j isize
+  | Template.Block { i; j; bsize; _ } -> block (family ()) nest i j bsize
+  | Template.Coalesce { i; j; _ } -> coalesce (family ()) nest i j
+  | Template.Interleave { i; j; isize; _ } -> interleave (family ()) nest i j isize

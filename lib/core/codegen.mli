@@ -34,10 +34,17 @@
     - [Block]/[Interleave] sub-loops inherit the original loop's
       [do]/[pardo] kind. *)
 
-val apply : ?bmat:Itf_bounds.Bmat.t -> Itf_ir.Nest.t -> Template.t -> Itf_ir.Nest.t
-(** [bmat], when given, must be [Bmat.of_nest nest]: a caller that has
-    already built the nest's matrices (the legality check, to test the
-    template's preconditions) passes them on instead of paying for a
-    second build.
+val apply : ?family:Family.t -> Itf_ir.Nest.t -> Template.t -> Itf_ir.Nest.t
+(** [family], when given, must be the family of [nest] ({!Family.make}
+    of [nest]): what the code of every child of [nest] shares is read
+    from it, and built there on first use. The name set seeds the
+    fresh-name supply of [Unimodular], [Block], [Coalesce] and
+    [Interleave]; [Block] reads the bound matrices; [Unimodular] reads
+    the step-normalized nest and its Fourier–Motzkin system, kept once
+    per family, and substitutes the template's own [minv], kept once
+    per template ({!Template.unimodular}). So the siblings of one
+    parent, which {!Legality} generates from one family, pay for the
+    shared part once. Without [family] a new one is built for the call:
+    there is one code path.
     @raise Invalid_argument if the template's [n] differs from the nest
     depth. *)

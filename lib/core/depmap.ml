@@ -115,11 +115,9 @@ and delta_free env e =
       | Some _ -> false)
     (Itf_ir.Expr.free_vars e)
 
-type grid = { grid_exact : bool array; grid_norm : Interval.t array }
-
 (* Per-component deltas of the step-normalized variables the matrix will
    mix, for the dependence vector [d] on [nest]. *)
-let grid_of_nest (nest : Itf_ir.Nest.t) (d : t) : grid =
+let grid_of_nest (nest : Itf_ir.Nest.t) (d : t) : Family.grid =
   let module Nest = Itf_ir.Nest in
   let module Expr = Itf_ir.Expr in
   let loops = Array.of_list nest.Nest.loops in
@@ -159,17 +157,17 @@ let grid_of_nest (nest : Itf_ir.Nest.t) (d : t) : grid =
         (if is_zero d.(k) then (Fin 0, Fin 0) else (NegInf, PosInf)));
     env := (l.Nest.var, value) :: !env
   done;
-  { grid_exact; grid_norm }
+  { Family.grid_exact; grid_norm }
 
 let unimodular_map ?grid m (d : t) : t =
   let n = Array.length d in
   let exact k =
-    match grid with None -> true | Some g -> g.grid_exact.(k)
+    match grid with None -> true | Some g -> g.Family.grid_exact.(k)
   in
   let interval k =
     match grid with
     | None -> interval_of_elem d.(k)
-    | Some g -> g.grid_norm.(k)
+    | Some g -> g.Family.grid_norm.(k)
   in
   Array.init n (fun r ->
       let row = Intmat.row m r in
@@ -390,5 +388,27 @@ let map_vector ?(rectangular_bands = false) ?nest (t : Template.t) (d : t) :
   | Template.Coalesce { i; j; _ } -> [ coalesce_map ~rectangular i j d ]
   | Template.Interleave { i; j; _ } -> interleave_map ~rectangular i j d
 
-let map_set ?rectangular_bands ?nest t ds =
-  Depvec.dedupe (List.concat_map (map_vector ?rectangular_bands ?nest t) ds)
+let map_set ?rectangular_bands ?family t ds =
+  let plain rectangular_bands nest =
+    Depvec.dedupe
+      (List.concat_map (map_vector ?rectangular_bands ?nest t) ds)
+  in
+  match family with
+  | None -> plain rectangular_bands None
+  | Some (f : Family.t) -> (
+    let rectangular = Family.rectangular_bands f t in
+    (* The family's slots describe its own vectors (physically): any
+       other set is mapped vector by vector on the family's nest. *)
+    match t with
+    | Template.Unimodular { m; _ } when ds == f.Family.vectors ->
+      let grids =
+        Family.cell f.Family.grids (fun () ->
+            Array.of_list (List.map (grid_of_nest f.Family.nest) ds))
+      in
+      Depvec.dedupe (List.mapi (fun k d -> unimodular_map ~grid:grids.(k) m d) ds)
+    | Template.Block { i; j; _ } when ds == f.Family.vectors ->
+      (* [block_map] never reads the block sizes: the size siblings of
+         one band share their image. *)
+      Family.band f f.Family.block_image i j (fun () ->
+          Depvec.dedupe (List.concat_map (block_map ~rectangular i j) ds))
+    | _ -> plain (Some rectangular) (Some f.Family.nest))

@@ -53,9 +53,17 @@ val map_vector :
     template's input depth. *)
 
 val map_set :
-  ?rectangular_bands:bool -> ?nest:Itf_ir.Nest.t -> Template.t ->
+  ?rectangular_bands:bool -> ?family:Family.t -> Template.t ->
   Itf_dep.Depvec.t list -> Itf_dep.Depvec.t list
-(** Image of a whole dependence-vector set, deduplicated. *)
+(** Image of a whole dependence-vector set, deduplicated: {!map_vector}
+    of each vector. [family], when given, is the family of the nest the
+    template is applied to ({!Family}); it stands for [nest] and for
+    [rectangular_bands], which it answers per band. When the set is the
+    family's own vectors (physically), what depends only on the parent
+    is read from the family, built there on first use: the
+    [Unimodular] rule's grid of each vector, kept once per family, and
+    [Block]'s image of the set, kept once per band (the rule never
+    reads the block sizes, so the size siblings of one band share it). *)
 
 (** {1 Individual entry maps (exposed for tests and documentation)} *)
 

@@ -102,14 +102,14 @@ let map_vectors seq vectors =
    one counter of template applications. [root] is the derivation id of
    the entry's root: its own for a root entry, its parent's [root] for a
    child. *)
-let checked ((cell, derivation) : entry) ~root make =
+let checked ?built ((cell, derivation) : entry) ~root make =
   match Atomic.get cell with
   | Some c -> c
   | None ->
     let count = ref 0 in
     let prefix = make count in
     let outcome =
-      match Legality.verdict ~count prefix with
+      match Legality.verdict ~count ?built prefix with
       | Legality.Legal { nest; vectors; _ } ->
         Ok
           ( { prefix; derivation; root; annexes = [] },
@@ -129,9 +129,16 @@ let check_root ?vectors nest =
 
 let child_entry parent tid = child_id parent.derivation tid
 
-let check_child parent t entry =
-  checked entry ~root:parent.root (fun count ->
-      Legality.extend ~count parent.prefix t)
+let check_child ?built parent t entry =
+  checked ?built entry ~root:parent.root (fun count ->
+      Legality.extend ~count ?built parent.prefix t)
+
+(* A prefix accepted through its reduced sequence holds no nest of its
+   own: its forms are computed from the result's, and kept nowhere. *)
+let references st (result : result) =
+  match Legality.references st.prefix with
+  | Some found -> found
+  | None -> (Itf_bounds.Access.of_nest result.nest, Legality.Computed)
 
 let check_extend parent t =
   let t, tid = Template.intern_id t in

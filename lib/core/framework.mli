@@ -119,13 +119,23 @@ val child_entry : state -> int -> entry
 (** [child_entry parent tid] is the entry of [parent] extended by the
     template whose {!Template.intern_id} is [tid]: one probe. *)
 
-val check_child : state -> Template.t -> entry -> checked
+val check_child : ?built:int ref -> state -> Template.t -> entry -> checked
 (** [check_child parent t e], with [e] a [child_entry parent] of [t]'s
     id (or an entry kept from such a call), is {!check_extend}[ parent
     t] answered from [e]: the stored verdict, or one computed and
     stored there. An entry evicted from the table since answers the
-    same, and its id still names the same candidate.
+    same, and its id still names the same candidate. A computed verdict
+    increments [built] once per family its legality check built
+    ({!Legality.extend}): the parent's, on the first child checked, and
+    those of a reduced-sequence replay.
     @raise Invalid_argument as {!check_extend}. *)
+
+val references : state -> result -> Itf_bounds.Access.t * Legality.provenance
+(** [references st r], with [r] the result of [st]: the array reference
+    forms of [r]'s nest, kept in [st] and shared with its parent's where
+    {!Legality.references} says so. A state whose raw prefix failed a
+    stage (and was accepted through its reduced sequence) keeps none:
+    its forms are computed on every call. *)
 
 val stored : entry -> checked option
 (** The verdict [e] already holds, if any: {!check_child} on [e] then

@@ -1,6 +1,6 @@
 open Itf_ir
 module Depvec = Itf_dep.Depvec
-module Bmat = Itf_bounds.Bmat
+module Access = Itf_bounds.Access
 
 type stage = {
   index : int;
@@ -12,33 +12,6 @@ type verdict =
   | Legal of { nest : Nest.t; vectors : Depvec.t list; stages : stage list }
   | Bounds_violation of { index : int; violations : Boundsmap.violation list }
   | Dependence_violation of { vector : Depvec.t }
-
-(* Is the template's loop band rectangular — bounds and steps invariant in
-   every enclosing loop variable? Controls whether Table 2's exact band
-   entries are trustworthy (see {!Depmap.map_vector}). *)
-let rectangular_bands bm (t : Template.t) =
-  let band =
-    match t with
-    | Template.Block { i; j; _ }
-    | Template.Coalesce { i; j; _ }
-    | Template.Interleave { i; j; _ } -> Some (i, j)
-    | Template.Unimodular _ | Template.Reverse_permute _
-    | Template.Parallelize _ -> None
-  in
-  match band with
-  | None -> false
-  | Some (i, j) ->
-    let ok = ref true in
-    for m = i to j do
-      for k = 0 to m - 1 do
-        List.iter
-          (fun w ->
-            if not (Itf_bounds.Btype.leq (Bmat.btype bm w ~loop:m ~wrt:k) Itf_bounds.Btype.Invar)
-            then ok := false)
-          [ Bmat.L; Bmat.U; Bmat.S ]
-      done
-    done;
-    !ok
 
 let bump count n = match count with None -> () | Some r -> r := !r + n
 
@@ -67,25 +40,25 @@ let demote_unsupported_pardo (nest : Nest.t) vectors =
           nest.Nest.loops;
     }
 
-(* One stage of [extend]: [t]'s bounds preconditions against
-   [bm], the matrices of [nest], then its code and its mapped vectors. The
-   published preconditions are necessary but not quite sufficient for
-   every corner (e.g. a strided loop whose lower bound is a multi-term max
-   cannot be step-normalized exactly); when code generation detects such a
-   case it rejects, and the stage reports a bounds violation rather than
-   crash. *)
-let step ~bm ~index nest vectors (t : Template.t) =
+(* One stage of [extend]: [t]'s bounds preconditions against the
+   matrices of [family], the family of [nest], then its code and its
+   mapped vectors, each reading what the siblings of [nest] share from
+   [family]. The published preconditions are necessary but not quite
+   sufficient for every corner (e.g. a strided loop whose lower bound is
+   a multi-term max cannot be step-normalized exactly); when code
+   generation detects such a case it rejects, and the stage reports a
+   bounds violation rather than crash. *)
+let step ~family ~index nest vectors (t : Template.t) =
   let violation reason =
     let violations = [ { Boundsmap.template = Template.name t; reason } ] in
     Error (Bounds_violation { index; violations })
   in
-  match Boundsmap.check bm t with
+  match Family.violations family t with
   | _ :: _ as violations -> Error (Bounds_violation { index; violations })
   | [] -> (
-    let rectangular_bands = rectangular_bands bm t in
-    match Codegen.apply ~bmat:bm nest t with
+    match Codegen.apply ~family nest t with
     | nest' ->
-      let vectors' = Depmap.map_set ~rectangular_bands ~nest t vectors in
+      let vectors' = Depmap.map_set ~family t vectors in
       Ok
         ( demote_unsupported_pardo nest' vectors',
           vectors',
@@ -100,22 +73,34 @@ let step ~bm ~index nest vectors (t : Template.t) =
 (* ------------------------------------------------------------------ *)
 
 (* What every state derived from one [start] shares: the root nest and
-   its vectors. *)
-type root = { r_nest : Nest.t; r_vectors : Depvec.t list }
+   its vectors, and the root state's family cell, so a replay from the
+   root ([verdict]'s reduced-sequence fallback) reuses the family. *)
+type root = {
+  r_nest : Nest.t;
+  r_vectors : Depvec.t list;
+  r_family : Family.t option Atomic.t;
+}
 
 type path =
   | On of {
       nest : Nest.t;
       vectors : Depvec.t list;
       stages_rev : stage list;
-      bmat : Bmat.t option Atomic.t;
-          (* The bound matrices of [nest], built by the first [extend] and
-             read by every later one: the siblings of one parent all check
-             their preconditions against the same matrices. An [Atomic]
-             cell, not a [Lazy]: pool domains extend siblings of one
-             memoised parent concurrently, and forcing one lazy value from
-             two domains at once raises. A racing build stores an equal
-             value. *)
+      family : Family.t option Atomic.t;
+          (* The family of [nest]: what its children share (the bound
+             matrices, the name set, the Unimodular and per-band work,
+             the reference forms; see {!Family}), built by the first
+             [extend] and read by every later one, so the siblings of
+             one parent pay for one build. An [Atomic] cell, not a
+             [Lazy]: pool domains extend siblings of one memoised parent
+             concurrently, and forcing one lazy value from two domains
+             at once raises. A racing build stores an equal value. *)
+      parent_refs : Access.t option Atomic.t option;
+          (* The parent family's reference-form cell, when the stage
+             kept what the forms read ({!Family.inherits}): parent and
+             child share one cell. A state that does not inherit keeps
+             its forms only in its own family, so a candidate that never
+             becomes a parent keeps none. *)
     }  (* every stage so far held *)
   | Off of verdict  (* the first stage to fail its bounds preconditions *)
 
@@ -126,48 +111,91 @@ type state = {
   path : path;
 }
 
-(* Every on-path state gets a fresh matrix cell, so a cell never outlives
-   the nest it was built for. *)
-let on nest vectors stages_rev =
-  On { nest; vectors; stages_rev; bmat = Atomic.make None }
-
 let of_root root =
   {
     root;
     seq_rev = [];
     depth = Nest.depth root.r_nest;
-    path = on root.r_nest root.r_vectors [];
+    path =
+      On
+        {
+          nest = root.r_nest;
+          vectors = root.r_vectors;
+          stages_rev = [];
+          family = root.r_family;
+          parent_refs = None;
+        };
   }
 
 let start ?vectors nest =
   let vectors =
     match vectors with Some v -> v | None -> Itf_dep.Analysis.vectors nest
   in
-  of_root { r_nest = nest; r_vectors = vectors }
+  of_root { r_nest = nest; r_vectors = vectors; r_family = Atomic.make None }
 
-let extend ?count st (t : Template.t) =
+let family_of ?built cell nest vectors parent_refs =
+  match Atomic.get cell with
+  | Some f -> f
+  | None ->
+    let f = Family.make ?refs:parent_refs nest vectors in
+    Atomic.set cell (Some f);
+    bump built 1;
+    f
+
+let family st =
+  match st.path with
+  | Off _ -> None
+  | On { nest; vectors; family; parent_refs; _ } ->
+    Some (family_of family nest vectors parent_refs)
+
+let extend ?count ?built st (t : Template.t) =
   if Template.input_depth t <> st.depth then
     invalid_arg "Legality.extend: template does not chain with the state";
   let path =
     match st.path with
     | Off _ as off -> off
-    | On { nest; vectors; stages_rev; bmat } -> (
+    | On { nest; vectors; stages_rev; family; parent_refs } -> (
       bump count 1;
-      let bm =
-        match Atomic.get bmat with
-        | Some bm -> bm
-        | None ->
-          let bm = Bmat.of_nest nest in
-          Atomic.set bmat (Some bm);
-          bm
-      in
-      match step ~bm ~index:(List.length st.seq_rev) nest vectors t with
-      | Ok (nest', vectors', stage) -> on nest' vectors' (stage :: stages_rev)
+      let family = family_of ?built family nest vectors parent_refs in
+      match step ~family ~index:(List.length st.seq_rev) nest vectors t with
+      | Ok (nest', vectors', stage) ->
+        (* Every new on-path state gets a fresh family cell, so a family
+           never outlives the nest it was built for. *)
+        On
+          {
+            nest = nest';
+            vectors = vectors';
+            stages_rev = stage :: stages_rev;
+            family = Atomic.make None;
+            parent_refs =
+              (if Family.inherits family nest' then Some family.Family.refs
+               else None);
+          }
       | Error raw -> Off raw)
   in
   { st with seq_rev = t :: st.seq_rev; depth = Template.output_depth t; path }
 
-let verdict ?count st =
+type provenance = Inherited | Computed | Stored
+
+let references st =
+  match st.path with
+  | Off _ -> None
+  | On { nest; family; parent_refs; _ } ->
+    let fill cell found =
+      match Atomic.get cell with
+      | Some a -> (a, found)
+      | None ->
+        let a = Access.of_nest nest in
+        Atomic.set cell (Some a);
+        (a, Computed)
+    in
+    Some
+      (match (parent_refs, Atomic.get family) with
+      | Some cell, _ -> fill cell Inherited
+      | None, Some f -> fill f.Family.refs Stored
+      | None, None -> (Access.of_nest nest, Computed))
+
+let verdict ?count ?built st =
   let final st =
     match st.path with
     | On { nest; vectors; stages_rev; _ } -> (
@@ -188,7 +216,9 @@ let verdict ?count st =
     let reduced = Sequence.reduce seq in
     if reduced = seq then raw
     else
-      match final (List.fold_left (extend ?count) (of_root st.root) reduced) with
+      match
+        final (List.fold_left (extend ?count ?built) (of_root st.root) reduced)
+      with
       | Legal _ as ok -> ok
       | _ -> raw)
 

@@ -83,15 +83,33 @@ val pp_reason : Format.formatter -> reason -> unit
 
     While every stage has held, a state carries the transformed nest, the
     mapped dependence vectors and the per-stage records. It also holds
-    the LB/UB/STEP matrices of its nest (paper Section 4.3,
-    {!Itf_bounds.Bmat}), which every template's bounds preconditions are
-    checked against and Block code generation reads. They are built by
-    the state's first {!extend} and shared by every later one, so the
-    siblings of one parent pay for one build. The cell is domain-safe:
-    search engines extend one state from several domains at once, and a
-    racing build stores an equal value. Once a stage fails, the state
-    holds that stage's verdict and later extensions only record their
-    templates. *)
+    the {e family} of its nest ({!Family}): everything the stages of its
+    children read of it. That is the LB/UB/STEP matrices (paper Section
+    4.3, {!Itf_bounds.Bmat}), which every template's bounds
+    preconditions are checked against and Block code generation reads;
+    the name set every fresh-name supply starts from; for Unimodular
+    children the precondition verdict, the step-normalized nest, its
+    Fourier–Motzkin system and each vector's grid; and per loop band,
+    the Block and Coalesce verdicts, whether the band is rectangular and
+    Block's mapped vectors. The family is built by the state's first
+    {!extend} and shared by every later one, so the siblings of one
+    parent pay for one build; what it holds is keyed on the parent
+    alone (per band, on the parent and the band), and a Unimodular
+    child's own part is its matrix and the inverse its template
+    carries. The state of the root is shared by every replay from it.
+    The cell is domain-safe: search engines extend one state from
+    several domains at once, and a racing build stores an equal value.
+
+    The family also keeps the nest's array reference forms
+    ({!references}), computed on first use. A child whose stage kept the
+    parent's init and body statements and innermost loop variable (and,
+    when a statement sets a scalar, its set of loop variables) shares
+    the parent's cell instead ({!Family.inherits}). A state that does
+    neither keeps no forms: a candidate that never becomes a parent
+    holds nothing beyond its nest.
+
+    Once a stage fails, the state holds that stage's verdict and later
+    extensions only record their templates. *)
 
 type state
 
@@ -99,17 +117,18 @@ val start : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> state
 (** The empty-prefix state; [vectors] defaults to
     {!Itf_dep.Analysis.vectors} on the nest. *)
 
-val extend : ?count:int ref -> state -> Template.t -> state
+val extend : ?count:int ref -> ?built:int ref -> state -> Template.t -> state
 (** [extend st t] appends one template. While every stage has held, it
     checks [t]'s bounds preconditions against the prefix nest, generates
     its code and maps the dependence vectors, and increments [count] by
     one; if the preconditions fail, the state keeps that failure. Once a
     stage has failed, it only records [t]. The dependence test is
     deferred to {!verdict}, since intermediate vector sets need not be
-    legal (paper Section 3.2).
+    legal (paper Section 3.2). [built] is incremented when the call
+    builds the family of [st]'s nest (its first extension).
     @raise Invalid_argument if [t] does not chain with the state's depth. *)
 
-val verdict : ?count:int ref -> state -> verdict
+val verdict : ?count:int ref -> ?built:int ref -> state -> verdict
 (** The verdict of the whole prefix. If every stage held, it is the final
     dependence test. If a stage failed, the reduced-sequence fallback
     runs on the whole prefix: the prefix is accepted exactly when its
@@ -117,4 +136,25 @@ val verdict : ?count:int ref -> state -> verdict
     [Legal]; otherwise the first failing stage's verdict is reported.
     [count] is incremented once per template stage the replay applies,
     so [extend] and [verdict] together count every stage application
-    attempted — the instrumentation used to compare search engines. *)
+    attempted — the instrumentation used to compare search engines —
+    and [built] once per family the replay builds. *)
+
+val family : state -> Family.t option
+(** The family of the state's nest, built on first use as {!extend}
+    builds it (and then shared with it); [None] once a stage failed. *)
+
+(** How {!references} found a state's forms. *)
+type provenance =
+  | Inherited  (** in the cell the state shares with its parent *)
+  | Computed  (** by {!Itf_bounds.Access.of_nest}, on this call *)
+  | Stored  (** in the cell of the state's own family *)
+
+val references : state -> (Itf_bounds.Access.t * provenance) option
+(** The array reference forms of the state's nest
+    ({!Itf_bounds.Access.of_nest}): read from the cell the state shares
+    with its parent, or else from its own family's, and computed and
+    stored there on first use; computed afresh when the state has
+    neither (see above). Equal to
+    [Access.of_nest] of the nest in every case. [None] when a stage of
+    the prefix failed: such a state holds no nest (a prefix the
+    reduced-sequence fallback accepts gets its nest from the replay). *)

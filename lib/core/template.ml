@@ -2,7 +2,7 @@ open Itf_ir
 module Intmat = Itf_mat.Intmat
 
 type t =
-  | Unimodular of { n : int; m : Intmat.t }
+  | Unimodular of { n : int; m : Intmat.t; minv : Intmat.t }
   | Reverse_permute of { n : int; rev : bool array; perm : int array }
   | Parallelize of { n : int; parflag : bool array }
   | Block of { n : int; i : int; j : int; bsize : Expr.t array }
@@ -12,7 +12,7 @@ type t =
 let unimodular m =
   if not (Intmat.is_unimodular m) then
     invalid_arg "Template.unimodular: matrix is not unimodular";
-  Unimodular { n = Intmat.rows m; m }
+  Unimodular { n = Intmat.rows m; m; minv = Intmat.inverse_unimodular m }
 
 let check_perm perm =
   let n = Array.length perm in
@@ -126,7 +126,7 @@ let compare (a : t) (b : t) =
   if a == b then 0
   else
   match (a, b) with
-  | Unimodular { n = n1; m = m1 }, Unimodular { n = n2; m = m2 } ->
+  | Unimodular { n = n1; m = m1; _ }, Unimodular { n = n2; m = m2; _ } ->
     let c = Int.compare n1 n2 in
     if c <> 0 then c else Intmat.compare m1 m2
   | ( Reverse_permute { n = n1; rev = r1; perm = p1 },
@@ -168,7 +168,7 @@ let hash (t : t) =
     Array.fold_left (fun h b -> comb h (if b then 1 else 2)) h fs
   in
   match t with
-  | Unimodular { n; m } -> comb (comb 1 n) (Intmat.hash m)
+  | Unimodular { n; m; _ } -> comb (comb 1 n) (Intmat.hash m)
   | Reverse_permute { n; rev; perm } ->
     Array.fold_left comb (hash_bools (comb 2 n) rev) perm
   | Parallelize { n; parflag } -> hash_bools (comb 3 n) parflag
@@ -215,7 +215,7 @@ let pp_exprs ppf es =
     (String.concat " " (Array.to_list (Array.map Expr.to_string es)))
 
 let pp ppf = function
-  | Unimodular { n; m } ->
+  | Unimodular { n; m; _ } ->
     Format.fprintf ppf "Unimodular(n=%d, M=@[<v>%a@])" n Intmat.pp m
   | Reverse_permute { n; rev; perm } ->
     Format.fprintf ppf "ReversePermute(n=%d, rev=[%a], perm=[%s])" n pp_flags rev

@@ -13,9 +13,13 @@
 open Itf_ir
 
 type t =
-  | Unimodular of { n : int; m : Itf_mat.Intmat.t }
+  | Unimodular of { n : int; m : Itf_mat.Intmat.t; minv : Itf_mat.Intmat.t }
       (** [m] is an [n x n] unimodular matrix mapping iteration vectors
-          [y = m x]. *)
+          [y = m x]; [minv] is its inverse, computed once by
+          {!unimodular}, so every nest the instantiation is applied to
+          reads the same [x = minv y] (paper §5: a transformation is a
+          value independent of the nest). Identity, order and hash read
+          [m] alone. *)
   | Reverse_permute of { n : int; rev : bool array; perm : int array }
       (** [rev.(k)]: reverse loop [k] first; [perm.(k)]: then move loop [k]
           to position [perm.(k)]. *)

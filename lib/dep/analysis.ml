@@ -539,7 +539,39 @@ let rec merge_pass (vs : Depvec.t list) =
   let vs' = go [] (List.sort_uniq Depvec.compare vs) in
   if !merged then merge_pass vs' else vs'
 
-let pair_vectors ?(fm_calls = ref 0) infos n (a : ref_) (b : ref_) =
+(* Refutations of one analysis, by system. The pairs of a nest often
+   build the same system (LU's 19 refutations have 9 distinct systems),
+   so each distinct one is refuted once. The table lives in one
+   [dependences] call: it is never keyed across nests, whose systems
+   name their own loop variables and subscripts. *)
+module Systems = Hashtbl.Make (struct
+  type t = Fourier.system
+
+  let equal (a : t) b = a = b
+
+  (* Every row counts: the systems of one pair differ only in their
+     middle (sign) rows. *)
+  let hash (s : t) =
+    List.fold_left
+      (fun h (q : Fourier.ineq) ->
+        Array.fold_left (fun h c -> (h * 31) + c) ((h * 31) + Expr.hash q.base) q.coeffs)
+      0 s.ineqs
+    land max_int
+end)
+
+let refuter () =
+  let table = Systems.create 16 in
+  fun system ->
+    match Systems.find_opt table system with
+    | Some refuted -> refuted
+    | None ->
+      let refuted = Fourier.definitely_infeasible system in
+      Systems.add table system refuted;
+      refuted
+
+let pair_vectors ?(fm_calls = ref 0)
+    ?(refute = fun system -> Fourier.definitely_infeasible system) infos n
+    (a : ref_) (b : ref_) =
   if List.length a.subs <> List.length b.subs then
     (* Mismatched arity: treat as potentially aliasing everywhere. *)
     [ Array.init n (fun _ -> Depvec.dir Dir.Any) ]
@@ -588,7 +620,7 @@ let pair_vectors ?(fm_calls = ref 0) infos n (a : ref_) (b : ref_) =
               && not
                    (non_rectangular
                    && (incr fm_calls;
-                       Fourier.definitely_infeasible (Lazy.force system sigma))))
+                       refute (Lazy.force system sigma))))
             (lex_positive_sigmas n pins)
         in
         merge_pass (List.map (vector_of_sigma infos pins) sigmas)
@@ -598,6 +630,7 @@ let dependences ?fm_calls (nest : Nest.t) =
   let n = List.length infos in
   let scalars = List.concat_map Stmt.defined_vars nest.Nest.body in
   let refs = List.concat_map (refs_of_stmt ~scalars) nest.Nest.body in
+  let refute = refuter () in
   let out = ref [] in
   List.iter
     (fun (a : ref_) ->
@@ -613,7 +646,7 @@ let dependences ?fm_calls (nest : Nest.t) =
             in
             List.iter
               (fun vector -> out := { array = a.arr; kind; vector } :: !out)
-              (pair_vectors ?fm_calls infos n a b)
+              (pair_vectors ?fm_calls ~refute infos n a b)
           end)
         refs)
     refs;

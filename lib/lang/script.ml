@@ -107,7 +107,7 @@ let parse ~depth src =
 let of_template (t : Template.t) =
   let ints xs = String.concat " " (List.map string_of_int xs) in
   match t with
-  | Template.Unimodular { n; m } ->
+  | Template.Unimodular { n; m; _ } ->
     "unimodular "
     ^ ints
         (List.concat_map Fun.id

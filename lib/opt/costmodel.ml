@@ -262,7 +262,8 @@ let line_profile ~elem_bytes ~line_bytes ~levels ~layout (f : flat) =
   done;
   lines
 
-let locality_estimate ~config ~elem_bytes ~params (result : Framework.result) =
+let locality_estimate ~config ~elem_bytes ~params ~layouts ~refs
+    (result : Framework.result) =
   let nest = result.Framework.nest in
   let line_bytes = float config.Itf_machine.Cache.line_bytes in
   let line_elems =
@@ -278,9 +279,19 @@ let locality_estimate ~config ~elem_bytes ~params (result : Framework.result) =
   let refs =
     List.sort
       (fun (a : Access.reference) b -> compare a.pos b.pos)
-      (Access.of_nest nest).Access.refs
+      (refs ()).Access.refs
   in
-  let layout = make_layout ~params ~line_elems refs in
+  (* The layout reads only the arrays and their arities, which every
+     candidate of one root shares (a reordering keeps the body), so it
+     is built once per root in the estimator's cell. *)
+  let layout =
+    match Atomic.get layouts with
+    | Some (root, layout) when root = result.Framework.root -> layout
+    | _ ->
+      let layout = make_layout ~params ~line_elems refs in
+      Atomic.set layouts (Some (result.Framework.root, layout));
+      layout
+  in
   let vars = List.map (fun l -> l.var) levels in
   let flats =
     List.map (flatten ~vars ~layout) refs
@@ -480,16 +491,23 @@ let fingerprint spec =
   | Parallel { procs; spawn_overhead; params } ->
     (1 :: procs :: float_bits spawn_overhead) @ params_key params
 
-let estimate spec result =
-  match
-    match spec with
-    | Locality { config; elem_bytes; params } ->
-      locality_estimate ~config ~elem_bytes ~params result
-    | Parallel { procs; spawn_overhead; params } ->
-      parallel_estimate ~procs ~spawn_overhead ~params result
-  with
-  | e -> e
-  | exception _ ->
-    (* Unanalyzable: claim nothing (bound 0) and rank first so the exact
-       tier decides. *)
-    { score = 0.; bound = 0. }
+let estimate spec =
+  let layouts = Atomic.make None in
+  fun ?refs (result : Framework.result) ->
+    let refs =
+      match refs with
+      | Some refs -> refs
+      | None -> fun () -> Access.of_nest result.Framework.nest
+    in
+    match
+      match spec with
+      | Locality { config; elem_bytes; params } ->
+        locality_estimate ~config ~elem_bytes ~params ~layouts ~refs result
+      | Parallel { procs; spawn_overhead; params } ->
+        parallel_estimate ~procs ~spawn_overhead ~params result
+    with
+    | e -> e
+    | exception _ ->
+      (* Unanalyzable: claim nothing (bound 0) and rank first so the
+         exact tier decides. *)
+      { score = 0.; bound = 0. }

@@ -74,12 +74,25 @@ val subtree_admissible : spec -> bool
     parallelism: a descendant can parallelize loops the candidate runs
     sequentially and legitimately beat the candidate's bound. *)
 
-val estimate : spec -> Itf_core.Framework.result -> estimate
+val estimate :
+  spec ->
+  ?refs:(unit -> Itf_bounds.Access.t) ->
+  Itf_core.Framework.result ->
+  estimate
 (** [estimate spec result] runs the estimator. It never raises and never
     returns NaN: unanalyzable nests degrade to [bound = 0] with
     [score = 0] (rank first, let the exact tier decide). The engine
     keeps each child's estimate in its parent's expansion, so it runs
-    once per child of an expanded parent. *)
+    once per child of an expanded parent.
+
+    [refs] gives the result nest's array reference forms when the
+    locality estimate asks for them (default:
+    {!Itf_bounds.Access.of_nest} of the nest); the engine passes the
+    candidate state's forms, which a child often shares with its parent
+    ({!Itf_core.Legality.references}). [estimate spec] is an estimator
+    with its own array layout cell: the layout depends only on the
+    root's arrays, so one estimator (one per search in the engine)
+    builds it once per root ({!Itf_core.Framework.result}'s [root]). *)
 
 val params_key : (string * int) list -> int list
 (** A parameter list as a self-delimiting int list: its length, then

@@ -207,6 +207,26 @@ let expansion ~spec parent =
       in
       (x, if keep then Expansion x else Expanded_once))
 
+(* The shared-work counts of one search's misses, written from worker
+   domains: families built by the legality verdicts it computed, and
+   reference forms its tier-0 estimates inherited from a parent or
+   computed. Only the miss path touches them, so a warm candidate
+   allocates nothing for them. *)
+type tally = {
+  families : int Atomic.t;
+  inherited : int Atomic.t;
+  computed : int Atomic.t;
+}
+
+(* A candidate's reference forms, for its tier-0 estimate. *)
+let references tally state result () =
+  let refs, how = Framework.references state result in
+  (match how with
+  | Legality.Inherited -> Atomic.incr tally.inherited
+  | Legality.Computed -> Atomic.incr tally.computed
+  | Legality.Stored -> ());
+  refs
+
 (* Tier-0 evaluation of child [i] of [parent]'s expansion [x], a cache
    miss: legality, then the screen's estimate — no simulation. Legality
    is extending the parent prefix by one template and running the final
@@ -216,12 +236,12 @@ let expansion ~spec parent =
    the raw sequence that state holds, not the candidate's spelling. The
    estimate comes from the expansion too, computed on its first use.
    Runs on worker domains: the only shared state it touches is the
-   domain-safe tables and the expansion's write-once slots, and the
-   coordinator merges the result in input order. The trailing float is
-   the time spent computing the child's legality verdict, 0 when the
-   entry already held it: only a computed verdict reads the clock, so
-   a warm candidate reads none. *)
-let evaluate_tier0 estimate (parent, x, i) =
+   domain-safe tables, the expansion's write-once slots and [tally],
+   and the coordinator merges the result in input order. The trailing
+   float is the time spent computing the child's legality verdict, 0
+   when the entry already held it: only a computed verdict reads the
+   clock, so a warm candidate reads none. *)
+let evaluate_tier0 tally estimate (parent, x, i) =
   let ch = x.children.(i) in
   let probe () = Framework.child_entry parent.state (snd ch.move) in
   let entry =
@@ -240,7 +260,11 @@ let evaluate_tier0 estimate (parent, x, i) =
     | Some c -> (c, 0.)
     | None ->
       let t0 = now () in
-      let c = Framework.check_child parent.state (fst ch.move) entry in
+      let built = ref 0 in
+      let c =
+        Framework.check_child ~built parent.state (fst ch.move) entry
+      in
+      ignore (Atomic.fetch_and_add tally.families !built);
       (c, now () -. t0)
   in
   match outcome with
@@ -250,7 +274,7 @@ let evaluate_tier0 estimate (parent, x, i) =
       match x.estimates.(i) with
       | Some e -> e
       | None ->
-        let e = estimate result in
+        let e = estimate (references tally state result) result in
         x.estimates.(i) <- Some e;
         e
     in
@@ -309,11 +333,15 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
   (* Without [tier0] the screen is open: its estimates are neither
      counted, timed nor recorded as decisions. *)
   let screened = Option.is_some tier0 in
+  (* One estimator per search: it keeps the root's array layout. *)
   let estimate, spec, subtree_prune =
     match tier0 with
     | Some s ->
-      (Costmodel.estimate s, Costmodel.fingerprint s, Costmodel.subtree_admissible s)
-    | None -> ((fun _ -> open_estimate), [], false)
+      let estimate = Costmodel.estimate s in
+      ( (fun refs result -> estimate ~refs result),
+        Costmodel.fingerprint s,
+        Costmodel.subtree_admissible s )
+    | None -> ((fun _ _ -> open_estimate), [], false)
   in
   if tier0_only && not screened then
     invalid_arg "Engine.search: ~tier0_only requires ~tier0";
@@ -331,6 +359,9 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
      through engine internals. *)
   let t_start = now () in
   let st = Stats.create () in
+  let tally =
+    { families = Atomic.make 0; inherited = Atomic.make 0; computed = Atomic.make 0 }
+  in
   let cut = ref None and rejections = ref [] and decisions = ref [] in
   (* Cross-step memo keyed on the intern ids of canonical
      (peephole-reduced) sequences: [Scored] is a previously evaluated
@@ -437,9 +468,9 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
      cuts — every legal candidate survives it. *)
   let score_root, score_survivors, exact_topk, bound_prune =
     if tier0_only then
-      ( (fun result ->
+      ( (fun state result ->
           let t0 = now () in
-          let e = estimate result in
+          let e = estimate (references tally state result) result in
           st.tier0_evaluations <- st.tier0_evaluations + 1;
           st.tier0_time_s <- st.tier0_time_s +. (now () -. t0);
           Ok e.Costmodel.score),
@@ -447,7 +478,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
         max_int,
         false )
     else
-      ( (fun result ->
+      ( (fun _ result ->
           st.objective_evaluations <- st.objective_evaluations + 1;
           let t0 = now () in
           let r =
@@ -491,6 +522,8 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     let seq, sid = Sequence.intern_id [] in
     let canon, key = Sequence.reduce_id (seq, sid) in
     let t_leg = now () in
+    (* The search's set-up and the root's spelling are its expansion. *)
+    st.expand_time_s <- t_leg -. t_start;
     (* The root's dependence analysis under its own span; on a new nest
        it is the Fourier–Motzkin refinement that costs. *)
     let fm_calls = ref 0 in
@@ -506,7 +539,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     match outcome with
     | Error _ -> None
     | Ok (state, result) -> (
-      match score_root result with
+      match score_root state result with
       | Ok value -> Some { seq; sid; canon; key; state; result; value }
       | Error _ -> None)
   in
@@ -528,11 +561,11 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     let checkpoint step site = if over_budget step site then raise Cut in
     for step = 1 to steps do
       try
+        let t0 = now () in
         checkpoint step "";
         Tracer.span tracer "engine.step"
           ~attrs:(fun () -> [ ("step", Int step) ])
         @@ fun () ->
-        let t0 = now () in
         (* Expand: each parent's children come from its expansion (built
            on the parent's first expansion under this spec, then read
            back); dedupe within the step (first spelling wins), consult
@@ -596,7 +629,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
           Tracer.span tracer
             (if screened then "engine.tier0" else "engine.legality")
             ~attrs:(fun () -> [ ("candidates", Int (Array.length misses)) ])
-            (fun () -> pmap (evaluate_tier0 estimate) misses)
+            (fun () -> pmap (evaluate_tier0 tally estimate) misses)
         in
         let pending = ref [] and computed_s = ref 0. in
         Array.iteri
@@ -696,10 +729,16 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
         st.merge_time_s <- st.merge_time_s +. (now () -. t2)
       with Cut -> ()
     done;
+    let t_winner = now () in
     let winner = List.hd (List.sort order_scored !bests) in
+    let t_end = now () in
+    st.merge_time_s <- st.merge_time_s +. (t_end -. t_winner);
+    st.families_built <- Atomic.get tally.families;
+    st.refs_inherited <- Atomic.get tally.inherited;
+    st.refs_computed <- Atomic.get tally.computed;
     st.domains <- domains;
     st.work_threshold <- (if domains > 1 then Pool.default_threshold else 0);
-    st.total_time_s <- now () -. t_start;
+    st.total_time_s <- t_end -. t_start;
     Option.iter
       (fun m ->
         Stats.record m st;

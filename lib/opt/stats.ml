@@ -16,6 +16,9 @@ type t = {
   mutable objective_evaluations : int;
   mutable tier0_evaluations : int;
   mutable tier0_pruned : int;
+  mutable families_built : int;
+  mutable refs_inherited : int;
+  mutable refs_computed : int;
   mutable domains : int;
   mutable work_threshold : int;
   mutable expand_time_s : float;
@@ -39,6 +42,9 @@ let create () =
     objective_evaluations = 0;
     tier0_evaluations = 0;
     tier0_pruned = 0;
+    families_built = 0;
+    refs_inherited = 0;
+    refs_computed = 0;
     domains = 0;
     work_threshold = 0;
     expand_time_s = 0.;
@@ -69,13 +75,16 @@ let pp ppf s =
      template applications %d (saved %d vs from-root replay)@,\
      objective evaluations %d@,\
      tier-0 evaluations    %d (pruned %d candidates before the exact tier)@,\
+     families built        %d@,\
+     reference forms       %d inherited, %d computed@,\
      domains               %d (sequential below %d candidates/step)@,\
      time: expand %.3fs, evaluate %.3fs (legality %.3fs, tier-0 %.3fs, \
      exact %.3fs), merge %.3fs, total %.3fs@]"
     s.nodes_explored s.duplicates_pruned s.legality_cache_hits
     s.score_cache_hits s.illegal s.template_applications
     s.template_applications_saved s.objective_evaluations s.tier0_evaluations
-    s.tier0_pruned s.domains s.work_threshold s.expand_time_s s.evaluate_time_s
+    s.tier0_pruned s.families_built s.refs_inherited s.refs_computed s.domains
+    s.work_threshold s.expand_time_s s.evaluate_time_s
     s.legality_time_s s.tier0_time_s s.exact_time_s s.merge_time_s
     s.total_time_s
 
@@ -93,10 +102,18 @@ let counters s =
     ("tier0_pruned", s.tier0_pruned);
   ]
 
+let shared_work s =
+  [
+    ("families_built", s.families_built);
+    ("refs_inherited", s.refs_inherited);
+    ("refs_computed", s.refs_computed);
+  ]
+
 let to_json_value s =
   let open Itf_obs.Json in
   Obj
     (List.map (fun (k, v) -> (k, Int v)) (counters s)
+    @ List.map (fun (k, v) -> (k, Int v)) (shared_work s)
     @ [
         ("domains", Int s.domains);
         ("work_threshold", Int s.work_threshold);

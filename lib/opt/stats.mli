@@ -39,6 +39,22 @@ type t = {
   mutable tier0_pruned : int;
       (** legal candidates denied an exact evaluation by the tier-0 screen
           (outside top-K) or the branch-and-bound cutoff *)
+  mutable families_built : int;
+      (** parent families ({!Itf_core.Family}) built by the legality
+          verdicts this search computed: one per parent whose children
+          it checked first in the process, plus those of
+          reduced-sequence replays. A verdict read back from
+          [core.derivation] builds none, so unlike the counters above
+          this one reads 0 on a warm search. *)
+  mutable refs_inherited : int;
+      (** tier-0 estimates this search computed whose candidate shares
+          its parent's array reference forms, already computed
+          ({!Itf_core.Legality.references}) *)
+  mutable refs_computed : int;
+      (** reference-form computations ({!Itf_bounds.Access.of_nest})
+          this search's tier-0 estimates ran. Both read 0 when the
+          estimates come from a kept expansion, and on an untiered or
+          parallel-objective search, which never reads the forms. *)
   mutable domains : int;  (** parallelism used (1 = sequential) *)
   mutable work_threshold : int;
       (** steps with fewer evaluation candidates than this ran on the
@@ -82,9 +98,16 @@ val phases : t -> (string * float) list
     layer's per-request breakdown both read this list. *)
 
 val counters : t -> (string * int) list
-(** The deterministic counters — every [int] field but [domains] and
-    [work_threshold] — named as in {!to_json_value}: the same on every
-    host, at every domain count, warm or cold. *)
+(** The deterministic counters — every [int] field but {!shared_work},
+    [domains] and [work_threshold] — named as in {!to_json_value}: the
+    same on every host, at every domain count, warm or cold. *)
+
+val shared_work : t -> (string * int) list
+(** [families_built], [refs_inherited] and [refs_computed], named as in
+    {!to_json_value}. They count work done on this search's misses, so
+    they depend on what the process-wide memos already hold (and, at
+    [domains > 1], on which domain wins a racing build); at one domain
+    they repeat exactly for the same process history. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -98,7 +121,8 @@ val record : Itf_obs.Metrics.t -> t -> unit
 (** Fold the record into a metrics registry: counters add under
     [engine.*] names (so repeated searches accumulate) plus the two-tier
     objective counters [objective.exact_evals] / [objective.tier0_evals] /
-    [objective.tier0_pruned]; [engine.domains] and [engine.work_threshold]
+    [objective.tier0_pruned] (not the {!shared_work} counts, whose
+    totals would differ warm and cold); [engine.domains] and [engine.work_threshold]
     are gauges; the total time lands in an [engine.total_time_ms]
     histogram and each phase time (expand / legality / tier0 / exact /
     merge) in an [engine.phase_us{phase=...}] duration histogram — one

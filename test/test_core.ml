@@ -804,6 +804,162 @@ let test_state_reuse_generated () =
         (prefix_states nest (match seq with t :: _ -> [ t ] | [] -> [])))
   |> List.concat |> check_concurrent
 
+(* ------------------------------------------------------------------ *)
+(* Families: what siblings share equals a computation from scratch     *)
+(* ------------------------------------------------------------------ *)
+
+module Costmodel = Itf_opt.Costmodel
+module Access = Itf_bounds.Access
+
+type family_totals = {
+  mutable candidates : int;  (** legal one- and two-move candidates *)
+  mutable rendered : int;  (** renderings through a parent's family *)
+  mutable inherited : int;  (** candidates sharing the parent's forms *)
+}
+
+let outcome f =
+  match f () with x -> Ok x | exception e -> Error (Printexc.to_string e)
+
+let estimate_bits (e : Costmodel.estimate) =
+  (Int64.bits_of_float e.Costmodel.score, Int64.bits_of_float e.Costmodel.bound)
+
+let family_roots = ref 0
+
+(* Every legal candidate one and two [Search.moves] from [root], grown
+   the way the engine grows them: each parent state extended by every
+   move, so siblings share the parent's family. For each child: the
+   parent family's rendering equals [Codegen.apply] on the bare parent
+   nest (which builds a family of its own); the verdict, nest, vectors
+   and rejection reasons equal [Legality.check] from the root; the
+   reference forms, inherited or not, equal [Access.of_nest] of the
+   nest; and every tier-0 estimate of an estimator shared by the root's
+   candidates is bit-equal to a fresh estimator's on the fresh forms. *)
+let check_family totals ~what ~sizes root =
+  incr family_roots;
+  let root_id = !family_roots in
+  let vectors = Itf_dep.Analysis.vectors root in
+  let estimators =
+    List.concat_map
+      (fun params ->
+        List.map
+          (fun objective ->
+            let spec =
+              snd
+                (Result.get_ok
+                   (Itf_opt.Search.of_name objective ~procs:8 ~params))
+            in
+            let estimate = Costmodel.estimate spec in
+            (spec, fun refs result -> estimate ~refs result))
+          [ "locality"; "parallel" ])
+      sizes
+  in
+  let fail seq fmt =
+    Alcotest.failf
+      ("%s, %a: " ^^ fmt)
+      what Itf_core.Sequence.pp seq
+  in
+  let child parent parent_nest seq t =
+    let st = Legality.extend parent t in
+    (match Legality.family parent with
+    | Some family ->
+      totals.rendered <- totals.rendered + 1;
+      if
+        outcome (fun () -> Codegen.apply ~family parent_nest t)
+        <> outcome (fun () -> Codegen.apply parent_nest t)
+      then fail seq "the parent family renders another nest"
+    | None -> ());
+    let shared = Legality.verdict st in
+    let fresh = Legality.check ~vectors root seq in
+    match (shared, fresh) with
+    | ( Legality.Legal { nest; vectors = vs; _ },
+        Legality.Legal { nest = nest'; vectors = vs'; _ } ) ->
+      if nest <> nest' then fail seq "the nest differs from a fresh check";
+      if vs <> vs' then fail seq "the vectors differ from a fresh check";
+      totals.candidates <- totals.candidates + 1;
+      let forms = Access.of_nest nest in
+      let refs =
+        match Legality.references st with
+        | Some (refs, how) ->
+          if how = Legality.Inherited then
+            totals.inherited <- totals.inherited + 1;
+          if refs <> forms then fail seq "the reference forms differ";
+          refs
+        | None -> forms
+      in
+      let result =
+        { Framework.nest; vectors = vs; derivation = 0; root = root_id }
+      in
+      List.iter
+        (fun (spec, estimate) ->
+          if
+            estimate_bits (estimate (fun () -> refs) result)
+            <> estimate_bits (Costmodel.estimate spec result)
+          then fail seq "a tier-0 estimate differs")
+        estimators;
+      Some (st, nest)
+    | Legality.Legal _, _ | _, Legality.Legal _ ->
+      fail seq "the verdict differs from a fresh check"
+    | _ ->
+      if Legality.reasons shared <> Legality.reasons fresh then
+        fail seq "the rejection reasons differ from a fresh check";
+      None
+  in
+  let moves depth = Itf_opt.Search.moves root ~depth in
+  let st0 = Legality.start ~vectors root in
+  List.iter
+    (fun m1 ->
+      match child st0 root [ m1 ] m1 with
+      | None -> ()
+      | Some (s1, nest1) ->
+        List.iter
+          (fun m2 -> ignore (child s1 nest1 [ m1; m2 ] m2))
+          (moves (Nest.depth nest1)))
+    (moves (Nest.depth root))
+
+let family_nest_files () =
+  List.concat_map
+    (fun dir ->
+      let dir = Filename.concat ".." dir in
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".loop")
+      |> List.sort compare
+      |> List.map (fun f ->
+             ( f,
+               (Itf_lang.Parser.parse
+                  (In_channel.with_open_bin (Filename.concat dir f)
+                     In_channel.input_all))
+                 .Itf_lang.Parser.nest )))
+    [ Filename.concat "examples" "nests"; Filename.concat "bench" (Filename.concat "e2e" "nests") ]
+
+(* Examples and e2e nests (estimates at n = 8 to 32), the corpus and
+   1,000 [Gen] nests. The totals are pinned, so a change in what is
+   shared or inherited shows here. *)
+let test_family_equivalence () =
+  let totals = { candidates = 0; rendered = 0; inherited = 0 } in
+  List.iter
+    (fun (file, root) ->
+      check_family totals ~what:file
+        ~sizes:(List.map (fun n -> [ ("n", n) ]) [ 8; 12; 16; 24; 32 ])
+        root)
+    (family_nest_files ());
+  Sys.readdir "corpus" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".repro")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         let c = Itf_check.Repro.load (Filename.concat "corpus" f) in
+         check_family totals ~what:f ~sizes:[ c.Itf_check.Gen.params ]
+           c.Itf_check.Gen.nest);
+  let st = Random.State.make [| 7 |] in
+  for k = 1 to 1000 do
+    let c = Itf_check.Gen.case st in
+    check_family totals
+      ~what:(Printf.sprintf "Gen case %d" k)
+      ~sizes:[ c.Itf_check.Gen.params ] c.Itf_check.Gen.nest
+  done;
+  check_int "legal candidates" 102_208 totals.candidates;
+  check_int "renderings through a parent family" 195_566 totals.rendered;
+  check_int "candidates sharing their parent's forms" 59_710 totals.inherited
+
 let () =
   Alcotest.run "core"
     [
@@ -874,5 +1030,10 @@ let () =
             test_state_reuse_fallback;
           Alcotest.test_case "reused parents: generated nests" `Quick
             test_state_reuse_generated;
+        ] );
+      ( "family",
+        [
+          Alcotest.test_case "shared work equals a fresh check" `Slow
+            test_family_equivalence;
         ] );
     ]
