@@ -367,12 +367,6 @@ let locality () =
 (* EXP-PAR: parallel speedup shape experiment                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [Parallel.speedup] through the compiled simulator: the same float. *)
-let speedup ~procs env nest =
-  let t1 = Itf_machine.Parallel.time_compiled ~procs:1 env nest in
-  let tp = Itf_machine.Parallel.time_compiled ~procs env nest in
-  if tp = 0. then 1. else t1 /. tp
-
 (* [time_compiled] resolves every access site, so the arrays are declared
    (bounds only: the parallel model reads no value). *)
 let par_env ~n nest =
@@ -394,7 +388,7 @@ let parallel () =
   List.iter
     (fun p ->
       let t = Itf_machine.Parallel.time_compiled ~procs:p env par in
-      let s = speedup ~procs:p env par in
+      let s = Itf_machine.Parallel.speedup ~procs:p env par in
       Format.printf "%8d %12.0f %9.2fx@." p t s)
     [ 1; 2; 4; 8; 16; 32 ];
   let tri = triangular () in
@@ -402,7 +396,7 @@ let parallel () =
   let env2 = par_env ~n:64 tri_par in
   Format.printf "@.triangular nest n=64 on 8 procs:@.";
   Format.printf "%-28s speedup %5.2fx@." "pardo i (imbalanced rows)"
-    (speedup ~procs:8 env2 tri_par);
+    (Itf_machine.Parallel.speedup ~procs:8 env2 tri_par);
   let tri_blocked =
     F.apply_exn tri
       [
@@ -411,7 +405,7 @@ let parallel () =
       ]
   in
   Format.printf "%-28s speedup %5.2fx@." "block i by 4, pardo i"
-    (speedup ~procs:8 env2 tri_blocked.F.nest)
+    (Itf_machine.Parallel.speedup ~procs:8 env2 tri_blocked.F.nest)
 
 (* ------------------------------------------------------------------ *)
 (* EXP-COMP: composition pays                                          *)

@@ -239,39 +239,27 @@ let optimize_cmd =
         if metrics_out = None && not (show_stats || stats_json) then None
         else Some (Itf_obs.Metrics.create ())
       in
-      (* The tier-0 spec mirrors the exact objective's machine model so the
-         screen ranks what the simulator will measure. [--exact-topk 0]
-         opens the screen (untiered exact search). *)
-      let fail msg =
+      let req =
+        {
+          Itf_opt.Request.default with
+          objective;
+          params;
+          procs;
+          steps;
+          exact_topk;
+          tier0_only;
+          deadline_ms;
+          max_nodes;
+        }
+      in
+      (match Itf_opt.Request.check req with
+      | Ok () -> ()
+      | Error msg ->
         Printf.eprintf "error: %s\n" msg;
-        exit 1
-      in
-      let obj, tier0 =
-        match Itf_opt.Search.of_name ?metrics objective ~procs ~params with
-        | Ok pair -> pair
-        | Error msg -> fail msg
-      in
-      if procs < 1 || procs > Itf_opt.Search.max_procs then
-        fail (Printf.sprintf "--procs must be in 1..%d" Itf_opt.Search.max_procs);
-      if exact_topk < 0 then fail "--exact-topk must be non-negative";
-      if tier0_only && exact_topk = 0 then
-        fail "--tier0-only conflicts with --exact-topk 0";
-      let tier0 = if exact_topk = 0 then None else Some tier0 in
-      let budget =
-        match (deadline_ms, max_nodes) with
-        | None, None -> None
-        | deadline_ms, max_nodes ->
-          Some
-            {
-              Itf_opt.Engine.deadline_s =
-                Option.map (fun ms -> ms /. 1000.) deadline_ms;
-              max_nodes;
-            }
-      in
+        exit 1);
       match
-        Itf_opt.Engine.search ~steps ?domains ~tracer ?metrics
-          ~provenance:explain ?tier0 ?budget
-          ~exact_topk ~tier0_only nest obj
+        Itf_opt.Request.run ?domains ~tracer ?metrics ~provenance:explain req
+          nest
       with
       | None ->
         Printf.eprintf "error: nest could not be scored\n";
@@ -360,19 +348,23 @@ let optimize_cmd =
   let objective =
     Arg.(
       value
-      & opt string "locality"
+      & opt string Itf_opt.Request.default.objective
       & info [ "objective" ] ~docv:"OBJ" ~doc:"Objective: locality or parallel.")
   in
   let procs =
     Arg.(
-      value & opt int 8
+      value
+      & opt int Itf_opt.Request.default.procs
       & info [ "procs" ]
           ~doc:
             (Printf.sprintf "Simulated processors (parallel objective), 1..%d."
                Itf_opt.Search.max_procs))
   in
   let steps =
-    Arg.(value & opt int 2 & info [ "steps" ] ~doc:"Maximum sequence length to search.")
+    Arg.(
+      value
+      & opt int Itf_opt.Request.default.steps
+      & info [ "steps" ] ~doc:"Maximum sequence length to search, 0..8.")
   in
   let domains =
     Arg.(
@@ -387,7 +379,7 @@ let optimize_cmd =
   let exact_topk =
     Arg.(
       value
-      & opt int Itf_opt.Engine.default_exact_topk
+      & opt int Itf_opt.Request.default.exact_topk
       & info [ "exact-topk" ] ~docv:"K"
           ~doc:
             "Exact simulations per search step: the analytic tier-0 cost \

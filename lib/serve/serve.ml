@@ -70,7 +70,7 @@ module Tracer = Itf_obs.Tracer
 module Profile = Itf_obs.Profile
 module Engine = Itf_opt.Engine
 module Pool = Itf_opt.Pool
-module Search = Itf_opt.Search
+module Request = Itf_opt.Request
 module Stats = Itf_opt.Stats
 module Sequence = Itf_core.Sequence
 
@@ -273,15 +273,7 @@ end
 type request = {
   id : Json.t;  (** echoed verbatim; [Null] when absent *)
   nest_src : string;
-  objective : string;
-  params : (string * int) list;
-  procs : int;
-  steps : int;
-  beam : int;
-  exact_topk : int;
-  tier0_only : bool;
-  deadline_ms : float option;
-  max_nodes : int option;
+  search : Request.t;
 }
 
 let opt_field name conv json = Option.bind (Json.member name json) conv
@@ -300,16 +292,6 @@ let int_field name ~default json =
   typed_field name Json.to_int ~what:"an integer" json
   |> Result.map (Option.value ~default)
 
-(* Search-size bounds. Without them one request such as ["steps": 100000]
-   with no deadline keeps a worker busy while its candidate sequences grow
-   to 100000 moves. *)
-let max_steps = 8
-let max_beam = 64
-
-let in_range name ~lo ~hi x =
-  if lo <= x && x <= hi then Ok ()
-  else Error (Printf.sprintf "field %S must be in %d..%d" name lo hi)
-
 let bool_field name ~default json =
   match Json.member name json with
   | None | Some Json.Null -> Ok default
@@ -322,11 +304,6 @@ let params_field json =
   | Some (Json.Obj kvs) ->
     let rec conv acc = function
       | [] -> Ok (List.rev acc)
-      | (k, _) :: _ when List.mem_assoc k acc ->
-        (* The environment takes the last value but [fingerprint] sorts
-           the pairs, so two orders of one repeated name would share a
-           cache key while searching different problems. *)
-        Error (Printf.sprintf "parameter %S given twice" k)
       | (k, v) :: rest -> (
         match Json.to_int v with
         | Some x -> conv ((k, x) :: acc) rest
@@ -337,7 +314,11 @@ let params_field json =
 
 let ( let* ) = Result.bind
 
-let parse_request json =
+(* Reads each field with its type, fills what is absent from
+   {!Request.default} and the server's default deadline, and
+   leaves every other rule to {!Request.check}. *)
+let parse_request ~default_deadline_ms json =
+  let d = Request.default in
   match json with
   | Json.Obj _ ->
     let* nest_src =
@@ -347,79 +328,51 @@ let parse_request json =
     in
     let* objective =
       typed_field "objective" Json.to_str ~what:"a string" json
+      |> Result.map (Option.value ~default:d.objective)
     in
-    let objective = Option.value ~default:"locality" objective in
-    let* () = Search.known_objective objective in
     let* params = params_field json in
-    let* procs = int_field "procs" ~default:8 json in
-    let* () = in_range "procs" ~lo:1 ~hi:Search.max_procs procs in
-    let* steps = int_field "steps" ~default:2 json in
-    let* () = in_range "steps" ~lo:0 ~hi:max_steps steps in
-    let* beam = int_field "beam" ~default:6 json in
-    let* () = in_range "beam" ~lo:1 ~hi:max_beam beam in
-    let* exact_topk =
-      int_field "exact_topk" ~default:Engine.default_exact_topk json
-    in
-    let* () =
-      if exact_topk >= 0 then Ok ()
-      else Error "field \"exact_topk\" must be non-negative"
-    in
-    let* tier0_only = bool_field "tier0_only" ~default:false json in
-    let* () =
-      if tier0_only && exact_topk = 0 then
-        Error "tier0_only conflicts with exact_topk = 0"
-      else Ok ()
-    in
+    let* procs = int_field "procs" ~default:d.procs json in
+    let* steps = int_field "steps" ~default:d.steps json in
+    let* beam = int_field "beam" ~default:d.beam json in
+    let* exact_topk = int_field "exact_topk" ~default:d.exact_topk json in
+    let* tier0_only = bool_field "tier0_only" ~default:d.tier0_only json in
     let* deadline_ms =
       typed_field "deadline_ms" Json.to_float ~what:"a number" json
     in
     let* max_nodes =
       typed_field "max_nodes" Json.to_int ~what:"an integer" json
     in
-    Ok
+    let search =
       {
-        id = Option.value ~default:Json.Null (Json.member "id" json);
-        nest_src;
-        objective;
+        Request.objective;
         params;
         procs;
         steps;
         beam;
         exact_topk;
         tier0_only;
-        deadline_ms;
+        deadline_ms =
+          (if deadline_ms = None then default_deadline_ms else deadline_ms);
         max_nodes;
       }
+    in
+    let* () = Request.check search in
+    Ok
+      {
+        id = Option.value ~default:Json.Null (Json.member "id" json);
+        nest_src;
+        search;
+      }
   | _ -> Error "request must be a JSON object"
-
-(* The response-cache key: everything that determines the answer, and
-   {e only} that. The budget and request id are excluded (they affect how
-   long we search, not what the full answer is — and degraded answers are
-   never cached), and no wall-clock-derived value may ever enter the key
-   or the cached body: a cache hit must replay the original search
-   payload byte-identically, with only the per-response [cached]/[time_ms]
-   envelope fresh. Each parameter name is written after its length, so
-   no name can absorb the separators of its neighbours: [{"n": 8, "m": 2}]
-   and [{"m=2,n": 8}] name different problems and get different keys.
-   Every field before [nest] either cannot hold the separator or is
-   length-prefixed, so [nest] goes last and may hold anything. *)
-let cache_key req ~nest =
-  let params =
-    List.sort compare req.params
-    |> List.map (fun (k, v) -> Printf.sprintf "%d:%s=%d" (String.length k) k v)
-    |> String.concat ","
-  in
-  Printf.sprintf "%s|%s|%d|%d|%d|%b|%d|%s" req.objective params req.steps
-    req.beam req.exact_topk req.tier0_only req.procs nest
 
 (* The fingerprint names the nest by its intern id, so textually different
    spellings of one nest share a cache entry. *)
 let fingerprint req nest =
-  cache_key req ~nest:(string_of_int (Itf_ir.Intern.nest_id nest))
+  Request.key req.search ~nest:(string_of_int (Itf_ir.Intern.nest_id nest))
 
 (* The text key names it by its source text, so it can be built before
    the nest is parsed; the LRU's spelling index maps it to a fingerprint. *)
-let text_key req = cache_key req ~nest:req.nest_src
+let text_key req = Request.key req.search ~nest:req.nest_src
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -633,7 +586,7 @@ let flush_observability t =
 (* The worker's path: parse, fingerprint, probe, search. A canonical hit
    or a complete insert also records [spelling], so the next exact repeat
    of this text is answered by the reader. *)
-let search_response t ~tracer req ~spelling ~deadline_ms ~t_recv =
+let search_response t ~tracer req ~spelling ~t_recv =
   match Itf_lang.Parser.parse req.nest_src with
   | exception Itf_lang.Parser.Error { line; message } ->
     Error (Printf.sprintf "nest:%d: %s" line message)
@@ -643,28 +596,9 @@ let search_response t ~tracer req ~spelling ~deadline_ms ~t_recv =
     match Lru.find t.cache ?spelling key with
     | Some cached, counters -> Ok (`Cached (cached, key, counters))
     | None, counters ->
-      match
-        Search.of_name ~metrics:t.metrics req.objective ~procs:req.procs
-          ~params:req.params
-      with
-      | Error msg -> Error msg
-      | Ok (obj, tier0) ->
-      let tier0 = if req.exact_topk = 0 then None else Some tier0 in
       (* The deadline is measured from receipt, so time spent queued
          behind other requests counts against it — a late search is cut
          shorter, not granted a fresh allowance. *)
-      let budget =
-        match (deadline_ms, req.max_nodes) with
-        | None, None -> None
-        | deadline_ms, max_nodes ->
-          let deadline_s =
-            Option.map
-              (fun ms ->
-                Float.max 0. ((ms /. 1000.) -. (Unix.gettimeofday () -. t_recv)))
-              deadline_ms
-          in
-          Some { Engine.deadline_s; max_nodes }
-      in
       let outcome =
         Tracer.span tracer "serve.request"
           ~attrs:(fun () ->
@@ -673,10 +607,8 @@ let search_response t ~tracer req ~spelling ~deadline_ms ~t_recv =
               ("fingerprint", Tracer.String key);
             ])
           (fun () ->
-            Engine.search ~beam:req.beam ~steps:req.steps ?domains:t.domains
-              ~tracer ~metrics:t.metrics ?tier0
-              ~exact_topk:req.exact_topk ~tier0_only:req.tier0_only
-              ?budget nest obj)
+            Request.run ?domains:t.domains ~tracer ~metrics:t.metrics
+              ~since:t_recv req.search nest)
       in
       (match outcome with
       | None -> Error "nest could not be scored"
@@ -952,13 +884,8 @@ let answer_hit t req ~t_recv ~fp counters body =
   record_request t ~fp ~cached:true ~counters ~req_id:req.id ~t_recv resp;
   resp
 
-let deadline_ms t req =
-  match req.deadline_ms with
-  | Some _ as d -> d
-  | None -> t.default_deadline_ms
-
-let expired ~deadline_ms ~t_recv =
-  match deadline_ms with
+let expired req ~t_recv =
+  match req.search.deadline_ms with
   | Some ms -> (Unix.gettimeofday () -. t_recv) *. 1000. >= ms
   | None -> false
 
@@ -968,8 +895,7 @@ let expired ~deadline_ms ~t_recv =
    the engine — and is never cached, exactly like any other degraded
    answer. *)
 let exec_search t req ~spelling ~t_recv =
-  let deadline_ms = deadline_ms t req in
-  if expired ~deadline_ms ~t_recv then begin
+  if expired req ~t_recv then begin
     let resp =
       envelope req ~t_recv ~cached:false
         (Json.Obj
@@ -991,7 +917,7 @@ let exec_search t req ~spelling ~t_recv =
       record_request t ~rt ~req_id:req.id ~t_recv resp;
       resp
     in
-    match search_response t ~tracer:rt req ~spelling ~deadline_ms ~t_recv with
+    match search_response t ~tracer:rt req ~spelling ~t_recv with
     | Ok (`Cached (body, fp, counters)) ->
       answer_hit t req ~t_recv ~fp counters body
     | Ok (`Fresh (body, fp, stats, counters)) ->
@@ -1164,7 +1090,7 @@ let submit t ?wait_turn json k =
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
     answer_inline ?wait_turn k resp
   | None -> (
-    match parse_request json with
+    match parse_request ~default_deadline_ms:t.default_deadline_ms json with
     | Error msg ->
       (* Malformed searches never occupy a worker: answered inline, but
          still counted and ring-recorded like any other request. *)
@@ -1181,7 +1107,7 @@ let submit t ?wait_turn json k =
         match spelling with
         | Some s
           when Option.is_none wait_turn
-               && not (expired ~deadline_ms:(deadline_ms t req) ~t_recv) ->
+               && not (expired req ~t_recv) ->
           Lru.find_spelling t.cache s
         | _ -> None
       in

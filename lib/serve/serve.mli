@@ -41,14 +41,18 @@
     cached). Introspection ops are exempt from shedding.
 
     {b Request} fields: ["nest"] (required; loop-nest source text),
-    ["id"] (echoed verbatim), ["objective"] (["locality"] (default) or
-    ["parallel"]), ["params"] (object of integers), ["procs"]
-    ([1..1024], {!Itf_opt.Search.max_procs}), ["steps"] ([0..8]),
-    ["beam"] ([1..64]), ["exact_topk"] (non-negative; [0] disables the
-    tier-0 screen), ["tier0_only"], ["deadline_ms"] (number),
-    ["max_nodes"] (integer). A field of the wrong type or outside its range is an error
-    response. The deadline is measured from receipt, so queueing delay
-    counts against it.
+    ["id"] (echoed verbatim), and the fields of {!Itf_opt.Request.t}
+    under their own names: ["objective"] (string), ["params"] (object
+    of integers), ["procs"], ["steps"], ["beam"], ["exact_topk"]
+    (integers), ["tier0_only"] (boolean), ["deadline_ms"] (number) and
+    ["max_nodes"] (integer). An absent field takes
+    {!Itf_opt.Request.default}'s value, and an absent ["deadline_ms"]
+    the server's default deadline. A field of the wrong type is an
+    error response; so is a request that {!Itf_opt.Request.check}
+    rejects, with its message ([loopt optimize] gives the same). Type
+    errors are reported before range errors. The response cache is
+    keyed by {!Itf_opt.Request.key}. The deadline is measured from
+    receipt, so queueing delay counts against it.
 
     {b Ops}: [{"op": "shutdown"}] drains the queue and every running
     worker, then stops the server (its response is the last one out);

@@ -21,6 +21,7 @@ module Engine = Itf_opt.Engine
 module Search = Itf_opt.Search
 module Sequence = Itf_core.Sequence
 module Serve = Itf_serve.Serve
+module Request = Itf_opt.Request
 module Json = Itf_obs.Json
 
 let check_bool = Alcotest.(check bool)
@@ -336,6 +337,123 @@ let test_serve_params_key_injective () =
   check_string "second equals its own uncached answer"
     (Json.to_string (strip_envelope alone))
     (Json.to_string (strip_envelope b))
+
+(* [Request.key] holds every field that determines the answer and
+   nothing else: changing one such field changes it, changing the budget
+   or the order of the parameters does not, and a request that differs
+   only in its id and budget is answered from the first one's entry. *)
+let test_request_key_complete () =
+  let base =
+    {
+      Request.default with
+      params = [ ("n", 16); ("m", 4) ];
+      procs = 3;
+      steps = 1;
+      beam = 5;
+      exact_topk = 7;
+      tier0_only = true;
+    }
+  in
+  let key ?(nest = "0") r = Request.key r ~nest in
+  (* This request's fingerprint on the first nest a process interns.
+     Ring records and [Tracer.head_keep] draws read it, so a change to
+     the key's layout must show here. *)
+  check_string "key pinned" "locality|1:m=4,1:n=16|1|5|7|true|3|0" (key base);
+  List.iter
+    (fun (label, k) ->
+      check_bool (label ^ " changes the key") true (k <> key base))
+    [
+      ("objective", key { base with objective = "parallel" });
+      ("parameter name", key { base with params = [ ("n", 16); ("k", 4) ] });
+      ("parameter value", key { base with params = [ ("n", 16); ("m", 5) ] });
+      ("dropped parameter", key { base with params = [ ("n", 16) ] });
+      ("procs", key { base with procs = 4 });
+      ("steps", key { base with steps = 2 });
+      ("beam", key { base with beam = 6 });
+      ("exact_topk", key { base with exact_topk = 8 });
+      ("tier0_only", key { base with tier0_only = false });
+      ("nest", key ~nest:"1" base);
+    ];
+  List.iter
+    (fun (label, k) -> check_string (label ^ " keeps the key") (key base) k)
+    [
+      ("deadline_ms", key { base with deadline_ms = Some 5. });
+      ("max_nodes", key { base with max_nodes = Some 10 });
+      ("parameter order", key { base with params = [ ("m", 4); ("n", 16) ] });
+    ];
+  let server = Serve.create ~domains:1 () in
+  let first, _ = Serve.handle_line server (req matmul_src) in
+  let again, _ =
+    Serve.handle_line server
+      (req ~id:(Json.Int 2) ~deadline_ms:60000. ~max_nodes:100000 matmul_src)
+  in
+  check_string "first ok" "ok" (status first);
+  check_bool "new id and budget hit the cache" true
+    (field "cached" again = Json.Bool true)
+
+(* Every validity rule has one message, whichever front end asks: the
+   record's own check and a serve request that breaks the same rule. *)
+let test_request_rules_one_table () =
+  let server = Serve.create ~domains:1 () in
+  let d = Request.default in
+  List.iter
+    (fun (label, r, fields, message) ->
+      check_string (label ^ ": Request.check") message
+        (match Request.check r with Ok () -> "ok" | Error m -> m);
+      let resp, _ =
+        Serve.handle_line server
+          (Json.to_string
+             (Json.Obj (("nest", Json.String matmul_src) :: fields)))
+      in
+      check_string (label ^ ": serve status") "error" (status resp);
+      check_string (label ^ ": serve message") message
+        (match field "error" resp with
+        | Json.String m -> m
+        | j -> Json.to_string j))
+    [
+      ( "unknown objective",
+        { d with objective = "fastest" },
+        [ ("objective", Json.String "fastest") ],
+        "unknown objective \"fastest\" (use locality|parallel)" );
+      ( "repeated parameter",
+        { d with params = [ ("n", 8); ("n", 16) ] },
+        [ ("params", Json.Obj [ ("n", Json.Int 8); ("n", Json.Int 16) ]) ],
+        "parameter \"n\" given twice" );
+      ( "zero procs",
+        { d with procs = 0 },
+        [ ("procs", Json.Int 0) ],
+        "field \"procs\" must be in 1..1024" );
+      ( "huge procs",
+        { d with procs = 1025 },
+        [ ("procs", Json.Int 1025) ],
+        "field \"procs\" must be in 1..1024" );
+      ( "negative steps",
+        { d with steps = -1 },
+        [ ("steps", Json.Int (-1)) ],
+        "field \"steps\" must be in 0..8" );
+      ( "nine steps",
+        { d with steps = 9 },
+        [ ("steps", Json.Int 9) ],
+        "field \"steps\" must be in 0..8" );
+      ( "zero beam",
+        { d with beam = 0 },
+        [ ("beam", Json.Int 0) ],
+        "field \"beam\" must be in 1..64" );
+      ( "huge beam",
+        { d with beam = 65 },
+        [ ("beam", Json.Int 65) ],
+        "field \"beam\" must be in 1..64" );
+      ( "negative exact_topk",
+        { d with exact_topk = -1 },
+        [ ("exact_topk", Json.Int (-1)) ],
+        "field \"exact_topk\" must be non-negative" );
+      ( "tier0_only with an open screen",
+        { d with tier0_only = true; exact_topk = 0 },
+        [ ("tier0_only", Json.Bool true); ("exact_topk", Json.Int 0) ],
+        "tier0_only conflicts with exact_topk = 0" );
+    ];
+  check_string "the default passes" "ok"
+    (match Request.check d with Ok () -> "ok" | Error m -> m)
 
 let test_serve_lru_eviction () =
   let server = Serve.create ~domains:1 ~max_cache:1 () in
@@ -1272,6 +1390,10 @@ let () =
             test_serve_objective_unknown_inline;
           Alcotest.test_case "parameter names cannot share a cache key" `Quick
             test_serve_params_key_injective;
+          Alcotest.test_case "request key covers all but the budget" `Quick
+            test_request_key_complete;
+          Alcotest.test_case "one validation table for both front ends" `Quick
+            test_request_rules_one_table;
         ] );
       ( "introspection",
         [
