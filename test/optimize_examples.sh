@@ -31,7 +31,7 @@ for nest in bench/e2e/nests/matmul.loop bench/e2e/nests/lu.loop; do
 done
 # Requests the search rejects: each prints its error and exits 1.
 for flags in "--objective fastest" "--procs 0" "--exact-topk=-1" \
-  "--tier0-only --exact-topk 0" "--steps 9"; do
+  "--tier0-only --exact-topk 0" "--steps 9" "-p n=2"; do
   echo "### optimize $flags"
   # shellcheck disable=SC2086 # $flags holds several words on purpose
   "$loopt" optimize --domains 1 -p n=16 $flags \
