@@ -93,23 +93,24 @@ let param_conv =
   let print ppf (n, v) = Format.fprintf ppf "%s=%d" n v in
   Arg.conv (parse, print)
 
+(* A name given twice is rejected where the request is checked
+   ({!Itf_opt.Request.check}), so every command prints the same message
+   and exits 1. *)
 let params_arg =
-  let rec unique seen = function
-    | [] -> Ok (List.rev seen)
-    | (k, _) :: _ when List.mem_assoc k seen ->
-      Error (`Msg (Printf.sprintf "parameter %S given twice" k))
-    | p :: rest -> unique (p :: seen) rest
-  in
-  Term.term_result
-    Term.(
-      const (unique [])
-      $ Arg.(
-          value
-          & opt_all param_conv []
-          & info [ "p"; "param" ] ~docv:"NAME=VALUE"
-              ~doc:
-                "Give a value to a symbolic parameter (repeatable, once per \
-                 name)."))
+  Arg.(
+    value
+    & opt_all param_conv []
+    & info [ "p"; "param" ] ~docv:"NAME=VALUE"
+        ~doc:"Give a value to a symbolic parameter (repeatable, once per name).")
+
+(* [run], [emit] and [trace] take parameters but no search: they check
+   them by the search request's rule. *)
+let with_params params k =
+  match Itf_opt.Request.check { Itf_opt.Request.default with params } with
+  | Ok () -> k ()
+  | Error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    1
 
 let nest_arg =
   Arg.(
@@ -462,6 +463,7 @@ let optimize_cmd =
 
 let run_cmd =
   let run nest_path params =
+    with_params params @@ fun () ->
     with_nest nest_path @@ fun prog nest ->
       if prog.Itf_lang.Parser.functions <> [] then begin
         Printf.eprintf
@@ -491,6 +493,7 @@ let run_cmd =
 
 let emit_cmd =
   let run nest_path script params openmp =
+    with_params params @@ fun () ->
     with_nest ?script nest_path @@ fun _ out ->
       let bounds = synthetic_bounds params out in
       match Itf_emit.C.program ~openmp ~params ~bounds out with
@@ -544,6 +547,7 @@ let distribute_cmd =
 
 let trace_cmd =
   let run nest_path script params =
+    with_params params @@ fun () ->
     with_nest ?script nest_path @@ fun _ out ->
       (* The body runs, so its arrays must exist; left zero, a
          data-dependent subscript stays in range. *)

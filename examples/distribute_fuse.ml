@@ -1,7 +1,6 @@
 (* Statement-level transformations (paper Section 6 future work): loop
-   distribution splits a recurrence away from parallel work, fusion merges
-   conformable loops back when legal, and unrolling widens the innermost
-   body.
+   distribution splits a recurrence away from parallel work, and fusion
+   merges conformable loops back when legal.
 
    Run with: dune exec examples/distribute_fuse.exe *)
 
@@ -21,8 +20,8 @@ let src =
 let () =
   let nest = Itf_lang.Parser.parse_nest src in
   Format.printf "== input (one loop, three statements) ==@.%a@." Nest.pp nest;
-  Format.printf "parallelizable as-is: %b@.@."
-    (Queries.parallelizable (Analysis.vectors nest) 0);
+  let parallel n = Queries.parallelizable_loops ~depth:1 (Analysis.vectors n) <> [] in
+  Format.printf "parallelizable as-is: %b@.@." (parallel nest);
 
   (* Distribution: one nest per dependence component, in order. *)
   let distributed = Statement.distribute nest in
@@ -30,8 +29,7 @@ let () =
     Program.pp distributed;
   List.iteri
     (fun k n ->
-      Format.printf "nest %d parallelizable: %b@." (k + 1)
-        (Queries.parallelizable (Analysis.vectors n) 0))
+      Format.printf "nest %d parallelizable: %b@." (k + 1) (parallel n))
     distributed;
   Format.printf "@.";
 
@@ -39,11 +37,6 @@ let () =
   let refused = Statement.fuse_all distributed in
   Format.printf "== after maximal refusion (%d nests) ==@.%a@."
     (List.length refused) Program.pp refused;
-
-  (* Unrolling the first distributed nest. *)
-  let unrolled = Statement.unroll ~factor:4 (List.hd distributed) in
-  Format.printf "== first nest unrolled by 4 (main + remainder) ==@.%a@."
-    Program.pp unrolled;
 
   (* Everything is validated against the interpreter. *)
   let run p =
@@ -55,11 +48,10 @@ let () =
         let d = Itf_exec.Env.array_data env a in
         Array.iteri (fun k _ -> d.(k) <- (k * 7) mod 23) d)
       [ "a"; "b"; "c"; "d" ];
-    Program.run env p;
+    List.iter (Itf_exec.Interp.run env) p;
     Itf_exec.Env.snapshot env
   in
   let reference = run [ nest ] in
-  Format.printf "distributed ok: %b; refused ok: %b; unrolled-first ok: %b@."
+  Format.printf "distributed ok: %b; refused ok: %b@."
     (run distributed = reference)
     (run refused = reference)
-    (run (unrolled @ List.tl distributed) = reference)

@@ -73,20 +73,3 @@ and eval_const a =
 let coeff a v = match List.assoc_opt v a.coeffs with Some c -> c | None -> 0
 
 let is_affine a = a.nonlinear_in = []
-
-let is_invariant a = a.coeffs = [] && a.nonlinear_in = []
-
-let to_expr a =
-  List.fold_left
-    (fun acc (v, c) -> Expr.add acc (Expr.mul (Expr.int c) (Expr.var v)))
-    a.base a.coeffs
-
-let eval_const = eval_const
-
-let pp ppf a =
-  Format.fprintf ppf "@[{";
-  List.iter (fun (v, c) -> Format.fprintf ppf "%d*%s + " c v) a.coeffs;
-  Format.fprintf ppf "%a" Expr.pp a.base;
-  if a.nonlinear_in <> [] then
-    Format.fprintf ppf " (nonlinear in %s)" (String.concat "," a.nonlinear_in);
-  Format.fprintf ppf "}@]"

@@ -29,14 +29,3 @@ val coeff : t -> string -> int
 
 val is_affine : t -> bool
 (** True iff no designated variable is used non-linearly. *)
-
-val is_invariant : t -> bool
-(** True iff no designated variable occurs at all (affine with no coeffs). *)
-
-val to_expr : t -> Expr.t
-(** Recombine into an expression (sum of coefficient terms plus base). *)
-
-val eval_const : t -> int option
-(** [Some c] when the split is the literal constant [c]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -79,8 +79,6 @@ let term_to_expr t (tm : term) =
     tm.coeffs;
   !e
 
-let lower_expr t i = Expr.max_list (List.map (term_to_expr t) t.lowers.(i))
-let upper_expr t i = Expr.min_list (List.map (term_to_expr t) t.uppers.(i))
 let step_expr t i = term_to_expr t t.steps.(i)
 
 let pp_entry ppf (tms : term list) j =

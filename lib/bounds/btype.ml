@@ -4,8 +4,6 @@ let rank = function Const -> 0 | Invar -> 1 | Linear -> 2 | Nonlinear -> 3
 
 let leq a b = rank a <= rank b
 let join a b = if rank a >= rank b then a else b
-let compare a b = Stdlib.compare (rank a) (rank b)
-let equal a b = a = b
 
 let to_string = function
   | Const -> "const"

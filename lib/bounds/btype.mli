@@ -12,7 +12,4 @@ val leq : t -> t -> bool
 
 val join : t -> t -> t
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -1,15 +1,5 @@
 open Itf_ir
 
-let type_in (e : Expr.t) (xi : string) : Btype.t =
-  match Expr.to_int e with
-  | Some _ -> Btype.Const
-  | None ->
-    if not (Expr.mentions xi e) then Btype.Invar
-    else
-      let s = Affine.split ~vars:[ xi ] e in
-      if List.mem xi s.Affine.nonlinear_in then Btype.Nonlinear
-      else Btype.Linear
-
 type role = Lower | Upper | Step
 
 let rec flatten_max (e : Expr.t) =
@@ -23,9 +13,3 @@ let bound_terms role ~step_sign e =
   | Lower, true | Upper, false -> flatten_max e
   | Upper, true | Lower, false -> flatten_min e
   | Step, _ -> [ e ]
-
-let type_in_bound role ~step_sign e xi =
-  List.fold_left
-    (fun acc t -> Btype.join acc (type_in t xi))
-    Btype.Const
-    (bound_terms role ~step_sign e)

@@ -7,12 +7,11 @@
     The paper's special case: when a lower bound with positive step is a
     [max] of terms (or an upper bound a [min] of terms), each term counts as
     a separate linear inequality, so the bound classifies as the join of its
-    terms' types rather than as [Nonlinear]. [type_in_bound] implements
-    that; [type_in] is the plain classification. *)
+    terms' types rather than as [Nonlinear]. [bound_terms] splits such a
+    bound into its terms; {!Bmat.btype} classifies each term and joins the
+    results. *)
 
 open Itf_ir
-
-val type_in : Expr.t -> string -> Btype.t
 
 type role = Lower | Upper | Step
 
@@ -20,6 +19,3 @@ val bound_terms : role -> step_sign:int -> Expr.t -> Expr.t list
 (** Decompose a bound into its max/min terms when the special case applies
     ([Lower]+[max] for positive step, [Lower]+[min] for negative step, and
     dually for [Upper]); otherwise the single original expression. *)
-
-val type_in_bound : role -> step_sign:int -> Expr.t -> string -> Btype.t
-(** Join of [type_in] over [bound_terms]. *)

@@ -22,7 +22,6 @@
 exception Error of string
 
 val to_string : ?note:string -> Gen.case -> string
-val of_string : string -> Gen.case
 
 val save : ?note:string -> string -> Gen.case -> unit
 val load : string -> Gen.case

@@ -41,9 +41,6 @@ val check : Itf_bounds.Bmat.t -> Template.t -> violation list
 (** Empty list = all preconditions satisfied. Also reports a mismatch
     between the template's [n] and the nest depth. *)
 
-val message : violation -> string
-(** Human-readable rendering, naming the loop and variable. *)
-
 val reason_label : reason -> string
 (** Stable low-cardinality slug for metric labels and trace attributes:
     ["depth-mismatch"], ["bound-type"], ["non-constant-step"],

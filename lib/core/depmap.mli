@@ -64,17 +64,3 @@ val map_set :
     [Unimodular] rule's grid of each vector, kept once per family, and
     [Block]'s image of the set, kept once per band (the rule never
     reads the block sizes, so the size siblings of one band share it). *)
-
-(** {1 Individual entry maps (exposed for tests and documentation)} *)
-
-val parmap : Itf_dep.Depvec.elem -> Itf_dep.Depvec.elem
-
-val blockmap : Itf_dep.Depvec.elem -> (Itf_dep.Depvec.elem * Itf_dep.Depvec.elem) list
-(** Pairs of (block-loop entry, element-loop entry). *)
-
-val imap : Itf_dep.Depvec.elem -> (Itf_dep.Depvec.elem * Itf_dep.Depvec.elem) list
-(** Pairs of (phase-loop entry, strided-loop entry). *)
-
-val mergedirs : Itf_dep.Depvec.elem list -> Itf_dep.Depvec.elem
-(** [Coalesce]'s lexicographic merge; exact distances survive when all
-    outer entries are exactly zero. *)

@@ -94,9 +94,6 @@ let apply_exn ?vectors nest seq =
   | Ok r -> r
   | Error verdict -> raise (Illegal verdict)
 
-let map_vectors seq vectors =
-  List.fold_left (fun vs t -> Depmap.map_set t vs) vectors seq
-
 (* The verdict in an entry's cell, computed and stored on first use.
    [make] builds the entry's prefix state; it and the final verdict share
    one counter of template applications. [root] is the derivation id of
@@ -139,10 +136,6 @@ let references st (result : result) =
   match Legality.references st.prefix with
   | Some found -> found
   | None -> (Itf_bounds.Access.of_nest result.nest, Legality.Computed)
-
-let check_extend parent t =
-  let t, tid = Template.intern_id t in
-  check_child parent t (child_entry parent tid)
 
 (* Annexes are memos: two domains adding to one state at once may each
    replace the list the other read, and the annex that loses is built

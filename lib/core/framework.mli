@@ -25,7 +25,7 @@ type result = {
       (** The derivation id: a dense id naming the root nest, the root's
           dependence vectors and the raw template sequence this result
           was derived from, the only inputs of {!apply},
-          {!check_root} and {!check_extend}. It is the id of the result's
+          {!check_root} and {!check_child}. It is the id of the result's
           entry in the one bounded [core.derivation] table, keyed
           [[parent derivation id; template id]] below its root's, so
           both give equal ids for equal inputs while the entries are
@@ -60,15 +60,12 @@ val apply_exn :
 
 exception Illegal of Legality.verdict
 
-val map_vectors : Sequence.t -> Itf_dep.Depvec.t list -> Itf_dep.Depvec.t list
-(** Dependence-vector image of a whole sequence (no bounds checks). *)
-
 (** {1 Memoised verdicts}
 
     The search engine's hot path. A {!state} is a legal sequence prefix;
-    {!check_extend} appends one template without replaying the prefix
+    {!check_child} appends one template without replaying the prefix
     ({!Legality.extend}, then {!Legality.verdict}), and {!check_root}
-    starts from the root. [check_root nest |> check_extend*] and
+    starts from the root. {!check_root} followed by {!check_child}s and
     {!apply} agree on the verdict and the derivation id of every prefix
     whose own prefixes are all legal.
 
@@ -93,16 +90,12 @@ val check_root : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> checked
 (** The root; [vectors] defaults to {!Itf_dep.Analysis.vectors} on the
     nest. *)
 
-val check_extend : state -> Template.t -> checked
-(** @raise Invalid_argument if the template does not chain with the
-    state's depth. *)
-
 (** {1 Children and annexes}
 
     What a search needs to expand one legal state many times without
-    naming anything twice. {!check_extend} is {!check_child} on
-    {!child_entry}: a caller that keeps a child's entry checks it again
-    without probing [core.derivation] or hashing the template. An
+    naming anything twice. A child is checked with {!check_child} on
+    its {!child_entry}: a caller that keeps a child's entry checks it
+    again without probing [core.derivation] or hashing the template. An
     annex is data an upper layer derives from a state (the search
     engine keeps a parent's expansion there); it lives with the state
     in its entry's verdict, so it is evicted with the entry and reading
@@ -121,14 +114,15 @@ val child_entry : state -> int -> entry
 
 val check_child : ?built:int ref -> state -> Template.t -> entry -> checked
 (** [check_child parent t e], with [e] a [child_entry parent] of [t]'s
-    id (or an entry kept from such a call), is {!check_extend}[ parent
-    t] answered from [e]: the stored verdict, or one computed and
+    id (or an entry kept from such a call), is the verdict of [parent]
+    extended by [t], answered from [e]: the stored verdict, or one computed and
     stored there. An entry evicted from the table since answers the
     same, and its id still names the same candidate. A computed verdict
     increments [built] once per family its legality check built
     ({!Legality.extend}): the parent's, on the first child checked, and
     those of a reduced-sequence replay.
-    @raise Invalid_argument as {!check_extend}. *)
+    @raise Invalid_argument if [t] does not chain with the state's
+    depth. *)
 
 val references : state -> result -> Itf_bounds.Access.t * Legality.provenance
 (** [references st r], with [r] the result of [st]: the array reference

@@ -94,7 +94,8 @@ type path =
              one parent pay for one build. An [Atomic] cell, not a
              [Lazy]: pool domains extend siblings of one memoised parent
              concurrently, and forcing one lazy value from two domains
-             at once raises. A racing build stores an equal value. *)
+             at once raises. Of two racing builds, the first stored
+             is the one both use. *)
       parent_refs : Access.t option Atomic.t option;
           (* The parent family's reference-form cell, when the stage
              kept what the forms read ({!Family.inherits}): parent and
@@ -133,20 +134,19 @@ let start ?vectors nest =
   in
   of_root { r_nest = nest; r_vectors = vectors; r_family = Atomic.make None }
 
+(* Two domains may build one family at once; the first to store it wins,
+   and only it counts the build. The loser returns the winner's family,
+   as a later caller on one domain would find it. *)
 let family_of ?built cell nest vectors parent_refs =
   match Atomic.get cell with
   | Some f -> f
   | None ->
     let f = Family.make ?refs:parent_refs nest vectors in
-    Atomic.set cell (Some f);
-    bump built 1;
-    f
-
-let family st =
-  match st.path with
-  | Off _ -> None
-  | On { nest; vectors; family; parent_refs; _ } ->
-    Some (family_of family nest vectors parent_refs)
+    if Atomic.compare_and_set cell None (Some f) then begin
+      bump built 1;
+      f
+    end
+    else Option.get (Atomic.get cell)
 
 let extend ?count ?built st (t : Template.t) =
   if Template.input_depth t <> st.depth then
@@ -181,13 +181,15 @@ let references st =
   match st.path with
   | Off _ -> None
   | On { nest; family; parent_refs; _ } ->
+    (* As [family_of]: a loser of a racing fill reports the winner's
+       forms as found in the cell. *)
     let fill cell found =
       match Atomic.get cell with
       | Some a -> (a, found)
       | None ->
         let a = Access.of_nest nest in
-        Atomic.set cell (Some a);
-        (a, Computed)
+        if Atomic.compare_and_set cell None (Some a) then (a, Computed)
+        else (Option.get (Atomic.get cell), found)
     in
     Some
       (match (parent_refs, Atomic.get family) with
@@ -224,9 +226,6 @@ let verdict ?count ?built st =
 
 let check ?vectors nest seq =
   verdict (List.fold_left extend (start ?vectors nest) seq)
-
-let is_legal ?vectors nest seq =
-  match check ?vectors nest seq with Legal _ -> true | _ -> false
 
 type reason =
   | Precondition of { index : int; violation : Boundsmap.violation }

@@ -41,8 +41,6 @@ val check :
     @raise Invalid_argument if [seq] does not chain with the nest's
     depth. *)
 
-val is_legal : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> Sequence.t -> bool
-
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** {1 Decision provenance}
@@ -98,7 +96,8 @@ val pp_reason : Format.formatter -> reason -> unit
     child's own part is its matrix and the inverse its template
     carries. The state of the root is shared by every replay from it.
     The cell is domain-safe: search engines extend one state from
-    several domains at once, and a racing build stores an equal value.
+    several domains at once, and of two racing builds the first stored
+    (by compare-and-set) is the one both use and the only one counted.
 
     The family also keeps the nest's array reference forms
     ({!references}), computed on first use. A child whose stage kept the
@@ -138,10 +137,6 @@ val verdict : ?count:int ref -> ?built:int ref -> state -> verdict
     so [extend] and [verdict] together count every stage application
     attempted — the instrumentation used to compare search engines —
     and [built] once per family the replay builds. *)
-
-val family : state -> Family.t option
-(** The family of the state's nest, built on first use as {!extend}
-    builds it (and then shared with it); [None] once a stage failed. *)
 
 (** How {!references} found a state's forms. *)
 type provenance =

@@ -43,6 +43,3 @@ let fully_permutable ~depth vectors ~i ~j =
           done;
           !ok))
        vectors
-
-let serial_fraction ~depth vectors =
-  depth - List.length (parallelizable_loops ~depth vectors)

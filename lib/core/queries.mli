@@ -6,23 +6,6 @@
     the related work the paper discusses: Allen-Kennedy's loop-carried
     dependence {e level} and Wolf-Lam's fully-permutable loop bands. *)
 
-val carried_level : Itf_dep.Depvec.t -> int option
-(** The level (0-based loop position) that {e must} carry the dependence:
-    the first component whose every denoted value is positive, provided all
-    earlier components are exactly zero. [None] when the vector admits the
-    all-zero tuple or its leading sign is not definite (summary values) —
-    callers must then treat every level as possibly carrying it. *)
-
-val may_be_carried_by : Itf_dep.Depvec.t -> int -> bool
-(** Could some tuple of the vector have its first nonzero (positive)
-    component at the given level? *)
-
-val parallelizable : Itf_dep.Depvec.t list -> int -> bool
-(** Is [Parallelize] of the given loop legal for this dependence set —
-    i.e. is no dependence carried by that loop? (Exactly the verdict
-    {!Legality} would reach for a single [Parallelize] instantiation;
-    exposed directly because selectors ask it for every loop.) *)
-
 val parallelizable_loops : depth:int -> Itf_dep.Depvec.t list -> int list
 
 val vectorizable_innermost : depth:int -> Itf_dep.Depvec.t list -> bool
@@ -34,7 +17,3 @@ val fully_permutable : depth:int -> Itf_dep.Depvec.t list -> i:int -> j:int -> b
     either carried outside the band or componentwise non-negative inside
     it? A fully permutable band admits any permutation and any blocking of
     its loops (the Wolf-Lam tiling condition). *)
-
-val serial_fraction : depth:int -> Itf_dep.Depvec.t list -> int
-(** Number of loops that cannot be parallelized as-is (a crude objective
-    for the optimizer). *)

@@ -7,14 +7,6 @@ let rec well_formed = function
   | a :: (b :: _ as rest) ->
     Template.output_depth a = Template.input_depth b && well_formed rest
 
-let output_depth ~input seq =
-  List.fold_left
-    (fun d t ->
-      if Template.input_depth t <> d then
-        invalid_arg "Sequence.output_depth: sequence does not chain"
-      else Template.output_depth t)
-    input seq
-
 let is_identity (t : Template.t) =
   match t with
   | Template.Unimodular { m; _ } -> Intmat.is_identity m
@@ -77,15 +69,11 @@ let rec reduce seq =
   let seq' = pass seq in
   if seq' == seq then seq else reduce seq'
 
-let compose t u = reduce (t @ u)
-
 (* Identity of a sequence for memoization: two sequences are the "same
    transformation state" when their reductions coincide (e.g. interchange
    twice = identity), so search caches key on [reduce]. *)
 let compare (a : t) (b : t) =
   if a == b then 0 else List.compare Template.compare a b
-
-let equal a b = compare a b = 0
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing and integer-keyed reduction                            *)
@@ -112,8 +100,6 @@ let intern_id (seq : t) : t * int =
     (fun named t -> extend_id named (Template.intern_id t))
     (empty_id ()) seq
 
-let intern seq = fst (intern_id seq)
-
 (* Canonicalization memo: sequence id -> interned reduction. [reduce] is
    pure, so racing domains store the same canonical value; in the search
    engine every raw candidate of every step funnels through here, turning
@@ -127,13 +113,6 @@ let reduce_id (seq, sid) =
   RMemo.find_or_add reduce_table sid (fun () ->
       let r = reduce seq in
       if r == seq then (seq, sid) else intern_id r)
-
-let reduce_memo seq = reduce_id (intern_id seq)
-
-let hash (seq : t) =
-  List.fold_left
-    (fun h t -> Itf_ir.Expr.hash_combine h (Template.hash t))
-    (List.length seq) seq
 
 let pp ppf (seq : t) =
   Format.fprintf ppf "@[<v>";

@@ -197,7 +197,6 @@ end)
 
 let table : t HC.t = HC.create "core.template"
 let intern_id t = HC.intern table t (fun _ -> t)
-let intern t = fst (intern_id t)
 
 let name = function
   | Unimodular _ -> "Unimodular"

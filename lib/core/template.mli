@@ -78,18 +78,11 @@ val compare : t -> t -> int
 (** Explicit structural total order (no polymorphic compare: [Intmat.t] is
     abstract and expressions are compared via {!Itf_ir.Expr.compare}). *)
 
-val equal : t -> t -> bool
-
-val hash : t -> int
-(** Structural hash compatible with [equal]. *)
-
-val intern : t -> t
-(** Canonical physically-shared instantiation: the first one interned
-    that is {!equal} to it (see {!Itf_mat.Hashcons}). *)
-
 val intern_id : t -> t * int
-(** {!intern} plus the dense intern id. Equal ids = equal templates; ids
-    are not an ordering. *)
+(** The canonical physically-shared instantiation (the first one interned
+    that is structurally equal to it; see {!Itf_mat.Hashcons}) and its
+    dense intern id. Equal ids = equal templates; ids are not an
+    ordering. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

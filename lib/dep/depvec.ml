@@ -21,9 +21,6 @@ let elem_union a b =
   | Dist x, Dist y when x = y -> Dist x
   | a, b -> dir (Dir.union (elem_dir a) (elem_dir b))
 
-let elem_contains e x =
-  match e with Dist n -> n = x | Dir d -> Dir.contains d x
-
 let elem_subset a b =
   match (a, b) with
   | Dist x, Dist y -> x = y
@@ -34,8 +31,6 @@ let elem_subset a b =
 let elem_is_zero = function Dist 0 -> true | Dist _ -> false | Dir d -> Dir.equal d Dir.Zero
 
 let of_list l = Array.of_list l
-
-let zero n = Array.make n (Dist 0)
 
 (* A lex-negative tuple exists iff some component can be negative while all
    earlier components can simultaneously be zero — components denote
@@ -49,16 +44,6 @@ let may_lex_negative (d : t) =
       else go (k + 1) (prefix_can_be_zero && s.Dir.zero)
   in
   go 0 true
-
-let is_lex_positive_definite (d : t) =
-  (* Every tuple is lex-positive iff no tuple is lex-negative and the
-     all-zero tuple is not denoted. *)
-  (not (may_lex_negative d))
-  && not (Array.for_all (fun e -> (elem_signs e).Dir.zero) d)
-
-let mem (d : t) (tuple : int array) =
-  Array.length d = Array.length tuple
-  && Array.for_all2 elem_contains d tuple
 
 let subset (a : t) (b : t) =
   Array.length a = Array.length b && Array.for_all2 elem_subset a b
@@ -123,8 +108,6 @@ let pp ppf (d : t) =
       pp_elem ppf e)
     d;
   Format.fprintf ppf ")"
-
-let to_string d = Format.asprintf "%a" pp d
 
 let elem_of_string s =
   let s = String.trim s in

@@ -28,33 +28,9 @@ val elem_union : elem -> elem -> elem
 (** Smallest representable element covering both (exact distances are kept
     only when equal). *)
 
-val elem_contains : elem -> int -> bool
-val elem_subset : elem -> elem -> bool
 val elem_is_zero : elem -> bool
 
 (** {1 Vectors} *)
-
-val of_list : elem list -> t
-val zero : int -> t
-
-val may_lex_negative : t -> bool
-(** Does [Tuples(d)] contain a lexicographically negative tuple?
-    (Basis of the dependence legality test, paper Section 3.2.) *)
-
-val is_lex_positive_definite : t -> bool
-(** Is every tuple in [Tuples(d)] lexicographically positive? *)
-
-val mem : t -> int array -> bool
-(** Tuple membership in [Tuples(d)]. *)
-
-val subset : t -> t -> bool
-(** Componentwise containment: [Tuples(a)] ⊆ [Tuples(b)]. *)
-
-val elem_equal : elem -> elem -> bool
-val elem_compare : elem -> elem -> int
-
-val equal : t -> t -> bool
-(** Explicit field-wise structural equality (no polymorphic [=]). *)
 
 val compare : t -> t -> int
 (** Explicit field-wise total order, identical to the order the
@@ -71,9 +47,7 @@ val dedupe : t list -> t list
 
 (** {1 Text} *)
 
-val pp_elem : Format.formatter -> elem -> unit
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val of_string : string -> t
 (** Parses ["(1, -1)"], ["(0, +)"], ["(0+, *, 2)"]...

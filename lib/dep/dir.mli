@@ -29,7 +29,7 @@ val reverse : t -> t
 val union : t -> t -> t
 
 val merge_lex : t -> t -> t
-(** Lexicographic combination used by [Coalesce]'s [mergedirs] (paper
+(** Lexicographic combination used by [Coalesce]'s entry merge (paper
     Table 2): the sign of the linearized distance [outer * N + inner] with
     [N] larger than any inner distance — the outer sign when nonzero, the
     inner sign when the outer is zero. E.g. [merge_lex Pos Neg = Pos],
@@ -47,6 +47,5 @@ val compare : t -> t -> int
     the polymorphic compare gave this enum). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 val of_string : string -> t option
 (** Parses ["0" "+" "-" "0+" "0-" "+-" "*"]. *)

@@ -40,11 +40,6 @@ let rec expr_buf b (e : Expr.t) =
   | Call (f, _) ->
     invalid_arg ("C emitter: uninterpreted function " ^ f)
 
-let expr_to_c e =
-  let b = Buffer.create 64 in
-  expr_buf b e;
-  Buffer.contents b
-
 let helpers =
   "static long ifloordiv(long a, long b) {\n\
   \  long q = a / b, r = a % b;\n\
@@ -102,7 +97,7 @@ let assigned_scalars (nest : Nest.t) =
   List.sort_uniq compare
     (List.concat_map Stmt.defined_vars (nest.Nest.inits @ nest.Nest.body))
 
-let loops_buf ?(openmp = false) b depth0 (nest : Nest.t) =
+let loops_buf ~openmp b depth0 (nest : Nest.t) =
   let rec go depth = function
     | [] ->
       List.iter (stmt_buf b depth) nest.Nest.inits;
@@ -139,16 +134,6 @@ let loops_buf ?(openmp = false) b depth0 (nest : Nest.t) =
       Buffer.add_string b "}\n"
   in
   go depth0 nest.Nest.loops
-
-let kernel ?openmp ~name (nest : Nest.t) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (Printf.sprintf "static void %s(void) {\n" name);
-  List.iter
-    (fun v -> Buffer.add_string b (Printf.sprintf "  long %s = 0; (void) %s;\n" v v))
-    (assigned_scalars nest);
-  loops_buf ?openmp b 1 nest;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
 
 let program ?(openmp = false) ~params ~bounds (nest : Nest.t) =
   let b = Buffer.create 4096 in

@@ -13,7 +13,7 @@
     - [pardo] loops emit [#pragma omp parallel for] when [openmp] is set,
       and plain sequential loops otherwise.
 
-    [kernel] emits just a function; [program] emits a standalone program
+    [program] emits a standalone program
     that allocates and deterministically fills every array
     ([data[k] = (k*31) % 97], as [Itf_exec.Env.fill_synthetic] does), runs the
     nest, and prints one [name checksum] line per array — which is how the
@@ -21,17 +21,6 @@
     interpreter. *)
 
 open Itf_ir
-
-val expr_to_c : Expr.t -> string
-(** C expression text (uses the helper functions for div/mod/min/max). *)
-
-val kernel : ?openmp:bool -> name:string -> Nest.t -> string
-(** A bare C function [static void <name>(void)] containing the scalar
-    declarations, loops and statements. Array accesses are emitted as
-    [A(i, j)] macro invocations and symbolic parameters as plain
-    identifiers, so the surrounding translation unit must define both —
-    {!program} does exactly that; use [kernel] when embedding into an
-    existing harness. *)
 
 val program :
   ?openmp:bool ->

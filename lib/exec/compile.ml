@@ -686,8 +686,3 @@ let run ?(pardo_order = `Forward) ?on_iteration ?on_ordinals t =
             pairs
   in
   (go 0) ()
-
-let iteration_order ?(pardo_order = `Forward) t =
-  let acc = ref [] in
-  run ~pardo_order ~on_iteration:(fun it -> acc := it :: !acc) t;
-  List.rev !acc

@@ -109,9 +109,6 @@ val run :
     program can be rerun after [Env.set_scalar]. The iteration hooks cost
     nothing when absent (the plain body closure runs unwrapped). *)
 
-val iteration_order : ?pardo_order:pardo_order -> t -> int array list
-(** As {!Interp.iteration_order}, on the compiled program. *)
-
 (** {1 Frame access for machine models}
 
     {!Itf_machine.Parallel} walks loop headers without executing bodies;

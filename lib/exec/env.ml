@@ -98,8 +98,6 @@ let flat_of (i : array_info) name idx =
   in
   go 0 0 idx
 
-let flat_index t name idx = flat_of (info t name) name idx
-
 let trace t array flat kind =
   match t.tracer with None -> () | Some f -> f { array; flat; kind }
 

@@ -38,6 +38,12 @@ val fill_synthetic : int array -> unit
     writes all fill their arrays this way, so their checksums compare. *)
 
 val declare_function : t -> string -> (int list -> int) -> unit
+(** Gives an access function (a nest's [function] directive, as in the
+    paper's sparse-matrix example) its values for {!Interp.run} and
+    {!Compile}. No CLI path declares one: [loopt run] refuses nests with
+    access functions, and the search only simulates nests without
+    them. *)
+
 val find_function : t -> string -> (int list -> int) option
 
 val set_scalar : t -> string -> int -> unit
@@ -52,8 +58,6 @@ val write : t -> string -> int list -> int -> unit
 
 val call : t -> string -> int list -> int
 (** Applies a registered function; ["abs"] and ["sgn"] are builtins. *)
-
-val flat_index : t -> string -> int list -> int
 
 val array_info : t -> string -> array_info
 (** @raise Invalid_argument on undeclared arrays. *)

@@ -18,14 +18,6 @@ type pardo_order =
   | `Reverse  (** worst-case adversarial reversal *)
   | `Shuffle of int  (** deterministic pseudo-random order from a seed *) ]
 
-val eval : Env.t -> Expr.t -> int
-(** Evaluate an expression in the environment.
-    @raise Not_found on unset scalars;
-    @raise Invalid_argument on bad array accesses;
-    @raise Division_by_zero. *)
-
-val run_stmt : Env.t -> Stmt.t -> unit
-
 val iteration_values : Env.t -> Nest.loop -> int array
 (** The sequence of values a loop variable takes, given the current
     environment (outer loop variables and parameters must be set).

@@ -2,9 +2,6 @@ open Itf_ir
 
 type t = Nest.t list
 
-let run ?pardo_order env (p : t) =
-  List.iter (fun nest -> Itf_exec.Interp.run ?pardo_order env nest) p
-
 let pp ppf (p : t) =
   List.iteri
     (fun k nest ->
@@ -13,5 +10,3 @@ let pp ppf (p : t) =
     p
 
 let pp ppf p = Format.fprintf ppf "@[<v>%a@]" pp p
-
-let equal (a : t) (b : t) = a = b

@@ -2,16 +2,12 @@
 
     The kernel framework transforms one perfect nest at a time; the
     statement-level transformations of the paper's Section 6 future work
-    (distribution, fusion, unrolling) turn one nest into several or several
-    into one, so their natural domain is a {e program}: a list of nests
+    (distribution, fusion) turn one nest into several or several into
+    one, so their natural domain is a {e program}: a list of nests
     executed in order. *)
 
 open Itf_ir
 
 type t = Nest.t list
 
-val run : ?pardo_order:Itf_exec.Interp.pardo_order -> Itf_exec.Env.t -> t -> unit
-
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

@@ -89,77 +89,17 @@ let headers_conformable (a : Nest.t) (b : Nest.t) =
          && la.Nest.kind = lb.Nest.kind)
        a.Nest.loops b.Nest.loops
 
-let fuse (a : Nest.t) (b : Nest.t) =
-  if not (headers_conformable a b) then
-    Error "loop headers differ (variables, bounds, steps or kinds)"
-  else if a.Nest.inits <> [] || b.Nest.inits <> [] then
-    Error "nests with initialization statements cannot be fused"
-  else if
-    Analysis.fusion_preventing a ~first:a.Nest.body ~second:b.Nest.body
-  then Error "fusion-preventing dependence (second body reaches a later iteration of the first)"
-  else Ok { a with Nest.body = a.Nest.body @ b.Nest.body }
+(* Two nests fuse when their headers agree, neither has initialization
+   statements, and no statement of the second body reaches a later
+   iteration of the first. *)
+let fusable (a : Nest.t) (b : Nest.t) =
+  headers_conformable a b
+  && a.Nest.inits = [] && b.Nest.inits = []
+  && not (Analysis.fusion_preventing a ~first:a.Nest.body ~second:b.Nest.body)
 
 let rec fuse_all (p : Program.t) : Program.t =
   match p with
-  | a :: b :: rest -> (
-    match fuse a b with
-    | Ok merged -> fuse_all (merged :: rest)
-    | Error _ -> a :: fuse_all (b :: rest))
-  | p -> p
-
-(* ------------------------------------------------------------------ *)
-(* Unrolling                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let unroll ~factor (nest : Nest.t) : Program.t =
-  if factor < 1 then invalid_arg "Statement.unroll: factor must be >= 1";
-  if factor = 1 then [ nest ]
-  else begin
-    let rec split = function
-      | [] -> invalid_arg "Statement.unroll: empty nest"
-      | [ inner ] -> ([], inner)
-      | l :: rest ->
-        let outers, inner = split rest in
-        (l :: outers, inner)
-    in
-    let outers, inner = split nest.Nest.loops in
-    let s =
-      match Expr.to_int inner.Nest.step with
-      | Some s when s <> 0 -> s
-      | _ -> invalid_arg "Statement.unroll: innermost step must be a nonzero constant"
-    in
-    let x = inner.Nest.var in
-    (* count = (hi - lo + s) div s ; g = full groups = count div factor *)
-    let count =
-      Expr.div (Expr.add (Expr.sub inner.Nest.hi inner.Nest.lo) (Expr.int s)) (Expr.int s)
-    in
-    let groups = Expr.div count (Expr.int factor) in
-    let sf = s * factor in
-    (* main: lo .. lo + s*(factor*(g-1)), step s*factor; body replicated
-       with x := x + k*s for k = 0..factor-1 *)
-    let main_hi =
-      Expr.add inner.Nest.lo
-        (Expr.mul (Expr.int s)
-           (Expr.mul (Expr.int factor) (Expr.sub groups Expr.one)))
-    in
-    let shifted k =
-      let env = [ (x, Expr.add (Expr.var x) (Expr.int (k * s))) ] in
-      List.map (Stmt.subst env) nest.Nest.body
-    in
-    let main =
-      {
-        nest with
-        Nest.loops =
-          outers @ [ { inner with Nest.hi = main_hi; step = Expr.int sf } ];
-        body = List.concat (List.init factor shifted);
-      }
-    in
-    (* remainder: lo + s*factor*g .. hi, step s, original body *)
-    let rem_lo =
-      Expr.add inner.Nest.lo (Expr.mul (Expr.int sf) groups)
-    in
-    let remainder =
-      { nest with Nest.loops = outers @ [ { inner with Nest.lo = rem_lo } ] }
-    in
-    [ main; remainder ]
-  end
+  | a :: b :: rest when fusable a b ->
+    fuse_all ({ a with Nest.body = a.Nest.body @ b.Nest.body } :: rest)
+  | a :: rest -> a :: fuse_all rest
+  | [] -> []

@@ -1,21 +1,18 @@
-(** Statement-reordering transformations: loop distribution, loop fusion,
-    and loop unrolling.
+(** Statement-reordering transformations: loop distribution and loop
+    fusion.
 
     The paper scopes its framework to transformations that "only change the
     execution order of loop iterations ... without changing the contents of
-    the loop body" and names distribution/unrolling as future work
-    (Section 6). This module provides them on top of the same substrates:
+    the loop body" and names distribution as future work (Section 6).
+    This module provides it, with fusion, on top of the same substrates:
 
     - {!distribute} is Allen-Kennedy loop distribution: split the body into
       the strongly connected components of the statement dependence graph
       and emit one nest per component in topological order. Always legal by
       construction.
-    - {!fuse} merges two conformable nests when no fusion-preventing
-      dependence exists (a statement of the second nest conflicting with a
-      statement of the first at a later iteration).
-    - {!unroll} unrolls the innermost loop by a constant factor, emitting a
-      main nest of full groups plus a remainder nest. Always legal (pure
-      replication in order).
+    - {!fuse_all} merges adjacent conformable nests while no
+      fusion-preventing dependence exists (a statement of the second nest
+      conflicting with a statement of the first at a later iteration).
 
     Distribution and fusion are inverses on distribution's output:
     refusing the components in order reproduces the original body. *)
@@ -28,17 +25,6 @@ val distribute : Nest.t -> Program.t
     component in original order. A single-statement or dependence-cycle
     body distributes to itself. *)
 
-val fuse : Nest.t -> Nest.t -> (Nest.t, string) result
-(** [fuse a b] requires structurally identical loop headers, no init
-    statements, and the absence of fusion-preventing dependences;
-    otherwise returns a diagnostic [Error]. *)
-
 val fuse_all : Program.t -> Program.t
 (** Greedily fuse adjacent nests while legal (a simple maximal-fusion
     pass). *)
-
-val unroll : factor:int -> Nest.t -> Program.t
-(** Unroll the innermost loop. Requires [factor >= 1] and a constant-step
-    innermost loop; returns [main; remainder] (the remainder is omitted
-    when the factor is 1).
-    @raise Invalid_argument on a bad factor or non-constant step. *)

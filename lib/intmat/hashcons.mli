@@ -68,8 +68,8 @@ end
     outside any lock (objective evaluations are long); racing computations
     of one key are benign because the function is deterministic.
 
-    Memo tables are size-capped: [max_size] (default
-    {!Memo.default_max_size}) is enforced per shard, and when an insert
+    Memo tables are size-capped: [max_size] (default [2^20] entries, far
+    above any single search) is enforced per shard, and when an insert
     would grow a shard past its slice that shard is flushed whole, the
     evictions counted in {!stats}. The 16 slices are staggered between
     three and five quarters of [max_size / 16] and sum to at most
@@ -81,10 +81,6 @@ end
     apart from timing. *)
 module Memo (H : HashedType) : sig
   type 'v t
-
-  val default_max_size : int
-  (** [2^20] entries — far above any single search, small enough to keep
-      a long-lived serve process flat. *)
 
   val create : ?max_size:int -> string -> 'v t
   val find_or_add : 'v t -> H.t -> (unit -> 'v) -> 'v

@@ -17,18 +17,7 @@ let make rows cols f =
   done;
   { rows; cols; data }
 
-let of_rows rws =
-  match rws with
-  | [] -> invalid_arg "Intmat.of_rows: empty"
-  | first :: _ ->
-    let cols = List.length first in
-    if cols = 0 || List.exists (fun r -> List.length r <> cols) rws then
-      invalid_arg "Intmat.of_rows: ragged or empty rows";
-    let arr = Array.of_list (List.map Array.of_list rws) in
-    make (Array.length arr) cols (fun i j -> arr.(i).(j))
-
 let identity n = make n n (fun i j -> if i = j then 1 else 0)
-let zero rows cols = make rows cols (fun _ _ -> 0)
 
 let rows t = t.rows
 let cols t = t.cols
@@ -38,10 +27,6 @@ let get t i j =
   t.data.((i * t.cols) + j)
 
 let row t i = Array.init t.cols (fun j -> get t i j)
-let col t j = Array.init t.rows (fun i -> get t i j)
-
-let equal a b =
-  a == b || (a.rows = b.rows && a.cols = b.cols && a.data = b.data)
 
 (* Explicit total order and hash (dimensions first, then row-major
    entries); [t] is abstract, so clients cannot fall back on the
@@ -84,33 +69,12 @@ let is_identity t =
    with Exit -> ());
   !ok
 
-let map2 name f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg (name ^ ": dimension mismatch");
-  make a.rows a.cols (fun i j -> f (get a i j) (get b i j))
-
-let add a b = map2 "Intmat.add" ( + ) a b
-let sub a b = map2 "Intmat.sub" ( - ) a b
-
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Intmat.mul: dimension mismatch";
   make a.rows b.cols (fun i j ->
       let acc = ref 0 in
       for k = 0 to a.cols - 1 do
         acc := !acc + (get a i k * get b k j)
-      done;
-      !acc)
-
-let scale c a = make a.rows a.cols (fun i j -> c * get a i j)
-
-let transpose a = make a.cols a.rows (fun i j -> get a j i)
-
-let apply m v =
-  if Array.length v <> m.cols then invalid_arg "Intmat.apply: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref 0 in
-      for k = 0 to m.cols - 1 do
-        acc := !acc + (get m i k * v.(k))
       done;
       !acc)
 
@@ -191,17 +155,6 @@ let skew n i j f =
   if i < 0 || j < 0 || i >= n || j >= n || i = j then invalid_arg "Intmat.skew";
   make n n (fun r c ->
       if r = c then 1 else if r = j && c = i then f else 0)
-
-let permutation perm =
-  let n = Array.length perm in
-  let seen = Array.make n false in
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= n || seen.(p) then invalid_arg "Intmat.permutation";
-      seen.(p) <- true)
-    perm;
-  (* Row perm.(k) selects old component k: y_{perm.(k)} = x_k. *)
-  make n n (fun r c -> if perm.(c) = r then 1 else 0)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

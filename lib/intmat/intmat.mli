@@ -20,12 +20,7 @@ val make : int -> int -> (int -> int -> int) -> t
 (** [make rows cols f] builds the matrix with entry [f i j] at row [i],
     column [j] (0-based). @raise Invalid_argument on non-positive dims. *)
 
-val of_rows : int list list -> t
-(** Build from row-major lists. @raise Invalid_argument on ragged input. *)
-
 val identity : int -> t
-
-val zero : int -> int -> t
 
 (** {1 Accessors} *)
 
@@ -33,12 +28,8 @@ val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> int
 val row : t -> int -> vec
-val col : t -> int -> vec
 
 (** {1 Algebra} *)
-
-val equal : t -> t -> bool
-(** Structural equality. *)
 
 val compare : t -> t -> int
 (** Total order: dimensions first, then row-major entries. *)
@@ -47,20 +38,10 @@ val hash : t -> int
 (** Structural hash compatible with [equal]. *)
 
 val is_identity : t -> bool
-(** [is_identity t] = [equal t (identity (rows t))] for square [t], false
+(** [is_identity t] = [compare t (identity (rows t)) = 0] for square [t], false
     otherwise — without allocating the identity. *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val scale : int -> t -> t
-val transpose : t -> t
-val apply : t -> vec -> vec
-(** [apply m v] is the matrix-vector product [m * v]. *)
-
-val det : t -> int
-(** Determinant via fraction-free Bareiss elimination.
-    @raise Invalid_argument if the matrix is not square. *)
 
 val is_unimodular : t -> bool
 (** True iff square and determinant is [+1] or [-1] (paper footnote 1). *)
@@ -81,9 +62,5 @@ val reversal : int -> int -> t
 val skew : int -> int -> int -> int -> t
 (** [skew n i j f] adds [f] times loop [i] to loop [j] (requires [i <> j]):
     the classic skewing matrix. *)
-
-val permutation : int array -> t
-(** [permutation perm] moves loop [k] to position [perm.(k)];
-    [perm] must be a permutation of [0..n-1]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -77,9 +77,6 @@ val mentions : string -> t -> bool
 val subst : (string * t) list -> t -> t
 (** Simultaneous substitution of variables; uses smart constructors. *)
 
-val simplify : t -> t
-(** Bottom-up constant folding and algebraic identity cleanup. *)
-
 val to_int : t -> int option
 (** [Some n] if the expression simplifies to the literal [n]. *)
 

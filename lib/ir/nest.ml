@@ -36,16 +36,6 @@ let all_vars t =
     @ List.concat_map stmt_vars t.inits
     @ List.concat_map stmt_vars t.body)
 
-let fresh_var t base =
-  let used = all_vars t in
-  if not (List.mem base used) then base
-  else
-    let rec go k =
-      let cand = Printf.sprintf "%s%d" base k in
-      if List.mem cand used then go (k + 1) else cand
-    in
-    go 2
-
 let symbolic_params t =
   let defined =
     loop_vars t

@@ -32,10 +32,6 @@ val all_vars : t -> string list
 (** Every variable name occurring anywhere (loop vars, bounds, inits, body);
     used to generate fresh names. *)
 
-val fresh_var : t -> string -> string
-(** [fresh_var t base] is [base] if unused in [t], else [base], [base']...
-    with numeric suffixes until unused. *)
-
 val symbolic_params : t -> string list
 (** Free variables of the nest that are not loop variables and not defined by
     init statements (e.g. the array size [n]). *)

@@ -16,8 +16,6 @@ let holds rel a b =
   | Eq -> a = b
   | Ne -> a <> b
 
-let equal (a : t) (b : t) = a = b
-
 let rel_tag = function Lt -> 0 | Le -> 1 | Gt -> 2 | Ge -> 3 | Eq -> 4 | Ne -> 5
 
 let rec hash = function
@@ -70,20 +68,6 @@ let rec arrays_written = function
   | Set _ -> []
   | Guard { body; _ } ->
     List.sort_uniq String.compare (List.concat_map arrays_written body)
-
-let rec subst env = function
-  | Store ({ array; index }, rhs) ->
-    Store
-      ({ array; index = List.map (Expr.subst env) index }, Expr.subst env rhs)
-  | Set (x, rhs) -> Set (x, Expr.subst env rhs)
-  | Guard { lhs; rel; rhs; body } ->
-    Guard
-      {
-        lhs = Expr.subst env lhs;
-        rel;
-        rhs = Expr.subst env rhs;
-        body = List.map (subst env) body;
-      }
 
 let pp_rel ppf rel =
   Format.pp_print_string ppf

@@ -16,9 +16,6 @@ type t =
 and guard = { lhs : Expr.t; rel : rel; rhs : Expr.t; body : t list }
 
 val holds : rel -> int -> int -> bool
-val pp_rel : Format.formatter -> rel -> unit
-
-val equal : t -> t -> bool
 
 val hash : t -> int
 (** Structural hash compatible with [equal]. *)
@@ -34,8 +31,5 @@ val defined_vars : t -> string list
 
 val arrays_read : t -> string list
 val arrays_written : t -> string list
-
-val subst : (string * Expr.t) list -> t -> t
-(** Substitute in right-hand sides and subscripts (not in defined names). *)
 
 val pp : Format.formatter -> t -> unit

@@ -34,11 +34,6 @@ val parse : depth:int -> string -> Itf_core.Sequence.t
 (** @raise Error on unknown commands, arity mismatches, or a sequence that
     does not chain from [depth]. *)
 
-val of_template : Itf_core.Template.t -> string
-(** One script line that reparses to the template.
-    @raise Invalid_argument on an identity [Parallelize] (the script
-    grammar has no spelling for it). *)
-
 val of_sequence : Itf_core.Sequence.t -> string
 (** A textual script (one command per line) such that
     [parse ~depth (of_sequence seq) = seq] — the writer behind the fuzz

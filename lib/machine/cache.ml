@@ -1,8 +1,5 @@
 type config = { size_bytes : int; line_bytes : int; assoc : int }
 
-let fully_associative ~size_bytes ~line_bytes =
-  { size_bytes; line_bytes; assoc = size_bytes / line_bytes }
-
 type stats = { accesses : int; hits : int; misses : int; evictions : int }
 
 type t = {

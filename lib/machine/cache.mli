@@ -13,8 +13,6 @@ type config = {
   assoc : int;  (** ways; [size_bytes / line_bytes / assoc] sets *)
 }
 
-val fully_associative : size_bytes:int -> line_bytes:int -> config
-
 type stats = {
   accesses : int;
   hits : int;

@@ -16,10 +16,13 @@ val body_cost : Nest.t -> int
 
 val time :
   ?spawn_overhead:float -> procs:int -> Itf_exec.Env.t -> Nest.t -> float
-(** Simulated execution time. The environment provides symbolic parameter
-    values and array declarations; the nest is {e not} executed (only its
-    iteration counts matter), but loop bounds are evaluated, so the
-    environment must define the parameters they mention.
+(** Simulated execution time, through the interpreter: the oracle for
+    {!time_compiled}, which the search's parallel objective runs
+    ([test_compile] checks the two agree bit for bit). The environment
+    provides symbolic parameter values and array declarations; the nest
+    is {e not} executed (only its iteration counts matter), but loop
+    bounds are evaluated, so the environment must define the parameters
+    they mention.
     @raise Invalid_argument if [procs < 1]. *)
 
 val time_compiled :

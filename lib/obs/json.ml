@@ -70,8 +70,6 @@ let to_string v =
   to_buffer b v;
   Buffer.contents b
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -295,4 +293,3 @@ let to_float = function
 
 let to_str = function String s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
-let equal (a : t) (b : t) = a = b

@@ -22,11 +22,6 @@ val to_string : t -> string
     [null] (JSON has no representation for them); integral floats print
     with a trailing [.0] so they stay floats on re-parse. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Same compact form as {!to_string}. *)
-
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed; trailing garbage
     is an error). Numbers without [.]/[e] parse as [Int], others as
@@ -44,7 +39,3 @@ val to_float : t -> float option
 
 val to_str : t -> string option
 val to_list : t -> t list option
-
-val equal : t -> t -> bool
-(** Structural equality ([Obj] key order matters; [Float nan] is not equal
-    to itself, as usual). *)

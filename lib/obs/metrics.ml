@@ -181,34 +181,6 @@ let entries t =
          let c = String.compare a.name b.name in
          if c <> 0 then c else compare a.labels b.labels)
 
-let render_buckets buckets =
-  Array.to_list buckets
-  |> List.map (Printf.sprintf "%g")
-  |> String.concat "; "
-
-let merge_into ~into src =
-  List.iter
-    (fun (key, i) ->
-      match i with
-      | Counter c ->
-        add (counter into ~labels:key.labels key.name) (Atomic.get c)
-      | Gauge g -> set (gauge into ~labels:key.labels key.name) (Atomic.get g)
-      | Histogram h ->
-        let dst =
-          histogram into ~labels:key.labels ~buckets:h.buckets key.name
-        in
-        if dst.buckets <> h.buckets then
-          invalid_arg
-            (Printf.sprintf
-               "Metrics.merge_into: histogram bucket mismatch for %s: \
-                destination has [%s], source has [%s]"
-               key.name
-               (render_buckets dst.buckets)
-               (render_buckets h.buckets));
-        Array.iteri (fun k c -> add dst.counts.(k) (Atomic.get c)) h.counts;
-        ignore (Atomic.fetch_and_add dst.sum_milli (Atomic.get h.sum_milli)))
-    (entries src)
-
 let dump t =
   let metric (key, i) =
     let base =

@@ -35,16 +35,11 @@ type histogram
 val counter : t -> ?labels:(string * string) list -> string -> counter
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 
-val log_linear : lo:float -> hi:float -> float array
-(** A 1-2-5 log-linear bucket series: [lo, 2lo, 5lo, 10lo, 20lo, ...] up
-    to the first bound [>= hi]. Three buckets per decade keeps quantile
-    interpolation error within ~2.5x anywhere on the range.
-    @raise Invalid_argument unless [0 < lo < hi]. *)
-
 val duration_buckets : float array
-(** [log_linear ~lo:1. ~hi:1e8] — duration buckets in {e microseconds},
-    1us to 100s. The shared layout for every duration histogram, so
-    registries merge without bucket mismatches. *)
+(** Duration buckets in {e microseconds}, 1us to 100s, in a 1-2-5
+    log-linear series ([1; 2; 5; 10; 20; ...]; three buckets per decade
+    keep quantile interpolation error within ~2.5x anywhere on the
+    range). The shared layout for every duration histogram. *)
 
 val histogram :
   t -> ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
@@ -92,12 +87,6 @@ val quantile_of_counts :
 (** The same estimator as a pure function of a bucket layout and count
     array ([counts] carries the trailing overflow slot) — for consumers
     reading a serialized {!dump} rather than a live registry. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold a registry into another: counters, histogram buckets and
-    histogram sums add, gauges overwrite.
-    @raise Invalid_argument on a histogram bucket-layout mismatch; the
-    message names the metric and both bucket arrays. *)
 
 val dump : t -> Json.t
 (** Deterministic (sorted by name, then labels) machine-readable dump:

@@ -194,9 +194,3 @@ let write_jsonl oc spans =
        () spans)
 
 let jsonl_lines spans = List.rev (fold_jsonl (fun acc l -> l :: acc) [] spans)
-
-let rec equal_shape a b =
-  String.equal a.name b.name
-  && a.attrs = b.attrs
-  && List.length a.children = List.length b.children
-  && List.for_all2 equal_shape a.children b.children

@@ -12,8 +12,7 @@
       child tracer per unit of work, each worker records into its own
       child without contention, and {!join} splices the children back in
       {e input} order — so a parallel run produces the same span tree as a
-      sequential one (timings aside; {!equal_shape} compares modulo
-      timing).
+      sequential one (timings aside).
     - {b pluggable sinks}: spans accumulate in memory; a completed forest
       ({!roots}) is then kept for inspection (tests), or serialized as
       JSON-lines with {!write_jsonl} (parent lines precede children,
@@ -101,10 +100,3 @@ val write_jsonl : out_channel -> span list -> unit
 
 val jsonl_lines : span list -> string list
 (** The same lines as {!write_jsonl}, without the channel. *)
-
-val span_json : id:int -> parent:int option -> span -> Json.t
-(** The JSONL record of one span (children not included). *)
-
-val equal_shape : span -> span -> bool
-(** Structural equality ignoring [start_s]/[dur_s] (recursively):
-    the determinism criterion for parallel vs sequential runs. *)

@@ -1,6 +1,6 @@
 (** Incremental, memoized, multicore, two-tier transformation search.
 
-    Beam search over {!Search.moves}, scored by a {!Search.objective}:
+    Beam search over {!Search.move_set}, scored by a {!Search.objective}:
     each step extends the [beam] best scored prefixes by every move and
     keeps the [beam] best results under a total candidate order. The
     search is engineered for throughput:
@@ -15,7 +15,7 @@
       transformations (interchange twice, reversal pairs, composed
       unimodulars, ...) without touching the framework. Behind it, the
       process-wide [core.derivation] table answers legality across
-      searches ({!Itf_core.Framework.check_extend}): a candidate's entry
+      searches ({!Itf_core.Framework.check_child}): a candidate's entry
       is keyed on the parent state's derivation id (which names the root
       nest, its vectors and the raw sequence the parent state holds —
       not the candidate's spelling, since a cache hit can carry another
@@ -125,10 +125,6 @@ type outcome = {
 }
 
 val pp_cause : Format.formatter -> cause -> unit
-
-val cause_labels : cause -> string list
-(** Metric-label slugs of a cause ({!Itf_core.Legality.reason_label}, or
-    ["unscoreable"]). *)
 
 val verdict_label : tier0_verdict -> string
 (** ["survived"], ["screened_out"] or ["bound_pruned"]. *)

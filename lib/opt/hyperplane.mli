@@ -11,7 +11,12 @@
     The search considers non-negative hyperplane coefficients up to [hmax]
     per component (enough for the classic stencil wavefronts); direction
     entries in dependence vectors are handled by minimizing [h . d] over
-    the denoted tuple set. *)
+    the denoted tuple set.
+
+    No program path calls this module yet: whether the search offers
+    {!wavefront}'s sequence as a move, or the module goes, is ROADMAP
+    item 10's decision. Until then it stays on [tools/exports]'
+    allowlist. *)
 
 open Itf_ir
 

@@ -75,9 +75,6 @@ let rec move_set ~depth =
     if Atomic.compare_and_set move_sets sets (s :: sets) then s
     else move_set ~depth
 
-let moves (_ : Nest.t) ~depth =
-  Array.to_list (Array.map fst (move_set ~depth).moves)
-
 (* ------------------------------------------------------------------ *)
 (* Objectives                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -126,8 +126,6 @@ let to_json_value s =
         ("total_time_s", Float s.total_time_s);
       ])
 
-let to_json s = Itf_obs.Json.to_string (to_json_value s)
-
 module Metrics = Itf_obs.Metrics
 
 (* The instruments [record] writes, resolved in one registry. *)

@@ -26,7 +26,7 @@ type t = {
       (** candidates rejected (bounds, dependence, unscoreable) *)
   mutable template_applications : int;
       (** applications the search's legality checks stand for. A check
-          answered by a stored verdict ({!Itf_core.Framework.check_extend}) counts the
+          answered by a stored verdict ({!Itf_core.Framework.check_child}) counts the
           applications its original computation performed, so the
           counter is identical warm or cold — the same convention as
           [objective_evaluations], which counts memo-answered probes. *)
@@ -45,7 +45,9 @@ type t = {
           it checked first in the process, plus those of
           reduced-sequence replays. A verdict read back from
           [core.derivation] builds none, so unlike the counters above
-          this one reads 0 on a warm search. *)
+          this one reads 0 on a warm search. It and the two below are
+          the same at every domain count: a family or reference-form
+          cell two domains fill at once is stored, and counted, once. *)
   mutable refs_inherited : int;
       (** tier-0 estimates this search computed whose candidate shares
           its parent's array reference forms, already computed
@@ -98,30 +100,22 @@ val phases : t -> (string * float) list
     layer's per-request breakdown both read this list. *)
 
 val counters : t -> (string * int) list
-(** The deterministic counters — every [int] field but {!shared_work},
-    [domains] and [work_threshold] — named as in {!to_json_value}: the
-    same on every host, at every domain count, warm or cold. *)
-
-val shared_work : t -> (string * int) list
-(** [families_built], [refs_inherited] and [refs_computed], named as in
-    {!to_json_value}. They count work done on this search's misses, so
-    they depend on what the process-wide memos already hold (and, at
-    [domains > 1], on which domain wins a racing build); at one domain
-    they repeat exactly for the same process history. *)
+(** The deterministic counters — every [int] field but the shared work
+    ([families_built], [refs_inherited], [refs_computed], which read 0
+    when warm), [domains] and [work_threshold] — named as in
+    {!to_json_value}: the same on every host, at every domain count,
+    warm or cold. *)
 
 val pp : Format.formatter -> t -> unit
 
 val to_json_value : t -> Itf_obs.Json.t
 (** The record as a JSON object, for embedding in larger documents. *)
 
-val to_json : t -> string
-(** One JSON object (no trailing newline); used by [bench --search]. *)
-
 val record : Itf_obs.Metrics.t -> t -> unit
 (** Fold the record into a metrics registry: counters add under
     [engine.*] names (so repeated searches accumulate) plus the two-tier
     objective counters [objective.exact_evals] / [objective.tier0_evals] /
-    [objective.tier0_pruned] (not the {!shared_work} counts, whose
+    [objective.tier0_pruned] (not the shared-work counts, whose
     totals would differ warm and cold); [engine.domains] and [engine.work_threshold]
     are gauges; the total time lands in an [engine.total_time_ms]
     histogram and each phase time (expand / legality / tier0 / exact /

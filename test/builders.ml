@@ -11,6 +11,60 @@ let contains ~sub s =
   let rec go k = k + m <= n && (String.sub s k m = sub || go (k + 1)) in
   m = 0 || go 0
 
+(* A matrix from its rows, and the matrix-vector product, written on
+   [Intmat.make] and [Intmat.get]. *)
+let of_rows rows =
+  let a = Array.of_list (List.map Array.of_list rows) in
+  Itf_mat.Intmat.make (Array.length a) (Array.length a.(0)) (fun i j -> a.(i).(j))
+
+let mat_apply m v =
+  Array.init (Itf_mat.Intmat.rows m) (fun i ->
+      let acc = ref 0 in
+      Array.iteri (fun j x -> acc := !acc + (Itf_mat.Intmat.get m i j * x)) v;
+      !acc)
+
+let mat = Alcotest.testable Itf_mat.Intmat.pp (fun a b -> Itf_mat.Intmat.compare a b = 0)
+
+(* Dependence vectors: printing, equality, and the denotation [Tuples(d)]
+   the legality test reasons about (paper Definition 3.1). *)
+let dv_string d = Format.asprintf "%a" Itf_dep.Depvec.pp d
+let dv_equal a b = Itf_dep.Depvec.compare a b = 0
+let dv = Alcotest.testable Itf_dep.Depvec.pp dv_equal
+
+let elem_contains (e : Itf_dep.Depvec.elem) x =
+  match e with Dist n -> n = x | Dir d -> Itf_dep.Dir.contains d x
+
+let dv_mem (d : Itf_dep.Depvec.t) tuple =
+  Array.length d = Array.length tuple && Array.for_all2 elem_contains d tuple
+
+(* [Tuples(a)] within [Tuples(b)]: [dedupe] drops a vector another holds. *)
+let dv_subset a b =
+  dv_equal a b || not (List.exists (dv_equal a) (Itf_dep.Depvec.dedupe [ a; b ]))
+
+(* The search's candidate moves for a [depth]-deep nest. *)
+let moves ~depth = Array.to_list (Array.map fst (Itf_opt.Search.move_set ~depth).moves)
+
+(* A rejection cause's metric labels, as the engine counts them. *)
+let cause_labels : Itf_opt.Engine.cause -> string list = function
+  | Unscoreable -> [ "unscoreable" ]
+  | Rejected reasons -> List.map Itf_core.Legality.reason_label reasons
+
+(* A legal state extended by one template, through its child entry as the
+   engine checks it. *)
+let check_extend st t =
+  let t, tid = Itf_core.Template.intern_id t in
+  Itf_core.Framework.check_child st t (Itf_core.Framework.child_entry st tid)
+
+(* Legality's yes-or-no answer, read off [Legality.check]'s verdict. *)
+let is_legal ?vectors nest seq =
+  match Itf_core.Legality.check ?vectors nest seq with Legal _ -> true | _ -> false
+
+(* [e]'s value in [env], through the interpreter: one iteration that sets
+   a scalar. *)
+let eval env e =
+  Interp.run env (Nest.make [ Nest.loop "eval_" Expr.one Expr.one ] [ Stmt.Set ("eval_v", e) ]);
+  Env.get_scalar env "eval_v"
+
 let ld array index : Expr.t = Expr.Load { array; index }
 let st array index rhs = Stmt.Store ({ array; index }, rhs)
 let i_ = Expr.var "i"

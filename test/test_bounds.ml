@@ -9,7 +9,7 @@ module Bmat = Itf_bounds.Bmat
 module Fourier = Itf_bounds.Fourier
 module Access = Itf_bounds.Access
 
-let btype = Alcotest.testable Btype.pp Btype.equal
+let btype = Alcotest.testable Btype.pp ( = )
 let check_btype = Alcotest.check btype
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -45,10 +45,9 @@ let test_split_basic () =
   check_int "coeff i" 2 (Affine.coeff s "i");
   check_int "coeff j" (-3) (Affine.coeff s "j");
   check_bool "affine" true (Affine.is_affine s);
-  check_bool "not invariant" false (Affine.is_invariant s);
   (* base is n + 4 *)
   check_bool "base correct" true
-    (Expr.equal (Expr.simplify s.Affine.base) Expr.(add (var "n") (int 4)))
+    (Expr.equal (Expr.subst [] s.Affine.base) Expr.(add (var "n") (int 4)))
 
 let test_split_nonlinear () =
   (* i*j is nonlinear in both; i + i*j is linear part 1*i plus residue *)
@@ -70,7 +69,13 @@ let test_split_symbol_product () =
   check_bool "n*i nonlinear in i" true (List.mem "i" s.Affine.nonlinear_in);
   (* but n*m with neither designated stays an invariant base *)
   let s = Affine.split ~vars:[ "i" ] Expr.(mul (var "n") (var "m")) in
-  check_bool "n*m invariant" true (Affine.is_invariant s)
+  check_bool "n*m invariant" true (s.Affine.coeffs = [] && s.Affine.nonlinear_in = [])
+
+(* Recombine a split: coefficient terms plus base. *)
+let affine_expr (a : Affine.t) =
+  List.fold_left
+    (fun acc (v, c) -> Expr.add acc (Expr.mul (Expr.int c) (Expr.var v)))
+    a.Affine.base a.Affine.coeffs
 
 let test_split_roundtrip () =
   let e = Expr.(add (mul (int 2) (var "i")) (sub (var "n") (var "j"))) in
@@ -80,40 +85,53 @@ let test_split_roundtrip () =
     (Alcotest.testable Expr.pp Expr.equal)
     "recombination evaluates equally"
     (Expr.subst env e)
-    (Expr.subst env (Affine.to_expr s))
+    (Expr.subst env
+       (affine_expr s))
 
 (* ------------------------------------------------------------------ *)
 (* Classification (paper Section 4.1 examples)                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [type(e, x)] as {!Bmat.btype} reads it: [e] bounds loop [k] inside
+   loops [i] and [j] (its lower bound unless [role = U]). *)
+let type_in ?(role = Bmat.L) ?(step = 1) e x =
+  let k =
+    match role with
+    | Bmat.L -> Nest.loop ~step:(Expr.int step) "k" e (Expr.int 10)
+    | _ -> Nest.loop ~step:(Expr.int step) "k" Expr.one e
+  in
+  let nest =
+    Nest.make
+      [ Nest.loop "i" Expr.one (Expr.int 10); Nest.loop "j" Expr.one (Expr.int 10); k ]
+      [ Stmt.Set ("x", Expr.var "k") ]
+  in
+  Bmat.btype (Bmat.of_nest nest) role ~loop:2 ~wrt:(if x = "i" then 0 else 1)
+
 let test_classify () =
-  check_btype "const" Btype.Const (Classify.type_in (Expr.int 100) "i");
-  check_btype "invar" Btype.Invar (Classify.type_in (Expr.var "n") "i");
+  check_btype "const" Btype.Const (type_in (Expr.int 100) "i");
+  check_btype "invar" Btype.Invar (type_in (Expr.var "n") "i");
   check_btype "linear" Btype.Linear
-    (Classify.type_in Expr.(add (var "i") (int 512)) "i");
+    (type_in Expr.(add (var "i") (int 512)) "i");
   check_btype "nonlinear (call)" Btype.Nonlinear
-    (Classify.type_in Expr.(div (Call ("sqrt", [ var "i" ])) (int 2)) "i");
+    (type_in Expr.(div (Call ("sqrt", [ var "i" ])) (int 2)) "i");
   (* Figure 4(c): colstr(j) is nonlinear in j but invariant in i *)
   let e = Expr.Call ("colstr", [ Expr.var "j" ]) in
-  check_btype "colstr(j) nonlinear in j" Btype.Nonlinear (Classify.type_in e "j");
-  check_btype "colstr(j) invar in i" Btype.Invar (Classify.type_in e "i")
+  check_btype "colstr(j) nonlinear in j" Btype.Nonlinear (type_in e "j");
+  check_btype "colstr(j) invar in i" Btype.Invar (type_in e "i")
 
 let test_classify_minmax_special_case () =
   (* A max lower bound of linear terms counts as linear (positive step). *)
   let lb = Expr.(max_ (var "n") (int 3)) in
-  check_btype "plain classification is nonlinear" Btype.Nonlinear
-    (Classify.type_in Expr.(max_ (var "i") (int 3)) "i");
   check_btype "max lower bound linear-in-n... invar in i" Btype.Invar
-    (Classify.type_in_bound Classify.Lower ~step_sign:1 lb "i");
+    (type_in lb "i");
   let lb2 = Expr.(max_ (var "i") (int 3)) in
-  check_btype "max lower bound linear in i" Btype.Linear
-    (Classify.type_in_bound Classify.Lower ~step_sign:1 lb2 "i");
+  check_btype "max lower bound linear in i" Btype.Linear (type_in lb2 "i");
   (* but a max in an upper bound (positive step) is not decomposed *)
   check_btype "max upper bound stays nonlinear" Btype.Nonlinear
-    (Classify.type_in_bound Classify.Upper ~step_sign:1 lb2 "i");
+    (type_in ~role:Bmat.U lb2 "i");
   (* negative step flips the roles *)
   check_btype "max upper bound with negative step is decomposed" Btype.Linear
-    (Classify.type_in_bound Classify.Upper ~step_sign:(-1) lb2 "i")
+    (type_in ~role:Bmat.U ~step:(-1) lb2 "i")
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: LB/UB/STEP matrices                                       *)
@@ -153,6 +171,15 @@ let test_bmat_figure5 () =
 let test_bmat_roundtrip () =
   let nest = figure5_nest () in
   let bm = Bmat.of_nest nest in
+  (* A term's expression: its coefficients on the outer loop variables
+     plus its base. *)
+  let term (tm : Bmat.term) =
+    let e = ref tm.Bmat.base in
+    Array.iteri
+      (fun j c -> if c <> 0 then e := Expr.add !e (Expr.mul (Expr.int c) (Expr.var bm.Bmat.vars.(j))))
+      tm.Bmat.coeffs;
+    !e
+  in
   let eval_env = [ ("n", Expr.int 7); ("i", Expr.int 9); ("j", Expr.int 2) ] in
   let eq name a b =
     Alcotest.check
@@ -161,8 +188,8 @@ let test_bmat_roundtrip () =
   in
   List.iteri
     (fun k (l : Nest.loop) ->
-      eq (Printf.sprintf "lower %d" k) l.Nest.lo (Bmat.lower_expr bm k);
-      eq (Printf.sprintf "upper %d" k) l.Nest.hi (Bmat.upper_expr bm k);
+      eq (Printf.sprintf "lower %d" k) l.Nest.lo (Expr.max_list (List.map term bm.Bmat.lowers.(k)));
+      eq (Printf.sprintf "upper %d" k) l.Nest.hi (Expr.min_list (List.map term bm.Bmat.uppers.(k)));
       eq (Printf.sprintf "step %d" k) l.Nest.step (Bmat.step_expr bm k))
     nest.Nest.loops
 
@@ -278,9 +305,9 @@ let test_fm_nonunit_coefficients () =
   let bounds = Fourier.bounds sys in
   let lo, hi = bounds.(0) in
   Alcotest.(check int) "ceil(2/3)" 1
-    (match Expr.simplify lo with Expr.Int v -> v | _ -> -99);
+    (match Expr.subst [] lo with Expr.Int v -> v | _ -> -99);
   Alcotest.(check int) "floor(17/3)" 5
-    (match Expr.simplify hi with Expr.Int v -> v | _ -> -99)
+    (match Expr.subst [] hi with Expr.Int v -> v | _ -> -99)
 
 let test_fm_infeasibility () =
   let sys ineqs = { Fourier.vars = [| "x"; "y" |]; ineqs } in
@@ -462,7 +489,7 @@ let prop_fm_bijection =
       let expected =
         List.sort compare
           (List.map
-             (fun p -> Array.to_list (Itf_mat.Intmat.apply m (Array.of_list p)))
+             (fun p -> Array.to_list (Builders.mat_apply m (Array.of_list p)))
              (enumerate_nest_points nest))
       in
       let actual = enumerate_points [| "y1"; "y2"; "y3" |] bounds [] in
@@ -650,7 +677,9 @@ let test_access_matches_tracer () =
                 let flat = ref 0 in
                 List.iteri
                   (fun d af ->
-                    let x = Itf_exec.Interp.eval at (Affine.to_expr af) in
+                    let x =
+                      Builders.eval at (affine_expr af)
+                    in
                     flat := !flat + ((x - info.Env.los.(d)) * info.Env.strides.(d)))
                   r.dims;
                 {

@@ -511,7 +511,7 @@ let nest_files () =
                  .Itf_lang.Parser.nest )))
     [ Filename.concat "examples" "nests"; Filename.concat "bench" (Filename.concat "e2e" "nests") ]
 
-(* Every legal candidate one and two [Search.moves] away from each
+(* Every legal candidate one and two [Search.move_set] away from each
    example and e2e nest, at the three e2e sizes. Distinct nests only:
    many sequences generate the same one. *)
 let test_simulate_candidates () =
@@ -524,7 +524,7 @@ let test_simulate_candidates () =
   let seen = Hashtbl.create 1024 in
   List.iter
     (fun (file, root) ->
-      let moves nest = Itf_opt.Search.moves nest ~depth:(Nest.depth nest) in
+      let moves nest = Builders.moves ~depth:(Nest.depth nest) in
       let candidates =
         root
         :: List.concat_map
@@ -789,7 +789,7 @@ type cert_totals = {
   mutable certified : int;  (** candidates answered by a certificate *)
 }
 
-(* Every legal candidate one and two [Search.moves] from [root], scored
+(* Every legal candidate one and two [Search.move_set] from [root], scored
    by one memo-off locality objective after the root: each certified
    score must equal a full simulation (a certificate never raises, so
    both raising is a mismatch too), and every evaluation that scores is
@@ -817,18 +817,17 @@ let check_certificate totals ~what ~params root =
       end
     in
     let moves (result : Framework.result) =
-      Itf_opt.Search.moves result.Framework.nest
-        ~depth:(Nest.depth result.Framework.nest)
+      Builders.moves ~depth:(Nest.depth result.Framework.nest)
     in
     List.iter
       (fun m1 ->
-        match (Framework.check_extend state m1).Framework.outcome with
+        match (Builders.check_extend state m1).Framework.outcome with
         | Error _ -> ()
         | Ok (s1, r1) ->
           check r1;
           List.iter
             (fun m2 ->
-              match (Framework.check_extend s1 m2).Framework.outcome with
+              match (Builders.check_extend s1 m2).Framework.outcome with
               | Error _ -> ()
               | Ok (_, r2) -> check r2)
             (moves r1))

@@ -11,14 +11,15 @@ module Depmap = Itf_core.Depmap
 module Sequence = Itf_core.Sequence
 module Codegen = Itf_core.Codegen
 module Legality = Itf_core.Legality
+module Family = Itf_core.Family
 module Framework = Itf_core.Framework
 module Intmat = Itf_mat.Intmat
 
 let v = Depvec.of_string
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let dv = Alcotest.testable Depvec.pp Depvec.equal
-let vecs_str vs = List.sort compare (List.map Depvec.to_string vs)
+let dv = Builders.dv
+let vecs_str vs = List.sort compare (List.map Builders.dv_string vs)
 
 (* ------------------------------------------------------------------ *)
 (* Template validation                                                 *)
@@ -26,7 +27,7 @@ let vecs_str vs = List.sort compare (List.map Depvec.to_string vs)
 
 let test_template_validation () =
   check_bool "non-unimodular rejected" true
-    (match Template.unimodular (Intmat.of_rows [ [ 2 ] ]) with
+    (match Template.unimodular (Builders.of_rows [ [ 2 ] ]) with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check_bool "bad perm rejected" true
@@ -89,8 +90,22 @@ let test_reverse_permute_map_figure2 () =
     "mapped vectors" [ "(0, +)"; "(1, 1)" ] (vecs_str d');
   check_bool "no lex-negative" true (Depvec.set_may_lex_negative d' = None)
 
+(* Table 2's entry maps, read through [Depmap.map_vector] on a one-loop
+   band (an [n]-loop band for [Coalesce]): each vector's image lists the
+   pairs (or the single entry) the map gives the band's entry. *)
+let entry_map t (d : Depvec.t) =
+  List.map Array.to_list (Depmap.map_vector ~rectangular_bands:true t d)
+
+let pairs_of t e =
+  List.map
+    (function [ a; b ] -> (a, b) | _ -> Alcotest.fail "expected a pair")
+    (entry_map t [| e |])
+
+let single t d =
+  match entry_map t d with [ [ e ] ] -> e | _ -> Alcotest.fail "expected one entry"
+
 let test_parmap () =
-  let p e = Depmap.parmap e in
+  let p e = single (Template.parallelize_one ~n:1 0) [| e |] in
   Alcotest.check dv "0 stays" [| Depvec.dist 0 |] [| p (Depvec.dist 0) |];
   Alcotest.check dv "+ widens to +-" (v "(+-)") [| p (Depvec.dir Dir.Pos) |];
   Alcotest.check dv "3 widens to +-" (v "(+-)") [| p (Depvec.dist 3) |];
@@ -103,7 +118,7 @@ let test_parmap () =
     (Depvec.set_may_lex_negative (Depmap.map_set t [ v "(+,+)" ]) = None)
 
 let test_blockmap () =
-  let pairs e = Depmap.blockmap e in
+  let pairs = pairs_of (Template.block ~n:1 ~i:0 ~j:0 ~bsize:[| Expr.var "b" |]) in
   Alcotest.(check int) "zero -> 1 pair" 1 (List.length (pairs (Depvec.dist 0)));
   Alcotest.(check int) "distance 1 -> 2 pairs" 2 (List.length (pairs (Depvec.dist 1)));
   check_bool "dist 1 pairs per Table 2" true
@@ -123,7 +138,7 @@ let test_block_map_fanout () =
   check_int "fanout 4" 4 (List.length out);
   check_bool "all length 4" true (List.for_all (fun d -> Array.length d = 4) out);
   check_bool "contains (0,0,1,1)" true
-    (List.exists (Depvec.equal (v "(0,0,1,1)")) out);
+    (List.exists (Builders.dv_equal (v "(0,0,1,1)")) out);
   (* Without the rectangularity guarantee, the block component of the
      second band loop is widened once the first block component is
      nonzero: 2 + 1 = 3 vectors. *)
@@ -132,24 +147,20 @@ let test_block_map_fanout () =
 
 let test_mergedirs () =
   let d s = Depvec.of_string ("(" ^ s ^ ")") in
-  let m l = Depmap.mergedirs (Array.to_list (Depvec.of_string l)) in
-  Alcotest.check (Alcotest.testable Depvec.pp_elem ( = )) "zeros then distance"
-    (d "7").(0)
-    (m "(0, 0, 7)");
-  Alcotest.check (Alcotest.testable Depvec.pp_elem ( = )) "(+,-) -> +"
-    (d "+").(0)
-    (m "(+, -)");
-  Alcotest.check (Alcotest.testable Depvec.pp_elem ( = )) "(2,-1) -> +"
-    (d "+").(0)
-    (m "(2, -1)");
-  Alcotest.check (Alcotest.testable Depvec.pp_elem ( = )) "(0+,-) -> +-"
-    (d "+-").(0)
-    (m "(0+, -)")
+  let m l =
+    let v = Depvec.of_string l in
+    [| single (Template.coalesce ~n:(Array.length v) ~i:0 ~j:(Array.length v - 1)) v |]
+  in
+  Alcotest.check dv "zeros then distance" (d "7") (m "(0, 0, 7)");
+  Alcotest.check dv "(+,-) -> +" (d "+") (m "(+, -)");
+  Alcotest.check dv "(2,-1) -> +" (d "+") (m "(2, -1)");
+  Alcotest.check dv "(0+,-) -> +-" (d "+-") (m "(0+, -)")
 
 let test_imap () =
-  let pairs = Depmap.imap (Depvec.dist 0) in
+  let imap = pairs_of (Template.interleave ~n:1 ~i:0 ~j:0 ~isize:[| Expr.var "f" |]) in
+  let pairs = imap (Depvec.dist 0) in
   check_bool "zero -> (0,0)" true (pairs = [ (Depvec.dist 0, Depvec.dist 0) ]);
-  let pairs = Depmap.imap (Depvec.dir Dir.Pos) in
+  let pairs = imap (Depvec.dir Dir.Pos) in
   check_int "three phase groups" 3 (List.length pairs);
   (* phase-negative pairs must force a positive strided component:
      interleaving a carried loop is illegal *)
@@ -217,7 +228,7 @@ let test_sequence_reduce () =
   (match Sequence.reduce [ s1; u2 ] with
   | [ Template.Unimodular { m; _ } ] ->
     check_bool "merged matrix = product" true
-      (Intmat.equal m (Intmat.mul (Intmat.interchange 2 0 1) (Intmat.skew 2 0 1 1)))
+      (Intmat.compare m (Intmat.mul (Intmat.interchange 2 0 1) (Intmat.skew 2 0 1 1)) = 0)
   | _ -> Alcotest.fail "expected a single Unimodular");
   (* interchange twice = identity, which reduces away entirely *)
   let i01 = Template.interchange ~n:2 0 1 in
@@ -252,10 +263,11 @@ let test_sequence_compose_semantics () =
   let reduced = Sequence.reduce seq in
   check_bool "reduced is shorter" true (List.length reduced < List.length seq);
   let d0 = [ v "(1,0)"; v "(0,1)" ] in
+  let map_vectors seq = List.fold_left (fun vs t -> Depmap.map_set t vs) d0 seq in
   Alcotest.(check (list string))
     "same mapped set"
-    (vecs_str (Framework.map_vectors seq d0))
-    (vecs_str (Framework.map_vectors reduced d0))
+    (vecs_str (map_vectors seq))
+    (vecs_str (map_vectors reduced))
 
 let test_sequence_well_formed () =
   let b = Template.block ~n:2 ~i:0 ~j:1 ~bsize:[| Expr.int 4; Expr.int 4 |] in
@@ -263,7 +275,7 @@ let test_sequence_well_formed () =
     (Sequence.well_formed [ b; Template.parallelize (Array.make 4 false) ]);
   check_bool "chain broken" false
     (Sequence.well_formed [ b; Template.parallelize (Array.make 2 false) ]);
-  check_int "output depth" 4 (Sequence.output_depth ~input:2 [ b ])
+  check_int "output depth" 4 (Template.output_depth b)
 
 (* ------------------------------------------------------------------ *)
 (* Code generation                                                     *)
@@ -341,7 +353,7 @@ let test_block_nonempty_tiles () =
   (* iterate only the two outer (block) loops and check inner emptiness *)
   let loops = Array.of_list r.Framework.nest.Nest.loops in
   let empties = ref 0 and tiles = ref 0 in
-  let eval e = Itf_exec.Interp.eval env e in
+  let eval e = Builders.eval env e in
   let b0 = loops.(0) and b1 = loops.(1) and e0 = loops.(2) and e1 = loops.(3) in
   let lo0 = eval b0.Nest.lo and hi0 = eval b0.Nest.hi and st0 = eval b0.Nest.step in
   let k0 = ref lo0 in
@@ -463,7 +475,7 @@ let test_legality_figure2 () =
   | _ -> Alcotest.fail "expected dependence violation");
   (* reverse j then interchange: legal *)
   check_bool "reverse+interchange legal" true
-    (Legality.is_legal ~vectors:d nest
+    (Builders.is_legal ~vectors:d nest
        [ Template.reverse_permute ~rev:[| false; true |] ~perm:[| 1; 0 |] ])
 
 let figure2_src =
@@ -485,10 +497,10 @@ let test_figure2_real_program () =
     (List.sort compare [ "(1, -1)"; "(+, 0)" ])
     (vecs_str (Itf_dep.Analysis.vectors nest));
   check_bool "interchange illegal (default analyzer)" false
-    (Legality.is_legal nest [ Template.interchange ~n:2 0 1 ]);
+    (Builders.is_legal nest [ Template.interchange ~n:2 0 1 ]);
   let revperm = Template.reverse_permute ~rev:[| false; true |] ~perm:[| 1; 0 |] in
   check_bool "reverse-then-interchange legal" true
-    (Legality.is_legal nest [ revperm ]);
+    (Builders.is_legal nest [ revperm ]);
   let r = Framework.apply_exn nest [ revperm ] in
   check_bool "transformed program equivalent (guard included)" true
     (Builders.equivalent ~params:[ ("n", 10) ] ~orders:[ `Forward ] nest
@@ -504,9 +516,9 @@ let test_legality_intermediate_stages_need_not_be_legal () =
   let nest = Builders.stencil () in
   let seq = [ Template.interchange ~n:2 0 1; Template.reversal ~n:2 0 ] in
   check_bool "whole sequence legal despite illegal prefix" true
-    (Legality.is_legal ~vectors:d nest seq);
+    (Builders.is_legal ~vectors:d nest seq);
   check_bool "prefix alone is illegal" true
-    (not (Legality.is_legal ~vectors:d nest [ Template.interchange ~n:2 0 1 ]))
+    (not (Builders.is_legal ~vectors:d nest [ Template.interchange ~n:2 0 1 ]))
 
 let test_legality_figure4_nonlinear_bounds () =
   let nest = Builders.sparse_matmul () in
@@ -520,7 +532,8 @@ let test_legality_figure4_nonlinear_bounds () =
     check_bool "mentions nonlinear" true
       (List.exists
          (fun v ->
-           Builders.contains ~sub:"nonlinear" (Itf_core.Boundsmap.message v))
+           Builders.contains ~sub:"nonlinear"
+             (Format.asprintf "%a" Itf_core.Boundsmap.pp_violation v))
          violations)
   | _ -> Alcotest.fail "expected bounds violation");
   (* ReversePermute moving i innermost: bounds of j and k are invariant in
@@ -550,21 +563,21 @@ let test_legality_unimodular_rejects_runtime_step () =
   | _ -> Alcotest.fail "expected bounds violation for runtime step");
   (* the identity Unimodular reduces away and is accepted as a no-op *)
   check_bool "identity unimodular is a legal no-op" true
-    (Legality.is_legal ~vectors:[] nest
+    (Builders.is_legal ~vectors:[] nest
        [ Template.unimodular (Intmat.identity 1) ]);
   (* but ReversePermute accepts it *)
   check_bool "reversal fine" true
-    (Legality.is_legal ~vectors:[] nest [ Template.reversal ~n:1 0 ])
+    (Builders.is_legal ~vectors:[] nest [ Template.reversal ~n:1 0 ])
 
 let test_legality_uses_analyzer_by_default () =
   (* matmul: interchange is legal ((0,0,+) maps fine); parallelizing k is
      illegal ((0,0,+) is carried by k). *)
   check_bool "interchange legal" true
-    (Legality.is_legal (Builders.matmul ()) [ Template.interchange ~n:3 0 1 ]);
+    (Builders.is_legal (Builders.matmul ()) [ Template.interchange ~n:3 0 1 ]);
   check_bool "parallelize k illegal" false
-    (Legality.is_legal (Builders.matmul ()) [ Template.parallelize_one ~n:3 2 ]);
+    (Builders.is_legal (Builders.matmul ()) [ Template.parallelize_one ~n:3 2 ]);
   check_bool "parallelize i legal" true
-    (Legality.is_legal (Builders.matmul ()) [ Template.parallelize_one ~n:3 0 ])
+    (Builders.is_legal (Builders.matmul ()) [ Template.parallelize_one ~n:3 0 ])
 
 let lu_src =
   "do k = 1, n\n\
@@ -583,17 +596,17 @@ let test_lu_update_kernel () =
   let vectors = Itf_dep.Analysis.vectors nest in
   check_bool "all dependences carried by k" true
     (List.for_all
-       (fun d -> Itf_core.Queries.carried_level d = Some 0)
+       (fun d -> Itf_core.Queries.parallelizable_loops ~depth:3 [ d ] = [ 1; 2 ])
        vectors);
   Alcotest.(check (list int))
     "i and j parallelizable" [ 1; 2 ]
     (Itf_core.Queries.parallelizable_loops ~depth:3 vectors);
   check_bool "parallelize i+j legal" true
-    (Legality.is_legal nest [ Template.parallelize [| false; true; true |] ]);
+    (Builders.is_legal nest [ Template.parallelize [| false; true; true |] ]);
   check_bool "parallelize k illegal" false
-    (Legality.is_legal nest [ Template.parallelize_one ~n:3 0 ]);
+    (Builders.is_legal nest [ Template.parallelize_one ~n:3 0 ]);
   check_bool "interchange i,j legal" true
-    (Legality.is_legal nest [ Template.interchange ~n:3 1 2 ]);
+    (Builders.is_legal nest [ Template.interchange ~n:3 1 2 ]);
   (* and the parallel version is observably correct *)
   let r =
     Framework.apply_exn nest [ Template.parallelize [| false; true; true |] ]
@@ -686,7 +699,7 @@ let summary f =
   match f () with
   | Legality.Legal { nest; vectors; _ } ->
     "legal\n" ^ Nest.to_string nest
-    ^ String.concat " " (List.map Depvec.to_string vectors)
+    ^ String.concat " " (List.map Builders.dv_string vectors)
   | v ->
     String.concat "\n"
       (List.map (Format.asprintf "%a" Legality.pp_reason) (Legality.reasons v))
@@ -710,7 +723,7 @@ let check_parent what root prefix st =
   let depth =
     List.fold_left (fun _ t -> Template.output_depth t) (Nest.depth root) prefix
   in
-  let moves = Itf_opt.Search.moves root ~depth in
+  let moves = Builders.moves ~depth in
   let expected =
     List.map
       (fun t -> summary (fun () -> Legality.check ~vectors root (prefix @ [ t ])))
@@ -761,7 +774,7 @@ let test_state_reuse_examples () =
         (([], st0)
         :: List.map
              (fun t -> ([ t ], Legality.extend st0 t))
-             (Itf_opt.Search.moves root ~depth:(Nest.depth root))))
+             (Builders.moves ~depth:(Nest.depth root))))
     (example_nests ())
   |> List.concat |> check_concurrent
 
@@ -825,7 +838,7 @@ let estimate_bits (e : Costmodel.estimate) =
 
 let family_roots = ref 0
 
-(* Every legal candidate one and two [Search.moves] from [root], grown
+(* Every legal candidate one and two [Search.move_set] from [root], grown
    the way the engine grows them: each parent state extended by every
    move, so siblings share the parent's family. For each child: the
    parent family's rendering equals [Codegen.apply] on the bare parent
@@ -858,16 +871,13 @@ let check_family totals ~what ~sizes root =
       ("%s, %a: " ^^ fmt)
       what Itf_core.Sequence.pp seq
   in
-  let child parent parent_nest seq t =
+  let child parent (parent_nest, family) seq t =
     let st = Legality.extend parent t in
-    (match Legality.family parent with
-    | Some family ->
-      totals.rendered <- totals.rendered + 1;
-      if
-        outcome (fun () -> Codegen.apply ~family parent_nest t)
-        <> outcome (fun () -> Codegen.apply parent_nest t)
-      then fail seq "the parent family renders another nest"
-    | None -> ());
+    totals.rendered <- totals.rendered + 1;
+    if
+      outcome (fun () -> Codegen.apply ~family:(Lazy.force family) parent_nest t)
+      <> outcome (fun () -> Codegen.apply parent_nest t)
+    then fail seq "the parent family renders another nest";
     let shared = Legality.verdict st in
     let fresh = Legality.check ~vectors root seq in
     match (shared, fresh) with
@@ -896,7 +906,7 @@ let check_family totals ~what ~sizes root =
             <> estimate_bits (Costmodel.estimate spec result)
           then fail seq "a tier-0 estimate differs")
         estimators;
-      Some (st, nest)
+      Some (st, (nest, lazy (Family.make nest vs)))
     | Legality.Legal _, _ | _, Legality.Legal _ ->
       fail seq "the verdict differs from a fresh check"
     | _ ->
@@ -904,15 +914,16 @@ let check_family totals ~what ~sizes root =
         fail seq "the rejection reasons differ from a fresh check";
       None
   in
-  let moves depth = Itf_opt.Search.moves root ~depth in
+  let moves depth = Builders.moves ~depth in
   let st0 = Legality.start ~vectors root in
+  let family0 = lazy (Family.make root vectors) in
   List.iter
     (fun m1 ->
-      match child st0 root [ m1 ] m1 with
+      match child st0 (root, family0) [ m1 ] m1 with
       | None -> ()
-      | Some (s1, nest1) ->
+      | Some (s1, ((nest1, _) as parent1)) ->
         List.iter
-          (fun m2 -> ignore (child s1 nest1 [ m1; m2 ] m2))
+          (fun m2 -> ignore (child s1 parent1 [ m1; m2 ] m2))
           (moves (Nest.depth nest1)))
     (moves (Nest.depth root))
 

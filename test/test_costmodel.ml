@@ -146,7 +146,7 @@ let one_step_population nest =
   List.filter_map
     (fun t ->
       match Framework.apply nest [ t ] with Ok r -> Some r | Error _ -> None)
-    (Search.moves nest ~depth)
+    (Builders.moves ~depth)
 
 let lu () =
   Nest.make

@@ -7,32 +7,46 @@ module T = Itf_core.Template
 module F = Itf_core.Framework
 
 let check_bool = Alcotest.(check bool)
-let check_str = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Expression emission                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The C text of [e] inside a whole program: the right-hand side of a
+   scalar assignment in a one-iteration loop, every other variable a
+   parameter and every array declared. *)
+let emitted e =
+  let nest =
+    Nest.make [ Nest.loop "i" Expr.one Expr.one ] [ Stmt.Set ("x", e) ]
+  in
+  C.program
+    ~params:(List.map (fun v -> (v, 1)) (Nest.symbolic_params nest))
+    ~bounds:
+      (List.map (fun (a, arity) -> (a, List.init arity (fun _ -> (0, 4))))
+         (Nest.array_arities nest))
+    nest
+
+let check_emits name expected e =
+  check_bool name true (Builders.contains ~sub:("x = " ^ expected ^ ";") (emitted e))
+
 let test_expr_emission () =
-  check_str "arith" "((i + 1L) * 2L)"
-    (C.expr_to_c Expr.(Mul (Add (Var "i", Int 1), Int 2)));
-  check_str "floor div" "ifloordiv(i, 2L)" (C.expr_to_c Expr.(Div (Var "i", Int 2)));
-  check_str "floor mod" "ifloormod(n, 3L)" (C.expr_to_c Expr.(Mod (Var "n", Int 3)));
-  check_str "min" "imin(a, b)" (C.expr_to_c Expr.(Min (Var "a", Var "b")));
-  check_str "negative literal" "(-4L)" (C.expr_to_c (Expr.int (-4)));
-  check_str "load as macro" "A(i, (j - 1L))"
-    (C.expr_to_c (Expr.Load { array = "A"; index = [ Expr.Var "i"; Expr.Sub (Expr.Var "j", Expr.Int 1) ] }));
-  check_str "abs builtin" "iabs(s)" (C.expr_to_c (Expr.Call ("abs", [ Expr.Var "s" ])));
+  check_emits "arith" "((i + 1L) * 2L)" Expr.(Mul (Add (Var "i", Int 1), Int 2));
+  check_emits "floor div" "ifloordiv(i, 2L)" Expr.(Div (Var "i", Int 2));
+  check_emits "floor mod" "ifloormod(n, 3L)" Expr.(Mod (Var "n", Int 3));
+  check_emits "min" "imin(a, b)" Expr.(Min (Var "a", Var "b"));
+  check_emits "negative literal" "(-4L)" (Expr.int (-4));
+  check_emits "load as macro" "A(i, (j - 1L))"
+    (Expr.Load { array = "A"; index = [ Expr.Var "i"; Expr.Sub (Expr.Var "j", Expr.Int 1) ] });
+  check_emits "abs builtin" "iabs(s)" (Expr.Call ("abs", [ Expr.Var "s" ]));
   check_bool "uninterpreted call rejected" true
-    (match C.expr_to_c (Expr.Call ("colstr", [ Expr.Var "j" ])) with
+    (match emitted (Expr.Call ("colstr", [ Expr.Var "j" ])) with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_kernel_shape () =
   let nest = Builders.stencil () in
-  let src = C.kernel ~name:"stencil" nest in
-  check_bool "declares function" true
-    (Builders.contains ~sub:"static void stencil(void)" src);
+  let src = C.program ~params:[ ("n", 6) ] ~bounds:[ ("a", [ (1, 6); (1, 6) ]) ] nest in
+  check_bool "declares main" true (Builders.contains ~sub:"int main(void)" src);
   check_bool "hoists bounds" true (Builders.contains ~sub:"const long hi_i" src);
   check_bool "direction-agnostic condition" true
     (Builders.contains ~sub:"st_i > 0 ? i <= hi_i : i >= hi_i" src)

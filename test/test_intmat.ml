@@ -4,22 +4,23 @@ module M = Itf_mat.Intmat
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let mat = Alcotest.testable M.pp M.equal
+let of_rows = Builders.of_rows
+let mat = Builders.mat
 
 (* ------------------------------------------------------------------ *)
 (* Intmat basics                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_construct () =
-  let m = M.of_rows [ [ 1; 2 ]; [ 3; 4 ] ] in
+  let m = M.make 2 3 (fun i j -> (10 * i) + j) in
   check_int "rows" 2 (M.rows m);
-  check_int "cols" 2 (M.cols m);
-  check_int "(0,1)" 2 (M.get m 0 1);
-  check_int "(1,0)" 3 (M.get m 1 0);
-  Alcotest.check_raises "ragged"
-    (Invalid_argument "Intmat.of_rows: ragged or empty rows") (fun () ->
-      ignore (M.of_rows [ [ 1 ]; [ 1; 2 ] ]))
+  check_int "cols" 3 (M.cols m);
+  check_int "(0,1)" 1 (M.get m 0 1);
+  check_int "(1,0)" 10 (M.get m 1 0);
+  Alcotest.(check (array int)) "row 1" [| 10; 11; 12 |] (M.row m 1);
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Intmat.make: non-positive dims") (fun () ->
+      ignore (M.make 0 2 (fun _ _ -> 0)))
 
 let test_gcd () =
   check_int "gcd 0 0" 0 (M.gcd 0 0);
@@ -32,14 +33,14 @@ let test_gcd () =
 
 let test_identity_mul () =
   let i3 = M.identity 3 in
-  let m = M.of_rows [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 7; 8; 9 ] ] in
+  let m = of_rows [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 7; 8; 9 ] ] in
   Alcotest.check mat "I*m = m" m (M.mul i3 m);
   Alcotest.check mat "m*I = m" m (M.mul m i3)
 
 let test_mul_known () =
-  let a = M.of_rows [ [ 1; 2 ]; [ 3; 4 ] ] in
-  let b = M.of_rows [ [ 0; 1 ]; [ 1; 0 ] ] in
-  Alcotest.check mat "a*b" (M.of_rows [ [ 2; 1 ]; [ 4; 3 ] ]) (M.mul a b)
+  let a = of_rows [ [ 1; 2 ]; [ 3; 4 ] ] in
+  let b = of_rows [ [ 0; 1 ]; [ 1; 0 ] ] in
+  Alcotest.check mat "a*b" (of_rows [ [ 2; 1 ]; [ 4; 3 ] ]) (M.mul a b)
 
 let test_apply () =
   (* The skew-then-interchange example from paper Figure 1:
@@ -47,39 +48,36 @@ let test_apply () =
   let skew = M.skew 2 0 1 1 in
   let inter = M.interchange 2 0 1 in
   let t = M.mul inter skew in
-  let d = M.apply t [| 1; 0 |] in
+  let d = Builders.mat_apply t [| 1; 0 |] in
   Alcotest.(check (array int)) "skew+interchange (1,0)" [| 1; 1 |] d;
-  let d = M.apply t [| 0; 1 |] in
+  let d = Builders.mat_apply t [| 0; 1 |] in
   Alcotest.(check (array int)) "skew+interchange (0,1)" [| 1; 0 |] d
-
-let test_transpose () =
-  let m = M.of_rows [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ] in
-  Alcotest.check mat "transpose"
-    (M.of_rows [ [ 1; 4 ]; [ 2; 5 ]; [ 3; 6 ] ])
-    (M.transpose m);
-  Alcotest.check mat "involution" m (M.transpose (M.transpose m))
 
 (* ------------------------------------------------------------------ *)
 (* Determinants and unimodularity                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The determinant is internal: [is_unimodular] reads it as +-1. *)
 let test_det_known () =
-  check_int "det I3" 1 (M.det (M.identity 3));
-  check_int "det 2x2" (-2) (M.det (M.of_rows [ [ 1; 2 ]; [ 3; 4 ] ]));
-  check_int "det singular" 0 (M.det (M.of_rows [ [ 1; 2 ]; [ 2; 4 ] ]));
-  check_int "det needs pivot swap" (-1)
-    (M.det (M.of_rows [ [ 0; 1 ]; [ 1; 0 ] ]));
-  check_int "det 3x3" (-306)
-    (M.det (M.of_rows [ [ 6; 1; 1 ]; [ 4; -2; 5 ]; [ 2; 8; 7 ] ]))
+  check_bool "det I3 = 1" true (M.is_unimodular (M.identity 3));
+  check_bool "det 2x2 = -2" false (M.is_unimodular (of_rows [ [ 1; 2 ]; [ 3; 4 ] ]));
+  check_bool "det singular = 0" false (M.is_unimodular (of_rows [ [ 1; 2 ]; [ 2; 4 ] ]));
+  check_bool "det needs pivot swap = -1" true
+    (M.is_unimodular (of_rows [ [ 0; 1 ]; [ 1; 0 ] ]));
+  check_bool "det 3x3 pivot swap = 1" true
+    (M.is_unimodular (of_rows [ [ 0; 1; 0 ]; [ 0; 0; 1 ]; [ 1; 0; 3 ] ]));
+  check_bool "det 3x3 = -306" false
+    (M.is_unimodular (of_rows [ [ 6; 1; 1 ]; [ 4; -2; 5 ]; [ 2; 8; 7 ] ]));
+  check_bool "not square" false (M.is_unimodular (of_rows [ [ 1; 0; 0 ]; [ 0; 1; 0 ] ]))
 
 let test_unimodular_generators () =
   check_bool "interchange unimodular" true (M.is_unimodular (M.interchange 4 1 3));
   check_bool "reversal unimodular" true (M.is_unimodular (M.reversal 4 2));
   check_bool "skew unimodular" true (M.is_unimodular (M.skew 4 0 3 17));
   check_bool "permutation unimodular" true
-    (M.is_unimodular (M.permutation [| 2; 0; 1 |]));
+    (M.is_unimodular (M.mul (M.interchange 3 0 1) (M.interchange 3 1 2)));
   check_bool "non-unimodular rejected" false
-    (M.is_unimodular (M.of_rows [ [ 2; 0 ]; [ 0; 1 ] ]))
+    (M.is_unimodular (of_rows [ [ 2; 0 ]; [ 0; 1 ] ]))
 
 let test_inverse () =
   let m = M.mul (M.skew 3 0 2 5) (M.mul (M.interchange 3 0 1) (M.reversal 3 2)) in
@@ -88,12 +86,13 @@ let test_inverse () =
   Alcotest.check mat "m^-1 * m = I" (M.identity 3) (M.mul mi m);
   Alcotest.check_raises "inverse of non-unimodular"
     (Invalid_argument "Intmat.inverse_unimodular: matrix is not unimodular")
-    (fun () -> ignore (M.inverse_unimodular (M.of_rows [ [ 2 ] ])))
+    (fun () -> ignore (M.inverse_unimodular (of_rows [ [ 2 ] ])))
 
 let test_permutation_semantics () =
-  (* perm.(k) = destination of loop k: y_{perm k} = x_k. *)
-  let p = M.permutation [| 2; 0; 1 |] in
-  let y = M.apply p [| 10; 20; 30 |] in
+  (* A product of interchanges permutes loops: y = P x. Interchanging
+     loops 0 and 1 and then 1 and 2 sends x_0 to position 2. *)
+  let p = M.mul (M.interchange 3 1 2) (M.interchange 3 0 1) in
+  let y = Builders.mat_apply p [| 10; 20; 30 |] in
   Alcotest.(check (array int)) "permutation apply" [| 20; 30; 10 |] y
 
 (* ------------------------------------------------------------------ *)
@@ -126,14 +125,18 @@ let gen_unimodular n =
 let arb_unimodular3 =
   QCheck.make ~print:(Format.asprintf "%a" M.pp) (gen_unimodular 3)
 
+(* A 3x3 determinant by cofactor expansion: an oracle for [mul]. *)
+let det3 m =
+  let g = M.get m in
+  (g 0 0 * ((g 1 1 * g 2 2) - (g 1 2 * g 2 1)))
+  - (g 0 1 * ((g 1 0 * g 2 2) - (g 1 2 * g 2 0)))
+  + (g 0 2 * ((g 1 0 * g 2 1) - (g 1 1 * g 2 0)))
+
 let prop_det_multiplicative =
   QCheck.Test.make ~name:"det (a*b) = det a * det b" ~count:200
     (QCheck.pair arb_mat3 arb_mat3) (fun (a, b) ->
-      M.det (M.mul a b) = M.det a * M.det b)
-
-let prop_det_transpose =
-  QCheck.Test.make ~name:"det (transpose a) = det a" ~count:200 arb_mat3
-    (fun a -> M.det (M.transpose a) = M.det a)
+      det3 (M.mul a b) = det3 a * det3 b
+      && M.is_unimodular a = (abs (det3 a) = 1))
 
 let prop_unimodular_closed =
   QCheck.Test.make ~name:"unimodular products stay unimodular" ~count:100
@@ -142,9 +145,11 @@ let prop_unimodular_closed =
 let prop_inverse_roundtrip =
   QCheck.Test.make ~name:"unimodular inverse roundtrip" ~count:100
     arb_unimodular3 (fun m ->
-      M.equal (M.mul m (M.inverse_unimodular m)) (M.identity 3))
+      M.compare (M.mul m (M.inverse_unimodular m)) (M.identity 3) = 0)
 
 let prop_apply_linear =
+  (* Matrix application is [mul] by a column: m (u + v) = m u + m v. *)
+  let column v = M.make 3 1 (fun i _ -> v.(i)) in
   QCheck.Test.make ~name:"apply is linear" ~count:200
     (QCheck.pair arb_mat3
        (QCheck.pair
@@ -152,14 +157,14 @@ let prop_apply_linear =
           (QCheck.array_of_size (QCheck.Gen.return 3) (QCheck.int_range (-9) 9))))
     (fun (m, (u, v)) ->
       let w = Array.init 3 (fun i -> u.(i) + v.(i)) in
-      let mu = M.apply m u and mv = M.apply m v and mw = M.apply m w in
-      Array.init 3 (fun i -> mu.(i) + mv.(i)) = mw)
+      let mu = M.mul m (column u) and mv = M.mul m (column v) in
+      let mw = M.mul m (column w) in
+      List.for_all (fun i -> M.get mu i 0 + M.get mv i 0 = M.get mw i 0) [ 0; 1; 2 ])
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_det_multiplicative;
-      prop_det_transpose;
       prop_unimodular_closed;
       prop_inverse_roundtrip;
       prop_apply_linear;
@@ -174,7 +179,6 @@ let () =
           Alcotest.test_case "identity multiplication" `Quick test_identity_mul;
           Alcotest.test_case "known product" `Quick test_mul_known;
           Alcotest.test_case "apply (fig 1 skew+interchange)" `Quick test_apply;
-          Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "determinants" `Quick test_det_known;
           Alcotest.test_case "unimodular generators" `Quick test_unimodular_generators;
           Alcotest.test_case "unimodular inverse" `Quick test_inverse;

@@ -56,7 +56,7 @@ let test_parse_stencil () =
   Alcotest.(check (list string))
     "dependence vectors" [ "(0, 1)"; "(1, 0)" ]
     (List.sort compare
-       (List.map Itf_dep.Depvec.to_string (Itf_dep.Analysis.vectors nest)))
+       (List.map Builders.dv_string (Itf_dep.Analysis.vectors nest)))
 
 let test_parse_roundtrip () =
   (* print -> parse -> print is stable *)
@@ -201,7 +201,7 @@ let test_script_depth_tracking () =
   (* block grows the depth; following commands use the new depth *)
   let seq = Script.parse ~depth:2 "block 0 1 4 4\nparallelize 0\ncoalesce 2 3\n" in
   check_int "three templates" 3 (List.length seq);
-  check_int "output depth" 3 (Itf_core.Sequence.output_depth ~input:2 seq)
+  check_int "output depth" 3 (Itf_core.Template.output_depth (List.hd (List.rev seq)))
 
 let test_script_figure7 () =
   let seq =
@@ -215,7 +215,7 @@ let test_script_figure7 () =
   | Template.Block { bsize; _ } ->
     check_bool "bj symbolic" true (bsize.(0) = Expr.var "bj")
   | _ -> Alcotest.fail "expected block");
-  check_int "final depth 5" 5 (Itf_core.Sequence.output_depth ~input:3 seq)
+  check_int "final depth 5" 5 (Itf_core.Template.output_depth (List.hd (List.rev seq)))
 
 let test_script_errors () =
   let fails ~depth src =

@@ -7,6 +7,10 @@ module Memsim = Itf_machine.Memsim
 module Parallel = Itf_machine.Parallel
 module Env = Itf_exec.Env
 
+(* One set holding every line. *)
+let fully_associative size_bytes line_bytes =
+  { Cache.size_bytes; line_bytes; assoc = size_bytes / line_bytes }
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -79,7 +83,7 @@ let test_lru_stack_property () =
       List.init 300 (fun _ -> Random.State.int st 40 * 64)
     in
     let misses size =
-      let c = Cache.create (Cache.fully_associative ~size_bytes:size ~line_bytes:64) in
+      let c = Cache.create (fully_associative size 64) in
       List.iter (fun a -> ignore (Cache.access c a)) trace;
       (Cache.stats c).Cache.misses
     in
@@ -139,7 +143,7 @@ let test_cache_negative_addresses () =
   check_bool "first access to -48 misses" false (Cache.access c (-48));
   check_bool "-1 shares -48's line" true (Cache.access c (-1));
   check_bool "0 is the line above" false (Cache.access c 0);
-  let c = Cache.create (Cache.fully_associative ~size_bytes:64 ~line_bytes:1) in
+  let c = Cache.create (fully_associative 64 1) in
   check_bool "1-byte lines: first access to -1 misses" false
     (Cache.access c (-1));
   check_bool "1-byte lines: min_int misses" false (Cache.access c min_int)
@@ -151,7 +155,7 @@ let test_cache_fast_path_matches_division () =
       { Cache.size_bytes = 8192; line_bytes = 64; assoc = 2 };
       { Cache.size_bytes = 1024; line_bytes = 64; assoc = 1 };
       { Cache.size_bytes = 512; line_bytes = 32; assoc = 4 };
-      Cache.fully_associative ~size_bytes:256 ~line_bytes:64;
+      fully_associative 256 64;
       (* 48-byte lines and 3 sets: the division path *)
       { Cache.size_bytes = 144; line_bytes = 48; assoc = 1 };
       { Cache.size_bytes = 288; line_bytes = 48; assoc = 2 };

@@ -10,8 +10,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let test_moves_generated () =
-  let nest = Builders.matmul () in
-  let ms = Search.moves nest ~depth:3 in
+  let ms = Builders.moves ~depth:3 in
   check_bool "has interchanges" true
     (List.exists (function Template.Reverse_permute _ -> true | _ -> false) ms);
   check_bool "has parallelize" true
@@ -118,8 +117,7 @@ let test_explored_counter () =
     check_bool "counter grows" true (stats.Itf_opt.Stats.nodes_explored > 10)
 
 let test_block_moves () =
-  let nest = column_major () in
-  let ms = Search.moves nest ~depth:2 in
+  let ms = Builders.moves ~depth:2 in
   let sizes =
     List.sort_uniq compare
       (List.filter_map
@@ -133,7 +131,7 @@ let test_block_moves () =
     (List.length
        (List.filter
           (function Template.Block _ -> true | _ -> false)
-          (Search.moves nest ~depth:4)))
+          (Builders.moves ~depth:4)))
 
 (* ------------------------------------------------------------------ *)
 (* Simulator scratch: restored arrays, module-level cells               *)
@@ -158,7 +156,7 @@ let legal_results nest =
   Framework.apply_exn nest []
   :: List.filter_map
        (fun t -> Result.to_option (Framework.apply nest [ t ]))
-       (Search.moves nest ~depth:(Nest.depth nest))
+       (Builders.moves ~depth:(Nest.depth nest))
 
 (* One instance of each exact objective evaluates every result in turn
    on one domain: forward with the locality and parallel-time instances

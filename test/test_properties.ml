@@ -22,7 +22,7 @@ let gen_elem =
 
 let gen_vec n = QCheck.Gen.(map Array.of_list (list_repeat n gen_elem))
 
-let arb_vec n = QCheck.make ~print:Depvec.to_string (gen_vec n)
+let arb_vec n = QCheck.make ~print:Builders.dv_string (gen_vec n)
 
 let gen_perm n st =
   let a = Array.init n Fun.id in
@@ -45,7 +45,7 @@ let arb_revperm n =
   QCheck.make ~print:(Format.asprintf "%a" T.pp) (gen_revperm n)
 
 let sample_ints e =
-  List.filter (Depvec.elem_contains e) [ -3; -2; -1; 0; 1; 2; 3 ]
+  List.filter (Builders.elem_contains e) [ -3; -2; -1; 0; 1; 2; 3 ]
 
 let enumerate_tuples (d : Depvec.t) =
   Array.fold_right
@@ -56,7 +56,7 @@ let enumerate_tuples (d : Depvec.t) =
 (* Dir laws                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let arb_dir = QCheck.make ~print:Dir.to_string gen_dir
+let arb_dir = QCheck.make ~print:(Format.asprintf "%a" Dir.pp) gen_dir
 
 let prop_union_is_join =
   QCheck.Test.make ~name:"Dir.union is the subset-join" ~count:300
@@ -103,7 +103,7 @@ let prop_revperm_matrix_agrees =
     ~count:300
     (QCheck.pair (arb_revperm 3)
        (QCheck.make
-          ~print:Depvec.to_string
+          ~print:Builders.dv_string
           QCheck.Gen.(
             map
               (fun l -> Array.of_list (List.map Depvec.dist l))
@@ -143,7 +143,7 @@ let prop_reduce_preserves_mapping =
     (fun (seq, d) ->
       let image s =
         List.sort_uniq compare
-          (List.map Depvec.to_string
+          (List.map Builders.dv_string
              (List.fold_left (fun vs t -> Depmap.map_set t vs) [ d ] s))
       in
       let direct = image seq and reduced = image (Sequence.reduce seq) in
@@ -165,7 +165,7 @@ let prop_reduce_preserves_mapping =
           (fun rv ->
             List.exists
               (fun dv ->
-                Depvec.subset (Depvec.of_string rv) (Depvec.of_string dv))
+                Builders.dv_subset (Depvec.of_string rv) (Depvec.of_string dv))
               direct
             || List.mem rv direct)
           reduced)
@@ -179,7 +179,7 @@ let prop_parallelizable_agrees_with_parmap =
     ~name:"Queries.parallelizable = Parallelize mapping verdict" ~count:300
     (QCheck.pair
        (QCheck.make
-          ~print:(fun vs -> String.concat " " (List.map Depvec.to_string vs))
+          ~print:(fun vs -> String.concat " " (List.map Builders.dv_string vs))
           QCheck.Gen.(list_size (int_range 0 4) (gen_vec 3)))
        (QCheck.int_range 0 2))
     (fun (vectors, k) ->
@@ -187,7 +187,7 @@ let prop_parallelizable_agrees_with_parmap =
       QCheck.assume (Depvec.set_may_lex_negative vectors = None);
       let t = T.parallelize_one ~n:3 k in
       let mapped = Depmap.map_set t vectors in
-      Queries.parallelizable vectors k
+      List.mem k (Queries.parallelizable_loops ~depth:3 vectors)
       = (Depvec.set_may_lex_negative mapped = None))
 
 (* ------------------------------------------------------------------ *)
@@ -219,8 +219,8 @@ let prop_unimodular_map_sound =
       let mapped = Depmap.map_vector (T.unimodular m) d in
       List.for_all
         (fun tuple ->
-          let image = Intmat.apply m (Array.of_list tuple) in
-          List.exists (fun v -> Depvec.mem v image) mapped)
+          let image = Builders.mat_apply m (Array.of_list tuple) in
+          List.exists (fun v -> Builders.dv_mem v image) mapped)
         (enumerate_tuples d))
 
 (* ------------------------------------------------------------------ *)
@@ -232,7 +232,7 @@ let prop_unimodular_map_sound =
 let prop_blockmap_sound =
   QCheck.Test.make ~name:"blockmap covers concrete block decompositions"
     ~count:500
-    (QCheck.pair (QCheck.make ~print:Depvec.to_string (gen_vec 1))
+    (QCheck.pair (QCheck.make ~print:Builders.dv_string (gen_vec 1))
        (QCheck.int_range 1 4))
     (fun (d, bsize) ->
       let t = T.block ~n:1 ~i:0 ~j:0 ~bsize:[| Expr.int bsize |] in
@@ -256,8 +256,8 @@ let prop_blockmap_sound =
                      is the original distance *)
                   List.exists
                     (fun (v : Depvec.t) ->
-                      Depvec.elem_contains v.(0) (b2 - b1)
-                      && Depvec.elem_contains v.(1) dd)
+                      Builders.elem_contains v.(0) (b2 - b1)
+                      && Builders.elem_contains v.(1) dd)
                     mapped)
               [ 0; 1; 2; 3; 5; 8; 11 ]
           | _ -> false)
@@ -266,7 +266,7 @@ let prop_blockmap_sound =
 let prop_coalesce_merge_sound =
   QCheck.Test.make ~name:"coalesce merge covers concrete linearizations"
     ~count:500
-    (QCheck.make ~print:Depvec.to_string (gen_vec 2))
+    (QCheck.make ~print:Builders.dv_string (gen_vec 2))
     (fun d ->
       let t = T.coalesce ~n:2 ~i:0 ~j:1 in
       let mapped = Depmap.map_vector ~rectangular_bands:true t d in
@@ -283,7 +283,7 @@ let prop_coalesce_merge_sound =
                 if y1 < 0 || y1 >= 5 || y2 < 0 || y2 >= inner then true
                 else
                   let c1 = (x1 * inner) + x2 and c2 = (y1 * inner) + y2 in
-                  List.exists (fun v -> Depvec.mem v [| c2 - c1 |]) mapped)
+                  List.exists (fun v -> Builders.dv_mem v [| c2 - c1 |]) mapped)
               [ (0, 0); (1, 3); (2, 6); (4, 0); (3, 2) ]
           | _ -> false)
         (enumerate_tuples d))

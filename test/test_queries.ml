@@ -16,31 +16,33 @@ let check_int = Alcotest.(check int)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The loops that may carry a single vector are those the query does not
+   report parallelizable. *)
+let carriers ~depth d =
+  List.filter
+    (fun k -> not (List.mem k (Queries.parallelizable_loops ~depth [ d ])))
+    (List.init depth Fun.id)
+
 let test_carried_level () =
-  Alcotest.(check (option int)) "(0,0,+) carried by 2" (Some 2)
-    (Queries.carried_level (v "(0,0,+)"));
-  Alcotest.(check (option int)) "(1,-1) carried by 0" (Some 0)
-    (Queries.carried_level (v "(1,-1)"));
-  Alcotest.(check (option int)) "(0+,1) indefinite" None
-    (Queries.carried_level (v "(0+,1)"));
-  Alcotest.(check (option int)) "(0,0) never carried" None
-    (Queries.carried_level (v "(0,0)"))
+  Alcotest.(check (list int)) "(0,0,+) carried by 2" [ 2 ] (carriers ~depth:3 (v "(0,0,+)"));
+  Alcotest.(check (list int)) "(1,-1) carried by 0" [ 0 ] (carriers ~depth:2 (v "(1,-1)"));
+  Alcotest.(check (list int)) "(0+,1) indefinite" [ 0; 1 ] (carriers ~depth:2 (v "(0+,1)"));
+  Alcotest.(check (list int)) "(0,0) never carried" [] (carriers ~depth:2 (v "(0,0)"))
 
 let test_may_be_carried_by () =
-  check_bool "(0,+) by 1" true (Queries.may_be_carried_by (v "(0,+)") 1);
-  check_bool "(0,+) not by 0" false (Queries.may_be_carried_by (v "(0,+)") 0);
+  let may_be_carried_by d k = List.mem k (carriers ~depth:(Array.length d) d) in
+  check_bool "(0,+) by 1" true (may_be_carried_by (v "(0,+)") 1);
+  check_bool "(0,+) not by 0" false (may_be_carried_by (v "(0,+)") 0);
   check_bool "(0+,1) by both" true
-    (Queries.may_be_carried_by (v "(0+,1)") 0
-    && Queries.may_be_carried_by (v "(0+,1)") 1);
+    (may_be_carried_by (v "(0+,1)") 0 && may_be_carried_by (v "(0+,1)") 1);
   check_bool "(+,*) only by 0" true
-    (Queries.may_be_carried_by (v "(+,*)") 0
-    && not (Queries.may_be_carried_by (v "(+,*)") 1))
+    (may_be_carried_by (v "(+,*)") 0 && not (may_be_carried_by (v "(+,*)") 1))
 
 let test_parallelizable () =
   let d = [ v "(0,0,+)" ] in
   Alcotest.(check (list int)) "matmul: i and j parallel" [ 0; 1 ]
     (Queries.parallelizable_loops ~depth:3 d);
-  check_bool "k not parallel" false (Queries.parallelizable d 2);
+  check_bool "k not parallel" false (List.mem 2 (Queries.parallelizable_loops ~depth:3 d));
   check_bool "innermost not vectorizable" false
     (Queries.vectorizable_innermost ~depth:3 d);
   check_bool "after interchange k out, vectorizable" true
@@ -54,8 +56,8 @@ let test_parallelizable_matches_legality () =
     (fun k ->
       check_bool
         (Printf.sprintf "loop %d agreement" k)
-        (Queries.parallelizable d k)
-        (Itf_core.Legality.is_legal ~vectors:d nest
+        (List.mem k (Queries.parallelizable_loops ~depth:3 d))
+        (Builders.is_legal ~vectors:d nest
            [ Itf_core.Template.parallelize_one ~n:3 k ]))
     [ 0; 1; 2 ]
 
@@ -70,9 +72,7 @@ let test_fully_permutable () =
   check_bool "(1,-1) inner band alone ok (carried outside by loop 0)" true
     (Queries.fully_permutable ~depth:2 [ v "(1,-1)" ] ~i:1 ~j:1);
   check_bool "(1,1) fully permutable" true
-    (Queries.fully_permutable ~depth:2 [ v "(1,1)" ] ~i:0 ~j:1);
-  check_int "serial fraction of matmul" 1
-    (Queries.serial_fraction ~depth:3 [ v "(0,0,+)" ])
+    (Queries.fully_permutable ~depth:2 [ v "(1,1)" ] ~i:0 ~j:1)
 
 (* ------------------------------------------------------------------ *)
 (* Hyperplane                                                          *)

@@ -68,7 +68,7 @@ let cases =
     ]
 
 (* Exhaustive oracle: the minimum score over every sequence of at most
-   [steps] moves from [Search.moves] whose every prefix is legal and
+   [steps] moves from [Search.move_set] whose every prefix is legal and
    scoreable — the engine only extends scored nodes, so the enumeration
    follows the same rule. Each sequence is applied from the root with
    [Framework.apply], independent of the engine's incremental prefix
@@ -94,7 +94,7 @@ let exhaustive_min ~steps nest objective =
           | None -> best
           | Some sr -> Float.min best (go seq sr (k - 1)))
         s
-        (Search.moves nest ~depth:(Nest.depth result.Framework.nest))
+        (Builders.moves ~depth:(Nest.depth result.Framework.nest))
   in
   Option.map (fun sr -> go [] sr steps) (score [])
 
@@ -453,22 +453,17 @@ let test_tier0_only () =
         181.5 );
     ]
 
-(* The domain pool is order-preserving and exception-safe. *)
+(* The domain pool is order-preserving and exception-safe, on batches
+   large enough to fan out. *)
 let test_pool_map () =
-  let pool = Itf_opt.Pool.create 3 in
-  Fun.protect
-    ~finally:(fun () -> Itf_opt.Pool.shutdown pool)
-    (fun () ->
-      let input = Array.init 100 Fun.id in
-      let out = Itf_opt.Pool.map pool (fun x -> x * x) input in
-      Alcotest.(check (array int))
-        "order preserved"
-        (Array.map (fun x -> x * x) input)
-        out;
-      check_int "empty input" 0 (Array.length (Itf_opt.Pool.map pool Fun.id [||]));
-      match Itf_opt.Pool.map pool (fun x -> if x = 5 then failwith "boom" else x) input with
-      | _ -> Alcotest.fail "exception not propagated"
-      | exception Failure msg -> Alcotest.(check string) "exception" "boom" msg)
+  let pool = Itf_opt.Pool.shared ~workers:3 () in
+  let input = Array.init (max 100 (2 * Itf_opt.Pool.default_threshold)) Fun.id in
+  let out = Itf_opt.Pool.map_auto pool (fun x -> x * x) input in
+  Alcotest.(check (array int)) "order preserved" (Array.map (fun x -> x * x) input) out;
+  check_int "empty input" 0 (Array.length (Itf_opt.Pool.map_auto pool Fun.id [||]));
+  match Itf_opt.Pool.map_auto pool (fun x -> if x = 5 then failwith "boom" else x) input with
+  | _ -> Alcotest.fail "exception not propagated"
+  | exception Failure msg -> Alcotest.(check string) "exception" "boom" msg
 
 (* ------------------------------------------------------------------ *)
 (* Derivation ids                                                      *)
@@ -513,7 +508,7 @@ let figure2 () =
 (* The engine's memoised checks: a root, and one template appended to a
    legal prefix. *)
 let checked_root ?vectors root = (Framework.check_root ?vectors root).Framework.outcome
-let checked_extend st t = (Framework.check_extend st t).Framework.outcome
+let checked_extend st t = (Builders.check_extend st t).Framework.outcome
 let state c = fst (Result.get_ok c)
 let result c = Result.map snd c
 
@@ -544,7 +539,7 @@ let test_derivation_ids_agree () =
       ("root by extension", incremental root [ skew; interchange ]);
     ];
   let parent = state (checked_extend (state (checked_root root)) skew) in
-  let moves = Search.moves root ~depth:2 in
+  let moves = Builders.moves ~depth:2 in
   let expected =
     List.map
       (fun t ->
@@ -670,7 +665,7 @@ let test_search_interns_no_result_nest () =
 (* Root vector lists no other test uses: each names a new root, so
    applying the empty sequence to it interns one new entry in
    [core.derivation], a direct way to fill its shards. *)
-let distance k = Itf_dep.Depvec.(of_list [ dist k; dist 0 ])
+let distance k = Itf_dep.Depvec.[| dist k; dist 0 |]
 
 let fresh_vectors =
   Seq.concat_map
@@ -740,7 +735,7 @@ let test_root_and_child_keys_disjoint () =
   check_int "the root's ints are the child's" nest_id parent_id;
   let root_id =
     derivation
-      (result (checked_root ~vectors:[ Itf_dep.Depvec.of_list [] ] nest))
+      (result (checked_root ~vectors:[ [||] ] nest))
   in
   let child_id = derivation (result (checked_extend parent template)) in
   check_bool "distinct ids" true (root_id <> child_id)

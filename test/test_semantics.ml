@@ -198,7 +198,7 @@ let elem_covers step (e : Depvec.elem) dv =
   | Depvec.Dist d -> dv = d * step
   | Depvec.Dir _ ->
     let corrected = compare (dv * compare step 0) 0 in
-    Depvec.elem_contains e corrected
+    Builders.elem_contains e corrected
 
 let vector_covers steps v dvals =
   Array.length v = Array.length dvals
@@ -259,7 +259,7 @@ let run_random_cases ~cases ~seed =
             then
               Alcotest.failf "case %d (seed %d): analyzer missed %s@\n%s" case
                 seed
-                (Depvec.to_string (Array.map Depvec.dist d))
+                (Builders.dv_string (Array.map Depvec.dist d))
                 (show_case nest seq))
           pairs;
         (* (b) + (c): equivalence, bijection and order preservation, under
@@ -300,8 +300,8 @@ let run_random_cases ~cases ~seed =
                     Alcotest.failf
                       "case %d (seed %d): dependence order violated %s -> %s@\n%s"
                       case seed
-                      (Depvec.to_string (Array.map Depvec.dist i1))
-                      (Depvec.to_string (Array.map Depvec.dist i2))
+                      (Builders.dv_string (Array.map Depvec.dist i1))
+                      (Builders.dv_string (Array.map Depvec.dist i2))
                       (show_case nest seq)
                 | _ ->
                   Alcotest.failf
@@ -330,9 +330,9 @@ let run_random_cases ~cases ~seed =
                 Alcotest.failf
                   "case %d (seed %d): mapped vectors miss %s (image of %s -> %s)@\n%s"
                   case seed
-                  (Depvec.to_string (Array.map Depvec.dist d'))
-                  (Depvec.to_string (Array.map Depvec.dist i1))
-                  (Depvec.to_string (Array.map Depvec.dist i2))
+                  (Builders.dv_string (Array.map Depvec.dist d'))
+                  (Builders.dv_string (Array.map Depvec.dist i1))
+                  (Builders.dv_string (Array.map Depvec.dist i2))
                   (show_case nest seq)
             | _ -> ())
           pairs
