@@ -824,9 +824,11 @@ let search_bench ?baseline () =
       ]
     @ List.concat_map
         (fun stats ->
-          List.map
-            (fun (k, _) -> [ stats; k ])
-            (Itf_opt.Stats.counters (Itf_opt.Stats.create ())))
+          List.filter_map
+            (function
+              | { Itf_opt.Stats.key; source = Count _; _ } -> Some [ stats; key ]
+              | _ -> None)
+            Itf_opt.Stats.ledger)
         [ "stats_untiered"; "stats_seq"; "stats_par" ]
   in
   let check_counters name fresh =
@@ -906,7 +908,8 @@ let search_bench ?baseline () =
             Engine.search ~steps ~domains:1 ~tier0:spec nest
               (mk_obj ~metrics:(Some m) ~memo:false)
           in
-          let runs = count "memsim.runs" and certified = count "memsim.certified" in
+          let runs = count Itf_opt.Stats.memsim_runs
+          and certified = count Itf_opt.Stats.memsim_certified in
           (match r with
           | Some o when String.ends_with ~suffix:"/locality" name ->
             let evals = o.Engine.stats.Itf_opt.Stats.objective_evaluations in

@@ -308,40 +308,14 @@ let optimize_cmd =
               decisions
           end
         end;
-        let count name =
-          match metrics with
-          | None -> 0
-          | Some m ->
-            Itf_obs.Metrics.counter_value (Itf_obs.Metrics.counter m name)
-        in
-        if show_stats then begin
-          Format.printf "== search stats ==@.%a@." Itf_opt.Stats.pp stats;
-          (* Innermost-loop entries the cache simulations replayed as
-             address streams, and entries they ran through closures. *)
-          Format.printf "memsim stream        %d entries, %d fallbacks@."
-            (count "memsim.stream.entries")
-            (count "memsim.stream.fallbacks");
-          (* Cache simulations run, and locality evaluations answered by
-             the root's footprint certificate instead. *)
-          Format.printf "memsim runs          %d simulated, %d certified@."
-            (count "memsim.runs") (count "memsim.certified");
-          (* Fourier–Motzkin refutations of the root's dependence
-             analysis: none when the analysis was memoized. *)
-          Format.printf "dependence FM calls  %d@." (count "dep.fm_calls")
-        end;
+        if show_stats then
+          Format.printf "== search stats ==@.%a@."
+            (Itf_opt.Stats.pp ?metrics)
+            stats;
         if stats_json then
           print_endline
             (Itf_obs.Json.to_string
-               (match Itf_opt.Stats.to_json_value stats with
-               | Itf_obs.Json.Obj fields ->
-                 Itf_obs.Json.Obj
-                   (fields
-                   @ [
-                       ("memsim_runs", Itf_obs.Json.Int (count "memsim.runs"));
-                       ( "memsim_certified",
-                         Itf_obs.Json.Int (count "memsim.certified") );
-                     ])
-               | json -> json));
+               (Itf_opt.Stats.to_json_value ?metrics stats));
         write_trace tracer trace_out;
         write_metrics metrics metrics_out;
         0

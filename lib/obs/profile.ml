@@ -1,20 +1,17 @@
-type row = { name : string; count : int; total_s : float; self_s : float }
+type row = Report.row = {
+  name : string;
+  count : int;
+  total_s : float;
+  self_s : float;
+  min_s : float;
+  max_s : float;
+}
 
 let by_self a b =
   let c = Float.compare b.self_s a.self_s in
   if c <> 0 then c else String.compare a.name b.name
 
-let of_report (rows : Report.row list) =
-  List.sort by_self
-    (List.map
-       (fun (r : Report.row) ->
-         {
-           name = r.name;
-           count = r.count;
-           total_s = r.total_s;
-           self_s = r.self_s;
-         })
-       rows)
+let of_report rows = List.sort by_self rows
 
 (* Preorder, the order [Tracer.write_jsonl] writes, so both entry points
    sum each name's spans in the same order. *)

@@ -13,7 +13,15 @@
     JSONL trace written by {!Tracer.write_jsonl} (used by
     [loopt report --profile]). The two agree on the same tree. *)
 
-type row = { name : string; count : int; total_s : float; self_s : float }
+type row = Report.row = {
+  name : string;
+  count : int;
+  total_s : float;
+  self_s : float;
+  min_s : float;
+  max_s : float;
+}
+(** {!Report}'s row; a profile sorts the rows by self time. *)
 
 val of_spans : Tracer.span list -> row list
 (** Aggregate a completed span forest per name, sorted by self time

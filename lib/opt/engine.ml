@@ -532,7 +532,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
           Itf_dep.Analysis.vectors ~fm_calls nest)
     in
     Option.iter
-      (fun m -> Metrics.add (Metrics.counter m "dep.fm_calls") !fm_calls)
+      (fun m -> Metrics.add (Metrics.counter m Stats.dep_fm_calls) !fm_calls)
       metrics;
     let { Framework.outcome; _ } = Framework.check_root ~vectors nest in
     st.legality_time_s <- now () -. t_leg;

@@ -251,10 +251,10 @@ let spawn_overhead = 2.0
 let cache_misses ?metrics ?memo ~params () : objective =
   let arrays = memo_arrays () in
   let certificate = Atomic.make None in
-  let runs = counter metrics "memsim.runs"
-  and certified = counter metrics "memsim.certified"
-  and entries = counter metrics "memsim.stream.entries"
-  and fallbacks = counter metrics "memsim.stream.fallbacks"
+  let runs = counter metrics Stats.memsim_runs
+  and certified = counter metrics Stats.memsim_certified
+  and entries = counter metrics Stats.memsim_stream_entries
+  and fallbacks = counter metrics Stats.memsim_stream_fallbacks
   and accesses = counter metrics "memsim.cache.access"
   and misses = counter metrics "memsim.cache.miss" in
   let answer (cache : Itf_machine.Cache.stats) =

@@ -56,144 +56,225 @@ let create () =
     total_time_s = 0.;
   }
 
-let phases s =
-  [
-    ("expand", s.expand_time_s);
-    ("legality", s.legality_time_s);
-    ("tier0", s.tier0_time_s);
-    ("exact", s.exact_time_s);
-    ("merge", s.merge_time_s);
-  ]
-
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>nodes explored        %d@,\
-     duplicates pruned     %d@,\
-     legality cache hits   %d@,\
-     score cache hits      %d@,\
-     illegal candidates    %d@,\
-     template applications %d (saved %d vs from-root replay)@,\
-     objective evaluations %d@,\
-     tier-0 evaluations    %d (pruned %d candidates before the exact tier)@,\
-     families built        %d@,\
-     reference forms       %d inherited, %d computed@,\
-     domains               %d (sequential below %d candidates/step)@,\
-     time: expand %.3fs, evaluate %.3fs (legality %.3fs, tier-0 %.3fs, \
-     exact %.3fs), merge %.3fs, total %.3fs@]"
-    s.nodes_explored s.duplicates_pruned s.legality_cache_hits
-    s.score_cache_hits s.illegal s.template_applications
-    s.template_applications_saved s.objective_evaluations s.tier0_evaluations
-    s.tier0_pruned s.families_built s.refs_inherited s.refs_computed s.domains
-    s.work_threshold s.expand_time_s s.evaluate_time_s
-    s.legality_time_s s.tier0_time_s s.exact_time_s s.merge_time_s
-    s.total_time_s
-
-let counters s =
-  [
-    ("nodes_explored", s.nodes_explored);
-    ("duplicates_pruned", s.duplicates_pruned);
-    ("legality_cache_hits", s.legality_cache_hits);
-    ("score_cache_hits", s.score_cache_hits);
-    ("illegal", s.illegal);
-    ("template_applications", s.template_applications);
-    ("template_applications_saved", s.template_applications_saved);
-    ("objective_evaluations", s.objective_evaluations);
-    ("tier0_evaluations", s.tier0_evaluations);
-    ("tier0_pruned", s.tier0_pruned);
-  ]
-
-let shared_work s =
-  [
-    ("families_built", s.families_built);
-    ("refs_inherited", s.refs_inherited);
-    ("refs_computed", s.refs_computed);
-  ]
-
-let to_json_value s =
-  let open Itf_obs.Json in
-  Obj
-    (List.map (fun (k, v) -> (k, Int v)) (counters s)
-    @ List.map (fun (k, v) -> (k, Int v)) (shared_work s)
-    @ [
-        ("domains", Int s.domains);
-        ("work_threshold", Int s.work_threshold);
-        ("expand_time_s", Float s.expand_time_s);
-        ("evaluate_time_s", Float s.evaluate_time_s);
-        ("legality_time_s", Float s.legality_time_s);
-        ("tier0_time_s", Float s.tier0_time_s);
-        ("exact_time_s", Float s.exact_time_s);
-        ("merge_time_s", Float s.merge_time_s);
-        ("total_time_s", Float s.total_time_s);
-      ])
-
+module Json = Itf_obs.Json
 module Metrics = Itf_obs.Metrics
 
-(* The instruments [record] writes, resolved in one registry. *)
-type instruments = {
-  registry : Metrics.t;
-  counters : (Metrics.counter * (t -> int)) list;
-  domains_g : Metrics.gauge;
-  threshold_g : Metrics.gauge;
-  total_h : Metrics.histogram;
-  phase_h : Metrics.histogram list;  (* in [phases] order *)
-}
+type source =
+  | Count of (t -> int) * string list
+  | Shared of (t -> int)
+  | Setting of (t -> int) * string
+  | Phase of (t -> float) * string
+  | Time of (t -> float) * string option
+  | Read of string
 
-let resolve m =
-  let c name f = (Metrics.counter m name, f) in
-  let duration ?labels name =
-    Metrics.histogram m ?labels ~buckets:Metrics.duration_buckets name
+type text = Line of string | Join of string | Above of string
+type stat = { key : string; text : text; source : source }
+
+let stat key text source = { key; text; source }
+
+(* The registry counters the cache simulator and the dependence analysis
+   bump; the search's statistics read them back. *)
+let memsim_runs = "memsim.runs"
+let memsim_certified = "memsim.certified"
+let memsim_stream_entries = "memsim.stream.entries"
+let memsim_stream_fallbacks = "memsim.stream.fallbacks"
+let dep_fm_calls = "dep.fm_calls"
+
+(* One declaration per statistic, in --stats-json order. A cached
+   candidate bumps both cache-hit fields when its score was cached too,
+   so [engine.cache.hit] counts the legality hits: one per candidate. *)
+let ledger =
+  [
+    stat "nodes_explored" (Line "nodes explored        {}")
+      (Count ((fun s -> s.nodes_explored), [ "engine.nodes_explored" ]));
+    stat "duplicates_pruned" (Line "duplicates pruned     {}")
+      (Count ((fun s -> s.duplicates_pruned), [ "engine.duplicates_pruned" ]));
+    stat "legality_cache_hits" (Line "legality cache hits   {}")
+      (Count
+         ( (fun s -> s.legality_cache_hits),
+           [ "engine.legality_cache_hits"; "engine.cache.hit" ] ));
+    stat "score_cache_hits" (Line "score cache hits      {}")
+      (Count ((fun s -> s.score_cache_hits), [ "engine.score_cache_hits" ]));
+    stat "illegal" (Line "illegal candidates    {}")
+      (Count ((fun s -> s.illegal), [ "engine.illegal" ]));
+    stat "template_applications" (Line "template applications {}")
+      (Count
+         ( (fun s -> s.template_applications),
+           [ "engine.template_applications" ] ));
+    stat "template_applications_saved" (Join " (saved {} vs from-root replay)")
+      (Count
+         ( (fun s -> s.template_applications_saved),
+           [ "engine.template_applications_saved" ] ));
+    stat "objective_evaluations" (Line "objective evaluations {}")
+      (Count
+         ( (fun s -> s.objective_evaluations),
+           [ "engine.objective_evaluations"; "objective.exact_evals" ] ));
+    stat "tier0_evaluations" (Line "tier-0 evaluations    {}")
+      (Count ((fun s -> s.tier0_evaluations), [ "objective.tier0_evals" ]));
+    stat "tier0_pruned" (Join " (pruned {} candidates before the exact tier)")
+      (Count ((fun s -> s.tier0_pruned), [ "objective.tier0_pruned" ]));
+    stat "families_built" (Line "families built        {}")
+      (Shared (fun s -> s.families_built));
+    stat "refs_inherited" (Line "reference forms       {} inherited")
+      (Shared (fun s -> s.refs_inherited));
+    stat "refs_computed" (Join ", {} computed")
+      (Shared (fun s -> s.refs_computed));
+    stat "domains" (Line "domains               {}")
+      (Setting ((fun s -> s.domains), "engine.domains"));
+    stat "work_threshold" (Join " (sequential below {} candidates/step)")
+      (Setting ((fun s -> s.work_threshold), "engine.work_threshold"));
+    stat "expand_time_s" (Line "time: expand {}s")
+      (Phase ((fun s -> s.expand_time_s), "expand"));
+    stat "evaluate_time_s" (Join ", evaluate {}s")
+      (Time ((fun s -> s.evaluate_time_s), None));
+    stat "legality_time_s" (Join " (legality {}s")
+      (Phase ((fun s -> s.legality_time_s), "legality"));
+    stat "tier0_time_s" (Join ", tier-0 {}s")
+      (Phase ((fun s -> s.tier0_time_s), "tier0"));
+    stat "exact_time_s" (Join ", exact {}s)")
+      (Phase ((fun s -> s.exact_time_s), "exact"));
+    stat "merge_time_s" (Join ", merge {}s")
+      (Phase ((fun s -> s.merge_time_s), "merge"));
+    stat "total_time_s" (Join ", total {}s")
+      (Time ((fun s -> s.total_time_s), Some "engine.total_time_ms"));
+    stat "memsim_runs" (Line "memsim runs          {} simulated")
+      (Read memsim_runs);
+    stat "memsim_certified" (Join ", {} certified") (Read memsim_certified);
+    (* --stats printed the stream line above the runs line before
+       --stats-json listed the runs first. *)
+    stat "memsim_stream_entries" (Above "memsim stream        {} entries")
+      (Read memsim_stream_entries);
+    stat "memsim_stream_fallbacks" (Join ", {} fallbacks")
+      (Read memsim_stream_fallbacks);
+    stat "dep_fm_calls" (Line "dependence FM calls  {}") (Read dep_fm_calls);
+  ]
+
+(* A registry read has no value without a registry. *)
+let value ?metrics s st =
+  match st.source with
+  | Count (f, _) | Shared f | Setting (f, _) -> Some (Json.Int (f s))
+  | Phase (f, _) | Time (f, _) -> Some (Json.Float (f s))
+  | Read name ->
+    Option.map
+      (fun m -> Json.Int (Metrics.counter_value (Metrics.counter m name)))
+      metrics
+
+let phases s =
+  List.filter_map
+    (fun st ->
+      match st.source with Phase (f, p) -> Some (p, f s) | _ -> None)
+    ledger
+
+let to_json_value ?metrics s =
+  Json.Obj
+    (List.filter_map
+       (fun st -> Option.map (fun v -> (st.key, v)) (value ?metrics s st))
+       ledger)
+
+(* [--stats] text with the value in place of its "{}". *)
+let fill text v =
+  let v =
+    match v with Json.Float x -> Printf.sprintf "%.3f" x | v -> Json.to_string v
   in
-  {
-    registry = m;
-    counters =
-      [
-        c "engine.nodes_explored" (fun s -> s.nodes_explored);
-        c "engine.duplicates_pruned" (fun s -> s.duplicates_pruned);
-        c "engine.cache.hit" (fun s -> s.legality_cache_hits + s.score_cache_hits);
-        c "engine.legality_cache_hits" (fun s -> s.legality_cache_hits);
-        c "engine.score_cache_hits" (fun s -> s.score_cache_hits);
-        c "engine.illegal" (fun s -> s.illegal);
-        c "engine.template_applications" (fun s -> s.template_applications);
-        c "engine.template_applications_saved" (fun s ->
-            s.template_applications_saved);
-        c "engine.objective_evaluations" (fun s -> s.objective_evaluations);
-        c "objective.exact_evals" (fun s -> s.objective_evaluations);
-        c "objective.tier0_evals" (fun s -> s.tier0_evaluations);
-        c "objective.tier0_pruned" (fun s -> s.tier0_pruned);
-      ];
-    domains_g = Metrics.gauge m "engine.domains";
-    threshold_g = Metrics.gauge m "engine.work_threshold";
-    total_h = duration "engine.total_time_ms";
-    phase_h =
-      List.map
-        (fun (name, _) -> duration ~labels:[ ("phase", name) ] "engine.phase_us")
-        (phases (create ()));
-  }
+  let i = String.index text '{' in
+  String.sub text 0 i ^ v ^ String.sub text (i + 2) (String.length text - i - 2)
 
-(* The instruments of the registry [record] wrote last: a process that
+(* [cur] is the line a [Join] continues; an [Above] line goes before the
+   line above it. *)
+let lines ?metrics s =
+  let add (lines, cur) st =
+    match (value ?metrics s st, st.text, lines) with
+    | None, _, _ -> (lines, cur)
+    | Some v, Join t, _ ->
+      cur := !cur ^ fill t v;
+      (lines, cur)
+    | Some v, Above t, prev :: rest ->
+      let line = ref (fill t v) in
+      (prev :: line :: rest, line)
+    | Some v, (Line t | Above t), _ ->
+      let line = ref (fill t v) in
+      (line :: lines, line)
+  in
+  List.rev_map ( ! ) (fst (List.fold_left add ([], ref "") ledger))
+
+let pp ?metrics ppf s =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list Format.pp_print_string)
+    (lines ?metrics s)
+
+let duration ?labels m name =
+  Metrics.histogram m ?labels ~buckets:Metrics.duration_buckets name
+
+let phase_histogram m p =
+  duration ~labels:[ ("phase", p) ] m "engine.phase_us"
+
+(* The writes [record] makes to one registry for one statistic. *)
+let resolve m st =
+  match st.source with
+  | Count (f, names) ->
+    List.map
+      (fun name ->
+        let c = Metrics.counter m name in
+        fun s -> Metrics.add c (f s))
+      names
+  | Setting (f, name) ->
+    let g = Metrics.gauge m name in
+    [ (fun s -> Metrics.set g (float_of_int (f s))) ]
+  | Phase (f, p) ->
+    let h = phase_histogram m p in
+    [ (fun s -> Metrics.observe h (f s *. 1e6)) ]
+  | Time (f, Some name) ->
+    let h = duration m name in
+    [ (fun s -> Metrics.observe h (f s *. 1e3)) ]
+  | Shared _ | Time (_, None) | Read _ -> []
+
+(* The writes for the registry [record] wrote last: a process that
    records every search into one registry (a serve daemon) resolves
    them once. Racing domains may each resolve and store; a registry
    always resolves to the same instruments, and [record] checks whose
    they are before using them, so any store is right. *)
-let last_resolved : instruments option Atomic.t = Atomic.make None
+let last_resolved : (Metrics.t * (t -> unit) list) option Atomic.t =
+  Atomic.make None
 
 let record metrics s =
-  let inst =
+  let writes =
     match Atomic.get last_resolved with
-    | Some inst when inst.registry == metrics -> inst
+    | Some (m, writes) when m == metrics -> writes
     | _ ->
-      let inst = resolve metrics in
-      Atomic.set last_resolved (Some inst);
-      inst
+      let writes = List.concat_map (resolve metrics) ledger in
+      Atomic.set last_resolved (Some (metrics, writes));
+      writes
   in
-  List.iter (fun (c, f) -> Metrics.add c (f s)) inst.counters;
-  Metrics.set inst.domains_g (float_of_int s.domains);
-  Metrics.set inst.threshold_g (float_of_int s.work_threshold);
-  Metrics.observe inst.total_h (s.total_time_s *. 1e3);
-  (* One observation per phase per search, in microseconds on the shared
-     log-linear layout: histogram sums give the aggregate per-phase time
-     breakdown, quantiles its per-search distribution — available even
-     when tracing is disabled or the request was sampled out. *)
-  List.iter2
-    (fun h (_, v_s) -> Metrics.observe h (v_s *. 1e6))
-    inst.phase_h (phases s)
+  List.iter (fun write -> write s) writes
+
+(* Each section is a run of neighbouring statistics: the phases, the
+   searches' total (a histogram in milliseconds), then each read's
+   metric name prefix, its field the rest of the name
+   (memsim.stream.entries is memsim's stream_entries). *)
+let status m =
+  let fields st =
+    match st.source with
+    | Phase (_, p) ->
+      let sum = Metrics.histogram_sum (phase_histogram m p) in
+      [ ("phases_us", (p, Json.Float sum)) ]
+    | Time (_, Some name) ->
+      let h = duration m name in
+      [
+        ("search_us", ("count", Json.Int (Metrics.histogram_count h)));
+        ("search_us", ("total", Json.Float (Metrics.histogram_sum h *. 1e3)));
+      ]
+    | Read name ->
+      let i = String.index name '.' in
+      let field = String.sub name (i + 1) (String.length name - i - 1) in
+      let field = String.map (function '.' -> '_' | c -> c) field in
+      let v = Json.Int (Metrics.counter_value (Metrics.counter m name)) in
+      [ (String.sub name 0 i, (field, v)) ]
+    | Count _ | Shared _ | Setting _ | Time (_, None) -> []
+  in
+  let group (sec, v) = function
+    | (s, vs) :: rest when s = sec -> (s, v :: vs) :: rest
+    | sections -> (sec, [ v ]) :: sections
+  in
+  List.map
+    (fun (sec, vs) -> (sec, Json.Obj vs))
+    (List.fold_right group (List.concat_map fields ledger) [])

@@ -9,7 +9,14 @@
     vector mapping) of the legality checks the search made, while
     [template_applications_saved] counts the applications a from-root
     replay of every candidate would have performed on top of that. Both
-    are independent of what the process-wide memos already hold. *)
+    are independent of what the process-wide memos already hold.
+
+    {b The ledger.} Every statistic [--stats], [--stats-json], the
+    metrics registry and serve's [status] print is one declaration in
+    {!ledger}: its JSON key, its [--stats] text and its registry
+    counters. {!pp}, {!to_json_value}, {!phases}, {!record} and
+    {!status} are derived from it. Adding a counter is a record field,
+    its zero in {!create}, one {!ledger} line and its bump site. *)
 
 type t = {
   mutable nodes_explored : int;
@@ -94,35 +101,81 @@ type t = {
 val create : unit -> t
 (** Every counter and time zero. *)
 
+(** How a statistic reaches the metrics registry. *)
+type source =
+  | Count of (t -> int) * string list
+      (** a deterministic counter: the same on every host, at every
+          domain count, warm or cold. {!record} adds it to each named
+          registry counter. *)
+  | Shared of (t -> int)
+      (** shared work: reads 0 when warm, so it is not recorded *)
+  | Setting of (t -> int) * string  (** set as the named gauge *)
+  | Phase of (t -> float) * string
+      (** a pipeline phase's seconds, observed in microseconds in
+          [engine.phase_us{phase=NAME}] *)
+  | Time of (t -> float) * string option
+      (** seconds, observed in milliseconds in the named histogram *)
+  | Read of string
+      (** a registry counter the search's simulators or dependence
+          analysis bump themselves; it is read back from the registry,
+          and has no value without one *)
+
+(** A statistic's [--stats] text: ["{}"] marks its value. [Line] opens a
+    line, [Join] continues the line the previous statistic printed, and
+    [Above] opens a line printed above that one. *)
+type text = Line of string | Join of string | Above of string
+
+(** A statistic: its [--stats-json] key, [--stats] text and source. *)
+type stat = { key : string; text : text; source : source }
+
+val ledger : stat list
+(** Every statistic, in [--stats-json] order. *)
+
+(** The registry counters of the [Read] statistics, bumped by the cache
+    simulator ({!Search.cache_misses}) and the root's dependence analysis
+    ({!Engine.search}). *)
+
+val memsim_runs : string
+(** Cache simulations run. *)
+
+val memsim_certified : string
+(** Locality evaluations the root's footprint certificate answered. *)
+
+val memsim_stream_entries : string
+(** Innermost-loop entries the simulations replayed as address streams. *)
+
+val memsim_stream_fallbacks : string
+(** Innermost-loop entries the simulations ran through closures. *)
+
+val dep_fm_calls : string
+(** Fourier–Motzkin refutations of the root's dependence analysis. *)
+
 val phases : t -> (string * float) list
 (** The per-phase times in seconds, in pipeline order: [expand],
-    [legality], [tier0], [exact], [merge]. {!record} and the serve
-    layer's per-request breakdown both read this list. *)
+    [legality], [tier0], [exact], [merge]. The serve layer's per-request
+    breakdown reads this list. *)
 
-val counters : t -> (string * int) list
-(** The deterministic counters — every [int] field but the shared work
-    ([families_built], [refs_inherited], [refs_computed], which read 0
-    when warm), [domains] and [work_threshold] — named as in
-    {!to_json_value}: the same on every host, at every domain count,
-    warm or cold. *)
+val pp : ?metrics:Itf_obs.Metrics.t -> Format.formatter -> t -> unit
+(** The [--stats] block: one line per [Line] or [Above] statistic. The
+    [Read] lines print only with [metrics]. *)
 
-val pp : Format.formatter -> t -> unit
-
-val to_json_value : t -> Itf_obs.Json.t
-(** The record as a JSON object, for embedding in larger documents. *)
+val to_json_value : ?metrics:Itf_obs.Metrics.t -> t -> Itf_obs.Json.t
+(** The record as a JSON object keyed as {!ledger} says, in its order;
+    the [Read] statistics only with [metrics]. *)
 
 val record : Itf_obs.Metrics.t -> t -> unit
-(** Fold the record into a metrics registry: counters add under
-    [engine.*] names (so repeated searches accumulate) plus the two-tier
-    objective counters [objective.exact_evals] / [objective.tier0_evals] /
-    [objective.tier0_pruned] (not the shared-work counts, whose
-    totals would differ warm and cold); [engine.domains] and [engine.work_threshold]
-    are gauges; the total time lands in an [engine.total_time_ms]
-    histogram and each phase time (expand / legality / tier0 / exact /
-    merge) in an [engine.phase_us{phase=...}] duration histogram — one
-    observation per search, on the shared
-    {!Itf_obs.Metrics.duration_buckets} layout, so a live registry always
-    answers "which phase is eating the time" even when span tracing is
-    off or head-sampled out. The instruments are looked up when the
-    registry differs from the one the previous call wrote, so a process
-    recording into one registry looks them up once. *)
+(** Fold the record into a metrics registry: each [Count] adds to its
+    counters (so repeated searches accumulate), each [Setting] sets its
+    gauge, each [Phase] and the total time make one observation per
+    search on the shared {!Itf_obs.Metrics.duration_buckets} layout, so
+    a live registry always answers "which phase is eating the time" even
+    when span tracing is off or head-sampled out. The instruments are
+    looked up when the registry differs from the one the previous call
+    wrote, so a process recording into one registry looks them up once. *)
+
+val status : Itf_obs.Metrics.t -> (string * Itf_obs.Json.t) list
+(** Serve's [status] sections that the registry holds for the ledger:
+    [phases_us] (each phase's summed microseconds), [search_us] (the
+    searches recorded and their total time) and one section per [Read]
+    prefix ([memsim], [dep]), whose fields are the rest of the metric
+    name ([memsim.stream.entries] is [memsim]'s [stream_entries]). *)

@@ -679,16 +679,6 @@ let status_snapshot t ~id =
   let q p = Option.value ~default:0. (Metrics.quantile lat p) in
   let wait = t.inst.queue_wait in
   let wq p = Option.value ~default:0. (Metrics.quantile wait p) in
-  let phase_sum p =
-    Metrics.histogram_sum
-      (Metrics.histogram t.metrics
-         ~labels:[ ("phase", p) ]
-         ~buckets:Metrics.duration_buckets "engine.phase_us")
-  in
-  let search_h =
-    Metrics.histogram t.metrics ~buckets:Metrics.duration_buckets
-      "engine.total_time_ms"
-  in
   let slow =
     List.filteri
       (fun k _ -> k < slow_log_limit)
@@ -711,7 +701,7 @@ let status_snapshot t ~id =
   let heap_mb, top_heap_mb = memory_mb () in
   let cache = Lru.counters t.cache in
   Json.Obj
-    [
+    ([
       ("id", id);
       ("status", Json.String "ok");
       ("uptime_s", Json.Float (now -. t.started));
@@ -754,19 +744,9 @@ let status_snapshot t ~id =
             ("p90", Json.Float (q 0.9));
             ("p99", Json.Float (q 0.99));
           ] );
-      ( "phases_us",
-        Json.Obj
-          (List.map
-             (fun (p, _) -> (p, Json.Float (phase_sum p)))
-             (Stats.phases (Stats.create ()))) );
-      ( "search_us",
-        Json.Obj
-          [
-            ("count", Json.Int (Metrics.histogram_count search_h));
-            ( "total",
-              Json.Float (Metrics.histogram_sum search_h *. 1e3)
-              (* engine.total_time_ms is in ms *) );
-          ] );
+    ]
+    @ Stats.status t.metrics
+    @ [
       ( "cache",
         Json.Obj
           [
@@ -778,23 +758,6 @@ let status_snapshot t ~id =
             ("spellings", Json.Int cache.spellings);
           ] );
       ("intern", Json.List intern);
-      ( "memsim",
-        let count name = Json.Int (Metrics.counter_value (Metrics.counter t.metrics name)) in
-        Json.Obj
-          [
-            ("runs", count "memsim.runs");
-            ("certified", count "memsim.certified");
-            ("stream_entries", count "memsim.stream.entries");
-            ("stream_fallbacks", count "memsim.stream.fallbacks");
-          ] );
-      ( "dep",
-        Json.Obj
-          [
-            ( "fm_calls",
-              Json.Int
-                (Metrics.counter_value (Metrics.counter t.metrics "dep.fm_calls"))
-            );
-          ] );
       ( "memory",
         Json.Obj
           [ ("heap_mb", Json.Float heap_mb); ("top_heap_mb", Json.Float top_heap_mb) ]
@@ -802,7 +765,7 @@ let status_snapshot t ~id =
       ("slow_ms", Json.Float t.slow_ms);
       ("sample_rate", Json.Float t.sample_rate);
       ("slow", Json.List (List.map record_json slow));
-    ]
+    ])
 
 let metrics_snapshot t ~id =
   publish_memory_gauges t;
@@ -1145,18 +1108,20 @@ let submit t ?wait_turn json k =
           record_request t ~req_id:req.id ~t_recv resp;
           answer_inline ?wait_turn k resp)))
 
-(* [submit_line t line k] decodes one JSONL line and submits it. A line
-   that is not JSON is answered inline, and counted, timed and
-   ring-recorded with a [Null] id exactly like a malformed request
-   object. *)
+(* A line that is not a request (not JSON, or too long to read) is
+   answered inline, and counted, timed and ring-recorded with a [Null] id
+   exactly like a malformed request object. *)
+let reject_line t ?wait_turn msg k =
+  let t_recv = Unix.gettimeofday () in
+  let resp = error_response msg in
+  record_request t ~req_id:Json.Null ~t_recv resp;
+  answer_inline ?wait_turn k resp
+
+(* [submit_line t line k] decodes one JSONL line and submits it. *)
 let submit_line t ?wait_turn line k =
   match Json.of_string line with
   | Ok json -> submit t ?wait_turn json k
-  | Error msg ->
-    let t_recv = Unix.gettimeofday () in
-    let resp = error_response ("malformed JSON: " ^ msg) in
-    record_request t ~req_id:Json.Null ~t_recv resp;
-    answer_inline ?wait_turn k resp
+  | Error msg -> reject_line t ?wait_turn ("malformed JSON: " ^ msg) k
 
 (* Synchronous wrapper: submit and block until the reply lands. Used by
    tests and simple embedding; the I/O loops below use [submit_line]
@@ -1184,6 +1149,51 @@ let handle_line t line =
 (* ------------------------------------------------------------------ *)
 (* I/O loops                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* The longest request line the reader holds: a client that never sends
+   a newline cannot make the daemon buffer without bound. *)
+let max_line_bytes = 1 lsl 20
+
+(* [line_reader ic ()] is [ic]'s next line, trimmed, [`Long]
+   for a line longer than [max_line_bytes] (read to its end and
+   dropped), or [`Eof]. *)
+let line_reader ic =
+  let chunk = Bytes.create 4096 and pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 1024 in
+  (* [i < n <= Bytes.length chunk]: [n] is what [input] returned. *)
+  let rec newline i n =
+    if i = n || Bytes.unsafe_get chunk i = '\n' then i else newline (i + 1) n
+  in
+  let rec scan long =
+    if !pos = !len then begin
+      pos := 0;
+      len := input ic chunk 0 (Bytes.length chunk)
+    end;
+    let stop = newline !pos !len in
+    if stop < !len && Buffer.length line = 0 && not long then begin
+      (* The whole line is in the chunk: copy it once. *)
+      let l = Bytes.sub_string chunk !pos (stop - !pos) in
+      pos := stop + 1;
+      `Line (String.trim l)
+    end
+    else begin
+      let long = long || Buffer.length line + stop - !pos > max_line_bytes in
+      if not long then Buffer.add_subbytes line chunk !pos (stop - !pos);
+      pos := stop;
+      if stop < !len then begin
+        incr pos;
+        if long then `Long else `Line (String.trim (Buffer.contents line))
+      end
+      else if !len > 0 then scan long
+      else if long then `Long
+      else if Buffer.length line > 0 then
+        `Line (String.trim (Buffer.contents line))
+      else `Eof
+    end
+  in
+  fun () ->
+    Buffer.reset line;
+    scan false
 
 (* Pipelined channel loop: the reader admits requests as fast as they
    arrive (the admission queue applies backpressure to searches; an
@@ -1221,24 +1231,30 @@ let serve_channel t ic oc =
           Condition.wait pc pm
         done)
   in
+  let read_line = line_reader ic in
   let rec loop () =
     if not (t.stopping || !stopped) then
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line ->
-        let line = String.trim line in
-        if line <> "" then begin
-          let owed =
-            Mutex.protect pm (fun () ->
-                let owed = !pending > 0 in
-                incr pending;
-                owed)
-          in
-          let wait_turn = if owed then Some wait_turn else None in
-          submit_line t ?wait_turn line (fun (resp, stop) ->
-              write resp;
-              finish stop)
-        end;
+      match read_line () with
+      | `Eof -> ()
+      | `Line "" -> loop ()
+      | (`Line _ | `Long) as line ->
+        let owed =
+          Mutex.protect pm (fun () ->
+              let owed = !pending > 0 in
+              incr pending;
+              owed)
+        in
+        let wait_turn = if owed then Some wait_turn else None in
+        let k (resp, stop) =
+          write resp;
+          finish stop
+        in
+        (match line with
+        | `Line line -> submit_line t ?wait_turn line k
+        | `Long ->
+          reject_line t ?wait_turn
+            (Printf.sprintf "request line longer than %d bytes" max_line_bytes)
+            k);
         loop ()
   in
   loop ();

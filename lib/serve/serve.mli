@@ -60,12 +60,13 @@
     counters, latency quantiles from the [serve.request_us] histogram,
     queue depth/capacity/shed count and wait quantiles (queued jobs
     only), busy workers,
-    per-phase time breakdown from the [engine.phase_us] histograms,
+    the sections {!Itf_opt.Stats.status} reads from the registry
+    (per-phase time breakdown [phases_us], searches [search_us], the
+    cache simulator's [memsim] runs, certified answers and stream
+    counters, the dependence analysis's [dep.fm_calls]),
     response-cache health ([cache]: size, capacity, hits, misses,
     evictions and [spellings], the size of its text index),
-    hash-cons intern-table health, the cache simulator's
-    runs and stream counters ([memsim.runs], [memsim.stream_entries],
-    [memsim.stream_fallbacks]), process memory
+    hash-cons intern-table health, process memory
     ([memory.heap_mb] and [memory.top_heap_mb], from [Gc.quick_stat],
     never a forced collection), and the recent slow requests);
     [{"op": "metrics"}] returns the whole registry in the Prometheus text
@@ -166,8 +167,11 @@ val serve_channel : t -> in_channel -> out_channel -> unit
     after the reader has waited for the owed responses, so it never
     enters the scheduler queue. Shutdown waits for the queue to drain.
     Responses are written under a per-channel lock, so with
-    [workers = 1] they come back in request order. {!run} calls it on
-    stdin/stdout and on each socket connection. *)
+    [workers = 1] they come back in request order. A line longer than
+    1 MiB is read to its end without being held, and answered with one
+    [status = "error"] response that names the cap, counted and
+    ring-recorded like malformed JSON. {!run} calls it on stdin/stdout
+    and on each socket connection. *)
 
 val run : ?socket:string -> t -> unit
 (** [run t] serves stdin/stdout until EOF or a shutdown request; with

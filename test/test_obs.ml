@@ -876,6 +876,137 @@ let test_memsim_stream_observability () =
   check_int "figure2 records no fallback" 0 fallbacks;
   check_bool "figure2 spans take the values path" true (paths = [ "values" ])
 
+(* The --stats text of a declaration, its value spelled as [pp] does. *)
+let stat_fragment (st : Itf_opt.Stats.stat) v =
+  let t = match st.text with Line t | Join t | Above t -> t in
+  let i = String.index t '{' in
+  String.sub t 0 i ^ v ^ String.sub t (i + 2) (String.length t - i - 2)
+
+(* Every statistic is one ledger declaration, and --stats-json, --stats
+   and the registry agree on each, on a locality and a parallel search. *)
+let test_stats_ledger () =
+  let open Itf_opt.Stats in
+  List.iter
+    (fun objective ->
+      let metrics = Metrics.create () in
+      let r =
+        { Itf_opt.Request.default with objective; params = [ ("n", 16) ]; steps = 2 }
+      in
+      let s =
+        match Itf_opt.Request.run ~domains:1 ~metrics r (Builders.matmul ()) with
+        | Some o -> o.Engine.stats
+        | None -> Alcotest.fail "no outcome"
+      in
+      let fields =
+        match to_json_value ~metrics s with
+        | Json.Obj fields -> fields
+        | _ -> Alcotest.fail "stats JSON is not an object"
+      in
+      Alcotest.(check (list string))
+        (objective ^ ": the JSON keys are the ledger's")
+        (List.map (fun st -> st.key) ledger)
+        (List.map fst fields);
+      let fragments =
+        List.map
+          (fun st ->
+            let name = objective ^ ": " ^ st.key in
+            let v = List.assoc st.key fields in
+            let histogram ?labels h =
+              Metrics.histogram metrics ?labels ~buckets:Metrics.duration_buckets h
+            in
+            let observed scale h x =
+              check_int (name ^ " observed once") 1 (Metrics.histogram_count h);
+              check_bool (name ^ " observed") true
+                (Float.abs (Metrics.histogram_sum h -. (x *. scale)) <= 1e-3)
+            in
+            (match (st.source, v) with
+            | Count (_, names), Json.Int n ->
+              List.iter
+                (fun m ->
+                  check_int (name ^ " as " ^ m) n
+                    (Metrics.counter_value (Metrics.counter metrics m)))
+                names
+            | Read m, Json.Int n ->
+              check_int (name ^ " read from " ^ m) n
+                (Metrics.counter_value (Metrics.counter metrics m))
+            | Setting (_, g), Json.Int n ->
+              check_float name (float n) (Metrics.gauge_value (Metrics.gauge metrics g))
+            | Phase (_, p), Json.Float x ->
+              observed 1e6 (histogram ~labels:[ ("phase", p) ] "engine.phase_us") x
+            | Time (_, Some h), Json.Float x -> observed 1e3 (histogram h) x
+            | Shared _, Json.Int _ | Time (_, None), Json.Float _ -> ()
+            | _ -> Alcotest.failf "%s: a value of the wrong kind" name);
+            let shown =
+              match v with
+              | Json.Float x -> Printf.sprintf "%.3f" x
+              | v -> Json.to_string v
+            in
+            (st, stat_fragment st shown))
+          ledger
+      in
+      let lines =
+        String.split_on_char '\n' (Format.asprintf "%a" (pp ~metrics) s)
+      in
+      List.iter
+        (fun (st, f) ->
+          check_bool
+            (Printf.sprintf "%s: %s is on its --stats line" objective st.key)
+            true
+            (List.exists (Builders.contains ~sub:f) lines))
+        fragments;
+      (* Each line is an opening declaration's text and then joined ones. *)
+      let openers, joins =
+        List.partition_map
+          (fun (st, f) -> match st.text with Join _ -> Right f | _ -> Left f)
+          fragments
+      in
+      check_int (objective ^ ": one --stats line per opening declaration")
+        (List.length openers) (List.length lines);
+      let rec made_of fs rest =
+        rest = ""
+        || List.exists
+             (fun f ->
+               String.starts_with ~prefix:f rest
+               && made_of joins
+                    (String.sub rest (String.length f)
+                       (String.length rest - String.length f)))
+             fs
+      in
+      List.iter
+        (fun line ->
+          check_bool ("a --stats line of the ledger: " ^ line) true
+            (made_of openers line))
+        lines)
+    [ "locality"; "parallel" ]
+
+(* [engine.cache.hit] counts each candidate the cross-step cache answered
+   once, whether its entry was scored, only checked, or failed: the
+   [legality_cache_hits] count. *)
+let test_cache_hit_counts_candidates () =
+  let metrics = Metrics.create () and tracer = Tracer.create () in
+  let r = { Itf_opt.Request.default with params = [ ("n", 16) ]; steps = 3 } in
+  let s =
+    match Itf_opt.Request.run ~domains:1 ~tracer ~metrics r (Builders.matmul ()) with
+    | Some o -> o.Engine.stats
+    | None -> Alcotest.fail "no outcome"
+  in
+  (* Each step span carries its scored and checked hits. *)
+  let rec step_hits acc (sp : Tracer.span) =
+    let acc =
+      match List.assoc_opt "cache_hits" sp.attrs with
+      | Some (Tracer.Int n) when sp.name = "engine.step" -> acc + n
+      | _ -> acc
+    in
+    List.fold_left step_hits acc sp.children
+  in
+  let scored_or_checked = List.fold_left step_hits 0 (Tracer.roots tracer) in
+  let scored = s.Itf_opt.Stats.score_cache_hits in
+  check_bool "scored hits" true (scored > 0);
+  check_bool "checked hits" true (scored_or_checked > scored);
+  check_bool "failed hits" true (s.Itf_opt.Stats.legality_cache_hits > scored_or_checked);
+  check_int "engine.cache.hit" s.Itf_opt.Stats.legality_cache_hits
+    (Metrics.counter_value (Metrics.counter metrics "engine.cache.hit"))
+
 let () =
   Alcotest.run "obs"
     [
@@ -936,6 +1067,13 @@ let () =
             test_engine_unscoreable;
           Alcotest.test_case "memsim stream counters and path" `Quick
             test_memsim_stream_observability;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "ledger: --stats-json, --stats and registry agree"
+            `Quick test_stats_ledger;
+          Alcotest.test_case "engine.cache.hit counts each cached candidate"
+            `Quick test_cache_hit_counts_candidates;
         ] );
       ( "determinism",
         [

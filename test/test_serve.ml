@@ -618,6 +618,42 @@ let test_serve_malformed_json_counted () =
   check_bool "latency count" true
     (obj_field [ "latency_us"; "count" ] st = Json.Int 1)
 
+(* A request line past the reader's 1 MiB cap gets one error response
+   that names the cap, its rest is dropped, and it counts like malformed
+   JSON; the next line on the channel, long but under the cap, is served
+   as usual. *)
+let test_serve_long_line () =
+  let input = Filename.temp_file "long" ".jsonl"
+  and output = Filename.temp_file "long" ".out" in
+  Out_channel.with_open_bin input (fun oc ->
+      output_string oc (String.make ((1 lsl 20) + 1) 'x');
+      output_string oc "\n{\"op\":\"status\",\"id\":2";
+      output_string oc (String.make 200_000 ' ' ^ "}\n"));
+  let server = Serve.create ~domains:1 () in
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Serve.serve_channel server ic oc));
+  let responses =
+    List.map
+      (fun l -> Result.get_ok (Json.of_string l))
+      (In_channel.with_open_bin output In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (( <> ) ""))
+  in
+  Sys.remove input;
+  Sys.remove output;
+  match responses with
+  | [ err; st ] ->
+    check_string "over-cap line" "error" (status err);
+    check_bool "error names the cap" true
+      (match Json.to_str (field "error" err) with
+      | Some msg -> Builders.contains ~sub:"1048576" msg
+      | None -> false);
+    check_bool "status follows" true (field "id" st = Json.Int 2);
+    check_bool "requests.error" true
+      (obj_field [ "requests"; "error" ] st = Json.Int 1)
+  | _ -> Alcotest.failf "%d responses, expected 2" (List.length responses)
+
 let test_serve_slow_log_threshold () =
   (* A huge threshold keeps fast ok requests out of the slow log, but a
      degraded request always enters it (tail-based keep). *)
@@ -1400,6 +1436,8 @@ let () =
           Alcotest.test_case "status op snapshot" `Quick test_serve_status_op;
           Alcotest.test_case "malformed JSON is counted" `Quick
             test_serve_malformed_json_counted;
+          Alcotest.test_case "over-cap line is one error" `Quick
+            test_serve_long_line;
           Alcotest.test_case "metrics op exposition" `Quick
             test_serve_metrics_op;
           Alcotest.test_case "unknown op is an error" `Quick
