@@ -24,9 +24,8 @@ module Tracer = Itf_obs.Tracer
 
 (* Every BENCH_*.json this harness writes is versioned: bump "schema" when
    a field changes meaning so downstream comparisons refuse stale files.
-   BENCH_search.json is at 8 (schema 7 plus the gated
-   compute_memsim_runs/compute_memsim_certified counters, so --baseline
-   reads schema 8 only); BENCH_sim.json stays at 3. *)
+   BENCH_search.json is at 9 (schema 8 plus the gated cold cases, so
+   --baseline reads schema 9 only); BENCH_sim.json stays at 3. *)
 let write_bench_json ?(schema = 3) path fields =
   let oc = open_out path in
   output_string oc
@@ -91,6 +90,43 @@ let lu () =
     \    enddo\n\
     \  enddo\n\
      enddo\n"
+
+(* [nest] with every array renamed by [suffix]: a nest no table of the
+   process has seen, whose search is cold, with the same answer. *)
+let renamed suffix (nest : Nest.t) =
+  let rec expr (e : Expr.t) : Expr.t =
+    match e with
+    | Int _ | Var _ -> e
+    | Neg a -> Neg (expr a)
+    | Add (a, b) -> Add (expr a, expr b)
+    | Sub (a, b) -> Sub (expr a, expr b)
+    | Mul (a, b) -> Mul (expr a, expr b)
+    | Div (a, b) -> Div (expr a, expr b)
+    | Mod (a, b) -> Mod (expr a, expr b)
+    | Min (a, b) -> Min (expr a, expr b)
+    | Max (a, b) -> Max (expr a, expr b)
+    | Load { array; index } ->
+      Load { array = array ^ suffix; index = List.map expr index }
+    | Call (f, args) -> Call (f, List.map expr args)
+  in
+  let rec stmt (s : Stmt.t) : Stmt.t =
+    match s with
+    | Stmt.Store ({ array; index }, rhs) ->
+      Stmt.Store ({ array = array ^ suffix; index = List.map expr index }, expr rhs)
+    | Stmt.Set (v, rhs) -> Stmt.Set (v, expr rhs)
+    | Stmt.Guard g ->
+      Stmt.Guard
+        { g with lhs = expr g.lhs; rhs = expr g.rhs; body = List.map stmt g.body }
+  in
+  {
+    Nest.loops =
+      List.map
+        (fun (l : Nest.loop) ->
+          { l with Nest.lo = expr l.Nest.lo; hi = expr l.Nest.hi; step = expr l.Nest.step })
+        nest.Nest.loops;
+    inits = List.map stmt nest.Nest.inits;
+    body = List.map stmt nest.Nest.body;
+  }
 
 let fig1_matrix () = Intmat.mul (Intmat.interchange 2 0 1) (Intmat.skew 2 0 1 1)
 
@@ -706,7 +742,10 @@ let bechamel_suite () =
    regressed more than 10% against it both in absolute time and
    normalized by the same file's compute_untiered_time_s (the
    normalization absorbs hardware differences; the AND keeps one noisy
-   denominator from faking a regression). *)
+   denominator from faking a regression). Two cold cases follow, one
+   per objective: the first search of a renamed nest, whose integer
+   statistics (shared work and registry reads included) must equal the
+   baseline's and whose minor words must stay within 1% of it. *)
 let search_bench ?baseline () =
   section "EXP-SEARCH | search engine: two-tier + incremental + multicore";
   let module Search = Itf_opt.Search in
@@ -784,13 +823,12 @@ let search_bench ?baseline () =
       | Error e -> failwith ("--baseline " ^ path ^ ": " ^ e)
       | Ok j ->
         (match Json.member "schema" j with
-        | Some (Json.Int 8) -> ()
+        | Some (Json.Int 9) -> ()
         | _ ->
           failwith
-            ("--baseline " ^ path ^ ": expected schema 8 BENCH_search.json"));
-        Some
-          (Option.value ~default:[]
-             (Option.bind (Json.member "cases" j) Json.to_list)))
+            ("--baseline " ^ path ^ ": expected schema 9 BENCH_search.json"));
+        let list k = Option.value ~default:[] (Option.bind (Json.member k j) Json.to_list) in
+        Some (list "cases" @ list "cold"))
   in
   let baseline_case name =
     Option.bind baseline_cases
@@ -1155,6 +1193,78 @@ let search_bench ?baseline () =
   List.iter2
     (fun (name, _, _, _, _) json -> check_counters name json)
     cases jsons;
+  (* Cold cases: the first search of a nest whose arrays no table has
+     seen, one per objective, after every warm case. Its work is the
+     cold path's: legality verdicts, families, reference forms inherited,
+     mapped or computed, tier-0 estimates and exact simulations,
+     statement closures compiled. All of it is exact at one domain, so
+     every integer statistic of the search, its shared work and its
+     registry reads included, must equal the baseline's, and its minor
+     words, a count that repeats run to run, must stay within 1% of it. *)
+  let cold =
+    List.map
+      (fun (name, nest, objective, n) ->
+        let m = Itf_obs.Metrics.create () in
+        let obj, spec =
+          Result.get_ok
+            (Search.of_name ~metrics:m objective ~procs:4 ~params:[ ("n", n) ])
+        in
+        let nest = renamed "_cold" nest in
+        let w0 = Gc.minor_words () in
+        let r = Engine.search ~steps:3 ~domains:1 ~tier0:spec nest obj in
+        let words = Gc.minor_words () -. w0 in
+        let o =
+          match r with Some o -> o | None -> failwith (name ^ ": no outcome")
+        in
+        let stats = Itf_opt.Stats.to_json_value ~metrics:m o.Engine.stats in
+        let counters =
+          List.filter_map
+            (fun (st : Itf_opt.Stats.stat) ->
+              match st.source with
+              | Count _ | Shared _ | Read _ -> Some st.key
+              | Setting _ | Phase _ | Time _ -> None)
+            Itf_opt.Stats.ledger
+        in
+        Option.iter
+          (fun base ->
+            let get j k =
+              Option.bind (Json.member "stats_cold" j) (Json.member k)
+              |> Option.fold ~none:"missing" ~some:Json.to_string
+            in
+            List.iter
+              (fun k ->
+                if get base k <> get (Json.Obj [ ("stats_cold", stats) ]) k then
+                  failwith
+                    (Printf.sprintf "%s: %s is %s, baseline %s" name k
+                       (get (Json.Obj [ ("stats_cold", stats) ]) k)
+                       (get base k)))
+              counters;
+            match Option.bind (Json.member "cold_minor_words" base) Json.to_float with
+            | Some b when words > b *. 1.01 ->
+              failwith
+                (Printf.sprintf
+                   "%s: cold_minor_words is %.0f, over 1%% above the \
+                    baseline's %.0f"
+                   name words b)
+            | _ -> ())
+          (baseline_case name);
+        Format.printf
+          "%-22s cold search (steps 3, 1 domain): %.3fs, %.0f minor words; \
+           score %g@."
+          name o.Engine.stats.Itf_opt.Stats.total_time_s words o.Engine.score;
+        Format.printf "%-22s %a@." "" (Itf_opt.Stats.pp ~metrics:m) o.Engine.stats;
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("steps", Json.Int 3);
+            ("cold_minor_words", Json.Float words);
+            ("stats_cold", stats);
+          ])
+      [
+        ("matmul/locality/cold", matmul (), "locality", 16);
+        ("lu/parallel/cold", lu (), "parallel", 10);
+      ]
+  in
   (* Intern/memo table health at the end of the whole suite. *)
   let intern_tables =
     List.map
@@ -1171,10 +1281,11 @@ let search_bench ?baseline () =
           ])
       (Hashcons.stats ())
   in
-  write_bench_json ~schema:8 "BENCH_search.json"
+  write_bench_json ~schema:9 "BENCH_search.json"
     [
       ("domains_par", Json.Int par_domains);
       ("cases", Json.List jsons);
+      ("cold", Json.List cold);
       ("intern_tables", Json.List intern_tables);
     ]
 

@@ -20,7 +20,7 @@ type t = {
   bmat : Bmat.t;
   names : string list;
   defines_scalar : bool;
-  refs : Access.t option Atomic.t;
+  refs : source;
   unimodular : (normalized, exn) result option Atomic.t;
   unimodular_check : Boundsmap.violation list option Atomic.t;
   grids : grid array option Atomic.t;
@@ -30,7 +30,17 @@ type t = {
   block_image : Depvec.t list option array;
 }
 
-let make ?(refs = Atomic.make None) nest vectors =
+and source = {
+  forms_nest : Nest.t;
+  cell : Access.t option Atomic.t;
+  mutable from : origin;
+}
+
+and origin = Own | Inherit of source | Map of source * Template.t
+
+type provenance = Inherited | Mapped | Computed | Stored
+
+let make ?(origin = Own) nest vectors =
   let n = Nest.depth nest in
   let bands () = Array.make (n * n) None in
   {
@@ -42,7 +52,10 @@ let make ?(refs = Atomic.make None) nest vectors =
       List.exists
         (fun s -> Stmt.defined_vars s <> [])
         (nest.Nest.inits @ nest.Nest.body);
-    refs;
+    refs =
+      (match origin with
+      | Inherit src -> src
+      | Own | Map _ -> { forms_nest = nest; cell = Atomic.make None; from = origin });
     unimodular = Atomic.make None;
     unimodular_check = Atomic.make None;
     grids = Atomic.make None;
@@ -108,6 +121,17 @@ let violations f (t : Template.t) =
     | Template.Reverse_permute _ | Template.Parallelize _
     | Template.Interleave _ -> check ()
 
+let innermost (n : Nest.t) =
+  let rec last = function
+    | [] -> None
+    | [ (l : Nest.loop) ] -> Some l.Nest.var
+    | _ :: loops -> last loops
+  in
+  last n.Nest.loops
+
+let same_statements f (child : Nest.t) =
+  child.Nest.inits == f.nest.Nest.inits && child.Nest.body == f.nest.Nest.body
+
 (* A child's subscripts are the parent's when the child keeps the
    parent's statements and innermost loop variable: fresh loop variables
    never occur in them (they avoid [names]), and a form lists only the
@@ -116,12 +140,97 @@ let violations f (t : Template.t) =
    variables must be the parent's too. *)
 let inherits f (child : Nest.t) =
   let parent = f.nest in
-  let innermost (n : Nest.t) =
-    match List.rev n.Nest.loops with l :: _ -> Some l.Nest.var | [] -> None
-  in
-  child.Nest.inits == parent.Nest.inits
-  && child.Nest.body == parent.Nest.body
+  same_statements f child
   && innermost child = innermost parent
   && ((not f.defines_scalar)
      || List.sort String.compare (Nest.loop_vars child)
         = List.sort String.compare (Nest.loop_vars parent))
+
+(* The inits a Unimodular child prepends to its parent's: one per loop
+   of a unit-step parent ({!Codegen}), so the child's inits are those
+   followed by the parent's own, physically. *)
+let new_inits (parent : Nest.t) (child : Nest.t) =
+  let rec split k inits =
+    if k = 0 then if inits == parent.Nest.inits then Some [] else None
+    else
+      match inits with
+      | Stmt.Set (x, rhs) :: rest ->
+        Option.map (fun defs -> (x, rhs) :: defs) (split (k - 1) rest)
+      | _ -> None
+  in
+  split
+    (List.length child.Nest.inits - List.length parent.Nest.inits)
+    child.Nest.inits
+
+let maps f (t : Template.t) (child : Nest.t) =
+  match t with
+  | Template.Reverse_permute _ | Template.Block _ | Template.Parallelize _ ->
+    same_statements f child
+  | Template.Unimodular _ ->
+    let loops = f.nest.Nest.loops in
+    let rec sets k inits =
+      if k = 0 then inits == f.nest.Nest.inits
+      else
+        match inits with
+        | Stmt.Set _ :: rest -> sets (k - 1) rest
+        | _ -> false
+    in
+    child.Nest.body == f.nest.Nest.body
+    && List.for_all
+         (fun (l : Nest.loop) ->
+           match l.Nest.step with
+           | Expr.Int k -> k = 1
+           | step -> Expr.to_int step = Some 1)
+         loops
+    && sets (List.length loops) child.Nest.inits
+    && ((not f.defines_scalar)
+       ||
+       let vars = Nest.loop_vars f.nest in
+       not
+         (List.exists
+            (fun s ->
+              List.exists (fun v -> List.mem v vars) (Stmt.defined_vars s))
+            (f.nest.Nest.inits @ f.nest.Nest.body)))
+  | Template.Coalesce _ | Template.Interleave _ -> false
+
+let origin f t child =
+  if inherits f child then Inherit f.refs
+  else if maps f t child then Map (f.refs, t)
+  else Own
+
+(* [a], the forms of [parent], through [t] to [child]'s. *)
+let map (parent : Nest.t) (t : Template.t) (child : Nest.t) a =
+  match t with
+  | Template.Reverse_permute _ | Template.Block _ | Template.Parallelize _ ->
+    Access.relabel ~inner:(innermost parent) ~vars:(Nest.loop_vars child) a
+  | Template.Unimodular _ -> (
+    match new_inits parent child with
+    | Some defs -> Access.substitute ~vars:(Nest.loop_vars child) ~defs a
+    | None -> None)
+  | Template.Coalesce _ | Template.Interleave _ -> None
+
+(* As every slot: a racing fill stores an equal value, and only the
+   domain whose store lands hears of its derivation, so [note] counts
+   each stored derivation once at any domain count. A filled source
+   forgets its origin, so it keeps no ancestor's source alive; a domain
+   that read the origin before it was forgotten stores nothing. *)
+let rec forms ?note src =
+  match Atomic.get src.cell with
+  | Some a -> (a, Stored)
+  | None ->
+    let a, how = derive ?note src.from src.forms_nest in
+    if Atomic.compare_and_set src.cell None (Some a) then begin
+      src.from <- Own;
+      Option.iter (fun note -> note how) note;
+      (a, how)
+    end
+    else (Option.get (Atomic.get src.cell), Stored)
+
+and derive ?note origin nest =
+  match origin with
+  | Inherit p -> (fst (forms ?note p), Inherited)
+  | Map (p, t) -> (
+    match map p.forms_nest t nest (fst (forms ?note p)) with
+    | Some a -> (a, Mapped)
+    | None -> (Access.of_nest nest, Computed))
+  | Own -> (Access.of_nest nest, Computed)

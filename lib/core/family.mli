@@ -21,8 +21,10 @@
     - per vector, the step-normalized grid the [Unimodular] vector rule
       reads ({!Depmap});
     - the cell of the parent's array reference forms
-      ({!Itf_bounds.Access}), which a child shares when {!inherits}
-      holds.
+      ({!Itf_bounds.Access}), which a child shares when its forms equal
+      the parent's ({!origin}), and the family's own {!origin}: how the forms follow from the
+      grandparent's, so the cell is filled by mapping them rather than
+      by {!Itf_bounds.Access.of_nest} wherever the template allows.
 
     Every slot is a memo of a pure function of what it is keyed on: the
     family's nest and vectors, plus the band for a band slot. Slots are
@@ -56,7 +58,9 @@ type t = private {
   bmat : Itf_bounds.Bmat.t;
   names : string list;  (** {!Itf_ir.Nest.all_vars} of [nest] *)
   defines_scalar : bool;  (** some init or body statement sets a scalar *)
-  refs : Itf_bounds.Access.t option Atomic.t;
+  refs : source;
+      (** the nest's reference forms: the parent family's source when
+          they equal the parent's *)
   unimodular : (normalized, exn) result option Atomic.t;
       (** filled by {!Codegen}; an [Error] is re-raised for every child *)
   unimodular_check : Boundsmap.violation list option Atomic.t;
@@ -70,12 +74,32 @@ type t = private {
 }
 (** The band slots are indexed [i * depth + j]. *)
 
-val make :
-  ?refs:Itf_bounds.Access.t option Atomic.t ->
-  Itf_ir.Nest.t -> Itf_dep.Depvec.t list -> t
+(** A cell of a nest's reference forms and how to fill it. It holds
+    what filling it reads, and nothing else of the family: a child
+    keeps its parent's source, not its parent's family. *)
+and source = private {
+  forms_nest : Itf_ir.Nest.t;
+  cell : Itf_bounds.Access.t option Atomic.t;
+  mutable from : origin;  (** [Own] once [cell] is filled *)
+}
+
+(** How a nest's reference forms follow from its parent's, the parent
+    given by its source. *)
+and origin =
+  | Own  (** computed from the nest ({!Itf_bounds.Access.of_nest}) *)
+  | Inherit of source  (** equal to the parent's *)
+  | Map of source * Template.t
+      (** the parent's mapped through the template that made the nest:
+          {!Itf_bounds.Access.relabel} for a
+          [ReversePermute], [Block] or [Parallelize] child,
+          {!Itf_bounds.Access.substitute} for a [Unimodular] child of a
+          unit-step parent *)
+
+val make : ?origin:origin -> Itf_ir.Nest.t -> Itf_dep.Depvec.t list -> t
 (** [make nest vectors] builds the matrices and the name set at once and
-    leaves every other slot empty. [refs] is the cell of [nest]'s
-    reference forms (default: a new empty cell). *)
+    leaves every other slot empty. [origin] (default [Own]) says how
+    [nest]'s forms follow from its parent's; an [Inherit] family shares
+    its parent's source. *)
 
 val cell : 'a option Atomic.t -> (unit -> 'a) -> 'a
 (** The slot's value, computed and stored on first use. *)
@@ -94,8 +118,44 @@ val violations : t -> Template.t -> Boundsmap.violation list
 (** {!Boundsmap.check} of the family's matrices, kept per family for
     [Unimodular] and per band for [Block] and [Coalesce]. *)
 
-val inherits : t -> Itf_ir.Nest.t -> bool
-(** [inherits f child]: [child]'s reference forms equal the family
-    nest's. It holds when [child] keeps the nest's init and body
-    statements (physically) and its innermost loop variable, and, when
-    some statement sets a scalar, its set of loop variables. *)
+val origin : t -> Template.t -> Itf_ir.Nest.t -> origin
+(** [origin f t child], with [child] the nest [t] makes of [f]'s:
+
+    - [Inherit f.refs] when [child]'s forms equal the nest's: it keeps the
+      nest's init and body statements (physically) and its innermost
+      loop variable, and, when some statement sets a scalar, its set of
+      loop variables;
+    - else [Map (f.refs, t)] when they can be mapped from the nest's: a
+      [ReversePermute], [Block] or [Parallelize] child that keeps the
+      statements, or a [Unimodular] child when every step of the nest is
+      1, no statement sets one of its loop variables, and the child's
+      inits are one [Set] per new definition followed by the nest's
+      inits ([Coalesce] and [Interleave] children never qualify). The
+      mapping can still meet a form it cannot carry over; the forms are
+      then computed;
+    - else [Own]. *)
+
+(** How a call found reference forms. *)
+type provenance =
+  | Inherited  (** the parent's, in the cell shared with it *)
+  | Mapped  (** mapped from the parent's on this call *)
+  | Computed  (** by {!Itf_bounds.Access.of_nest}, on this call *)
+  | Stored  (** already in the family's own cell *)
+
+val forms :
+  ?note:(provenance -> unit) -> source -> Itf_bounds.Access.t * provenance
+(** The source's forms: its cell's, or derived through its {!origin}
+    (filling the parent's source first when the origin needs it) and
+    stored, after which the source forgets its origin. The provenance is [Stored] when the cell already
+    held them, or another domain's fill won; otherwise [Mapped] or
+    [Computed]. [note] hears of each derivation this call stored, the
+    parent's included, so at any domain count each cell's fill is heard
+    once. *)
+
+val derive :
+  ?note:(provenance -> unit) -> origin -> Itf_ir.Nest.t ->
+  Itf_bounds.Access.t * provenance
+(** [derive origin nest]: the forms of a nest that has no family,
+    stored nowhere: [Inherited] (the parent source's forms, {!forms}),
+    [Mapped] or [Computed]. [note] hears only of the parent's fills;
+    the caller accounts for the returned derivation. *)

@@ -132,10 +132,12 @@ let check_child ?built parent t entry =
 
 (* A prefix accepted through its reduced sequence holds no nest of its
    own: its forms are computed from the result's, and kept nowhere. *)
-let references st (result : result) =
-  match Legality.references st.prefix with
+let references ?note st (result : result) =
+  match Legality.references ?note st.prefix with
   | Some found -> found
-  | None -> (Itf_bounds.Access.of_nest result.nest, Legality.Computed)
+  | None ->
+    Option.iter (fun note -> note Legality.Computed) note;
+    (Itf_bounds.Access.of_nest result.nest, Legality.Computed)
 
 (* Annexes are memos: two domains adding to one state at once may each
    replace the list the other read, and the annex that loses is built

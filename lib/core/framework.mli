@@ -124,12 +124,15 @@ val check_child : ?built:int ref -> state -> Template.t -> entry -> checked
     @raise Invalid_argument if [t] does not chain with the state's
     depth. *)
 
-val references : state -> result -> Itf_bounds.Access.t * Legality.provenance
+val references :
+  ?note:(Legality.provenance -> unit) ->
+  state -> result -> Itf_bounds.Access.t * Legality.provenance
 (** [references st r], with [r] the result of [st]: the array reference
-    forms of [r]'s nest, kept in [st] and shared with its parent's where
-    {!Legality.references} says so. A state whose raw prefix failed a
-    stage (and was accepted through its reduced sequence) keeps none:
-    its forms are computed on every call. *)
+    forms of [r]'s nest, kept in [st], shared with its parent's or
+    mapped from them where {!Legality.references} says so; [note] as
+    there. A state whose raw prefix failed a stage (and was accepted
+    through its reduced sequence) keeps none: its forms are computed on
+    every call. *)
 
 val stored : entry -> checked option
 (** The verdict [e] already holds, if any: {!check_child} on [e] then

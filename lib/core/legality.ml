@@ -96,12 +96,12 @@ type path =
              concurrently, and forcing one lazy value from two domains
              at once raises. Of two racing builds, the first stored
              is the one both use. *)
-      parent_refs : Access.t option Atomic.t option;
-          (* The parent family's reference-form cell, when the stage
-             kept what the forms read ({!Family.inherits}): parent and
-             child share one cell. A state that does not inherit keeps
-             its forms only in its own family, so a candidate that never
-             becomes a parent keeps none. *)
+      origin : Family.origin;
+          (* How [nest]'s reference forms follow from the parent's
+             ({!Family.origin}): shared with the parent's family cell,
+             mapped from it through the stage's template, or computed.
+             A state keeps forms only in its own family, so a candidate
+             that never becomes a parent keeps none. *)
     }  (* every stage so far held *)
   | Off of verdict  (* the first stage to fail its bounds preconditions *)
 
@@ -124,7 +124,7 @@ let of_root root =
           vectors = root.r_vectors;
           stages_rev = [];
           family = root.r_family;
-          parent_refs = None;
+          origin = Family.Own;
         };
   }
 
@@ -137,11 +137,11 @@ let start ?vectors nest =
 (* Two domains may build one family at once; the first to store it wins,
    and only it counts the build. The loser returns the winner's family,
    as a later caller on one domain would find it. *)
-let family_of ?built cell nest vectors parent_refs =
+let family_of ?built cell nest vectors origin =
   match Atomic.get cell with
   | Some f -> f
   | None ->
-    let f = Family.make ?refs:parent_refs nest vectors in
+    let f = Family.make ~origin nest vectors in
     if Atomic.compare_and_set cell None (Some f) then begin
       bump built 1;
       f
@@ -154,9 +154,9 @@ let extend ?count ?built st (t : Template.t) =
   let path =
     match st.path with
     | Off _ as off -> off
-    | On { nest; vectors; stages_rev; family; parent_refs } -> (
+    | On { nest; vectors; stages_rev; family; origin } -> (
       bump count 1;
-      let family = family_of ?built family nest vectors parent_refs in
+      let family = family_of ?built family nest vectors origin in
       match step ~family ~index:(List.length st.seq_rev) nest vectors t with
       | Ok (nest', vectors', stage) ->
         (* Every new on-path state gets a fresh family cell, so a family
@@ -167,35 +167,31 @@ let extend ?count ?built st (t : Template.t) =
             vectors = vectors';
             stages_rev = stage :: stages_rev;
             family = Atomic.make None;
-            parent_refs =
-              (if Family.inherits family nest' then Some family.Family.refs
-               else None);
+            origin = Family.origin family t nest';
           }
       | Error raw -> Off raw)
   in
   { st with seq_rev = t :: st.seq_rev; depth = Template.output_depth t; path }
 
-type provenance = Inherited | Computed | Stored
+type provenance = Family.provenance =
+  | Inherited
+  | Mapped
+  | Computed
+  | Stored
 
-let references st =
+let references ?note st =
   match st.path with
   | Off _ -> None
-  | On { nest; family; parent_refs; _ } ->
-    (* As [family_of]: a loser of a racing fill reports the winner's
-       forms as found in the cell. *)
-    let fill cell found =
-      match Atomic.get cell with
-      | Some a -> (a, found)
-      | None ->
-        let a = Access.of_nest nest in
-        if Atomic.compare_and_set cell None (Some a) then (a, Computed)
-        else (Option.get (Atomic.get cell), found)
-    in
+  | On { nest; family; origin; _ } ->
     Some
-      (match (parent_refs, Atomic.get family) with
-      | Some cell, _ -> fill cell Inherited
-      | None, Some f -> fill f.Family.refs Stored
-      | None, None -> (Access.of_nest nest, Computed))
+      (match (origin, Atomic.get family) with
+      | Family.Inherit _, _ | _, None ->
+        let ((_, how) as found) = Family.derive ?note origin nest in
+        (match (how, note) with
+        | (Mapped | Computed), Some note -> note how
+        | _ -> ());
+        found
+      | _, Some f -> Family.forms ?note f.Family.refs)
 
 let verdict ?count ?built st =
   let final st =

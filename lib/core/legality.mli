@@ -100,12 +100,16 @@ val pp_reason : Format.formatter -> reason -> unit
     (by compare-and-set) is the one both use and the only one counted.
 
     The family also keeps the nest's array reference forms
-    ({!references}), computed on first use. A child whose stage kept the
+    ({!references}), derived on first use. A child whose stage kept the
     parent's init and body statements and innermost loop variable (and,
     when a statement sets a scalar, its set of loop variables) shares
-    the parent's cell instead ({!Family.inherits}). A state that does
-    neither keeps no forms: a candidate that never becomes a parent
-    holds nothing beyond its nest.
+    the parent's cell instead ({!Family.origin}). A child the template
+    maps exactly (again {!Family.origin}: a [ReversePermute], [Block] or
+    [Parallelize] child that keeps the statements, a [Unimodular] child
+    of a unit-step parent) derives its forms from the parent's through
+    the template; any other computes them. A state keeps the forms only
+    in its own family: a candidate that never becomes a parent holds
+    nothing beyond its nest.
 
     Once a stage fails, the state holds that stage's verdict and later
     extensions only record their templates. *)
@@ -139,17 +143,22 @@ val verdict : ?count:int ref -> ?built:int ref -> state -> verdict
     and [built] once per family the replay builds. *)
 
 (** How {!references} found a state's forms. *)
-type provenance =
+type provenance = Family.provenance =
   | Inherited  (** in the cell the state shares with its parent *)
+  | Mapped  (** from the parent's, through the stage's template, on this call *)
   | Computed  (** by {!Itf_bounds.Access.of_nest}, on this call *)
   | Stored  (** in the cell of the state's own family *)
 
-val references : state -> (Itf_bounds.Access.t * provenance) option
+val references :
+  ?note:(provenance -> unit) -> state -> (Itf_bounds.Access.t * provenance) option
 (** The array reference forms of the state's nest
     ({!Itf_bounds.Access.of_nest}): read from the cell the state shares
-    with its parent, or else from its own family's, and computed and
-    stored there on first use; computed afresh when the state has
-    neither (see above). Equal to
-    [Access.of_nest] of the nest in every case. [None] when a stage of
+    with its parent, or from its own family's, filled on first use; or
+    derived afresh (mapped from the parent's where {!Family.origin} allows,
+    else computed) when the state has neither. Equal to
+    [Access.of_nest] of the nest in every case. [note] hears of every
+    derivation the call made, once per stored fill (the parent's
+    included) and once for an unstored one, with [Mapped] or
+    [Computed]: that is the call's whole work. [None] when a stage of
     the prefix failed: such a state holds no nest (a prefix the
     reduced-sequence fallback accepts gets its nest from the replay). *)

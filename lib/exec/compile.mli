@@ -109,11 +109,23 @@ val run :
     program can be rerun after [Env.set_scalar]. The iteration hooks cost
     nothing when absent (the plain body closure runs unwrapped). *)
 
+val closures : t -> int
+(** The statement closures the program built: one per init and body
+    statement, guarded ones included; 0 for {!compile_headers}. *)
+
 (** {1 Frame access for machine models}
 
     {!Itf_machine.Parallel} walks loop headers without executing bodies;
     these entry points evaluate compiled bounds against the current frame
     directly. *)
+
+val compile_headers : Env.t -> Nest.t -> t
+(** A plan of [nest]'s loop headers alone: their bounds and steps
+    compiled over a frame that holds the loop variables and the names
+    the headers read, and no statement closure and no array site
+    ({!closures} is 0). A header that reads an array needs it declared
+    in [env]; one that reads a statement-defined scalar sees 0. {!run}
+    runs its loops over an empty body. *)
 
 val sync : t -> unit
 (** Load the environment's scalars into the frame (slots without a value in

@@ -27,15 +27,24 @@ val time :
 
 val time_compiled :
   ?spawn_overhead:float -> procs:int -> Itf_exec.Env.t -> Nest.t -> float
-(** As {!time}, but loop bounds are evaluated through
-    {!Itf_exec.Compile}'s slot frame instead of the interpreter, and the
-    innermost level is closed form: [count * unit_cost] for [do],
-    [ceil (count / procs) * unit_cost + spawn_overhead] for a nonempty
-    [pardo]. Above it the float accumulation order is identical, and at
-    it every term is an integer-valued float, so the result equals
-    {!time} bit for bit. {!time} and {!speedup} are the test oracles. Unlike {!time}, the nest's arrays must be declared in the
-    environment (compilation resolves every access site even though bodies
-    are not executed). *)
+(** As {!time}, but on a plan of the loop headers alone
+    ({!Itf_exec.Compile.compile_headers}: no statement closure, no array
+    site), evaluated over a slot frame instead of the interpreter. When
+    every header reads only the variables of the levels enclosing it
+    (with distinct loop variables), the innermost level is closed form:
+    [count * unit_cost] for [do], [ceil (count / procs) * unit_cost +
+    spawn_overhead] for a nonempty [pardo]. So is an outer level whose
+    subtree's headers read none of its variables, when [spawn_overhead]
+    is a non-negative integer: each of
+    its iterations then costs the same integer [x], and [count * x], or
+    [ceil (count / procs) * x + spawn_overhead], is exactly the sum and
+    maximum {!time} forms, below 2^53. Every other level iterates in
+    {!time}'s accumulation order, setting its variable as {!time} does
+    (a header that reads its own or an inner variable sees the value the
+    previous traversal left), so the result equals {!time} bit for
+    bit. {!time} and {!speedup} are the test oracles. The environment
+    must define the parameters the headers read, and declare the arrays
+    they read (no other array). *)
 
 val speedup :
   ?spawn_overhead:float -> procs:int -> Itf_exec.Env.t -> Nest.t -> float

@@ -64,6 +64,17 @@ let counter t ?labels name =
       (Printf.sprintf "Metrics.counter: %s is already a %s" name
          (kind_name other))
 
+let read_counter t ?(labels = []) name =
+  match
+    Hashtbl.find_opt (Atomic.get t.snapshot)
+      { name; labels = normalize_labels labels }
+  with
+  | None -> 0
+  | Some (Counter c) -> Atomic.get c
+  | Some other ->
+    invalid_arg
+      (Printf.sprintf "Metrics.read_counter: %s is a %s" name (kind_name other))
+
 let gauge t ?labels name =
   match find_or_create t ?labels name (fun () -> Gauge (Atomic.make 0.)) with
   | Gauge g -> g

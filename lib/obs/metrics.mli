@@ -33,6 +33,15 @@ type gauge
 type histogram
 
 val counter : t -> ?labels:(string * string) list -> string -> counter
+(** Find or create: asking for a counter registers it, so it is listed
+    by {!dump} from then on, at 0 if nothing adds to it. *)
+
+val read_counter : t -> ?labels:(string * string) list -> string -> int
+(** The counter's value, or 0 when the registry holds no such counter:
+    a read that registers nothing, for reporting a counter some other
+    component may or may not have created.
+    @raise Invalid_argument if the name is another kind of instrument. *)
+
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 
 val duration_buckets : float array

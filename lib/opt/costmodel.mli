@@ -88,11 +88,22 @@ val estimate :
     [refs] gives the result nest's array reference forms when the
     locality estimate asks for them (default:
     {!Itf_bounds.Access.of_nest} of the nest); the engine passes the
-    candidate state's forms, which a child often shares with its parent
-    ({!Itf_core.Legality.references}). [estimate spec] is an estimator
-    with its own array layout cell: the layout depends only on the
-    root's arrays, so one estimator (one per search in the engine)
-    builds it once per root ({!Itf_core.Framework.result}'s [root]). *)
+    candidate state's forms, which a child shares with its parent or
+    maps from them ({!Itf_core.Legality.references}).
+
+    [estimate spec] is an estimator with its own cell of per-root data:
+    the array layout and, per reference in source order, its array's
+    strides, footprint and slot, and the order the admissible bound sums
+    the arrays in. It depends only on the root's references, which
+    every candidate of the root shares (a template keeps the body), so
+    one estimator (one per search in the engine) prepares it once per
+    root ({!Itf_core.Framework.result}'s [root]), and checks each
+    candidate's references against it before use. A candidate then
+    reads its loop levels (an interval evaluation of its bounds, keyed
+    by position, not by a table), flattens its forms' coefficients in
+    level order, and performs the same float operations in the same
+    order as an estimate that prepared everything afresh: every score
+    and bound is bit-identical to it ([test_costmodel]'s oracle sweep). *)
 
 val params_key : (string * int) list -> int list
 (** A parameter list as a self-delimiting int list: its length, then

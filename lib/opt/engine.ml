@@ -208,23 +208,36 @@ let expansion ~spec parent =
       (x, if keep then Expansion x else Expanded_once))
 
 (* The shared-work counts of one search's misses, written from worker
-   domains: families built by the legality verdicts it computed, and
-   reference forms its tier-0 estimates inherited from a parent or
-   computed. Only the miss path touches them, so a warm candidate
-   allocates nothing for them. *)
+   domains: families built by the legality verdicts it computed, the
+   tier-0 estimates whose reference forms were their parent's, and the
+   forms its estimates mapped from a parent's or computed. Only the miss
+   path touches them, so a warm candidate allocates nothing for them. *)
 type tally = {
   families : int Atomic.t;
   inherited : int Atomic.t;
+  mapped : int Atomic.t;
   computed : int Atomic.t;
+  note : Legality.provenance -> unit;
 }
+
+let tally () =
+  let mapped = Atomic.make 0 and computed = Atomic.make 0 in
+  {
+    families = Atomic.make 0;
+    inherited = Atomic.make 0;
+    mapped;
+    computed;
+    note =
+      (function
+      | Legality.Mapped -> Atomic.incr mapped
+      | Legality.Computed -> Atomic.incr computed
+      | Legality.Inherited | Legality.Stored -> ());
+  }
 
 (* A candidate's reference forms, for its tier-0 estimate. *)
 let references tally state result () =
-  let refs, how = Framework.references state result in
-  (match how with
-  | Legality.Inherited -> Atomic.incr tally.inherited
-  | Legality.Computed -> Atomic.incr tally.computed
-  | Legality.Stored -> ());
+  let refs, how = Framework.references ~note:tally.note state result in
+  if how = Legality.Inherited then Atomic.incr tally.inherited;
   refs
 
 (* Tier-0 evaluation of child [i] of [parent]'s expansion [x], a cache
@@ -359,9 +372,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
      through engine internals. *)
   let t_start = now () in
   let st = Stats.create () in
-  let tally =
-    { families = Atomic.make 0; inherited = Atomic.make 0; computed = Atomic.make 0 }
-  in
+  let tally = tally () in
   let cut = ref None and rejections = ref [] and decisions = ref [] in
   (* Cross-step memo keyed on the intern ids of canonical
      (peephole-reduced) sequences: [Scored] is a previously evaluated
@@ -735,6 +746,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     st.merge_time_s <- st.merge_time_s +. (t_end -. t_winner);
     st.families_built <- Atomic.get tally.families;
     st.refs_inherited <- Atomic.get tally.inherited;
+    st.refs_mapped <- Atomic.get tally.mapped;
     st.refs_computed <- Atomic.get tally.computed;
     st.domains <- domains;
     st.work_threshold <- (if domains > 1 then Pool.default_threshold else 0);

@@ -55,8 +55,10 @@ val cache_misses :
     simulations), [memsim.certified] (results the certificate
     answered), [memsim.cache.access], [memsim.cache.miss] (a certified
     result adds the root's counts, which are its own),
-    [memsim.stream.entries] and [memsim.stream.fallbacks] counters
-    (atomic adds — totals are domain-schedule independent). Every
+    [memsim.stream.entries], [memsim.stream.fallbacks] and
+    [exec.compile.closures] (statement closures the simulations
+    compiled) counters (atomic adds — totals are domain-schedule
+    independent). Every
     evaluation that returns a score is one run or one certified answer.
     The objective creates these counters, and its memo hit counter, in
     [metrics] when it is built and keeps them, so an evaluation makes no
@@ -77,9 +79,13 @@ val parallel_time :
   params:(string * int) list ->
   unit -> objective
 (** Simulated parallel execution time on [procs] processors, each
-    parallel loop start costing 2.0. [metrics]
-    accumulates a [parsim.runs] counter. [?memo] as in {!cache_misses}
-    (hit counter: [parsim.memo.hits]). *)
+    parallel loop start costing 2.0
+    ({!Itf_machine.Parallel.time_compiled}, which reads loop headers
+    only). It runs against an environment of the parameters alone,
+    built once per objective: no array is declared or filled, unless a
+    loop header reads one. [metrics] accumulates a [parsim.runs]
+    counter. [?memo] as in {!cache_misses} (hit counter:
+    [parsim.memo.hits]). *)
 
 val max_procs : int
 (** Largest [procs] the front ends accept: 1024. *)

@@ -18,6 +18,7 @@ type t = {
   mutable tier0_pruned : int;
   mutable families_built : int;
   mutable refs_inherited : int;
+  mutable refs_mapped : int;
   mutable refs_computed : int;
   mutable domains : int;
   mutable work_threshold : int;
@@ -44,6 +45,7 @@ let create () =
     tier0_pruned = 0;
     families_built = 0;
     refs_inherited = 0;
+    refs_mapped = 0;
     refs_computed = 0;
     domains = 0;
     work_threshold = 0;
@@ -61,7 +63,7 @@ module Metrics = Itf_obs.Metrics
 
 type source =
   | Count of (t -> int) * string list
-  | Shared of (t -> int)
+  | Shared of (t -> int) * string
   | Setting of (t -> int) * string
   | Phase of (t -> float) * string
   | Time of (t -> float) * string option
@@ -79,6 +81,7 @@ let memsim_certified = "memsim.certified"
 let memsim_stream_entries = "memsim.stream.entries"
 let memsim_stream_fallbacks = "memsim.stream.fallbacks"
 let dep_fm_calls = "dep.fm_calls"
+let compile_closures = "exec.compile.closures"
 
 (* One declaration per statistic, in --stats-json order. A cached
    candidate bumps both cache-hit fields when its score was cached too,
@@ -114,11 +117,13 @@ let ledger =
     stat "tier0_pruned" (Join " (pruned {} candidates before the exact tier)")
       (Count ((fun s -> s.tier0_pruned), [ "objective.tier0_pruned" ]));
     stat "families_built" (Line "families built        {}")
-      (Shared (fun s -> s.families_built));
+      (Shared ((fun s -> s.families_built), "core.families.built"));
     stat "refs_inherited" (Line "reference forms       {} inherited")
-      (Shared (fun s -> s.refs_inherited));
+      (Shared ((fun s -> s.refs_inherited), "core.refs.inherited"));
+    stat "refs_mapped" (Join ", {} mapped")
+      (Shared ((fun s -> s.refs_mapped), "core.refs.mapped"));
     stat "refs_computed" (Join ", {} computed")
-      (Shared (fun s -> s.refs_computed));
+      (Shared ((fun s -> s.refs_computed), "core.refs.computed"));
     stat "domains" (Line "domains               {}")
       (Setting ((fun s -> s.domains), "engine.domains"));
     stat "work_threshold" (Join " (sequential below {} candidates/step)")
@@ -147,17 +152,17 @@ let ledger =
     stat "memsim_stream_fallbacks" (Join ", {} fallbacks")
       (Read memsim_stream_fallbacks);
     stat "dep_fm_calls" (Line "dependence FM calls  {}") (Read dep_fm_calls);
+    stat "compile_closures" (Line "statement closures   {} compiled")
+      (Read compile_closures);
   ]
 
 (* A registry read has no value without a registry. *)
 let value ?metrics s st =
   match st.source with
-  | Count (f, _) | Shared f | Setting (f, _) -> Some (Json.Int (f s))
+  | Count (f, _) | Shared (f, _) | Setting (f, _) -> Some (Json.Int (f s))
   | Phase (f, _) | Time (f, _) -> Some (Json.Float (f s))
   | Read name ->
-    Option.map
-      (fun m -> Json.Int (Metrics.counter_value (Metrics.counter m name)))
-      metrics
+    Option.map (fun m -> Json.Int (Metrics.read_counter m name)) metrics
 
 let phases s =
   List.filter_map
@@ -217,6 +222,9 @@ let resolve m st =
         let c = Metrics.counter m name in
         fun s -> Metrics.add c (f s))
       names
+  | Shared (f, name) ->
+    let c = Metrics.counter m name in
+    [ (fun s -> Metrics.add c (f s)) ]
   | Setting (f, name) ->
     let g = Metrics.gauge m name in
     [ (fun s -> Metrics.set g (float_of_int (f s))) ]
@@ -226,7 +234,7 @@ let resolve m st =
   | Time (f, Some name) ->
     let h = duration m name in
     [ (fun s -> Metrics.observe h (f s *. 1e3)) ]
-  | Shared _ | Time (_, None) | Read _ -> []
+  | Time (_, None) | Read _ -> []
 
 (* The writes for the registry [record] wrote last: a process that
    records every search into one registry (a serve daemon) resolves
@@ -267,7 +275,7 @@ let status m =
       let i = String.index name '.' in
       let field = String.sub name (i + 1) (String.length name - i - 1) in
       let field = String.map (function '.' -> '_' | c -> c) field in
-      let v = Json.Int (Metrics.counter_value (Metrics.counter m name)) in
+      let v = Json.Int (Metrics.read_counter m name) in
       [ (String.sub name 0 i, (field, v)) ]
     | Count _ | Shared _ | Setting _ | Time (_, None) -> []
   in

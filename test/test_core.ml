@@ -828,6 +828,8 @@ type family_totals = {
   mutable candidates : int;  (** legal one- and two-move candidates *)
   mutable rendered : int;  (** renderings through a parent's family *)
   mutable inherited : int;  (** candidates sharing the parent's forms *)
+  mutable mapped : int;  (** candidates whose forms map the parent's *)
+  mutable computed : int;  (** [Access.of_nest] runs [references] made *)
 }
 
 let outcome f =
@@ -844,8 +846,8 @@ let family_roots = ref 0
    parent family's rendering equals [Codegen.apply] on the bare parent
    nest (which builds a family of its own); the verdict, nest, vectors
    and rejection reasons equal [Legality.check] from the root; the
-   reference forms, inherited or not, equal [Access.of_nest] of the
-   nest; and every tier-0 estimate of an estimator shared by the root's
+   reference forms, inherited, mapped through the template or computed,
+   equal [Access.of_nest] of the nest; and every tier-0 estimate of an estimator shared by the root's
    candidates is bit-equal to a fresh estimator's on the fresh forms. *)
 let check_family totals ~what ~sizes root =
   incr family_roots;
@@ -887,12 +889,23 @@ let check_family totals ~what ~sizes root =
       if vs <> vs' then fail seq "the vectors differ from a fresh check";
       totals.candidates <- totals.candidates + 1;
       let forms = Access.of_nest nest in
+      let note = function
+        | Legality.Computed -> totals.computed <- totals.computed + 1
+        | _ -> ()
+      in
       let refs =
-        match Legality.references st with
+        match Legality.references ~note st with
         | Some (refs, how) ->
           if how = Legality.Inherited then
             totals.inherited <- totals.inherited + 1;
-          if refs <> forms then fail seq "the reference forms differ";
+          if how = Legality.Mapped then totals.mapped <- totals.mapped + 1;
+          if refs <> forms then
+            fail seq "the reference forms (%s) differ"
+              (match how with
+              | Legality.Inherited -> "inherited"
+              | Legality.Mapped -> "mapped"
+              | Legality.Computed -> "computed"
+              | Legality.Stored -> "stored");
           refs
         | None -> forms
       in
@@ -942,11 +955,14 @@ let family_nest_files () =
                  .Itf_lang.Parser.nest )))
     [ Filename.concat "examples" "nests"; Filename.concat "bench" (Filename.concat "e2e" "nests") ]
 
-(* Examples and e2e nests (estimates at n = 8 to 32), the corpus and
-   1,000 [Gen] nests. The totals are pinned, so a change in what is
-   shared or inherited shows here. *)
+(* Examples and e2e nests (estimates at n = 8 to 32), two constructed
+   nests, the corpus and 1,000 [Gen] nests. The totals are pinned, so a
+   change in what is shared, inherited, mapped or computed shows
+   here. *)
 let test_family_equivalence () =
-  let totals = { candidates = 0; rendered = 0; inherited = 0 } in
+  let totals =
+    { candidates = 0; rendered = 0; inherited = 0; mapped = 0; computed = 0 }
+  in
   List.iter
     (fun (file, root) ->
       check_family totals ~what:file
@@ -960,6 +976,31 @@ let test_family_equivalence () =
          let c = Itf_check.Repro.load (Filename.concat "corpus" f) in
          check_family totals ~what:f ~sizes:[ c.Itf_check.Gen.params ]
            c.Itf_check.Gen.nest);
+  (* Forms the mapping must carry over or refuse: a subscript that reads
+     a scalar before its statement sets it (carried, non-linear in every
+     loop variable, widened when Block adds loops), and one whose
+     affine form keeps a cancelled loop variable in its base verbatim
+     ([(j - j + n) * m]), which a Unimodular child must compute. *)
+  List.iter
+    (fun (what, src) ->
+      check_family totals ~what
+        ~sizes:[ [ ("n", 8); ("m", 2) ] ]
+        (Itf_lang.Parser.parse_nest src))
+    [
+      ( "carried scalar",
+        "do i = 1, n\n\
+        \  do j = 1, n\n\
+        \    a(i, t) = b(j)\n\
+        \    t = j\n\
+        \  enddo\n\
+         enddo\n" );
+      ( "verbatim base",
+        "do i = 1, n\n\
+        \  do j = 1, n\n\
+        \    a((j - j + n) * m, i) = a(i, j) + 1\n\
+        \  enddo\n\
+         enddo\n" );
+    ];
   let st = Random.State.make [| 7 |] in
   for k = 1 to 1000 do
     let c = Itf_check.Gen.case st in
@@ -967,9 +1008,11 @@ let test_family_equivalence () =
       ~what:(Printf.sprintf "Gen case %d" k)
       ~sizes:[ c.Itf_check.Gen.params ] c.Itf_check.Gen.nest
   done;
-  check_int "legal candidates" 102_208 totals.candidates;
-  check_int "renderings through a parent family" 195_566 totals.rendered;
-  check_int "candidates sharing their parent's forms" 59_710 totals.inherited
+  check_int "legal candidates" 102_294 totals.candidates;
+  check_int "renderings through a parent family" 195_838 totals.rendered;
+  check_int "candidates sharing their parent's forms" 62_008 totals.inherited;
+  check_int "candidates mapping their parent's forms" 22_309 totals.mapped;
+  check_int "reference forms computed" 19_219 totals.computed
 
 let () =
   Alcotest.run "core"

@@ -9,7 +9,10 @@
      checked as Spearman rank correlation against the exact scores and
      as winner-recall on one-step candidate populations.
    - end-to-end: a tiered engine run (small exact_topk) must pick the
-     same winner as the untiered engine on the bench kernels. *)
+     same winner as the untiered engine on the bench kernels.
+   - oracles: every estimate of every legal one- and two-move candidate
+     is bit-equal to the estimator kept in [Tier0_oracle], and the
+     header-only parallel simulator to the interpreted one. *)
 
 open Itf_ir
 module Search = Itf_opt.Search
@@ -273,6 +276,160 @@ let test_fingerprint_injective () =
         keys)
     keys
 
+(* ------------------------------------------------------------------ *)
+(* The shared estimator and the header-only simulator against oracles   *)
+(* ------------------------------------------------------------------ *)
+
+module Legality = Itf_core.Legality
+module Parallel = Itf_machine.Parallel
+
+type sweep_totals = {
+  mutable candidates : int;  (** the roots and their legal 1-2 move candidates *)
+  mutable estimates : int;  (** estimates compared with the oracle *)
+  mutable times : int;  (** [time_compiled] runs compared with [time] *)
+  mutable unsimulated : int;  (** candidates [Parallel.time] raised on *)
+}
+
+let sweep_roots = ref 0
+
+let bits (e : Costmodel.estimate) =
+  (Int64.bits_of_float e.Costmodel.score, Int64.bits_of_float e.Costmodel.bound)
+
+(* The root and every legal candidate one and two [Search.move_set] from
+   it, grown as the engine grows them (one state per parent, extended by
+   each move), scored as the engine scores them: one estimator per root,
+   size and objective, fed the candidate state's reference forms, which
+   it shares with, maps from or computes apart from its parent's. Every
+   estimate equals the estimator this one replaced ({!Tier0_oracle}) bit
+   for bit, and at the first size, the header-only parallel simulator
+   equals the interpreted one ([Parallel.time]) bit for bit, at an
+   integer spawn overhead (closed-form outer levels) and another. *)
+let sweep_root totals ~what ~sizes root =
+  incr sweep_roots;
+  let root_id = !sweep_roots in
+  let vectors = Itf_dep.Analysis.vectors root in
+  let estimators =
+    List.concat_map
+      (fun params ->
+        List.map
+          (fun spec ->
+            let estimate = Costmodel.estimate spec in
+            (spec, fun refs result -> estimate ~refs result))
+          [
+            Costmodel.Locality { config = cache_cfg; elem_bytes = 8; params };
+            Costmodel.Parallel { procs = 4; spawn_overhead = 2.0; params };
+          ])
+      sizes
+  in
+  let env =
+    let env = Itf_exec.Env.create () in
+    List.iter (fun (v, x) -> Itf_exec.Env.set_scalar env v x) (List.hd sizes);
+    env
+  in
+  let candidate seq st =
+    match Legality.verdict st with
+    | Legality.Legal { nest; vectors = vs; _ } ->
+      totals.candidates <- totals.candidates + 1;
+      let refs =
+        match Legality.references st with
+        | Some (refs, _) -> refs
+        | None -> Itf_bounds.Access.of_nest nest
+      in
+      let result =
+        { Framework.nest; vectors = vs; derivation = 0; root = root_id }
+      in
+      List.iter
+        (fun (spec, estimate) ->
+          totals.estimates <- totals.estimates + 1;
+          if
+            bits (estimate (fun () -> refs) result)
+            <> bits (Tier0_oracle.estimate spec result)
+          then
+            Alcotest.failf "%s, %a: a tier-0 estimate differs from the oracle"
+              what Sequence.pp seq)
+        estimators;
+      List.iter
+        (fun (procs, spawn_overhead) ->
+          match Parallel.time ~spawn_overhead ~procs env nest with
+          | exception _ -> totals.unsimulated <- totals.unsimulated + 1
+          | t ->
+            totals.times <- totals.times + 1;
+            let tc =
+              match Parallel.time_compiled ~spawn_overhead ~procs env nest with
+              | tc -> tc
+              | exception e ->
+                Alcotest.failf "%s, %a: time_compiled raised %s" what
+                  Sequence.pp seq (Printexc.to_string e)
+            in
+            if Int64.bits_of_float t <> Int64.bits_of_float tc then
+              Alcotest.failf
+                "%s, %a, procs %d, overhead %g: time %.17g <> time_compiled \
+                 %.17g"
+                what Sequence.pp seq procs spawn_overhead t tc)
+        [ (4, 2.0); (3, 0.5) ];
+      true
+    | _ -> false
+  in
+  let moves depth = Builders.moves ~depth in
+  let st0 = Legality.start ~vectors root in
+  ignore (candidate [] st0);
+  List.iter
+    (fun m1 ->
+      let s1 = Legality.extend st0 m1 in
+      if candidate [ m1 ] s1 then
+        match Legality.verdict s1 with
+        | Legality.Legal { nest = nest1; _ } ->
+          List.iter
+            (fun m2 -> ignore (candidate [ m1; m2 ] (Legality.extend s1 m2)))
+            (moves (Nest.depth nest1))
+        | _ -> ())
+    (moves (Nest.depth root))
+
+let nest_files () =
+  List.concat_map
+    (fun dir ->
+      let dir =
+        if Sys.file_exists (Filename.concat ".." dir) then Filename.concat ".." dir
+        else dir
+      in
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".loop")
+      |> List.sort compare
+      |> List.map (fun f ->
+             ( f,
+               (Itf_lang.Parser.parse
+                  (In_channel.with_open_bin (Filename.concat dir f)
+                     In_channel.input_all))
+                 .Itf_lang.Parser.nest )))
+    [ Filename.concat "examples" "nests"; Filename.concat "bench" (Filename.concat "e2e" "nests") ]
+
+(* Examples and e2e nests at n = 8 to 32, the corpus and 1,000 [Gen]
+   nests; the totals are pinned. *)
+let test_oracle_sweep () =
+  let totals = { candidates = 0; estimates = 0; times = 0; unsimulated = 0 } in
+  List.iter
+    (fun (file, root) ->
+      sweep_root totals ~what:file
+        ~sizes:(List.map (fun n -> [ ("n", n) ]) [ 8; 12; 16; 24; 32 ])
+        root)
+    (nest_files ());
+  List.iter
+    (fun (c : Gen.case) ->
+      sweep_root totals ~what:"corpus case" ~sizes:[ c.params ] c.nest)
+    (corpus_cases ());
+  let st = Random.State.make [| 7 |] in
+  for k = 1 to 1000 do
+    let c = Gen.case st in
+    sweep_root totals
+      ~what:(Printf.sprintf "Gen case %d" k)
+      ~sizes:[ c.Gen.params ] c.Gen.nest
+  done;
+  let check_int = Alcotest.(check int) in
+  check_int "candidates" 103_224 totals.candidates;
+  check_int "estimates" 223_680 totals.estimates;
+  check_int "parallel times" 206_164 totals.times;
+  check_int "candidates the interpreter cannot time" 284 totals.unsimulated
+
 let () =
   (* Calibration aid: COSTMODEL_DUMP=1 prints every (label, estimate,
      exact) triple of the correlation corpus as TSV instead of running
@@ -299,5 +456,7 @@ let () =
             test_same_winner_end_to_end;
           Alcotest.test_case "fingerprint is injective" `Quick
             test_fingerprint_injective;
+          Alcotest.test_case "estimates and parallel times equal their oracles"
+            `Slow test_oracle_sweep;
         ] );
     ]
