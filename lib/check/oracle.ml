@@ -343,7 +343,7 @@ let run_case ?(backends = [ `Interp; `Compiled ]) ?(orders = default_orders)
           (Memsim.run config env1 out, Memsim.run_compiled config env2 out)
         with
         | r1, r2 ->
-          if r1 <> r2 then
+          if r1.Memsim.cache <> r2.Memsim.cache then
             fail "memsim" "interpreted and compiled cache simulations disagree";
           if Env.snapshot env1 <> Env.snapshot env2 then
             fail "memsim" "cache-simulated runs left different array contents"

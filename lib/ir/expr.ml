@@ -235,7 +235,14 @@ let rec fold_arrays f acc = function
 let arrays e =
   List.sort_uniq String.compare (fold_arrays (fun acc a -> a :: acc) [] e)
 
-let mentions v e = List.mem v (free_vars e)
+let rec mentions v = function
+  | Int _ -> false
+  | Var w -> String.equal v w
+  | Neg e -> mentions v e
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Mod (a, b)
+  | Min (a, b) | Max (a, b) ->
+    mentions v a || mentions v b
+  | Load { index = args; _ } | Call (_, args) -> List.exists (mentions v) args
 
 let rec subst env e =
   match e with

@@ -66,13 +66,23 @@ val hash_combine : int -> int -> int
 (** The accumulator step used by [hash]; shared by the other IR hashes
     ({!Stmt.hash}, {!Nest.hash}) so they compose consistently. *)
 
+val fold_vars : ('a -> string -> 'a) -> 'a -> t -> 'a
+(** Folds over every variable occurrence, left to right, duplicates
+    included. *)
+
 val free_vars : t -> string list
 (** Variables read by the expression, without duplicates, sorted. *)
+
+val fold_arrays : ('a -> string -> 'a) -> 'a -> t -> 'a
+(** Folds over the array of every load, left to right, duplicates
+    included. *)
 
 val arrays : t -> string list
 (** Arrays loaded by the expression, without duplicates, sorted. *)
 
 val mentions : string -> t -> bool
+(** [mentions v e]: [e] reads the variable [v]. The walk stops at the
+    first occurrence and builds no list. *)
 
 val subst : (string * t) list -> t -> t
 (** Simultaneous substitution of variables; uses smart constructors. *)
