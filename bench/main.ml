@@ -1221,7 +1221,7 @@ let search_bench ?baseline () =
           List.filter_map
             (fun (st : Itf_opt.Stats.stat) ->
               match st.source with
-              | Count _ | Shared _ | Read _ -> Some st.key
+              | Count _ | Shared _ | Templates _ | Read _ -> Some st.key
               | Setting _ | Phase _ | Time _ -> None)
             Itf_opt.Stats.ledger
         in

@@ -99,14 +99,14 @@ let apply_exn ?vectors nest seq =
    one counter of template applications. [root] is the derivation id of
    the entry's root: its own for a root entry, its parent's [root] for a
    child. *)
-let checked ?built ((cell, derivation) : entry) ~root make =
+let checked ?built ?codegen ((cell, derivation) : entry) ~root make =
   match Atomic.get cell with
   | Some c -> c
   | None ->
     let count = ref 0 in
     let prefix = make count in
     let outcome =
-      match Legality.verdict ~count ?built prefix with
+      match Legality.verdict ~count ?built ?codegen prefix with
       | Legality.Legal { nest; vectors; _ } ->
         Ok
           ( { prefix; derivation; root; annexes = [] },
@@ -126,9 +126,9 @@ let check_root ?vectors nest =
 
 let child_entry parent tid = child_id parent.derivation tid
 
-let check_child ?built parent t entry =
-  checked ?built entry ~root:parent.root (fun count ->
-      Legality.extend ~count ?built parent.prefix t)
+let check_child ?built ?codegen parent t entry =
+  checked ?built ?codegen entry ~root:parent.root (fun count ->
+      Legality.extend ~count ?built ?codegen parent.prefix t)
 
 (* A prefix accepted through its reduced sequence holds no nest of its
    own: its forms are computed from the result's, and kept nowhere. *)

@@ -112,7 +112,9 @@ val child_entry : state -> int -> entry
 (** [child_entry parent tid] is the entry of [parent] extended by the
     template whose {!Template.intern_id} is [tid]: one probe. *)
 
-val check_child : ?built:int ref -> state -> Template.t -> entry -> checked
+val check_child :
+  ?built:int ref -> ?codegen:int array -> state -> Template.t -> entry ->
+  checked
 (** [check_child parent t e], with [e] a [child_entry parent] of [t]'s
     id (or an entry kept from such a call), is the verdict of [parent]
     extended by [t], answered from [e]: the stored verdict, or one computed and
@@ -120,7 +122,8 @@ val check_child : ?built:int ref -> state -> Template.t -> entry -> checked
     same, and its id still names the same candidate. A computed verdict
     increments [built] once per family its legality check built
     ({!Legality.extend}): the parent's, on the first child checked, and
-    those of a reduced-sequence replay.
+    those of a reduced-sequence replay; and [codegen] per template kind
+    ({!Template.kind}) once per template whose code it generated.
     @raise Invalid_argument if [t] does not chain with the state's
     depth. *)
 

@@ -48,7 +48,7 @@ let demote_unsupported_pardo (nest : Nest.t) vectors =
    a multi-term max cannot be step-normalized exactly); when code
    generation detects such a case it rejects, and the stage reports a
    bounds violation rather than crash. *)
-let step ~family ~index nest vectors (t : Template.t) =
+let step ?codegen ~family ~index nest vectors (t : Template.t) =
   let violation reason =
     let violations = [ { Boundsmap.template = Template.name t; reason } ] in
     Error (Bounds_violation { index; violations })
@@ -56,6 +56,7 @@ let step ~family ~index nest vectors (t : Template.t) =
   match Family.violations family t with
   | _ :: _ as violations -> Error (Bounds_violation { index; violations })
   | [] -> (
+    Option.iter (fun c -> c.(Template.kind t) <- c.(Template.kind t) + 1) codegen;
     match Codegen.apply ~family nest t with
     | nest' ->
       let vectors' = Depmap.map_set ~family t vectors in
@@ -148,7 +149,7 @@ let family_of ?built cell nest vectors origin =
     end
     else Option.get (Atomic.get cell)
 
-let extend ?count ?built st (t : Template.t) =
+let extend ?count ?built ?codegen st (t : Template.t) =
   if Template.input_depth t <> st.depth then
     invalid_arg "Legality.extend: template does not chain with the state";
   let path =
@@ -157,7 +158,9 @@ let extend ?count ?built st (t : Template.t) =
     | On { nest; vectors; stages_rev; family; origin } -> (
       bump count 1;
       let family = family_of ?built family nest vectors origin in
-      match step ~family ~index:(List.length st.seq_rev) nest vectors t with
+      match
+        step ?codegen ~family ~index:(List.length st.seq_rev) nest vectors t
+      with
       | Ok (nest', vectors', stage) ->
         (* Every new on-path state gets a fresh family cell, so a family
            never outlives the nest it was built for. *)
@@ -193,7 +196,7 @@ let references ?note st =
         found
       | _, Some f -> Family.forms ?note f.Family.refs)
 
-let verdict ?count ?built st =
+let verdict ?count ?built ?codegen st =
   let final st =
     match st.path with
     | On { nest; vectors; stages_rev; _ } -> (
@@ -215,7 +218,10 @@ let verdict ?count ?built st =
     if reduced = seq then raw
     else
       match
-        final (List.fold_left (extend ?count ?built) (of_root st.root) reduced)
+        final
+          (List.fold_left
+             (extend ?count ?built ?codegen)
+             (of_root st.root) reduced)
       with
       | Legal _ as ok -> ok
       | _ -> raw)

@@ -120,7 +120,9 @@ val start : ?vectors:Itf_dep.Depvec.t list -> Itf_ir.Nest.t -> state
 (** The empty-prefix state; [vectors] defaults to
     {!Itf_dep.Analysis.vectors} on the nest. *)
 
-val extend : ?count:int ref -> ?built:int ref -> state -> Template.t -> state
+val extend :
+  ?count:int ref -> ?built:int ref -> ?codegen:int array -> state ->
+  Template.t -> state
 (** [extend st t] appends one template. While every stage has held, it
     checks [t]'s bounds preconditions against the prefix nest, generates
     its code and maps the dependence vectors, and increments [count] by
@@ -128,10 +130,12 @@ val extend : ?count:int ref -> ?built:int ref -> state -> Template.t -> state
     stage has failed, it only records [t]. The dependence test is
     deferred to {!verdict}, since intermediate vector sets need not be
     legal (paper Section 3.2). [built] is incremented when the call
-    builds the family of [st]'s nest (its first extension).
+    builds the family of [st]'s nest (its first extension), and
+    [codegen.(Template.kind t)] when it generates [t]'s code.
     @raise Invalid_argument if [t] does not chain with the state's depth. *)
 
-val verdict : ?count:int ref -> ?built:int ref -> state -> verdict
+val verdict :
+  ?count:int ref -> ?built:int ref -> ?codegen:int array -> state -> verdict
 (** The verdict of the whole prefix. If every stage held, it is the final
     dependence test. If a stage failed, the reduced-sequence fallback
     runs on the whole prefix: the prefix is accepted exactly when its
@@ -140,7 +144,8 @@ val verdict : ?count:int ref -> ?built:int ref -> state -> verdict
     [count] is incremented once per template stage the replay applies,
     so [extend] and [verdict] together count every stage application
     attempted — the instrumentation used to compare search engines —
-    and [built] once per family the replay builds. *)
+    [built] once per family the replay builds and [codegen] once per
+    template whose code it generates. *)
 
 (** How {!references} found a state's forms. *)
 type provenance = Family.provenance =

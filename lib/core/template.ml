@@ -198,13 +198,21 @@ end)
 let table : t HC.t = HC.create "core.template"
 let intern_id t = HC.intern table t (fun _ -> t)
 
-let name = function
-  | Unimodular _ -> "Unimodular"
-  | Reverse_permute _ -> "ReversePermute"
-  | Parallelize _ -> "Parallelize"
-  | Block _ -> "Block"
-  | Coalesce _ -> "Coalesce"
-  | Interleave _ -> "Interleave"
+let kinds =
+  [|
+    "Unimodular"; "ReversePermute"; "Parallelize"; "Block"; "Coalesce";
+    "Interleave";
+  |]
+
+let kind = function
+  | Unimodular _ -> 0
+  | Reverse_permute _ -> 1
+  | Parallelize _ -> 2
+  | Block _ -> 3
+  | Coalesce _ -> 4
+  | Interleave _ -> 5
+
+let name t = kinds.(kind t)
 
 let pp_flags ppf flags =
   Array.iter (fun b -> Format.pp_print_char ppf (if b then 'T' else 'F')) flags

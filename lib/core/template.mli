@@ -85,4 +85,11 @@ val intern_id : t -> t * int
     ordering. *)
 
 val name : t -> string
+
+val kinds : string array
+(** The templates' names in the order of [t]'s constructors. *)
+
+val kind : t -> int
+(** The index of [t]'s name in {!kinds}. *)
+
 val pp : Format.formatter -> t -> unit

@@ -208,12 +208,14 @@ let expansion ~spec parent =
       (x, if keep then Expansion x else Expanded_once))
 
 (* The shared-work counts of one search's misses, written from worker
-   domains: families built by the legality verdicts it computed, the
+   domains: families built and code generated, per template kind, by
+   the legality verdicts it computed, the
    tier-0 estimates whose reference forms were their parent's, and the
    forms its estimates mapped from a parent's or computed. Only the miss
    path touches them, so a warm candidate allocates nothing for them. *)
 type tally = {
   families : int Atomic.t;
+  codegen : int Atomic.t array;  (* per template kind *)
   inherited : int Atomic.t;
   mapped : int Atomic.t;
   computed : int Atomic.t;
@@ -224,6 +226,7 @@ let tally () =
   let mapped = Atomic.make 0 and computed = Atomic.make 0 in
   {
     families = Atomic.make 0;
+    codegen = Array.map (fun _ -> Atomic.make 0) Template.kinds;
     inherited = Atomic.make 0;
     mapped;
     computed;
@@ -273,11 +276,14 @@ let evaluate_tier0 tally estimate (parent, x, i) =
     | Some c -> (c, 0.)
     | None ->
       let t0 = now () in
-      let built = ref 0 in
+      let built = ref 0 and codegen = Array.map (fun _ -> 0) Template.kinds in
       let c =
-        Framework.check_child ~built parent.state (fst ch.move) entry
+        Framework.check_child ~built ~codegen parent.state (fst ch.move) entry
       in
       ignore (Atomic.fetch_and_add tally.families !built);
+      Array.iteri
+        (fun k n -> if n > 0 then ignore (Atomic.fetch_and_add tally.codegen.(k) n))
+        codegen;
       (c, now () -. t0)
   in
   match outcome with
@@ -745,6 +751,7 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     let t_end = now () in
     st.merge_time_s <- st.merge_time_s +. (t_end -. t_winner);
     st.families_built <- Atomic.get tally.families;
+    st.codegen <- Array.map Atomic.get tally.codegen;
     st.refs_inherited <- Atomic.get tally.inherited;
     st.refs_mapped <- Atomic.get tally.mapped;
     st.refs_computed <- Atomic.get tally.computed;

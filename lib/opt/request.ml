@@ -49,14 +49,36 @@ let check r =
     Error "tier0_only conflicts with exact_topk = 0"
   else Ok ()
 
+(* Parameters in name order (value order within a name, as [compare]
+   on the pairs would give), each written [<length>:<name>=<value>]. *)
+let compare_param (k, v) (k', v') =
+  match String.compare k k' with 0 -> Int.compare v v' | c -> c
+
 let key r ~nest =
-  let params =
-    List.sort compare r.params
-    |> List.map (fun (k, v) -> Printf.sprintf "%d:%s=%d" (String.length k) k v)
-    |> String.concat ","
+  let b = Buffer.create (64 + String.length nest) in
+  let field s =
+    Buffer.add_string b s;
+    Buffer.add_char b '|'
   in
-  Printf.sprintf "%s|%s|%d|%d|%d|%b|%d|%s" r.objective params r.steps r.beam
-    r.exact_topk r.tier0_only r.procs nest
+  let int x = field (string_of_int x) in
+  field r.objective;
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (string_of_int (String.length k));
+      Buffer.add_char b ':';
+      Buffer.add_string b k;
+      Buffer.add_char b '=';
+      Buffer.add_string b (string_of_int v))
+    (List.sort compare_param r.params);
+  Buffer.add_char b '|';
+  int r.steps;
+  int r.beam;
+  int r.exact_topk;
+  field (string_of_bool r.tier0_only);
+  int r.procs;
+  Buffer.add_string b nest;
+  Buffer.contents b
 
 let run ?domains ?tracer ?metrics ?provenance ?since r nest =
   match

@@ -20,6 +20,7 @@ type t = {
   mutable refs_inherited : int;
   mutable refs_mapped : int;
   mutable refs_computed : int;
+  mutable codegen : int array;
   mutable domains : int;
   mutable work_threshold : int;
   mutable expand_time_s : float;
@@ -47,6 +48,7 @@ let create () =
     refs_inherited = 0;
     refs_mapped = 0;
     refs_computed = 0;
+    codegen = Array.make (Array.length Itf_core.Template.kinds) 0;
     domains = 0;
     work_threshold = 0;
     expand_time_s = 0.;
@@ -64,6 +66,7 @@ module Metrics = Itf_obs.Metrics
 type source =
   | Count of (t -> int) * string list
   | Shared of (t -> int) * string
+  | Templates of (t -> int array) * string
   | Setting of (t -> int) * string
   | Phase of (t -> float) * string
   | Time of (t -> float) * string option
@@ -124,6 +127,8 @@ let ledger =
       (Shared ((fun s -> s.refs_mapped), "core.refs.mapped"));
     stat "refs_computed" (Join ", {} computed")
       (Shared ((fun s -> s.refs_computed), "core.refs.computed"));
+    stat "codegen" (Line "code generation       {}")
+      (Templates ((fun s -> s.codegen), "core.codegen"));
     stat "domains" (Line "domains               {}")
       (Setting ((fun s -> s.domains), "engine.domains"));
     stat "work_threshold" (Join " (sequential below {} candidates/step)")
@@ -160,6 +165,16 @@ let ledger =
 let value ?metrics s st =
   match st.source with
   | Count (f, _) | Shared (f, _) | Setting (f, _) -> Some (Json.Int (f s))
+  | Templates (f, _) ->
+    let counts = f s in
+    Some
+      (Json.Obj
+         (List.filteri
+            (fun k _ -> counts.(k) > 0)
+            (Array.to_list
+               (Array.mapi
+                  (fun k name -> (name, Json.Int counts.(k)))
+                  Itf_core.Template.kinds))))
   | Phase (f, _) | Time (f, _) -> Some (Json.Float (f s))
   | Read name ->
     Option.map (fun m -> Json.Int (Metrics.read_counter m name)) metrics
@@ -176,10 +191,16 @@ let to_json_value ?metrics s =
        (fun st -> Option.map (fun v -> (st.key, v)) (value ?metrics s st))
        ledger)
 
-(* [--stats] text with the value in place of its "{}". *)
+(* [--stats] text with the value in place of its "{}"; a count per
+   template reads [Block 4, Unimodular 2]. *)
 let fill text v =
   let v =
-    match v with Json.Float x -> Printf.sprintf "%.3f" x | v -> Json.to_string v
+    match v with
+    | Json.Float x -> Printf.sprintf "%.3f" x
+    | Json.Obj [] -> "none"
+    | Json.Obj kvs ->
+      String.concat ", " (List.map (fun (k, n) -> k ^ " " ^ Json.to_string n) kvs)
+    | v -> Json.to_string v
   in
   let i = String.index text '{' in
   String.sub text 0 i ^ v ^ String.sub text (i + 2) (String.length text - i - 2)
@@ -225,6 +246,12 @@ let resolve m st =
   | Shared (f, name) ->
     let c = Metrics.counter m name in
     [ (fun s -> Metrics.add c (f s)) ]
+  | Templates (f, name) ->
+    List.mapi
+      (fun k template ->
+        let c = Metrics.counter m ~labels:[ ("template", template) ] name in
+        fun s -> Metrics.add c (f s).(k))
+      (Array.to_list Itf_core.Template.kinds)
   | Setting (f, name) ->
     let g = Metrics.gauge m name in
     [ (fun s -> Metrics.set g (float_of_int (f s))) ]
@@ -277,7 +304,7 @@ let status m =
       let field = String.map (function '.' -> '_' | c -> c) field in
       let v = Json.Int (Metrics.read_counter m name) in
       [ (String.sub name 0 i, (field, v)) ]
-    | Count _ | Shared _ | Setting _ | Time (_, None) -> []
+    | Count _ | Shared _ | Templates _ | Setting _ | Time (_, None) -> []
   in
   let group (sec, v) = function
     | (s, vs) :: rest when s = sec -> (s, v :: vs) :: rest

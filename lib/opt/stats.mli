@@ -69,6 +69,11 @@ type t = {
           All three read 0 when the estimates come from a kept
           expansion, and on an untiered or parallel-objective search,
           which never reads the forms. *)
+  mutable codegen : int array;
+      (** code generations ({!Itf_core.Codegen.apply}) the legality
+          verdicts this search computed ran, per template kind
+          ({!Itf_core.Template.kind}); shared work like
+          [families_built] *)
   mutable domains : int;  (** parallelism used (1 = sequential) *)
   mutable work_threshold : int;
       (** steps with fewer evaluation candidates than this ran on the
@@ -117,6 +122,12 @@ type source =
           domain count. {!record} adds it to the named registry counter,
           which totals the cold work of the searches recorded; the bench
           gates and the warm comparisons skip it. *)
+  | Templates of (t -> int array) * string
+      (** shared work per template kind: {!record} adds each kind's count
+          to the named registry counter labelled [template] with the
+          kind's name; its JSON value maps the names of the kinds counted
+          to their counts, and its [--stats] text reads
+          [Block 4, Unimodular 2] ([none] when nothing was counted) *)
   | Setting of (t -> int) * string  (** set as the named gauge *)
   | Phase of (t -> float) * string
       (** a pipeline phase's seconds, observed in microseconds in
@@ -180,8 +191,8 @@ val to_json_value : ?metrics:Itf_obs.Metrics.t -> t -> Itf_obs.Json.t
     the [Read] statistics only with [metrics]. *)
 
 val record : Itf_obs.Metrics.t -> t -> unit
-(** Fold the record into a metrics registry: each [Count] and [Shared]
-    adds to its counters (so repeated searches accumulate), each
+(** Fold the record into a metrics registry: each [Count], [Shared] and
+    [Templates] adds to its counters (so repeated searches accumulate), each
     [Setting] sets its
     gauge, each [Phase] and the total time make one observation per
     search on the shared {!Itf_obs.Metrics.duration_buckets} layout, so

@@ -36,6 +36,15 @@
    the spelling on every canonical hit and complete insert. The index
    holds at most the cache's capacity and is cleared when full.
 
+   A hit pays only for what changes between repeats. An entry keeps its
+   body's fields rendered once, when it is stored, and a hit (the
+   reader's by text or the worker's canonical one) writes
+   [{"id": <id>, <stored fields>, "cached": true, "time_ms": <t>}],
+   the bytes [Json.to_string] of the whole response would write,
+   rendering only its id and its time. The request on the way in is
+   read with the channel's own newline scan, its object's fields are
+   gathered in one pass, and its text key is built in one buffer.
+
    The scheduler's contract under load: when [queue_depth] searches are
    already waiting, a new search is {e shed} with [status = "overloaded"]
    instead of stalling the client; a request whose deadline expires while
@@ -78,6 +87,17 @@ module Sequence = Itf_core.Sequence
 (* Bounded LRU response cache                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A complete answer as the cache keeps it: the response body's fields,
+   and the same fields rendered once, when it is stored, exactly as
+   [Json.to_string] writes them between an object's braces. A hit
+   writes these bytes between its own ["id"] and its ["cached"] and
+   ["time_ms"] fields. *)
+type entry = { body : (string * Json.t) list; fields : string }
+
+let entry body =
+  let s = Json.to_string (Json.Obj body) in
+  { body; fields = String.sub s 1 (String.length s - 2) }
+
 module Lru = struct
   (* Capacity is small (default {!default_max_cache}), so recency is a
      per-entry stamp and eviction an O(cap) scan — no intrusive list.
@@ -97,7 +117,7 @@ module Lru = struct
      so the fingerprint it names can only name the same nest, and once
      that entry is evicted the spelling simply finds nothing. *)
   type t = {
-    tbl : (string, Json.t * int ref) Hashtbl.t;
+    tbl : (string, entry * int ref) Hashtbl.t;
     spellings : (string, string) Hashtbl.t;
     cap : int;
     mutex : Mutex.t;
@@ -276,30 +296,79 @@ type request = {
   search : Request.t;
 }
 
-let opt_field name conv json = Option.bind (Json.member name json) conv
+(* The fields a request object may carry, each its first binding (as
+   [Json.member] finds it), gathered in one pass over the object. *)
+type fields = {
+  mutable f_id : Json.t option;
+  mutable f_op : Json.t option;
+  mutable f_nest : Json.t option;
+  mutable f_objective : Json.t option;
+  mutable f_params : Json.t option;
+  mutable f_procs : Json.t option;
+  mutable f_steps : Json.t option;
+  mutable f_beam : Json.t option;
+  mutable f_exact_topk : Json.t option;
+  mutable f_tier0_only : Json.t option;
+  mutable f_deadline_ms : Json.t option;
+  mutable f_max_nodes : Json.t option;
+}
+
+let fields kvs =
+  let f =
+    {
+      f_id = None;
+      f_op = None;
+      f_nest = None;
+      f_objective = None;
+      f_params = None;
+      f_procs = None;
+      f_steps = None;
+      f_beam = None;
+      f_exact_topk = None;
+      f_tier0_only = None;
+      f_deadline_ms = None;
+      f_max_nodes = None;
+    }
+  in
+  let first cur v = match cur with None -> Some v | some -> some in
+  List.iter
+    (fun (k, v) ->
+      match k with
+      | "id" -> f.f_id <- first f.f_id v
+      | "op" -> f.f_op <- first f.f_op v
+      | "nest" -> f.f_nest <- first f.f_nest v
+      | "objective" -> f.f_objective <- first f.f_objective v
+      | "params" -> f.f_params <- first f.f_params v
+      | "procs" -> f.f_procs <- first f.f_procs v
+      | "steps" -> f.f_steps <- first f.f_steps v
+      | "beam" -> f.f_beam <- first f.f_beam v
+      | "exact_topk" -> f.f_exact_topk <- first f.f_exact_topk v
+      | "tier0_only" -> f.f_tier0_only <- first f.f_tier0_only v
+      | "deadline_ms" -> f.f_deadline_ms <- first f.f_deadline_ms v
+      | "max_nodes" -> f.f_max_nodes <- first f.f_max_nodes v
+      | _ -> ())
+    kvs;
+  f
 
 (* An optional typed field: absent is [None]; a value [conv] rejects is a
    named error, never a silently dropped setting. *)
-let typed_field name conv ~what json =
-  match Json.member name json with
+let typed_field name conv ~what = function
   | None -> Ok None
   | Some v -> (
     match conv v with
     | Some x -> Ok (Some x)
     | None -> Error (Printf.sprintf "field %S must be %s" name what))
 
-let int_field name ~default json =
-  typed_field name Json.to_int ~what:"an integer" json
+let int_field name ~default v =
+  typed_field name Json.to_int ~what:"an integer" v
   |> Result.map (Option.value ~default)
 
-let bool_field name ~default json =
-  match Json.member name json with
+let bool_field name ~default = function
   | None | Some Json.Null -> Ok default
   | Some (Json.Bool b) -> Ok b
   | Some _ -> Error (Printf.sprintf "field %S must be a boolean" name)
 
-let params_field json =
-  match Json.member "params" json with
+let params_field = function
   | None -> Ok []
   | Some (Json.Obj kvs) ->
     let rec conv acc = function
@@ -314,33 +383,38 @@ let params_field json =
 
 let ( let* ) = Result.bind
 
-(* Reads each field with its type, fills what is absent from
-   {!Request.default} and the server's default deadline, and
-   leaves every other rule to {!Request.check}. *)
-let parse_request ~default_deadline_ms json =
+(* Reads each field with its type, in the order below, fills what is
+   absent from {!Request.default} and the server's default deadline,
+   and leaves every other rule to {!Request.check}. [f] is [None] when
+   the request is not an object. *)
+let parse_request ~default_deadline_ms f =
   let d = Request.default in
-  match json with
-  | Json.Obj _ ->
+  match f with
+  | Some f ->
     let* nest_src =
-      match opt_field "nest" Json.to_str json with
+      match Option.bind f.f_nest Json.to_str with
       | Some s -> Ok s
       | None -> Error "missing required string field \"nest\""
     in
     let* objective =
-      typed_field "objective" Json.to_str ~what:"a string" json
+      typed_field "objective" Json.to_str ~what:"a string" f.f_objective
       |> Result.map (Option.value ~default:d.objective)
     in
-    let* params = params_field json in
-    let* procs = int_field "procs" ~default:d.procs json in
-    let* steps = int_field "steps" ~default:d.steps json in
-    let* beam = int_field "beam" ~default:d.beam json in
-    let* exact_topk = int_field "exact_topk" ~default:d.exact_topk json in
-    let* tier0_only = bool_field "tier0_only" ~default:d.tier0_only json in
+    let* params = params_field f.f_params in
+    let* procs = int_field "procs" ~default:d.procs f.f_procs in
+    let* steps = int_field "steps" ~default:d.steps f.f_steps in
+    let* beam = int_field "beam" ~default:d.beam f.f_beam in
+    let* exact_topk =
+      int_field "exact_topk" ~default:d.exact_topk f.f_exact_topk
+    in
+    let* tier0_only =
+      bool_field "tier0_only" ~default:d.tier0_only f.f_tier0_only
+    in
     let* deadline_ms =
-      typed_field "deadline_ms" Json.to_float ~what:"a number" json
+      typed_field "deadline_ms" Json.to_float ~what:"a number" f.f_deadline_ms
     in
     let* max_nodes =
-      typed_field "max_nodes" Json.to_int ~what:"an integer" json
+      typed_field "max_nodes" Json.to_int ~what:"an integer" f.f_max_nodes
     in
     let search =
       {
@@ -357,13 +431,8 @@ let parse_request ~default_deadline_ms json =
       }
     in
     let* () = Request.check search in
-    Ok
-      {
-        id = Option.value ~default:Json.Null (Json.member "id" json);
-        nest_src;
-        search;
-      }
-  | _ -> Error "request must be a JSON object"
+    Ok { id = Option.value ~default:Json.Null f.f_id; nest_src; search }
+  | None -> Error "request must be a JSON object"
 
 (* The fingerprint names the nest by its intern id, so textually different
    spellings of one nest share a cache entry. *)
@@ -385,6 +454,37 @@ let default_workers = 1
 let default_queue_depth = 64
 let slow_log_limit = 16
 
+(* A finished response: a value, or a cache hit, which holds the stored
+   entry and renders only its own ["id"] and ["time_ms"]. *)
+type response =
+  | Value of Json.t
+  | Hit of { id : Json.t; entry : entry; time_ms : float }
+
+(* A search response: its id, its body's fields, whether the cache
+   answered it, and its time. *)
+let envelope_value id body ~cached ~time_ms =
+  Json.Obj
+    (("id", id)
+    :: body
+    @ [ ("cached", Json.Bool cached); ("time_ms", Json.Float time_ms) ])
+
+(* The value [Json.to_string] of which is what {!write_response} writes. *)
+let to_json = function
+  | Value v -> v
+  | Hit { id; entry; time_ms } ->
+    envelope_value id entry.body ~cached:true ~time_ms
+
+let write_response oc = function
+  | Value v -> output_string oc (Json.to_string v)
+  | Hit { id; entry; time_ms } ->
+    output_string oc "{\"id\": ";
+    output_string oc (Json.to_string id);
+    output_string oc ", ";
+    output_string oc entry.fields;
+    output_string oc ", \"cached\": true, \"time_ms\": ";
+    output_string oc (Json.to_string (Json.Float time_ms));
+    output_char oc '}'
+
 (* One admitted unit of work, waiting in the scheduler queue. [reply] is
    called exactly once with the finished response — from a worker domain
    for queued jobs, from the submitting thread for inline answers
@@ -397,9 +497,14 @@ type job =
           (** the request's {!text_key}, built by the reader; [None] when
               the cache is off *)
       recv : float;  (** receipt wall clock: deadlines count queue time *)
-      reply : Json.t -> unit;
+      reply : response -> unit;
     }
-  | Op of { op : string; op_id : Json.t; recv : float; reply : Json.t -> unit }
+  | Op of {
+      op : string;
+      op_id : Json.t;
+      recv : float;
+      reply : response -> unit;
+    }
 
 (* The instruments every request updates, resolved once in [create] so
    a request makes no registry lookup for them. *)
@@ -630,13 +735,12 @@ let search_response t ~tracer req ~spelling ~t_recv =
           | Engine.Complete -> []
           | Engine.Degraded { cut } -> [ ("cut", Json.String cut) ]
         in
-        let body = Json.Obj body in
         (* Two workers finishing the same (uncached) request race the
            insert, but determinism makes the race write-write-identical:
            both computed the same body, either store wins. *)
         let counters =
           if o.Engine.completion = Engine.Complete then
-            Lru.add t.cache ?spelling key body
+            Lru.add t.cache ?spelling key (entry body)
           else counters
         in
         Ok (`Fresh (body, key, o.Engine.stats, counters))))
@@ -793,9 +897,12 @@ let metrics_snapshot t ~id =
 let record_request t ?(fp = "") ?(cached = false) ?(phases = []) ?counters
     ?(rt = Tracer.null) ~req_id ~t_recv resp =
   let status =
-    match Json.member "status" resp with
-    | Some (Json.String s) -> s
-    | _ -> "error"
+    match resp with
+    | Hit _ -> "ok"
+    | Value v -> (
+      match Json.member "status" v with
+      | Some (Json.String s) -> s
+      | _ -> "error")
   in
   let wall_us = (Unix.gettimeofday () -. t_recv) *. 1e6 in
   let record =
@@ -832,24 +939,27 @@ let record_request t ?(fp = "") ?(cached = false) ?(phases = []) ?counters
       if retained then Tracer.join t.tracer [ rt ];
       flush_observability t)
 
-let envelope req ~t_recv ~cached body =
-  let time_ms = (Unix.gettimeofday () -. t_recv) *. 1000. in
-  Json.Obj
-    (("id", req.id)
-    :: (match body with Json.Obj kvs -> kvs | v -> [ ("result", v) ])
-    @ [ ("cached", Json.Bool cached); ("time_ms", Json.Float time_ms) ])
+let elapsed_ms ~t_recv = (Unix.gettimeofday () -. t_recv) *. 1000.
+
+(* A response that is not a hit: the [body] fields between the id and the
+   [cached] and [time_ms] fields. *)
+let envelope req ~t_recv body =
+  Value
+    (envelope_value req.id body ~cached:false ~time_ms:(elapsed_ms ~t_recv))
 
 (* A cache hit's response, built and recorded in one place for both the
    reader's hit by text and the worker's canonical hit, so the two answer
-   and count alike. [counters] are the ones the probe read. *)
-let answer_hit t req ~t_recv ~fp counters body =
-  let resp = envelope req ~t_recv ~cached:true body in
+   and count alike. [counters] are the ones the probe read. The stored
+   entry is written as it was rendered at insert; only the id and the
+   time are new. *)
+let answer_hit t req ~t_recv ~fp counters entry =
+  let resp = Hit { id = req.id; entry; time_ms = elapsed_ms ~t_recv } in
   record_request t ~fp ~cached:true ~counters ~req_id:req.id ~t_recv resp;
   resp
 
 let expired req ~t_recv =
   match req.search.deadline_ms with
-  | Some ms -> (Unix.gettimeofday () -. t_recv) *. 1000. >= ms
+  | Some ms -> elapsed_ms ~t_recv >= ms
   | None -> false
 
 (* Execute one admitted search on a worker. The queue-aware deadline
@@ -860,12 +970,11 @@ let expired req ~t_recv =
 let exec_search t req ~spelling ~t_recv =
   if expired req ~t_recv then begin
     let resp =
-      envelope req ~t_recv ~cached:false
-        (Json.Obj
-           [
-             ("status", Json.String "degraded");
-             ("cut", Json.String "queue:deadline");
-           ])
+      envelope req ~t_recv
+        [
+          ("status", Json.String "degraded");
+          ("cut", Json.String "queue:deadline");
+        ]
     in
     record_request t ~req_id:req.id ~t_recv resp;
     resp
@@ -876,18 +985,18 @@ let exec_search t req ~spelling ~t_recv =
        head-sampling draw keeps it or the tail condition fires. *)
     let rt = if t.trace_out = None then Tracer.null else Tracer.create () in
     let failed msg =
-      let resp = error_response ~id:req.id msg in
+      let resp = Value (error_response ~id:req.id msg) in
       record_request t ~rt ~req_id:req.id ~t_recv resp;
       resp
     in
     match search_response t ~tracer:rt req ~spelling ~t_recv with
-    | Ok (`Cached (body, fp, counters)) ->
-      answer_hit t req ~t_recv ~fp counters body
+    | Ok (`Cached (entry, fp, counters)) ->
+      answer_hit t req ~t_recv ~fp counters entry
     | Ok (`Fresh (body, fp, stats, counters)) ->
       let phases =
         List.map (fun (p, s) -> (p, s *. 1e6)) (Stats.phases stats)
       in
-      let resp = envelope req ~t_recv ~cached:false body in
+      let resp = envelope req ~t_recv body in
       record_request t ~fp ~phases ~counters ~rt ~req_id:req.id ~t_recv resp;
       resp
     | Error msg -> failed msg
@@ -912,7 +1021,7 @@ let run_job t job =
     in
     count_request t "ok";
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
-    reply resp
+    reply (Value resp)
   | Search { req; spelling; recv; reply } ->
     observe_wait recv;
     reply (exec_search t req ~spelling ~t_recv:recv)
@@ -991,7 +1100,7 @@ let drain t =
    own backlog, never queued at the scheduler. *)
 let answer_inline ?(wait_turn = ignore) k resp =
   wait_turn ();
-  k (resp, false)
+  k (Value resp, false)
 
 (* [submit t json k] classifies one decoded request and calls [k] exactly
    once with (response, stop). Inline paths — unknown op, malformed
@@ -1005,15 +1114,14 @@ let answer_inline ?(wait_turn = ignore) k resp =
    becomes a [status = "error"] response. *)
 let submit t ?wait_turn json k =
   let t_recv = Unix.gettimeofday () in
-  let req_id () = Option.value ~default:Json.Null (Json.member "id" json) in
+  let f = match json with Json.Obj kvs -> Some (fields kvs) | _ -> None in
+  let id = Option.bind f (fun f -> f.f_id) in
+  let req_id () = Option.value ~default:Json.Null id in
   let op =
-    match json with
-    | Json.Obj _ -> (
-      match Json.member "op" json with
-      | Some (Json.String s) -> Some s
-      | Some _ -> Some ""
-      | None -> None)
-    | _ -> None
+    match Option.bind f (fun f -> f.f_op) with
+    | Some (Json.String s) -> Some s
+    | Some _ -> Some ""
+    | None -> None
   in
   match op with
   | Some "shutdown" ->
@@ -1024,12 +1132,13 @@ let submit t ?wait_turn json k =
     drain t;
     count_request t "ok";
     k
-      ( Json.Obj
-          [
-            ("id", req_id ());
-            ("status", Json.String "ok");
-            ("shutdown", Json.Bool true);
-          ],
+      ( Value
+          (Json.Obj
+             [
+               ("id", req_id ());
+               ("status", Json.String "ok");
+               ("shutdown", Json.Bool true);
+             ]),
         true )
   | Some (("status" | "metrics") as opname) ->
     let job =
@@ -1053,12 +1162,12 @@ let submit t ?wait_turn json k =
     Mutex.protect t.obs_lock (fun () -> flush_observability t);
     answer_inline ?wait_turn k resp
   | None -> (
-    match parse_request ~default_deadline_ms:t.default_deadline_ms json with
+    match parse_request ~default_deadline_ms:t.default_deadline_ms f with
     | Error msg ->
       (* Malformed searches never occupy a worker: answered inline, but
          still counted and ring-recorded like any other request. *)
-      let resp = error_response ?id:(Json.member "id" json) msg in
-      record_request t ~req_id:(req_id ()) ~t_recv resp;
+      let resp = error_response ?id msg in
+      record_request t ~req_id:(req_id ()) ~t_recv (Value resp);
       answer_inline ?wait_turn k resp
     | Ok req -> (
       let spelling =
@@ -1075,10 +1184,10 @@ let submit t ?wait_turn json k =
         | _ -> None
       in
       match hit with
-      | Some (fp, body, counters) ->
+      | Some (fp, entry, counters) ->
         (* Answered by the reader: never queued, never shed, no queue
            wait, no nest parse. *)
-        k (answer_hit t req ~t_recv ~fp counters body, false)
+        k (answer_hit t req ~t_recv ~fp counters entry, false)
       | None -> (
         let job =
           Search
@@ -1105,7 +1214,7 @@ let submit t ?wait_turn json k =
                        waiting t.queue_depth) );
               ]
           in
-          record_request t ~req_id:req.id ~t_recv resp;
+          record_request t ~req_id:req.id ~t_recv (Value resp);
           answer_inline ?wait_turn k resp)))
 
 (* A line that is not a request (not JSON, or too long to read) is
@@ -1114,7 +1223,7 @@ let submit t ?wait_turn json k =
 let reject_line t ?wait_turn msg k =
   let t_recv = Unix.gettimeofday () in
   let resp = error_response msg in
-  record_request t ~req_id:Json.Null ~t_recv resp;
+  record_request t ~req_id:Json.Null ~t_recv (Value resp);
   answer_inline ?wait_turn k resp
 
 (* [submit_line t line k] decodes one JSONL line and submits it. *)
@@ -1142,9 +1251,9 @@ let handle_line t line =
       Condition.wait c m;
       wait ()
   in
-  let r = wait () in
+  let resp, stop = wait () in
   Mutex.unlock m;
-  r
+  (to_json resp, stop)
 
 (* ------------------------------------------------------------------ *)
 (* I/O loops                                                           *)
@@ -1154,42 +1263,49 @@ let handle_line t line =
    a newline cannot make the daemon buffer without bound. *)
 let max_line_bytes = 1 lsl 20
 
+(* The channel primitive [input_line] scans with: the length of the next
+   line in [ic]'s buffer, its newline included, when the buffer holds
+   one; minus the bytes it holds when it holds none (full, or at end of
+   input); 0 at end of input. It refills the buffer when it must. *)
+external input_scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
 (* [line_reader ic ()] is [ic]'s next line, trimmed, [`Long]
    for a line longer than [max_line_bytes] (read to its end and
-   dropped), or [`Eof]. *)
+   dropped), or [`Eof]. The newline is found in C, in the channel's own
+   buffer; a line the buffer holds whole is copied out once. *)
 let line_reader ic =
-  let chunk = Bytes.create 4096 and pos = ref 0 and len = ref 0 in
   let line = Buffer.create 1024 in
-  (* [i < n <= Bytes.length chunk]: [n] is what [input] returned. *)
-  let rec newline i n =
-    if i = n || Bytes.unsafe_get chunk i = '\n' then i else newline (i + 1) n
+  let drop = Bytes.create 4096 in
+  let rec discard k =
+    if k > 0 then begin
+      let m = min k (Bytes.length drop) in
+      really_input ic drop 0 m;
+      discard (k - m)
+    end
   in
   let rec scan long =
-    if !pos = !len then begin
-      pos := 0;
-      len := input ic chunk 0 (Bytes.length chunk)
-    end;
-    let stop = newline !pos !len in
-    if stop < !len && Buffer.length line = 0 && not long then begin
-      (* The whole line is in the chunk: copy it once. *)
-      let l = Bytes.sub_string chunk !pos (stop - !pos) in
-      pos := stop + 1;
-      `Line (String.trim l)
-    end
-    else begin
-      let long = long || Buffer.length line + stop - !pos > max_line_bytes in
-      if not long then Buffer.add_subbytes line chunk !pos (stop - !pos);
-      pos := stop;
-      if stop < !len then begin
-        incr pos;
-        if long then `Long else `Line (String.trim (Buffer.contents line))
-      end
-      else if !len > 0 then scan long
-      else if long then `Long
+    match input_scan_line ic with
+    | 0 ->
+      if long then `Long
       else if Buffer.length line > 0 then
         `Line (String.trim (Buffer.contents line))
       else `Eof
-    end
+    | n ->
+      let k = if n > 0 then n - 1 else -n in
+      let long = long || Buffer.length line + k > max_line_bytes in
+      if n > 0 && Buffer.length line = 0 && not long then begin
+        let l = really_input_string ic k in
+        ignore (input_char ic);
+        `Line (String.trim l)
+      end
+      else begin
+        if long then discard k else Buffer.add_channel line ic k;
+        if n < 0 then scan long
+        else begin
+          ignore (input_char ic);
+          if long then `Long else `Line (String.trim (Buffer.contents line))
+        end
+      end
   in
   fun () ->
     Buffer.reset line;
@@ -1213,7 +1329,7 @@ let serve_channel t ic oc =
   let stopped = ref false in
   let write resp =
     Mutex.protect out (fun () ->
-        output_string oc (Json.to_string resp);
+        write_response oc resp;
         output_char oc '\n';
         flush oc)
   in

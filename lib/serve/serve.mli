@@ -26,6 +26,13 @@
     spelling. The index holds at most the cache's capacity entries and
     is cleared when full; with [max_cache = 0] it does not exist.
 
+    {b A hit is written from stored bytes}: an entry keeps its body's
+    fields rendered once, when it is stored, and every hit, by text or
+    by fingerprint, writes
+    [{"id": <id>, <stored fields>, "cached": true, "time_ms": <t>}],
+    byte for byte what rendering the whole response would write; only
+    the id and the time are rendered per hit.
+
     {b Determinism}: result payloads are byte-identical whether the
     server runs one worker or eight, cold or warm — the engine's orders
     are structural and the memoized objectives return bit-identical

@@ -70,6 +70,110 @@ let test_json_roundtrip () =
   check_bool "exponent parses as float" true
     (Json.of_string "1e2" = Ok (Json.Float 100.))
 
+(* A random JSON string literal's body: plain runs, raw UTF-8, every
+   short escape, [\u] escapes (surrogate pairs whole, unpaired, cut
+   short), bad escapes, bad hex digits, and a backslash at the end. *)
+let random_string_body rs =
+  let b = Buffer.create 64 in
+  let hex4 v = Printf.sprintf "%04x" v in
+  let piece () =
+    match Random.State.int rs 16 with
+    | 0 | 1 | 2 | 3 ->
+      for _ = 0 to Random.State.int rs 40 do
+        Buffer.add_char b (Char.chr (0x20 + Random.State.int rs 95))
+      done
+    | 4 -> Buffer.add_string b "µ☃ \xf0\x9f\x98\x80"
+    | 5 | 6 ->
+      Buffer.add_char b '\\';
+      Buffer.add_char b "\"\\/nrtbf".[Random.State.int rs 8]
+    | 7 -> Buffer.add_string b ("\\u" ^ hex4 (Random.State.int rs 0x10000))
+    | 8 ->
+      Buffer.add_string b ("\\u" ^ hex4 (0xD800 + Random.State.int rs 0x400));
+      Buffer.add_string b ("\\u" ^ hex4 (0xDC00 + Random.State.int rs 0x400))
+    | 9 ->
+      Buffer.add_string b ("\\u" ^ hex4 (0xD800 + Random.State.int rs 0x400));
+      if Random.State.bool rs then
+        Buffer.add_string b ("\\u" ^ hex4 (Random.State.int rs 0x10000))
+    | 10 -> Buffer.add_string b "\\uD83D\\u00e9"
+    | 11 -> Buffer.add_string b "\\u12"
+    | 12 -> Buffer.add_string b "\\u12g4"
+    | 13 -> Buffer.add_string b ("\\" ^ String.make 1 "xqa0 '".[Random.State.int rs 6])
+    | 14 -> Buffer.add_char b (Char.chr (Random.State.int rs 0x20))
+    | _ -> Buffer.add_char b (Char.chr (0x80 + Random.State.int rs 0x80))
+  in
+  for _ = 0 to Random.State.int rs 6 do
+    piece ()
+  done;
+  if Random.State.int rs 20 = 0 then Buffer.add_char b '\\';
+  Buffer.contents b
+
+(* [Json.of_string] copies each run of plain string bytes with one blit;
+   [Json_oracle] decodes one character at a time. On 10,000 seeded
+   documents (a string alone, as a key and value, in a list, closed or
+   not) both give the same value or the same error, offset included. *)
+let test_json_string_scanner () =
+  let rs = Random.State.make [| 39 |] in
+  let errors = ref 0 in
+  for _ = 1 to 10_000 do
+    let lit () =
+      let body = random_string_body rs in
+      if Random.State.int rs 10 = 0 then "\"" ^ body else "\"" ^ body ^ "\""
+    in
+    let doc =
+      match Random.State.int rs 3 with
+      | 0 -> lit ()
+      | 1 -> Printf.sprintf "{%s: %s, \"id\": 1}" (lit ()) (lit ())
+      | _ -> Printf.sprintf "[%s, %s]" (lit ()) (lit ())
+    in
+    let expected = Json_oracle.of_string doc in
+    if Result.is_error expected then incr errors;
+    if Json.of_string doc <> expected then
+      Alcotest.failf "%S: %s, oracle %s" doc
+        (match Json.of_string doc with
+        | Ok v -> Json.to_string v
+        | Error e -> e)
+        (match expected with Ok v -> Json.to_string v | Error e -> e)
+  done;
+  (* Both outcomes are well represented. *)
+  check_bool "some documents fail" true (!errors > 1_000);
+  check_bool "some documents parse" true (!errors < 9_000)
+
+(* [Json.to_string] copies runs and formats numbers without [Printf]:
+   on 10,000 seeded values of every kind (strings of any bytes, floats
+   from random bits, integral, huge and signed zeros) it writes the
+   oracle's bytes. *)
+let test_json_serializer_bytes () =
+  let rs = Random.State.make [| 391 |] in
+  let float () =
+    match Random.State.int rs 6 with
+    | 0 -> Int64.float_of_bits (Random.State.int64 rs Int64.max_int)
+    | 1 -> -.Int64.float_of_bits (Random.State.int64 rs Int64.max_int)
+    | 2 -> float_of_int (Random.State.int rs 2_000_000 - 1_000_000)
+    | 3 -> Random.State.float rs 1e16 -. 5e15
+    | 4 -> Random.State.float rs 1e-3
+    | _ -> [| 0.; -0.; 1e15; -1e15; 1e15 -. 1.; 123456789012.4; nan; infinity |].(Random.State.int rs 8)
+  in
+  let rec value depth =
+    match Random.State.int rs (if depth > 2 then 5 else 7) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Random.State.bool rs)
+    | 2 -> Json.Int (Random.State.bits rs - (1 lsl 29))
+    | 3 -> Json.Float (float ())
+    | 4 ->
+      Json.String
+        (String.init (Random.State.int rs 40) (fun _ ->
+             Char.chr (Random.State.int rs 256)))
+    | 5 -> Json.List (List.init (Random.State.int rs 4) (fun _ -> value (depth + 1)))
+    | _ ->
+      Json.Obj
+        (List.init (Random.State.int rs 4) (fun k ->
+             (random_string_body rs ^ string_of_int k, value (depth + 1))))
+  in
+  for _ = 1 to 10_000 do
+    let v = value 0 in
+    check_string "bytes" (Json_oracle.to_string v) (Json.to_string v)
+  done
+
 let test_json_errors_and_accessors () =
   check_bool "trailing garbage rejected" true
     (Result.is_error (Json.of_string "{} x"));
@@ -837,6 +941,7 @@ let test_shared_work_domains () =
       let s = o.Engine.stats in
       Itf_opt.Stats.
         [ s.families_built; s.refs_inherited; s.refs_mapped; s.refs_computed ]
+        @ Array.to_list s.codegen
   in
   List.iter
     (fun (objective, exact_topk) ->
@@ -950,11 +1055,26 @@ let test_stats_ledger () =
             | Phase (_, p), Json.Float x ->
               observed 1e6 (histogram ~labels:[ ("phase", p) ] "engine.phase_us") x
             | Time (_, Some h), Json.Float x -> observed 1e3 (histogram h) x
+            | Templates (_, m), Json.Obj kvs ->
+              Array.iter
+                (fun template ->
+                  check_int
+                    (name ^ " as " ^ m ^ "{" ^ template ^ "}")
+                    (match List.assoc_opt template kvs with
+                    | Some (Json.Int n) -> n
+                    | _ -> 0)
+                    (Metrics.counter_value
+                       (Metrics.counter metrics ~labels:[ ("template", template) ] m)))
+                Itf_core.Template.kinds
             | Shared _, Json.Int _ | Time (_, None), Json.Float _ -> ()
             | _ -> Alcotest.failf "%s: a value of the wrong kind" name);
             let shown =
               match v with
               | Json.Float x -> Printf.sprintf "%.3f" x
+              | Json.Obj [] -> "none"
+              | Json.Obj kvs ->
+                String.concat ", "
+                  (List.map (fun (k, n) -> k ^ " " ^ Json.to_string n) kvs)
               | v -> Json.to_string v
             in
             (st, stat_fragment st shown))
@@ -1032,6 +1152,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "errors and accessors" `Quick
             test_json_errors_and_accessors;
+          Alcotest.test_case "string scanner matches the oracle" `Quick
+            test_json_string_scanner;
+          Alcotest.test_case "serializer matches the oracle" `Quick
+            test_json_serializer_bytes;
         ] );
       ( "tracer",
         [

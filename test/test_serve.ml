@@ -391,6 +391,44 @@ let test_request_key_complete () =
   check_bool "new id and budget hit the cache" true
     (field "cached" again = Json.Bool true)
 
+(* [Request.key] as a [Printf] formula over the fields, the pairs sorted
+   by polymorphic [compare]: the key's bytes before it was built in a
+   buffer. *)
+let printf_key (r : Request.t) ~nest =
+  let params =
+    List.sort compare r.Request.params
+    |> List.map (fun (k, v) -> Printf.sprintf "%d:%s=%d" (String.length k) k v)
+    |> String.concat ","
+  in
+  Printf.sprintf "%s|%s|%d|%d|%d|%b|%d|%s" r.Request.objective params
+    r.Request.steps r.Request.beam r.Request.exact_topk r.Request.tier0_only
+    r.Request.procs nest
+
+(* On 5,000 seeded records, checked or not (separators in names, repeated
+   names, negative values), the key equals the formula. *)
+let test_request_key_formula () =
+  let rs = Random.State.make [| 39 |] in
+  let text () =
+    String.init (Random.State.int rs 6) (fun _ -> "nm|,:=x\"".[Random.State.int rs 8])
+  in
+  let int () = Random.State.int rs 2001 - 1000 in
+  for _ = 1 to 5_000 do
+    let r =
+      {
+        Request.default with
+        objective = text ();
+        params = List.init (Random.State.int rs 5) (fun _ -> (text (), int ()));
+        procs = int ();
+        steps = int ();
+        beam = int ();
+        exact_topk = int ();
+        tier0_only = Random.State.bool rs;
+      }
+    in
+    let nest = text () in
+    check_string "key" (printf_key r ~nest) (Request.key r ~nest)
+  done
+
 (* Every validity rule has one message, whichever front end asks: the
    record's own check and a serve request that breaks the same rule. *)
 let test_request_rules_one_table () =
@@ -1029,7 +1067,7 @@ let test_serve_concurrent_exact_totals () =
    one-worker server): [f send recv] sends request lines and reads
    responses; the channel is closed and the server thread joined when [f]
    returns. *)
-let with_channel ?(server = Serve.create ~domains:1 ~workers:1 ()) f =
+let with_lines ?(server = Serve.create ~domains:1 ~workers:1 ()) f =
   let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
   let served =
     spawn (fun () ->
@@ -1043,17 +1081,19 @@ let with_channel ?(server = Serve.create ~domains:1 ~workers:1 ()) f =
     List.iter (fun l -> output_string to_server (l ^ "\n")) lines;
     flush to_server
   in
-  let recv () =
-    match Json.of_string (input_line from_server) with
-    | Ok j -> j
-    | Error msg -> Alcotest.fail msg
-  in
-  let result = f send recv in
+  let result = f send (fun () -> input_line from_server) in
   close_out to_server;
   Thread.join served;
   close_in from_server;
   Unix.close req_r;
   result
+
+let with_channel ?server f =
+  with_lines ?server (fun send recv_line ->
+      f send (fun () ->
+          match Json.of_string (recv_line ()) with
+          | Ok j -> j
+          | Error msg -> Alcotest.fail msg))
 
 let ids responses =
   String.concat " "
@@ -1211,6 +1251,120 @@ let test_serve_spelling_index () =
   check_int "3 hits" 3 (cache_field st "hits");
   check_int "1 miss" 1 (cache_field st "misses");
   check_int "2 spellings" 2 (cache_field st "spellings")
+
+(* A response line without its trailing [cached] and [time_ms] fields. *)
+let strip_line line =
+  let sep = ", \"cached\": " in
+  let rec last i =
+    if i < 0 then Alcotest.failf "no cached field: %s" line
+    else if String.sub line i (String.length sep) = sep then i
+    else last (i - 1)
+  in
+  String.sub line 0 (last (String.length line - String.length sep)) ^ "}"
+
+(* A hit writes the body its entry stored at insert: for an id of every
+   JSON kind, the reader's hit by text and a respelled nest's canonical
+   hit on the worker write, as raw lines on the channel, the miss's line
+   byte for byte, once [cached] and [time_ms] are cut off. *)
+let test_serve_raw_hit_bytes () =
+  let ids =
+    [
+      Json.Int (-7);
+      Json.Float 2.5;
+      Json.String "q\"b\\s\nµ☃";
+      Json.Null;
+      Json.Bool true;
+      Json.List [ Json.Int 1; Json.String "a" ];
+      Json.Obj [ ("k", Json.List []); ("v", Json.Float (-0.125)) ];
+    ]
+  in
+  with_lines (fun send recv ->
+      List.iteri
+        (fun i id ->
+          (* One parameter value per id, so each id's first request is a
+             miss. *)
+          let ask src =
+            send [ req ~id ~params:[ ("n", Json.Int (8 + i)) ] ~steps:1 src ];
+            recv ()
+          in
+          let miss = ask matmul_src in
+          let by_text = ask matmul_src in
+          let canonical = ask ("# respelled\n" ^ matmul_src) in
+          let label = Json.to_string id in
+          check_bool (label ^ ": miss") true
+            (Builders.contains ~sub:"\"cached\": false, \"time_ms\"" miss);
+          List.iter
+            (fun (what, line) ->
+              check_bool (label ^ ": " ^ what ^ " is a hit") true
+                (Builders.contains ~sub:"\"cached\": true, \"time_ms\"" line);
+              check_string (label ^ ": " ^ what) (strip_line miss)
+                (strip_line line))
+            [ ("hit by text", by_text); ("canonical hit", canonical) ];
+          check_string (label ^ ": id echoed")
+            ("{\"id\": " ^ Json.to_string id ^ ", \"status\": \"ok\"")
+            (String.sub miss 0 (String.length (Json.to_string id) + 23)))
+        ids)
+
+(* The reader finds newlines in the channel's buffer: lines that straddle
+   a 4,096-byte and a 65,536-byte boundary, a line exactly at the 1 MiB
+   cap (served) and one byte over it (one error), and a last line with
+   no newline are each answered, in order, on one channel. *)
+let test_serve_line_reader () =
+  let cap = 1 lsl 20 in
+  let status_line id len =
+    let head = Printf.sprintf "{\"op\": \"status\", \"id\": %d" id in
+    head ^ String.make (len - String.length head - 1) ' ' ^ "}"
+  in
+  let lengths =
+    List.init 40 (fun k -> 900 + (1699 * k)) @ [ cap; cap + 1; 100; 50 ]
+  in
+  let lines = List.mapi (fun id len -> status_line id len) lengths in
+  (* Where each line starts and ends in the input, newlines included. *)
+  let straddles block =
+    let rec go off n = function
+      | [] -> n
+      | len :: rest ->
+        let stop = off + len + 1 in
+        go stop (if off / block <> (stop - 1) / block then n + 1 else n) rest
+    in
+    go 0 0 lengths
+  in
+  check_bool "lines straddle 4 KiB boundaries" true (straddles 4096 > 10);
+  check_bool "lines straddle 64 KiB boundaries" true (straddles 65536 > 10);
+  let input = Filename.temp_file "lines" ".jsonl"
+  and output = Filename.temp_file "lines" ".out" in
+  Out_channel.with_open_bin input (fun oc ->
+      List.iteri
+        (fun i l ->
+          output_string oc l;
+          if i < List.length lines - 1 then output_char oc '\n')
+        lines);
+  let server = Serve.create ~domains:1 () in
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Serve.serve_channel server ic oc));
+  let responses =
+    In_channel.with_open_bin output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> Result.get_ok (Json.of_string l))
+  in
+  Sys.remove input;
+  Sys.remove output;
+  check_int "one response per line" (List.length lines) (List.length responses);
+  List.iteri
+    (fun i (len, r) ->
+      if len > cap then begin
+        check_string "over the cap" "error" (status r);
+        check_bool "error names the cap" true
+          (Builders.contains ~sub:(string_of_int cap)
+             (Option.value ~default:"" (Json.to_str (field "error" r))))
+      end
+      else begin
+        check_string (Printf.sprintf "line %d (%d bytes)" i len) "ok" (status r);
+        check_bool (Printf.sprintf "line %d id" i) true (field "id" r = Json.Int i)
+      end)
+    (List.combine lengths responses)
 
 (* The index holds at most the cache's capacity: 1,000 distinct texts of
    one nest each record a spelling, and the index is cleared, never
@@ -1426,6 +1580,8 @@ let () =
             test_serve_objective_unknown_inline;
           Alcotest.test_case "parameter names cannot share a cache key" `Quick
             test_serve_params_key_injective;
+          Alcotest.test_case "request key equals its formula" `Quick
+            test_request_key_formula;
           Alcotest.test_case "request key covers all but the budget" `Quick
             test_request_key_complete;
           Alcotest.test_case "one validation table for both front ends" `Quick
@@ -1438,6 +1594,8 @@ let () =
             test_serve_malformed_json_counted;
           Alcotest.test_case "over-cap line is one error" `Quick
             test_serve_long_line;
+          Alcotest.test_case "line reader: boundaries, cap, last line" `Quick
+            test_serve_line_reader;
           Alcotest.test_case "metrics op exposition" `Quick
             test_serve_metrics_op;
           Alcotest.test_case "unknown op is an error" `Quick
@@ -1469,6 +1627,8 @@ let () =
             test_serve_inline_backpressure;
           Alcotest.test_case "spelling index: repeats and respellings" `Quick
             test_serve_spelling_index;
+          Alcotest.test_case "hits write the miss's bytes" `Quick
+            test_serve_raw_hit_bytes;
           Alcotest.test_case "spelling index stays within the cap" `Quick
             test_serve_spelling_index_bounded;
           Alcotest.test_case "shed message counts queued ops" `Quick
