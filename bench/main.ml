@@ -1211,7 +1211,7 @@ let search_bench ?baseline () =
         in
         let nest = renamed "_cold" nest in
         let w0 = Gc.minor_words () in
-        let r = Engine.search ~steps:3 ~domains:1 ~tier0:spec nest obj in
+        let r = Engine.search ~steps:3 ~domains:1 ~metrics:m ~tier0:spec nest obj in
         let words = Gc.minor_words () -. w0 in
         let o =
           match r with Some o -> o | None -> failwith (name ^ ": no outcome")

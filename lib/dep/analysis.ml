@@ -569,7 +569,7 @@ let refuter () =
       Systems.add table system refuted;
       refuted
 
-let pair_vectors ?(fm_calls = ref 0)
+let pair_vectors ?(fm_calls = ref 0) ?(sigmas = ref 0)
     ?(refute = fun system -> Fourier.definitely_infeasible system) infos n
     (a : ref_) (b : ref_) =
   if List.length a.subs <> List.length b.subs then
@@ -616,6 +616,7 @@ let pair_vectors ?(fm_calls = ref 0)
         let sigmas =
           List.filter
             (fun sigma ->
+              incr sigmas;
               sigma_feasible infos pins eqs sigma
               && not
                    (non_rectangular
@@ -625,7 +626,7 @@ let pair_vectors ?(fm_calls = ref 0)
         in
         merge_pass (List.map (vector_of_sigma infos pins) sigmas)
 
-let dependences ?fm_calls (nest : Nest.t) =
+let dependences ?fm_calls ?sigmas (nest : Nest.t) =
   let infos = loop_infos nest in
   let n = List.length infos in
   let scalars = List.concat_map Stmt.defined_vars nest.Nest.body in
@@ -646,7 +647,7 @@ let dependences ?fm_calls (nest : Nest.t) =
             in
             List.iter
               (fun vector -> out := { array = a.arr; kind; vector } :: !out)
-              (pair_vectors ?fm_calls ~refute infos n a b)
+              (pair_vectors ?fm_calls ?sigmas ~refute infos n a b)
           end)
         refs)
     refs;
@@ -666,10 +667,10 @@ let vectors_cap = 1024
 let vectors_memo : Depvec.t list VMemo.t =
   VMemo.create ~max_size:vectors_cap "dep.vectors"
 
-let vectors ?fm_calls nest =
+let vectors ?fm_calls ?sigmas nest =
   VMemo.find_or_add vectors_memo (Itf_ir.Intern.nest_id nest) (fun () ->
       Depvec.dedupe
-        (List.map (fun d -> d.vector) (dependences ?fm_calls nest)))
+        (List.map (fun d -> d.vector) (dependences ?fm_calls ?sigmas nest)))
 
 (* ------------------------------------------------------------------ *)
 (* Statement-level dependences                                         *)

@@ -28,21 +28,23 @@ type dependence = {
   vector : Depvec.t;
 }
 
-val dependences : ?fm_calls:int ref -> Nest.t -> dependence list
+val dependences :
+  ?fm_calls:int ref -> ?sigmas:int ref -> Nest.t -> dependence list
 (** All dependences of the nest, deduplicated per (array, kind).
     [fm_calls], when given, is incremented once per Fourier–Motzkin
-    refutation the analysis asks for. Each reference pair builds its
+    refutation the analysis asks for, and [sigmas] once per sign vector
+    it enumerates for a reference pair, before any is refuted. Each reference pair builds its
     bound and subscript rows once; each sign vector adds only its own
     rows. Distinct pairs often build the same system, so the call keeps
     a table of the systems it refuted and runs each distinct one once
     (LU: 19 refutations, 9 systems). The table lives in the call: it is
     never keyed across nests. *)
 
-val vectors : ?fm_calls:int ref -> Nest.t -> Depvec.t list
+val vectors : ?fm_calls:int ref -> ?sigmas:int ref -> Nest.t -> Depvec.t list
 (** Just the dependence-vector set [D], deduplicated and subsumption-
     reduced — the input to the framework's legality test. Memoized by
-    the nest's intern id; [fm_calls] as in {!dependences}, untouched
-    when the memo answers. *)
+    the nest's intern id; [fm_calls] and [sigmas] as in {!dependences},
+    untouched when the memo answers. *)
 
 val pp_dependence : Format.formatter -> dependence -> unit
 

@@ -465,8 +465,7 @@ let locality_estimate ~config ~elem_bytes ~params ~env ~param_names ~shapes
       lines.((i * w) + k) <-
         (if nonlinear.((i * n) + k) then
            (* unknown stride: assume a new line per value *)
-           Float.min cap
-             (next *. Float.max 1. (tests.(k) *. Float.min 1. (line_bytes /. line_bytes)))
+           Float.min cap (next *. Float.max 1. tests.(k))
          else if c <> 0. then
            Float.min cap
              (next

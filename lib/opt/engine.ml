@@ -543,13 +543,15 @@ let search ?(beam = 6) ?(steps = 3) ?domains ?(tracer = Tracer.null)
     st.expand_time_s <- t_leg -. t_start;
     (* The root's dependence analysis under its own span; on a new nest
        it is the Fourier–Motzkin refinement that costs. *)
-    let fm_calls = ref 0 in
+    let fm_calls = ref 0 and sigmas = ref 0 in
     let vectors =
       Tracer.span tracer "dep.vectors" (fun () ->
-          Itf_dep.Analysis.vectors ~fm_calls nest)
+          Itf_dep.Analysis.vectors ~fm_calls ~sigmas nest)
     in
     Option.iter
-      (fun m -> Metrics.add (Metrics.counter m Stats.dep_fm_calls) !fm_calls)
+      (fun m ->
+        Metrics.add (Metrics.counter m Stats.dep_fm_calls) !fm_calls;
+        Metrics.add (Metrics.counter m Stats.dep_sigmas) !sigmas)
       metrics;
     let { Framework.outcome; _ } = Framework.check_root ~vectors nest in
     st.legality_time_s <- now () -. t_leg;

@@ -196,9 +196,9 @@ val search :
     retains per-candidate rejection causes and tier-0 decisions in the
     outcome; with [metrics], the final size of the search's cross-step
     cache is published as the [engine.cache.size] gauge, and the
-    Fourier–Motzkin refutations of the root's dependence analysis are
-    added to the [dep.fm_calls] counter (none when the analysis was
-    memoized). The search sets no intern-table gauge: {!record_tables}
+    Fourier–Motzkin refutations and sign vectors of the root's
+    dependence analysis are added to the [dep.fm_calls] and [dep.sigmas]
+    counters (none when the analysis was memoized). The search sets no intern-table gauge: {!record_tables}
     does, when a registry is dumped. It looks each
     [legality.rejections{reason}] counter up once, on the first
     rejection for that reason, and makes no registry lookup per

@@ -84,6 +84,7 @@ let memsim_certified = "memsim.certified"
 let memsim_stream_entries = "memsim.stream.entries"
 let memsim_stream_fallbacks = "memsim.stream.fallbacks"
 let dep_fm_calls = "dep.fm_calls"
+let dep_sigmas = "dep.sigmas"
 let compile_closures = "exec.compile.closures"
 
 (* One declaration per statistic, in --stats-json order. A cached
@@ -157,6 +158,7 @@ let ledger =
     stat "memsim_stream_fallbacks" (Join ", {} fallbacks")
       (Read memsim_stream_fallbacks);
     stat "dep_fm_calls" (Line "dependence FM calls  {}") (Read dep_fm_calls);
+    stat "dep_sigmas" (Line "dependence sigmas    {}") (Read dep_sigmas);
     stat "compile_closures" (Line "statement closures   {} compiled")
       (Read compile_closures);
   ]

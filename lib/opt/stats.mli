@@ -171,6 +171,11 @@ val memsim_stream_fallbacks : string
 val dep_fm_calls : string
 (** Fourier–Motzkin refutations of the root's dependence analysis. *)
 
+val dep_sigmas : string
+(** Sign vectors the root's dependence analysis enumerated, summed over
+    its reference pairs (each lex-positive vector that agrees with a
+    pair's pins, before any is refuted). *)
+
 val compile_closures : string
 (** Statement closures the cache simulations compiled
     ({!Itf_exec.Compile.closures}): 0 for a simulation whose address

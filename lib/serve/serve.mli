@@ -2,14 +2,14 @@
 
     One JSON object per line on stdin (responses on stdout) and,
     optionally, on a Unix-domain socket with one thread per connection.
-    Requests are no longer serialized through a global lock: a bounded
-    admission queue feeds a pool of up to [workers] worker domains
-    (shared with the engine's candidate fan-out via
-    {!Itf_opt.Pool.shared}), so independent searches run truly in
-    parallel. Every search still shares the process-wide hash-cons
-    intern tables, the canonicalization memo and the exact-objective
-    memos ({!Itf_opt.Search}) — all sharded and safe for concurrent
-    use — so the second identical-shaped request is answered mostly from
+    A bounded admission queue ({!Scheduler}) feeds up to [workers]
+    worker domains of the pool the engine's candidate fan-out shares
+    ({!Itf_opt.Pool.shared}), so independent searches run in parallel.
+    {!Protocol} reads lines and renders responses, and
+    {!Response_cache} holds the LRU of complete answers. Every search
+    shares the process-wide hash-cons intern tables, the
+    canonicalization memo and the exact-objective memos
+    ({!Itf_opt.Search}) — all sharded and safe for concurrent use — so the second identical-shaped request is answered mostly from
     those tables, and an {e exactly} identical request is answered from
     a bounded LRU response cache without running the engine at all.
 
@@ -70,7 +70,8 @@
     the sections {!Itf_opt.Stats.status} reads from the registry
     (per-phase time breakdown [phases_us], searches [search_us], the
     cache simulator's [memsim] runs, certified answers and stream
-    counters, the dependence analysis's [dep.fm_calls]),
+    counters, the dependence analysis's [dep.fm_calls] and
+    [dep.sigmas]),
     response-cache health ([cache]: size, capacity, hits, misses,
     evictions and [spellings], the size of its text index),
     hash-cons intern-table health, process memory

@@ -1385,6 +1385,233 @@ let test_serve_spelling_index_bounded () =
   check_int "the index fills to the cap and no further" cap !most
 
 (* ------------------------------------------------------------------ *)
+(* Response cache, without a server                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = Itf_serve.Response_cache
+
+let held c k = fst (Cache.find c k) <> None
+
+(* Eviction takes the least recently touched entry, and a canonical hit
+   and a hit by text both count as a touch. *)
+let test_cache_eviction_order () =
+  let c = Cache.create 2 in
+  ignore (Cache.add c "a" 1);
+  ignore (Cache.add c "b" 2);
+  ignore (Cache.add c "c" 3);
+  check_bool "oldest evicted" false (held c "a");
+  check_bool "newest kept" true (held c "c");
+  (* "b" and "c" held; a canonical hit on "b" makes "c" the oldest *)
+  ignore (Cache.find c "b");
+  ignore (Cache.add c "d" 4);
+  check_bool "canonical hit refreshes" true (held c "b");
+  check_bool "untouched evicted" false (held c "c");
+  (* a hit by text on "d" makes "b" the oldest *)
+  ignore (Cache.add c ~spelling:"text-d" "d" 4);
+  ignore (Cache.find c "b");
+  check_bool "hit by text" true (Cache.find_spelling c "text-d" <> None);
+  ignore (Cache.add c "e" 5);
+  check_bool "hit by text refreshes" true (held c "d");
+  check_bool "older entry evicted" false (held c "b")
+
+let test_cache_spelling_counts () =
+  let c = Cache.create 2 in
+  ignore (Cache.add c ~spelling:"s" "k" 7);
+  let before = Cache.counters c in
+  check_bool "unknown spelling finds nothing" true
+    (Cache.find_spelling c "other" = None);
+  check_bool "finding nothing counts nothing" true (Cache.counters c = before);
+  (match Cache.find_spelling c "s" with
+  | Some (key, v, counters) ->
+    check_string "spelling names its key" "k" key;
+    check_int "value" 7 v;
+    check_int "a hit is counted" (before.hits + 1) counters.hits;
+    check_int "no miss" before.misses counters.misses
+  | None -> Alcotest.fail "spelling not found");
+  (* an evicted entry's spelling finds nothing and counts nothing *)
+  ignore (Cache.add c "x" 0);
+  ignore (Cache.add c "y" 0);
+  let before = Cache.counters c in
+  check_bool "evicted entry's spelling" true (Cache.find_spelling c "s" = None);
+  check_bool "counts nothing" true (Cache.counters c = before)
+
+let test_cache_spellings_cleared_at_cap () =
+  let c = Cache.create 2 in
+  ignore (Cache.add c ~spelling:"s1" "k" 0);
+  ignore (Cache.find c ~spelling:"s2" "k");
+  check_int "two spellings" 2 (Cache.counters c).spellings;
+  ignore (Cache.find c ~spelling:"s2" "k");
+  check_int "a known spelling does not clear" 2 (Cache.counters c).spellings;
+  ignore (Cache.find c ~spelling:"s3" "k");
+  check_int "a new spelling at the cap clears the index" 1
+    (Cache.counters c).spellings;
+  check_bool "cleared spelling gone" true (Cache.find_spelling c "s1" = None);
+  check_bool "new spelling held" true (Cache.find_spelling c "s3" <> None)
+
+let test_cache_zero_capacity () =
+  let c = Cache.create 0 in
+  let after = Cache.add c ~spelling:"s" "k" 1 in
+  check_int "nothing stored" 0 after.size;
+  check_int "no spelling" 0 after.spellings;
+  check_bool "a probe misses" false (held c "k");
+  check_bool "no hit by text" true (Cache.find_spelling c "s" = None);
+  check_int "capacity" 0 (Cache.capacity c)
+
+(* Against a list model, over a seeded stream of probes and inserts:
+   every returned snapshot equals the operations made so far, and the
+   model's LRU order decides every eviction. *)
+let test_cache_counters_model () =
+  let cap = 4 in
+  let c = Cache.create cap in
+  let rng = Random.State.make [| 41 |] in
+  let order = ref [] (* most recent first *) in
+  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  let check what (got : Cache.counters) =
+    check_int (what ^ " hits") !hits got.hits;
+    check_int (what ^ " misses") !misses got.misses;
+    check_int (what ^ " evictions") !evictions got.evictions;
+    check_int (what ^ " size") (List.length !order) got.size
+  in
+  let touch k = order := k :: List.filter (( <> ) k) !order in
+  for _ = 1 to 2_000 do
+    let k = string_of_int (Random.State.int rng 8) in
+    if Random.State.bool rng then begin
+      let found, got = Cache.find c k in
+      if List.mem k !order then begin
+        incr hits;
+        touch k
+      end
+      else incr misses;
+      check_bool "find agrees with the model" (List.mem k !order) (found <> None);
+      check "find" got
+    end
+    else begin
+      if (not (List.mem k !order)) && List.length !order >= cap then begin
+        incr evictions;
+        order := List.filteri (fun i _ -> i < cap - 1) !order
+      end;
+      touch k;
+      check "add" (Cache.add c k ())
+    end
+  done;
+  check "snapshot" (Cache.counters c)
+
+(* A request object's fields are each their first binding: a second
+   [id], [op], [nest], [steps] or [params] of the wrong type changes
+   nothing, and the raw response equals the response to the request
+   without it. *)
+let test_serve_first_binding () =
+  let base =
+    [
+      ("id", Json.Int 3);
+      ("nest", Json.String matmul_src);
+      ("params", Json.Obj [ ("n", Json.Int 8) ]);
+      ("steps", Json.Int 1);
+    ]
+  in
+  let line fields = Json.to_string (Json.Obj fields) in
+  let raw l =
+    let server = Serve.create ~domains:1 ~workers:1 () in
+    let resp = with_lines ~server (fun send recv -> send [ l ]; recv ()) in
+    Str.global_replace (Str.regexp ", \"time_ms\": [^,}]*") "" resp
+  in
+  let expected = raw (line base) in
+  check_bool "the plain request is answered ok" true
+    (Builders.contains ~sub:"\"status\": \"ok\"" expected);
+  List.iter
+    (fun (name, wrong) ->
+      check_string (name ^ " twice") expected
+        (raw (line (base @ [ (name, wrong) ]))))
+    [
+      ("id", Json.String "second");
+      ("nest", Json.Int 5);
+      ("steps", Json.String "two");
+      ("params", Json.Int 7);
+    ];
+  let shutdown = [ ("op", Json.String "shutdown"); ("id", Json.Int 9) ] in
+  check_string "op twice"
+    (raw (line shutdown))
+    (raw (line (shutdown @ [ ("op", Json.Int 5) ])))
+
+(* A seeded stream of mutated request lines through one channel at one
+   worker: truncated lines, a line over the 1 MiB cap, deep JSON,
+   wrongly typed fields, duplicate ids, unknown ops and blank lines.
+   Every non-blank line gets exactly one response, in order; the final
+   status counts every line before it, and a search after the stream is
+   still answered. *)
+let test_serve_protocol_fuzz () =
+  let rng = Random.State.make [| 14 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let search id =
+    [
+      ("id", Json.Int id);
+      ("nest", Json.String matmul_src);
+      ("params", Json.Obj [ ("n", Json.Int (pick [ 4; 8 ])) ]);
+      ("steps", Json.Int (pick [ 0; 1 ]));
+      ("objective", Json.String (pick [ "locality"; "parallel" ]));
+    ]
+  in
+  let wrong = [ Json.String "x"; Json.Float 2.5; Json.List []; Json.Null; Json.Bool true ] in
+  let line i =
+    let fields = search i in
+    match Random.State.int rng 8 with
+    | 0 ->
+      let l = Json.to_string (Json.Obj fields) in
+      String.sub l 0 (Random.State.int rng (String.length l))
+    | 1 ->
+      let k = pick [ "params"; "steps"; "beam"; "procs"; "objective"; "deadline_ms"; "tier0_only" ] in
+      Json.to_string (Json.Obj ((k, pick wrong) :: fields))
+    | 2 -> Json.to_string (Json.Obj (("id", Json.Int (i / 7)) :: List.tl fields))
+    | 3 -> Printf.sprintf {|{"op": %S, "id": %d}|} (pick [ "stat"; ""; "SHUTDOWN"; "nope" ]) i
+    | 4 -> pick [ ""; "   "; "[1]"; "42"; "{"; "null" ]
+    | _ -> Json.to_string (Json.Obj fields)
+  in
+  let lines =
+    List.init 2_000 line
+    @ [
+        "{\"id\": \"big\", \"nest\": \"" ^ String.make ((1 lsl 20) + 10) 'x' ^ "\"}";
+        String.make 100_000 '[' ^ String.make 100_000 ']';
+      ]
+  in
+  let sent = List.filter (fun l -> String.trim l <> "") lines in
+  let final =
+    [ {|{"op": "status", "id": "final"}|}; Json.to_string (Json.Obj (search 9999)) ]
+  in
+  let input = Filename.temp_file "fuzz" ".jsonl"
+  and output = Filename.temp_file "fuzz" ".out" in
+  Out_channel.with_open_bin input (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (lines @ final));
+  let server = Serve.create ~domains:1 ~workers:1 ~queue_depth:4096 () in
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc -> Serve.serve_channel server ic oc));
+  let responses =
+    In_channel.with_open_bin output In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> Result.get_ok (Json.of_string l))
+  in
+  Sys.remove input;
+  Sys.remove output;
+  check_int "one response per non-blank line"
+    (List.length sent + 2) (List.length responses);
+  let expected_id l =
+    match Json.of_string l with
+    | Ok (Json.Obj kvs) when String.length l <= 1 lsl 20 ->
+      Option.value ~default:Json.Null (List.assoc_opt "id" kvs)
+    | _ -> Json.Null
+  in
+  List.iteri
+    (fun i (l, r) ->
+      check_string (Printf.sprintf "response %d in order" i)
+        (Json.to_string (expected_id l)) (Json.to_string (field "id" r)))
+    (List.combine (sent @ final) responses);
+  let st = List.nth responses (List.length sent) in
+  check_bool "status counts every line before it" true
+    (obj_field [ "requests"; "total" ] st = Json.Int (List.length sent));
+  check_string "a search after the stream" "ok"
+    (status (List.nth responses (List.length sent + 1)))
+
+(* ------------------------------------------------------------------ *)
 (* Novel traffic: every bounded table evicts, answers stay golden      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1633,6 +1860,23 @@ let () =
             test_serve_spelling_index_bounded;
           Alcotest.test_case "shed message counts queued ops" `Quick
             test_serve_shed_message;
+        ] );
+      ( "response cache",
+        [
+          Alcotest.test_case "evicts the least recently touched" `Quick
+            test_cache_eviction_order;
+          Alcotest.test_case "hits by text count, misses by text do not"
+            `Quick test_cache_spelling_counts;
+          Alcotest.test_case "spelling index is cleared at the cap" `Quick
+            test_cache_spellings_cleared_at_cap;
+          Alcotest.test_case "capacity 0 stores nothing" `Quick
+            test_cache_zero_capacity;
+          Alcotest.test_case "counters equal the operations made" `Quick
+            test_cache_counters_model;
+          Alcotest.test_case "a repeated key takes its first binding" `Quick
+            test_serve_first_binding;
+          Alcotest.test_case "protocol fuzz: one response per line" `Quick
+            test_serve_protocol_fuzz;
         ] );
       ( "memory",
         [
