@@ -204,34 +204,30 @@ let apply_cmd =
 (* optimize                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let write_text_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+(* A command's --trace-out and --metrics-out files are opened (truncated)
+   before any work, so a path that cannot be written ends the command at
+   once, and written when the work is done. *)
+let open_sink sink path =
+  try Option.map sink path
+  with Sys_error e ->
+    Printf.eprintf "error: %s\n" e;
+    exit 1
 
-let write_trace tracer = function
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Itf_obs.Tracer.write_jsonl oc (Itf_obs.Tracer.roots tracer))
-
-let write_metrics metrics = function
-  | None -> ()
-  | Some path -> (
-    match metrics with
-    | None -> ()
-    | Some m ->
-      Itf_opt.Engine.record_tables m;
-      write_text_file path (Itf_obs.Json.to_string (Itf_obs.Metrics.dump m) ^ "\n"))
+let write_sinks tracer trace metrics sink =
+  Option.iter (fun s -> Itf_obs.Tracer.emit s (Itf_obs.Tracer.roots tracer)) trace;
+  match (metrics, sink) with
+  | Some m, Some s ->
+    Itf_opt.Engine.record_tables m;
+    Itf_obs.Metrics.write s m
+  | _ -> ()
 
 let optimize_cmd =
   let run nest_path objective params procs steps domains exact_topk tier0_only
       deadline_ms max_nodes show_stats stats_json explain trace_out
       metrics_out =
     with_nest nest_path @@ fun _ nest ->
+      let trace = open_sink Itf_obs.Tracer.sink trace_out in
+      let sink = open_sink Itf_obs.Metrics.sink metrics_out in
       let tracer =
         if trace_out = None then Itf_obs.Tracer.null
         else Itf_obs.Tracer.create ()
@@ -316,8 +312,7 @@ let optimize_cmd =
           print_endline
             (Itf_obs.Json.to_string
                (Itf_opt.Stats.to_json_value ?metrics stats));
-        write_trace tracer trace_out;
-        write_metrics metrics metrics_out;
+        write_sinks tracer trace metrics sink;
         0
   in
   let objective =
@@ -570,6 +565,8 @@ let fuzz_cmd =
             (fst bad);
           exit 2)
     in
+    let trace = open_sink Itf_obs.Tracer.sink trace_out in
+    let sink = open_sink Itf_obs.Metrics.sink metrics_out in
     if List.mem `C backends && not (Itf_check.Oracle.cc_available ()) then
       Printf.eprintf "warning: no C compiler on PATH; skipping the C leg\n";
     (* replay the corpus first: past failures must stay fixed *)
@@ -613,8 +610,7 @@ let fuzz_cmd =
       Itf_check.Harness.fuzz ~backends ~check_memsim:memsim
         ~shrink:(not no_shrink) ?on_case ~tracer ?metrics ~seed ~budget ()
     in
-    write_trace tracer trace_out;
-    write_metrics metrics metrics_out;
+    write_sinks tracer trace metrics sink;
     Format.printf "%a" Itf_check.Harness.pp_report report;
     List.iter
       (fun (f : Itf_check.Harness.failure) ->
@@ -811,13 +807,17 @@ let report_cmd =
 let serve_cmd =
   let run socket domains deadline_ms max_cache metrics_out trace_out slow_ms
       sample_rate workers queue_depth =
-    let server =
+    match
       Itf_serve.Serve.create ?domains ?default_deadline_ms:deadline_ms
         ~max_cache ?metrics_out ?trace_out ~slow_ms ~sample_rate ~workers
         ~queue_depth ()
-    in
-    Itf_serve.Serve.run ?socket server;
-    0
+    with
+    | exception Sys_error e ->
+      Printf.eprintf "error: %s\n" e;
+      1
+    | server ->
+      Itf_serve.Serve.run ?socket server;
+      0
   in
   let socket =
     Arg.(
@@ -859,9 +859,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Rewrite FILE after every request with the metrics registry \
-             (request counters by status, cache gauges, engine and \
-             simulator counters) as JSON.")
+            "Create FILE at start-up (exit 1 if it cannot be), then \
+             rewrite it after every request with the metrics registry \
+             (request counters by status, cache, intern-table and memory \
+             gauges, engine and simulator counters) as JSON.")
   in
   let trace_out =
     Arg.(
@@ -869,8 +870,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
-            "Rewrite FILE after every request with the retained span traces \
-             as JSON lines (see --sample-rate).")
+            "Create FILE at start-up (exit 1 if it cannot be), then append \
+             each retained request's span traces to it as JSON lines when \
+             the request finishes (see --sample-rate).")
   in
   let slow_ms =
     Arg.(

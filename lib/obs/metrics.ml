@@ -224,6 +224,24 @@ let dump t =
       ("metrics", Json.List (List.map metric (entries t)));
     ]
 
+(* A metrics file: each [write] replaces it with the whole dump. The first
+   error is reported and ends the writing. *)
+type sink = { path : string; mutable live : bool }
+
+let sink path =
+  close_out (open_out_bin path);
+  { path; live = true }
+
+let write s t =
+  if s.live then
+    try
+      Out_channel.with_open_bin s.path (fun oc ->
+          output_string oc (Json.to_string (dump t));
+          output_char oc '\n')
+    with Sys_error e ->
+      s.live <- false;
+      Printf.eprintf "warning: metrics %s are not written further: %s\n%!" s.path e
+
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
 (* ------------------------------------------------------------------ *)

@@ -34,7 +34,7 @@ type histogram
 
 val counter : t -> ?labels:(string * string) list -> string -> counter
 (** Find or create: asking for a counter registers it, so it is listed
-    by {!dump} from then on, at 0 if nothing adds to it. *)
+    by {!write} from then on, at 0 if nothing adds to it. *)
 
 val read_counter : t -> ?labels:(string * string) list -> string -> int
 (** The counter's value, or 0 when the registry holds no such counter:
@@ -95,13 +95,24 @@ val quantile_of_counts :
   buckets:float array -> counts:int array -> float -> float option
 (** The same estimator as a pure function of a bucket layout and count
     array ([counts] carries the trailing overflow slot) — for consumers
-    reading a serialized {!dump} rather than a live registry. *)
+    reading a metrics file ({!write}) rather than a live registry. *)
 
-val dump : t -> Json.t
-(** Deterministic (sorted by name, then labels) machine-readable dump:
+(** {1 Metrics files} *)
+
+type sink
+(** A [--metrics-out] file. *)
+
+val sink : string -> sink
+(** Creates (truncates) the file; raises [Sys_error] naming the path
+    when it cannot. *)
+
+val write : sink -> t -> unit
+(** Replaces the file with the registry's dump, one JSON document and a
+    newline, deterministic (sorted by name, then labels):
     [{"schema": 1, "metrics": [{"name", "labels", "type", ...}, ...]}].
     Histogram entries carry ["buckets"], ["counts"], ["count"] and
-    ["sum"]. *)
+    ["sum"]. A write error is reported on stderr, once: the sink writes
+    nothing after it, and never raises. *)
 
 val dump_prometheus : t -> string
 (** The registry in the Prometheus text exposition format: one
@@ -111,4 +122,4 @@ val dump_prometheus : t -> string
     [name_sum]/[name_count]. Metric and label names are sanitized to
     [[a-zA-Z0-9_:]] (so ["serve.requests"] exposes as
     [serve_requests]); label values are escaped. Sorted and
-    deterministic like {!dump}. *)
+    deterministic like {!write}'s dump. *)

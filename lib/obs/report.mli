@@ -34,7 +34,7 @@ val pp : Format.formatter -> row list -> unit
 (** Fixed-width table. *)
 
 val pp_metrics_file : Format.formatter -> Json.t -> unit
-(** Render a {!Metrics.dump} document as a [name{labels} value] table.
+(** Render a metrics file's document ({!Metrics.write}) as a [name{labels} value] table.
     Histograms print count, sum, mean and the p50/p90/p99 quantiles
     (computed from the dumped bucket counts with
     {!Metrics.quantile_of_counts}); dumps predating the ["sum"] field

@@ -173,24 +173,36 @@ let span_json ~id ~parent (s : span) =
       ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_json v)) s.attrs));
     ]
 
-let fold_jsonl f acc spans =
-  let next = ref 0 in
-  let acc = ref acc in
+(* Writes [spans]' lines with ids from [first] in depth-first preorder;
+   returns the next free id. *)
+let output_jsonl oc ~first spans =
+  let next = ref first in
   let rec go parent s =
     let id = !next in
     incr next;
-    acc := f !acc (Json.to_string (span_json ~id ~parent s));
+    output_string oc (Json.to_string (span_json ~id ~parent s));
+    output_char oc '\n';
     List.iter (go (Some id)) s.children
   in
   List.iter (go None) spans;
-  !acc
+  !next
 
-let write_jsonl oc spans =
-  ignore
-    (fold_jsonl
-       (fun () line ->
-         output_string oc line;
-         output_char oc '\n')
-       () spans)
+let write_jsonl oc spans = ignore (output_jsonl oc ~first:0 spans)
 
-let jsonl_lines spans = List.rev (fold_jsonl (fun acc l -> l :: acc) [] spans)
+(* A trace file: each [emit] appends and flushes, so the file is always
+   whole lines, and ids run on from the previous [emit], so the file is
+   what [write_jsonl] would write for every tree emitted so far. The first
+   write error is reported and ends the writing, since a file that lost
+   part of a tree can no longer link children to parents. *)
+type sink = { path : string; oc : out_channel; mutable next : int; mutable live : bool }
+
+let sink path = { path; oc = open_out_bin path; next = 0; live = true }
+
+let emit s spans =
+  if s.live && not (List.is_empty spans) then
+    try
+      s.next <- output_jsonl s.oc ~first:s.next spans;
+      flush s.oc
+    with Sys_error e ->
+      s.live <- false;
+      Printf.eprintf "warning: trace %s is not written further: %s\n%!" s.path e

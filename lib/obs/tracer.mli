@@ -16,7 +16,8 @@
     - {b pluggable sinks}: spans accumulate in memory; a completed forest
       ({!roots}) is then kept for inspection (tests), or serialized as
       JSON-lines with {!write_jsonl} (parent lines precede children,
-      deterministic depth-first ids).
+      deterministic depth-first ids). A {!sink} streams forests to a
+      file one at a time, so a daemon holds no tree once it is written.
 
     The {b ambient} tracer is a domain-local handle letting deep callees
     (e.g. {!Itf_machine.Memsim} inside an objective function) attach spans
@@ -98,5 +99,18 @@ val write_jsonl : out_channel -> span list -> unit
     "attrs": {..}}]. Ids are depth-first preorder, so parents precede
     their children and ids are deterministic for a deterministic tree. *)
 
-val jsonl_lines : span list -> string list
-(** The same lines as {!write_jsonl}, without the channel. *)
+(** {1 Trace files} *)
+
+type sink
+(** An open [--trace-out] file and the next span id to write. *)
+
+val sink : string -> sink
+(** Creates (truncates) the file; raises [Sys_error] naming the path
+    when it cannot. *)
+
+val emit : sink -> span list -> unit
+(** Appends the trees' lines, ids continuing from the previous [emit],
+    and flushes: after each call the file holds whole lines and equals
+    {!write_jsonl} of every tree emitted so far. A write error is
+    reported on stderr, once: the sink writes nothing after it, and
+    never raises. *)

@@ -48,15 +48,6 @@ let create cap =
 let capacity t = t.cap
 
 (* The helpers below run with [t.mutex] held. *)
-let snapshot (t : _ t) =
-  {
-    hits = t.hits;
-    misses = t.misses;
-    evictions = t.evictions;
-    size = Hashtbl.length t.tbl;
-    spellings = Hashtbl.length t.spellings;
-  }
-
 let remember (t : _ t) spelling key =
   if
     (not (Hashtbl.mem t.spellings spelling))
@@ -71,17 +62,14 @@ let touch (t : _ t) stamp =
 
 let find (t : _ t) ?spelling key =
   Mutex.protect t.mutex (fun () ->
-      let found =
-        match Hashtbl.find_opt t.tbl key with
-        | Some (v, stamp) ->
-          touch t stamp;
-          Option.iter (fun s -> remember t s key) spelling;
-          Some v
-        | None ->
-          t.misses <- t.misses + 1;
-          None
-      in
-      (found, snapshot t))
+      match Hashtbl.find_opt t.tbl key with
+      | Some (v, stamp) ->
+        touch t stamp;
+        Option.iter (fun s -> remember t s key) spelling;
+        Some v
+      | None ->
+        t.misses <- t.misses + 1;
+        None)
 
 let find_spelling (t : _ t) spelling =
   Mutex.protect t.mutex (fun () ->
@@ -92,7 +80,7 @@ let find_spelling (t : _ t) spelling =
         | None -> None
         | Some (v, stamp) ->
           touch t stamp;
-          Some (key, v, snapshot t)))
+          Some (key, v)))
 
 let add (t : _ t) ?spelling key v =
   Mutex.protect t.mutex (fun () ->
@@ -116,7 +104,14 @@ let add (t : _ t) ?spelling key v =
         t.tick <- t.tick + 1;
         Hashtbl.replace t.tbl key (v, ref t.tick);
         Option.iter (fun s -> remember t s key) spelling
-      end;
-      snapshot t)
+      end)
 
-let counters t = Mutex.protect t.mutex (fun () -> snapshot t)
+let counters (t : _ t) =
+  Mutex.protect t.mutex (fun () ->
+      {
+        hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        size = Hashtbl.length t.tbl;
+        spellings = Hashtbl.length t.spellings;
+      })

@@ -22,16 +22,16 @@ val create : int -> 'a t
 
 val capacity : 'a t -> int
 
-val find : 'a t -> ?spelling:string -> string -> 'a option * counters
+val find : 'a t -> ?spelling:string -> string -> 'a option
 (** The canonical probe: counts one hit or one miss. A hit refreshes the
     entry's recency and records [spelling] as a way to find the key. *)
 
-val find_spelling : 'a t -> string -> (string * 'a * counters) option
+val find_spelling : 'a t -> string -> (string * 'a) option
 (** The probe by text: the fingerprint and value a spelling names, while
     its entry is still held. A hit counts and refreshes like a canonical
     hit; finding nothing counts nothing. *)
 
-val add : 'a t -> ?spelling:string -> string -> 'a -> counters
+val add : 'a t -> ?spelling:string -> string -> 'a -> unit
 (** Stores a value, evicting the least recently touched entry when full,
     and records [spelling]. The spelling index is cleared, not grown,
     when it already holds [cap] spellings. *)

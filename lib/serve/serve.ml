@@ -40,10 +40,13 @@
    snapshots uptime, request counters, latency quantiles, the queue and
    worker gauges, the phase breakdown, cache and intern-table health,
    process memory and the recent slow requests; [metrics] exposes the
-   whole registry as Prometheus text. Span traces are captured per
-   request and retained by a deterministic head-sampling decision on the
-   fingerprint ([--sample-rate]), with slow (>= [--slow-ms]), degraded
-   and error requests always kept. *)
+   whole registry as Prometheus text, refreshing first the gauges that
+   mirror the cache, the intern tables and memory; no request sets them.
+   Span traces are captured per request and retained by a deterministic
+   head-sampling decision on the fingerprint ([--sample-rate]), with slow
+   (>= [--slow-ms]), degraded and error requests always kept. A retained
+   request's spans are appended to the trace file when it finishes, and
+   nothing holds them after that. *)
 
 module Json = Itf_obs.Json
 module Metrics = Itf_obs.Metrics
@@ -117,14 +120,9 @@ type instruments = {
   requests : (string * Metrics.counter) list;
       (** [serve.requests{status}] for each status a response carries *)
   request_us : Metrics.histogram;
-  cache_size : Metrics.gauge;
-  cache_hits : Metrics.gauge;
-  cache_misses : Metrics.gauge;
-  cache_evictions : Metrics.gauge;
 }
 
 let instruments metrics =
-  let gauge name = Metrics.gauge metrics ("serve.cache." ^ name) in
   {
     requests =
       List.map
@@ -134,10 +132,6 @@ let instruments metrics =
     request_us =
       Metrics.histogram metrics ~buckets:Metrics.duration_buckets
         "serve.request_us";
-    cache_size = gauge "size";
-    cache_hits = gauge "hits";
-    cache_misses = gauge "misses";
-    cache_evictions = gauge "evictions";
   }
 
 type t = {
@@ -147,22 +141,23 @@ type t = {
   sched : Scheduler.t;
   metrics : Metrics.t;
   inst : instruments;
-  tracer : Tracer.t;  (** accumulates the {e retained} request span trees *)
-  metrics_out : string option;
-  trace_out : string option;
+  metrics_out : Metrics.sink option;
+  trace_out : Tracer.sink option;
   slow_ms : float;
   sample_rate : float;
   started : float;
   recent : Ring.t;
-  obs_lock : Mutex.t;
-      (** guards the observability sinks only: the retained-trace forest
-          and the metrics/trace output files *)
+  obs_lock : Mutex.t;  (** keeps two workers' sink writes apart *)
   clients : Unix.file_descr list ref * Mutex.t;
 }
 
 let create ?domains ?default_deadline_ms ?(max_cache = default_max_cache)
     ?metrics_out ?trace_out ?(slow_ms = default_slow_ms) ?(sample_rate = 1.)
     ?(workers = default_workers) ?(queue_depth = default_queue_depth) () =
+  (* The sinks open first: a path that cannot be written fails here,
+     before the scheduler takes its workers. *)
+  let metrics_out = Option.map Metrics.sink metrics_out in
+  let trace_out = Option.map Tracer.sink trace_out in
   let metrics = Metrics.create () in
   {
     domains;
@@ -171,7 +166,6 @@ let create ?domains ?default_deadline_ms ?(max_cache = default_max_cache)
     sched = Scheduler.create ~workers ~capacity:queue_depth metrics;
     metrics;
     inst = instruments metrics;
-    tracer = (if trace_out = None then Tracer.null else Tracer.create ());
     metrics_out;
     trace_out;
     slow_ms;
@@ -187,13 +181,6 @@ let metrics t = t.metrics
 let count_request t status =
   Metrics.incr (List.assoc status t.inst.requests)
 
-let publish_cache_gauges t (c : Response_cache.counters) =
-  let g gauge v = Metrics.set gauge (float_of_int v) in
-  g t.inst.cache_size c.size;
-  g t.inst.cache_hits c.hits;
-  g t.inst.cache_misses c.misses;
-  g t.inst.cache_evictions c.evictions
-
 (* Process memory in MB (10^6 bytes): the major heap now and at its peak.
    [Gc.quick_stat] reads the runtime's counters without collecting, so no
    request ever pays for a major collection. *)
@@ -202,31 +189,36 @@ let memory_mb () =
   let mb words = float_of_int (words * (Sys.word_size / 8)) /. 1e6 in
   (mb s.Gc.heap_words, mb s.Gc.top_heap_words)
 
-let write_text_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
+(* The gauges that mirror state kept elsewhere: the response cache, the
+   intern tables and process memory. Only the registry's readers, the
+   metrics op and the metrics file, refresh them, so no request pays for
+   gauges nobody reads. *)
+let refresh_gauges t =
+  let set name v = Metrics.set (Metrics.gauge t.metrics name) v in
+  let c = Response_cache.counters t.cache in
+  List.iter
+    (fun (name, v) -> set ("serve.cache." ^ name) (float_of_int v))
+    [ ("size", c.size); ("hits", c.hits); ("misses", c.misses); ("evictions", c.evictions) ];
+  Engine.record_tables t.metrics;
+  let heap, top = memory_mb () in
+  set "gc.heap_mb" heap;
+  set "gc.top_heap_mb" top
 
-(* Splices [join], a retained span tree, into the trace forest (nothing
-   when it is [Tracer.null]), then rewrites the output files whole, so an
-   external observer always sees a complete document. [obs_lock] keeps
-   two workers from interleaving the writes. *)
-let flush_observability ~join t =
-  Mutex.protect t.obs_lock (fun () ->
-      if Tracer.enabled join then Tracer.join t.tracer [ join ];
-      (match t.metrics_out with
-      | None -> ()
-      | Some path ->
-        Engine.record_tables t.metrics;
-        publish_cache_gauges t (Response_cache.counters t.cache);
-        write_text_file path (Json.to_string (Metrics.dump t.metrics) ^ "\n"));
-      match t.trace_out with
-      | None -> ()
-      | Some path ->
-        write_text_file path
-          (String.concat "\n" (Tracer.jsonl_lines (Tracer.roots t.tracer))
-          ^ "\n"))
+(* Appends [retained], a finished request's kept span trees, to the trace
+   file and rewrites the metrics file whole, so an external observer
+   always sees complete documents. With nothing to write (no metrics
+   file, no retained spans) it takes no lock. *)
+let flush_observability ?(retained = []) t =
+  match (t.metrics_out, retained) with
+  | None, [] -> ()
+  | _ ->
+    Mutex.protect t.obs_lock (fun () ->
+        Option.iter (fun s -> Tracer.emit s retained) t.trace_out;
+        Option.iter
+          (fun s ->
+            refresh_gauges t;
+            Metrics.write s t.metrics)
+          t.metrics_out)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection ops                                                   *)
@@ -351,11 +343,7 @@ let status_snapshot t ~id =
       ])
 
 let metrics_snapshot t ~id =
-  let heap, top = memory_mb () in
-  Metrics.set (Metrics.gauge t.metrics "gc.heap_mb") heap;
-  Metrics.set (Metrics.gauge t.metrics "gc.top_heap_mb") top;
-  publish_cache_gauges t (Response_cache.counters t.cache);
-  Engine.record_tables t.metrics;
+  refresh_gauges t;
   Json.Obj
     [
       ("id", id);
@@ -368,10 +356,10 @@ let metrics_snapshot t ~id =
 (* Request recording                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Count, time, ring-record and (when a tracer captured spans) retain one
+(* Count, time, ring-record and (when sampling keeps its spans) trace one
    finished search-shaped request, on whichever thread made its response:
    a worker for searches it ran, the reading thread for inline answers. *)
-let record_request t ?(fp = "") ?(cached = false) ?(phases = []) ?counters
+let record_request t ?(fp = "") ?(cached = false) ?(phases = [])
     ?(rt = Tracer.null) ~req_id ~t_recv resp =
   let status =
     match resp with
@@ -397,20 +385,20 @@ let record_request t ?(fp = "") ?(cached = false) ?(phases = []) ?counters
      overrides it for anything worth a post-mortem. Sampling only chooses
      retention: capture already happened. *)
   let retained =
-    Tracer.enabled rt
-    && (is_slow t record
-       || Tracer.head_keep ~sample_rate:t.sample_rate ~fingerprint:fp)
-  in
-  let record =
-    if retained then
-      { record with rq_profile = Profile.of_spans (Tracer.roots rt) }
-    else record
+    if
+      Tracer.enabled rt
+      && (is_slow t record
+         || Tracer.head_keep ~sample_rate:t.sample_rate ~fingerprint:fp)
+    then Tracer.roots rt
+    else []
   in
   count_request t status;
   Metrics.observe t.inst.request_us record.rq_wall_us;
-  Ring.push t.recent record;
-  Option.iter (publish_cache_gauges t) counters;
-  flush_observability ~join:(if retained then rt else Tracer.null) t
+  Ring.push t.recent
+    (match retained with
+    | [] -> record
+    | _ -> { record with rq_profile = Profile.of_spans retained });
+  flush_observability ~retained t
 
 let elapsed_ms ~t_recv = (Unix.gettimeofday () -. t_recv) *. 1000.
 
@@ -420,10 +408,10 @@ let fresh req ~t_recv body =
 
 (* A cache hit's response, built and recorded in one place for the
    reader's hit by text and the worker's canonical hit, so the two answer
-   and count alike. [counters] are the ones the probe read. *)
-let answer_hit t req ~t_recv ~fp counters entry =
+   and count alike. *)
+let answer_hit t req ~t_recv ~fp entry =
   let resp = Hit { id = req.id; entry; time_ms = elapsed_ms ~t_recv } in
-  record_request t ~fp ~cached:true ~counters ~req_id:req.id ~t_recv resp;
+  record_request t ~fp ~cached:true ~req_id:req.id ~t_recv resp;
   resp
 
 let expired req ~t_recv =
@@ -438,8 +426,8 @@ let expired req ~t_recv =
    complete insert records [spelling], so the next exact repeat of this
    text is answered by the reader. *)
 let exec_search t req ~spelling ~t_recv =
-  let record ?fp ?phases ?counters ?rt resp =
-    record_request t ?fp ?phases ?counters ?rt ~req_id:req.id ~t_recv resp;
+  let record ?fp ?phases ?rt resp =
+    record_request t ?fp ?phases ?rt ~req_id:req.id ~t_recv resp;
     resp
   in
   if expired req ~t_recv then
@@ -450,9 +438,9 @@ let exec_search t req ~spelling ~t_recv =
            ("cut", Json.String "queue:deadline");
          ])
   else
-    (* Spans are captured per request, and spliced into the retained
-       forest only if sampling keeps them or the tail condition fires. *)
-    let rt = if t.trace_out = None then Tracer.null else Tracer.create () in
+    (* Spans are captured per request, and written to the trace file only
+       if sampling keeps them or the tail condition fires. *)
+    let rt = if Option.is_none t.trace_out then Tracer.null else Tracer.create () in
     let failed msg = record ~rt (Value (error_response ~id:req.id msg)) in
     try
       match Itf_lang.Parser.parse req.nest_src with
@@ -461,8 +449,8 @@ let exec_search t req ~spelling ~t_recv =
       | { nest; _ } -> (
         let fp = fingerprint req nest in
         match Response_cache.find t.cache ?spelling fp with
-        | Some entry, counters -> answer_hit t req ~t_recv ~fp counters entry
-        | None, counters -> (
+        | Some entry -> answer_hit t req ~t_recv ~fp entry
+        | None -> (
           let outcome =
             Tracer.span rt "serve.request"
               ~attrs:(fun () ->
@@ -480,15 +468,12 @@ let exec_search t req ~spelling ~t_recv =
             let body = body o in
             (* Two workers finishing the same request race the insert, but
                both computed the same body, so either store wins. *)
-            let counters =
-              if o.completion = Engine.Complete then
-                Response_cache.add t.cache ?spelling fp (entry body)
-              else counters
-            in
+            if o.completion = Engine.Complete then
+              Response_cache.add t.cache ?spelling fp (entry body);
             let phases =
               List.map (fun (p, s) -> (p, s *. 1e6)) (Stats.phases o.stats)
             in
-            record ~fp ~phases ~counters ~rt (fresh req ~t_recv body)))
+            record ~fp ~phases ~rt (fresh req ~t_recv body)))
     with e -> failed ("internal error: " ^ Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -539,11 +524,11 @@ let submit t ?wait_turn json k =
           else metrics_snapshot t ~id
         in
         count_request t "ok";
-        flush_observability ~join:Tracer.null t;
+        flush_observability t;
         k (Value resp, false))
   | `Op (id, other) ->
     count_request t "error";
-    flush_observability ~join:Tracer.null t;
+    flush_observability t;
     answer_inline ?wait_turn k
       (error_response ~id
          (Printf.sprintf "unknown op %S (use status|metrics|shutdown)" other))
@@ -564,8 +549,7 @@ let submit t ?wait_turn json k =
       | _ -> None
     in
     match hit with
-    | Some (fp, entry, counters) ->
-      k (answer_hit t req ~t_recv ~fp counters entry, false)
+    | Some (fp, entry) -> k (answer_hit t req ~t_recv ~fp entry, false)
     | None ->
       Scheduler.submit t.sched ~recv:t_recv
         ~shed:(fun waiting ->
@@ -696,4 +680,4 @@ let run ?socket t =
       (try Thread.join thread with _ -> ());
       try Unix.unlink path with _ -> ())
     listener;
-  flush_observability ~join:Tracer.null t
+  flush_observability t

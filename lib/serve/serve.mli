@@ -78,8 +78,14 @@
     ([memory.heap_mb] and [memory.top_heap_mb], from [Gc.quick_stat],
     never a forced collection), and the recent slow requests);
     [{"op": "metrics"}] returns the whole registry in the Prometheus text
-    exposition format under a ["metrics"] string field, with the same
-    memory readings as the [gc.heap_mb] and [gc.top_heap_mb] gauges.
+    exposition format under a ["metrics"] string field. Most of the
+    registry is updated as requests run, but the gauges that mirror
+    state kept elsewhere are fresh only when read: the [metrics] op and
+    each [metrics_out] write first set the response cache's
+    [serve.cache.size]/[hits]/[misses]/[evictions], the intern tables'
+    [intern.*] ({!Itf_opt.Engine.record_tables}) and the [gc.heap_mb] and
+    [gc.top_heap_mb] memory readings, so they agree with [status]. A
+    request sets none of them.
     Any other ["op"] is an error response.
 
     {b Response} fields (search): ["id"], ["status"] ([ok] — complete;
@@ -104,11 +110,16 @@
     ([sample_rate]) — deterministic, so reruns keep the same traces —
     with slow requests always retained (tail-based keep); retained
     requests also carry a self-time profile ({!Itf_obs.Profile}) in
-    their ring record. *)
+    their ring record. A retained request's span lines are appended to
+    the trace file and flushed before its response is written, with ids
+    continuing across requests, so the file always holds whole lines
+    and [loopt report] links every child to its parent. The server
+    keeps no span tree once it is written: the trace costs time linear
+    in its lines and no heap that grows with it. *)
 
 type t
 (** Server state: scheduler (admission queue + worker pool), response
-    cache, metrics registry, tracer, request ring. *)
+    cache, metrics registry, output files, request ring. *)
 
 val default_max_cache : int
 (** Default response-cache capacity (entries). *)
@@ -140,9 +151,13 @@ val create :
     {!Itf_opt.Engine.search}; [default_deadline_ms] applies to requests
     that carry no ["deadline_ms"] of their own; [max_cache] (default
     {!default_max_cache}, [0] disables caching) bounds the LRU response
-    cache; [metrics_out]/[trace_out] name files rewritten after every
-    request with the {!Itf_obs.Metrics} dump and the retained span
-    trace. [slow_ms] (default {!default_slow_ms}) sets the slow-log
+    cache; [metrics_out] names a file rewritten whole after every
+    request with the {!Itf_obs.Metrics} dump, and [trace_out] one each
+    retained request's span lines are appended to. Both files are
+    created (truncated) here, and a path that cannot be opened raises
+    [Sys_error] naming it; a write error after that is reported on
+    stderr once for that file, which is then not written further, and
+    never costs a response. [slow_ms] (default {!default_slow_ms}) sets the slow-log
     threshold; [sample_rate] (default [1.] — keep everything) the
     deterministic head-sampling rate for trace retention. The
     request ring keeps the last 128 requests. [workers] (default
@@ -188,4 +203,4 @@ val run : ?socket:string -> t -> unit
     reader admits them as they arrive and responses are written in
     completion order under a per-channel lock. Drains in-flight
     requests, then closes the listener and live connections on the way
-    out and writes the final metrics/trace dumps. *)
+    out and writes the final metrics dump. *)

@@ -11,6 +11,22 @@ let contains ~sub s =
   let rec go k = k + m <= n && (String.sub s k m = sub || go (k + 1)) in
   m = 0 || go 0
 
+(* A span forest's JSONL lines, as [Tracer.write_jsonl] writes them. *)
+let jsonl_lines spans =
+  let path = Filename.temp_file "spans" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> Itf_obs.Tracer.write_jsonl oc spans);
+  let lines = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  List.filter (( <> ) "") (String.split_on_char '\n' lines)
+
+(* A registry's dump, as [Metrics.write] writes it to a metrics file. *)
+let metrics_dump m =
+  let path = Filename.temp_file "metrics" ".json" in
+  Itf_obs.Metrics.write (Itf_obs.Metrics.sink path) m;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Result.get_ok (Itf_obs.Json.of_string (String.trim text))
+
 (* A matrix from its rows, and the matrix-vector product, written on
    [Intmat.make] and [Intmat.get]. *)
 let of_rows rows =

@@ -253,7 +253,7 @@ let test_jsonl_ids () =
       Tracer.span tr "b" (fun () -> ());
       Tracer.span tr "c" (fun () -> ()));
   Tracer.span tr "d" (fun () -> ());
-  let lines = Tracer.jsonl_lines (Tracer.roots tr) in
+  let lines = Builders.jsonl_lines (Tracer.roots tr) in
   check_int "one line per span" 4 (List.length lines);
   let parsed =
     List.map
@@ -279,6 +279,31 @@ let test_jsonl_ids () =
         Some Json.Null;
       ])
 
+(* A sink streams forests one at a time: after each [emit] its file is
+   [write_jsonl] of every tree emitted so far, ids running on. *)
+let test_sink_streams () =
+  let path = Filename.temp_file "sink" ".jsonl" in
+  let sink = Tracer.sink path in
+  let forest names =
+    let tr = Tracer.create ~clock:(ticking ()) () in
+    List.iter
+      (fun n -> Tracer.span tr n (fun () -> Tracer.span tr (n ^ ".child") ignore))
+      names;
+    Tracer.roots tr
+  in
+  let emitted = ref [] in
+  List.iter
+    (fun names ->
+      let roots = forest names in
+      Tracer.emit sink roots;
+      emitted := !emitted @ roots;
+      Alcotest.(check (list string))
+        "file = write_jsonl of every tree so far"
+        (Builders.jsonl_lines !emitted)
+        (In_channel.with_open_bin path In_channel.input_lines))
+    [ [ "a" ]; []; [ "b"; "c" ]; [ "d" ] ];
+  Sys.remove path
+
 (* A span forest's JSONL records without their timings: what two runs
    that differ only in timing share. *)
 let shape roots =
@@ -288,7 +313,7 @@ let shape roots =
       | Ok (Json.Obj fields) ->
         Json.Obj (List.filter (fun (k, _) -> k <> "start_s" && k <> "dur_s") fields)
       | _ -> Alcotest.failf "unparseable span line %s" line)
-    (Tracer.jsonl_lines roots)
+    (Builders.jsonl_lines roots)
 
 let test_equal_shape () =
   let build clock =
@@ -373,7 +398,7 @@ let test_histogram_buckets () =
   let m = Metrics.create () in
   let h = Metrics.histogram m ~buckets:[| 1.; 10. |] "h" in
   List.iter (Metrics.observe h) [ 0.5; 5.; 100. ];
-  match Option.bind (Json.member "metrics" (Metrics.dump m)) Json.to_list with
+  match Option.bind (Json.member "metrics" (Builders.metrics_dump m)) Json.to_list with
   | Some [ entry ] ->
     check_bool "per-bucket counts plus overflow" true
       (Json.member "counts" entry
@@ -388,7 +413,7 @@ let test_dump_determinism () =
   Metrics.incr (Metrics.counter y "alpha");
   Metrics.incr (Metrics.counter y "beta");
   check_bool "dump is insertion-order independent" true
-    (Metrics.dump x = Metrics.dump y)
+    (Builders.metrics_dump x = Builders.metrics_dump y)
 
 (* Registry lookups read a snapshot without the lock. Four domains race
    to create the same 32 labelled counters, each creating 32 names of
@@ -430,7 +455,7 @@ let test_registry_races () =
     done
   done;
   let keys =
-    match Option.bind (Json.member "metrics" (Metrics.dump m)) Json.to_list with
+    match Option.bind (Json.member "metrics" (Builders.metrics_dump m)) Json.to_list with
     | None -> []
     | Some entries ->
       List.map
@@ -458,7 +483,7 @@ let test_histogram_sum_count () =
   check_int "count" 3 (Metrics.histogram_count h);
   check_float "sum at 1/1000 resolution" 105.5 (Metrics.histogram_sum h);
   (* the dump carries count and sum alongside the bucket counts *)
-  match Option.bind (Json.member "metrics" (Metrics.dump m)) Json.to_list with
+  match Option.bind (Json.member "metrics" (Builders.metrics_dump m)) Json.to_list with
   | Some [ entry ] ->
     check_bool "dump count" true (Json.member "count" entry = Some (Json.Int 3));
     check_bool "dump sum" true
@@ -580,7 +605,7 @@ let test_profile_self_time () =
     check_float "b total" 2.0 rb.Profile.total_s;
     check_float "b self" 2.0 rb.Profile.self_s
   | rs -> Alcotest.failf "expected 2 rows, got %d" (List.length rs));
-  (match Profile.of_lines (Tracer.jsonl_lines roots) with
+  (match Profile.of_lines (Builders.jsonl_lines roots) with
   | Error e -> Alcotest.failf "of_lines failed: %s" e
   | Ok rows' -> check_bool "of_lines == of_spans" true (rows = rows'));
   check_int "top truncates" 1 (List.length (Profile.top 1 rows));
@@ -593,7 +618,7 @@ let test_profile_self_time () =
 let test_report_rows () =
   let tr = Tracer.create ~clock:(ticking ()) () in
   Tracer.span tr "a" (fun () -> Tracer.span tr "b" (fun () -> ()));
-  let lines = Tracer.jsonl_lines (Tracer.roots tr) in
+  let lines = Builders.jsonl_lines (Tracer.roots tr) in
   match Report.of_lines lines with
   | Error e -> Alcotest.failf "report failed: %s" e
   | Ok rows ->
@@ -617,7 +642,7 @@ let test_report_counters () =
     ~attrs:(fun () -> [ ("hits", Tracer.Int 3) ])
     "a"
     (fun () -> ());
-  match Report.counters (Tracer.jsonl_lines (Tracer.roots tr)) with
+  match Report.counters (Builders.jsonl_lines (Tracer.roots tr)) with
   | Error e -> Alcotest.failf "counters failed: %s" e
   | Ok cs ->
     check_bool "int attrs summed per span.attr, strings ignored" true
@@ -627,7 +652,7 @@ let test_report_malformed () =
   let good =
     let tr = Tracer.create ~clock:(ticking ()) () in
     Tracer.span tr "a" (fun () -> ());
-    Tracer.jsonl_lines (Tracer.roots tr)
+    Builders.jsonl_lines (Tracer.roots tr)
   in
   match Report.of_lines (good @ [ "{not json" ]) with
   | Ok _ -> Alcotest.fail "malformed line accepted"
@@ -645,7 +670,7 @@ let test_report_metrics_quantiles () =
   let h = Metrics.histogram m ~buckets:[| 1.; 2.; 5.; 10. |] "lat" in
   for _ = 1 to 10 do Metrics.observe h 0.5 done;
   for _ = 1 to 10 do Metrics.observe h 1.5 done;
-  let text = Format.asprintf "%a" Report.pp_metrics_file (Metrics.dump m) in
+  let text = Format.asprintf "%a" Report.pp_metrics_file (Builders.metrics_dump m) in
   List.iter
     (fun sub ->
       check_bool (Printf.sprintf "renders %S" sub) true
@@ -783,7 +808,7 @@ let test_engine_provenance () =
       o.Engine.rejections;
     (* the legality.rejections{reason=...} counters cover the list *)
     let counted =
-      match Option.bind (Json.member "metrics" (Metrics.dump metrics)) Json.to_list with
+      match Option.bind (Json.member "metrics" (Builders.metrics_dump metrics)) Json.to_list with
       | None -> 0
       | Some entries ->
         List.fold_left
@@ -842,7 +867,7 @@ let test_engine_unscoreable () =
    counters ([core.families.built], [core.refs.*]) count a cold search's
    work only, and a search warmed by an earlier one reads 0 there. *)
 let counter_entries m =
-  match Option.bind (Json.member "metrics" (Metrics.dump m)) Json.to_list with
+  match Option.bind (Json.member "metrics" (Builders.metrics_dump m)) Json.to_list with
   | None -> []
   | Some entries ->
     List.filter
@@ -1163,6 +1188,7 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "fork/join input order" `Quick test_fork_join;
           Alcotest.test_case "jsonl preorder ids" `Quick test_jsonl_ids;
+          Alcotest.test_case "a sink streams forests" `Quick test_sink_streams;
           Alcotest.test_case "equal_shape" `Quick test_equal_shape;
           Alcotest.test_case "ambient tracer" `Quick test_ambient;
           Alcotest.test_case "re-installing the ambient tracer" `Quick

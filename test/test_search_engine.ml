@@ -773,7 +773,7 @@ let search_lines ~steps ~objective nest =
     let rejections =
       match
         Option.bind
-          (Itf_obs.Json.member "metrics" (Itf_obs.Metrics.dump metrics))
+          (Itf_obs.Json.member "metrics" (Builders.metrics_dump metrics))
           Itf_obs.Json.to_list
       with
       | None -> []

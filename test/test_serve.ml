@@ -495,15 +495,18 @@ let test_request_rules_one_table () =
 
 let test_serve_lru_eviction () =
   let server = Serve.create ~domains:1 ~max_cache:1 () in
-  let gauge name =
-    Itf_obs.Metrics.gauge_value (Itf_obs.Metrics.gauge (Serve.metrics server) name)
+  let cache name =
+    let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+    match Json.to_int (field name (field "cache" st)) with
+    | Some n -> n
+    | None -> Alcotest.fail ("cache." ^ name ^ " not an integer")
   in
   (* Two distinct fingerprints through a 1-entry cache: the second insert
      evicts the first, so re-asking the first misses again. *)
   ignore (Serve.handle_line server (req matmul_src));
   ignore (Serve.handle_line server (req ~steps:1 ~id:(Json.Int 2) matmul_src));
-  check_bool "eviction counted" true (gauge "serve.cache.evictions" >= 1.);
-  check_bool "cache stays at capacity" true (gauge "serve.cache.size" = 1.);
+  check_bool "eviction counted" true (cache "evictions" >= 1);
+  check_bool "cache stays at capacity" true (cache "size" = 1);
   let again, _ = Serve.handle_line server (req ~id:(Json.Int 3) matmul_src) in
   check_bool "evicted entry recomputed" true (field "cached" again = Json.Bool false)
 
@@ -766,6 +769,192 @@ let test_serve_sampling_retention () =
   in
   check_bool "degraded request retained even at rate 0" true
     (List.mem "serve.request" tail_kept)
+
+(* The trace file is streamed: after every request it holds whole lines,
+   each state of it is a prefix of the next, ids run 0..k-1 in file order
+   across requests, every parent is an earlier line, and the report
+   parses it. A miss, a hit, a degraded request and an error at rates 0,
+   0.5 and 1; at rate 1 the miss and the degraded request each keep a
+   tree, so ids restarting per request would show. *)
+let test_serve_trace_stream () =
+  List.iter
+    (fun rate ->
+      let path = Filename.temp_file "serve_stream" ".jsonl" in
+      let server =
+        Serve.create ~domains:1 ~trace_out:path ~sample_rate:rate ~slow_ms:1e9 ()
+      in
+      let what = Printf.sprintf "rate %g" rate in
+      let last = ref "" in
+      List.iter
+        (fun line ->
+          ignore (Serve.handle_line server line);
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          check_bool (what ^ ": whole lines") true
+            (text = "" || text.[String.length text - 1] = '\n');
+          check_bool (what ^ ": the last file is a prefix") true
+            (String.starts_with ~prefix:!last text);
+          last := text;
+          let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+          List.iteri
+            (fun k l ->
+              let span = Result.get_ok (Json.of_string l) in
+              check_bool (what ^ ": ids in order") true (field "id" span = Json.Int k);
+              match field "parent" span with
+              | Json.Null -> ()
+              | Json.Int p -> check_bool (what ^ ": parent precedes") true (p < k)
+              | v -> Alcotest.fail ("parent " ^ Json.to_string v))
+            lines;
+          check_bool (what ^ ": the report parses it") true
+            (Result.is_ok (Itf_obs.Report.of_lines lines)))
+        [
+          req ~id:(Json.Int 1) matmul_src;
+          req ~id:(Json.Int 2) matmul_src;
+          req ~id:(Json.Int 3) ~steps:3 ~max_nodes:5 matmul_src;
+          req ~id:(Json.Int 4) "do i = 1,";
+        ];
+      if rate = 1. then begin
+        let roots =
+          List.filter
+            (fun l -> Builders.contains ~sub:"\"parent\": null" l)
+            (String.split_on_char '\n' !last)
+        in
+        check_int "rate 1 keeps the miss and the degraded request" 2
+          (List.length roots)
+      end;
+      Sys.remove path)
+    [ 0.; 0.5; 1. ]
+
+(* The cache gauges are refreshed only by their readers, so after hits,
+   misses and evictions on a 1-entry cache, the status op's [cache]
+   section, the metrics op's [serve_cache_*] lines and the metrics file
+   agree. The metrics op is read on a server without a metrics file,
+   whose registry nothing else refreshes. *)
+let test_serve_gauges_agree () =
+  let path = Filename.temp_file "serve_metrics" ".json" in
+  let plain = Serve.create ~domains:1 ~max_cache:1 () in
+  let filed = Serve.create ~domains:1 ~max_cache:1 ~metrics_out:path () in
+  let a = req ~id:(Json.Int 1) matmul_src
+  and b = req ~id:(Json.Int 2) ~steps:1 matmul_src in
+  List.iter
+    (fun server ->
+      List.iter (fun l -> ignore (Serve.handle_line server l)) [ a; a; b; a; a ])
+    [ plain; filed ];
+  let names = [ "size"; "hits"; "misses"; "evictions" ] in
+  let status server =
+    let st, _ = Serve.handle_line server "{\"op\": \"status\"}" in
+    List.map (fun k -> Option.get (Json.to_int (obj_field [ "cache"; k ] st))) names
+  in
+  let exposition =
+    let resp, _ = Serve.handle_line plain "{\"op\": \"metrics\"}" in
+    let text = Option.get (Json.to_str (field "metrics" resp)) in
+    List.map
+      (fun k ->
+        let prefix = "serve_cache_" ^ k ^ " " in
+        match
+          List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
+        with
+        | Some l ->
+          int_of_float
+            (float_of_string
+               (String.sub l (String.length prefix)
+                  (String.length l - String.length prefix)))
+        | None -> Alcotest.fail ("no " ^ prefix ^ "line"))
+      names
+  in
+  let expected = [ 1; 2; 3; 2 ] in
+  Alcotest.(check (list int)) "status" expected (status plain);
+  Alcotest.(check (list int)) "metrics op" expected exposition;
+  Alcotest.(check (list int)) "status with a metrics file" expected (status filed);
+  let dumped =
+    match
+      Json.of_string (String.trim (In_channel.with_open_bin path In_channel.input_all))
+    with
+    | Ok doc -> (
+      match field "metrics" doc with
+      | Json.List ms ->
+        List.filter_map
+          (fun m ->
+            match
+              (Json.to_str (field "name" m), Option.bind (Json.member "value" m) Json.to_float)
+            with
+            | Some n, Some v -> Some (n, v)
+            | _ -> None)
+          ms
+      | _ -> Alcotest.fail "metrics not a list")
+    | Error e -> Alcotest.fail e
+  in
+  Sys.remove path;
+  Alcotest.(check (list int))
+    "metrics file" expected
+    (List.map
+       (fun k -> int_of_float (List.assoc ("serve.cache." ^ k) dumped))
+       names);
+  List.iter
+    (fun g -> check_bool (g ^ " in the file") true (List.mem_assoc g dumped))
+    [ "gc.heap_mb"; "gc.top_heap_mb" ]
+
+(* Runs [f] with the process's stderr sent to a file, and returns what was
+   written there. *)
+let capture_stderr f =
+  let path = Filename.temp_file "stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved;
+      Unix.close fd)
+    f;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+(* A sink path that cannot be opened fails [create] with an error naming
+   it. One that fails later costs no response: the error is reported on
+   stderr once and the sink writes no more. *)
+let test_serve_sink_errors () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir-for-sinks" in
+  List.iter
+    (fun (what, create) ->
+      let path = Filename.concat dir "out" in
+      match create path with
+      | _ -> Alcotest.fail (what ^ ": create accepted an unwritable path")
+      | exception Sys_error e ->
+        check_bool (what ^ ": the error names the path") true
+          (Builders.contains ~sub:path e))
+    [
+      ("trace_out", fun p -> Serve.create ~domains:1 ~trace_out:p ());
+      ("metrics_out", fun p -> Serve.create ~domains:1 ~metrics_out:p ());
+    ];
+  let dir = Filename.temp_file "sinks" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "metrics.json" in
+  let server = Serve.create ~domains:1 ~metrics_out:path () in
+  Sys.remove path;
+  Sys.rmdir dir;
+  let lines =
+    [
+      (req ~id:(Json.Int 1) matmul_src, "ok");
+      (req ~id:(Json.Int 2) matmul_src, "ok");
+      ("{\"op\": \"status\"}", "ok");
+      ("{\"op\": \"metrics\"}", "ok");
+      ("{\"op\": \"nope\"}", "error");
+      ("{not json", "error");
+    ]
+  in
+  let err =
+    capture_stderr (fun () ->
+        List.iter
+          (fun (line, want) ->
+            check_string line want (status (fst (Serve.handle_line server line))))
+          lines)
+  in
+  let reports = List.filter (Builders.contains ~sub:path) (String.split_on_char '\n' err) in
+  check_int "the write error is reported once" 1 (List.length reports)
 
 (* The acceptance pin at unit scale: on a single-domain server the four
    attributed evaluation phases (expand / legality / tier0 / exact)
@@ -1390,7 +1579,7 @@ let test_serve_spelling_index_bounded () =
 
 module Cache = Itf_serve.Response_cache
 
-let held c k = fst (Cache.find c k) <> None
+let held c k = Cache.find c k <> None
 
 (* Eviction takes the least recently touched entry, and a canonical hit
    and a hit by text both count as a touch. *)
@@ -1422,7 +1611,8 @@ let test_cache_spelling_counts () =
     (Cache.find_spelling c "other" = None);
   check_bool "finding nothing counts nothing" true (Cache.counters c = before);
   (match Cache.find_spelling c "s" with
-  | Some (key, v, counters) ->
+  | Some (key, v) ->
+    let counters = Cache.counters c in
     check_string "spelling names its key" "k" key;
     check_int "value" 7 v;
     check_int "a hit is counted" (before.hits + 1) counters.hits;
@@ -1450,7 +1640,8 @@ let test_cache_spellings_cleared_at_cap () =
 
 let test_cache_zero_capacity () =
   let c = Cache.create 0 in
-  let after = Cache.add c ~spelling:"s" "k" 1 in
+  Cache.add c ~spelling:"s" "k" 1;
+  let after = Cache.counters c in
   check_int "nothing stored" 0 after.size;
   check_int "no spelling" 0 after.spellings;
   check_bool "a probe misses" false (held c "k");
@@ -1458,7 +1649,7 @@ let test_cache_zero_capacity () =
   check_int "capacity" 0 (Cache.capacity c)
 
 (* Against a list model, over a seeded stream of probes and inserts:
-   every returned snapshot equals the operations made so far, and the
+   after each one the counters equal the operations made so far, and the
    model's LRU order decides every eviction. *)
 let test_cache_counters_model () =
   let cap = 4 in
@@ -1476,14 +1667,14 @@ let test_cache_counters_model () =
   for _ = 1 to 2_000 do
     let k = string_of_int (Random.State.int rng 8) in
     if Random.State.bool rng then begin
-      let found, got = Cache.find c k in
+      let found = Cache.find c k in
       if List.mem k !order then begin
         incr hits;
         touch k
       end
       else incr misses;
       check_bool "find agrees with the model" (List.mem k !order) (found <> None);
-      check "find" got
+      check "find" (Cache.counters c)
     end
     else begin
       if (not (List.mem k !order)) && List.length !order >= cap then begin
@@ -1491,7 +1682,8 @@ let test_cache_counters_model () =
         order := List.filteri (fun i _ -> i < cap - 1) !order
       end;
       touch k;
-      check "add" (Cache.add c k ())
+      Cache.add c k ();
+      check "add" (Cache.counters c)
     end
   done;
   check "snapshot" (Cache.counters c)
@@ -1833,6 +2025,12 @@ let () =
             test_serve_slow_log_threshold;
           Alcotest.test_case "sampling retention" `Quick
             test_serve_sampling_retention;
+          Alcotest.test_case "the trace file is streamed" `Quick
+            test_serve_trace_stream;
+          Alcotest.test_case "gauges agree wherever they are read" `Quick
+            test_serve_gauges_agree;
+          Alcotest.test_case "sink errors cost no response" `Quick
+            test_serve_sink_errors;
           Alcotest.test_case "phase sum tracks search total" `Quick
             test_serve_phase_sum_vs_total;
         ] );
